@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.jobs import PassageTimeJob, TransformJob, TransientJob
-from ..laplace.inverter import Inverter, canonical_s, conjugate_reduced
+from ..laplace.inverter import Inverter, fold_conjugates
 from ..smp import PassageTimeOptions, source_weights
 from .errors import PlanError
 
@@ -43,12 +43,21 @@ class QueryPlan:
         The de-duplicated, conjugate-folded subset that actually needs
         evaluating — ``L(conj(s)) = conj(L(s))`` for real measures, so only
         one member of each conjugate pair is scheduled.
+    s_keys:
+        The canonical cache key of each scheduled point, aligned with
+        ``s_points``.  Every required point is canonicalised exactly once,
+        here; the scheduler, the cache and :meth:`on_grid` reuse these keys.
     """
 
     t_points: np.ndarray
     inverter: Inverter
     required_s_points: np.ndarray = field(repr=False)
     s_points: np.ndarray = field(repr=False)
+    s_keys: list[complex] = field(repr=False)
+    #: per required point: its scheduled point's position, and whether it is
+    #: that point's folded mirror image (its value is the conjugate)
+    _scheduled_at: np.ndarray = field(repr=False)
+    _mirrored: np.ndarray = field(repr=False)
 
     @classmethod
     def derive(cls, inverter: Inverter, t_points) -> "QueryPlan":
@@ -59,11 +68,15 @@ class QueryPlan:
         if not np.all(np.isfinite(t_points)) or np.any(t_points <= 0):
             raise PlanError("t-points must be finite and strictly positive")
         required = inverter.required_s_points(t_points)
+        s_points, s_keys, scheduled_at, mirrored = fold_conjugates(required)
         return cls(
             t_points=t_points,
             inverter=inverter,
             required_s_points=required,
-            s_points=conjugate_reduced(required),
+            s_points=s_points,
+            s_keys=s_keys,
+            _scheduled_at=scheduled_at,
+            _mirrored=mirrored,
         )
 
     # -------------------------------------------------------------- queries
@@ -76,9 +89,17 @@ class QueryPlan:
     def conjugates_folded(self) -> int:
         return int(self.required_s_points.size - self.s_points.size)
 
-    def canonical_keys(self) -> set[complex]:
-        """The canonical cache keys of the scheduled evaluations."""
-        return {canonical_s(s) for s in self.s_points}
+    def on_grid(self, resolved) -> np.ndarray:
+        """Transform values aligned with ``required_s_points``.
+
+        ``resolved`` maps each of ``s_keys`` to its value; a folded point is
+        recovered as the conjugate of its mirror image's value.  The array
+        feeds ``inverter.invert_values`` directly, and pairs with the *exact*
+        grid points for arithmetic such as the CDF's ``L(s)/s``.
+        """
+        values = np.asarray([resolved[key] for key in self.s_keys], dtype=complex)
+        values = values[self._scheduled_at]
+        return np.where(self._mirrored, values.conj(), values)
 
     def describe(self) -> dict:
         return {

@@ -192,7 +192,7 @@ class JobRunner:
     def _block_evaluator(self, record: JobRecord):
         """The per-job evaluation hook handed to the sync query path.
 
-        Matches the ``_evaluate(job, s_points, entry, stats)`` contract of
+        Matches the ``_evaluate(job, plan, entry, stats)`` contract of
         ``AnalysisService._gather``: resolve the grid through the coalescing
         scheduler exactly like a synchronous query would, but in runner-sized
         blocks with a cancellation check and a progress event between them.
@@ -203,8 +203,8 @@ class JobRunner:
                  "reporter": None, "board_key": None}
         board = getattr(self.service.scheduler, "progress_board", None)
 
-        def evaluate(job, s_points, entry, stats):
-            s_list = [complex(s) for s in s_points]
+        def evaluate(job, plan, entry, stats):
+            s_list, keys = plan.s_points.tolist(), plan.s_keys
             policy = job.policy or SPointPolicy()
             engine = policy.resolve_engine(entry.evaluator)
             size = self.block_points or policy.dispatch_block_points(
@@ -212,7 +212,10 @@ class JobRunner:
                 max(int(getattr(self.service, "workers", 1)), 1),
                 vector=job.kind() == "transient",
             )
-            blocks = [s_list[i:i + size] for i in range(0, len(s_list), size)]
+            blocks = [
+                (s_list[i:i + size], keys[i:i + size])
+                for i in range(0, len(s_list), size)
+            ]
             if not state["planned"]:
                 state["planned"] = True
                 if board is not None:
@@ -249,12 +252,13 @@ class JobRunner:
                 state["blocks_total"] = state.get("blocks_total", 0) + len(blocks)
 
             resolved: dict[complex, complex] = {}
-            for block in blocks:
+            for block, block_keys in blocks:
                 if self.store.cancel_requested(record.job_id):
                     raise JobCancelled(record.job_id)
                 resolved.update(self.service.scheduler.evaluate(
-                    job, block, eval_lock=entry.eval_lock, stats=stats,
-                    progress_key=entry.digest, reporter=state["reporter"],
+                    job, block, keys=block_keys, eval_lock=entry.eval_lock,
+                    stats=stats, progress_key=entry.digest,
+                    reporter=state["reporter"],
                 ))
                 state["points_done"] += len(block)
                 state["blocks_done"] += 1

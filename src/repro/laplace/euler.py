@@ -12,13 +12,13 @@ matches the paper's "165 s-point evaluations" for the 5 t-points of Table 2.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 from scipy.special import comb
 
 from ..utils.validation import check_positive
-from .inverter import Inverter, canonical_s
+from .inverter import Inverter
 
 __all__ = ["EulerInverter", "euler_s_points"]
 
@@ -76,24 +76,12 @@ class EulerInverter(Inverter):
         ]
         return np.concatenate(pts)
 
-    def invert_values(
-        self, t_points: Iterable[float], values: Mapping[complex, complex]
-    ) -> np.ndarray:
-        t_points = np.asarray(list(t_points), dtype=float)
-        out = np.empty(t_points.shape, dtype=float)
-        lookup = {canonical_s(k): complex(v) for k, v in values.items()}
-        for idx, t in enumerate(t_points):
-            s_pts = euler_s_points(
-                t, a=self.a, n_terms=self.n_terms, euler_order=self.euler_order
-            )
-            try:
-                f_vals = np.asarray([lookup[canonical_s(s)] for s in s_pts], dtype=complex)
-            except KeyError as exc:  # pragma: no cover - defensive
-                raise KeyError(
-                    f"missing transform value for s-point {exc.args[0]!r} (t={t})"
-                ) from None
-            out[idx] = self._invert_single(t, f_vals)
-        return out
+    def _invert_aligned(self, t_points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        per_t = values.reshape(t_points.size, self.points_per_t())
+        return np.asarray(
+            [self._invert_single(t, f_vals) for t, f_vals in zip(t_points, per_t)],
+            dtype=float,
+        )
 
     # ------------------------------------------------------------ internals
     def _invert_single(self, t: float, f_values: np.ndarray) -> float:

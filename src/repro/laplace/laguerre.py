@@ -22,12 +22,12 @@ at ``t / b``); both default to the unmodified method.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from ..utils.validation import check_positive
-from .inverter import Inverter, canonical_s
+from .inverter import Inverter
 
 __all__ = ["LaguerreInverter", "laguerre_s_points"]
 
@@ -135,18 +135,8 @@ class LaguerreInverter(Inverter):
         )
         return damped.invert_cdf(transform, t_points)
 
-    def invert_values(
-        self, t_points: Iterable[float], values: Mapping[complex, complex]
-    ) -> np.ndarray:
-        t_points = np.asarray(list(t_points), dtype=float)
-        s_points = self.required_s_points(t_points)
-        lookup = {canonical_s(k): complex(v) for k, v in values.items()}
-        try:
-            f_vals = np.asarray([lookup[canonical_s(s)] for s in s_points], dtype=complex)
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise KeyError(f"missing transform value for s-point {exc.args[0]!r}") from None
-        coeffs = self._coefficients(f_vals)
-        return self._evaluate_series(coeffs, t_points)
+    def _invert_aligned(self, t_points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return self._evaluate_series(self._coefficients(values), t_points)
 
     # ------------------------------------------------------------ internals
     def _coefficients(self, transform_values: np.ndarray) -> np.ndarray:

@@ -161,12 +161,15 @@ def stderr_renderer(stream=None, min_interval: float = 0.1):
     ``min_interval`` seconds; always paints the final line with a newline.
     """
     stream = stream or sys.stderr
-    state = {"last": 0.0, "painted": False}
+    # "last" starts unset, not 0.0: monotonic() may itself be below
+    # min_interval (a freshly booted host), which would throttle line one.
+    state = {"last": None, "painted": False}
     is_tty = bool(getattr(stream, "isatty", lambda: False)())
 
     def _listener(snap: dict, final: bool) -> None:
         now = time.monotonic()
-        if not final and now - state["last"] < min_interval:
+        last = state["last"]
+        if not final and last is not None and now - last < min_interval:
             return
         state["last"] = now
         eta = snap["eta_seconds"]

@@ -16,7 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..distributed.checkpoint import CheckpointStore
-from ..laplace.inverter import canonical_s
+from ..laplace.inverter import canonical_keys
 from ..obs.metrics import get_metrics
 
 __all__ = ["CacheLookup", "TieredResultCache"]
@@ -111,8 +111,7 @@ class TieredResultCache:
                 if values is None:  # evicted while loading; reinstate
                     values = {}
                     self._measures[digest] = values
-                for k, v in disk.items():
-                    key = canonical_s(k)
+                for key, v in zip(canonical_keys(list(disk)), disk.values()):
                     if key not in values:
                         values[key] = complex(v)
                         self._n_points += 1
@@ -169,8 +168,7 @@ class TieredResultCache:
                 values = {}
                 self._measures[digest] = values
             self._measures.move_to_end(digest)
-            for s, v in computed.items():
-                key = canonical_s(s)
+            for key, v in zip(canonical_keys(list(computed)), computed.values()):
                 if key not in values:
                     self._n_points += 1
                 values[key] = complex(v)

@@ -115,9 +115,10 @@ class ModelEntry:
     def steady_state(self, targets) -> float:
         """``P(Z(inf) in targets)``, memoised per target set.
 
-        The embedded-DTMC steady-state solve depends only on the kernel and
-        the target set, so a serving workload pays it once per measure rather
-        than once per transient query.
+        The embedded-DTMC stationary vector is solved once per *model* (the
+        kernel memoises it, see ``SMPKernel.embedded_steady_state``); this
+        memo only saves re-weighting it by the mean sojourn times and summing
+        over the target set on every transient query.
         """
         targets = np.unique(np.atleast_1d(np.asarray(targets, dtype=np.int64)))
         key = targets.tobytes()

@@ -19,8 +19,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.jobs import TransformJob
-from ..laplace.inverter import canonical_s
+from ..laplace.inverter import canonical_keys
 from ..obs.metrics import get_metrics, merge_worker_stats, worker_stats_snapshot
 from ..utils.timing import Stopwatch
 from .cache import TieredResultCache
@@ -118,6 +120,7 @@ class CoalescingScheduler:
         job: TransformJob,
         s_points,
         *,
+        keys=None,
         eval_lock=None,
         stats: QueryStatistics | None = None,
         progress_key: str | None = None,
@@ -128,7 +131,8 @@ class CoalescingScheduler:
         Points are resolved in tier order: memory cache, disk checkpoint,
         another request's in-flight evaluation, and only then a fresh batched
         evaluation of the leftovers (one ``evaluate_batch`` call, serialised
-        on ``eval_lock`` when the job shares its evaluator).
+        on ``eval_lock`` when the job shares its evaluator).  ``keys`` are the
+        points' canonical keys when the caller's plan already derived them.
 
         A caller spanning several ``evaluate`` calls — the async job runner
         dispatches one call per s-block — passes its own ``reporter`` so the
@@ -136,13 +140,13 @@ class CoalescingScheduler:
         per block; the scheduler then never finishes that reporter.
         """
         digest = job.digest()
-        canonical: list[complex] = []
+        s_points = np.asarray(s_points, dtype=complex).ravel()
+        if keys is None:
+            keys = canonical_keys(s_points)
         exact: dict[complex, complex] = {}
-        for s in s_points:
-            key = canonical_s(complex(s))
-            if key not in exact:
-                exact[key] = complex(s)
-                canonical.append(key)
+        for key, s in zip(keys, s_points.tolist()):
+            exact.setdefault(key, s)
+        canonical = list(exact)
 
         lookup = self.cache.lookup(digest, canonical)
         found = lookup.found

@@ -32,7 +32,6 @@ from ..jobs import (
     open_backend,
 )
 from ..laplace import get_inverter
-from ..laplace.inverter import expand_to_grid
 from ..obs import trace as obs_trace
 from ..obs.metrics import effective_cores, get_metrics
 from ..obs.progress import ProgressBoard
@@ -177,6 +176,15 @@ def _as_t_points(raw) -> np.ndarray:
     if not np.all(np.isfinite(t_points)) or np.any(t_points <= 0):
         raise ValidationError("t_points must be finite and strictly positive")
     return t_points
+
+
+def _cdf_transform(plan, values: np.ndarray) -> list[complex]:
+    """``L(s)/s`` on the plan's exact grid, aligned like ``values``.
+
+    Python complex division, not NumPy's: the two round differently, and
+    every other engine divides Python complexes.
+    """
+    return [v / s for v, s in zip(values.tolist(), plan.required_s_points.tolist())]
 
 
 def _package_version() -> str:
@@ -382,8 +390,8 @@ class AnalysisService:
         stats = QueryStatistics()
         stats.extra["model_registered"] = registered
 
-        values = self._gather(job, entry, inverter, t_points, stats,
-                              evaluate=_evaluate)
+        plan, values = self._gather(job, entry, inverter, t_points, stats,
+                                    evaluate=_evaluate)
         stopwatch = Stopwatch()
         with stopwatch, obs_trace.span(
             "inversion", method=inverter.name, n_t_points=int(t_points.size)
@@ -391,8 +399,7 @@ class AnalysisService:
             density = inverter.invert_values(t_points, values)
             cdf = None
             if include_cdf:
-                cdf_values = {s: v / s for s, v in values.items() if s != 0}
-                cdf = inverter.invert_values(t_points, cdf_values)
+                cdf = inverter.invert_values(t_points, _cdf_transform(plan, values))
         stats.inversion_seconds += stopwatch.elapsed
 
         response = {
@@ -443,8 +450,8 @@ class AnalysisService:
         stats = QueryStatistics()
         stats.extra["model_registered"] = registered
 
-        values = self._gather(job, entry, inverter, t_points, stats,
-                              evaluate=_evaluate)
+        _plan, values = self._gather(job, entry, inverter, t_points, stats,
+                                     evaluate=_evaluate)
         stopwatch = Stopwatch()
         with stopwatch, obs_trace.span(
             "inversion", method=inverter.name, n_t_points=int(t_points.size)
@@ -611,36 +618,36 @@ class AnalysisService:
         t_points: np.ndarray,
         stats: QueryStatistics,
         evaluate=None,
-    ) -> dict[complex, complex]:
-        """Transform values covering the t-grid's inversion s-points.
+    ):
+        """The query plan and the transform values on its required s-grid.
 
         The canonical s-grid comes from the same :class:`QueryPlan` the api
         engines derive, so the scheduler/cache see identical points for
         identical queries whatever the entry surface.  The resolved values
-        are keyed back onto the *exact* grid points (recovering folded
-        conjugates as the conjugate of their mirror image): downstream
-        arithmetic such as the CDF's ``L(s)/s`` must divide by the same
-        floats every other engine divides by for results to match them
+        come back aligned with the plan's *exact* grid points (folded
+        conjugates recovered as the conjugate of their mirror image):
+        downstream arithmetic such as the CDF's ``L(s)/s`` must divide by the
+        same floats every other engine divides by for results to match them
         bit-for-bit.
 
         ``evaluate`` replaces the single whole-grid scheduler call (the job
         runner passes a block-by-block driver with cancellation/progress
-        between blocks); its contract is ``evaluate(job, s_points, entry,
-        stats) -> {canonical s: L(s)}``, and because the rest of this method
-        is shared, async results match the synchronous path exactly.
+        between blocks); its contract is ``evaluate(job, plan, entry, stats)
+        -> {canonical s: L(s)}``, and because the rest of this method is
+        shared, async results match the synchronous path exactly.
         """
         from ..api.plan import QueryPlan
 
         faults.fire("service.gather", digest=entry.digest, kind=job.kind())
         plan = QueryPlan.derive(inverter, t_points)
         if evaluate is not None:
-            resolved = evaluate(job, plan.s_points, entry, stats)
+            resolved = evaluate(job, plan, entry, stats)
         else:
             resolved = self.scheduler.evaluate(
-                job, plan.s_points, eval_lock=entry.eval_lock, stats=stats,
-                progress_key=entry.digest,
+                job, plan.s_points, keys=plan.s_keys, eval_lock=entry.eval_lock,
+                stats=stats, progress_key=entry.digest,
             )
-        return expand_to_grid(plan.required_s_points, resolved)
+        return plan, plan.on_grid(resolved)
 
     def _refine_quantile(
         self,
@@ -662,12 +669,13 @@ class AnalysisService:
 
         def cdf_at(t: float) -> float:
             grid = np.asarray([t], dtype=float)
-            values = self._gather(job, entry, inverter, grid, stats,
-                                  evaluate=evaluate)
-            cdf_values = {s: v / s for s, v in values.items() if s != 0}
+            plan, values = self._gather(job, entry, inverter, grid, stats,
+                                        evaluate=evaluate)
             stopwatch = Stopwatch()
             with stopwatch:
-                result = float(inverter.invert_values(grid, cdf_values)[0])
+                result = float(
+                    inverter.invert_values(grid, _cdf_transform(plan, values))[0]
+                )
             stats.inversion_seconds += stopwatch.elapsed
             return result
 

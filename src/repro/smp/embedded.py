@@ -1,14 +1,22 @@
 """Steady state of the embedded DTMC and the multi-source weights of Eq. (5)."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
+from ..obs import trace as obs_trace
+from ..obs.metrics import get_metrics
 from ..utils.validation import require
 from .kernel import SMPKernel
 
 __all__ = ["dtmc_steady_state", "source_weights"]
+
+#: a returned vector must satisfy ``max|pi P - pi|`` to this bound; a solve
+#: that "converged" to anything worse is a failure, not an answer
+_MAX_RESIDUAL = 1e-8
 
 
 def dtmc_steady_state(
@@ -38,36 +46,67 @@ def dtmc_steady_state(
 
     if method == "auto":
         method = "direct" if n <= 2000 else "power"
+    if method not in ("direct", "power"):
+        raise ValueError(f"unknown method {method!r}; expected 'auto', 'direct' or 'power'")
 
-    if method == "direct":
-        # Solve (P^T - I) pi = 0 with the last equation replaced by sum(pi) = 1.
-        A = (P.T - sparse.identity(n, format="csc")).tolil()
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = splinalg.spsolve(sparse.csc_matrix(A), b)
-        pi = np.maximum(pi.real, 0.0)
-        total = pi.sum()
-        if total <= 0:
-            raise np.linalg.LinAlgError("direct steady-state solve failed")
-        return pi / total
+    started = time.perf_counter()
+    with obs_trace.span("embedded-steady-state", n_states=n, method=method) as span:
+        if method == "direct":
+            pi, iterations = _solve_direct(P), 0
+        else:
+            pi, iterations = _solve_power(P, tol, max_iterations)
+        residual = float(np.max(np.abs(pi @ P - pi)))
+        span.set(iterations=iterations, residual=residual)
+        if not residual <= _MAX_RESIDUAL:
+            error = np.linalg.LinAlgError if method == "direct" else RuntimeError
+            raise error(
+                f"{method} steady-state solve failed: residual max|pi P - pi| = "
+                f"{residual:.3g} exceeds {_MAX_RESIDUAL:g}"
+            )
+    metrics = get_metrics()
+    metrics.counter(
+        "repro_embedded_steady_state_solves_total",
+        "embedded-DTMC stationary-vector solves (one per model when memoised)",
+    ).inc()
+    metrics.histogram(
+        "repro_embedded_steady_state_seconds",
+        "wall-clock per embedded-DTMC stationary-vector solve",
+    ).observe(time.perf_counter() - started)
+    return pi
 
-    if method == "power":
-        # Damped iteration pi <- pi (P + I)/2 has the same fixed point but is
-        # aperiodic by construction, so it converges for periodic chains too.
-        pi = np.full(n, 1.0 / n)
-        for _ in range(max_iterations):
-            new = 0.5 * (pi @ P + pi)
-            new = np.asarray(new).ravel()
-            new /= new.sum()
-            if np.max(np.abs(new - pi)) < tol:
-                return new
-            pi = new
-        raise RuntimeError(
-            f"power iteration did not converge within {max_iterations} iterations"
-        )
 
-    raise ValueError(f"unknown method {method!r}; expected 'auto', 'direct' or 'power'")
+def _solve_direct(P: sparse.csr_matrix) -> np.ndarray:
+    # Solve (P^T - I) pi = 0 with the last equation replaced by sum(pi) = 1.
+    n = P.shape[0]
+    A = (P.T - sparse.identity(n, format="csc")).tolil()
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = splinalg.spsolve(sparse.csc_matrix(A), b)
+    pi = np.maximum(pi.real, 0.0)
+    total = pi.sum()
+    if total <= 0:
+        raise np.linalg.LinAlgError("direct steady-state solve failed")
+    return pi / total
+
+
+def _solve_power(
+    P: sparse.csr_matrix, tol: float, max_iterations: int
+) -> tuple[np.ndarray, int]:
+    # Damped iteration pi <- pi (P + I)/2 has the same fixed point but is
+    # aperiodic by construction, so it converges for periodic chains too.
+    n = P.shape[0]
+    pi = np.full(n, 1.0 / n)
+    for iteration in range(1, max_iterations + 1):
+        new = 0.5 * (pi @ P + pi)
+        new = np.asarray(new).ravel()
+        new /= new.sum()
+        if np.max(np.abs(new - pi)) < tol:
+            return new, iteration
+        pi = new
+    raise RuntimeError(
+        f"power iteration did not converge within {max_iterations} iterations"
+    )
 
 
 def source_weights(
@@ -98,7 +137,7 @@ def source_weights(
         return alpha
 
     if steady_state is None:
-        steady_state = dtmc_steady_state(kernel.embedded_matrix(), method=method)
+        steady_state = kernel.embedded_steady_state(method)
     restricted = steady_state[sources]
     total = restricted.sum()
     if total <= 0:

@@ -14,6 +14,7 @@ fill of a pre-assembled CSR structure.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -166,6 +167,8 @@ class SMPKernel:
                 "transition probabilities of each state must sum to 1 "
                 f"(state {worst} sums to {row_sums[worst]:.12g})"
             )
+        self._embedded_pi: np.ndarray | None = None
+        self._embedded_lock = threading.Lock()
 
     # ------------------------------------------------------------- factory
     @classmethod
@@ -326,9 +329,23 @@ class SMPKernel:
             copy=False,
         )
         self._coo_to_csr = np.arange(csr_probs.size, dtype=np.int64)
+        self._embedded_pi = None
+        self._embedded_lock = threading.Lock()
         if content_digest is not None:
             self._content_digest = content_digest
         return self
+
+    def __getstate__(self):
+        # The memo is per process (workers receive alpha, never pi) and a
+        # lock cannot be pickled: the pickled state is what it was without.
+        state = self.__dict__.copy()
+        del state["_embedded_pi"], state["_embedded_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._embedded_pi = None
+        self._embedded_lock = threading.Lock()
 
     # ------------------------------------------------------------ topology
     @property
@@ -359,6 +376,31 @@ class SMPKernel:
         mat = self._structure.copy()
         mat.data = self.probs[self._coo_to_csr]
         return mat
+
+    def embedded_steady_state(self, method: str = "auto") -> np.ndarray:
+        """Stationary vector of the embedded DTMC, solved once per kernel.
+
+        Every multi-source ``alpha`` (Eq. 5) and every long-run state
+        probability on this kernel derives from the same vector, so it is
+        memoised like ``_content_digest``: lazily (registration and
+        single-source measures never pay for it) and single-flight
+        (concurrent first queries wait on one solve).  The memoised array is
+        shared and read-only.  Naming a ``method`` asks for that algorithm
+        specifically and solves afresh.
+        """
+        from .embedded import dtmc_steady_state  # embedded imports this module
+
+        if method != "auto":
+            return dtmc_steady_state(self.embedded_matrix(), method=method)
+        pi = self._embedded_pi
+        if pi is None:
+            with self._embedded_lock:
+                pi = self._embedded_pi
+                if pi is None:
+                    pi = dtmc_steady_state(self.embedded_matrix())
+                    pi.setflags(write=False)
+                    self._embedded_pi = pi
+        return pi
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the transition structure.

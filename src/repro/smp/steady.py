@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedded import dtmc_steady_state
 from .kernel import SMPKernel
 
 __all__ = ["smp_steady_state", "steady_state_probability"]
@@ -23,7 +22,7 @@ def smp_steady_state(
 ) -> np.ndarray:
     """Limiting probability of finding the SMP in each state."""
     if embedded_pi is None:
-        embedded_pi = dtmc_steady_state(kernel.embedded_matrix(), method=method)
+        embedded_pi = kernel.embedded_steady_state(method)
     embedded_pi = np.asarray(embedded_pi, dtype=float)
     if embedded_pi.shape != (kernel.n_states,):
         raise ValueError("embedded_pi must have one probability per state")

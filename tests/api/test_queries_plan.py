@@ -14,6 +14,9 @@ from repro.api import (
     get_engine,
     register_engine,
 )
+from repro.api.plan import QueryPlan
+from repro.laplace import EulerInverter, LaguerreInverter, expand_to_grid
+from repro.laplace.inverter import canonical_s
 from repro.service.registry import ModelRegistry
 
 
@@ -82,6 +85,47 @@ class TestQueryPlan:
         many = query.density([1.0, 5.0, 9.0]).plan()
         assert one.n_evaluations == many.n_evaluations
         assert many.conjugates_folded > 0
+
+    @pytest.mark.parametrize("inverter", [
+        EulerInverter(),
+        LaguerreInverter(n_points=64),
+        LaguerreInverter(n_points=32, damping=0.4, time_scale=3.0),
+    ], ids=["euler", "laguerre", "laguerre-modified"])
+    def test_keys_and_grid_values_match_the_scalar_oracle(self, inverter):
+        """The plan's once-derived keys and aligned values are what the
+        per-point canonical_s / expand_to_grid path produces."""
+        t_points = [0.5, 2.0, 2.0, 7.5]  # a repeated t: duplicate grid points
+        plan = QueryPlan.derive(inverter, t_points)
+        seen = {}  # the fold as the per-point loop did it
+        for s in plan.required_s_points.tolist():
+            s = s.conjugate() if s.imag < 0 else s
+            seen.setdefault(canonical_s(s), s)
+        assert plan.s_points.tolist() == list(seen.values())
+        assert plan.s_keys == list(seen)
+
+        resolved = {key: complex(k + 1, -0.25 * k) for k, key in enumerate(plan.s_keys)}
+        on_grid = expand_to_grid(plan.required_s_points, resolved)
+        values = plan.on_grid(resolved)
+        assert values.tolist() == [on_grid[s] for s in plan.required_s_points.tolist()]
+        assert np.array_equal(
+            inverter.invert_values(t_points, values),
+            inverter.invert_values(t_points, on_grid),
+        )
+
+    def test_point_whose_imaginary_part_rounds_away_is_not_mirrored(self):
+        """A lower-half-plane point within rounding of the real axis shares
+        its mirror image's key, so a key lookup returns that value as is."""
+
+        class NearRealAxis(EulerInverter):
+            def required_s_points(self, t_points):
+                return np.array([1.0 + 1e-15j, 1.0 - 1e-15j, 2.0 - 3.0j])
+
+        plan = QueryPlan.derive(NearRealAxis(), [1.0])
+        assert plan.s_points.tolist() == [1.0 + 1e-15j, 2.0 + 3.0j]
+        resolved = {plan.s_keys[0]: 5.0 + 1e-9j, plan.s_keys[1]: 7.0 + 2.0j}
+        expected = expand_to_grid(plan.required_s_points, resolved)
+        assert plan.on_grid(resolved).tolist() == list(expected.values())
+        assert plan.on_grid(resolved).tolist() == [5.0 + 1e-9j, 5.0 + 1e-9j, 7.0 - 2.0j]
 
     def test_plan_happens_without_building_the_model(self, onoff_spec):
         model = Model.from_spec(onoff_spec, registry=ModelRegistry())

@@ -20,6 +20,27 @@ def t_grid() -> np.ndarray:
     return np.array([0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0])
 
 
+@pytest.fixture
+def embedded_solves(monkeypatch):
+    """The ``method`` of every ``dtmc_steady_state`` call made, in order.
+
+    Every route to an embedded stationary-vector solve (the kernel memo, an
+    explicit ``method=``) resolves the function on ``repro.smp.embedded`` at
+    call time, so counting there counts them all.
+    """
+    from repro.smp import embedded
+
+    calls: list[str] = []
+    real = embedded.dtmc_steady_state
+
+    def counted(P, **kwargs):
+        calls.append(kwargs.get("method", "auto"))
+        return real(P, **kwargs)
+
+    monkeypatch.setattr(embedded, "dtmc_steady_state", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Small reference SMP kernels shared by the smp, core, simulation and
 # distributed test modules.

@@ -50,6 +50,41 @@ class TestFactory:
             get_inverter("euler", bogus=1, wrong=2)
         assert "bogus" in str(err.value) and "wrong" in str(err.value)
 
+    def test_option_names_are_inspected_once_per_class(self, monkeypatch):
+        from repro.laplace import inverter as inverter_module
+
+        get_inverter("euler"), get_inverter("laguerre")  # whatever ran before: warm
+        calls = []
+        real = inverter_module.inspect.signature
+        monkeypatch.setattr(
+            inverter_module.inspect, "signature",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        assert get_inverter("euler", n_terms=25).n_terms == 25
+        assert get_inverter("LAGUERRE", n_points=64).n_points == 64
+        # the warm path still validates: a typo names itself and the valid set
+        with pytest.raises(ValueError, match=r"eular_terms.*valid options: a, n_terms, euler_order"):
+            get_inverter("euler", eular_terms=30)
+        with pytest.raises(ValueError, match="talbot"):
+            get_inverter("talbot")
+        assert calls == []
+
+    def test_invert_values_takes_a_mapping_or_aligned_values(self):
+        d = Erlang(2.0, 2)
+        for inv in (EulerInverter(), LaguerreInverter(n_points=64)):
+            ts = [0.5, 1.5]
+            grid = inv.required_s_points(ts)
+            aligned = d.lst(grid)
+            mapping = {complex(s): complex(v) for s, v in zip(grid, aligned)}
+            assert np.array_equal(
+                inv.invert_values(ts, mapping), inv.invert_values(ts, aligned)
+            )
+            assert np.array_equal(
+                inv.invert_values(ts, aligned), inv.invert_values(ts, list(aligned))
+            )
+            with pytest.raises(KeyError, match="missing transform value"):
+                inv.invert_values(ts, dict(list(mapping.items())[1:]))
+
     def test_module_level_helpers(self, t_grid):
         d = Exponential(1.0)
         assert np.allclose(invert_density(d.lst, t_grid), d.pdf(t_grid), atol=1e-6)

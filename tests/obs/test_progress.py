@@ -151,6 +151,18 @@ class TestStderrRenderer:
         assert "2/4 blocks" not in out
         assert "4/4 blocks" in out
 
+    def test_first_line_paints_on_a_freshly_booted_host(self, monkeypatch):
+        # monotonic() counts from boot on Linux: with an uptime below
+        # min_interval the first line must still paint, later ones throttle.
+        monkeypatch.setattr("repro.obs.progress.time.monotonic", lambda: 5.0)
+        stream = io.StringIO()
+        listener = stderr_renderer(stream, min_interval=3600.0)
+        listener(self._snap(), False)
+        listener(self._snap(blocks_done=2), False)
+        out = stream.getvalue()
+        assert "1/4 blocks" in out
+        assert "2/4 blocks" not in out
+
     def test_tty_repaints_in_place(self):
         class Tty(io.StringIO):
             def isatty(self):

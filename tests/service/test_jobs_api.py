@@ -175,8 +175,10 @@ class TestTenancy:
             bob = ServiceClient(url, tenant="bob")
             model = alice.register_model(onoff_spec)["model"]
             bob.register_model(onoff_spec)
-            # freeze the runner so submitted jobs stay queued
-            service._runner.stop()
+            # freeze the runner so submitted jobs stay queued (a stopped
+            # runner would be restarted by the next submit; a draining one
+            # claims nothing)
+            assert service._runner.drain()
             submit = dict(model=model, source="on == 2", target="on == 0",
                           t_points=[1.0])
             alice.submit("passage", **submit)

@@ -61,8 +61,12 @@ def test_job_survives_server_crash_and_resumes(tmp_path):
     checkpoint = tmp_path / "ckpt"
 
     # --- first life: crash after the first completed block -----------------
+    # (the job's start is held back so the 202 reply to the submission is on
+    # the wire before the crash: a first block takes about a millisecond)
     process, url = _start_server(
-        checkpoint, {"REPRO_FAULTS": "jobs.block=crash:done=1"}
+        checkpoint,
+        {"REPRO_FAULTS": "service.gather=delay:seconds=0.3,limit=1;"
+                         "jobs.block=crash:done=1"},
     )
     try:
         client = ServiceClient(url, retries=0)
