@@ -25,16 +25,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.jobs import PassageTimeJob
-from repro.distributed import (
-    DistributedPipeline,
-    MultiprocessingBackend,
-    SerialBackend,
-    scalability_table,
-)
+from repro.core import PassageTimeSolver
+from repro.distributed import MultiprocessingBackend, SerialBackend, scalability_table
 from repro.laplace import EulerInverter
 from repro.models import SCALED_CONFIGURATIONS, all_voted_predicate, initial_marking_predicate
-from repro.smp import source_weights
 
 PARAMS = SCALED_CONFIGURATIONS["medium"]
 SLAVE_COUNTS = (1, 8, 16, 32)
@@ -47,13 +41,12 @@ PAPER_ROWS = [
 
 
 @pytest.fixture(scope="module")
-def job(voting_graph_medium, voting_kernel_medium):
+def solver_on(voting_graph_medium, voting_kernel_medium):
+    """The Table 2 measure on a given executor."""
     sources = voting_graph_medium.states_where(initial_marking_predicate(PARAMS))
     targets = voting_graph_medium.states_where(all_voted_predicate(PARAMS))
-    return PassageTimeJob(
-        kernel=voting_kernel_medium,
-        alpha=source_weights(voting_kernel_medium, sources),
-        targets=targets,
+    return lambda backend: PassageTimeSolver(
+        voting_kernel_medium, sources=sources, targets=targets, backend=backend
     )
 
 
@@ -64,12 +57,12 @@ def t_points(voting_graph_medium):
 
 
 @pytest.mark.benchmark(group="table2-scalability")
-def test_table2_scalability(benchmark, job, t_points, report):
+def test_table2_scalability(benchmark, solver_on, t_points, report):
     serial = SerialBackend(record_timings=True)
-    pipeline = DistributedPipeline(job, backend=serial)
+    solver = solver_on(serial)
 
     def serial_run():
-        return pipeline.density(t_points)
+        return solver.density(t_points)
 
     benchmark.pedantic(serial_run, rounds=1, iterations=1)
     durations = list(serial.task_durations)
@@ -80,14 +73,14 @@ def test_table2_scalability(benchmark, job, t_points, report):
     # Real parallelism on the cores that are actually available here.
     workers = max(1, min(4, os.cpu_count() or 1))
     mp_backend = MultiprocessingBackend(processes=workers, chunk_size=8)
-    mp_pipeline = DistributedPipeline(job, backend=mp_backend)
-    mp_pipeline.density(t_points)
+    solver_on(mp_backend).density(t_points)
+    mp_backend.close()
     real_parallel_seconds = mp_backend.last_wall_clock
 
     lines = [
         "Table 2 — scalability of the s-point work-queue pipeline",
         f"workload: 5 t-points x 33 Euler evaluations = {len(durations)} s-point tasks "
-        f"on the {PARAMS.label} voting model ({job.kernel.n_states} states)",
+        f"on the {PARAMS.label} voting model ({solver.kernel.n_states} states)",
         "",
         "simulated cluster (overheads scaled to the paper's compute/comms ratio):",
         f"{'slaves':>7} {'time (s)':>10} {'speedup':>9} {'efficiency':>11}",

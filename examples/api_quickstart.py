@@ -81,7 +81,8 @@ def main() -> None:
         resumed = query.run(DistributedEngine(checkpoint=checkpoint_dir))
         print(f"\ndistributed resume recomputed "
               f"{resumed.statistics['s_points_computed']} s-points "
-              f"(all {resumed.statistics['s_points_from_cache']} from the checkpoint)")
+              f"(the grid's {resumed.statistics['s_points_from_disk']} from the "
+              f"checkpoint, the quantile probes from the memory tier it warmed)")
 
     from repro.service import AnalysisService, create_server
 

@@ -2,16 +2,19 @@
 """The distributed master/worker analysis pipeline and its scalability.
 
 Reproduces the architecture of Section 4 and the scalability study of
-Section 5.3.3 (Table 2):
+Section 5.3.3 (Table 2), spelling out the one evaluation loop every surface
+of the library shares — plan -> scheduler/store -> executor -> ``on_block``:
 
-1. the master computes the s-points required by the Euler inversion of a
+1. the plan fixes the s-points required by the Euler inversion of a
    voting-system passage time (5 t-points x 33 evaluations = 165 s-points,
    matching the paper's task count),
-2. the s-points are evaluated by a serial backend (recording per-task cost),
-   by a real multiprocessing pool, and — for the Table 2 shape — by a
-   simulated cluster with 1/8/16/32 slaves,
-3. everything is checkpointed on disk, and the script demonstrates a resumed
-   run that does no recomputation.
+2. the scheduler resolves them through its result store and hands the rest
+   to an executor — a serial backend (recording per-task cost), a real
+   multiprocessing pool, and, for the Table 2 shape, the recorded costs
+   replayed on a simulated cluster with 1/8/16/32 slaves,
+3. every solved block lands in the store (memory and on-disk checkpoint)
+   before the caller's ``on_block`` sees it, and the script demonstrates a
+   resumed run that does no recomputation.
 
 Run:  python examples/distributed_pipeline.py
 """
@@ -21,21 +24,32 @@ import tempfile
 
 import numpy as np
 
+from repro.api import QueryPlan, measures
 from repro.core.jobs import PassageTimeJob
 from repro.distributed import (
     CheckpointStore,
-    DistributedPipeline,
     MultiprocessingBackend,
     SerialBackend,
     scalability_table,
 )
+from repro.laplace import get_inverter
 from repro.models import (
     SCALED_CONFIGURATIONS,
     all_voted_predicate,
     build_voting_kernel,
     initial_marking_predicate,
 )
+from repro.service.cache import TieredResultCache
+from repro.service.scheduler import CoalescingScheduler, QueryStatistics
 from repro.smp import source_weights
+
+
+def evaluate(job, plan, *, backend=None, checkpoint=None, on_block=None):
+    """One trip round the loop: the plan's values and what they cost."""
+    scheduler = CoalescingScheduler(TieredResultCache(checkpoint), backend=backend)
+    stats = QueryStatistics()
+    resolved = measures.gather(scheduler, job, plan, stats, on_block=on_block)
+    return resolved, stats
 
 
 def main() -> None:
@@ -49,7 +63,7 @@ def main() -> None:
     print(f"voting system {params.label}: {kernel.n_states} states")
 
     # The paper's Table 2 setting: 5 t-points under Euler inversion.
-    t_points = np.linspace(10.0, 40.0, 5)
+    plan = QueryPlan.derive(get_inverter("euler"), np.linspace(10.0, 40.0, 5))
 
     # ------------------------------------------------------------------
     # 1. Serial master run with on-disk checkpointing.
@@ -57,22 +71,21 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         store = CheckpointStore(checkpoint_dir)
         serial = SerialBackend(record_timings=True)
-        pipeline = DistributedPipeline(job, backend=serial, checkpoint=store)
-        result = pipeline.run(t_points)
+        resolved, stats = evaluate(job, plan, backend=serial, checkpoint=store)
+        density = measures.invert(plan, resolved, stats)
+        cdf = measures.invert(plan, resolved, stats, cdf=True)
 
-        stats = pipeline.statistics
         print(f"\nserial run: {stats.s_points_computed} s-point evaluations "
               f"in {stats.evaluation_seconds:.2f}s "
               f"(+ {stats.inversion_seconds:.3f}s inversion)")
         print(f"{'t':>8} {'f(t)':>12} {'F(t)':>10}")
-        for t, f, F in zip(result.t_points, result.density, result.cdf):
+        for t, f, F in zip(plan.t_points, density, cdf):
             print(f"{t:8.2f} {f:12.6f} {F:10.4f}")
 
-        # Resume: a second pipeline reuses every checkpointed s-point.
-        resumed = DistributedPipeline(job, checkpoint=store)
-        resumed.run(t_points)
-        print(f"\nresumed run recomputed {resumed.statistics.s_points_computed} s-points "
-              f"({resumed.statistics.s_points_from_cache} served from the checkpoint)")
+        # Resume: a fresh store over the same directory serves every point.
+        _, resumed = evaluate(job, plan, checkpoint=store)
+        print(f"\nresumed run recomputed {resumed.s_points_computed} s-points "
+              f"({resumed.s_points_from_disk} served from the checkpoint)")
 
         durations = serial.task_durations
 
@@ -83,10 +96,11 @@ def main() -> None:
 
     workers = min(4, os.cpu_count() or 1)
     mp_backend = MultiprocessingBackend(processes=workers, chunk_size=4)
-    mp_pipeline = DistributedPipeline(job, backend=mp_backend)
-    mp_pipeline.density(t_points)
+    blocks = []
+    evaluate(job, plan, backend=mp_backend, on_block=blocks.append)
+    mp_backend.close()
     serial_time = sum(durations)
-    print(f"\nmultiprocessing backend ({workers} workers): "
+    print(f"\nmultiprocessing backend ({workers} workers, {len(blocks)} s-blocks): "
           f"{mp_backend.last_wall_clock:.2f}s wall-clock vs {serial_time:.2f}s serial compute")
 
     # ------------------------------------------------------------------

@@ -50,6 +50,11 @@ def main() -> None:
     print(f"\nmean time to failure        : {solver.mean():.4f}  (exact 1.5)")
     print(f"95th percentile of failure  : {solver.quantile(0.95, 0.1, 20.0):.4f}")
     print(f"99th percentile of failure  : {solver.quantile(0.99, 0.1, 20.0):.4f}")
+    # The solver is a thin shim over the evaluation loop every surface shares
+    # (plan -> scheduler/store -> executor); its store lives as long as it does.
+    stats = solver.statistics
+    print(f"s-points: {stats.s_points_computed} computed, "
+          f"{stats.s_points_from_memory} re-served from the solver's store")
 
     # ------------------------------------------------------------------
     # 2. Cycle time working -> working (failure + repair).

@@ -97,7 +97,7 @@ def _chaos_solve(spec: str, tmp: Path, policy=None):
     backend = MultiprocessingBackend(processes=2, block_size=4)
     try:
         values = backend.evaluate(
-            job, S_POINTS, checkpoint=store, digest=job.digest()
+            job, S_POINTS, on_block=lambda v: store.merge(job.digest(), v)
         )
     finally:
         backend.close()

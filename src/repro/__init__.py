@@ -27,12 +27,12 @@ Subpackage map (see DESIGN.md for the full inventory):
 ``repro.distributions``  sojourn-time distributions and transforms
 ``repro.laplace``        Euler / Laguerre numerical transform inversion
 ``repro.smp``            SMP kernel, iterative passage-time algorithm
-``repro.core``           high-level solvers and result objects
+``repro.core``           transform jobs, result objects, raw-kernel solvers
 ``repro.petri``          semi-Markov stochastic Petri nets
 ``repro.dnamaca``        the DNAmaca-style specification language
 ``repro.models``         the voting system and other example models
 ``repro.simulation``     validating discrete-event simulators
-``repro.distributed``    master/worker pipeline, checkpointing, scalability
+``repro.distributed``    executors (serial / worker pool), checkpoint store
 ``repro.partition``      state-space partitioning (future-work extension)
 ===================  ======================================================
 """

@@ -16,19 +16,15 @@ hold them to 1e-10 of each other.
 from __future__ import annotations
 
 import abc
-import threading
 
 import numpy as np
-from scipy import optimize
 
 from ..core.results import PassageTimeResult, TransientResult
-from ..distributed.backends import MultiprocessingBackend, SerialBackend
+from ..distributed.backends import MultiprocessingBackend
 from ..distributed.checkpoint import CheckpointStore
-from ..distributed.pipeline import DistributedPipeline
-from ..laplace.inverter import canonical_s, conjugate_reduced, expand_to_grid
-from ..obs import trace as obs_trace
-from ..obs.metrics import merge_worker_stats
-from ..utils.timing import Stopwatch
+from ..service.cache import TieredResultCache
+from ..service.scheduler import CoalescingScheduler, QueryStatistics
+from . import measures
 from .errors import ApiError, EngineError
 from .model import resolve_state_sets
 from .plan import QueryPlan, build_job
@@ -71,27 +67,25 @@ class Engine(abc.ABC):
         """Evaluate a transient-probability query."""
 
 
-def _refine_quantile(q, t_points, cdf_at) -> float:
-    """Root-find ``F(t) = q`` bracketed by the query's t-grid (paper §5.3.1)."""
-    t_lower = float(np.min(t_points))
-    t_upper = float(np.max(t_points)) * 10.0
-    lo = cdf_at(t_lower) - q
-    hi = cdf_at(t_upper) - q
-    if lo > 0 or hi < 0:
-        raise ApiError(
-            f"quantile {q} is not bracketed by [{t_lower:.6g}, {t_upper:.6g}] "
-            f"(F(lower)-q={lo:.4g}, F(upper)-q={hi:.4g})"
-        )
-    return float(optimize.brentq(lambda t: cdf_at(t) - q, t_lower, t_upper, xtol=1e-6))
-
-
 class _LocalEngine(Engine):
-    """Shared machinery of the engines that evaluate s-points in this process
-    tree: resolve the state sets, build the job, derive the plan, gather the
-    (conjugate-folded, canonically cached) transform values, invert."""
+    """The engine that evaluates s-points in this process tree.
 
-    def _evaluate(self, job, s_points: list[complex]) -> dict[complex, complex]:
-        raise NotImplementedError  # pragma: no cover - subclass responsibility
+    One run is: resolve the state sets, build the job, derive the plan, and
+    hand it to the shared measure helpers over a *per-run* evaluation loop —
+    a :class:`CoalescingScheduler` on a result store (memory, over the
+    checkpoint directory when there is one) and an executor (in-process by
+    default, or a worker pool).  The three registered local engines are three
+    ways of constructing it.
+    """
+
+    def __init__(self, *, backend=None, checkpoint=None, progress=None):
+        #: executor; ``None`` solves in the calling process
+        self.backend = backend
+        #: disk tier of every run's store (``None``: memory only)
+        self.checkpoint = checkpoint
+        #: optional :class:`~repro.obs.progress.ProgressReporter` advanced per
+        #: completed s-block
+        self.progress = progress
 
     def _context(self, query):
         entry = query.model.entry
@@ -100,138 +94,91 @@ class _LocalEngine(Engine):
             entry, query.kind, sources, targets,
             solver=query.solver, epsilon=query.epsilon,
         )
-        return entry, targets, job, query.make_inverter()
+        plan = QueryPlan.derive(query.make_inverter(), query.grid())
+        scheduler = CoalescingScheduler(
+            TieredResultCache(self.checkpoint), backend=self.backend
+        )
+        return entry, targets, job, plan, scheduler
 
-    def _gather(self, job, required, cache, stats) -> dict[complex, complex]:
-        """Transform values for every required point, evaluating each at most once.
-
-        The exact grid points are evaluated (never their canonically rounded
-        cache keys — rounding perturbs components of very different scales on
-        the Laguerre contour); the cache and every other evaluation path key
-        by :func:`canonical_s`, which is what makes engine results identical.
-        """
-        folded = conjugate_reduced(np.asarray(required, dtype=complex))
-        missing = [complex(s) for s in folded if canonical_s(s) not in cache]
-        if missing:
-            stopwatch = Stopwatch()
-            with stopwatch, obs_trace.span(
-                "evaluate", engine=self.name, n_points=len(missing)
-            ):
-                computed = self._evaluate(job, missing)
-            for s, value in computed.items():
-                cache[canonical_s(s)] = complex(value)
-            stats["s_points_computed"] += len(missing)
-            stats["evaluation_seconds"] += stopwatch.elapsed
-            report = getattr(job, "last_report", None)
-            if report and report.get("engine"):
-                stats["evaluator_engine"] = report["engine"]
-                stats.setdefault("solve_blocks", []).extend(report.get("blocks") or [])
-            if report and report.get("workers"):
-                merge_worker_stats(stats.setdefault("workers", {}), report["workers"])
-        return expand_to_grid(required, cache)
-
-    def _new_stats(self, query, plan: QueryPlan) -> dict:
+    def _statistics(self, query, plan: QueryPlan, stats: QueryStatistics) -> dict:
         return {
+            **stats.as_dict(),
             "engine": self.name,
-            "backend": self.name,
             "solver": query.solver,
-            "s_points_required": int(plan.required_s_points.size),
-            "s_points_computed": 0,
             "conjugates_folded": plan.conjugates_folded,
-            "evaluation_seconds": 0.0,
-            "inversion_seconds": 0.0,
         }
-
-    def _invert(self, inverter, t_points, values, stats) -> np.ndarray:
-        stopwatch = Stopwatch()
-        with stopwatch, obs_trace.span(
-            "inversion", method=inverter.name, n_t_points=int(np.asarray(t_points).size)
-        ):
-            result = inverter.invert_values(t_points, values)
-        stats["inversion_seconds"] += stopwatch.elapsed
-        return result
 
     # -------------------------------------------------------------- passage
     def run_passage(self, query) -> PassageTimeResult:
-        t_points = query.grid()
-        _entry, _targets, job, inverter = self._context(query)
-        plan = QueryPlan.derive(inverter, t_points)
-        stats = self._new_stats(query, plan)
-        cache: dict[complex, complex] = {}
+        _entry, _targets, job, plan, scheduler = self._context(query)
+        stats = QueryStatistics()
 
-        values = self._gather(job, plan.required_s_points, cache, stats)
-        density = (
-            self._invert(inverter, t_points, values, stats)
-            if query.include_density else None
-        )
-        cdf = None
-        if query.include_cdf:
-            cdf_values = {s: v / s for s, v in values.items() if s != 0}
-            cdf = self._invert(inverter, t_points, cdf_values, stats)
+        resolved = measures.gather(scheduler, job, plan, stats, reporter=self.progress)
+        density = measures.invert(plan, resolved, stats) if query.include_density else None
+        cdf = measures.invert(plan, resolved, stats, cdf=True) if query.include_cdf else None
 
         quantiles: dict[float, float] = {}
         if query.quantiles:
-            def cdf_at(t: float) -> float:
-                grid = np.asarray([t], dtype=float)
-                probe = self._gather(
-                    job, inverter.required_s_points(grid), cache, stats
-                )
-                probe_cdf = {s: v / s for s, v in probe.items() if s != 0}
-                return float(self._invert(inverter, grid, probe_cdf, stats)[0])
-
-            for q in query.quantiles:
-                quantiles[q] = _refine_quantile(q, t_points, cdf_at)
+            # Probes are tiny (33 points each under Euler): they go through
+            # the same store, but on the default in-process executor rather
+            # than paying a pool round-trip each.
+            probes = CoalescingScheduler(scheduler.cache)
+            cdf_at = measures.cdf_probe(
+                lambda probe: measures.gather(probes, job, probe, stats),
+                plan.inverter, stats,
+            )
+            t_lower, t_upper = float(plan.t_points.min()), 10.0 * float(plan.t_points.max())
+            try:
+                for q in query.quantiles:
+                    quantiles[q] = measures.refine_quantile(cdf_at, q, t_lower, t_upper)
+            except measures.QuantileNotBracketed as exc:
+                raise ApiError(str(exc)) from None
 
         return PassageTimeResult(
-            t_points=t_points,
+            t_points=plan.t_points,
             density=density,
             cdf=cdf,
-            transform_values={s: v for s, v in values.items()},
-            method=inverter.name,
+            transform_values=resolved,
+            method=plan.inverter.name,
             quantiles=quantiles,
-            statistics=stats,
+            statistics=self._statistics(query, plan, stats),
         )
 
     # ------------------------------------------------------------ transient
     def run_transient(self, query) -> TransientResult:
-        t_points = query.grid()
-        entry, targets, job, inverter = self._context(query)
-        plan = QueryPlan.derive(inverter, t_points)
-        stats = self._new_stats(query, plan)
-        cache: dict[complex, complex] = {}
+        entry, targets, job, plan, scheduler = self._context(query)
+        stats = QueryStatistics()
 
-        values = self._gather(job, plan.required_s_points, cache, stats)
-        probability = self._invert(inverter, t_points, values, stats)
+        resolved = measures.gather(scheduler, job, plan, stats, reporter=self.progress)
+        probability = measures.invert(plan, resolved, stats)
         steady = entry.steady_state(targets) if query.include_steady_state else None
         return TransientResult(
-            t_points=t_points,
+            t_points=plan.t_points,
             probability=probability,
             steady_state=steady,
-            transform_values={s: v for s, v in values.items()},
-            method=inverter.name,
-            statistics=stats,
+            transform_values=resolved,
+            method=plan.inverter.name,
+            statistics=self._statistics(query, plan, stats),
         )
 
 
 class InlineEngine(_LocalEngine):
-    """Evaluate every s-point in the calling process via the batched engine."""
+    """Memory store, every s-point solved in the calling process."""
 
     name = "inline"
 
-    def _evaluate(self, job, s_points):
-        return job.evaluate_many(s_points)
+    def __init__(self):
+        super().__init__()
 
 
 class MultiprocessingEngine(_LocalEngine):
-    """Evaluate the s-grid on a pool of worker processes.
+    """Memory store, the s-grid solved on a pool of worker processes.
 
     The pool shares one kernel plane (workers attach the exported kernel
     zero-copy instead of receiving a pickled model copy) and the unit of
     dispatch is a memory-budgeted s-block.  ``workers`` and ``processes``
     are synonyms; ``block_size`` (alias ``chunk_size``) overrides the
-    policy-computed block, mainly for tests.  Quantile-refinement probes are
-    tiny (33 points each) and are evaluated inline rather than paying a pool
-    round-trip.
+    policy-computed block, mainly for tests.
     """
 
     name = "multiprocessing"
@@ -246,41 +193,24 @@ class MultiprocessingEngine(_LocalEngine):
     ):
         if workers is not None and processes is not None and workers != processes:
             raise EngineError("workers and processes are synonyms; pass one")
-        self._backend = MultiprocessingBackend(
+        super().__init__(backend=MultiprocessingBackend(
             processes=workers if workers is not None else processes,
             block_size=block_size,
             chunk_size=chunk_size,
-        )
-        # Per-run dispatch state is thread-local so one engine instance can
-        # serve concurrent threads without mixing up pool-vs-inline routing.
-        self._run_state = threading.local()
-
-    def _evaluate(self, job, s_points):
-        if getattr(self._run_state, "main_grid_done", True):
-            return job.evaluate_many(s_points)
-        self._run_state.main_grid_done = True
-        return self._backend.evaluate(job, s_points)
-
-    def run_passage(self, query):
-        self._run_state.main_grid_done = False
-        return super().run_passage(query)
-
-    def run_transient(self, query):
-        self._run_state.main_grid_done = False
-        return super().run_transient(query)
+        ))
 
 
-class DistributedEngine(Engine):
-    """Run through the master/worker :class:`DistributedPipeline`.
+class DistributedEngine(_LocalEngine):
+    """Checkpoint-backed store: what the paper's master adds to a solve.
 
-    Adds what the paper's master adds: a work queue, conjugate folding,
-    on-disk checkpoint/resume (now block-granular: each completed s-block is
-    merged as it arrives), and per-task accounting.  ``backend`` accepts any
-    pipeline backend; ``workers > 1`` builds a block-dispatching
+    Every completed s-block is merged into the ``checkpoint`` directory as it
+    arrives — quantile probes included — so an interrupted analysis resumes
+    from the finished blocks and a repeated one computes nothing.
+    ``backend`` accepts any executor; ``workers > 1`` builds a
     multiprocessing backend — with a checkpoint configured, its kernel plane
     is exported as an mmap'd file under ``<checkpoint>/planes`` so any
     process on the host (or a checkpoint-sharing fleet) can attach by
-    digest; the default backend is the timing-recording serial one.
+    digest; the default solves in the calling process.
     """
 
     name = "distributed"
@@ -293,133 +223,21 @@ class DistributedEngine(Engine):
         block_size: int | None = None,
         chunk_size: int | None = None,
         checkpoint: str | CheckpointStore | None = None,
-        fold_conjugates: bool = True,
         progress=None,
     ):
-        #: optional :class:`~repro.obs.progress.ProgressReporter` advanced per
-        #: completed s-block (pool backends) or per evaluation round
-        self.progress = progress
-        self.checkpoint = (
-            CheckpointStore(checkpoint)
-            if isinstance(checkpoint, (str, bytes)) or hasattr(checkpoint, "__fspath__")
-            else checkpoint
-        )
+        if isinstance(checkpoint, (str, bytes)) or hasattr(checkpoint, "__fspath__"):
+            checkpoint = CheckpointStore(checkpoint)
         if backend is None and workers and workers > 1:
-            plane_store = (
-                str(self.checkpoint.directory / "planes")
-                if self.checkpoint is not None
-                else None
-            )
             backend = MultiprocessingBackend(
                 processes=workers,
                 block_size=block_size,
                 chunk_size=chunk_size,
-                plane_store=plane_store,
+                plane_store=(
+                    str(checkpoint.directory / "planes")
+                    if checkpoint is not None else None
+                ),
             )
-        self.backend = backend
-        self.fold_conjugates = fold_conjugates
-
-    def _pipeline(self, query, job) -> DistributedPipeline:
-        return DistributedPipeline(
-            job,
-            inversion=query.inversion,
-            inverter_options=dict(query.inverter_options),
-            backend=self.backend or SerialBackend(record_timings=True),
-            checkpoint=self.checkpoint,
-            fold_conjugates=self.fold_conjugates,
-            progress=self.progress,
-        )
-
-    def _context(self, query):
-        entry = query.model.entry
-        sources, targets = resolve_state_sets(entry, query.source, query.target)
-        job = build_job(
-            entry, query.kind, sources, targets,
-            solver=query.solver, epsilon=query.epsilon,
-        )
-        return entry, targets, job
-
-    def _statistics(self, pipeline, job=None) -> dict:
-        stats = pipeline.statistics_summary()
-        stats["engine"] = self.name
-        report = getattr(job, "last_report", None)
-        if report and report.get("engine"):
-            # In-process backends leave the most recent evaluation's report
-            # on the job (pool workers keep theirs remote).  The pipeline
-            # dispatches many chunked evaluate_batch calls, so only the
-            # engine label — stable across calls — is trustworthy here;
-            # per-block timings would cover just the final chunk.
-            stats["evaluator_engine"] = report["engine"]
-        return stats
-
-    def run_passage(self, query) -> PassageTimeResult:
-        t_points = query.grid()
-        _entry, _targets, job = self._context(query)
-        pipeline = self._pipeline(query, job)
-
-        density = pipeline.density(t_points) if query.include_density else None
-        cdf = pipeline.cdf(t_points) if query.include_cdf else None
-
-        quantiles: dict[float, float] = {}
-        probe_points = 0
-        if query.quantiles:
-            # Quantile probes are single-t grids (33 points under Euler); they
-            # are evaluated in-process against the pipeline's value cache
-            # rather than dispatched, matching the cost profile of the CLI's
-            # historical root-find.  They bypass the pipeline's checkpoint
-            # and its s_points_computed counter by design; the extra work is
-            # reported separately as ``s_points_probed``.
-            inverter = pipeline.inverter
-            cache = pipeline.transform_values()
-
-            def cdf_at(t: float) -> float:
-                nonlocal probe_points
-                grid = np.asarray([t], dtype=float)
-                required = inverter.required_s_points(grid)
-                missing = [
-                    complex(s)
-                    for s in conjugate_reduced(required)
-                    if canonical_s(s) not in cache
-                ]
-                for s, v in job.evaluate_many(missing).items():
-                    cache[canonical_s(s)] = complex(v)
-                probe_points += len(missing)
-                probe = {
-                    s: v / s
-                    for s, v in expand_to_grid(required, cache).items()
-                    if s != 0
-                }
-                return float(inverter.invert_values(grid, probe)[0])
-
-            for q in query.quantiles:
-                quantiles[q] = _refine_quantile(q, t_points, cdf_at)
-
-        statistics = self._statistics(pipeline, job)
-        statistics["s_points_probed"] = probe_points
-        return PassageTimeResult(
-            t_points=t_points,
-            density=density,
-            cdf=cdf,
-            transform_values=pipeline.transform_values(),
-            method=pipeline.inverter.name,
-            quantiles=quantiles,
-            statistics=statistics,
-        )
-
-    def run_transient(self, query) -> TransientResult:
-        t_points = query.grid()
-        entry, targets, job = self._context(query)
-        pipeline = self._pipeline(query, job)
-        probability = pipeline.density(t_points)
-        steady = entry.steady_state(targets) if query.include_steady_state else None
-        return TransientResult(
-            t_points=t_points,
-            probability=probability,
-            steady_state=steady,
-            transform_values=pipeline.transform_values(),
-            method=pipeline.inverter.name,
-            statistics=self._statistics(pipeline, job),
-        )
+        super().__init__(backend=backend, checkpoint=checkpoint, progress=progress)
 
 
 class RemoteEngine(Engine):

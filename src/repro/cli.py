@@ -232,10 +232,11 @@ def _cmd_passage(args) -> int:
     _emit(rows, header, args)
     _print_quantiles(result)
     stats = result.statistics
+    cached = stats.get("s_points_from_memory", 0) + stats.get("s_points_from_disk", 0)
     print(f"# s-points computed: {stats.get('s_points_computed', 0)} "
-          f"(cache: {stats.get('s_points_from_cache', 0)}), "
+          f"(cache: {cached}), "
           f"evaluation {stats.get('evaluation_seconds', 0.0):.2f}s "
-          f"via {stats.get('backend', 'serial')}",
+          f"via {stats.get('engine', 'inline')}",
           file=sys.stderr)
     _print_engine_stats(stats)
     return 0

@@ -10,8 +10,9 @@ Typical use::
 
 The solvers hide the three-stage structure of the computation (decide which
 s-points the Laplace inversion needs, evaluate the passage-time / transient
-transform at each of them, invert), which is exactly the split the
-distributed pipeline in :mod:`repro.distributed` parallelises.
+transform at each of them, invert); they are thin shims over the evaluation
+loop (:mod:`repro.service.scheduler`) and the measure helpers
+(:mod:`repro.api.measures`) every other surface shares.
 """
 from .jobs import PassageTimeJob, TransientJob, TransformJob
 from .results import PassageTimeResult, TransientResult

@@ -1,19 +1,28 @@
-"""User-facing solvers for passage-time and transient measures."""
+"""User-facing solvers for passage-time and transient measures on a raw kernel.
+
+Thin shims: each solver owns a job, an inverter and one evaluation loop (a
+:class:`~repro.service.scheduler.CoalescingScheduler` over an in-memory
+result store, on the given executor) and computes its measures with the
+helpers every other surface uses (:mod:`repro.api.measures`).  The store
+lives as long as the solver, so repeated t-grids and overlapping Euler grids
+cost nothing extra.
+"""
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
+from ..api import measures
+from ..api.plan import QueryPlan
 from ..distributions.moments import lst_moments
 from ..laplace import get_inverter
-from ..laplace.inverter import canonical_s
+from ..service.cache import TieredResultCache
+from ..service.scheduler import CoalescingScheduler, QueryStatistics
 from ..smp.embedded import source_weights
 from ..smp.kernel import SMPKernel
 from ..smp.passage import PassageTimeOptions
 from ..smp.steady import steady_state_probability
-from ..utils.timing import Stopwatch
 from .jobs import PassageTimeJob, TransientJob, TransformJob
 from .results import PassageTimeResult, TransientResult
 
@@ -21,7 +30,7 @@ __all__ = ["PassageTimeSolver", "TransientSolver"]
 
 
 class _BaseSolver:
-    """Shared plumbing: source weighting, s-point evaluation, caching, backends."""
+    """Shared plumbing: source weighting, the job, the evaluation loop."""
 
     def __init__(
         self,
@@ -51,9 +60,10 @@ class _BaseSolver:
         self.options = options or PassageTimeOptions()
         self.method = method
         self.inverter = get_inverter(inversion, **(dict(inverter_options or {})))
-        self.backend = backend
         self._job = self._build_job()
-        self._cache: dict[complex, complex] = {}
+        self._scheduler = CoalescingScheduler(TieredResultCache(), backend=backend)
+        #: accounting of everything this solver has evaluated so far
+        self.statistics = QueryStatistics()
 
     # ------------------------------------------------------------ subclass
     def _build_job(self) -> TransformJob:  # pragma: no cover - overridden
@@ -66,33 +76,17 @@ class _BaseSolver:
 
     def transform(self, s: complex) -> complex:
         """The measure's Laplace transform at a single s-point."""
-        key = canonical_s(s)
-        if key not in self._cache:
-            self._cache[key] = self._job.evaluate(complex(s))
-        return self._cache[key]
+        return self._job.evaluate(complex(s))
 
-    def transform_values(self, s_points: Iterable[complex]) -> dict[complex, complex]:
-        """Evaluate the transform at many s-points (optionally via a backend).
+    def _gather(self, plan: QueryPlan) -> dict[complex, complex]:
+        return measures.gather(self._scheduler, self._job, plan, self.statistics)
 
-        Values already present in the solver's cache are not recomputed; the
-        remainder is deduplicated on canonical s before being dispatched, so
-        repeated t-grids and overlapping Euler grids cost nothing extra.
-        """
-        s_points = [complex(s) for s in np.asarray(list(s_points), dtype=complex)]
-        missing: dict[complex, complex] = {}
-        for s in s_points:
-            key = canonical_s(s)
-            if key not in self._cache and key not in missing:
-                missing[key] = s
-        if missing:
-            todo = list(missing.values())
-            if self.backend is not None:
-                computed = self.backend.evaluate(self._job, todo)
-            else:
-                computed = self._job.evaluate_many(todo)
-            for s, value in computed.items():
-                self._cache[canonical_s(s)] = complex(value)
-        return {s: self._cache[canonical_s(s)] for s in s_points}
+    def _invert(self, t_points, *, cdf: bool = False) -> np.ndarray:
+        plan = QueryPlan.derive(self.inverter, t_points)
+        return measures.invert(plan, self._gather(plan), self.statistics, cdf=cdf)
+
+    def _statistics(self) -> dict:
+        return {**self.statistics.as_dict(), "solver": self.method}
 
 
 class PassageTimeSolver(_BaseSolver):
@@ -110,7 +104,7 @@ class PassageTimeSolver(_BaseSolver):
     inversion:
         ``"euler"`` (default, robust to discontinuities) or ``"laguerre"``.
     backend:
-        Optional distributed backend from :mod:`repro.distributed`.
+        Optional executor from :mod:`repro.distributed` (default: in-process).
     """
 
     def _build_job(self) -> TransformJob:
@@ -125,39 +119,24 @@ class PassageTimeSolver(_BaseSolver):
     # ------------------------------------------------------------- measures
     def density(self, t_points) -> np.ndarray:
         """Passage-time density ``f(t)`` at each t-point."""
-        t_points = np.asarray(list(t_points), dtype=float)
-        values = self.transform_values(self.inverter.required_s_points(t_points))
-        return self.inverter.invert_values(t_points, values)
+        return self._invert(t_points)
 
     def cdf(self, t_points) -> np.ndarray:
         """Passage-time distribution function ``F(t)`` at each t-point."""
-        t_points = np.asarray(list(t_points), dtype=float)
-        values = self.transform_values(self.inverter.required_s_points(t_points))
-        cdf_values = {s: v / s for s, v in values.items() if s != 0}
-        return self.inverter.invert_values(t_points, cdf_values)
+        return self._invert(t_points, cdf=True)
 
     def solve(self, t_points, *, include_density: bool = True, include_cdf: bool = True) -> PassageTimeResult:
         """Compute density and/or CDF over ``t_points`` and package the result."""
-        t_points = np.asarray(list(t_points), dtype=float)
-        stopwatch = Stopwatch()
-        with stopwatch:
-            values = self.transform_values(self.inverter.required_s_points(t_points))
-            density = self.inverter.invert_values(t_points, values) if include_density else None
-            cdf = None
-            if include_cdf:
-                cdf_values = {s: v / s for s, v in values.items() if s != 0}
-                cdf = self.inverter.invert_values(t_points, cdf_values)
+        plan = QueryPlan.derive(self.inverter, t_points)
+        resolved = self._gather(plan)
+        stats = self.statistics
         return PassageTimeResult(
-            t_points=t_points,
-            density=density,
-            cdf=cdf,
-            transform_values=values,
+            t_points=plan.t_points,
+            density=measures.invert(plan, resolved, stats) if include_density else None,
+            cdf=measures.invert(plan, resolved, stats, cdf=True) if include_cdf else None,
+            transform_values=resolved,
             method=self.inverter.name,
-            statistics={
-                "wall_clock_seconds": stopwatch.elapsed,
-                "s_point_evaluations": len(values),
-                "solver": self.method,
-            },
+            statistics=self._statistics(),
         )
 
     def quantile(self, q: float, t_lower: float, t_upper: float, *, xtol: float = 1e-6) -> float:
@@ -165,23 +144,14 @@ class PassageTimeSolver(_BaseSolver):
 
         A bracketing root find on the inverted CDF; each function evaluation
         costs one inversion (33 transform evaluations with the default Euler
-        parameters), all served from the solver's s-point cache when possible.
+        parameters), all served from the solver's result store when possible.
         """
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie strictly between 0 and 1")
         if t_upper <= t_lower:
             raise ValueError("t_upper must exceed t_lower")
-
-        def objective(t: float) -> float:
-            return float(self.cdf([t])[0]) - q
-
-        lo, hi = objective(t_lower), objective(t_upper)
-        if lo > 0 or hi < 0:
-            raise ValueError(
-                f"quantile {q} is not bracketed by [{t_lower}, {t_upper}] "
-                f"(F(t_lower)-q={lo:.4g}, F(t_upper)-q={hi:.4g})"
-            )
-        return float(optimize.brentq(objective, t_lower, t_upper, xtol=xtol))
+        cdf_at = measures.cdf_probe(self._gather, self.inverter, self.statistics)
+        return measures.refine_quantile(cdf_at, q, t_lower, t_upper, xtol=xtol)
 
     def moments(self, order: int = 2, *, scale: float | None = None) -> np.ndarray:
         """Moments ``E[T^k]`` of the passage time from the transform near s=0.
@@ -253,29 +223,20 @@ class TransientSolver(_BaseSolver):
 
     def probability(self, t_points) -> np.ndarray:
         """``P(Z(t) in targets)`` at each t-point."""
-        t_points = np.asarray(list(t_points), dtype=float)
-        values = self.transform_values(self.inverter.required_s_points(t_points))
-        return self.inverter.invert_values(t_points, values)
+        return self._invert(t_points)
 
     def steady_state(self) -> float:
         """The t -> infinity limit of the transient probability."""
         return steady_state_probability(self.kernel, self.targets)
 
     def solve(self, t_points, *, include_steady_state: bool = True) -> TransientResult:
-        t_points = np.asarray(list(t_points), dtype=float)
-        stopwatch = Stopwatch()
-        with stopwatch:
-            values = self.transform_values(self.inverter.required_s_points(t_points))
-            probability = self.inverter.invert_values(t_points, values)
+        plan = QueryPlan.derive(self.inverter, t_points)
+        resolved = self._gather(plan)
         return TransientResult(
-            t_points=t_points,
-            probability=probability,
+            t_points=plan.t_points,
+            probability=measures.invert(plan, resolved, self.statistics),
             steady_state=self.steady_state() if include_steady_state else None,
-            transform_values=values,
+            transform_values=resolved,
             method=self.inverter.name,
-            statistics={
-                "wall_clock_seconds": stopwatch.elapsed,
-                "s_point_evaluations": len(values),
-                "solver": self.method,
-            },
+            statistics=self._statistics(),
         )

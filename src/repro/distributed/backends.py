@@ -1,18 +1,23 @@
-"""Execution backends for transform-evaluation jobs.
+"""Executors: the only code that calls ``TransformJob.evaluate_batch``.
 
-A backend takes a :class:`~repro.core.jobs.TransformJob` and a list of
-s-points and returns ``{s: L(s)}``.  Three implementations are provided:
+An executor takes a :class:`~repro.core.jobs.TransformJob` and a list of
+s-points, solves them as s-blocks and returns ``{s: L(s)}``; the caller's
+``on_block(values)`` sees every block as it completes.  It knows nothing of
+caches, checkpoints, tickets or progress — those live in the one loop that
+drives it, :meth:`repro.service.scheduler.CoalescingScheduler.evaluate`.
 
-* :class:`SerialBackend` — in-process evaluation, optionally recording the
-  wall-clock duration of every s-point (the measured durations feed the
-  simulated cluster used to regenerate Table 2),
+* :class:`SerialBackend` — the ``workers=0`` case: blocks solved one after
+  the other in the calling process (one block unless the caller sizes them),
+  optionally recording a wall-clock duration per s-point (the durations feed
+  the simulated cluster used to regenerate Table 2),
 * :class:`MultiprocessingBackend` — a pool of worker *processes* sharing one
   kernel image: the master exports the kernel plane once (shared memory, or
   an mmap'd file via a :class:`~repro.smp.plane.PlaneStore`), ships each
   worker a few-hundred-byte :class:`~repro.core.jobs.JobSpec` at pool start,
-  and then streams :class:`~repro.distributed.queue.SBlock` work units,
-* :class:`repro.distributed.simcluster.SimulatedCluster` — not an executor
-  but a timing model; see that module.
+  and then streams :class:`~repro.distributed.queue.SBlock` work units.
+
+(:class:`repro.distributed.simcluster.SimulatedCluster` is not an executor
+but a timing model; see that module.)
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import signal
 import tempfile
 import time
 from concurrent import futures
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -73,48 +78,81 @@ class PoisonBlockError(RuntimeError):
 
 
 class Backend(Protocol):
-    """Anything that can evaluate a job at a batch of s-points."""
+    """Anything that can solve a job's s-points block by block."""
 
-    def evaluate(self, job: TransformJob, s_points: Iterable[complex]) -> dict[complex, complex]:
+    def block_points(self, job: TransformJob, n_points: int) -> int:
+        """s-points per block when the caller of :meth:`evaluate` names none."""
+        ...  # pragma: no cover - protocol definition
+
+    def evaluate(
+        self,
+        job: TransformJob,
+        s_points: Iterable[complex],
+        *,
+        block_points: int | None = None,
+        on_block: Callable[[dict[complex, complex]], None] | None = None,
+    ) -> dict[complex, complex]:
+        """``{s: L(s)}`` for every point; ``on_block(values)`` per solved block.
+
+        An exception out of ``on_block`` stops the run at that block boundary:
+        no further block is started and the exception propagates.
+        """
         ...  # pragma: no cover - protocol definition
 
 
 class SerialBackend:
-    """Evaluate all s-points in the calling process via the batched engine.
+    """Solve the blocks one after the other in the calling process.
 
     Parameters
     ----------
     record_timings:
         When true, per-s-point wall-clock durations are appended to
         :attr:`task_durations`; the Table 2 benchmark replays them through the
-        simulated cluster.  The batched engine evaluates the whole grid in one
-        sweep, so the measured batch time is apportioned over the points in
+        simulated cluster.  The batched engine evaluates a block in one sweep,
+        so the measured block time is apportioned over its points in
         proportion to the per-point work reported by the job (iteration/matvec
         counts, LU-solve equivalents) — the per-task durations keep the same
         relative shape a scalar evaluation loop would have recorded.
     """
 
-    name = "serial"
-
     def __init__(self, *, record_timings: bool = False):
         self.record_timings = record_timings
         self.task_durations: list[float] = []
 
-    def evaluate(self, job: TransformJob, s_points) -> dict[complex, complex]:
+    def block_points(self, job: TransformJob, n_points: int) -> int:
+        return max(1, n_points)
+
+    def evaluate(
+        self, job: TransformJob, s_points, *, block_points=None, on_block=None
+    ) -> dict[complex, complex]:
         s_list = [complex(s) for s in s_points]
-        if not s_list:
-            return {}
-        start = time.perf_counter()
-        values, costs = job.evaluate_batch(np.asarray(s_list, dtype=complex))
-        elapsed = time.perf_counter() - start
-        if self.record_timings:
-            total_cost = float(np.sum(costs))
-            if total_cost > 0:
-                durations = elapsed * np.asarray(costs, dtype=float) / total_cost
-            else:
-                durations = np.full(len(s_list), elapsed / len(s_list))
-            self.task_durations.extend(float(d) for d in durations)
-        return {s: complex(v) for s, v in zip(s_list, values)}
+        size = block_points or self.block_points(job, len(s_list))
+        out: dict[complex, complex] = {}
+        reports = []
+        for lo in range(0, len(s_list), size):
+            block = s_list[lo:lo + size]
+            start = time.perf_counter()
+            values, costs = job.evaluate_batch(np.asarray(block, dtype=complex))
+            elapsed = time.perf_counter() - start
+            reports.append(job.last_report)
+            if self.record_timings:
+                total_cost = float(np.sum(costs))
+                if total_cost > 0:
+                    durations = elapsed * np.asarray(costs, dtype=float) / total_cost
+                else:
+                    durations = np.full(len(block), elapsed / len(block))
+                self.task_durations.extend(float(d) for d in durations)
+            solved = {s: complex(v) for s, v in zip(block, values)}
+            out.update(solved)
+            if on_block is not None:
+                on_block(solved)
+        if len(reports) > 1:
+            # one report for the whole call, as the pool backend leaves
+            job.last_report = {
+                "engine": next((r["engine"] for r in reports if r), None),
+                "blocks": [b for r in reports if r for b in r.get("blocks", [])],
+            }
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +229,12 @@ class MultiprocessingBackend:
     processes:
         Number of worker processes (defaults to the machine's CPU count).
     block_size:
-        s-points per dispatched :class:`SBlock`.  ``None`` (default) delegates
-        to :meth:`SPointPolicy.dispatch_block_points` — the same memory-budget
-        computation the in-process engines block by, capped so every worker
-        sees about four blocks.  ``chunk_size`` is the historical alias.
+        Upper bound on the s-points per dispatched :class:`SBlock` when the
+        caller of :meth:`evaluate` names no size.  ``None`` (default)
+        delegates to :meth:`SPointPolicy.dispatch_block_points` — the same
+        memory-budget computation the in-process engines block by, capped so
+        every worker sees about four blocks.  ``chunk_size`` is the
+        historical alias.
     plane_store:
         When given (a :class:`~repro.smp.plane.PlaneStore` or a directory
         path), the kernel plane is exported as an mmap'd *file* under that
@@ -203,15 +243,8 @@ class MultiprocessingBackend:
     max_retries:
         How many times a broken pool is rebuilt and the unfinished blocks
         resubmitted before giving up.  Completed blocks are never recomputed
-        (and, when a checkpoint is threaded through, already merged to disk).
+        (``on_block`` has already seen them).
     """
-
-    name = "multiprocessing"
-    #: pipeline capability flag: evaluate() accepts checkpoint/digest and
-    #: merges each block's results as it completes
-    supports_blocks = True
-    #: evaluate() accepts a ProgressReporter and advances it per block
-    supports_progress = True
 
     def __init__(
         self,
@@ -282,23 +315,25 @@ class MultiprocessingBackend:
         self._plane_cache.clear()
 
     # -------------------------------------------------------------------- API
+    def block_points(self, job: TransformJob, n_points: int) -> int:
+        policy = job.policy or SPointPolicy()
+        evaluator = job.evaluator
+        size = policy.dispatch_block_points(
+            evaluator, policy.resolve_engine(evaluator), n_points,
+            min(self.processes, n_points), vector=job.kind() == "transient",
+        )
+        return size if self.block_size is None else min(self.block_size, size)
+
     def evaluate(
-        self,
-        job: TransformJob,
-        s_points,
-        *,
-        checkpoint=None,
-        digest: str | None = None,
-        progress=None,
+        self, job: TransformJob, s_points, *, block_points=None, on_block=None
     ) -> dict[complex, complex]:
         """Evaluate ``s_points``, dispatching s-blocks to the worker pool.
 
-        When ``checkpoint`` (a :class:`~repro.distributed.checkpoint.CheckpointStore`)
-        and ``digest`` are given, every completed block is merged to disk as
-        it arrives, so a run that dies mid-grid resumes from the finished
-        blocks rather than from nothing.  ``progress`` (a
-        :class:`~repro.obs.progress.ProgressReporter`) is advanced once per
-        completed block.
+        ``on_block(values)`` runs in the calling thread once per completed
+        block, in completion order — this is where the caller checkpoints,
+        reports progress or cancels.  When it raises, blocks not yet started
+        are cancelled, running ones finish and are discarded, and the
+        exception propagates.
         """
         s_list = [complex(s) for s in np.asarray(list(s_points), dtype=complex)]
         if not s_list:
@@ -306,28 +341,15 @@ class MultiprocessingBackend:
         start = time.perf_counter()
         workers = min(self.processes, len(s_list))
         policy = job.policy or SPointPolicy()
-        evaluator = job.evaluator
-        engine = policy.resolve_engine(evaluator)
-        if self.block_size is not None:
-            block_size = min(
-                self.block_size,
-                policy.dispatch_block_points(
-                    evaluator, engine, len(s_list), workers,
-                    vector=job.kind() == "transient",
-                ),
-            )
-        else:
-            block_size = policy.dispatch_block_points(
-                evaluator, engine, len(s_list), workers,
-                vector=job.kind() == "transient",
-            )
-        include_factored = engine == "factored" and job.solver != "direct"
+        block_size = block_points or self.block_points(job, len(s_list))
+        include_factored = (
+            policy.resolve_engine(job.evaluator) == "factored"
+            and job.solver != "direct"
+        )
         handle = self._plane_handle(job, include_factored)
         spec = JobSpec.from_job(job)
 
         queue = SBlockQueue.from_points(s_list, block_size)
-        if progress is not None:
-            progress.add_total(queue.n_pending, len(s_list))
         reports: list[tuple[int, str, dict | None]] = []
         attempts = 0
         #: block index -> consecutive pool breaks it was implicated in
@@ -338,26 +360,32 @@ class MultiprocessingBackend:
             while queue.n_pending:
                 outstanding = queue.outstanding()
                 pending_before = queue.n_pending
-                with futures.ProcessPoolExecutor(
+                pool = futures.ProcessPoolExecutor(
                     max_workers=min(workers, len(outstanding)),
                     initializer=_block_worker_init,
                     initargs=(
                         spec, handle, obs_trace.get_tracer().enabled, incident_dir
                     ),
-                ) as pool:
+                )
+                try:
                     by_future = {
                         pool.submit(_block_worker_run, block): block
                         for block in outstanding
                     }
                     procs = dict(pool._processes or {})
                     reason, hung = self._drain(
-                        by_future, queue, checkpoint, digest, reports, progress,
+                        by_future, queue, on_block, reports,
                         policy=policy, pool=pool, watch_state=watch_state,
                     )
-                # All workers are joined once the `with` exits, so exit codes
-                # are final: the worker that *caused* the break died on its
-                # own (positive code, or SIGKILL e.g. the OOM killer), while
-                # innocent bystanders were SIGTERMed during pool teardown.
+                finally:
+                    # On a clean drain nothing is left to cancel; when
+                    # on_block (or a worker) raised, the blocks still queued
+                    # must not be solved just to be thrown away.
+                    pool.shutdown(wait=True, cancel_futures=True)
+                # All workers are joined once the pool is shut down, so exit
+                # codes are final: the worker that *caused* the break died on
+                # its own (positive code, or SIGKILL e.g. the OOM killer),
+                # while innocent bystanders were SIGTERMed during teardown.
                 exitcodes = {
                     proc.pid: proc.exitcode for proc in procs.values()
                 }
@@ -443,25 +471,23 @@ class MultiprocessingBackend:
         self,
         by_future,
         queue,
-        checkpoint,
-        digest,
+        on_block,
         reports,
-        progress=None,
         *,
-        policy: SPointPolicy | None = None,
-        pool=None,
-        watch_state: dict | None = None,
+        policy: SPointPolicy,
+        pool,
+        watch_state: dict,
     ) -> tuple[str | None, set[int]]:
         """Process completions until the pool drains.
 
         Returns ``(reason, hung_blocks)``: reason is ``None`` on a clean
         drain, ``"crashed"`` when the pool broke on its own, ``"hung"`` when
         the watchdog killed it.  Results that finished before a break are
-        kept (and checkpointed), so a retry only re-runs the genuinely
-        unfinished blocks.  Each completed block is recorded exactly once
-        here — telemetry (global per-worker counters, queue-depth gauge,
-        progress, worker spans and metric deltas) rides the same path as the
-        results, so a pool rebuild neither loses nor double-counts it.
+        kept (``on_block`` has seen them), so a retry only re-runs the
+        genuinely unfinished blocks.  Each completed block is recorded exactly
+        once here — telemetry (global per-worker counters, queue-depth gauge,
+        worker spans and metric deltas) rides the same path as the results,
+        so a pool rebuild neither loses nor double-counts it.
 
         The watchdog: a worker that stops making progress (deadlocked solve,
         injected hang) never completes its future, so the pool would wait
@@ -479,11 +505,8 @@ class MultiprocessingBackend:
         hung: set[int] = set()
         not_done = set(by_future)
         started_at: dict = {}
-        if watch_state is None:
-            watch_state = {"longest": 0.0}
-        mult = policy.watchdog_multiplier if policy is not None else 0.0
-        floor = policy.watchdog_floor_seconds if policy is not None else 30.0
-        watchdog_on = pool is not None and mult > 0
+        mult, floor = policy.watchdog_multiplier, policy.watchdog_floor_seconds
+        watchdog_on = mult > 0
         poll = min(1.0, max(0.05, floor / 20.0)) if watchdog_on else None
         while not_done:
             done, not_done = futures.wait(
@@ -510,19 +533,8 @@ class MultiprocessingBackend:
                     pid, block.n_points, elapsed, registry=registry
                 )
                 depth_gauge.set(queue.n_pending)
-                if progress is not None:
-                    progress.advance(1, block.n_points)
-                if checkpoint is not None and digest is not None:
-                    try:
-                        checkpoint.merge(digest, values)
-                    except OSError as exc:
-                        # A full disk must not kill an in-memory computation;
-                        # the block's results stay in the queue, only their
-                        # durability is lost.
-                        logger.warning(
-                            "checkpoint merge failed for block %d: %s "
-                            "(continuing without durability)", index, exc,
-                        )
+                if on_block is not None:
+                    on_block(values)
             if watchdog_on and not broken and not_done:
                 for future in not_done:
                     if future not in started_at and future.running():

@@ -1,90 +1,11 @@
-"""The master's global work queues: scalar s-points and dispatched s-blocks."""
+"""The master's work queue: dispatched s-blocks and their completion state."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..laplace.inverter import canonical_s
-
-__all__ = [
-    "WorkItem",
-    "SPointWorkQueue",
-    "SBlock",
-    "SBlockQueue",
-]
-
-
-@dataclass
-class WorkItem:
-    """One outstanding transform evaluation."""
-
-    s: complex
-    #: wall-clock seconds the evaluation took (filled in on completion)
-    duration: float | None = None
-    #: identifier of the worker that served the item (diagnostics only)
-    worker: str | None = None
-
-
-@dataclass
-class SPointWorkQueue:
-    """A simple FIFO of s-points with completion bookkeeping.
-
-    The master deduplicates the s-points (canonically rounded, conjugate
-    pairs folded by the caller when applicable) before enqueueing, mirrors
-    completions into ``results`` and keeps per-item timing so that the
-    simulated-cluster backend can replay realistic task durations.
-    """
-
-    pending: list[WorkItem] = field(default_factory=list)
-    completed: list[WorkItem] = field(default_factory=list)
-    results: dict[complex, complex] = field(default_factory=dict)
-
-    def put(self, s_points) -> int:
-        """Enqueue the not-yet-known s-points; returns how many were added."""
-        added = 0
-        known = {canonical_s(item.s) for item in self.pending}
-        known.update(canonical_s(item.s) for item in self.completed)
-        for s in np.asarray(list(s_points), dtype=complex):
-            key = canonical_s(s)
-            if key in known:
-                continue
-            known.add(key)
-            self.pending.append(WorkItem(s=complex(s)))
-            added += 1
-        return added
-
-    def take(self, count: int = 1) -> list[WorkItem]:
-        """Remove and return up to ``count`` items from the front of the queue."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        taken, self.pending = self.pending[:count], self.pending[count:]
-        return taken
-
-    def complete(self, item: WorkItem, value: complex, *, duration: float | None = None,
-                 worker: str | None = None) -> None:
-        item.duration = duration
-        item.worker = worker
-        self.completed.append(item)
-        self.results[canonical_s(item.s)] = complex(value)
-
-    # -------------------------------------------------------------- queries
-    @property
-    def n_pending(self) -> int:
-        return len(self.pending)
-
-    @property
-    def n_completed(self) -> int:
-        return len(self.completed)
-
-    def value_of(self, s: complex) -> complex:
-        return self.results[canonical_s(s)]
-
-    def durations(self) -> np.ndarray:
-        """Per-task durations of all completed items that recorded timing."""
-        return np.asarray(
-            [item.duration for item in self.completed if item.duration is not None], dtype=float
-        )
+__all__ = ["SBlock", "SBlockQueue"]
 
 
 @dataclass
@@ -137,10 +58,6 @@ class SBlockQueue:
     @property
     def n_pending(self) -> int:
         return len(self.pending)
-
-    @property
-    def n_completed(self) -> int:
-        return len(self.served_by)
 
     def outstanding(self) -> list[SBlock]:
         return [self.pending[i] for i in sorted(self.pending)]

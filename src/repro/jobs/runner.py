@@ -2,15 +2,16 @@
 
 The :class:`JobRunner` owns one daemon thread.  Each claimed job is executed
 through the *same* code path a synchronous query takes —
-``AnalysisService.passage`` / ``.transient`` over the coalescing scheduler
-and the block pipeline — with one difference: the evaluation step is driven
-block-by-block by the runner, so that
+``AnalysisService.passage`` / ``.transient`` over the coalescing scheduler —
+with one difference: the runner hangs a :class:`_JobObserver` on the
+evaluation loop, which names the job's s-block size and sees every block the
+moment it has landed in the tiered result cache (and, with a checkpoint
+directory, on disk), so that
 
-* every completed s-block lands in the tiered result cache (and, with a
-  checkpoint directory, on disk) before the next one starts,
 * the job record's progress is advanced once per completed s-block
   (``GET /v1/jobs/{id}`` shows monotone progress),
-* cancellation is honoured *between* blocks (``DELETE /v1/jobs/{id}``),
+* cancellation and drain are honoured at the next block boundary
+  (``DELETE /v1/jobs/{id}``): blocks not yet started are never solved,
 * a job re-queued after a crash resumes from its checkpointed blocks: the
   scheduler's disk tier answers the already-solved points, so only the
   genuinely unfinished blocks are computed (no loss, no double-count).
@@ -149,16 +150,13 @@ class JobRunner:
     def _execute(self, record: JobRecord) -> None:
         from ..service.service import ServiceError, measure_kwargs
 
-        evaluator = self._block_evaluator(record)
+        observer = _JobObserver(self, record)
         self._active = record.job_id
         try:
             kwargs = measure_kwargs(record.request, record.kind)
             run = getattr(self.service, record.kind)
-            response = run(
-                tenant=record.tenant,
-                _evaluate=evaluator,
-                **kwargs,
-            )
+            response = run(tenant=record.tenant, observer=observer, **kwargs)
+            observer.settle()
             self.store.transition(record.job_id, "done", result=response)
             logger.info("job=%s tenant=%s kind=%s state=done",
                         record.job_id, record.tenant, record.kind)
@@ -183,109 +181,103 @@ class JobRunner:
             logger.exception("job=%s tenant=%s state=failed", record.job_id,
                              record.tenant)
         finally:
-            evaluator.finish()
+            observer.close()
             with self._cond:
                 self._active = None
                 self._cond.notify_all()
 
-    # ------------------------------------------------------------ execution
-    def _block_evaluator(self, record: JobRecord):
-        """The per-job evaluation hook handed to the sync query path.
 
-        Matches the ``_evaluate(job, plan, entry, stats)`` contract of
-        ``AnalysisService._gather``: resolve the grid through the coalescing
-        scheduler exactly like a synchronous query would, but in runner-sized
-        blocks with a cancellation check and a progress event between them.
-        The first call sees the full plan grid; later calls (quantile
-        root-finding) reuse the same accounting.
-        """
-        state = {"planned": False, "points_done": 0, "blocks_done": 0,
-                 "reporter": None, "board_key": None}
-        board = getattr(self.service.scheduler, "progress_board", None)
+class _JobObserver:
+    """One running job's hooks on the evaluation loop.
 
-        def evaluate(job, plan, entry, stats):
-            s_list, keys = plan.s_points.tolist(), plan.s_keys
-            policy = job.policy or SPointPolicy()
-            engine = policy.resolve_engine(entry.evaluator)
-            size = self.block_points or policy.dispatch_block_points(
-                entry.evaluator, engine, len(s_list),
-                max(int(getattr(self.service, "workers", 1)), 1),
-                vector=job.kind() == "transient",
+    The service tells it every plan before gathering it (:meth:`on_plan`: the
+    measure's grid first, then one single-t plan per quantile probe) and the
+    scheduler every landed block (:meth:`on_block`).
+    """
+
+    def __init__(self, runner: JobRunner, record: JobRecord):
+        self.runner = runner
+        self.job_id = record.job_id
+        self.board = runner.service.progress_board
+        self.board_key: str | None = None
+        self.reporter = None
+        self.progress = {
+            "points_total": 0, "blocks_total": 0,
+            "points_done": 0, "blocks_done": 0, "points_computed": 0,
+        }
+
+    def on_plan(self, job, plan, entry) -> dict:
+        """Account for ``plan``; returns how the scheduler is to dispatch it."""
+        runner, store = self.runner, self.runner.store
+        if store.cancel_requested(self.job_id):
+            raise JobCancelled(self.job_id)
+        n_points = plan.n_evaluations
+        policy = job.policy or SPointPolicy()
+        engine = policy.resolve_engine(entry.evaluator)
+        size = runner.block_points or policy.dispatch_block_points(
+            entry.evaluator, engine, n_points,
+            max(int(runner.service.workers), 1),
+            vector=job.kind() == "transient",
+        )
+        n_blocks = -(-n_points // size)
+        if self.reporter is not None:
+            self.settle()  # the previous gather returned: all of it is done
+        self.progress["points_total"] += n_points
+        self.progress["blocks_total"] += n_blocks
+        if self.reporter is None:
+            # One board run spans the whole job — each landed block advances
+            # it, so /v1/progress/{digest} shows a single monotone run
+            # instead of one micro-run per gather.
+            self.board_key = entry.digest
+            self.reporter = self.board.start(
+                entry.digest, label=f"job:{self.job_id}"
             )
-            blocks = [
-                (s_list[i:i + size], keys[i:i + size])
-                for i in range(0, len(s_list), size)
-            ]
-            if not state["planned"]:
-                state["planned"] = True
-                if board is not None:
-                    # One board run spans the whole job — each block's
-                    # evaluation advances it, so /v1/progress/{digest} shows
-                    # a single monotone run instead of a micro-run per block.
-                    state["board_key"] = entry.digest
-                    state["reporter"] = board.start(
-                        entry.digest, label=f"job:{record.job_id}"
-                    )
-                self.store.annotate_plan(record.job_id, {
-                    "measure": job.digest(),
-                    "engine": engine,
-                    "n_s_points": len(s_list),
-                    "n_blocks": len(blocks),
-                    "block_points": size,
-                    "solver": job.solver,
-                    "points_checkpointed": self.service.cache.checkpointed_points(
-                        job.digest()
-                    ),
-                })
-                self.store.progress(record.job_id, {
-                    "points_total": len(s_list),
-                    "blocks_total": len(blocks),
-                    "points_done": 0,
-                    "blocks_done": 0,
-                    "points_computed": 0,
-                })
-                state["points_total"] = len(s_list)
-                state["blocks_total"] = len(blocks)
-            else:
-                # quantile refinement adds points beyond the plan grid
-                state["points_total"] = state.get("points_total", 0) + len(s_list)
-                state["blocks_total"] = state.get("blocks_total", 0) + len(blocks)
+            store.annotate_plan(self.job_id, {
+                "measure": job.digest(),
+                "engine": engine,
+                "n_s_points": n_points,
+                "n_blocks": n_blocks,
+                "block_points": size,
+                "solver": job.solver,
+                "points_checkpointed": runner.service.cache.checkpointed_points(
+                    job.digest()
+                ),
+            })
+            store.progress(self.job_id, dict(self.progress))
+        return {
+            "block_points": size, "on_block": self.on_block,
+            "reporter": self.reporter,
+        }
 
-            resolved: dict[complex, complex] = {}
-            for block, block_keys in blocks:
-                if self.store.cancel_requested(record.job_id):
-                    raise JobCancelled(record.job_id)
-                resolved.update(self.service.scheduler.evaluate(
-                    job, block, keys=block_keys, eval_lock=entry.eval_lock,
-                    stats=stats, progress_key=entry.digest,
-                    reporter=state["reporter"],
-                ))
-                state["points_done"] += len(block)
-                state["blocks_done"] += 1
-                self.store.progress(record.job_id, {
-                    "points_total": state["points_total"],
-                    "blocks_total": state["blocks_total"],
-                    "points_done": state["points_done"],
-                    "blocks_done": state["blocks_done"],
-                    "points_computed": stats.s_points_computed,
-                })
-                # e.g. jobs.block=crash:done=1 hard-kills the process after
-                # the first completed block: blocks are checkpointed, the job
-                # is still `running` in the store — the durability scenario.
-                faults.fire(
-                    "jobs.block",
-                    done=state["blocks_done"], job=record.job_id,
-                )
-                if self._draining:
-                    raise JobDrained(record.job_id)
-            if self.store.cancel_requested(record.job_id):
-                raise JobCancelled(record.job_id)
-            return resolved
+    def on_block(self, values: dict) -> None:
+        """A block has landed (stored, checkpointed): record it, then stop
+        the run here if the job was cancelled or the server is draining."""
+        progress, store = self.progress, self.runner.store
+        progress["points_done"] += len(values)
+        progress["points_computed"] += len(values)
+        progress["blocks_done"] += 1
+        store.progress(self.job_id, dict(progress))
+        # e.g. jobs.block=crash:done=1 hard-kills the process after the first
+        # completed block: blocks are checkpointed, the job is still `running`
+        # in the store — the durability scenario.
+        faults.fire("jobs.block", done=progress["blocks_done"], job=self.job_id)
+        if self.runner.draining:
+            raise JobDrained(self.job_id)
+        if store.cancel_requested(self.job_id):
+            raise JobCancelled(self.job_id)
 
-        def finish():
-            if state["reporter"] is not None:
-                board.done(state["board_key"], state["reporter"])
-                state["reporter"] = None
+    def settle(self) -> None:
+        """Everything planned so far is resolved — points served from the
+        cache tiers never pass :meth:`on_block`, so count them in here."""
+        progress = self.progress
+        if (progress["points_done"], progress["blocks_done"]) != (
+            progress["points_total"], progress["blocks_total"]
+        ):
+            progress["points_done"] = progress["points_total"]
+            progress["blocks_done"] = progress["blocks_total"]
+            self.runner.store.progress(self.job_id, dict(progress))
 
-        evaluate.finish = finish
-        return evaluate
+    def close(self) -> None:
+        if self.reporter is not None:
+            self.board.done(self.board_key, self.reporter)
+            self.reporter = None

@@ -9,8 +9,8 @@ fans out to optional listeners: the CLI attaches a stderr renderer
 can show in-flight evaluations, and future async-job APIs can attach their
 own hooks via :meth:`ProgressReporter.subscribe`.
 
-Everything is stdlib-only, thread-safe, and free when unused: backends
-accept ``progress=None`` and skip the calls.
+Everything is stdlib-only, thread-safe, and free when unused: the scheduler
+feeds a reporter only when it was given one (or a board).
 """
 from __future__ import annotations
 

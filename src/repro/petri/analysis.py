@@ -3,7 +3,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core.solvers import PassageTimeSolver, TransientSolver
+# The module, not its names: the solvers sit on top of the api layer, which
+# itself imports this package, so the classes are looked up at call time.
+from ..core import solvers
 from .net import SMSPN, MarkingView
 from .reachability import ReachabilityGraph, build_kernel
 from .statespace import StateSpace, explore_vectorized
@@ -35,7 +37,7 @@ def passage_solver(
     source_predicate: Callable[[MarkingView], bool],
     target_predicate: Callable[[MarkingView], bool],
     **solver_options,
-) -> PassageTimeSolver:
+) -> solvers.PassageTimeSolver:
     """Build a :class:`PassageTimeSolver` between two marking predicates.
 
     ``source_predicate`` and ``target_predicate`` receive a
@@ -47,7 +49,7 @@ def passage_solver(
     kernel = build_kernel(graph)
     sources = marking_states(graph, source_predicate, label="source")
     targets = marking_states(graph, target_predicate, label="target")
-    return PassageTimeSolver(kernel, sources=sources, targets=targets, **solver_options)
+    return solvers.PassageTimeSolver(kernel, sources=sources, targets=targets, **solver_options)
 
 
 def transient_solver(
@@ -55,10 +57,10 @@ def transient_solver(
     source_predicate: Callable[[MarkingView], bool],
     target_predicate: Callable[[MarkingView], bool],
     **solver_options,
-) -> TransientSolver:
+) -> solvers.TransientSolver:
     """Build a :class:`TransientSolver` between two marking predicates."""
     graph = _as_graph(net_or_graph)
     kernel = build_kernel(graph)
     sources = marking_states(graph, source_predicate, label="source")
     targets = marking_states(graph, target_predicate, label="target")
-    return TransientSolver(kernel, sources=sources, targets=targets, **solver_options)
+    return solvers.TransientSolver(kernel, sources=sources, targets=targets, **solver_options)

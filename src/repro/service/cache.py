@@ -11,6 +11,7 @@ processes may share one checkpoint directory.
 """
 from __future__ import annotations
 
+import logging
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from ..laplace.inverter import canonical_keys
 from ..obs.metrics import get_metrics
 
 __all__ = ["CacheLookup", "TieredResultCache"]
+
+logger = logging.getLogger("repro.service")
 
 
 @dataclass
@@ -62,15 +65,6 @@ class TieredResultCache:
         self.measures_evicted = 0
 
     # ------------------------------------------------------------------ API
-    @property
-    def has_disk_tier(self) -> bool:
-        return self._store is not None
-
-    @property
-    def store(self) -> CheckpointStore | None:
-        """The disk tier (``None`` for memory-only caches)."""
-        return self._store
-
     def checkpointed_points(self, digest: str) -> int:
         """Durable s-point count for one measure (0 without a disk tier)."""
         return self._store.count(digest) if self._store is not None else 0
@@ -159,7 +153,8 @@ class TieredResultCache:
             return found
 
     def insert(self, digest: str, computed: dict[complex, complex]) -> None:
-        """Store freshly computed values in memory and (if present) on disk."""
+        """Store freshly computed values (keyed by canonical s, like
+        :meth:`lookup`) in memory and, if present, on disk."""
         if not computed:
             return
         with self._lock:
@@ -168,7 +163,7 @@ class TieredResultCache:
                 values = {}
                 self._measures[digest] = values
             self._measures.move_to_end(digest)
-            for key, v in zip(canonical_keys(list(computed)), computed.values()):
+            for key, v in computed.items():
                 if key not in values:
                     self._n_points += 1
                 values[key] = complex(v)
@@ -176,7 +171,15 @@ class TieredResultCache:
         if self._store is not None:
             # Outside the LRU lock: the store holds its own per-digest
             # inter-process lock and may block on other writers.
-            self._store.merge(digest, computed)
+            try:
+                self._store.merge(digest, computed)
+            except OSError as exc:
+                # A full disk must not kill an in-memory computation; the
+                # values stay in the memory tier, only their durability is lost.
+                logger.warning(
+                    "checkpoint merge failed for measure %s: %s "
+                    "(continuing without durability)", digest, exc,
+                )
 
     def stats(self) -> dict:
         with self._lock:

@@ -1,27 +1,39 @@
-"""Coalescing s-point scheduler: each point is evaluated at most once.
+"""The one loop that turns plan points into stored values.
 
-Concurrent queries on the same measure expand to overlapping inversion
-s-grids (the Euler grid for a given t-grid is identical across requests).
-The scheduler keeps a single-flight table keyed by ``(measure digest,
-canonical s)``: the first request to need a point registers a ticket and
-evaluates it as part of one :meth:`TransformJob.evaluate_batch` call on the
-batched engine; every other in-flight request needing that point blocks on
-the ticket and receives the same value — one evaluation fans out to all
-waiting queries.
+:meth:`CoalescingScheduler.evaluate` is the paper's master: it resolves a
+plan's s-points through the result store (memory LRU over an optional disk
+checkpoint), hands the leftovers to an executor
+(:class:`~repro.distributed.SerialBackend` in-process,
+:class:`~repro.distributed.MultiprocessingBackend` on a worker pool) as
+s-blocks, and lands every solved block in one place — store, tickets,
+progress, then the caller's observer.  The api engines, the solver classes,
+the analysis service and the job runner all evaluate through it; they differ
+only in the store and executor they construct it with and in the observer
+they pass.
+
+Each point is evaluated at most once.  Concurrent queries on the same measure
+expand to overlapping inversion s-grids (the Euler grid for a given t-grid is
+identical across requests).  The scheduler keeps a single-flight table keyed
+by ``(measure digest, canonical s)``: the first request to need a point
+registers a ticket and evaluates it; every other in-flight request needing
+that point blocks on the ticket and receives the same value — one evaluation
+fans out to all waiting queries.
 
 Evaluations on one kernel are serialised by the model entry's ``eval_lock``
 (the shared :class:`~repro.smp.kernel.UEvaluator` grid caches are not
-thread-safe); waiting on tickets never happens while that lock is held, so
-the scheme is deadlock-free.
+thread-safe), held per s-block; waiting on tickets never happens while that
+lock is held, so the scheme is deadlock-free.
 """
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.jobs import TransformJob
+from ..distributed.backends import Backend, SerialBackend
 from ..laplace.inverter import canonical_keys
 from ..obs.metrics import get_metrics, merge_worker_stats, worker_stats_snapshot
 from ..utils.timing import Stopwatch
@@ -75,26 +87,27 @@ class _Ticket:
 
 
 class CoalescingScheduler:
-    """Single-flight batched evaluation over a tiered result cache.
+    """Single-flight block evaluation over a tiered result cache.
 
-    With a block-dispatching ``backend`` (the service's ``workers > 1``
-    mode), each owned batch is farmed out as s-blocks to a worker pool that
-    shares the kernel plane; per-worker block counts and busy time are
-    accumulated for ``/v1/stats``.
+    ``backend`` is the executor the owned points of every call are solved
+    on; the default solves them in the calling process.  With a pool backend
+    (the service's ``workers > 1`` mode) the blocks go to worker processes
+    that share the kernel plane, and per-worker block counts and busy time
+    show up in ``/v1/stats``.
     """
 
     def __init__(
         self,
         cache: TieredResultCache,
         *,
-        backend=None,
+        backend: Backend | None = None,
         progress_board=None,
         coalesce_timeout: float = _COALESCE_TIMEOUT_SECONDS,
     ):
         if coalesce_timeout <= 0:
             raise ValueError("coalesce_timeout must be > 0")
         self.cache = cache
-        self.backend = backend
+        self.backend = backend if backend is not None else SerialBackend()
         #: upper bound on waiting for another request's in-flight point; a
         #: dead leader resolves its tickets with the error immediately, so
         #: this only guards against a leader stuck outside Python's control
@@ -125,19 +138,27 @@ class CoalescingScheduler:
         stats: QueryStatistics | None = None,
         progress_key: str | None = None,
         reporter=None,
+        block_points: int | None = None,
+        on_block=None,
     ) -> dict[complex, complex]:
         """Transform values for ``s_points``, keyed by canonical s.
 
         Points are resolved in tier order: memory cache, disk checkpoint,
-        another request's in-flight evaluation, and only then a fresh batched
-        evaluation of the leftovers (one ``evaluate_batch`` call, serialised
-        on ``eval_lock`` when the job shares its evaluator).  ``keys`` are the
-        points' canonical keys when the caller's plan already derived them.
+        another request's in-flight evaluation, and only then a fresh
+        evaluation of the leftovers on the executor, in blocks of
+        ``block_points`` (default: the executor's own sizing), serialised on
+        ``eval_lock`` per block when the job shares its evaluator.  ``keys``
+        are the points' canonical keys when the caller's plan already derived
+        them.
 
-        A caller spanning several ``evaluate`` calls — the async job runner
-        dispatches one call per s-block — passes its own ``reporter`` so the
-        progress board shows a single monotone run instead of one micro-run
-        per block; the scheduler then never finishes that reporter.
+        Every solved block lands the same way: into the cache (memory and,
+        with a disk tier, the checkpoint), its tickets resolved, progress
+        advanced, then ``on_block(values)`` — the caller's observer, keyed
+        like the return value.  An observer that raises (a cancelled or
+        drained job) stops the run at that block boundary: what has landed
+        stays stored, the rest is not solved, and waiters on it see the error.
+        ``reporter`` is a caller-owned progress reporter (the CLI's, or a
+        job's spanning several calls): fed here, never finished here.
         """
         digest = job.digest()
         s_points = np.asarray(s_points, dtype=complex).ravel()
@@ -180,24 +201,18 @@ class CoalescingScheduler:
                 # a second time.
                 already = self.cache.peek(digest, owned)
                 if already:
-                    with self._lock:
-                        for s, v in already.items():
-                            ticket = self._in_flight.pop((digest, s), None)
-                            if ticket is not None:
-                                ticket.value = v
-                                ticket.event.set()
+                    self._resolve(digest, already, values=already)
                     owned = [s for s in owned if s not in already]
                     found.update(already)
                     if stats is not None:
                         stats.s_points_from_memory += len(already)
                 if owned:
-                    computed = self._evaluate_owned(
+                    found.update(self._evaluate_owned(
                         job, digest, owned, exact, eval_lock, stats,
-                        progress_key, reporter,
-                    )
-                    found.update(computed)
+                        progress_key, reporter, block_points, on_block,
+                    ))
             except BaseException as exc:
-                self._resolve_with_error(digest, owned, exc)
+                self._resolve(digest, owned, error=exc)
                 raise
 
         for s, ticket in waits.items():
@@ -232,29 +247,25 @@ class CoalescingScheduler:
                 "engine_batches": dict(self.engine_batches),
                 "engine_blocks": dict(self.engine_blocks),
             }
-        # Pool mode only: the per-worker view comes straight from the obs
-        # metrics registry — the one place the backend records completed
-        # blocks — instead of a scheduler-private merge of report dicts.
-        if self.backend is not None:
-            workers = worker_stats_snapshot()
-            if workers:
-                out["workers"] = workers
+        # The per-worker view comes straight from the obs metrics registry —
+        # the one place a pool backend records completed blocks.
+        workers = worker_stats_snapshot()
+        if workers:
+            out["workers"] = workers
         return out
 
     # ------------------------------------------------------------ internals
-    def _resolve_with_error(
-        self, digest: str, owned: list[complex], exc: BaseException
-    ) -> None:
-        """Wake waiters of any still-registered owned tickets with ``exc``.
-
-        Idempotent with the resolution inside :meth:`_evaluate_owned` —
-        tickets it already popped are simply gone from the table.
-        """
+    def _resolve(self, digest: str, keys, *, values=None, error=None) -> None:
+        """Wake the waiters of ``keys``' still-registered tickets — with the
+        point's value, or with the error that means it will not get one
+        (tickets whose block landed are already gone from the table)."""
         with self._lock:
-            for s in owned:
-                ticket = self._in_flight.pop((digest, s), None)
+            for key in keys:
+                ticket = self._in_flight.pop((digest, key), None)
                 if ticket is not None:
-                    ticket.error = exc
+                    if error is None:
+                        ticket.value = values[key]
+                    ticket.error = error
                     ticket.event.set()
 
     def _evaluate_owned(
@@ -265,88 +276,76 @@ class CoalescingScheduler:
         exact: dict[complex, complex],
         eval_lock,
         stats: QueryStatistics | None,
-        progress_key: str | None = None,
-        reporter=None,
+        progress_key: str | None,
+        reporter,
+        block_points: int | None,
+        on_block,
     ) -> dict[complex, complex]:
         # Evaluate at the *exact* s-points the caller supplied, not at their
         # canonically rounded cache keys: rounding perturbs contour points
         # whose components differ by many orders of magnitude (the Laguerre
-        # grid), and every other evaluation path (solvers, pipeline, api
-        # engines) evaluates exact points — evaluating the same inputs is
-        # what keeps remote results bit-identical to local ones.
-        todo = [exact.get(key, key) for key in owned]
-        stopwatch = Stopwatch()
-        report = None
+        # grid), and evaluating the same inputs on every surface is what
+        # keeps their results bit-identical.
+        key_of = {exact[key]: key for key in owned}
+        todo = list(key_of)
         # The board is keyed by the *model* digest (what clients poll at
         # /v1/progress/{digest}), not the per-measure job digest.
         board_key = progress_key or digest
-        external_reporter = reporter is not None
-        if not external_reporter and self.progress_board is not None:
+        own_reporter = reporter is None and self.progress_board is not None
+        if own_reporter:
             reporter = self.progress_board.start(board_key, label=job.kind())
+        computed: dict[complex, complex] = {}
 
-        def _dispatch():
-            # Pool mode dispatches s-blocks to workers sharing the kernel
-            # plane; the lock still serialises use of the master-side
-            # evaluator (plane export, engine resolution) per kernel.
-            if self.backend is not None:
-                if getattr(self.backend, "supports_progress", False):
-                    return self.backend.evaluate(job, todo, progress=reporter)
-                return self.backend.evaluate(job, todo)
-            if reporter is not None:
-                reporter.add_total(1, len(todo))
-            computed = job.evaluate_many(todo)
-            if reporter is not None:
-                reporter.advance(1, len(todo))
-            return computed
-
-        try:
-            with stopwatch:
-                # Capture the evaluation report right after the call (while
-                # still holding the evaluation lock where one exists): another
-                # request sharing the job's measure may evaluate concurrently
-                # and overwrite job.last_report.
+        def land(values: dict[complex, complex]) -> None:
+            # Called by the executor in this thread between two blocks, so the
+            # evaluation lock can be let go while the block is stored: another
+            # query on the same kernel gets its turn between a job's blocks.
+            block = {key_of[s]: v for s, v in values.items()}
+            if eval_lock is not None:
+                eval_lock.release()
+            try:
+                self.cache.insert(digest, block)
+                self._resolve(digest, block, values=block)
+                computed.update(block)
+                if stats is not None:
+                    stats.s_points_computed += len(block)
+                if reporter is not None:
+                    reporter.advance(1, len(block))
+                if on_block is not None:
+                    on_block(block)
+            finally:
                 if eval_lock is not None:
-                    with eval_lock:
-                        computed = _dispatch()
-                        report = getattr(job, "last_report", None)
-                else:
-                    computed = _dispatch()
-                    report = getattr(job, "last_report", None)
-        except BaseException as exc:
-            with self._lock:
-                for s in owned:
-                    ticket = self._in_flight.pop((digest, s), None)
-                    if ticket is not None:
-                        ticket.error = exc
-                        ticket.event.set()
-            raise
+                    eval_lock.acquire()
+
+        stopwatch = Stopwatch()
+        try:
+            # With a pool the lock still serialises use of the master-side
+            # evaluator (block sizing, engine resolution, plane export).
+            with stopwatch, eval_lock or contextlib.nullcontext():
+                size = block_points or self.backend.block_points(job, len(todo))
+                if reporter is not None:
+                    reporter.add_total(-(-len(todo) // size), len(todo))
+                self.backend.evaluate(job, todo, block_points=size, on_block=land)
         finally:
-            if reporter is not None and not external_reporter:
+            with self._lock:
+                self.points_evaluated += len(computed)  # also of a stopped run
+            if own_reporter:
                 self.progress_board.done(board_key, reporter)
-        # Re-key the values by their canonical cache keys (evaluate_many
-        # keyed them by the exact inputs).
-        computed = {key: computed[s] for key, s in zip(owned, todo)}
-        self.cache.insert(digest, computed)
+        report = job.last_report
+        engine = report.get("engine") if report else None
         with self._lock:
-            for s in owned:
-                ticket = self._in_flight.pop((digest, s), None)
-                if ticket is not None:
-                    ticket.value = computed[s]
-                    ticket.event.set()
-            self.points_evaluated += len(owned)
             self.batches_dispatched += 1
             self.evaluation_seconds_total += stopwatch.elapsed
-            if report and report.get("engine"):
-                engine = report["engine"]
+            if engine:
                 self.engine_batches[engine] = self.engine_batches.get(engine, 0) + 1
-                blocks = report.get("blocks") or []
-                self.engine_blocks[engine] = self.engine_blocks.get(engine, 0) + len(blocks)
+                self.engine_blocks[engine] = (
+                    self.engine_blocks.get(engine, 0) + len(report.get("blocks") or [])
+                )
         if stats is not None:
-            stats.s_points_computed += len(owned)
             stats.batches += 1
             stats.evaluation_seconds += stopwatch.elapsed
-            if report and report.get("engine"):
-                stats.extra["evaluator_engine"] = report["engine"]
+            if engine:
+                stats.extra["evaluator_engine"] = engine
                 # Extend, never replace: a query whose points resolve in
                 # several coalesced batches reports every batch's blocks.
                 stats.extra.setdefault("solve_blocks", []).extend(

@@ -11,14 +11,16 @@ methods; tests and benchmarks may drive the service in-process.
 """
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
 import numpy as np
-from scipy import optimize
 
 from .. import faults
+from ..api import measures
 from ..api.errors import PlanError, PredicateError
+from ..api.plan import QueryPlan, build_job
 from ..core.jobs import TransformJob
 from ..distributed.checkpoint import CheckpointStore
 from ..dnamaca.expressions import ExpressionError, parse_overrides
@@ -32,10 +34,8 @@ from ..jobs import (
     open_backend,
 )
 from ..laplace import get_inverter
-from ..obs import trace as obs_trace
 from ..obs.metrics import effective_cores, get_metrics
 from ..obs.progress import ProgressBoard
-from ..utils.timing import Stopwatch
 from .cache import TieredResultCache
 from .registry import ModelEntry, ModelRegistry
 from .scheduler import CoalescingScheduler, QueryStatistics
@@ -176,15 +176,6 @@ def _as_t_points(raw) -> np.ndarray:
     if not np.all(np.isfinite(t_points)) or np.any(t_points <= 0):
         raise ValidationError("t_points must be finite and strictly positive")
     return t_points
-
-
-def _cdf_transform(plan, values: np.ndarray) -> list[complex]:
-    """``L(s)/s`` on the plan's exact grid, aligned like ``values``.
-
-    Python complex division, not NumPy's: the two round differently, and
-    every other engine divides Python complexes.
-    """
-    return [v / s for v, s in zip(values.tolist(), plan.required_s_points.tolist())]
 
 
 def _package_version() -> str:
@@ -377,9 +368,13 @@ class AnalysisService:
         inversion: str = "euler",
         epsilon: float = 1e-8,
         tenant: str = DEFAULT_TENANT,
-        _evaluate=None,
+        observer=None,
     ) -> dict:
-        """First-passage-time density (and optionally CDF / quantile)."""
+        """First-passage-time density (and optionally CDF / quantile).
+
+        ``observer`` is the job runner's hook on the evaluation loop (see
+        :meth:`_gather`); synchronous queries pass none.
+        """
         t_points = _as_t_points(t_points)
         entry, registered = self._resolve_entry(
             model, spec, overrides, max_states, tenant=tenant
@@ -390,17 +385,10 @@ class AnalysisService:
         stats = QueryStatistics()
         stats.extra["model_registered"] = registered
 
-        plan, values = self._gather(job, entry, inverter, t_points, stats,
-                                    evaluate=_evaluate)
-        stopwatch = Stopwatch()
-        with stopwatch, obs_trace.span(
-            "inversion", method=inverter.name, n_t_points=int(t_points.size)
-        ):
-            density = inverter.invert_values(t_points, values)
-            cdf = None
-            if include_cdf:
-                cdf = inverter.invert_values(t_points, _cdf_transform(plan, values))
-        stats.inversion_seconds += stopwatch.elapsed
+        plan = QueryPlan.derive(inverter, t_points)
+        resolved = self._gather(job, entry, stats, observer, plan)
+        density = measures.invert(plan, resolved, stats)
+        cdf = measures.invert(plan, resolved, stats, cdf=True) if include_cdf else None
 
         response = {
             "model": entry.digest,
@@ -414,8 +402,7 @@ class AnalysisService:
             response["quantile"] = {
                 "q": float(quantile),
                 "t": self._refine_quantile(
-                    job, entry, inverter, t_points, quantile, stats,
-                    evaluate=_evaluate,
+                    job, entry, inverter, t_points, quantile, stats, observer
                 ),
             }
         self._count_query("passage", tenant)
@@ -437,7 +424,7 @@ class AnalysisService:
         inversion: str = "euler",
         epsilon: float = 1e-8,
         tenant: str = DEFAULT_TENANT,
-        _evaluate=None,
+        observer=None,
     ) -> dict:
         """Transient probability ``P(Z(t) in targets)`` on a t-grid."""
         t_points = _as_t_points(t_points)
@@ -450,14 +437,9 @@ class AnalysisService:
         stats = QueryStatistics()
         stats.extra["model_registered"] = registered
 
-        _plan, values = self._gather(job, entry, inverter, t_points, stats,
-                                     evaluate=_evaluate)
-        stopwatch = Stopwatch()
-        with stopwatch, obs_trace.span(
-            "inversion", method=inverter.name, n_t_points=int(t_points.size)
-        ):
-            probability = inverter.invert_values(t_points, values)
-        stats.inversion_seconds += stopwatch.elapsed
+        plan = QueryPlan.derive(inverter, t_points)
+        resolved = self._gather(job, entry, stats, observer, plan)
+        probability = measures.invert(plan, resolved, stats)
 
         response = {
             "model": entry.digest,
@@ -595,8 +577,6 @@ class AnalysisService:
 
     # ------------------------------------------------------------ internals
     def _make_job(self, kind, entry, sources, targets, solver, epsilon) -> TransformJob:
-        from ..api.plan import build_job
-
         try:
             return build_job(
                 entry, kind, sources, targets, solver=solver, epsilon=epsilon
@@ -614,40 +594,25 @@ class AnalysisService:
         self,
         job: TransformJob,
         entry: ModelEntry,
-        inverter,
-        t_points: np.ndarray,
         stats: QueryStatistics,
-        evaluate=None,
-    ):
-        """The query plan and the transform values on its required s-grid.
+        observer,
+        plan: QueryPlan,
+    ) -> dict[complex, complex]:
+        """One plan's transform values through the scheduler.
 
         The canonical s-grid comes from the same :class:`QueryPlan` the api
         engines derive, so the scheduler/cache see identical points for
-        identical queries whatever the entry surface.  The resolved values
-        come back aligned with the plan's *exact* grid points (folded
-        conjugates recovered as the conjugate of their mirror image):
-        downstream arithmetic such as the CDF's ``L(s)/s`` must divide by the
-        same floats every other engine divides by for results to match them
-        bit-for-bit.
-
-        ``evaluate`` replaces the single whole-grid scheduler call (the job
-        runner passes a block-by-block driver with cancellation/progress
-        between blocks); its contract is ``evaluate(job, plan, entry, stats)
-        -> {canonical s: L(s)}``, and because the rest of this method is
-        shared, async results match the synchronous path exactly.
+        identical queries whatever the entry surface.  A job's ``observer``
+        is told the plan first and answers with how the job wants it
+        dispatched (block size, per-block hook, progress reporter); the loop
+        is the one a synchronous query takes, so async results match exactly.
         """
-        from ..api.plan import QueryPlan
-
         faults.fire("service.gather", digest=entry.digest, kind=job.kind())
-        plan = QueryPlan.derive(inverter, t_points)
-        if evaluate is not None:
-            resolved = evaluate(job, plan, entry, stats)
-        else:
-            resolved = self.scheduler.evaluate(
-                job, plan.s_points, keys=plan.s_keys, eval_lock=entry.eval_lock,
-                stats=stats, progress_key=entry.digest,
-            )
-        return plan, plan.on_grid(resolved)
+        dispatch = observer.on_plan(job, plan, entry) if observer is not None else {}
+        return measures.gather(
+            self.scheduler, job, plan, stats,
+            eval_lock=entry.eval_lock, progress_key=entry.digest, **dispatch,
+        )
 
     def _refine_quantile(
         self,
@@ -657,7 +622,7 @@ class AnalysisService:
         t_points: np.ndarray,
         q,
         stats: QueryStatistics,
-        evaluate=None,
+        observer,
     ) -> float:
         """Root-find ``F(t) = q`` with extra inversions through the scheduler."""
         try:
@@ -666,31 +631,16 @@ class AnalysisService:
             raise ValidationError("quantile must be a number") from None
         if not 0.0 < q < 1.0:
             raise ValidationError("quantile must lie strictly between 0 and 1")
-
-        def cdf_at(t: float) -> float:
-            grid = np.asarray([t], dtype=float)
-            plan, values = self._gather(job, entry, inverter, grid, stats,
-                                        evaluate=evaluate)
-            stopwatch = Stopwatch()
-            with stopwatch:
-                result = float(
-                    inverter.invert_values(grid, _cdf_transform(plan, values))[0]
-                )
-            stats.inversion_seconds += stopwatch.elapsed
-            return result
-
-        t_lower = float(np.min(t_points))
-        t_upper = float(np.max(t_points)) * 10.0
-        lo = cdf_at(t_lower) - q
-        hi = cdf_at(t_upper) - q
-        if lo > 0 or hi < 0:
-            raise QueryError(
-                f"quantile {q} is not bracketed by [{t_lower:.6g}, {t_upper:.6g}] "
-                f"(F(lower)-q={lo:.4g}, F(upper)-q={hi:.4g})"
-            )
-        return float(
-            optimize.brentq(lambda t: cdf_at(t) - q, t_lower, t_upper, xtol=1e-6)
+        cdf_at = measures.cdf_probe(
+            functools.partial(self._gather, job, entry, stats, observer),
+            inverter, stats,
         )
+        try:
+            return measures.refine_quantile(
+                cdf_at, q, float(np.min(t_points)), 10.0 * float(np.max(t_points))
+            )
+        except measures.QuantileNotBracketed as exc:
+            raise QueryError(str(exc)) from None
 
     def _count_query(self, kind: str, tenant: str) -> None:
         with self._counter_lock:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import DistributedEngine, Model
 from repro.core.jobs import PassageTimeJob
-from repro.distributed import DistributedPipeline, MultiprocessingBackend
+from repro.distributed import MultiprocessingBackend
 from repro.models import (
     SCALED_CONFIGURATIONS,
     alternating_renewal_kernel,
@@ -26,6 +26,7 @@ from repro.models import (
 )
 from repro.petri import build_kernel, explore
 from repro.smp import SPointPolicy, source_weights
+from tests.oneloop import LoopRun
 
 T_POINTS = [0.5, 2.0]
 PARITY = dict(rtol=0.0, atol=1e-10)
@@ -67,13 +68,12 @@ def test_block_dispatch_matches_inline(model_name, engine, inversion):
     kernel = _kernel(model_name)
     options = LAGUERRE_OPTIONS if inversion == "laguerre" else None
 
-    inline = DistributedPipeline(
+    reference = LoopRun(
         _make_job(kernel, engine), inversion=inversion, inverter_options=options
-    )
-    reference = inline.density(T_POINTS)
+    ).density(T_POINTS)
 
     backend = MultiprocessingBackend(processes=2)
-    blocked = DistributedPipeline(
+    blocked = LoopRun(
         _make_job(kernel, engine),
         inversion=inversion,
         inverter_options=options,
@@ -84,7 +84,7 @@ def test_block_dispatch_matches_inline(model_name, engine, inversion):
     finally:
         backend.close()
     np.testing.assert_allclose(density, reference, **PARITY)
-    assert blocked.statistics.workers  # the pool really served the blocks
+    assert blocked.stats.extra["workers"]  # the pool really served the blocks
 
 
 class TestQueryLevelWorkers:

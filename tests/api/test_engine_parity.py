@@ -110,3 +110,144 @@ class TestLaguerreParity:
         inline = query.run()
         remote = query.run(engine="remote", url=server_url)
         np.testing.assert_allclose(remote.density, inline.density, **PARITY)
+
+
+# ---------------------------------------------------------------------------
+# The parity matrix: engine x inversion x kind x solver against inline.
+#
+# Every local engine is the same loop over a different store and executor,
+# and the service shares its measure helpers — so the engines must agree to
+# 1e-10 and the service must equal the inline engine bit for bit.
+# ---------------------------------------------------------------------------
+
+LOCAL_ENGINES = {
+    "multiprocessing": lambda tmp: dict(engine="multiprocessing", workers=2),
+    "distributed": lambda tmp: dict(engine="distributed", checkpoint=str(tmp)),
+    "distributed-pool": lambda tmp: dict(
+        engine="distributed", workers=2, checkpoint=str(tmp)
+    ),
+}
+
+_INLINE: dict = {}
+
+
+def _matrix_query(voting_spec, kind, inversion, solver, **options):
+    model = Model.from_spec(voting_spec, name="voting-matrix")
+    if kind == "passage":
+        query = model.passage("p1 == CC", "p2 == CC").density(T_POINTS).cdf()
+    else:
+        query = model.transient("p1 == CC", "p2 >= 1").probability(T_POINTS)
+    return query.with_inversion(inversion, **options).with_solver(solver)
+
+
+def _curves(result) -> list[np.ndarray]:
+    if isinstance(result, PassageTimeResult):
+        return [result.density, result.cdf]
+    return [result.probability]
+
+
+@pytest.mark.parametrize("solver", ["iterative", "direct"])
+@pytest.mark.parametrize("kind", ["passage", "transient"])
+@pytest.mark.parametrize("inversion", ["euler", "laguerre"])
+@pytest.mark.parametrize("engine", sorted(LOCAL_ENGINES))
+def test_local_engines_match_inline(engine, inversion, kind, solver, voting_spec, tmp_path):
+    options = {"n_points": 64} if inversion == "laguerre" else {}
+    query = _matrix_query(voting_spec, kind, inversion, solver, **options)
+    case = (inversion, kind, solver)
+    if case not in _INLINE:
+        _INLINE[case] = query.run()
+    inline = _INLINE[case]
+    result = query.run(**LOCAL_ENGINES[engine](tmp_path))
+    for got, expected in zip(_curves(result), _curves(inline)):
+        np.testing.assert_allclose(got, expected, **PARITY)
+    # the raw values are keyed the same way whichever engine gathered them
+    keys = query.plan().s_keys
+    assert list(inline.transform_values) == keys
+    assert sorted(result.transform_values, key=keys.index) == keys
+    assert result.statistics["s_points_computed"] == len(keys)
+    assert result.statistics["engine"] == engine.split("-")[0]
+
+
+@pytest.mark.parametrize("inversion", ["euler", "laguerre"])
+def test_service_equals_inline_bit_for_bit(inversion, voting_spec):
+    from repro.service import AnalysisService
+
+    inline = _matrix_query(voting_spec, "passage", inversion, "iterative").run()
+    service = AnalysisService()
+    try:
+        reply = service.passage(
+            spec=voting_spec, source="p1 == CC", target="p2 == CC",
+            t_points=T_POINTS, include_cdf=True, inversion=inversion,
+        )
+    finally:
+        service.close()
+    assert reply["density"] == inline.density.tolist()
+    assert reply["cdf"] == inline.cdf.tolist()
+
+
+class TestCheckpointedEngine:
+    """What the checkpoint-backed store adds, seen from the facade."""
+
+    def test_resumed_quantile_query_computes_nothing(self, passage_query, tmp_path):
+        """Quantile probes land in the checkpoint like the main grid does."""
+        first = passage_query.run(engine="distributed", checkpoint=str(tmp_path))
+        scheduled = passage_query.plan().n_evaluations
+        assert first.statistics["s_points_computed"] > scheduled  # grid + probes
+        resumed = passage_query.run(engine="distributed", checkpoint=str(tmp_path))
+        assert resumed.statistics["s_points_computed"] == 0
+        assert resumed.statistics["s_points_from_disk"] >= scheduled
+        assert resumed.quantiles == first.quantiles
+        np.testing.assert_array_equal(resumed.cdf, first.cdf)
+
+    def test_checkpoints_are_per_measure(self, voting_spec, tmp_path):
+        from repro.distributed import CheckpointStore
+
+        model = Model.from_spec(voting_spec)
+        for target in ("p2 == CC", "p2 >= 1"):
+            result = model.passage("p1 == CC", target).density([5.0]).run(
+                engine="distributed", checkpoint=str(tmp_path)
+            )
+            assert result.statistics["s_points_computed"] == 33
+        assert len(CheckpointStore(tmp_path).digests()) == 2
+
+    def test_laguerre_conjugate_folding_halves_the_work(self, voting_spec):
+        query = (
+            Model.from_spec(voting_spec).passage("p1 == CC", "p2 == CC")
+            .density(T_POINTS).with_inversion("laguerre", n_points=64)
+        )
+        plan, statistics = query.plan(), query.run().statistics
+        assert statistics["conjugates_folded"] == plan.conjugates_folded > 0
+        assert statistics["s_points_computed"] == plan.n_evaluations
+        assert plan.n_evaluations <= plan.required_s_points.size // 2 + 1
+
+    def test_resume_from_per_block_checkpoint(self, passage_query, tmp_path, monkeypatch):
+        """A pool run killed on its last block leaves every earlier block on
+        disk; the resumed run computes only the remainder."""
+        from repro.distributed import CheckpointStore, MultiprocessingBackend
+
+        query = passage_query  # density + CDF + a quantile
+        reference = query.run()
+        scheduled = query.plan().n_evaluations
+        n_blocks = -(-scheduled // 4)
+        store = CheckpointStore(tmp_path)
+
+        monkeypatch.setenv("REPRO_FAULTS", f"worker.solve=crash:block={n_blocks - 1}")
+        backend = MultiprocessingBackend(processes=1, block_size=4, max_retries=0)
+        with pytest.raises(Exception, match="1 time"):
+            query.run(DistributedEngine(backend=backend, checkpoint=store))
+        backend.close()
+        (digest,) = store.digests()
+        checkpointed = store.count(digest)
+        assert checkpointed == scheduled - scheduled % 4 or checkpointed == scheduled - 4
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        backend = MultiprocessingBackend(processes=1, block_size=4)
+        resumed = query.run(DistributedEngine(backend=backend, checkpoint=store))
+        backend.close()
+        probes = resumed.statistics["s_points_computed"] - (scheduled - checkpointed)
+        assert resumed.statistics["s_points_from_disk"] == checkpointed
+        assert probes > 0  # the quantile's points, on top of the remainder only
+        np.testing.assert_allclose(resumed.density, reference.density, **PARITY)
+        assert resumed.quantiles[0.9] == pytest.approx(reference.quantiles[0.9], abs=1e-10)
+        workers = resumed.statistics["workers"]
+        assert sum(entry["points"] for entry in workers.values()) == scheduled - checkpointed

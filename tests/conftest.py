@@ -1,6 +1,8 @@
 """Shared pytest fixtures for the test suite."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,33 @@ def embedded_solves(monkeypatch):
 
     monkeypatch.setattr(embedded, "dtmc_steady_state", counted)
     return calls
+
+
+@pytest.fixture
+def canonicalised(monkeypatch):
+    """Points canonicalised so far, by the scalar or the vectorised function,
+    wherever in ``repro`` the name was imported."""
+    from repro.laplace import inverter as inverter_module
+
+    count = [0]
+    scalar, vectorised = inverter_module.canonical_s, inverter_module.canonical_keys
+
+    def counting_scalar(s, sig=10):
+        count[0] += 1
+        return scalar(s, sig)
+
+    def counting_vectorised(s_points, sig=10):
+        count[0] += int(np.asarray(s_points).size)
+        return vectorised(s_points, sig)
+
+    replacements = {"canonical_s": counting_scalar, "canonical_keys": counting_vectorised}
+    originals = (scalar, vectorised)
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attribute, replacement in replacements.items():
+                if getattr(module, attribute, None) in originals:
+                    monkeypatch.setattr(module, attribute, replacement)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ class TestPassageTimeSolver:
         assert np.allclose(result.density, dist.pdf(t_grid), atol=1e-6)
         assert np.allclose(result.cdf, dist.cdf(t_grid), atol=1e-6)
         assert result.method == "euler"
-        assert result.statistics["s_point_evaluations"] == 33 * len(t_grid)
-        assert result.statistics["wall_clock_seconds"] > 0
+        assert result.statistics["s_points_computed"] == 33 * len(t_grid)
+        assert result.statistics["evaluation_seconds"] > 0
+        assert result.statistics["solver"] == "iterative"
         # Quantile interpolation from the packaged CDF (grid-resolution accuracy).
         q = result.quantile(0.5)
         assert dist.cdf(q) == pytest.approx(0.5, abs=0.05)
@@ -88,9 +89,11 @@ class TestPassageTimeSolver:
         kernel, _ = erlang_target
         solver = PassageTimeSolver(kernel, sources=[0], targets=[1])
         solver.density(t_grid)
-        cached = len(solver._cache)
+        computed = solver.statistics.s_points_computed
+        assert computed == 33 * len(t_grid)
         solver.cdf(t_grid)  # same s-points: no new evaluations
-        assert len(solver._cache) == cached
+        assert solver.statistics.s_points_computed == computed
+        assert solver.statistics.s_points_from_memory == computed
 
     def test_multiple_sources_alpha_weighting(self, branching_kernel):
         t = np.array([0.5, 1.0, 2.0])

@@ -18,12 +18,12 @@ import pytest
 from repro.core.jobs import JobSpec, PassageTimeJob
 from repro.distributed import (
     CheckpointStore,
-    DistributedPipeline,
     MultiprocessingBackend,
     SBlockQueue,
     SerialBackend,
 )
 from repro.smp import KernelPlane, SPointPolicy, kernel_content_digest, source_weights
+from tests.oneloop import LoopRun
 from tests.smp.conftest import random_kernel
 
 S_GRID = [complex(0.3 * (k + 1), 0.9 * k) for k in range(16)]
@@ -154,9 +154,9 @@ class TestCrashRecovery:
         t_grid = [0.5, 1.0, 2.0]
 
         # Probe how many deduplicated s-points the grid actually dispatches.
-        probe = DistributedPipeline(big_job)
+        probe = LoopRun(big_job)
         reference = probe.density(t_grid)
-        required = probe.statistics.s_points_computed
+        required = probe.stats.s_points_computed
         n_blocks = -(-required // 4)
         assert n_blocks > 1
 
@@ -166,20 +166,19 @@ class TestCrashRecovery:
             "REPRO_FAULTS", f"worker.solve=crash:block={n_blocks - 1}"
         )
         backend = MultiprocessingBackend(processes=1, block_size=4, max_retries=0)
-        pipeline = DistributedPipeline(big_job, backend=backend, checkpoint=store)
         with pytest.raises(Exception):
-            pipeline.density(t_grid)
+            LoopRun(big_job, backend=backend, checkpoint=store).density(t_grid)
         backend.close()
         checkpointed = len(store.load(big_job.digest()))
         assert 0 < checkpointed < required
 
         monkeypatch.delenv("REPRO_FAULTS")
         backend = MultiprocessingBackend(processes=1, block_size=4)
-        resumed = DistributedPipeline(big_job, backend=backend, checkpoint=store)
+        resumed = LoopRun(big_job, backend=backend, checkpoint=store)
         density = resumed.density(t_grid)
         backend.close()
-        assert resumed.statistics.s_points_from_cache >= checkpointed
-        assert 0 < resumed.statistics.s_points_computed < required
+        assert resumed.stats.s_points_from_disk == checkpointed
+        assert resumed.stats.s_points_computed == required - checkpointed
         np.testing.assert_allclose(density, reference, rtol=0.0, atol=1e-10)
 
 
@@ -200,14 +199,14 @@ class TestWorkerStats:
 
     def test_pipeline_surfaces_worker_stats(self, big_job):
         backend = MultiprocessingBackend(processes=2, block_size=4)
-        pipeline = DistributedPipeline(big_job, backend=backend)
+        run = LoopRun(big_job, backend=backend)
         try:
-            pipeline.density([0.5, 1.0])
+            run.density([0.5, 1.0])
         finally:
             backend.close()
-        summary = pipeline.statistics_summary()
-        assert "workers" in summary
-        assert sum(e["points"] for e in summary["workers"].values()) > 0
+        summary = run.stats.as_dict()
+        assert sum(e["points"] for e in summary["workers"].values()) == 66
+        assert summary["workers"] == backend.last_worker_stats
 
     def test_plane_digest_agrees_with_checkpoint_keying(self, big_job):
         # The plane stamps the kernel digest, so a worker-built job checkpoints

@@ -1,14 +1,13 @@
-"""Tests for the s-point work queue and the checkpoint store."""
+"""Tests for the checkpoint store."""
 from __future__ import annotations
 
 import json
 import multiprocessing
 import threading
 
-import numpy as np
 import pytest
 
-from repro.distributed import CheckpointStore, SPointWorkQueue
+from repro.distributed import CheckpointStore
 
 
 def _contending_writer(directory, digest: str, start: int, count: int) -> None:
@@ -22,38 +21,6 @@ def _contending_writer(directory, digest: str, start: int, count: int) -> None:
     store = CheckpointStore(directory)
     for i in range(start, start + count):
         store.merge(digest, {complex(i, 1.0): complex(i, -1.0)})
-
-
-class TestWorkQueue:
-    def test_put_deduplicates(self):
-        queue = SPointWorkQueue()
-        added = queue.put([1 + 2j, 1 + 2j, 3 + 0j])
-        assert added == 2
-        assert queue.n_pending == 2
-        # Near-identical points (within canonical rounding) are also folded.
-        assert queue.put([1 + 2j * (1 + 1e-14)]) == 0
-
-    def test_take_and_complete(self):
-        queue = SPointWorkQueue()
-        queue.put([0.5 + 1j, 0.5 + 2j, 0.5 + 3j])
-        items = queue.take(2)
-        assert len(items) == 2 and queue.n_pending == 1
-        queue.complete(items[0], 0.25 + 0.1j, duration=0.5, worker="slave-1")
-        queue.complete(items[1], 0.5 + 0.0j, duration=0.7, worker="slave-2")
-        assert queue.n_completed == 2
-        assert queue.value_of(items[0].s) == 0.25 + 0.1j
-        assert np.allclose(queue.durations(), [0.5, 0.7])
-
-    def test_completed_points_not_requeued(self):
-        queue = SPointWorkQueue()
-        queue.put([2 + 2j])
-        item = queue.take(1)[0]
-        queue.complete(item, 1.0 + 0j)
-        assert queue.put([2 + 2j]) == 0
-
-    def test_take_requires_positive_count(self):
-        with pytest.raises(ValueError):
-            SPointWorkQueue().take(0)
 
 
 class TestCheckpointStore:

@@ -25,6 +25,7 @@ import pytest
 from repro.core.jobs import PassageTimeJob
 from repro.distributed import CheckpointStore, MultiprocessingBackend, SerialBackend
 from repro.laplace.inverter import canonical_s
+from repro.service.cache import TieredResultCache
 from repro.smp import SPointPolicy, source_weights
 from tests.smp.conftest import random_kernel
 
@@ -56,15 +57,13 @@ def _shm_entries():
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
-def _run_schedule(job, spec, monkeypatch, *, checkpoint=None, digest=None):
+def _run_schedule(job, spec, monkeypatch, *, on_block=None):
     """One chaos run: set the schedule, solve on two workers, check leaks."""
     shm_before = _shm_entries()
     monkeypatch.setenv("REPRO_FAULTS", spec)
     backend = MultiprocessingBackend(processes=2, block_size=4)
     try:
-        values = backend.evaluate(
-            job, S_GRID, checkpoint=checkpoint, digest=digest
-        )
+        values = backend.evaluate(job, S_GRID, on_block=on_block)
     finally:
         backend.close()
     assert _shm_entries() <= shm_before  # no leaked kernel planes
@@ -135,8 +134,7 @@ def test_schedule_corrupt_checkpoint_block(
         job,
         f"seed=4;state={state};checkpoint.merge=corrupt-bytes:limit=1",
         monkeypatch,
-        checkpoint=store,
-        digest=job.digest(),
+        on_block=lambda values: store.merge(job.digest(), values),
     )
     _assert_parity(values, serial_reference)
     monkeypatch.delenv("REPRO_FAULTS")
@@ -154,19 +152,21 @@ def test_schedule_checkpoint_enospc(
     kernel, serial_reference, tmp_path, monkeypatch, caplog
 ):
     """Every checkpoint merge hits a full disk: durability is lost with a
-    warning, the in-memory computation is not."""
+    warning (the result store's, where every block lands), the in-memory
+    computation is not."""
     job = _job(kernel)
     store = CheckpointStore(tmp_path / "ckpt")
-    with caplog.at_level("WARNING", logger="repro.distributed"):
+    cache = TieredResultCache(store)
+    with caplog.at_level("WARNING", logger="repro.service"):
         values, _ = _run_schedule(
             job,
             "seed=5;checkpoint.merge=enospc",
             monkeypatch,
-            checkpoint=store,
-            digest=job.digest(),
+            on_block=lambda values: cache.insert(job.digest(), values),
         )
     _assert_parity(values, serial_reference)
-    assert any("continuing without durability" in r.message for r in caplog.records)
+    assert any("continuing without durability" in r.getMessage() for r in caplog.records)
+    assert cache.stats()["points_in_memory"] == len(S_GRID)
     monkeypatch.delenv("REPRO_FAULTS")
     assert store.load(job.digest()) == {}  # nothing made it to disk
     store.release_artifacts()

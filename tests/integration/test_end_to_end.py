@@ -12,7 +12,7 @@ import pytest
 
 from repro import PassageTimeSolver, load_model
 from repro.core.jobs import PassageTimeJob
-from repro.distributed import CheckpointStore, DistributedPipeline, MultiprocessingBackend
+from repro.distributed import CheckpointStore, MultiprocessingBackend
 from repro.dnamaca import parse_model
 from repro.models import (
     SCALED_CONFIGURATIONS,
@@ -24,6 +24,7 @@ from repro.models import (
 from repro.petri import build_kernel, explore, passage_solver, transient_solver
 from repro.simulation import PetriSimulator, empirical_cdf, simulate_passage_times
 from repro.smp import smp_steady_state, source_weights
+from tests.oneloop import LoopRun
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ class TestAnalyticAgainstSimulation:
 
 
 class TestDistributedPathEquivalence:
-    """Serial solver, checkpointed pipeline and process-pool backend agree."""
+    """Serial solver, checkpoint-backed store and process-pool backend agree."""
 
     def test_all_execution_paths_agree(self, params, graph, tmp_path):
         kernel = build_kernel(graph)
@@ -122,15 +123,19 @@ class TestDistributedPathEquivalence:
         job = PassageTimeJob(
             kernel=kernel, alpha=source_weights(kernel, sources), targets=targets
         )
-        checkpointed = DistributedPipeline(job, checkpoint=CheckpointStore(tmp_path))
+        checkpointed = LoopRun(job, checkpoint=CheckpointStore(tmp_path))
         assert np.allclose(checkpointed.density(t_points), reference, atol=1e-9)
 
-        resumed = DistributedPipeline(job, checkpoint=CheckpointStore(tmp_path))
+        resumed = LoopRun(job, checkpoint=CheckpointStore(tmp_path))
         assert np.allclose(resumed.density(t_points), reference, atol=1e-9)
-        assert resumed.statistics.s_points_computed == 0
+        assert resumed.stats.s_points_computed == 0
 
-        pooled = DistributedPipeline(job, backend=MultiprocessingBackend(processes=2, chunk_size=8))
-        assert np.allclose(pooled.density(t_points), reference, atol=1e-9)
+        backend = MultiprocessingBackend(processes=2, chunk_size=8)
+        try:
+            pooled = LoopRun(job, backend=backend).density(t_points)
+        finally:
+            backend.close()
+        assert np.allclose(pooled, reference, atol=1e-9)
 
 
 class TestSteadyStateConsistency:

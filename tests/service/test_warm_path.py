@@ -7,44 +7,13 @@ cache and both inversions.
 """
 from __future__ import annotations
 
-import sys
-
-import numpy as np
-import pytest
-
 from repro.api import Model
-from repro.laplace import inverter as inverter_module
 from repro.obs.metrics import get_metrics
 from repro.service.registry import ModelRegistry
 from repro.smp import SPointPolicy
 
 MULTI = dict(source="on > 0", target="on == 0")  # two source states
 SINGLE = dict(source="on == 2", target="on == 0")
-
-
-@pytest.fixture
-def canonicalised(monkeypatch):
-    """Points canonicalised so far, by the scalar or the vectorised function,
-    wherever in ``repro`` the name was imported."""
-    count = [0]
-    scalar, vectorised = inverter_module.canonical_s, inverter_module.canonical_keys
-
-    def counting_scalar(s, sig=10):
-        count[0] += 1
-        return scalar(s, sig)
-
-    def counting_vectorised(s_points, sig=10):
-        count[0] += int(np.asarray(s_points).size)
-        return vectorised(s_points, sig)
-
-    replacements = {"canonical_s": counting_scalar, "canonical_keys": counting_vectorised}
-    originals = (scalar, vectorised)
-    for name, module in list(sys.modules.items()):
-        if name == "repro" or name.startswith("repro."):
-            for attribute, replacement in replacements.items():
-                if getattr(module, attribute, None) in originals:
-                    monkeypatch.setattr(module, attribute, replacement)
-    return count
 
 
 class TestEmbeddedSolveIsPerModel:
@@ -119,3 +88,16 @@ class TestCanonicalisedOncePerPlan:
         assert warm["statistics"]["s_points_computed"] == 0
         assert 0 < canonicalised[0] <= 400  # the contour's 400 required points
         assert warm["density"] == cold["density"] and warm["cdf"] == cold["cdf"]
+
+    def test_inline_query_canonicalises_each_required_point_once(
+        self, onoff_spec, canonicalised
+    ):
+        """The facade's own cold path: plan keys reused by the scheduler, the
+        store and both inversions (it was seven passes per point before the
+        engines shared the service's loop)."""
+        model = Model.from_spec(onoff_spec, registry=ModelRegistry())
+        model.entry
+        canonicalised[0] = 0
+        result = model.passage(**MULTI).density([15.0, 27.0, 60.0]).cdf().run()
+        assert result.statistics["s_points_computed"] == 99
+        assert 0 < canonicalised[0] <= 99
