@@ -72,7 +72,7 @@ def test_table2_scalability(benchmark, solver_on, t_points, report):
 
     # Real parallelism on the cores that are actually available here.
     workers = max(1, min(4, os.cpu_count() or 1))
-    mp_backend = MultiprocessingBackend(processes=workers, chunk_size=8)
+    mp_backend = MultiprocessingBackend(processes=workers, block_size=8)
     solver_on(mp_backend).density(t_points)
     mp_backend.close()
     real_parallel_seconds = mp_backend.last_wall_clock

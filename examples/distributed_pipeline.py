@@ -95,7 +95,7 @@ def main() -> None:
     import os
 
     workers = min(4, os.cpu_count() or 1)
-    mp_backend = MultiprocessingBackend(processes=workers, chunk_size=4)
+    mp_backend = MultiprocessingBackend(processes=workers, block_size=4)
     blocks = []
     evaluate(job, plan, backend=mp_backend, on_block=blocks.append)
     mp_backend.close()

@@ -33,8 +33,11 @@ Modes
 ``--smoke``
     CI guard: reduced scales with *generous* floors (fractions of what the
     hardware does) so the step fails only on a real regression, never on a
-    slow runner.  With ``--scaling`` the curve is just 1 and 2 workers with
-    a >= 1.5x floor (again only enforced when >= 2 cores are available).
+    slow runner.  With ``--scaling`` the curve is just 1 and 2 workers,
+    checked for <= 1e-10 parity with the single-process run only: a
+    wall-clock speedup floor on a shared 2-core runner reads 1.3-2.0x for
+    the same code, so the speedup is measured by ``bench/``
+    (``distributed.pool2_speedup``) and enforced in full mode.
 default (full)
     The acceptance-scale run: the >= 5x mid-size comparison floor plus the
     >= 1M-state voting run under the 6 GiB RSS ceiling; ``--scaling`` runs
@@ -271,11 +274,11 @@ def voting_passage(params: VotingParameters, t_points, budget_bytes: int) -> dic
     plan = QueryPlan.derive(inverter, t_points)
     s_points = plan.s_points
     policy = SPointPolicy(max_block_bytes=budget_bytes)
-    engine = policy.resolve_engine(evaluator)
     print(
         f"  {kernel.n_states} states / {kernel.n_transitions} edges built in "
         f"{build_seconds:.1f}s; solving {s_points.size} s-points via the "
-        f"{engine} engine in blocks of {policy.block_points(evaluator, engine)}",
+        f"{policy.resolve_engine(evaluator)} engine in blocks of "
+        f"{policy.block_points(evaluator)}",
         flush=True,
     )
 
@@ -346,10 +349,7 @@ def main(argv=None) -> int:
             "min_voting_states": 1_000,
             "min_voting_s_points": 128,
         }
-        floors.update({
-            "min_2worker_speedup": 1.5,
-            "max_scaling_deviation": 1e-10,
-        })
+        floors["max_scaling_deviation"] = 1e-10
         comparison = engine_comparison(1000, 90, t_points=(2.0, 5.0, 9.0))
         scaling = None
         if args.scaling:

@@ -12,9 +12,12 @@ Four checks, each exercising the same surface a user would:
    subprocess, runs an HTTP passage query, scrapes ``GET /metrics`` and
    asserts the core metric names/types, ``GET /v1/progress/{digest}`` shows
    the finished run and ``/v1/stats`` carries version + build info.
-3. **Counter reconciliation** — an in-process 2-worker solve on a fresh
-   registry; ``repro_points_evaluated_total`` must equal the number of
-   s-points the run reported computing, exactly.
+3. **Counter reconciliation** — in-process 2-worker solves of a passage
+   and a transient measure on a fresh registry;
+   ``repro_points_evaluated_total`` must equal the number of s-points the
+   run reported computing and ``repro_block_seconds`` must count its solve
+   blocks, exactly (a transient block solves one vector per target state but
+   is still one block of its points).
 4. **Overhead** — best-of-N block solves with tracing+metrics on vs off;
    prints the measured overhead and fails above a generous CI bound (the
    instrumentation is per-block, so the real number sits well under 2%).
@@ -163,10 +166,10 @@ def check_live_metrics(spec: str) -> None:
             sys.stderr.write("---- server log ----\n" + out.decode(errors="replace"))
 
 
-def _tiny_job():
+def _tiny_jobs():
     import numpy as np
 
-    from repro.core.jobs import PassageTimeJob
+    from repro.core.jobs import PassageTimeJob, TransientJob
     from repro.dnamaca import load_model
     from repro.petri import build_kernel, explore_vectorized
 
@@ -177,7 +180,11 @@ def _tiny_job():
     targets = np.flatnonzero(marking[:, net.place_index["p2"]] == 4)
     alpha = np.zeros(kernel.n_states)
     alpha[0] = 1.0
-    return PassageTimeJob(kernel=kernel, alpha=alpha, targets=targets)
+    occupied = np.flatnonzero(marking[:, net.place_index["p2"]] >= 1)
+    return (
+        PassageTimeJob(kernel=kernel, alpha=alpha, targets=targets),
+        TransientJob(kernel=kernel, alpha=alpha, targets=occupied),
+    )
 
 
 def check_counter_reconciliation() -> None:
@@ -185,28 +192,33 @@ def check_counter_reconciliation() -> None:
     from repro.distributed import MultiprocessingBackend
     from repro.obs import get_metrics, worker_stats_snapshot
 
-    job = _tiny_job()
     s_points = [complex(0.05 * (k + 1), 0.4 * k) for k in range(48)]
     registry = get_metrics()
-    registry.reset()
-    backend = MultiprocessingBackend(processes=2)
-    try:
-        values = backend.evaluate(job, s_points)
-    finally:
-        backend.close()
-    counted = registry.get("repro_points_evaluated_total").value()
-    assert counted == len(values) == len(s_points), (counted, len(s_points))
-    total = sum(e["points"] for e in worker_stats_snapshot().values())
-    assert total == len(s_points), (total, len(s_points))
-    print(f"counters reconcile: {int(counted)} points evaluated == "
-          f"{len(s_points)} s-points dispatched", flush=True)
+    for job in _tiny_jobs():
+        registry.reset()
+        backend = MultiprocessingBackend(processes=2)
+        try:
+            values = backend.evaluate(job, s_points)
+        finally:
+            backend.close()
+        counted = registry.get("repro_points_evaluated_total").value()
+        assert counted == len(values) == len(s_points), (counted, len(s_points))
+        total = sum(e["points"] for e in worker_stats_snapshot().values())
+        assert total == len(s_points), (total, len(s_points))
+        timed = registry.get("repro_block_seconds").snapshot_of()["count"]
+        n_blocks = len(job.last_report["blocks"])
+        assert timed == n_blocks, (timed, n_blocks)
+        print(f"{job.kind()} counters reconcile: {int(counted)} points evaluated == "
+              f"{len(s_points)} s-points dispatched ({job.targets.size} target "
+              f"state(s)), {timed} block timings == {n_blocks} solve blocks",
+              flush=True)
 
 
 def check_overhead() -> None:
     print("== instrumentation overhead ==", flush=True)
     from repro.obs import get_metrics, get_tracer
 
-    job = _tiny_job()
+    job, _ = _tiny_jobs()
     s_points = [complex(0.05 * (k + 1), 0.4 * k) for k in range(256)]
     tracer = get_tracer()
 

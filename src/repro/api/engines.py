@@ -177,8 +177,8 @@ class MultiprocessingEngine(_LocalEngine):
     The pool shares one kernel plane (workers attach the exported kernel
     zero-copy instead of receiving a pickled model copy) and the unit of
     dispatch is a memory-budgeted s-block.  ``workers`` and ``processes``
-    are synonyms; ``block_size`` (alias ``chunk_size``) overrides the
-    policy-computed block, mainly for tests.
+    are synonyms; ``block_size`` overrides the policy-computed block, mainly
+    for tests.
     """
 
     name = "multiprocessing"
@@ -189,14 +189,12 @@ class MultiprocessingEngine(_LocalEngine):
         workers: int | None = None,
         processes: int | None = None,
         block_size: int | None = None,
-        chunk_size: int | None = None,
     ):
         if workers is not None and processes is not None and workers != processes:
             raise EngineError("workers and processes are synonyms; pass one")
         super().__init__(backend=MultiprocessingBackend(
             processes=workers if workers is not None else processes,
             block_size=block_size,
-            chunk_size=chunk_size,
         ))
 
 
@@ -221,7 +219,6 @@ class DistributedEngine(_LocalEngine):
         backend=None,
         workers: int | None = None,
         block_size: int | None = None,
-        chunk_size: int | None = None,
         checkpoint: str | CheckpointStore | None = None,
         progress=None,
     ):
@@ -231,7 +228,6 @@ class DistributedEngine(_LocalEngine):
             backend = MultiprocessingBackend(
                 processes=workers,
                 block_size=block_size,
-                chunk_size=chunk_size,
                 plane_store=(
                     str(checkpoint.directory / "planes")
                     if checkpoint is not None else None

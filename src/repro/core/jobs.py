@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.metrics import note_solve_block
 from ..smp.kernel import SMPKernel, UEvaluator, kernel_content_digest
-from ..smp.linear import passage_transform_direct, passage_transform_direct_batch
+from ..smp.linear import passage_transform_direct
 from ..smp.passage import (
     PassageTimeOptions,
     SPointPolicy,
@@ -34,11 +33,6 @@ __all__ = ["TransformJob", "PassageTimeJob", "TransientJob", "JobSpec"]
 #: factorisation is far more expensive than a single sparse matvec but
 #: independent of ``|s|``.
 _DIRECT_SOLVE_COST = 100.0
-
-
-# The kernel content hash lives with the kernel (repro.smp.kernel); keep the
-# historical alias for callers that imported it from here.
-_kernel_digest = kernel_content_digest
 
 
 @dataclass
@@ -100,7 +94,7 @@ class TransformJob(abc.ABC):
         """Content hash identifying this measure (kernel + sources + targets)."""
         h = hashlib.sha256()
         h.update(self.kind().encode())
-        h.update(_kernel_digest(self.kernel).encode())
+        h.update(kernel_content_digest(self.kernel).encode())
         h.update(self.alpha.tobytes())
         h.update(self.targets.tobytes())
         # The routing policy changes which points come back exact vs
@@ -125,6 +119,18 @@ class TransformJob(abc.ABC):
         and non-negative relative per-point costs (matvec-equivalents) that
         backends use to apportion the batch's wall-clock time.
         """
+
+    def _batch(self, transform, s_values) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`evaluate_batch` through one of the batched transforms of
+        :mod:`repro.smp` (they share a signature); records its report."""
+        report: dict = {}
+        values, diags = transform(
+            self.evaluator, self.alpha, self.targets, s_values, self.options,
+            solver=self.solver, policy=self.policy, report=report,
+        )
+        self.last_report = report
+        costs = [d.matvec_count + d.direct_solves * _DIRECT_SOLVE_COST for d in diags]
+        return values, np.asarray(costs, dtype=float)
 
     def evaluate_many(self, s_values) -> dict[complex, complex]:
         """Evaluate a batch of s-points, returned as an ``{s: L(s)}`` mapping."""
@@ -159,42 +165,10 @@ class PassageTimeJob(TransformJob):
         costs = np.zeros(s_values.shape, dtype=float)
         nonzero = np.flatnonzero(s_values != 0)
         values[s_values == 0] = 1.0 + 0.0j  # reached almost surely, as in evaluate()
-        if nonzero.size == 0:
-            return values, costs
-        s_work = s_values[nonzero]
-        alpha = np.asarray(self.alpha, dtype=complex)
-        if self.solver == "direct":
-            import time as _time
-
-            started = _time.perf_counter()
-            vecs = passage_transform_direct_batch(self.evaluator, self.targets, s_work)
-            values[nonzero] = vecs @ alpha
-            costs[nonzero] = _DIRECT_SOLVE_COST
-            elapsed = _time.perf_counter() - started
-            note_solve_block(
-                points=int(s_work.size), seconds=elapsed,
-                direct_solves=int(s_work.size), engine="direct-lu",
+        if nonzero.size:
+            values[nonzero], costs[nonzero] = self._batch(
+                passage_transform_batch, s_values[nonzero]
             )
-            self.last_report = {
-                "engine": "direct-lu",
-                "blocks": [{
-                    "points": int(s_work.size),
-                    "seconds": round(elapsed, 6),
-                    "iterations": 0,
-                    "direct_solves": int(s_work.size),
-                }],
-            }
-            return values, costs
-        report: dict = {}
-        vals, diags = passage_transform_batch(
-            self.evaluator, alpha, self.targets, s_work, self.options,
-            policy=self.policy, report=report,
-        )
-        self.last_report = report
-        values[nonzero] = vals
-        costs[nonzero] = [
-            d.matvec_count + d.direct_solves * _DIRECT_SOLVE_COST for d in diags
-        ]
         return values, costs
 
 
@@ -215,24 +189,9 @@ class TransientJob(TransformJob):
         )
 
     def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
-        s_values = np.asarray(s_values, dtype=complex).ravel()
-        report: dict = {}
-        values, diags = transient_transform_batch(
-            self.evaluator,
-            self.alpha,
-            self.targets,
-            s_values,
-            self.options,
-            solver=self.solver,
-            policy=self.policy,
-            report=report,
+        return self._batch(
+            transient_transform_batch, np.asarray(s_values, dtype=complex).ravel()
         )
-        self.last_report = report
-        costs = np.asarray(
-            [d.matvec_count + d.direct_solves * _DIRECT_SOLVE_COST for d in diags],
-            dtype=float,
-        )
-        return values, costs
 
 
 _JOB_KINDS = {"passage": PassageTimeJob, "transient": TransientJob}
@@ -266,7 +225,7 @@ class JobSpec:
         indices = np.flatnonzero(job.alpha)
         return cls(
             kind=job.kind(),
-            kernel_digest=_kernel_digest(job.kernel),
+            kernel_digest=kernel_content_digest(job.kernel),
             n_states=job.kernel.n_states,
             alpha_indices=indices.astype(np.int64),
             alpha_weights=np.asarray(job.alpha[indices], dtype=float),
@@ -284,7 +243,7 @@ class JobSpec:
                 f"evaluator kernel has {kernel.n_states} states, "
                 f"spec expects {self.n_states}"
             )
-        local_digest = _kernel_digest(kernel)
+        local_digest = kernel_content_digest(kernel)
         if local_digest != self.kernel_digest:
             raise ValueError(
                 "evaluator kernel digest does not match the job spec "

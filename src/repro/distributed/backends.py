@@ -233,8 +233,7 @@ class MultiprocessingBackend:
         caller of :meth:`evaluate` names no size.  ``None`` (default)
         delegates to :meth:`SPointPolicy.dispatch_block_points` — the same
         memory-budget computation the in-process engines block by, capped so
-        every worker sees about four blocks.  ``chunk_size`` is the
-        historical alias.
+        every worker sees about four blocks.
     plane_store:
         When given (a :class:`~repro.smp.plane.PlaneStore` or a directory
         path), the kernel plane is exported as an mmap'd *file* under that
@@ -251,19 +250,15 @@ class MultiprocessingBackend:
         processes: int | None = None,
         *,
         block_size: int | None = None,
-        chunk_size: int | None = None,
         plane_store: PlaneStore | str | None = None,
         max_retries: int = 2,
     ):
         if processes is not None and processes < 1:
             raise ValueError("processes must be >= 1")
         self.processes = processes or os.cpu_count() or 1
-        if block_size is not None and chunk_size is not None:
-            raise ValueError("pass block_size or chunk_size, not both")
-        size = block_size if block_size is not None else chunk_size
-        if size is not None and size < 1:
+        if block_size is not None and block_size < 1:
             raise ValueError("block_size must be >= 1")
-        self.block_size = size
+        self.block_size = block_size
         if isinstance(plane_store, (str, os.PathLike)):
             plane_store = PlaneStore(plane_store)
         self.plane_store = plane_store
@@ -278,11 +273,6 @@ class MultiprocessingBackend:
         self._plane_cache: dict[tuple[str, bool], KernelPlane] = {}
 
     # --------------------------------------------------------------- plumbing
-    @property
-    def chunk_size(self) -> int | None:
-        """Historical name for :attr:`block_size`."""
-        return self.block_size
-
     def _plane_handle(self, job: TransformJob, include_factored: bool) -> PlaneHandle:
         evaluator = job.evaluator
         digest = kernel_content_digest(job.kernel)
@@ -317,10 +307,9 @@ class MultiprocessingBackend:
     # -------------------------------------------------------------------- API
     def block_points(self, job: TransformJob, n_points: int) -> int:
         policy = job.policy or SPointPolicy()
-        evaluator = job.evaluator
         size = policy.dispatch_block_points(
-            evaluator, policy.resolve_engine(evaluator), n_points,
-            min(self.processes, n_points), vector=job.kind() == "transient",
+            job.evaluator, n_points, min(self.processes, n_points),
+            vector=job.kind() == "transient",
         )
         return size if self.block_size is None else min(self.block_size, size)
 

@@ -97,14 +97,18 @@ def compile_model(spec: ModelSpec) -> SMSPN:
     return net
 
 
-def load_model(text: str, *, name: str = "model", overrides: dict[str, float] | None = None) -> SMSPN:
+def load_model(
+    text: str | ModelSpec, *, name: str = "model", overrides: dict[str, float] | None = None
+) -> SMSPN:
     """Parse and compile a specification in one step.
 
     ``overrides`` replaces constant values after parsing — convenient for
     sweeping model parameters (e.g. the voting system's ``CC``/``MM``/``NN``)
-    from one specification template.
+    from one specification template.  A caller that has already parsed the
+    text (to read its declared constants, say) passes the :class:`ModelSpec`
+    instead and skips the second parse; its constants are updated in place.
     """
-    spec = parse_model(text, name=name)
+    spec = text if isinstance(text, ModelSpec) else parse_model(text, name=name)
     if overrides:
         unknown = set(overrides) - set(spec.constants)
         if unknown:

@@ -213,10 +213,8 @@ class _JobObserver:
             raise JobCancelled(self.job_id)
         n_points = plan.n_evaluations
         policy = job.policy or SPointPolicy()
-        engine = policy.resolve_engine(entry.evaluator)
         size = runner.block_points or policy.dispatch_block_points(
-            entry.evaluator, engine, n_points,
-            max(int(runner.service.workers), 1),
+            entry.evaluator, n_points, max(int(runner.service.workers), 1),
             vector=job.kind() == "transient",
         )
         n_blocks = -(-n_points // size)
@@ -234,7 +232,7 @@ class _JobObserver:
             )
             store.annotate_plan(self.job_id, {
                 "measure": job.digest(),
-                "engine": engine,
+                "engine": entry.evaluator_engine,
                 "n_s_points": n_points,
                 "n_blocks": n_blocks,
                 "block_points": size,

@@ -289,7 +289,8 @@ class ModelRegistry:
         stopwatch = Stopwatch()
         with stopwatch, obs_trace.span("model-build", digest=digest):
             spec = parse_model(text, name=name or "model")
-            net = load_model(text, name=name or spec.name or "model", overrides=overrides or None)
+            constants = {**spec.constants, **overrides}
+            net = load_model(spec, overrides=overrides or None)
             with obs_trace.span("explore", digest=digest):
                 graph = explore_vectorized(net, max_states=max_states)
             with obs_trace.span(
@@ -297,9 +298,10 @@ class ModelRegistry:
             ):
                 kernel = build_kernel(graph, allow_truncated=graph.truncated)
                 evaluator = kernel.evaluator()
-            # Decide the evaluation engine once per model; kernels routed to
-            # the factored engine prewarm its target-independent structures
-            # here so no query pays the pair decomposition.
+            # Decide the evaluation engine once per model (the evaluator
+            # remembers it for every later solve); kernels routed to the
+            # factored engine prewarm its target-independent structures here
+            # so no query pays the pair decomposition.
             engine = SPointPolicy().resolve_engine(evaluator)
             if engine == "factored":
                 evaluator.factored().prewarm()
@@ -310,8 +312,6 @@ class ModelRegistry:
         get_metrics().histogram(
             "repro_model_build_seconds", "wall-clock of one model build"
         ).observe(stopwatch.elapsed)
-        constants = dict(spec.constants)
-        constants.update(overrides)
         return ModelEntry(
             digest=digest,
             name=net.name,

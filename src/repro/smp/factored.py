@@ -156,21 +156,19 @@ class FactoredUEvaluator:
     def row_pair_count(self) -> int:
         """Number of distinct ``(distribution, source)`` pairs.
 
-        Computed without retaining the nnz-sized edge→pair mapping: the
-        engine-selection policy asks this on *every* kernel, including ones
-        it then routes to the batch engine, which must not pin per-edge
-        arrays for an engine they never use.
+        Read off the CSR arrays alone — one boolean scatter into an
+        ``(n_distributions, n_states)`` table, no sort and no nnz-sized
+        edge→pair mapping: the engine-selection policy asks this on *every*
+        kernel it might factor (at most
+        :data:`~repro.smp.passage.FACTORED_MAX_DISTRIBUTIONS` distributions,
+        which bounds the table), including ones it then routes to the batch
+        engine, which must not pay for or pin structures they never use.
         """
         if self._row_pair_count is None:
-            if self._row_pair_cache is not None:
-                self._row_pair_count = int(self._row_pair_cache[0].size)
-            else:
-                evaluator = self.evaluator
-                keys = (
-                    evaluator._csr_dist_index * np.int64(self.kernel.n_states)
-                    + evaluator._csr_rows
-                )
-                self._row_pair_count = int(np.unique(keys).size)
+            evaluator = self.evaluator
+            seen = np.zeros((self.n_distributions, self.kernel.n_states), dtype=bool)
+            seen[evaluator._csr_dist_index, evaluator._csr_rows] = True
+            self._row_pair_count = int(np.count_nonzero(seen))
         return self._row_pair_count
 
     def prewarm(self) -> None:
@@ -328,25 +326,66 @@ def _scale_pairs(
     out[:, k:] += g_im * d_re
 
 
-class FactoredRowOperator:
-    """Row-form stepper: ``v ← (v ⊙ non-target) @ U(s_t)`` for a whole block."""
+class _FactoredOperator:
+    """What the two factored steppers share: the pair-expansion product.
+
+    ``_state`` is the packed real block ``(n, 2k)`` of the current term, one
+    column pair per live s-point; ``_pair_index`` names the state each
+    expanded pair gathers from (its source in row form, its destination in
+    column form).
+    """
 
     engine = "factored"
 
-    def __init__(self, factored, s_block, target_mask, alpha):
+    def __init__(self, factored, structure, pair_index, s_block, target_mask):
         self.factored = factored
         self.n = factored.kernel.n_states
         self.targets = np.flatnonzero(target_mask)
-        self.structure = factored.row_structure(target_mask)
-        self.lst = factored.lst_grid(s_block)  # (k, D)
-        self.width = int(np.asarray(s_block).size)
-        self._alpha = np.asarray(alpha)
-        pair_dist = self.structure.pair_dist
-        self._d_re = np.ascontiguousarray(self.lst.real[:, pair_dist].T)
-        self._d_im = np.ascontiguousarray(self.lst.imag[:, pair_dist].T)
-        self._state: np.ndarray | None = None
+        self.structure = structure
+        self._pair_index = pair_index
+        self._resize(factored.lst_grid(s_block))  # (k, D)
+
+    def _resize(self, lst: np.ndarray) -> None:
+        """Bind the live points' transform table and the buffers it sizes."""
+        self.lst = lst
+        self.width = lst.shape[0]
+        self._d_re, self._d_im = self._pair_scales(lst)
         self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
         self._out = np.empty((self.n, 2 * self.width))
+
+    def _pair_scales(self, lst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pair_dist = self.structure.pair_dist
+        return (
+            np.ascontiguousarray(lst.real[:, pair_dist].T),
+            np.ascontiguousarray(lst.imag[:, pair_dist].T),
+        )
+
+    def _product(self, block, d_re, d_im, scratch, out) -> None:
+        """``out = matrix @ (block[pairs] · D)`` on packed planar blocks."""
+        _scale_pairs(block[self._pair_index], d_re, d_im, scratch, scratch.shape[1] // 2)
+        out[:] = 0.0
+        _spmm_accumulate(self.structure.matrix, scratch, out)
+
+    def _advance(self) -> None:
+        self._product(self._state, self._d_re, self._d_im, self._scratch, self._out)
+        self._state, self._out = self._out, self._state
+
+    def _live_columns(self, live: np.ndarray) -> np.ndarray:
+        keep = np.flatnonzero(live)
+        return np.concatenate((keep, self.width + keep))
+
+    def zero_points(self, positions: np.ndarray) -> None:
+        self._state[:, positions] = 0.0
+        self._state[:, self.width + positions] = 0.0
+
+
+class FactoredRowOperator(_FactoredOperator):
+    """Row-form stepper: ``v ← (v ⊙ non-target) @ U(s_t)`` for a whole block."""
+
+    def __init__(self, factored, s_block, target_mask, alpha):
+        structure = factored.row_structure(target_mask)
+        super().__init__(factored, structure, structure.pair_src, s_block, target_mask)
+        self._alpha = np.asarray(alpha)
 
     def start(self) -> None:
         """``v0 = α @ U(s_t)`` for every point of the block."""
@@ -354,129 +393,80 @@ class FactoredRowOperator:
         self._state = _pack(
             np.ascontiguousarray(v0.real.T), np.ascontiguousarray(v0.imag.T)
         )
+        self._totals = self._target_totals()
 
     def step(self) -> None:
-        k = self.width
-        gathered = self._state[self.structure.pair_src]
-        _scale_pairs(gathered, self._d_re, self._d_im, self._scratch, k)
-        self._out[:] = 0.0
-        _spmm_accumulate(self.structure.matrix, self._scratch, self._out)
-        self._state, self._out = self._out, self._state
+        self._advance()
+        self._totals = self._totals + self._target_totals()
 
-    def target_totals(self) -> np.ndarray:
+    def _target_totals(self) -> np.ndarray:
         sums = self._state[self.targets].sum(axis=0)
         return sums[: self.width] + 1j * sums[self.width :]
 
-    def abs_sums(self) -> np.ndarray:
+    def residual(self) -> np.ndarray:
         k = self.width
         return np.hypot(self._state[:, :k], self._state[:, k:]).sum(axis=0)
 
-    def zero_points(self, positions: np.ndarray) -> None:
-        self._state[:, positions] = 0.0
-        self._state[:, self.width + positions] = 0.0
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        return self._totals[positions]
 
     def shrink(self, live: np.ndarray) -> None:
-        keep = np.flatnonzero(live)
-        k = self.width
-        self._state = np.ascontiguousarray(
-            self._state[:, np.concatenate((keep, k + keep))]
-        )
-        self.lst = self.lst[keep]
-        pair_dist = self.structure.pair_dist
-        self._d_re = np.ascontiguousarray(self.lst.real[:, pair_dist].T)
-        self._d_im = np.ascontiguousarray(self.lst.imag[:, pair_dist].T)
-        self.width = keep.size
-        self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
-        self._out = np.empty((self.n, 2 * self.width))
+        self._state = np.ascontiguousarray(self._state[:, self._live_columns(live)])
+        self._totals = self._totals[live]
+        self._resize(self.lst[live])
+
+    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+        return taken
 
 
-class FactoredColOperator:
-    """Column-form stepper: ``term ← U'(s_t) @ term`` plus accumulator."""
+class FactoredColOperator(_FactoredOperator):
+    """Column-form stepper: ``term ← U'(s_t) @ term`` plus accumulator.
 
-    engine = "factored"
+    Target absorption zeroes *output rows* of the product, so one structure
+    serves every target set.
+    """
 
     def __init__(self, factored, s_block, target_mask):
-        self.factored = factored
-        self.n = factored.kernel.n_states
-        self.target_mask = target_mask
-        self.targets = np.flatnonzero(target_mask)
-        self.structure = factored.col_structure()
-        self.lst = factored.lst_grid(s_block)
+        structure = factored.col_structure()
+        super().__init__(factored, structure, structure.pair_dst, s_block, target_mask)
         self.lst_full = self.lst  # survives shrinking; indexed by block position
-        self.width = int(np.asarray(s_block).size)
-        pair_dist = self.structure.pair_dist
-        self._d_re = np.ascontiguousarray(self.lst.real[:, pair_dist].T)
-        self._d_im = np.ascontiguousarray(self.lst.imag[:, pair_dist].T)
-        self._term: np.ndarray | None = None
-        self._acc: np.ndarray | None = None
-        self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
-        self._out = np.empty((self.n, 2 * self.width))
 
     def start(self) -> None:
-        k = self.width
-        self._term = np.zeros((self.n, 2 * k))
-        self._term[self.targets, :k] = 1.0
-        self._acc = self._term.copy()
-
-    def _apply(self, block: np.ndarray, d_re, d_im, width: int, *, absorbing: bool) -> None:
-        gathered = block[self.structure.pair_dst]
-        scratch = self._scratch[:, : 2 * width]
-        _scale_pairs(gathered, d_re, d_im, scratch, width)
-        out = self._out[:, : 2 * width]
-        out[:] = 0.0
-        _spmm_accumulate(self.structure.matrix, scratch, out)
-        if absorbing:
-            out[self.targets] = 0.0
+        self._state = np.zeros((self.n, 2 * self.width))
+        self._state[self.targets, : self.width] = 1.0
+        self._acc = self._state.copy()
 
     def step(self) -> None:
-        self._apply(self._term, self._d_re, self._d_im, self.width, absorbing=True)
-        self._term, self._out = self._out[:, : 2 * self.width], self._term
-        self._acc += self._term
+        self._advance()
+        self._state[self.targets] = 0.0
+        self._acc += self._state
 
-    def max_abs(self) -> np.ndarray:
+    def residual(self) -> np.ndarray:
         k = self.width
-        return np.hypot(self._term[:, :k], self._term[:, k:]).max(axis=0)
+        return np.hypot(self._state[:, :k], self._state[:, k:]).max(axis=0)
 
-    def take_acc(self, positions: np.ndarray) -> np.ndarray:
+    def take(self, positions: np.ndarray) -> np.ndarray:
         """Accumulators of the given (current-width) columns as ``(m, n)`` complex."""
         k = self.width
         return (self._acc[:, positions] + 1j * self._acc[:, k + positions]).T.copy()
 
-    def zero_points(self, positions: np.ndarray) -> None:
-        self._term[:, positions] = 0.0
-        self._term[:, self.width + positions] = 0.0
-
     def shrink(self, live: np.ndarray) -> None:
-        keep = np.flatnonzero(live)
-        k = self.width
-        cols = np.concatenate((keep, k + keep))
-        self._term = np.ascontiguousarray(self._term[:, cols])
+        cols = self._live_columns(live)
+        self._state = np.ascontiguousarray(self._state[:, cols])
         self._acc = np.ascontiguousarray(self._acc[:, cols])
-        self.lst = self.lst[keep]
-        pair_dist = self.structure.pair_dist
-        self._d_re = np.ascontiguousarray(self.lst.real[:, pair_dist].T)
-        self._d_im = np.ascontiguousarray(self.lst.imag[:, pair_dist].T)
-        self.width = keep.size
-        self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
-        self._out = np.empty((self.n, 2 * self.width))
+        self._resize(self.lst[live])
 
-    def apply_u(self, rows: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
         """Full (non-absorbing) ``U(s) @ acc`` for collected accumulators.
 
-        ``rows`` is ``(m, n)`` complex; ``block_positions`` gives each row's
+        ``taken`` is ``(m, n)`` complex; ``block_positions`` gives each row's
         position in the *original* s-block so the right transforms scale it.
         """
-        if rows.size == 0:
-            return rows
-        m = rows.shape[0]
-        block = _pack(rows.real.T, rows.imag.T)  # (n, 2m)
-        lst = self.lst_full[block_positions]
-        pair_dist = self.structure.pair_dist
-        d_re = np.ascontiguousarray(lst.real[:, pair_dist].T)
-        d_im = np.ascontiguousarray(lst.imag[:, pair_dist].T)
-        gathered = block[self.structure.pair_dst]
-        scratch = np.empty((self.structure.n_pairs, 2 * m))
-        _scale_pairs(gathered, d_re, d_im, scratch, m)
-        out = np.zeros((self.n, 2 * m))
-        _spmm_accumulate(self.structure.matrix, scratch, out)
+        m = taken.shape[0]
+        d_re, d_im = self._pair_scales(self.lst_full[block_positions])
+        out = np.empty((self.n, 2 * m))
+        self._product(
+            _pack(taken.real.T, taken.imag.T), d_re, d_im,
+            np.empty((self.structure.n_pairs, 2 * m)), out,
+        )
         return (out[:, :m] + 1j * out[:, m:]).T.copy()

@@ -24,24 +24,35 @@ Two shapes of the computation are provided:
 Batched evaluation
 ------------------
 The batched entry points advance *all* s-points of an inversion grid through
-one truncated sum, with a per-point active-set mask dropping converged points.
-The grid is processed in **blocks** sized by :meth:`SPointPolicy.block_points`
-so the per-block working set respects a configurable memory budget — a
-165-point Euler grid streams through a million-state kernel instead of
-materialising an ``O(n_s · nnz)`` data matrix.  Within a block, one of two
-engines applies ``U'(s)`` to every live point per iteration:
+one truncated sum.  Whatever the measure, the work runs through four layers,
+each of which exists exactly once:
 
-* ``batch`` — per-s-point complex CSR data (either one block-diagonal sparse
-  product for the whole block, or one sparse matvec per point once the
-  block's state no longer fits cache),
-* ``factored`` — the distribution-factored product of
-  :mod:`repro.smp.factored`, whose per-iteration sparse work is independent
-  of the number of points in flight.
+* **scaffold** (:func:`_block_loop`) — resolves the engine, sizes the blocks
+  so the per-block working set respects the policy's memory budget (a
+  165-point Euler grid streams through a million-state kernel instead of
+  materialising an ``O(n_s · nnz)`` data matrix) and, per block, opens one
+  ``s-block-solve`` span, times one solve and notes it once.  Passage,
+  vector, transient and explicit ``solver="direct"`` solves all loop here.
+* **block** (:func:`_solve_block`) — computes the per-point contraction and
+  the routing mask once, sends the routed points (all of them for an
+  explicit direct solve) to the sparse-LU solver, drives the rest and
+  re-solves cap-hitting points directly.  It knows the row/column shape only
+  through a small :class:`_Form`.
+* **driver** (:func:`_drive`) — the active-set iteration: one truncation
+  rule, converged points snapshotted and dropped, the operator shrunk
+  whenever the live set halves.  It never asks which form or engine it runs.
+* **operator** — what applies ``U'(s)`` to every live point per iteration:
+  ``batch`` (per-s-point complex CSR data: one block-diagonal sparse product
+  for the whole block, or one sparse matvec per point once the block's state
+  exceeds :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the
+  distribution-factored product of :mod:`repro.smp.factored`, whose
+  per-iteration sparse work is independent of the number of points in
+  flight), each in a row and a column variant behind one protocol.
 
-Both engines run the *same* truncation rule through one shared driver, so
-they agree with the scalar functions to float associativity; the
-:class:`SPointPolicy` picks the engine, routes hard (small ``|s|``) points to
-the sparse-LU direct solve and bounds block sizes.
+Every engine therefore runs the *same* truncation rule through one shared
+driver and agrees with the scalar functions to float associativity; the
+:class:`SPointPolicy` picks the engine (once per kernel), routes hard (small
+``|s|``) points to the sparse-LU direct solve and bounds block sizes.
 """
 from __future__ import annotations
 
@@ -54,7 +65,9 @@ from scipy import sparse
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 
+from .factored import FactoredColOperator, FactoredRowOperator
 from .kernel import as_evaluator, target_mask
+from .linear import passage_transform_direct_batch
 
 __all__ = [
     "PassageTimeOptions",
@@ -113,11 +126,36 @@ class ConvergenceDiagnostics:
     #: their matvec_count too — they paid for both)
     direct_solves: int = field(default=0)
     #: which evaluation engine advanced the iterative sum ("batch" or
-    #: "factored"; direct-routed points keep the block's engine label)
+    #: "factored"; direct-routed points keep the block's engine label), or
+    #: "direct-lu" for a point of an explicit ``solver="direct"`` solve
     engine: str = field(default="batch")
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.converged
+
+
+# Thresholds no benchmark, test matrix or deployment ever set to a second
+# value: constants beside the code that reads them, not policy fields.
+
+#: ``auto`` picks the factored engine when the kernel's fan-out measure
+#: ``nnz / (pairs + 2n)`` is at least this (see
+#: :meth:`FactoredUEvaluator.density_ratio
+#: <repro.smp.factored.FactoredUEvaluator.density_ratio>`).
+FACTORED_DENSITY_RATIO = 3.0
+#: ``auto`` never factors kernels with more distinct distributions than this
+#: (the per-distribution slices stop paying for themselves).
+FACTORED_MAX_DISTRIBUTIONS = 64
+#: Kernels larger than this never *route* points to the sparse-LU solver
+#: (fill-in makes million-state factorisations slower than very long
+#: iterative sums); unconverged points then come back truncated with
+#: ``converged=False`` instead of falling back.  An explicit
+#: ``solver="direct"`` is a request, not a routing decision, and is honoured.
+DIRECT_MAX_STATES = 200_000
+#: The batch engine applies one block-diagonal product for the whole block
+#: while the block's state fits in roughly this many bytes; beyond it the
+#: per-point state no longer caches and one sparse matvec per point (a much
+#: smaller random-access window) is faster.
+BLOCKDIAG_MAX_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -148,24 +186,6 @@ class SPointPolicy:
     max_block_bytes:
         Memory budget for one s-block's working set; the s-grid is processed
         in blocks of :meth:`block_points` points.
-    factored_density_ratio:
-        ``auto`` picks the factored engine when the kernel's fan-out measure
-        ``nnz / (pairs + 2n)`` is at least this (see
-        :meth:`FactoredUEvaluator.density_ratio
-        <repro.smp.factored.FactoredUEvaluator.density_ratio>`).
-    factored_max_distributions:
-        ``auto`` never factors kernels with more distinct distributions than
-        this (the per-distribution slices stop paying for themselves).
-    direct_max_states:
-        Kernels larger than this never route points to the sparse-LU solver
-        (fill-in makes million-state factorisations slower than very long
-        iterative sums); unconverged points then come back truncated with
-        ``converged=False`` instead of falling back.
-    blockdiag_max_bytes:
-        The batch engine applies one block-diagonal product for the whole
-        block while the block's state fits in roughly this many bytes;
-        beyond it the per-point state no longer caches and one sparse matvec
-        per point (a much smaller random-access window) is faster.
     watchdog_floor_seconds / watchdog_multiplier:
         Hung-worker detection for dispatched s-blocks: a block running longer
         than ``max(floor, multiplier * longest observed block)`` is declared
@@ -178,16 +198,17 @@ class SPointPolicy:
         A block implicated in this many consecutive pool breaks is declared
         poisonous and the run fails fast with a structured error naming it,
         instead of burning every retry on a deterministic crasher.
+
+    The engine-choice, LU-size and block-diagonal thresholds are module
+    constants (:data:`FACTORED_DENSITY_RATIO`,
+    :data:`FACTORED_MAX_DISTRIBUTIONS`, :data:`DIRECT_MAX_STATES`,
+    :data:`BLOCKDIAG_MAX_BYTES`), not fields.
     """
 
     predicted_iteration_limit: int = 2000
     fallback_to_direct: bool = True
     engine: str = "auto"
     max_block_bytes: int = 1 << 30
-    factored_density_ratio: float = 3.0
-    factored_max_distributions: int = 64
-    direct_max_states: int = 200_000
-    blockdiag_max_bytes: int = 64 << 20
     watchdog_floor_seconds: float = field(default=30.0, repr=False)
     watchdog_multiplier: float = field(default=8.0, repr=False)
     poison_after: int = field(default=3, repr=False)
@@ -199,14 +220,6 @@ class SPointPolicy:
             raise ValueError("engine must be 'auto', 'batch' or 'factored'")
         if self.max_block_bytes < 1 << 20:
             raise ValueError("max_block_bytes must be at least 1 MiB")
-        if self.factored_density_ratio <= 0:
-            raise ValueError("factored_density_ratio must be > 0")
-        if self.factored_max_distributions < 1:
-            raise ValueError("factored_max_distributions must be >= 1")
-        if self.direct_max_states < 1:
-            raise ValueError("direct_max_states must be >= 1")
-        if self.blockdiag_max_bytes < 0:
-            raise ValueError("blockdiag_max_bytes must be >= 0")
         if self.watchdog_floor_seconds <= 0:
             raise ValueError("watchdog_floor_seconds must be > 0")
         if self.poison_after < 1:
@@ -224,49 +237,57 @@ class SPointPolicy:
         """Boolean mask of s-points that should use the direct solver."""
         return self.predicted_iterations(epsilon, contraction) > self.predicted_iteration_limit
 
-    def allow_direct(self, evaluator) -> bool:
-        """Whether the sparse-LU solver is on the table for this kernel."""
-        return evaluator.kernel.n_states <= self.direct_max_states
-
     # -------------------------------------------------------------- engines
     def resolve_engine(self, evaluator) -> str:
-        """The evaluation engine a batched solve on this kernel will use."""
+        """The evaluation engine a batched solve on this kernel will use.
+
+        The one place ``"auto"`` is interpreted.  The choice depends on the
+        kernel alone (its distribution count and fan-out), so it is made once
+        and remembered on the evaluator.
+        """
         if self.engine != "auto":
             return self.engine
-        kernel = evaluator.kernel
-        if kernel.n_distributions > self.factored_max_distributions:
-            return "batch"
-        if evaluator.factored().density_ratio() >= self.factored_density_ratio:
-            return "factored"
-        return "batch"
+        engine = getattr(evaluator, "_auto_engine", None)
+        if engine is None:
+            engine = "batch"
+            if (
+                evaluator.kernel.n_distributions <= FACTORED_MAX_DISTRIBUTIONS
+                and evaluator.factored().density_ratio() >= FACTORED_DENSITY_RATIO
+            ):
+                engine = "factored"
+            evaluator._auto_engine = engine
+        return engine
 
-    def block_points(self, evaluator, engine: str, *, vector: bool = False) -> int:
-        """s-points per block so the block working set fits the budget.
+    def _block_plan(
+        self, evaluator, *, vector: bool = False, direct: bool = False
+    ) -> tuple[str, int]:
+        """``(engine, s-points per block)`` — how a block loop starts.
 
-        ``batch`` blocks materialise ``O(block · nnz)`` complex data (the
-        ``U``/``U'`` data, their magnitudes and the iteration operator);
         ``factored`` blocks hold ``O(block · (pairs + n))`` dense state and
-        never touch per-edge data.  ``vector`` adds the per-point
-        accumulator of the column form.
+        never touch per-edge data; every other block — ``batch`` and the
+        explicit direct solve, labelled ``direct-lu``, whatever engine the
+        kernel would iterate on — materialises ``O(block · nnz)`` complex
+        data (the ``U``/``U'`` data, their magnitudes and the iteration
+        operator or LU factors).  ``vector`` adds the per-point ``n``-vector
+        of the column form; the direct solver's results always are vectors.
         """
         kernel = evaluator.kernel
+        engine = "direct-lu" if direct else self.resolve_engine(evaluator)
         if engine == "factored":
             pairs = evaluator.factored().row_pair_count
             per_point = 16 * (3 * pairs + (4 if vector else 3) * kernel.n_states)
         else:
             per_point = 64 * kernel.n_transitions + (
-                48 * kernel.n_states if vector else 0
+                48 * kernel.n_states if vector or direct else 0
             )
-        return max(1, int(self.max_block_bytes // max(per_point, 1)))
+        return engine, max(1, int(self.max_block_bytes // max(per_point, 1)))
+
+    def block_points(self, evaluator, *, vector: bool = False) -> int:
+        """s-points per block so the block working set fits the budget."""
+        return self._block_plan(evaluator, vector=vector)[1]
 
     def dispatch_block_points(
-        self,
-        evaluator,
-        engine: str,
-        n_points: int,
-        workers: int,
-        *,
-        vector: bool = False,
+        self, evaluator, n_points: int, workers: int, *, vector: bool = False
     ) -> int:
         """s-points per *dispatched* block when farming a grid out to workers.
 
@@ -277,8 +298,7 @@ class SPointPolicy:
         """
         workers = max(1, int(workers))
         spread_cap = max(1, -(-int(n_points) // (4 * workers)))
-        return max(1, min(self.block_points(evaluator, engine, vector=vector),
-                          spread_cap))
+        return max(1, min(self.block_points(evaluator, vector=vector), spread_cap))
 
 
 def passage_transform(
@@ -404,7 +424,7 @@ def passage_transform_vector(
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation: blocked s-grid, engine-agnostic iteration drivers.
+# Batched evaluation: scaffold -> block -> driver -> operator (module docstring).
 # ---------------------------------------------------------------------------
 
 
@@ -417,99 +437,39 @@ def _check_alpha(alpha, n: int) -> np.ndarray:
     return alpha
 
 
-class _BatchRowOperator:
-    """Row-form stepper on per-s-point complex CSR data.
+class _BatchOperator:
+    """What the two batch steppers share: per-s-point complex CSR data.
 
-    While the block's live state (``live_points × n`` complex) fits in
-    roughly ``blockdiag_max_bytes`` the whole block advances through one
-    block-diagonal sparse product (amortising the per-matvec Python cost);
-    beyond that each point advances through its own sparse matvec, whose
-    random-access window is a single ``n``-vector.
+    ``_state`` holds one ``n``-vector per point (the current term of the
+    sum), ``_acc`` what the form accumulates from it; both are indexed by
+    point along axis 0.  While the block's live state (``live_points × n``
+    complex) fits in roughly :data:`BLOCKDIAG_MAX_BYTES` the whole block
+    advances through one block-diagonal sparse product (amortising the
+    per-matvec Python cost); beyond that each point advances through its own
+    sparse matvec, whose random-access window is a single ``n``-vector.
     """
 
     engine = "batch"
+    #: row form multiplies from the left, ``v @ U'``: by the transpose
+    transpose: bool
 
-    def __init__(self, evaluator, s_block, mask, alpha, u_data, up_data, policy):
+    def __init__(self, evaluator, s_block, u_data, up_data):
         self.evaluator = evaluator
         self.n = evaluator.kernel.n_states
-        self._targets = np.flatnonzero(mask)
-        self._alpha = alpha
         self._u_data = u_data
         self._up = up_data
         self.width = int(np.asarray(s_block).size)
         self._live = np.ones(self.width, dtype=bool)
-        self._blockdiag_max = policy.blockdiag_max_bytes
         self._operator = None
         self._per_point = None
 
     def _ensure_operator(self) -> None:
         if self._operator is not None or self._per_point is not None:
             return
-        if self.width * self.n * 16 <= self._blockdiag_max:
-            self._operator = self.evaluator.block_diag_matrix(self._up, transpose=True)
-        else:
-            indptr, indices = self.evaluator._indptr, self.evaluator._indices
-            shape = (self.n, self.n)
-            # csr(data_t).T is a CSC view sharing the data row: one matvec
-            # computes v @ U'(s_t) without building a transposed structure.
-            self._per_point = [
-                sparse.csr_matrix((self._up[t], indices, indptr), shape=shape).T
-                for t in range(self.width)
-            ]
-
-    def start(self) -> None:
-        self.V = self.evaluator.alpha_vec_matrix_batch(self._alpha, self._u_data)
-
-    def step(self) -> None:
-        self._ensure_operator()
-        if self._operator is not None:
-            self.V = (self._operator @ self.V.ravel()).reshape(self.width, self.n)
-        else:
-            # Converged points are exactly zero: skip their matvecs.
-            for t in np.flatnonzero(self._live):
-                self.V[t] = self._per_point[t] @ self.V[t]
-
-    def target_totals(self) -> np.ndarray:
-        return self.V[:, self._targets].sum(axis=1)
-
-    def abs_sums(self) -> np.ndarray:
-        return np.abs(self.V).sum(axis=1)
-
-    def zero_points(self, positions: np.ndarray) -> None:
-        self.V[positions] = 0.0
-        self._live[positions] = False
-
-    def shrink(self, live: np.ndarray) -> None:
-        self._up = self._up[live]
-        self.V = self.V[live]
-        self.width = int(live.sum())
-        self._live = np.ones(self.width, dtype=bool)
-        self._operator = None
-        self._per_point = None
-
-
-class _BatchColOperator:
-    """Column-form stepper on per-s-point complex CSR data."""
-
-    engine = "batch"
-
-    def __init__(self, evaluator, s_block, mask, u_data, up_data, policy):
-        self.evaluator = evaluator
-        self.n = evaluator.kernel.n_states
-        self.e = mask.astype(complex)
-        self._u_full = u_data
-        self._up = up_data
-        self.width = int(np.asarray(s_block).size)
-        self._live = np.ones(self.width, dtype=bool)
-        self._blockdiag_max = policy.blockdiag_max_bytes
-        self._operator = None
-        self._per_point = None
-
-    def _ensure_operator(self) -> None:
-        if self._operator is not None or self._per_point is not None:
-            return
-        if self.width * self.n * 16 <= self._blockdiag_max:
-            self._operator = self.evaluator.block_diag_matrix(self._up, transpose=False)
+        if self.width * self.n * 16 <= BLOCKDIAG_MAX_BYTES:
+            self._operator = self.evaluator.block_diag_matrix(
+                self._up, transpose=self.transpose
+            )
         else:
             indptr, indices = self.evaluator._indptr, self.evaluator._indices
             shape = (self.n, self.n)
@@ -517,142 +477,134 @@ class _BatchColOperator:
                 sparse.csr_matrix((self._up[t], indices, indptr), shape=shape)
                 for t in range(self.width)
             ]
-
-    def start(self) -> None:
-        self._term = np.tile(self.e, (self.width, 1))
-        self._acc = self._term.copy()
+            if self.transpose:
+                # csr(data_t).T is a CSC view sharing the data row: one matvec
+                # computes v @ U'(s_t) without building a transposed structure.
+                self._per_point = [matrix.T for matrix in self._per_point]
 
     def step(self) -> None:
         self._ensure_operator()
         if self._operator is not None:
-            self._term = (self._operator @ self._term.ravel()).reshape(self.width, self.n)
-            self._acc += self._term
+            self._state = (self._operator @ self._state.ravel()).reshape(
+                self.width, self.n
+            )
         else:
-            # Converged points' terms are exactly zero: skip their matvecs
-            # (and their no-op accumulator updates).
+            # Converged points are exactly zero: skip their matvecs.
             for t in np.flatnonzero(self._live):
-                self._term[t] = self._per_point[t] @ self._term[t]
-                self._acc[t] += self._term[t]
+                self._state[t] = self._per_point[t] @ self._state[t]
+        self._accumulate()
 
-    def max_abs(self) -> np.ndarray:
-        return np.abs(self._term).max(axis=1)
-
-    def take_acc(self, positions: np.ndarray) -> np.ndarray:
-        return self._acc[positions].copy()
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        return self._acc[positions]
 
     def zero_points(self, positions: np.ndarray) -> None:
-        self._term[positions] = 0.0
+        self._state[positions] = 0.0
         self._live[positions] = False
 
     def shrink(self, live: np.ndarray) -> None:
         self._up = self._up[live]
-        self._term = self._term[live]
+        self._state = self._state[live]
         self._acc = self._acc[live]
         self.width = int(live.sum())
         self._live = np.ones(self.width, dtype=bool)
         self._operator = None
         self._per_point = None
 
-    def apply_u(self, rows: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
-        if rows.size == 0:
-            return rows
-        return self.evaluator.matrix_vec_batch(self._u_full[block_positions], rows)
+
+class _BatchRowOperator(_BatchOperator):
+    """Row-form stepper: ``v <- v @ U'(s_t)``, accumulating ``v . e``."""
+
+    transpose = True
+
+    def __init__(self, evaluator, s_block, mask, alpha, u_data, up_data):
+        super().__init__(evaluator, s_block, u_data, up_data)
+        self._targets = np.flatnonzero(mask)
+        self._alpha = alpha
+
+    def start(self) -> None:
+        self._state = self.evaluator.alpha_vec_matrix_batch(self._alpha, self._u_data)
+        self._acc = self._state[:, self._targets].sum(axis=1)
+
+    def _accumulate(self) -> None:
+        self._acc = self._acc + self._state[:, self._targets].sum(axis=1)
+
+    def residual(self) -> np.ndarray:
+        return np.abs(self._state).sum(axis=1)
+
+    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+        return taken
 
 
-def _drive_row(op, options: PassageTimeOptions):
-    """Advance a row-form block to convergence; shared by both engines.
+class _BatchColOperator(_BatchOperator):
+    """Column-form stepper: ``term <- U'(s_t) @ term``, accumulating the terms."""
 
-    Returns ``(values, iterations, deltas, converged)`` indexed by the
-    block's original point positions.  Converged points are snapshotted and
-    their state zeroed (numerically inert thereafter); the operator shrinks
-    onto the surviving points whenever the live set halves, so total work
-    stays within 2x of the per-point optimum.
+    transpose = False
+
+    def __init__(self, evaluator, s_block, mask, u_data, up_data):
+        super().__init__(evaluator, s_block, u_data, up_data)
+        self.e = mask.astype(complex)
+
+    def start(self) -> None:
+        self._state = np.tile(self.e, (self.width, 1))
+        self._acc = self._state.copy()
+
+    def _accumulate(self) -> None:
+        self._acc += self._state
+
+    def residual(self) -> np.ndarray:
+        return np.abs(self._state).max(axis=1)
+
+    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+        """The final (non-absorbing) ``U(s) @ acc`` of the taken accumulators."""
+        return self.evaluator.matrix_vec_batch(self._u_data[block_positions], taken)
+
+
+def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True):
+    """Advance one block to convergence: any form, any engine.
+
+    ``op`` is one of the four block operators (batch / factored × row /
+    column).  The driver sees only their shared protocol — ``start()``,
+    ``step()`` (advance every live point one transition and accumulate),
+    ``residual()`` (the per-point quantity the truncation rule tests),
+    ``take(positions)`` (accumulated results), ``zero_points`` / ``shrink``
+    and ``finish(taken, block_positions)`` (whatever turns accumulators into
+    results: nothing in row form, the final ``U(s)`` product in column form,
+    applied in one batched sweep at the end).
+
+    Returns ``(order, results, iterations, deltas, converged)``:
+    ``results[i]`` belongs to the block's original point ``order[i]``, the
+    other three are indexed by original position.  Converged points are
+    snapshotted and their state zeroed (numerically inert thereafter); the
+    operator shrinks onto the surviving points whenever the live set halves,
+    so total work stays within 2x of the per-point optimum.  With
+    ``finalize_unconverged=False`` points that hit the iteration cap are left
+    out of ``order`` — for callers that will re-solve them directly anyway.
     """
     width = op.width
-    values = np.empty(width, dtype=complex)
     iterations = np.full(width, options.max_iterations, dtype=np.int64)
     deltas = np.zeros(width)
     converged = np.zeros(width, dtype=bool)
     pos_map = np.arange(width)
+    parked_pos: list[np.ndarray] = []
+    parked: list[np.ndarray] = []
 
     op.start()
-    totals = op.target_totals()
-    below = np.zeros(op.width, dtype=np.int64)
-    delta = op.abs_sums()
-    live = np.ones(op.width, dtype=bool)
+    below = np.zeros(width, dtype=np.int64)
+    delta = np.full(width, np.inf)
+    live = np.ones(width, dtype=bool)
     for iteration in range(1, options.max_iterations + 1):
         op.step()
-        totals = totals + op.target_totals()
-        delta = op.abs_sums()
-        below = np.where(delta < options.epsilon, below + 1, 0)
-        done = live & (below >= options.consecutive)
-        if done.any():
-            for pos in np.flatnonzero(done):
-                orig = pos_map[pos]
-                values[orig] = totals[pos]
-                iterations[orig] = iteration
-                deltas[orig] = float(delta[pos])
-                converged[orig] = True
-            live &= ~done
-            n_live = int(live.sum())
-            if n_live == 0:
-                break
-            op.zero_points(np.flatnonzero(done))
-            if n_live <= op.width // 2:
-                keep = np.flatnonzero(live)
-                op.shrink(live)
-                totals = totals[keep]
-                below = below[keep]
-                delta = delta[keep]
-                pos_map = pos_map[keep]
-                live = np.ones(op.width, dtype=bool)
-    if live.any():
-        for pos in np.flatnonzero(live):
-            orig = pos_map[pos]
-            values[orig] = totals[pos]
-            deltas[orig] = float(delta[pos])
-    return values, iterations, deltas, converged
-
-
-def _drive_col(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True):
-    """Advance a column-form block to convergence; shared by both engines.
-
-    Returns ``(rows, iterations, deltas, converged)`` where ``rows`` is the
-    ``(width, n)`` complex result ``U(s) acc`` per point.  Converged
-    accumulators are parked and hit with the final (non-absorbing) ``U(s)``
-    product in one batched sweep at the end.  With
-    ``finalize_unconverged=False`` points that hit the iteration cap skip
-    that final product and their rows are left unset — for callers that will
-    overwrite them with a direct fallback solve anyway.
-    """
-    width = op.width
-    n = op.n
-    iterations = np.full(width, options.max_iterations, dtype=np.int64)
-    deltas = np.zeros(width)
-    converged = np.zeros(width, dtype=bool)
-    pos_map = np.arange(width)
-    parked_pos: list[int] = []
-    parked_rows: list[np.ndarray] = []
-
-    op.start()
-    below = np.zeros(op.width, dtype=np.int64)
-    delta = np.full(op.width, np.inf)
-    live = np.ones(op.width, dtype=bool)
-    for iteration in range(1, options.max_iterations + 1):
-        op.step()
-        delta = op.max_abs()
+        delta = op.residual()
         below = np.where(delta < options.epsilon, below + 1, 0)
         done = live & (below >= options.consecutive)
         if done.any():
             done_pos = np.flatnonzero(done)
-            taken = op.take_acc(done_pos)
-            for row, pos in zip(taken, done_pos):
-                orig = pos_map[pos]
-                iterations[orig] = iteration
-                deltas[orig] = float(delta[pos])
-                converged[orig] = True
-                parked_pos.append(int(orig))
-                parked_rows.append(row)
+            orig = pos_map[done_pos]
+            iterations[orig] = iteration
+            deltas[orig] = delta[done_pos]
+            converged[orig] = True
+            parked_pos.append(orig)
+            parked.append(op.take(done_pos))
             live &= ~done
             n_live = int(live.sum())
             if n_live == 0:
@@ -667,32 +619,136 @@ def _drive_col(op, options: PassageTimeOptions, *, finalize_unconverged: bool = 
                 live = np.ones(op.width, dtype=bool)
     if live.any():
         live_pos = np.flatnonzero(live)
+        deltas[pos_map[live_pos]] = delta[live_pos]
         if finalize_unconverged:
-            taken = op.take_acc(live_pos)
-            for row, pos in zip(taken, live_pos):
-                orig = pos_map[pos]
-                deltas[orig] = float(delta[pos])
-                parked_pos.append(int(orig))
-                parked_rows.append(row)
+            parked_pos.append(pos_map[live_pos])
+            parked.append(op.take(live_pos))
+    if not parked:
+        return pos_map[:0], None, iterations, deltas, converged
+    order = np.concatenate(parked_pos)
+    results = op.finish(np.concatenate(parked), order)
+    return order, results, iterations, deltas, converged
+
+
+@dataclass(frozen=True)
+class _Form:
+    """Which shape of the truncated sum a block solve computes.
+
+    Row form (``alpha`` given) is the α-weighted scalar of Eq. (10), one
+    complex per s-point; column form (``alpha=None``) the vector of Eq. (9)
+    for every source state, one ``n``-row per s-point.  This is all the
+    block solve knows about the difference.
+    """
+
+    alpha: np.ndarray | None = None
+
+    @property
+    def vector(self) -> bool:
+        return self.alpha is None
+
+    def empty(self, n_s: int, n: int) -> np.ndarray:
+        return np.empty((n_s, n) if self.vector else n_s, dtype=complex)
+
+    def reduce(self, vectors: np.ndarray) -> np.ndarray:
+        """The direct solver's ``(m, n)`` passage vectors as results."""
+        return vectors if self.vector else vectors @ self.alpha
+
+    def operator(self, evaluator, engine, s_iter, mask, u_data, up_data):
+        if engine == "factored":
+            if self.vector:
+                return FactoredColOperator(evaluator.factored(), s_iter, mask)
+            return FactoredRowOperator(evaluator.factored(), s_iter, mask, self.alpha)
+        if self.vector:
+            return _BatchColOperator(evaluator, s_iter, mask, u_data, up_data)
+        return _BatchRowOperator(evaluator, s_iter, mask, self.alpha, u_data, up_data)
+
+
+def _solve_block(evaluator, engine, form, mask, targets, s_block, options, policy):
+    """One memory-bounded s-block: route, solve directly, drive, fall back.
+
+    ``engine`` is the iterative engine of the block or ``"direct-lu"``, the
+    explicit direct solve — the same routing with every point routed, which
+    therefore never computes a contraction or the ``U'`` data.
+    """
+    n_s = s_block.size
+    n = evaluator.kernel.n_states
+    result = form.empty(n_s, n)
+    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
+    may_route = n <= DIRECT_MAX_STATES
+
+    u_data = up_data = None
+    if engine != "factored":
+        u_data = evaluator.u_data_batch(s_block)
+    if engine == "direct-lu":
+        direct_mask = np.ones(n_s, dtype=bool)
+    else:
+        if engine == "factored":
+            contraction = evaluator.factored().contraction(s_block, mask)
         else:
-            for pos in live_pos:
-                deltas[pos_map[pos]] = float(delta[pos])
-    rows = np.empty((width, n), dtype=complex)
-    if parked_pos:
-        order = np.asarray(parked_pos, dtype=np.int64)
-        rows[order] = op.apply_u(np.asarray(parked_rows), order)
-    return rows, iterations, deltas, converged
+            up_data = evaluator.u_prime_data_batch(s_block, mask)
+            contraction = evaluator.row_abs_sums(up_data).max(axis=1)
+        if may_route:
+            direct_mask = policy.route_direct(options.epsilon, contraction)
+        else:
+            direct_mask = np.zeros(n_s, dtype=bool)
+    direct_idx = np.flatnonzero(direct_mask)
+    iter_idx = np.flatnonzero(~direct_mask)
+
+    def solve_direct(indices, solver_label, iterations, matvecs):
+        u_rows = u_data[indices] if u_data is not None else None
+        result[indices] = form.reduce(passage_transform_direct_batch(
+            evaluator, targets, s_block[indices], u_data=u_rows
+        ))
+        for idx in indices:
+            diags[idx] = ConvergenceDiagnostics(
+                iterations=iterations,
+                converged=True,
+                final_delta=0.0,
+                matvec_count=matvecs,
+                solver=solver_label,
+                direct_solves=1,
+                engine=engine,
+            )
+
+    if direct_idx.size:
+        solve_direct(direct_idx, "direct", 0, 0)
+
+    if iter_idx.size:
+        op = form.operator(
+            evaluator, engine, s_block[iter_idx], mask,
+            u_data[iter_idx] if u_data is not None else None,
+            up_data[iter_idx] if up_data is not None else None,
+        )
+        # When the policy would re-solve cap-hitting points directly, their
+        # finished result is wasted work — tell the driver to skip it.
+        will_fallback = policy.fallback_to_direct and may_route
+        order, results, iterations, deltas, conv = _drive(
+            op, options, finalize_unconverged=not will_fallback
+        )
+        if order.size:
+            result[iter_idx[order]] = results
+        retried = ~conv if will_fallback else np.zeros(iter_idx.size, dtype=bool)
+        for pos in np.flatnonzero(~retried):
+            diags[iter_idx[pos]] = ConvergenceDiagnostics(
+                iterations=int(iterations[pos]),
+                converged=bool(conv[pos]),
+                final_delta=float(deltas[pos]),
+                matvec_count=int(iterations[pos]) + 1,
+                engine=engine,
+            )
+        if retried.any():
+            solve_direct(
+                iter_idx[retried], "direct-fallback",
+                options.max_iterations, options.max_iterations + 1,
+            )
+    return result, diags
 
 
-def _block_bounds(n_s: int, block: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + block, n_s)) for lo in range(0, n_s, block)]
-
-
-def _note_block(report, *, points, seconds, diags, engine=None) -> None:
+def _note_block(report, *, points, seconds, diags, engine) -> None:
     iterations = int(sum(d.iterations for d in diags))
     direct_solves = int(sum(d.direct_solves for d in diags))
     # Points returned truncated (no convergence, no direct fallback —
-    # e.g. kernels above direct_max_states): downstream stats must be
+    # e.g. kernels above DIRECT_MAX_STATES): downstream stats must be
     # able to see that the values are approximations.
     unconverged = int(sum(not d.converged for d in diags))
     _obs_metrics.note_solve_block(
@@ -706,7 +762,7 @@ def _note_block(report, *, points, seconds, diags, engine=None) -> None:
     )
     if report is None:
         return
-    report.setdefault("blocks", []).append(
+    report["blocks"].append(
         {
             "points": int(points),
             "seconds": round(seconds, 6),
@@ -717,6 +773,36 @@ def _note_block(report, *, points, seconds, diags, engine=None) -> None:
     )
 
 
+def _block_loop(
+    evaluator, policy, s_values, out, solve, report, *, vector: bool, direct: bool = False
+) -> list[ConvergenceDiagnostics]:
+    """The one block loop every batched solve runs through.
+
+    Resolves the engine and the block size, then per block opens one
+    ``s-block-solve`` span, times ``solve(engine, s_block) -> (values,
+    diagnostics)`` once, stores the values into ``out`` and notes the block
+    once (metrics and ``report``) — so an s-block is traced, timed and
+    counted exactly once whatever the measure computed inside it.
+    """
+    engine, block = policy._block_plan(evaluator, vector=vector, direct=direct)
+    if report is not None:
+        report["engine"] = engine
+        report.setdefault("blocks", [])
+    diags: list[ConvergenceDiagnostics] = []
+    for lo in range(0, s_values.size, block):
+        s_block = s_values[lo:lo + block]
+        started = time.perf_counter()
+        with _obs_trace.span("s-block-solve", points=s_block.size, engine=engine):
+            out[lo:lo + block], block_diags = solve(engine, s_block)
+        seconds = time.perf_counter() - started
+        diags.extend(block_diags)
+        _note_block(
+            report, points=s_block.size, seconds=seconds, diags=block_diags,
+            engine=engine,
+        )
+    return diags
+
+
 def passage_transform_batch(
     kernel_or_evaluator,
     alpha: np.ndarray,
@@ -724,6 +810,7 @@ def passage_transform_batch(
     s_values,
     options: PassageTimeOptions | None = None,
     *,
+    solver: str = "iterative",
     policy: SPointPolicy | None = None,
     report: dict | None = None,
 ) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
@@ -736,130 +823,19 @@ def passage_transform_batch(
     sparse products, processed in memory-bounded blocks.  Points that the
     :class:`SPointPolicy` predicts to need too many iterations — the
     small-``|s|`` rare-event regime — are solved with the sparse-LU direct
-    method instead and come back exact.
+    method instead and come back exact; ``solver="direct"`` solves every
+    point that way (engine label ``direct-lu``).
 
     Returns the values as an ``(n_s,)`` array plus one
     :class:`ConvergenceDiagnostics` per s-point (in input order).  When a
     ``report`` dict is supplied it is filled with the engine used and
     per-block solve timings.
     """
-    options = options or PassageTimeOptions()
-    policy = policy or SPointPolicy()
     evaluator = as_evaluator(kernel_or_evaluator)
-    n = evaluator.kernel.n_states
-    alpha = _check_alpha(alpha, n)
-    mask = target_mask(n, targets)
-
-    s_values = np.asarray(s_values, dtype=complex).ravel()
-    n_s = s_values.size
-    values = np.empty(n_s, dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-    if n_s == 0:
-        if report is not None:
-            report.setdefault("engine", policy.engine)
-            report.setdefault("blocks", [])
-        return values, []
-
-    engine = policy.resolve_engine(evaluator)
-    if report is not None:
-        report["engine"] = engine
-        report.setdefault("blocks", [])
-    block = policy.block_points(evaluator, engine)
-    for lo, hi in _block_bounds(n_s, block):
-        started = time.perf_counter()
-        with _obs_trace.span("s-block-solve", points=hi - lo, engine=engine):
-            block_values, block_diags = _passage_block(
-                evaluator, engine, alpha, mask, targets, s_values[lo:hi],
-                options, policy,
-            )
-        values[lo:hi] = block_values
-        diags[lo:hi] = block_diags
-        _note_block(
-            report, points=hi - lo, seconds=time.perf_counter() - started,
-            diags=block_diags, engine=engine,
-        )
-    return values, diags  # type: ignore[return-value]
-
-
-def _passage_block(evaluator, engine, alpha, mask, targets, s_block, options, policy):
-    """One memory-bounded block of the row-form batched computation."""
-    from .linear import passage_transform_direct_batch
-
-    n_s = s_block.size
-    values = np.empty(n_s, dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-
-    u_data = up_data = None
-    if engine == "factored":
-        contraction = evaluator.factored().contraction(s_block, mask)
-    else:
-        u_data = evaluator.u_data_batch(s_block)
-        up_data = evaluator.u_prime_data_batch(s_block, mask)
-        contraction = evaluator.row_abs_sums(up_data).max(axis=1)
-
-    if policy.allow_direct(evaluator):
-        direct_mask = policy.route_direct(options.epsilon, contraction)
-    else:
-        direct_mask = np.zeros(n_s, dtype=bool)
-    direct_idx = np.flatnonzero(direct_mask)
-    iter_idx = np.flatnonzero(~direct_mask)
-
-    def _solve_direct(indices, solver_label, iterations, matvecs):
-        u_rows = u_data[indices] if u_data is not None else None
-        vecs = passage_transform_direct_batch(
-            evaluator, targets, s_block[indices], u_data=u_rows
-        )
-        values[indices] = vecs @ alpha
-        for idx in indices:
-            diags[idx] = ConvergenceDiagnostics(
-                iterations=iterations,
-                converged=True,
-                final_delta=0.0,
-                matvec_count=matvecs,
-                solver=solver_label,
-                direct_solves=1,
-                engine=engine,
-            )
-
-    if direct_idx.size:
-        _solve_direct(direct_idx, "direct", 0, 0)
-
-    if iter_idx.size:
-        s_iter = s_block[iter_idx]
-        if engine == "factored":
-            from .factored import FactoredRowOperator
-
-            op = FactoredRowOperator(evaluator.factored(), s_iter, mask, alpha)
-        else:
-            op = _BatchRowOperator(
-                evaluator, s_iter, mask, alpha,
-                u_data[iter_idx], up_data[iter_idx], policy,
-            )
-        iter_values, iterations, deltas, conv = _drive_row(op, options)
-        do_fallback = (
-            not conv.all()
-            and policy.fallback_to_direct
-            and policy.allow_direct(evaluator)
-        )
-        retried = ~conv if do_fallback else np.zeros(iter_idx.size, dtype=bool)
-        for pos in range(iter_idx.size):
-            if retried[pos]:
-                continue
-            idx = int(iter_idx[pos])
-            values[idx] = iter_values[pos]
-            diags[idx] = ConvergenceDiagnostics(
-                iterations=int(iterations[pos]),
-                converged=bool(conv[pos]),
-                final_delta=float(deltas[pos]),
-                matvec_count=int(iterations[pos]) + 1,
-                engine=engine,
-            )
-        if retried.any():
-            _solve_direct(
-                iter_idx[retried], "direct-fallback",
-                options.max_iterations, options.max_iterations + 1,
-            )
-    return values, diags
+    alpha = _check_alpha(alpha, evaluator.kernel.n_states)
+    return _form_batch(
+        evaluator, _Form(alpha), targets, s_values, options, solver, policy, report
+    )
 
 
 def passage_transform_vector_batch(
@@ -879,122 +855,27 @@ def passage_transform_vector_batch(
     as ``O(n_s · n_states)`` — callers on large kernels should keep their
     s-grids blocked (the transient computation does).
     """
+    return _form_batch(
+        as_evaluator(kernel_or_evaluator), _Form(), targets, s_values, options,
+        "iterative", policy, report,
+    )
+
+
+def _form_batch(evaluator, form, targets, s_values, options, solver, policy, report):
+    """Either form of the passage transform over a whole s-grid."""
+    if solver not in ("iterative", "direct"):
+        raise ValueError("solver must be 'iterative' or 'direct'")
     options = options or PassageTimeOptions()
     policy = policy or SPointPolicy()
-    evaluator = as_evaluator(kernel_or_evaluator)
     n = evaluator.kernel.n_states
     mask = target_mask(n, targets)
-
     s_values = np.asarray(s_values, dtype=complex).ravel()
-    n_s = s_values.size
-    result = np.empty((n_s, n), dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-    if n_s == 0:
-        if report is not None:
-            report.setdefault("engine", policy.engine)
-            report.setdefault("blocks", [])
-        return result, []
-
-    engine = policy.resolve_engine(evaluator)
-    if report is not None:
-        report["engine"] = engine
-        report.setdefault("blocks", [])
-    block = policy.block_points(evaluator, engine, vector=True)
-    for lo, hi in _block_bounds(n_s, block):
-        started = time.perf_counter()
-        with _obs_trace.span("s-block-solve", points=hi - lo, engine=engine,
-                             form="vector"):
-            block_rows, block_diags = _vector_block(
-                evaluator, engine, mask, targets, s_values[lo:hi], options, policy
-            )
-        result[lo:hi] = block_rows
-        diags[lo:hi] = block_diags
-        _note_block(
-            report, points=hi - lo, seconds=time.perf_counter() - started,
-            diags=block_diags, engine=engine,
-        )
-    return result, diags  # type: ignore[return-value]
-
-
-def _vector_block(evaluator, engine, mask, targets, s_block, options, policy):
-    """One memory-bounded block of the column-form batched computation."""
-    from .linear import passage_transform_direct_batch
-
-    n_s = s_block.size
-    n = evaluator.kernel.n_states
-    result = np.empty((n_s, n), dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-
-    u_data = up_data = None
-    if engine == "factored":
-        contraction = evaluator.factored().contraction(s_block, mask)
-    else:
-        u_data = evaluator.u_data_batch(s_block)
-        up_data = evaluator.u_prime_data_batch(s_block, mask)
-        contraction = evaluator.row_abs_sums(up_data).max(axis=1)
-
-    if policy.allow_direct(evaluator):
-        direct_mask = policy.route_direct(options.epsilon, contraction)
-    else:
-        direct_mask = np.zeros(n_s, dtype=bool)
-    direct_idx = np.flatnonzero(direct_mask)
-    iter_idx = np.flatnonzero(~direct_mask)
-
-    if direct_idx.size:
-        u_rows = u_data[direct_idx] if u_data is not None else None
-        result[direct_idx] = passage_transform_direct_batch(
-            evaluator, targets, s_block[direct_idx], u_data=u_rows
-        )
-        for idx in direct_idx:
-            diags[idx] = ConvergenceDiagnostics(
-                iterations=0, converged=True, final_delta=0.0, matvec_count=0,
-                solver="direct", direct_solves=1, engine=engine,
-            )
-
-    if iter_idx.size:
-        s_iter = s_block[iter_idx]
-        if engine == "factored":
-            from .factored import FactoredColOperator
-
-            op = FactoredColOperator(evaluator.factored(), s_iter, mask)
-        else:
-            op = _BatchColOperator(
-                evaluator, s_iter, mask, u_data[iter_idx], up_data[iter_idx], policy
-            )
-        # When the policy would re-solve cap-hitting points directly, their
-        # final U(s)@acc product is wasted work — tell the driver to skip it.
-        will_fallback = policy.fallback_to_direct and policy.allow_direct(evaluator)
-        rows, iterations, deltas, conv = _drive_col(
-            op, options, finalize_unconverged=not will_fallback
-        )
-        do_fallback = not conv.all() and will_fallback
-        retried = ~conv if do_fallback else np.zeros(iter_idx.size, dtype=bool)
-        for pos in range(iter_idx.size):
-            if retried[pos]:
-                continue
-            idx = int(iter_idx[pos])
-            result[idx] = rows[pos]
-            diags[idx] = ConvergenceDiagnostics(
-                iterations=int(iterations[pos]),
-                converged=bool(conv[pos]),
-                final_delta=float(deltas[pos]),
-                matvec_count=int(iterations[pos]) + 1,
-                engine=engine,
-            )
-        if retried.any():
-            retry = iter_idx[retried]
-            u_rows = u_data[retry] if u_data is not None else None
-            result[retry] = passage_transform_direct_batch(
-                evaluator, targets, s_block[retry], u_data=u_rows
-            )
-            for idx in retry:
-                diags[idx] = ConvergenceDiagnostics(
-                    iterations=options.max_iterations,
-                    converged=True,
-                    final_delta=0.0,
-                    matvec_count=options.max_iterations + 1,
-                    solver="direct-fallback",
-                    direct_solves=1,
-                    engine=engine,
-                )
-    return result, diags
+    out = form.empty(s_values.size, n)
+    diags = _block_loop(
+        evaluator, policy, s_values, out,
+        lambda engine, s_block: _solve_block(
+            evaluator, engine, form, mask, targets, s_block, options, policy
+        ),
+        report, vector=form.vector, direct=solver == "direct",
+    )
+    return out, diags

@@ -13,20 +13,19 @@ passage-time vector computation per target state — each yields both
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .kernel import as_evaluator
-from .linear import passage_transform_direct, passage_transform_direct_batch
+from .kernel import as_evaluator, target_mask
+from .linear import passage_transform_direct
 from .passage import (
     ConvergenceDiagnostics,
     PassageTimeOptions,
     SPointPolicy,
+    _block_loop,
     _check_alpha,
-    _note_block,
+    _Form,
+    _solve_block,
     passage_transform_vector,
-    passage_transform_vector_batch,
 )
 
 __all__ = ["transient_transform", "transient_transform_batch", "sojourn_lsts"]
@@ -111,15 +110,15 @@ def transient_transform_batch(
 ) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
     """Evaluate ``T*_{i->j}(s)`` at every point of an s-grid in one sweep.
 
-    Batched counterpart of :func:`transient_transform`: the per-target
-    passage-time vectors of Eq. (7) are computed with
-    :func:`passage_transform_vector_batch` (or the batched direct solve), so
-    the sojourn transforms and each iteration's sparse products are shared by
-    the whole grid.  The s-grid is processed in memory-bounded blocks
-    (outermost, so every target of a block reuses its cached transform
-    data).  Returns the values plus one aggregated
-    :class:`ConvergenceDiagnostics` per s-point (matvec counts summed over
-    the target states, used by backends to apportion wall-clock time).
+    Batched counterpart of :func:`transient_transform`: the s-grid runs
+    through the block loop of :mod:`repro.smp.passage` and, inside each
+    block, every target's passage-time vectors of Eq. (7) come from one
+    column-form block solve (or the batched direct solve), so the sojourn
+    transforms, the cached transform data and each iteration's sparse
+    products are shared by the block's points and targets.  Returns the
+    values plus one aggregated :class:`ConvergenceDiagnostics` per s-point
+    (matvec counts summed over the target states, used by backends to
+    apportion wall-clock time).
     """
     evaluator = as_evaluator(kernel_or_evaluator)
     if solver not in ("iterative", "direct"):
@@ -138,51 +137,28 @@ def transient_transform_batch(
     if targets.min() < 0 or targets.max() >= n:
         raise ValueError("target state index out of range")
 
-    n_s = s_values.size
-    if n_s == 0:
-        return np.empty(0, dtype=complex), []
-
+    options = options or PassageTimeOptions()
     policy = policy or SPointPolicy()
-    engine = policy.resolve_engine(evaluator)
-    if report is not None:
-        report["engine"] = engine
-        report.setdefault("blocks", [])
-    # The explicit direct solver materialises O(block · nnz) data whatever
-    # engine the policy resolved, so its blocks must use the batch sizing —
-    # factored-sized blocks would blow the memory budget on dense kernels.
-    sizing_engine = "batch" if solver == "direct" else engine
-    block = policy.block_points(evaluator, sizing_engine, vector=True)
-
     source_states = np.where(np.abs(alpha) > 0)[0]
     weights = alpha[source_states]
+    vector_form = _Form()
 
-    values = np.empty(n_s, dtype=complex)
-    diags: list[ConvergenceDiagnostics | None] = [None] * n_s
-    for lo in range(0, n_s, block):
-        hi = min(lo + block, n_s)
-        started = time.perf_counter()
-        s_block = s_values[lo:hi]
+    def solve(engine, s_block):
         if engine == "factored":
             h = evaluator.factored().sojourn_lst_batch(s_block)
         else:
             h = evaluator.sojourn_lst_batch(s_block)
 
-        totals = np.zeros(hi - lo, dtype=complex)
-        matvec_totals = np.zeros(hi - lo, dtype=np.int64)
-        direct_totals = np.zeros(hi - lo, dtype=np.int64)
-        iterations_max = np.zeros(hi - lo, dtype=np.int64)
-        converged_all = np.ones(hi - lo, dtype=bool)
+        totals = np.zeros(s_block.size, dtype=complex)
+        matvec_totals = np.zeros(s_block.size, dtype=np.int64)
+        direct_totals = np.zeros(s_block.size, dtype=np.int64)
+        iterations_max = np.zeros(s_block.size, dtype=np.int64)
+        converged_all = np.ones(s_block.size, dtype=bool)
         for k in targets:
-            if solver == "direct":
-                l_mat = passage_transform_direct_batch(
-                    evaluator, [k], s_block, u_data=evaluator.u_data_batch(s_block)
-                )
-                target_diags: list[ConvergenceDiagnostics] | None = None
-                direct_totals += 1
-            else:
-                l_mat, target_diags = passage_transform_vector_batch(
-                    evaluator, [k], s_block, options, policy=policy
-                )
+            l_mat, target_diags = _solve_block(
+                evaluator, engine, vector_form, target_mask(n, [k]), [k],
+                s_block, options, policy,
+            )
             lam = (1.0 - h[:, k]) / (1.0 - l_mat[:, k])
             l_src = l_mat[:, source_states].copy()
             k_pos = np.flatnonzero(source_states == k)
@@ -191,15 +167,13 @@ def transient_transform_batch(
                 # contributes Lambda_k itself rather than Lambda_k L_kk(s).
                 l_src[:, k_pos[0]] = 1.0
             totals += lam * (l_src @ weights)
-            if target_diags is not None:
-                for t, diag in enumerate(target_diags):
-                    matvec_totals[t] += diag.matvec_count
-                    direct_totals[t] += diag.direct_solves
-                    iterations_max[t] = max(iterations_max[t], diag.iterations)
-                    converged_all[t] &= diag.converged
+            for t, diag in enumerate(target_diags):
+                matvec_totals[t] += diag.matvec_count
+                direct_totals[t] += diag.direct_solves
+                iterations_max[t] = max(iterations_max[t], diag.iterations)
+                converged_all[t] &= diag.converged
 
-        values[lo:hi] = totals / s_block
-        block_diags = [
+        return totals / s_block, [
             ConvergenceDiagnostics(
                 iterations=int(iterations_max[t]),
                 converged=bool(converged_all[t]),
@@ -209,11 +183,12 @@ def transient_transform_batch(
                 direct_solves=int(direct_totals[t]),
                 engine=engine,
             )
-            for t in range(hi - lo)
+            for t in range(s_block.size)
         ]
-        diags[lo:hi] = block_diags
-        _note_block(
-            report, points=hi - lo, seconds=time.perf_counter() - started,
-            diags=block_diags,
-        )
-    return values, diags  # type: ignore[return-value]
+
+    values = np.empty(s_values.size, dtype=complex)
+    diags = _block_loop(
+        evaluator, policy, s_values, values, solve, report,
+        vector=True, direct=solver == "direct",
+    )
+    return values, diags

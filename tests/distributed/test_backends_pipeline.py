@@ -99,7 +99,7 @@ class TestMultiprocessingBackend:
         with pytest.raises(ValueError):
             MultiprocessingBackend(processes=0)
         with pytest.raises(ValueError):
-            MultiprocessingBackend(chunk_size=0)
+            MultiprocessingBackend(block_size=0)
 
 
 class TestDistributedPipeline:
@@ -163,7 +163,7 @@ class TestDistributedPipeline:
         assert np.allclose(LoopRun(job).density(t_points), expected, atol=1e-6)
 
     def test_multiprocessing_pipeline_end_to_end(self, erlang_job):
-        backend = MultiprocessingBackend(processes=2, chunk_size=8)
+        backend = MultiprocessingBackend(processes=2, block_size=8)
         run = LoopRun(erlang_job, backend=backend)
         ts = [0.5, 1.5]
         try:

@@ -93,18 +93,13 @@ class TestBlockSizing:
         engines."""
         policy = SPointPolicy()
         evaluator = big_job.evaluator
-        engine = policy.resolve_engine(evaluator)
-        expected = policy.dispatch_block_points(evaluator, engine, 16, 4)
+        expected = policy.dispatch_block_points(evaluator, 16, 4)
         assert expected <= 4  # ceil(16 / (4 workers * 4)) caps the budget
-        assert expected == min(
-            policy.block_points(evaluator, engine), expected
-        )
+        assert expected == min(policy.block_points(evaluator), expected)
 
     def test_explicit_block_size_and_policy_take_the_min(self, big_job):
         policy = SPointPolicy()
-        evaluator = big_job.evaluator
-        engine = policy.resolve_engine(evaluator)
-        effective = min(3, policy.dispatch_block_points(evaluator, engine, 10, 2))
+        effective = min(3, policy.dispatch_block_points(big_job.evaluator, 10, 2))
         backend = MultiprocessingBackend(processes=2, block_size=3)
         try:
             values = backend.evaluate(big_job, S_GRID[:10])
@@ -116,9 +111,12 @@ class TestBlockSizing:
             backend.close()
 
     def test_chunk_size_is_an_alias(self):
-        backend = MultiprocessingBackend(processes=1, chunk_size=7)
+        """... that is gone: ``block_size`` is the one name for the cap."""
+        backend = MultiprocessingBackend(processes=1, block_size=7)
         assert backend.block_size == 7
-        assert backend.chunk_size == 7
+        assert not hasattr(backend, "chunk_size")
+        with pytest.raises(TypeError):
+            MultiprocessingBackend(processes=1, chunk_size=7)
 
 
 class TestCrashRecovery:

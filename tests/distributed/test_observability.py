@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.jobs import PassageTimeJob
+from repro.core.jobs import PassageTimeJob, TransientJob
 from repro.distributed import MultiprocessingBackend
 from repro.obs import get_metrics, get_tracer, worker_stats_snapshot
 from repro.smp import source_weights
@@ -86,18 +86,32 @@ class TestWorkerStatsMerging:
 
     def test_points_evaluated_counter_reconciles(self, big_job, fresh_registry):
         """Worker-side solve metrics are absorbed into the master registry:
-        the points_evaluated counter equals the s-grid size exactly."""
-        backend = MultiprocessingBackend(processes=2, block_size=4)
-        try:
-            backend.evaluate(big_job, S_GRID)
-        finally:
-            backend.close()
-        counter = fresh_registry.get("repro_points_evaluated_total")
-        assert counter is not None
-        assert counter.value() == len(S_GRID)
-        n_blocks = sum(e["blocks"] for e in backend.last_worker_stats.values())
-        blocks = fresh_registry.get("repro_block_seconds")
-        assert blocks.snapshot_of()["count"] == n_blocks
+        the points_evaluated counter equals the s-grid size exactly — for a
+        transient measure too, whose block solves one vector per target but
+        is still one block of len(block) points."""
+        transient_job = TransientJob(
+            kernel=big_job.kernel, alpha=big_job.alpha, targets=[3, 4, 5, 6, 7]
+        )
+        points = n_blocks = 0
+        for job in (big_job, transient_job):
+            backend = MultiprocessingBackend(processes=2, block_size=4)
+            try:
+                backend.evaluate(job, S_GRID)
+            finally:
+                backend.close()
+            points += len(S_GRID)
+            run_blocks = sum(e["blocks"] for e in backend.last_worker_stats.values())
+            assert len(job.last_report["blocks"]) == run_blocks
+            n_blocks += run_blocks
+            counter = fresh_registry.get("repro_points_evaluated_total")
+            assert counter is not None
+            assert counter.value() == points
+            blocks = fresh_registry.get("repro_block_seconds")
+            assert blocks.snapshot_of()["count"] == n_blocks
+            per_point = fresh_registry.get("repro_iterations_per_s_point")
+            assert per_point.snapshot_of()["count"] == points
+            by_engine = fresh_registry.get("repro_solve_blocks_total")
+            assert by_engine.value(engine=job.last_report["engine"]) == n_blocks
 
 
 class TestWorkerSpanCapture:

@@ -65,10 +65,7 @@ class TestPoisonQuarantine:
         monkeypatch.setenv("REPRO_FAULTS", "worker.solve=crash:block=1")
         policy = SPointPolicy(poison_after=2)
         job = _job(kernel, policy)
-        engine = policy.resolve_engine(job.evaluator)
-        size = min(
-            4, policy.dispatch_block_points(job.evaluator, engine, len(S_GRID), 2)
-        )
+        size = min(4, policy.dispatch_block_points(job.evaluator, len(S_GRID), 2))
         backend = MultiprocessingBackend(processes=2, block_size=4, max_retries=10)
         try:
             with pytest.raises(PoisonBlockError) as excinfo:

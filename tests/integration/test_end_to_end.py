@@ -130,7 +130,7 @@ class TestDistributedPathEquivalence:
         assert np.allclose(resumed.density(t_points), reference, atol=1e-9)
         assert resumed.stats.s_points_computed == 0
 
-        backend = MultiprocessingBackend(processes=2, chunk_size=8)
+        backend = MultiprocessingBackend(processes=2, block_size=8)
         try:
             pooled = LoopRun(job, backend=backend).density(t_points)
         finally:

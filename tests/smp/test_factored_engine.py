@@ -33,11 +33,14 @@ from repro.models import (
     cyclic_server_kernel,
     mg1_queue_kernel,
 )
+from repro.smp import passage as passage_module
 from repro.smp import (
+    PassageTimeOptions,
     SMPBuilder,
     SPointPolicy,
     passage_transform,
     passage_transform_batch,
+    passage_transform_direct_batch,
     passage_transform_vector,
     passage_transform_vector_batch,
     source_weights,
@@ -133,19 +136,47 @@ def test_passage_parity_across_engines(name, grid_name, grid):
         assert fac[t] == pytest.approx(scalar, abs=1e-10)
 
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
-def test_vector_parity_across_engines(name):
+@pytest.mark.parametrize(
+    "name,cap",
+    [(name, None) for name in sorted(KERNELS)] + [("mg1_queue", 5)],
+    ids=[*sorted(KERNELS), "mg1_queue-cap-hit-fallback"],
+)
+def test_vector_parity_across_engines(name, cap):
     """Column form: both the absorbing U' iteration and the final full-U
-    product must agree between engines (this exercises u and u_prime)."""
+    product must agree between engines (this exercises u and u_prime).  With
+    an iteration ``cap`` the points that hit it are re-solved directly — the
+    one route (column × factored × fallback) no benchmark workload drives."""
     kernel = KERNELS[name]
     targets = [kernel.n_states - 1]
-    fac, fac_diags = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=FACTORED)
-    bat, bat_diags = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=BATCH)
+    if cap is None:
+        options, fac_policy, bat_policy = None, FACTORED, BATCH
+    else:
+        options = PassageTimeOptions(max_iterations=cap)
+        fac_policy = SPointPolicy(engine="factored", predicted_iteration_limit=10**9)
+        bat_policy = SPointPolicy(engine="batch", predicted_iteration_limit=10**9)
+    fac, fac_diags = passage_transform_vector_batch(
+        kernel, targets, EULER_GRID, options, policy=fac_policy
+    )
+    bat, bat_diags = passage_transform_vector_batch(
+        kernel, targets, EULER_GRID, options, policy=bat_policy
+    )
     assert np.abs(fac - bat).max() < 1e-10
     for df, db in zip(fac_diags, bat_diags):
         assert df.iterations == db.iterations
-    scalar, _ = passage_transform_vector(kernel, targets, complex(EULER_GRID[3]))
-    assert np.abs(fac[3] - scalar).max() < 1e-10
+        assert df.engine == "factored" and db.engine == "batch"
+    if cap is None:
+        scalar, _ = passage_transform_vector(kernel, targets, complex(EULER_GRID[3]))
+        assert np.abs(fac[3] - scalar).max() < 1e-10
+    else:
+        fell_back = np.array([d.solver == "direct-fallback" for d in fac_diags])
+        assert fell_back.any() and not fell_back.all()  # a mixed block
+        for df, db, hit in zip(fac_diags, bat_diags, fell_back):
+            assert df.solver == db.solver == ("direct-fallback" if hit else "iterative")
+            assert df.converged and df.direct_solves == db.direct_solves == int(hit)
+            assert df.matvec_count == df.iterations + 1
+        exact = passage_transform_direct_batch(kernel, targets, EULER_GRID[fell_back])
+        assert np.array_equal(fac[fell_back], exact)
+        assert np.array_equal(bat[fell_back], exact)
 
 
 @pytest.mark.parametrize("name", ["voting_tiny", "heavy_mixture", "single_distribution"])
@@ -199,9 +230,9 @@ def test_factored_u_product_against_matrix():
     e = mask.astype(complex)
     for t, s in enumerate(s_block):
         expected = evaluator.u_prime(complex(s), mask) @ e
-        got = col._term[:, t] + 1j * col._term[:, s_block.size + t]
+        got = col._state[:, t] + 1j * col._state[:, s_block.size + t]
         assert np.abs(got - expected).max() < 1e-12
-    rows = col.apply_u(np.tile(e, (3, 1)), np.arange(3))
+    rows = col.finish(np.tile(e, (3, 1)), np.arange(3))
     for t, s in enumerate(s_block):
         assert np.abs(rows[t] - evaluator.u(complex(s)) @ e).max() < 1e-12
 
@@ -228,23 +259,41 @@ def test_blocked_grid_matches_unblocked():
         assert len(report["blocks"]) >= 1
         assert sum(b["points"] for b in report["blocks"]) == EULER_GRID.size
         assert all(b["seconds"] >= 0 for b in report["blocks"])
+    # An explicit direct solve is blocked by the same loop (batch sizing,
+    # whatever engine the kernel iterates on) and labelled direct-lu.
+    kernel = random_kernel(np.random.default_rng(2), 30, density=0.9)
+    alpha = source_weights(kernel, [0])
+    targets = [kernel.n_states - 1]
+    one_report: dict = {}
+    many_report: dict = {}
+    v1, d1 = passage_transform_batch(
+        kernel, alpha, targets, EULER_GRID, solver="direct", report=one_report
+    )
+    v2, d2 = passage_transform_batch(
+        kernel, alpha, targets, EULER_GRID, solver="direct",
+        policy=SPointPolicy(max_block_bytes=1 << 20), report=many_report,
+    )
+    assert [v.hex() for v in v1.view(float)] == [v.hex() for v in v2.view(float)]
+    assert len(one_report["blocks"]) == 1 and len(many_report["blocks"]) > 1
+    assert one_report["engine"] == many_report["engine"] == "direct-lu"
+    assert sum(b["direct_solves"] for b in many_report["blocks"]) == EULER_GRID.size
+    assert all(d.solver == "direct" and d.engine == "direct-lu" for d in d1 + d2)
 
 
-def test_perpoint_submode_matches_blockdiag():
+def test_perpoint_submode_matches_blockdiag(monkeypatch):
     """Forcing the per-point sparse matvec sub-mode changes nothing."""
     kernel = KERNELS["mg1_queue"]
     alpha = source_weights(kernel, [0])
     targets = [kernel.n_states - 1]
-    base = SPointPolicy(engine="batch", predicted_iteration_limit=10**9,
-                        fallback_to_direct=False)
-    perpoint = SPointPolicy(engine="batch", predicted_iteration_limit=10**9,
-                            fallback_to_direct=False, blockdiag_max_bytes=0)
-    v1, d1 = passage_transform_batch(kernel, alpha, targets, EULER_GRID, policy=base)
-    v2, d2 = passage_transform_batch(kernel, alpha, targets, EULER_GRID, policy=perpoint)
+    policy = SPointPolicy(engine="batch", predicted_iteration_limit=10**9,
+                          fallback_to_direct=False)
+    v1, d1 = passage_transform_batch(kernel, alpha, targets, EULER_GRID, policy=policy)
+    m1, c1 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=policy)
+    monkeypatch.setattr(passage_module, "BLOCKDIAG_MAX_BYTES", 0)
+    v2, d2 = passage_transform_batch(kernel, alpha, targets, EULER_GRID, policy=policy)
     assert np.array_equal(v1, v2)
     assert [d.iterations for d in d1] == [d.iterations for d in d2]
-    m1, c1 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=base)
-    m2, c2 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=perpoint)
+    m2, c2 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=policy)
     assert np.array_equal(m1, m2)
     assert [d.iterations for d in c1] == [d.iterations for d in c2]
 
@@ -293,7 +342,10 @@ def test_transient_direct_solver_uses_batch_block_sizing():
         kernel, alpha, [kernel.n_states - 1], grid,
         solver="direct", policy=policy, report=report,
     )
-    expected_block = policy.block_points(evaluator, "batch", vector=True)
+    expected_block = SPointPolicy(
+        engine="batch", max_block_bytes=1 << 20
+    ).block_points(evaluator, vector=True)
+    assert report["engine"] == "direct-lu"
     assert all(b["points"] <= expected_block for b in report["blocks"])
     iterative, _ = transient_transform_batch(
         kernel, alpha, [kernel.n_states - 1], grid, policy=policy
@@ -301,15 +353,40 @@ def test_transient_direct_solver_uses_batch_block_sizing():
     assert np.abs(direct - iterative).max() < 1e-6
 
 
-def test_policy_engine_selection():
+def _sorted_pair_count(evaluator) -> int:
+    """The (distribution, source) pair count the slow way: sort the edge keys."""
+    keys = evaluator._csr_dist_index * np.int64(evaluator.kernel.n_states)
+    return int(np.unique(keys + evaluator._csr_rows).size)
+
+
+def test_policy_engine_selection(monkeypatch):
     dense = random_kernel(np.random.default_rng(0), 40, density=0.9)
     sparse_kernel = KERNELS["birth_death"]
     policy = SPointPolicy()
     assert policy.resolve_engine(dense.evaluator()) == "factored"
     assert policy.resolve_engine(sparse_kernel.evaluator()) == "batch"
+    # the auto choice is made once per evaluator and remembered on it
+    evaluator = dense.evaluator()
+    assert policy.resolve_engine(evaluator) == "factored"
+    monkeypatch.setattr(
+        type(evaluator.factored()), "density_ratio",
+        lambda self: pytest.fail("auto engine decided twice"),
+    )
+    assert policy.resolve_engine(evaluator) == "factored"
+    assert SPointPolicy(engine="batch").resolve_engine(evaluator) == "batch"
+    monkeypatch.undo()
+    # the pair count behind it needs no sort: same integer as np.unique on
+    # every bundled model and on seeded random kernels
+    seeded = [
+        random_kernel(np.random.default_rng(seed), n, density=density)
+        for seed, n, density in [(0, 40, 0.9), (1, 25, 0.3), (2, 30, 0.9), (3, 9, 0.5)]
+    ]
+    for kernel in [*KERNELS.values(), *seeded]:
+        evaluator = kernel.evaluator()
+        assert evaluator.factored().row_pair_count == _sorted_pair_count(evaluator)
     # distribution cap forces batch even on dense kernels
-    capped = SPointPolicy(factored_max_distributions=1)
-    assert capped.resolve_engine(dense.evaluator()) == "batch"
+    monkeypatch.setattr(passage_module, "FACTORED_MAX_DISTRIBUTIONS", 1)
+    assert policy.resolve_engine(dense.evaluator()) == "batch"
     forced = SPointPolicy(engine="factored")
     assert forced.resolve_engine(sparse_kernel.evaluator()) == "factored"
     with pytest.raises(ValueError, match="engine"):
@@ -323,14 +400,14 @@ def test_policy_block_points_respects_budget():
     evaluator = kernel.evaluator()
     policy = SPointPolicy(max_block_bytes=1 << 20)
     for engine in ("batch", "factored"):
-        block = policy.block_points(evaluator, engine)
+        block = SPointPolicy(engine=engine, max_block_bytes=1 << 20).block_points(evaluator)
         assert block >= 1
-        big = SPointPolicy(max_block_bytes=1 << 34).block_points(evaluator, engine)
+        big = SPointPolicy(engine=engine, max_block_bytes=1 << 34).block_points(evaluator)
         assert big > block
 
 
-def test_direct_max_states_gates_lu_routing():
-    """Kernels above direct_max_states never route to the LU solver: hard
+def test_direct_max_states_gates_lu_routing(monkeypatch):
+    """Kernels above DIRECT_MAX_STATES never route to the LU solver: hard
     points come back truncated-unconverged instead of paying a factorisation."""
     kernel = KERNELS["birth_death"]
     alpha = source_weights(kernel, [0])
@@ -339,14 +416,15 @@ def test_direct_max_states_gates_lu_routing():
     routed = SPointPolicy(predicted_iteration_limit=10)
     values, diags = passage_transform_batch(kernel, alpha, [3], tiny_s, options_cap, policy=routed)
     assert diags[0].solver == "direct"
-    gated = SPointPolicy(predicted_iteration_limit=10, direct_max_states=1)
-    from repro.smp import PassageTimeOptions
-
+    monkeypatch.setattr(passage_module, "DIRECT_MAX_STATES", 1)
     values, diags = passage_transform_batch(
-        kernel, alpha, [3], tiny_s, PassageTimeOptions(max_iterations=20), policy=gated
+        kernel, alpha, [3], tiny_s, PassageTimeOptions(max_iterations=20), policy=routed
     )
     assert diags[0].solver == "iterative"
     assert not diags[0].converged
+    # an explicit direct solve is a request, not a routing decision
+    values, diags = passage_transform_batch(kernel, alpha, [3], tiny_s, solver="direct")
+    assert diags[0].solver == "direct" and diags[0].converged
 
 
 def test_factored_contraction_matches_batch():

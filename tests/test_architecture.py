@@ -3,15 +3,20 @@
 Within ``src/repro`` only the executors (``distributed/backends.py``) call a
 job's batch evaluation, and only the two modules that own a key format call
 the scalar canonicaliser — every other surface reaches both through
-``CoalescingScheduler.evaluate`` and the keys its ``QueryPlan`` carries.  A
-new call site outside these files is a second path growing back.
+``CoalescingScheduler.evaluate`` and the keys its ``QueryPlan`` carries.  One
+layer down, every batched solve is one block loop around one routed block
+solve around one driver (``smp/passage.py``).  A new call site outside these
+files is a second path growing back.
 """
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import repro
+from repro.smp import SPointPolicy
 
 SRC = Path(repro.__file__).parent
 
@@ -55,5 +60,40 @@ def test_the_deleted_surface_stays_deleted():
         "DistributedPipeline", "PipelineStatistics", "SPointWorkQueue",
         "WorkItem", "supports_blocks", "supports_progress", "_evaluate=",
         "_run_state",
+    ):
+        assert name not in source, name
+
+
+# --- one layer down: one routed block solve in smp/ -------------------------
+
+
+def test_one_routed_block_solve():
+    """One scaffold, one block function, one driver: each decision of a block
+    solve (time it, route it, solve it directly) is written exactly once."""
+    assert _call_sites("route_direct") == {"smp/passage.py": 1}
+    assert _call_sites("passage_transform_direct_batch") == {"smp/passage.py": 1}
+    assert _call_sites("_drive") == {"smp/passage.py": 1}
+    # the transient solve runs its per-target solves inside the same scaffold
+    assert _call_sites("_solve_block") == {"smp/passage.py": 1, "smp/transient.py": 1}
+    assert _call_sites("_block_loop") == {"smp/passage.py": 1, "smp/transient.py": 1}
+    assert _call_sites("_note_block") == {"smp/passage.py": 1}
+    clocks = _call_sites("perf_counter")
+    timed = ("smp/passage.py", "smp/transient.py", "core/jobs.py")
+    assert sum(clocks.get(path, 0) for path in timed) <= 2
+
+
+def test_the_engine_is_decided_once_per_kernel():
+    assert sum(_call_sites("resolve_engine").values()) <= 3
+    for sizing in (SPointPolicy.block_points, SPointPolicy.dispatch_block_points):
+        assert "engine" not in inspect.signature(sizing).parameters
+
+
+def test_policy_knobs_earn_their_keep():
+    assert len(dataclasses.fields(SPointPolicy)) == 7
+    source = "\n".join(path.read_text() for path in SRC.rglob("*.py"))
+    for name in (
+        "_passage_block", "_vector_block", "_drive_row", "_drive_col",
+        "factored_density_ratio", "factored_max_distributions",
+        "blockdiag_max_bytes", "direct_max_states", "chunk_size",
     ):
         assert name not in source, name
