@@ -18,7 +18,8 @@ Three checks, each on a real 2-worker pool solve of a tiny voting kernel:
    and normally sits well inside the ±3 % noise band, like obs_smoke).
 
 Every check also asserts a clean directory afterwards: no leaked ``/dev/shm``
-segments, no ``*.tmp`` / ``*.plane.tmp`` / ``*.lock`` files.
+segments, no private plane directory of this process left under the temp
+directory, no ``*.tmp`` / ``*.plane.tmp`` / ``*.lock`` files.
 
 Run:  PYTHONPATH=src python scripts/chaos_smoke.py
 """
@@ -74,6 +75,11 @@ def _shm_entries() -> set:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
+def _private_plane_dirs() -> set:
+    """Plane directories store-less pools of this process made and not removed."""
+    return set(Path(tempfile.gettempdir()).glob(f"repro-planes-{os.getpid()}-*"))
+
+
 def _assert_parity(values: dict, reference: dict) -> None:
     assert len(values) == len(reference), (len(values), len(reference))
     worst = max(abs(values[s] - reference[s]) for s in reference)
@@ -92,7 +98,7 @@ def _chaos_solve(spec: str, tmp: Path, policy=None):
     """One 2-worker solve under ``spec`` with a checkpoint store threaded."""
     job = _tiny_job(policy)
     store = CheckpointStore(tmp / "ckpt")
-    shm_before = _shm_entries()
+    shm_before, planes_before = _shm_entries(), _private_plane_dirs()
     os.environ["REPRO_FAULTS"] = spec
     backend = MultiprocessingBackend(processes=2, block_size=4)
     try:
@@ -105,6 +111,8 @@ def _chaos_solve(spec: str, tmp: Path, policy=None):
         faults.clear()
     leaked = _shm_entries() - shm_before
     assert not leaked, f"leaked shared-memory segments: {leaked}"
+    leaked = _private_plane_dirs() - planes_before
+    assert not leaked, f"leaked plane directories: {leaked}"
     return job, store, values, backend
 
 

@@ -174,9 +174,10 @@ class InlineEngine(_LocalEngine):
 class MultiprocessingEngine(_LocalEngine):
     """Memory store, the s-grid solved on a pool of worker processes.
 
-    The pool shares one kernel plane (workers attach the exported kernel
-    zero-copy instead of receiving a pickled model copy) and the unit of
-    dispatch is a memory-budgeted s-block.  ``workers`` and ``processes``
+    The pool shares one kernel plane (workers mmap the exported kernel file
+    zero-copy instead of receiving a pickled model copy; the file lives in a
+    private temporary directory that goes when the engine does) and the unit
+    of dispatch is a memory-budgeted s-block.  ``workers`` and ``processes``
     are synonyms; ``block_size`` overrides the policy-computed block, mainly
     for tests.
     """

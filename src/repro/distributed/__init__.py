@@ -10,8 +10,8 @@ speedups of Table 2.
 
 This package holds the executor half of that architecture, with one
 modernisation: the unit of dispatch is an :class:`SBlock` (a memory-budgeted
-batch of contour points) rather than a scalar s-value, and workers attach a
-shared-memory kernel plane (:mod:`repro.smp.plane`) instead of receiving a
+batch of contour points) rather than a scalar s-value, and workers mmap one
+kernel plane file (:mod:`repro.smp.plane`) instead of receiving a
 pickled copy of the model.  The master half — which points are still needed,
 the result cache "in memory and on disk", progress and cancellation — is the
 one loop in :meth:`repro.service.scheduler.CoalescingScheduler.evaluate`,

@@ -11,10 +11,10 @@ drives it, :meth:`repro.service.scheduler.CoalescingScheduler.evaluate`.
   optionally recording a wall-clock duration per s-point (the durations feed
   the simulated cluster used to regenerate Table 2),
 * :class:`MultiprocessingBackend` — a pool of worker *processes* sharing one
-  kernel image: the master exports the kernel plane once (shared memory, or
-  an mmap'd file via a :class:`~repro.smp.plane.PlaneStore`), ships each
-  worker a few-hundred-byte :class:`~repro.core.jobs.JobSpec` at pool start,
-  and then streams :class:`~repro.distributed.queue.SBlock` work units.
+  kernel image: the master exports the kernel plane once (a CRC-checked file
+  in a :class:`~repro.smp.plane.PlaneStore`, mmap'd by every worker), ships
+  each worker a few-hundred-byte :class:`~repro.core.jobs.JobSpec` at pool
+  start, and then streams :class:`~repro.distributed.queue.SBlock` work units.
 
 (:class:`repro.distributed.simcluster.SimulatedCluster` is not an executor
 but a timing model; see that module.)
@@ -27,7 +27,9 @@ import os
 import shutil
 import signal
 import tempfile
+import threading
 import time
+import weakref
 from concurrent import futures
 from typing import Callable, Iterable, Protocol
 
@@ -39,7 +41,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..smp.kernel import kernel_content_digest
 from ..smp.passage import SPointPolicy
-from ..smp.plane import KernelPlane, PlaneHandle, PlaneStore
+from ..smp.plane import PlaneHandle, PlaneStore
 from .queue import SBlock, SBlockQueue
 
 __all__ = [
@@ -156,7 +158,7 @@ class SerialBackend:
 
 
 # ---------------------------------------------------------------------------
-# Multiprocessing backend.  Pool start-up attaches every worker to the shared
+# Multiprocessing backend.  Pool start-up attaches every worker to the one
 # kernel plane and builds the job from its JobSpec (the paper's "slaves are
 # assigned the model" handshake, minus the model copy); each task message then
 # carries one s-block, so the worker runs the batched engine on a
@@ -235,10 +237,11 @@ class MultiprocessingBackend:
         memory-budget computation the in-process engines block by, capped so
         every worker sees about four blocks.
     plane_store:
-        When given (a :class:`~repro.smp.plane.PlaneStore` or a directory
-        path), the kernel plane is exported as an mmap'd *file* under that
-        directory and workers attach by digest — the serve-fleet layout.
-        Default is an anonymous shared-memory segment.
+        Where the kernel plane files go (a :class:`~repro.smp.plane.PlaneStore`
+        or a directory path) — the serve-fleet layout, workers attach by
+        digest.  Default is a private temporary directory, made on the first
+        export and removed by :meth:`close` (or when the backend is
+        collected).
     max_retries:
         How many times a broken pool is rebuilt and the unfinished blocks
         resubmitted before giving up.  Completed blocks are never recomputed
@@ -270,39 +273,36 @@ class MultiprocessingBackend:
         self.last_worker_stats: dict[str, dict] | None = None
         #: {"retries": {block: n}, "suspected": {block: n}} of the last evaluate
         self.last_retry_stats: dict[str, dict] | None = None
-        self._plane_cache: dict[tuple[str, bool], KernelPlane] = {}
+        self._private_planes_lock = threading.Lock()
+        self._remove_private_planes = None
 
     # --------------------------------------------------------------- plumbing
     def _plane_handle(self, job: TransformJob, include_factored: bool) -> PlaneHandle:
         evaluator = job.evaluator
-        digest = kernel_content_digest(job.kernel)
         with obs_trace.span(
             "plane-export",
-            digest=digest,
+            digest=kernel_content_digest(job.kernel),
             factored=include_factored,
-            backing="file" if self.plane_store is not None else "shm",
         ):
             if include_factored:
                 evaluator.factored().prewarm()
                 evaluator.factored().col_structure()
-            if self.plane_store is not None:
-                return self.plane_store.export(
-                    evaluator, include_factored=include_factored
-                )
-            key = (digest, include_factored)
-            plane = self._plane_cache.get(key)
-            if plane is None:
-                plane = KernelPlane.build(
-                    evaluator, backing="shm", include_factored=include_factored
-                )
-                self._plane_cache[key] = plane
-            return plane.handle()
+            with self._private_planes_lock:
+                if self.plane_store is None:
+                    directory = tempfile.mkdtemp(prefix=f"repro-planes-{os.getpid()}-")
+                    self.plane_store = PlaneStore(directory)
+                    self._remove_private_planes = weakref.finalize(
+                        self, shutil.rmtree, directory, ignore_errors=True
+                    )
+                store = self.plane_store
+            return store.export(evaluator, include_factored=include_factored)
 
     def close(self) -> None:
-        """Release any shared-memory planes this backend built."""
-        for plane in self._plane_cache.values():
-            plane.unlink()
-        self._plane_cache.clear()
+        """Remove the private plane directory, if this backend made one."""
+        with self._private_planes_lock:
+            if self._remove_private_planes is not None:
+                self._remove_private_planes()
+                self.plane_store = self._remove_private_planes = None
 
     # -------------------------------------------------------------------- API
     def block_points(self, job: TransformJob, n_points: int) -> int:

@@ -228,11 +228,11 @@ class AnalysisService:
         if workers > 1:
             from ..distributed.backends import MultiprocessingBackend
 
-            # With a checkpoint directory the kernel plane is exported as an
-            # mmap'd file under <checkpoint>/planes, so workers — including
-            # ones started later, or sharing the directory across serve
-            # processes — attach by content digest; without one the plane
-            # lives in an anonymous shared-memory segment.
+            # With a checkpoint directory the kernel plane files go under
+            # <checkpoint>/planes, so workers — including ones started later,
+            # or sharing the directory across serve processes — attach by
+            # content digest; without one they go in a temporary directory
+            # private to the backend, which close() removes.
             plane_store = str(store.directory / "planes") if store else None
             backend = MultiprocessingBackend(
                 processes=workers, plane_store=plane_store
@@ -543,7 +543,7 @@ class AnalysisService:
         self._runner.stop()
         self.jobs.close()
         if self.backend is not None:
-            # unlinks any anonymous shared-memory kernel planes
+            # removes the backend's private plane directory, if it made one
             self.backend.close()
         if self._checkpoint_store is not None:
             self._checkpoint_store.release_artifacts()

@@ -80,8 +80,7 @@ class _RowStructure:
 
     def __init__(self, factored: "FactoredUEvaluator", target_mask: np.ndarray):
         pair_src, pair_dist, pair_of_edge = factored._row_pairs()
-        evaluator = factored.evaluator
-        probs, cols = evaluator._csr_probs, evaluator._indices
+        probs, cols = factored.kernel.csr.probs, factored.kernel.csr.indices
         n = factored.kernel.n_states
         keep = ~target_mask[pair_src]
         kept = np.flatnonzero(keep)
@@ -108,21 +107,24 @@ class _ColStructure:
 
     __slots__ = ("pair_dst", "pair_dist", "matrix", "n_pairs")
 
-    def __init__(self, factored: "FactoredUEvaluator"):
-        evaluator = factored.evaluator
-        n = factored.kernel.n_states
-        dist_index = evaluator._csr_dist_index
-        dst = evaluator._indices
-        keys = dist_index * np.int64(n) + dst
+    def __init__(self, pair_dst: np.ndarray, pair_dist: np.ndarray, matrix):
+        self.pair_dst = pair_dst
+        self.pair_dist = pair_dist
+        self.matrix = matrix
+        self.n_pairs = int(pair_dst.size)
+
+    @classmethod
+    def of(cls, kernel) -> "_ColStructure":
+        csr, n = kernel.csr, kernel.n_states
+        keys = csr.dist_index * np.int64(n) + csr.indices
         unique_keys, pair_of_edge = np.unique(keys, return_inverse=True)
-        self.pair_dist = (unique_keys // n).astype(np.int64)
-        self.pair_dst = (unique_keys % n).astype(np.int64)
-        self.n_pairs = int(unique_keys.size)
-        self.matrix = sparse.csr_matrix(
-            (evaluator._csr_probs, (evaluator._csr_rows, pair_of_edge)),
-            shape=(n, self.n_pairs),
+        matrix = sparse.csr_matrix(
+            (csr.probs, (csr.rows, pair_of_edge)), shape=(n, unique_keys.size)
         )
-        self.matrix.sort_indices()
+        matrix.sort_indices()
+        return cls(
+            (unique_keys % n).astype(np.int64), (unique_keys // n).astype(np.int64), matrix
+        )
 
 
 class FactoredUEvaluator:
@@ -138,7 +140,7 @@ class FactoredUEvaluator:
     #: alternates between a few measures per kernel)
     _STRUCTURE_CACHE = 4
 
-    def __init__(self, evaluator):
+    def __init__(self, evaluator, exported: dict | None = None):
         self.evaluator = evaluator
         self.kernel = evaluator.kernel
         self._row_pair_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -146,6 +148,40 @@ class FactoredUEvaluator:
         self._row_structures: "OrderedDict[bytes, _RowStructure]" = OrderedDict()
         self._col_structure: _ColStructure | None = None
         self._dist_row_sums: np.ndarray | None = None
+        if exported is not None:
+            self._adopt(exported)
+
+    # ---------------------------------------------------------- export/adopt
+    def export(self) -> dict[str, np.ndarray]:
+        """The target-independent structures as named arrays, built if need be.
+
+        What a kernel plane carries beside the kernel's ``csr``; passing the
+        dict (or views of the same arrays) to the constructor gives an engine
+        that computes none of them again.
+        """
+        pair_src, pair_dist, pair_of_edge = self._row_pairs()
+        col = self.col_structure()
+        return {
+            "pair_src": pair_src,
+            "pair_dist": pair_dist,
+            "pair_of_edge": pair_of_edge,
+            "col_pair_dst": col.pair_dst,
+            "col_pair_dist": col.pair_dist,
+            "col_indptr": col.matrix.indptr,
+            "col_indices": col.matrix.indices,
+            "col_data": col.matrix.data,
+            "dist_row_sums": self.dist_row_sums(),
+        }
+
+    def _adopt(self, v: dict) -> None:
+        self._row_pair_cache = (v["pair_src"], v["pair_dist"], v["pair_of_edge"])
+        self._row_pair_count = int(v["pair_src"].size)
+        self._dist_row_sums = v["dist_row_sums"]
+        matrix = sparse.csr_matrix(
+            (v["col_data"], v["col_indices"], v["col_indptr"]),
+            shape=(self.kernel.n_states, v["col_pair_dst"].size), copy=False,
+        )
+        self._col_structure = _ColStructure(v["col_pair_dst"], v["col_pair_dist"], matrix)
 
     # -------------------------------------------------------------- identity
     @property
@@ -165,9 +201,9 @@ class FactoredUEvaluator:
         engine, which must not pay for or pin structures they never use.
         """
         if self._row_pair_count is None:
-            evaluator = self.evaluator
+            csr = self.kernel.csr
             seen = np.zeros((self.n_distributions, self.kernel.n_states), dtype=bool)
-            seen[evaluator._csr_dist_index, evaluator._csr_rows] = True
+            seen[csr.dist_index, csr.rows] = True
             self._row_pair_count = int(np.count_nonzero(seen))
         return self._row_pair_count
 
@@ -202,9 +238,8 @@ class FactoredUEvaluator:
     # ----------------------------------------------------- shared structures
     def _row_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._row_pair_cache is None:
-            evaluator = self.evaluator
-            n = self.kernel.n_states
-            keys = evaluator._csr_dist_index * np.int64(n) + evaluator._csr_rows
+            csr, n = self.kernel.csr, self.kernel.n_states
+            keys = csr.dist_index * np.int64(n) + csr.rows
             unique_keys, pair_of_edge = np.unique(keys, return_inverse=True)
             self._row_pair_cache = (
                 (unique_keys % n).astype(np.int64),
@@ -229,19 +264,15 @@ class FactoredUEvaluator:
 
     def col_structure(self) -> _ColStructure:
         if self._col_structure is None:
-            self._col_structure = _ColStructure(self)
+            self._col_structure = _ColStructure.of(self.kernel)
         return self._col_structure
 
     def dist_row_sums(self) -> np.ndarray:
         """``R[d, i] = Σ_j p_ij`` over transitions of distribution ``d``."""
         if self._dist_row_sums is None:
-            evaluator = self.evaluator
+            csr = self.kernel.csr
             R = np.zeros((self.n_distributions, self.kernel.n_states))
-            np.add.at(
-                R,
-                (evaluator._csr_dist_index, evaluator._csr_rows),
-                evaluator._csr_probs,
-            )
+            np.add.at(R, (csr.dist_index, csr.rows), csr.probs)
             self._dist_row_sums = R
         return self._dist_row_sums
 
@@ -286,15 +317,15 @@ class FactoredUEvaluator:
         ``α @ U(s) = L(s,:) @ A`` — the factored form of the batched
         ``alpha_vec_matrix_batch`` start vector.
         """
-        evaluator = self.evaluator
+        csr = self.kernel.csr
         alpha = np.asarray(alpha, dtype=complex)
-        weights = alpha[evaluator._csr_rows]
+        weights = alpha[csr.rows]
         selected = np.flatnonzero(weights != 0)
         A = np.zeros((self.n_distributions, self.kernel.n_states), dtype=complex)
         np.add.at(
             A,
-            (evaluator._csr_dist_index[selected], evaluator._indices[selected]),
-            weights[selected] * evaluator._csr_probs[selected],
+            (csr.dist_index[selected], csr.indices[selected]),
+            weights[selected] * csr.probs[selected],
         )
         return A
 

@@ -6,10 +6,14 @@ sojourn-time distribution ``H_ij`` attached to every transition.  The
 Laplace–Stieltjes transform of the kernel, ``r*_ij(s) = p_ij H*_ij(s)``, is
 exactly the matrix ``U`` of the iterative algorithm (Eq. 9).
 
-The kernel stores transitions in coordinate form with an index into a list of
-*unique* distribution objects, so evaluating ``U(s)`` costs one transform
-evaluation per distinct distribution (not per transition) plus a single data
-fill of a pre-assembled CSR structure.
+Every transition carries an index into a list of *unique* distribution
+objects, so evaluating ``U(s)`` costs one transform evaluation per distinct
+distribution (not per transition) plus a single data fill.  The kernel owns
+the one image of its edges that the solvers read — :attr:`SMPKernel.csr`, the
+columns in ``(src, dst)`` order — and keeps the columns as they were inserted
+only for what observes that order (the content digest, the simulator's branch
+order, ``mean_sojourn_times``).  Evaluators, the factored engine, the direct
+solver and the kernel plane are all views of ``csr``; none holds a copy.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +30,7 @@ from ..distributions import Distribution
 from ..utils.validation import check_probability_vector, require
 
 __all__ = [
+    "KernelCSR",
     "SMPKernel",
     "UEvaluator",
     "as_evaluator",
@@ -39,7 +44,7 @@ def kernel_content_digest(kernel: "SMPKernel") -> str:
 
     Memoised on the kernel object: a long-lived analysis service re-digests
     the same kernel on every query, and the arrays are immutable after build.
-    Kernels reconstructed from a shared-memory plane carry the original
+    Kernels reconstructed from a kernel plane carry the original
     digest forward (their edge columns are in CSR order, so re-hashing would
     produce a different — but equivalent — value).
     """
@@ -80,6 +85,39 @@ def target_mask(n_states: int, targets) -> np.ndarray:
     return mask
 
 
+class KernelCSR(NamedTuple):
+    """A kernel's edges in ``(src, dst)`` order — the image the solvers read.
+
+    Entry ``e`` is the transition ``rows[e] -> indices[e]`` with probability
+    ``probs[e]`` and sojourn distribution ``dist_index[e]``; row ``i`` owns the
+    entries ``indptr[i]:indptr[i + 1]``.  Order and dtypes are those of scipy's
+    canonical CSR (``indptr``/``indices`` int32 while ``max(nnz, n)`` fits,
+    ``rows``/``dist_index`` int64, ``probs`` float64), so the arrays drop into
+    a ``csr_matrix`` uncopied.  All five are read-only and shared by every
+    consumer; a kernel plane file holds exactly these arrays.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    probs: np.ndarray
+    dist_index: np.ndarray
+
+
+def _edge_order(n_states: int, src: np.ndarray, dst: np.ndarray):
+    """The one sort of a kernel build: ``(order, parallel)``.
+
+    ``order`` is the stable ``(src, dst)`` permutation of the edges (one packed
+    int64 key per pair, a single-array pass); ``parallel[k]`` says that sorted
+    edge ``k + 1`` repeats the pair of sorted edge ``k``.
+    """
+    require(n_states <= 3_000_000_000, "packed (src, dst) keys would overflow int64")
+    keys = src * np.int64(n_states) + dst
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return order, keys[1:] == keys[:-1]
+
+
 class SMPKernel:
     """An immutable semi-Markov process kernel over states ``0 .. n_states-1``.
 
@@ -98,6 +136,7 @@ class SMPKernel:
         state_names: Sequence[str] | None = None,
         *,
         row_sum_tolerance: float = 1e-8,
+        _order: np.ndarray | None = None,
     ):
         require(n_states > 0, "an SMP kernel needs at least one state")
         self.n_states = int(n_states)
@@ -141,18 +180,31 @@ class SMPKernel:
             )
             self._state_names = [str(s) for s in state_names]
 
-        # Pre-assemble the sparse structure shared by P, U(s) and U'(s).
-        self._structure = sparse.csr_matrix(
-            (np.arange(1, self.src.size + 1, dtype=float), (self.src, self.dst)),
-            shape=(self.n_states, self.n_states),
+        # The image shared by P, U(s) and U'(s).  ``_order`` is from_columns
+        # handing over the sort it already made to look for parallel edges.
+        order = _order
+        if order is None:
+            order, parallel = _edge_order(self.n_states, self.src, self.dst)
+            if parallel.any():
+                raise ValueError(
+                    "duplicate transitions detected: combine parallel transitions into a "
+                    "single (probability, Mixture) pair before building the kernel"
+                )
+        index_dtype = (
+            np.int32
+            if max(self.src.size, self.n_states) <= np.iinfo(np.int32).max
+            else np.int64
         )
-        if self._structure.nnz != self.src.size:
-            raise ValueError(
-                "duplicate transitions detected: combine parallel transitions into a "
-                "single (probability, Mixture) pair before building the kernel"
-            )
-        # Permutation mapping COO transition order -> CSR data order.
-        self._coo_to_csr = np.asarray(self._structure.data, dtype=np.int64) - 1
+        counts = np.bincount(self.src, minlength=self.n_states)
+        self.csr = KernelCSR(
+            np.concatenate(([0], np.cumsum(counts))).astype(index_dtype),
+            self.dst.astype(index_dtype)[order],
+            self.src[order],
+            self.probs[order],
+            self.dist_index[order],
+        )
+        for array in self.csr:
+            array.setflags(write=False)
 
         row_sums = np.bincount(self.src, weights=self.probs, minlength=self.n_states)
         dangling = np.where(row_sums < row_sum_tolerance)[0]
@@ -234,28 +286,10 @@ class SMPKernel:
         if src.size == 0:
             raise ValueError("no transitions have been added")
 
-        # One packed int64 key sorts (src, dst) pairs in a single-array pass;
-        # the common no-parallel-edge case detects as "no adjacent equal keys"
-        # without ever permuting the columns.
-        if n_states <= 3_000_000_000:
-            pair_keys = src * np.int64(n_states) + dst
-        else:  # pragma: no cover - keys would overflow int64
-            pair_keys = None
-        if pair_keys is not None:
-            sorted_keys = np.sort(pair_keys)
-            has_duplicates = bool((sorted_keys[1:] == sorted_keys[:-1]).any())
-            order = np.argsort(pair_keys, kind="stable") if has_duplicates else None
-        else:
-            order = np.lexsort((dst, src))
-            s_ordered, d_ordered = src[order], dst[order]
-            has_duplicates = bool(
-                ((s_ordered[1:] == s_ordered[:-1]) & (d_ordered[1:] == d_ordered[:-1])).any()
-            )
-        if has_duplicates:
+        order, parallel = _edge_order(n_states, src, dst)
+        if parallel.any():
             s_sorted, d_sorted = src[order], dst[order]
-            duplicate = np.empty(src.size, dtype=bool)
-            duplicate[0] = False
-            duplicate[1:] = (s_sorted[1:] == s_sorted[:-1]) & (d_sorted[1:] == d_sorted[:-1])
+            duplicate = np.concatenate(([False], parallel))
             p_sorted, di_sorted = probs[order], dist_index[order]
             starts = np.flatnonzero(~duplicate)
             sizes = np.diff(np.append(starts, src.size))
@@ -281,6 +315,7 @@ class SMPKernel:
                     dist_of[mixture] = found
                     distributions.append(mixture)
                 dist_index[g] = found
+            order = None  # of the columns before the merge
 
         if normalise:
             row_sums = np.bincount(src, weights=probs, minlength=n_states)
@@ -292,43 +327,34 @@ class SMPKernel:
             probs = probs / row_sums[src]
 
         return cls(n_states, src, dst, probs, dist_index, list(distributions),
-                   state_names)
+                   state_names, _order=order)
 
     @classmethod
     def _from_csr(
         cls,
         n_states: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        csr_probs: np.ndarray,
-        csr_dist_index: np.ndarray,
-        csr_rows: np.ndarray,
+        csr: KernelCSR,
         distributions: Sequence[Distribution],
         content_digest: str | None = None,
     ) -> "SMPKernel":
-        """Reassemble a kernel zero-copy from already-validated CSR columns.
+        """Adopt an image exported by a kernel that passed ``__init__``.
 
-        The shared-memory plane attach path: the arrays come straight out of
-        a buffer exported by a kernel that already passed ``__init__``'s
-        validation, so this skips re-validation *and* the COO→CSR sort — the
-        edge columns are adopted in CSR order (``_coo_to_csr`` is the
-        identity).  ``content_digest`` stamps the original kernel's digest so
-        checkpoint keys agree across processes.
+        The plane attach path: no re-validation, no sort, no copy — ``csr`` is
+        the kernel, and the edge columns are its arrays (so they read in
+        ``(src, dst)`` order, not the exporter's insertion order).
+        ``content_digest`` stamps the exporter's digest so checkpoint keys
+        agree across processes.
         """
         self = cls.__new__(cls)
         self.n_states = int(n_states)
-        self.src = csr_rows
-        self.dst = indices
-        self.probs = csr_probs
-        self.dist_index = csr_dist_index
+        self.csr = csr
+        self.src = csr.rows
+        self.dst = csr.indices
+        self.probs = csr.probs
+        self.dist_index = csr.dist_index
         self.distributions = list(distributions)
         self._state_names = None
         self._state_names_factory = None
-        self._structure = sparse.csr_matrix(
-            (csr_probs, indices, indptr), shape=(self.n_states, self.n_states),
-            copy=False,
-        )
-        self._coo_to_csr = np.arange(csr_probs.size, dtype=np.int64)
         self._embedded_pi = None
         self._embedded_lock = threading.Lock()
         if content_digest is not None:
@@ -373,9 +399,11 @@ class SMPKernel:
 
     def embedded_matrix(self) -> sparse.csr_matrix:
         """One-step transition probability matrix ``P`` of the embedded DTMC."""
-        mat = self._structure.copy()
-        mat.data = self.probs[self._coo_to_csr]
-        return mat
+        csr = self.csr
+        return sparse.csr_matrix(
+            (csr.probs, csr.indices, csr.indptr),
+            shape=(self.n_states, self.n_states), copy=True,
+        )
 
     def embedded_steady_state(self, method: str = "auto") -> np.ndarray:
         """Stationary vector of the embedded DTMC, solved once per kernel.
@@ -405,12 +433,11 @@ class SMPKernel:
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the transition structure.
 
-        The arrays are shared with the kernel's pre-assembled structure —
-        treat them as read-only.  Graph algorithms (partitioners, BFS
-        orderings) should traverse these instead of rebuilding Python
-        adjacency lists.
+        The arrays are the kernel's own (:attr:`csr`) and read-only.  Graph
+        algorithms (partitioners, BFS orderings) should traverse these instead
+        of rebuilding Python adjacency lists.
         """
-        return self._structure.indptr, self._structure.indices
+        return self.csr.indptr, self.csr.indices
 
     def state_index(self, name: str) -> int:
         """Index of the state called ``name`` (O(n) lookup, for small models/tests)."""
@@ -425,7 +452,7 @@ class SMPKernel:
 
     # ----------------------------------------------------------- transforms
     def evaluator(self) -> "UEvaluator":
-        """A reusable evaluator of ``U(s)`` / ``U'(s)`` sharing the CSR structure."""
+        """A reusable evaluator of ``U(s)`` / ``U'(s)`` over :attr:`csr` (O(1))."""
         return UEvaluator(self)
 
     def u_matrix(self, s: complex) -> sparse.csr_matrix:
@@ -485,60 +512,22 @@ class _BatchLRU:
 
 
 class UEvaluator:
-    """Evaluates ``U(s)`` and target-absorbing ``U'(s)`` re-using one CSR structure.
+    """Evaluates ``U(s)`` and target-absorbing ``U'(s)`` over the kernel's image.
 
     The iterative algorithm calls this once per s-point and then performs
-    ``O(r)`` sparse vector–matrix products, so the evaluator keeps the
-    structural arrays (``indptr``/``indices``) fixed and only refreshes the
-    complex data vector when ``s`` changes.
+    ``O(r)`` sparse vector–matrix products, so only the complex data vector is
+    refreshed when ``s`` changes; the structural arrays are the kernel's
+    :attr:`~SMPKernel.csr`, shared, never copied — constructing an evaluator
+    is O(1) whatever the kernel's size.
     """
 
     def __init__(self, kernel: SMPKernel):
         self.kernel = kernel
-        template = kernel._structure
-        self._indptr = template.indptr.copy()
-        self._indices = template.indices.copy()
-        self._shape = template.shape
-        # probs/dist_index in CSR data order.
-        order = kernel._coo_to_csr
-        self._csr_probs = kernel.probs[order]
-        self._csr_dist_index = kernel.dist_index[order]
-        # row index of every stored entry (needed to zero absorbing rows).
-        self._csr_rows = np.repeat(
-            np.arange(kernel.n_states), np.diff(self._indptr)
-        )
-        self._cache = _EvaluatorCache()
-        self._batch_cache = _BatchLRU()
-
-    @classmethod
-    def _from_parts(
-        cls,
-        kernel: SMPKernel,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        csr_probs: np.ndarray,
-        csr_dist_index: np.ndarray,
-        csr_rows: np.ndarray,
-    ) -> "UEvaluator":
-        """Assemble an evaluator directly over externally-owned CSR arrays.
-
-        The plane attach path: `__init__` would copy ``indptr``/``indices``
-        and re-derive the data-order columns, defeating the point of a
-        shared-memory export.  The caller guarantees the arrays are the CSR
-        projection of ``kernel`` (they come from a buffer that an ordinary
-        evaluator exported).  Caches start empty and are process-local.
-        """
-        self = cls.__new__(cls)
-        self.kernel = kernel
-        self._indptr = indptr
-        self._indices = indices
+        self.csr = kernel.csr
         self._shape = (kernel.n_states, kernel.n_states)
-        self._csr_probs = csr_probs
-        self._csr_dist_index = csr_dist_index
-        self._csr_rows = csr_rows
         self._cache = _EvaluatorCache()
         self._batch_cache = _BatchLRU()
-        return self
+        self._factored = None
 
     # ------------------------------------------------------------ internals
     def _u_data(self, s: complex) -> np.ndarray:
@@ -548,13 +537,13 @@ class UEvaluator:
         lst_values = np.asarray(
             [d.lst(s) for d in self.kernel.distributions], dtype=complex
         )
-        data = self._csr_probs * lst_values[self._csr_dist_index]
+        data = self.csr.probs * lst_values[self.csr.dist_index]
         self._cache = _EvaluatorCache(s=s, data=data)
         return data
 
     def _matrix_from_data(self, data: np.ndarray) -> sparse.csr_matrix:
         return sparse.csr_matrix(
-            (data, self._indices, self._indptr), shape=self._shape, copy=False
+            (data, self.csr.indices, self.csr.indptr), shape=self._shape, copy=False
         )
 
     # ------------------------------------------------------------------ API
@@ -573,13 +562,13 @@ class UEvaluator:
         if target_mask.shape != (self.kernel.n_states,):
             raise ValueError("target_mask must have one boolean per state")
         data = self._u_data(s).copy()
-        data[target_mask[self._csr_rows]] = 0.0
+        data[target_mask[self.csr.rows]] = 0.0
         return self._matrix_from_data(data)
 
     def sojourn_lst(self, s: complex) -> np.ndarray:
         """Per-state sojourn transform ``h*_i(s) = sum_j r*_ij(s)`` (row sums of U)."""
         data = self._u_data(s)
-        rows = self._csr_rows
+        rows = self.csr.rows
         n = self.kernel.n_states
         out = np.zeros(n, dtype=complex)
         out.real = np.bincount(rows, weights=data.real, minlength=n)
@@ -594,19 +583,26 @@ class UEvaluator:
     def fill_chunk_points(self) -> int:
         """How many s-points of per-edge data fit one :attr:`batch_fill_bytes`
         working chunk (shared by the batch fill and the direct solver)."""
-        return max(1, int(self.batch_fill_bytes // max(self._indices.size * 16, 1)))
+        return max(1, int(self.batch_fill_bytes // max(self.csr.indices.size * 16, 1)))
 
-    def factored(self) -> "FactoredUEvaluator":
+    def factored(self, exported: dict | None = None) -> "FactoredUEvaluator":
         """The distribution-factored multi-s engine sharing this kernel.
 
         Built lazily and cached: the pair decompositions cost one pass over
         the edges and are reused by every factored solve on this evaluator.
+        ``exported`` (the arrays of :meth:`FactoredUEvaluator.export`, e.g.
+        views into an attached plane) are adopted instead of recomputed.
         """
-        if getattr(self, "_factored", None) is None:
+        if self._factored is None:
             from .factored import FactoredUEvaluator
 
-            self._factored = FactoredUEvaluator(self)
+            self._factored = FactoredUEvaluator(self, exported)
         return self._factored
+
+    @property
+    def factored_built(self) -> bool:
+        """Whether :meth:`factored` has been asked for on this evaluator."""
+        return self._factored is not None
 
     # ------------------------------------------------------------- batch API
     def u_data_batch(self, s_values, out: np.ndarray | None = None) -> np.ndarray:
@@ -630,7 +626,7 @@ class UEvaluator:
         factored engine, which never materialises per-edge data.
         """
         s_values = np.asarray(s_values, dtype=complex).ravel()
-        nnz = self._indices.size
+        nnz = self.csr.indices.size
         if out is not None and out.shape != (s_values.size, nnz):
             raise ValueError("out must have shape (n_s, nnz)")
         key = s_values.tobytes()
@@ -654,8 +650,8 @@ class UEvaluator:
         for lo in range(0, s_values.size, chunk):
             hi = min(lo + chunk, s_values.size)
             block = out[lo:hi]
-            np.take(lst_matrix[lo:hi], self._csr_dist_index, axis=1, out=block)
-            block *= self._csr_probs
+            np.take(lst_matrix[lo:hi], self.csr.dist_index, axis=1, out=block)
+            block *= self.csr.probs
         if cacheable:
             self._batch_cache.put(key, out)
         return out
@@ -666,12 +662,12 @@ class UEvaluator:
         if target_mask.shape != (self.kernel.n_states,):
             raise ValueError("target_mask must have one boolean per state")
         data = self.u_data_batch(s_values).copy()
-        data[:, target_mask[self._csr_rows]] = 0.0
+        data[:, target_mask[self.csr.rows]] = 0.0
         return data
 
     def sojourn_lst_batch(self, s_values) -> np.ndarray:
         """``(n_s, n_states)`` sojourn transforms ``h*_i(s)`` for a grid of s."""
-        return np.add.reduceat(self.u_data_batch(s_values), self._indptr[:-1], axis=1)
+        return np.add.reduceat(self.u_data_batch(s_values), self.csr.indptr[:-1], axis=1)
 
     def row_abs_sums(self, data_batch: np.ndarray) -> np.ndarray:
         """Per-state row sums of ``|data|`` for every s-point: ``(n_s, n_states)``.
@@ -680,7 +676,7 @@ class UEvaluator:
         iterative sum, which is what the adaptive iterative/direct policy uses
         to predict iteration counts.
         """
-        return np.add.reduceat(np.abs(data_batch), self._indptr[:-1], axis=1)
+        return np.add.reduceat(np.abs(data_batch), self.csr.indptr[:-1], axis=1)
 
     def direct_solve_structure(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Cached CSC symbolic structure of ``A = I - U K`` (Eq. 3).
@@ -696,8 +692,8 @@ class UEvaluator:
         if getattr(self, "_a_structure", None) is None:
             n = self.kernel.n_states
             diag = np.arange(n, dtype=np.int64)
-            all_rows = np.concatenate((diag, self._csr_rows))
-            all_cols = np.concatenate((diag, self._indices))
+            all_rows = np.concatenate((diag, self.csr.rows))
+            all_cols = np.concatenate((diag, self.csr.indices))
             keys = all_cols * np.int64(n) + all_rows
             unique_keys, inverse = np.unique(keys, return_inverse=True)
             a_indices = (unique_keys % n).astype(np.int32)
@@ -711,11 +707,11 @@ class UEvaluator:
     def _csc_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSC view of the shared structure: (entry order, indptr, row indices)."""
         if getattr(self, "_csc_order", None) is None:
-            order = np.argsort(self._indices, kind="stable")
-            counts = np.bincount(self._indices, minlength=self.kernel.n_states)
+            order = np.argsort(self.csr.indices, kind="stable")
+            counts = np.bincount(self.csr.indices, minlength=self.kernel.n_states)
             self._csc_order = order
             self._csc_indptr = np.concatenate(([0], np.cumsum(counts)))
-            self._csc_rows = self._csr_rows[order]
+            self._csc_rows = self.csr.rows[order]
         return self._csc_order, self._csc_indptr, self._csc_rows
 
     def block_diag_matrix(self, data_batch: np.ndarray, *, transpose: bool = False):
@@ -741,8 +737,8 @@ class UEvaluator:
             block_indptr = indptr
         else:
             data = np.ascontiguousarray(data_batch).ravel()
-            indices = (self._indices[None, :] + offsets_s).ravel()
-            block_indptr = self._indptr
+            indices = (self.csr.indices[None, :] + offsets_s).ravel()
+            block_indptr = self.csr.indptr
         big_indptr = np.append(
             (block_indptr[None, :-1] + offsets_e).ravel(), k * nnz
         )
@@ -759,12 +755,12 @@ class UEvaluator:
         that is a handful of transitions rather than the whole kernel.
         """
         alpha = np.asarray(alpha, dtype=complex)
-        weights = alpha[self._csr_rows]
+        weights = alpha[self.csr.rows]
         sel = np.flatnonzero(weights != 0)
         out = np.zeros((data_batch.shape[0], self.kernel.n_states), dtype=complex)
         if sel.size == 0:
             return out
-        cols = self._indices[sel]
+        cols = self.csr.indices[sel]
         contrib = data_batch[:, sel] * weights[sel]
         order = np.argsort(cols, kind="stable")
         sorted_cols = cols[order]
@@ -779,5 +775,5 @@ class UEvaluator:
         construction), so the CSR row segments are all non-empty and a single
         ``reduceat`` over ``indptr`` performs all row reductions at once.
         """
-        contrib = data_batch * x[:, self._indices]
-        return np.add.reduceat(contrib, self._indptr[:-1], axis=1)
+        contrib = data_batch * x[:, self.csr.indices]
+        return np.add.reduceat(contrib, self.csr.indptr[:-1], axis=1)

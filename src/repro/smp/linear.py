@@ -45,8 +45,8 @@ def passage_transform_direct_batch(
     if s_values.size == 0:
         return out
 
-    rows_u = evaluator._csr_rows
-    cols_u = evaluator._indices
+    rows_u = evaluator.kernel.csr.rows
+    cols_u = evaluator.kernel.csr.indices
     # Entries of U that land in a target column feed the right-hand side
     # b_i = sum_{k in j} r*_ik(s); the remaining entries form U K.
     tgt_entries = mask[cols_u]
@@ -57,7 +57,7 @@ def passage_transform_direct_batch(
     # adaptive engine routing a subset of its grid here) skip re-evaluating
     # the distributions' transforms.  Without it the data is materialised in
     # bounded chunks so a large routed set never allocates O(n_s · nnz).
-    nnz = evaluator._indices.size
+    nnz = cols_u.size
     if u_data is None:
         # Fill chunks into one reused caller-owned buffer: chunk grids are
         # throwaway and must not cycle through (and pollute) the evaluator's

@@ -471,7 +471,7 @@ class _BatchOperator:
                 self._up, transpose=self.transpose
             )
         else:
-            indptr, indices = self.evaluator._indptr, self.evaluator._indices
+            indptr, indices = self.evaluator.kernel.adjacency()
             shape = (self.n, self.n)
             self._per_point = [
                 sparse.csr_matrix((self._up[t], indices, indptr), shape=shape)

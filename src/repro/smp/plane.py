@@ -1,21 +1,21 @@
-"""Shared-memory kernel plane: one kernel image, many worker processes.
+"""Kernel plane: one kernel image in a file, many worker processes.
 
 The distributed pipeline's unit of dispatch is an s-block, but every block
-needs the *same* read-only inputs: the kernel's CSR projection (the arrays a
-:class:`~repro.smp.kernel.UEvaluator` works from) and, for the factored
-engine, the per-distribution pair slices.  Pickling those into each worker
-would copy a 5.9M-edge kernel once per process — the scalar-era behaviour
-this module removes.
+needs the *same* read-only inputs: the kernel's image
+(:attr:`SMPKernel.csr <repro.smp.kernel.SMPKernel.csr>`, the five arrays every
+solver reads) and, for the factored engine, the per-distribution pair slices.
+Pickling those into each worker would copy a 5.9M-edge kernel once per
+process — the scalar-era behaviour this module removes.
 
-A :class:`KernelPlane` serialises the arrays once into a single contiguous
-buffer — a POSIX shared-memory segment for same-host pools, or an mmap'd
-file under the checkpoint directory for `semimarkov serve` worker fleets —
-and hands out a tiny picklable :class:`PlaneHandle`.  ``handle.attach()``
-reconstructs a fully functional :class:`~repro.smp.kernel.SMPKernel` /
-:class:`~repro.smp.kernel.UEvaluator` (factored slices prefilled) whose
-arrays are zero-copy views straight into the buffer: attaching costs one
-header unpickle regardless of kernel size, and N workers share one physical
-copy of the kernel.
+A :class:`KernelPlane` writes the arrays once into a single CRC-checked file —
+under a :class:`PlaneStore` directory such as ``<checkpoint>/planes``, or a
+pool's private temporary directory — and hands out a tiny picklable
+:class:`PlaneHandle`, the file's path.  ``handle.attach()`` maps the file
+read-only and reconstructs a fully functional
+:class:`~repro.smp.kernel.SMPKernel` / :class:`~repro.smp.kernel.UEvaluator`
+(factored slices prefilled) whose arrays are zero-copy views straight into
+the mapping: attaching costs one header unpickle and one checksum pass, and N
+workers share one physical copy of the kernel through the page cache.
 
 Layout::
 
@@ -35,19 +35,15 @@ import os
 import pickle
 import struct
 import tempfile
-import weakref
 import zlib
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .. import faults
 from ..obs.metrics import note_corrupt_artifact
-from .factored import FactoredUEvaluator, _ColStructure
-from .kernel import SMPKernel, UEvaluator, kernel_content_digest
+from .kernel import KernelCSR, SMPKernel, UEvaluator, kernel_content_digest
 
 __all__ = [
     "KernelPlane",
@@ -64,37 +60,21 @@ class PlaneIntegrityError(ValueError):
 _MAGIC = b"SMPPLANE1"
 _ALIGN = 64
 
-#: arrays always exported: the CSR projection a UEvaluator runs on
-_CSR_ARRAYS = ("indptr", "indices", "csr_probs", "csr_dist_index", "csr_rows")
-
-
 def _align_up(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
 def _collect_arrays(evaluator: UEvaluator, include_factored: bool) -> dict:
+    csr = evaluator.kernel.csr
     arrays = {
-        "indptr": evaluator._indptr,
-        "indices": evaluator._indices,
-        "csr_probs": evaluator._csr_probs,
-        "csr_dist_index": evaluator._csr_dist_index,
-        "csr_rows": evaluator._csr_rows,
+        "indptr": csr.indptr,
+        "indices": csr.indices,
+        "csr_probs": csr.probs,
+        "csr_dist_index": csr.dist_index,
+        "csr_rows": csr.rows,
     }
     if include_factored:
-        factored = evaluator.factored()
-        pair_src, pair_dist, pair_of_edge = factored._row_pairs()
-        col = factored.col_structure()
-        arrays.update(
-            pair_src=pair_src,
-            pair_dist=pair_dist,
-            pair_of_edge=pair_of_edge,
-            col_pair_dst=col.pair_dst,
-            col_pair_dist=col.pair_dist,
-            col_indptr=col.matrix.indptr,
-            col_indices=col.matrix.indices,
-            col_data=col.matrix.data,
-            dist_row_sums=factored.dist_row_sums(),
-        )
+        arrays.update(evaluator.factored().export())
     return {name: np.ascontiguousarray(a) for name, a in arrays.items()}
 
 
@@ -130,7 +110,7 @@ def _write_into(buf, arrays, entries, header_bytes, payload_start) -> None:
     """Fill ``buf`` with the plane image.
 
     All numpy views over ``buf`` are local to this function so the caller
-    can close the backing afterwards without dangling exports.
+    can close the mapping afterwards without dangling exports.
     """
     buf[: len(_MAGIC)] = _MAGIC
     struct.pack_into("<Q", buf, len(_MAGIC), len(header_bytes))
@@ -170,6 +150,21 @@ def _verify_payload(buf, header: dict, payload_start: int) -> None:
         )
 
 
+def _map_verified(path):
+    """Map a plane file read-only, checked: ``(buf, mapping, header, payload_start)``."""
+    with open(path, "rb") as f:
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    buf = memoryview(mapped)
+    try:
+        header, payload_start = _read_header(buf)
+        _verify_payload(buf, header, payload_start)
+    except BaseException:
+        buf.release()
+        mapped.close()
+        raise
+    return buf, mapped, header, payload_start
+
+
 class AttachedPlane:
     """A kernel plane mapped into this process: views + reconstructed objects.
 
@@ -181,11 +176,10 @@ class AttachedPlane:
     """
 
     def __init__(self, buf, owner, header: dict, payload_start: int):
-        self._owner = owner  # the SharedMemory or mmap keeping the buffer alive
+        self._owner = owner  # the mmap keeping the buffer alive
         self._buf = buf
         self.digest: str = header["digest"]
         self.factored: bool = header["factored"]
-        n = header["n_states"]
         self.arrays: dict[str, np.ndarray] = {}
         for name, dtype, shape, offset in header["arrays"]:
             self.arrays[name] = np.ndarray(
@@ -194,36 +188,20 @@ class AttachedPlane:
             )
         v = self.arrays
         self.kernel = SMPKernel._from_csr(
-            n, v["indptr"], v["indices"], v["csr_probs"], v["csr_dist_index"],
-            v["csr_rows"], header["distributions"], content_digest=self.digest,
+            header["n_states"],
+            KernelCSR(v["indptr"], v["indices"], v["csr_rows"], v["csr_probs"],
+                      v["csr_dist_index"]),
+            header["distributions"], content_digest=self.digest,
         )
-        self.evaluator = UEvaluator._from_parts(
-            self.kernel, v["indptr"], v["indices"], v["csr_probs"],
-            v["csr_dist_index"], v["csr_rows"],
-        )
+        self.evaluator = self.kernel.evaluator()
         if self.factored:
-            factored = FactoredUEvaluator(self.evaluator)
-            factored._row_pair_cache = (
-                v["pair_src"], v["pair_dist"], v["pair_of_edge"],
-            )
-            factored._row_pair_count = int(v["pair_src"].size)
-            factored._dist_row_sums = v["dist_row_sums"]
-            col = _ColStructure.__new__(_ColStructure)
-            col.pair_dst = v["col_pair_dst"]
-            col.pair_dist = v["col_pair_dist"]
-            col.n_pairs = int(v["col_pair_dst"].size)
-            col.matrix = sparse.csr_matrix(
-                (v["col_data"], v["col_indices"], v["col_indptr"]),
-                shape=(n, col.n_pairs), copy=False,
-            )
-            factored._col_structure = col
-            self.evaluator._factored = factored
+            self.evaluator.factored(v)
 
     def close(self) -> None:
         """Drop the views and release the mapping (best effort).
 
-        A worker that holds live evaluator references cannot fully release a
-        shared-memory buffer (numpy exports pin it); process exit reclaims it
+        A worker that holds live evaluator references cannot fully release
+        the mapping (numpy exports pin it); process exit reclaims it
         regardless, so ``BufferError`` here is ignored.
         """
         self.arrays.clear()
@@ -239,183 +217,90 @@ class AttachedPlane:
 
 @dataclass(frozen=True)
 class PlaneHandle:
-    """A picklable reference to a built plane — bytes, not arrays.
+    """A picklable reference to a built plane — its file's path, not arrays.
 
-    ``kind`` is ``"shm"`` (ref is a POSIX shared-memory name) or ``"file"``
-    (ref is a path).  This is all that ever crosses a process boundary.
+    This is all that ever crosses a process boundary.
     """
 
-    kind: str
-    ref: str
+    path: str
 
     def attach(self) -> AttachedPlane:
-        faults.fire("plane.attach", kind=self.kind, ref=self.ref)
-        if self.kind == "shm":
-            # Python's resource tracker registers the segment on *attach*
-            # (not just create) and would unlink it when the first attaching
-            # process exits, yanking the plane out from under every sibling
-            # worker and the owner (bpo-38119).  Ownership stays with the
-            # builder: suppress registration for the duration of the attach.
-            from multiprocessing import resource_tracker
-
-            original_register = resource_tracker.register
-
-            def _register_except_shm(name, rtype):
-                if rtype != "shared_memory":
-                    original_register(name, rtype)
-
-            resource_tracker.register = _register_except_shm
-            try:
-                shm = shared_memory.SharedMemory(name=self.ref)
-            finally:
-                resource_tracker.register = original_register
-            buf = shm.buf
-            try:
-                header, payload_start = _read_header(buf)
-                _verify_payload(buf, header, payload_start)
-            except BaseException:
-                shm.close()
-                raise
-            return AttachedPlane(buf, shm, header, payload_start)
-        if self.kind == "file":
-            with open(self.ref, "rb") as f:
-                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            buf = memoryview(mapped)
-            try:
-                header, payload_start = _read_header(buf)
-                _verify_payload(buf, header, payload_start)
-            except BaseException:
-                buf.release()
-                mapped.close()
-                raise
-            return AttachedPlane(buf, mapped, header, payload_start)
-        raise ValueError(f"unknown plane backing {self.kind!r}")
+        faults.fire("plane.attach", path=self.path)
+        return AttachedPlane(*_map_verified(self.path))
 
 
 class KernelPlane:
-    """Owner side of a plane: builds the buffer and controls its lifetime."""
+    """Owner side of a plane: writes the file and controls its lifetime."""
 
-    def __init__(self, handle: PlaneHandle, digest: str, nbytes: int, shm=None):
-        self._handle = handle
+    def __init__(self, path: Path, digest: str, nbytes: int):
+        self.path = path
         self.digest = digest
         self.nbytes = nbytes
-        self._shm = shm
-        self._unlinked = False
-        if shm is not None:
-            # Belt and braces: if the owner forgets to unlink, reclaim the
-            # segment at GC / interpreter exit instead of leaking /dev/shm.
-            self._finalizer = weakref.finalize(self, KernelPlane._reclaim, shm)
-        else:
-            self._finalizer = None
-
-    @staticmethod
-    def _reclaim(shm) -> None:  # pragma: no cover - exit-path safety net
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:
-            pass
 
     @classmethod
     def build(
         cls,
         evaluator: UEvaluator,
+        path: str | os.PathLike,
         *,
-        backing: str = "shm",
-        path: str | os.PathLike | None = None,
         include_factored: bool | None = None,
     ) -> "KernelPlane":
-        """Serialise ``evaluator``'s kernel into a shared buffer.
+        """Serialise ``evaluator``'s kernel into the file ``path``.
 
         ``include_factored=None`` exports the factored slices only when the
         evaluator has already built its factored engine (callers that know
-        the resolved engine pass an explicit bool).  ``backing="file"``
-        writes atomically to ``path`` (temp file + rename), so concurrent
-        exporters of the same digest are safe.
+        the resolved engine pass an explicit bool).  The file is written
+        atomically (temp file + rename), so concurrent exporters of the same
+        digest are safe.
         """
         if include_factored is None:
-            include_factored = getattr(evaluator, "_factored", None) is not None
+            include_factored = evaluator.factored_built
         arrays, entries, header_bytes, payload_start, total = _plan(
             evaluator, include_factored
         )
         digest = kernel_content_digest(evaluator.kernel)
-        faults.fire("plane.export", digest=digest, backing=backing)
-        if backing == "shm":
-            shm = shared_memory.SharedMemory(create=True, size=total)
-            _write_into(shm.buf, arrays, entries, header_bytes, payload_start)
-            faults.corrupt_buffer(
-                "plane.export", shm.buf, start=payload_start, digest=digest
-            )
-            return cls(PlaneHandle("shm", shm.name), digest, total, shm=shm)
-        if backing == "file":
-            if path is None:
-                raise ValueError("file backing requires a path")
-            path = Path(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".plane.tmp")
-            try:
-                with os.fdopen(fd, "r+b") as f:
-                    f.truncate(total)
-                    mapped = mmap.mmap(f.fileno(), total, access=mmap.ACCESS_WRITE)
-                    try:
-                        _write_into(mapped, arrays, entries, header_bytes,
-                                    payload_start)
-                        faults.corrupt_buffer(
-                            "plane.export", mapped, start=payload_start,
-                            digest=digest,
-                        )
-                        mapped.flush()
-                    finally:
-                        mapped.close()
-                os.replace(tmp, path)
-            except BaseException:
+        faults.fire("plane.export", digest=digest)
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".plane.tmp")
+        try:
+            with os.fdopen(fd, "r+b") as f:
+                f.truncate(total)
+                mapped = mmap.mmap(f.fileno(), total, access=mmap.ACCESS_WRITE)
                 try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            return cls(PlaneHandle("file", str(path)), digest, total)
-        raise ValueError(f"unknown plane backing {backing!r}")
+                    _write_into(mapped, arrays, entries, header_bytes, payload_start)
+                    faults.corrupt_buffer(
+                        "plane.export", mapped, start=payload_start, digest=digest
+                    )
+                    mapped.flush()
+                finally:
+                    mapped.close()
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        return cls(path, digest, total)
 
     def handle(self) -> PlaneHandle:
-        return self._handle
-
-    def close(self) -> None:
-        """Release the owner's mapping (shm only; file planes live on disk)."""
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:  # pragma: no cover - no owner-side views exist
-                pass
+        return PlaneHandle(str(self.path))
 
     def unlink(self) -> None:
-        """Destroy the backing.  Safe to call more than once."""
-        if self._unlinked:
-            return
-        self._unlinked = True
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        if self._shm is not None:
-            self.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        elif self._handle.kind == "file":
-            try:
-                os.unlink(self._handle.ref)
-            except FileNotFoundError:
-                pass
+        """Delete the file.  Safe to call more than once."""
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.path)
 
 
 class PlaneStore:
     """Content-addressed plane files under a directory (``<digest>.<eng>.plane``).
 
-    The file-backed sibling of the shm path: `semimarkov serve` exports each
-    registered kernel once, and worker processes — including ones started
-    later, or on a checkpoint-sharing host — attach by digest.  Export is
-    idempotent and atomic; the factored and csr-only variants of one kernel
-    coexist because their filenames differ.
+    `semimarkov serve` exports each registered kernel once, and worker
+    processes — including ones started later, or on a checkpoint-sharing
+    host — attach by digest.  Export is idempotent and atomic; the factored
+    and csr-only variants of one kernel coexist because their filenames
+    differ.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -441,35 +326,24 @@ class PlaneStore:
         exporter *and* to every worker attaching by digest.
         """
         try:
-            with open(path, "rb") as f:
-                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            try:
-                buf = memoryview(mapped)
-                try:
-                    header, payload_start = _read_header(buf)
-                    _verify_payload(buf, header, payload_start)
-                finally:
-                    buf.release()
-            finally:
-                mapped.close()
+            buf, mapped, _, _ = _map_verified(path)
         except Exception:  # truncated/garbled files fail header or CRC reads
             cls._quarantine(path)
             return False
+        buf.release()
+        mapped.close()
         return True
 
     def export(
         self, evaluator: UEvaluator, *, include_factored: bool | None = None
     ) -> PlaneHandle:
         if include_factored is None:
-            include_factored = getattr(evaluator, "_factored", None) is not None
+            include_factored = evaluator.factored_built
         digest = kernel_content_digest(evaluator.kernel)
         path = self.path_for(digest, factored=include_factored)
         if not path.exists() or not self._valid(path):
-            KernelPlane.build(
-                evaluator, backing="file", path=path,
-                include_factored=include_factored,
-            )
-        return PlaneHandle("file", str(path))
+            KernelPlane.build(evaluator, path, include_factored=include_factored)
+        return PlaneHandle(str(path))
 
     def attach(self, digest: str, *, factored: bool = False) -> AttachedPlane:
         path = self.path_for(digest, factored=factored)
@@ -479,7 +353,7 @@ class PlaneStore:
         if not path.exists():
             raise FileNotFoundError(f"no plane exported for digest {digest}")
         try:
-            return PlaneHandle("file", str(path)).attach()
+            return PlaneHandle(str(path)).attach()
         except PlaneIntegrityError:
             self._quarantine(path)
             raise FileNotFoundError(

@@ -9,6 +9,9 @@ independent of the blocking, so in practice the agreement is bit-exact.)
 """
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from repro.models import (
 )
 from repro.petri import build_kernel, explore
 from repro.smp import SPointPolicy, source_weights
-from tests.oneloop import LoopRun
+from tests.oneloop import LoopRun, private_plane_dirs
 
 T_POINTS = [0.5, 2.0]
 PARITY = dict(rtol=0.0, atol=1e-10)
@@ -98,11 +101,19 @@ class TestQueryLevelWorkers:
         return passage_query.run(engine="inline")
 
     def test_multiprocessing_workers_kwarg(self, passage_query, inline_result):
-        result = passage_query.run(engine="multiprocessing", workers=2)
+        planes_before = private_plane_dirs()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = passage_query.run(engine="multiprocessing", workers=2)
+            gc.collect()
         np.testing.assert_allclose(result.density, inline_result.density, **PARITY)
         workers = result.statistics.get("workers")
         assert workers
         assert sum(e["points"] for e in workers.values()) > 0
+        # nobody closed the engine: its pool's private plane directory went
+        # with it, silently
+        assert private_plane_dirs() <= planes_before
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_workers_and_processes_conflict(self):
         from repro.api.engines import EngineError, MultiprocessingEngine

@@ -54,8 +54,8 @@ class TestPayloadSize:
         assert spec_bytes < 2_000
         assert job_bytes > 50 * spec_bytes
 
-    def test_per_block_payload_is_bounded(self, big_job):
-        plane = KernelPlane.build(big_job.evaluator)
+    def test_per_block_payload_is_bounded(self, big_job, tmp_path):
+        plane = KernelPlane.build(big_job.evaluator, tmp_path / "kernel.plane")
         try:
             handle_bytes = len(pickle.dumps(plane.handle()))
             queue = SBlockQueue.from_points(S_GRID, 4)
@@ -67,8 +67,8 @@ class TestPayloadSize:
         finally:
             plane.unlink()
 
-    def test_spec_build_round_trip(self, big_job):
-        plane = KernelPlane.build(big_job.evaluator)
+    def test_spec_build_round_trip(self, big_job, tmp_path):
+        plane = KernelPlane.build(big_job.evaluator, tmp_path / "kernel.plane")
         try:
             attached = plane.handle().attach()
             spec = pickle.loads(pickle.dumps(JobSpec.from_job(big_job)))

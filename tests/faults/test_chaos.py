@@ -7,9 +7,9 @@ invariants every defence must preserve:
 
 * **parity**: the returned values match a serial solve to <= 1e-10, fault or
   no fault — recovery never substitutes approximate or stale results;
-* **no leaks**: no shared-memory segments, ``*.plane.tmp``, ``*.tmp`` or
-  ``*.lock`` files survive the run once the backend is closed and artifacts
-  released.
+* **no leaks**: no shared-memory segments, no private plane directory of
+  this process, no ``*.plane.tmp``, ``*.tmp`` or ``*.lock`` files survive the
+  run once the backend is closed and artifacts released.
 
 The schedules are deterministic: triggers are label filters and cross-process
 ``limit`` tokens (the ``seed`` pins any probabilistic byte picks), so a
@@ -18,6 +18,7 @@ failing schedule replays exactly under its ``REPRO_FAULTS`` string.
 from __future__ import annotations
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ import pytest
 from repro.core.jobs import PassageTimeJob
 from repro.distributed import CheckpointStore, MultiprocessingBackend, SerialBackend
 from repro.laplace.inverter import canonical_s
+from repro.obs.metrics import get_metrics
 from repro.service.cache import TieredResultCache
 from repro.smp import SPointPolicy, source_weights
+from tests.oneloop import private_plane_dirs
 from tests.smp.conftest import random_kernel
 
 S_GRID = [complex(0.3 * (k + 1), 0.9 * k) for k in range(16)]
@@ -59,14 +62,15 @@ def _shm_entries():
 
 def _run_schedule(job, spec, monkeypatch, *, on_block=None):
     """One chaos run: set the schedule, solve on two workers, check leaks."""
-    shm_before = _shm_entries()
+    shm_before, planes_before = _shm_entries(), private_plane_dirs()
     monkeypatch.setenv("REPRO_FAULTS", spec)
     backend = MultiprocessingBackend(processes=2, block_size=4)
     try:
         values = backend.evaluate(job, S_GRID, on_block=on_block)
     finally:
         backend.close()
-    assert _shm_entries() <= shm_before  # no leaked kernel planes
+    assert _shm_entries() <= shm_before  # no leaked kernel planes,
+    assert private_plane_dirs() <= planes_before  # wherever they live
     return values, backend
 
 
@@ -120,6 +124,32 @@ def test_schedule_plane_attach_failure(
     )
     assert list(state.glob("rule*.fire*"))
     _assert_parity(values, serial_reference)
+
+
+def test_schedule_corrupt_plane_export(kernel, serial_reference, monkeypatch):
+    """A store-less pool writes its plane corrupted: every worker's attach
+    fails its checksum until the retries run out, and the *next* evaluate
+    finds the bad file, quarantines it and exports afresh — a pool without a
+    plane store heals like one with."""
+    planes_before = private_plane_dirs()
+    corrupt = get_metrics().counter(
+        "repro_corrupt_artifacts_total",
+        "on-disk artifacts that failed an integrity check", ("kind",),
+    )
+    quarantined_before = corrupt.value(kind="plane")
+    monkeypatch.setenv("REPRO_FAULTS", "seed=6;plane.export=corrupt-bytes:limit=1")
+    backend = MultiprocessingBackend(processes=2, block_size=4)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            backend.evaluate(_job(kernel), S_GRID)
+        assert corrupt.value(kind="plane") == quarantined_before
+        values = backend.evaluate(_job(kernel), S_GRID)
+        assert corrupt.value(kind="plane") == quarantined_before + 1
+        assert len(private_plane_dirs() - planes_before) == 1
+    finally:
+        backend.close()
+    _assert_parity(values, serial_reference)
+    assert private_plane_dirs() <= planes_before
 
 
 def test_schedule_corrupt_checkpoint_block(

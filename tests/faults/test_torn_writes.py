@@ -136,7 +136,7 @@ class TestPlaneStore:
             FaultPlan(seed=3).rule("plane.export", "corrupt-bytes", limit=1)
         ):
             handle = store.export(evaluator)
-        digest = Path(handle.ref).name.split(".")[0]
+        digest = Path(handle.path).name.split(".")[0]
         with pytest.raises(FileNotFoundError, match="quarantined"):
             store.attach(digest)
         assert list(tmp_path.glob("*.corrupt"))
@@ -144,8 +144,6 @@ class TestPlaneStore:
         store.export(evaluator)
         attached = store.attach(digest)
         try:
-            np.testing.assert_array_equal(
-                attached.evaluator._csr_probs, evaluator._csr_probs
-            )
+            np.testing.assert_array_equal(attached.kernel.csr.probs, kernel.csr.probs)
         finally:
             attached.close()

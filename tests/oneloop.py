@@ -7,6 +7,10 @@ it here, from the same parts.
 """
 from __future__ import annotations
 
+import glob
+import os
+import tempfile
+
 from repro.api import QueryPlan, measures
 from repro.laplace import get_inverter
 from repro.service.cache import TieredResultCache
@@ -38,3 +42,11 @@ class LoopRun:
 
     def cdf(self, t_points):
         return self._invert(t_points, cdf=True)
+
+
+def private_plane_dirs() -> set[str]:
+    """The plane directories store-less pools of this process made and have
+    not removed — what a leak check compares before and after a run."""
+    return set(glob.glob(
+        os.path.join(tempfile.gettempdir(), f"repro-planes-{os.getpid()}-*")
+    ))

@@ -24,6 +24,7 @@ from repro.distributed import MultiprocessingBackend
 from repro.service.cache import TieredResultCache
 from repro.service.scheduler import CoalescingScheduler
 from repro.smp import source_weights
+from tests.oneloop import private_plane_dirs
 
 S = complex(1.0, 2.0)
 
@@ -293,6 +294,7 @@ def test_pool_stop_cancels_pending_blocks_and_releases_everything(
     )
     incident_dirs = os.path.join(tempfile.gettempdir(), "repro-incident-*")
     incidents_before = set(glob.glob(incident_dirs))
+    planes_before = private_plane_dirs()
     shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     job = PassageTimeJob(
         kernel=two_state_kernel,
@@ -317,5 +319,6 @@ def test_pool_stop_cancels_pending_blocks_and_releases_everything(
     assert cache.stats()["points_in_memory"] == 2
     assert not scheduler._in_flight
     assert set(glob.glob(incident_dirs)) == incidents_before
+    assert private_plane_dirs() <= planes_before
     if os.path.isdir("/dev/shm"):
         assert set(os.listdir("/dev/shm")) <= shm_before

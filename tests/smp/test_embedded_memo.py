@@ -166,8 +166,8 @@ class TestPicklingAndPlane:
         s = 0.7 + 1.3j
         assert clone.evaluate(s) == job.evaluate(s)
 
-    def test_plane_attached_kernel_memoises_too(self, kernel, embedded_solves):
-        plane = KernelPlane.build(kernel.evaluator())
+    def test_plane_attached_kernel_memoises_too(self, kernel, embedded_solves, tmp_path):
+        plane = KernelPlane.build(kernel.evaluator(), tmp_path / "kernel.plane")
         try:
             mapping = plane.handle().attach()
             attached = mapping.kernel

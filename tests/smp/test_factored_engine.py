@@ -355,8 +355,9 @@ def test_transient_direct_solver_uses_batch_block_sizing():
 
 def _sorted_pair_count(evaluator) -> int:
     """The (distribution, source) pair count the slow way: sort the edge keys."""
-    keys = evaluator._csr_dist_index * np.int64(evaluator.kernel.n_states)
-    return int(np.unique(keys + evaluator._csr_rows).size)
+    csr = evaluator.kernel.csr
+    keys = csr.dist_index * np.int64(evaluator.kernel.n_states)
+    return int(np.unique(keys + csr.rows).size)
 
 
 def test_policy_engine_selection(monkeypatch):

@@ -1,9 +1,9 @@
 """Kernel-plane round trips: build once, attach zero-copy, evaluate identically.
 
-The plane is the shared-memory image of a kernel's CSR projection (plus the
+The plane is a file holding a kernel's image, ``kernel.csr`` (plus the
 factored engine's per-distribution slices).  These tests pin down the three
 contract points the execution stack depends on: the handle is tiny and
-picklable, attaching reconstructs arrays as *views* into the buffer (no
+picklable, attaching reconstructs arrays as *views* into the mapping (no
 copies), and an evaluator rebuilt from a plane computes bit-identical
 transform values.
 """
@@ -35,6 +35,11 @@ def evaluator(kernel):
     return kernel.evaluator()
 
 
+@pytest.fixture
+def plane_path(tmp_path):
+    return tmp_path / "kernel.plane"
+
+
 S_POINTS = np.array([0.5 + 1.0j, 1.5 + 2.0j, 2.0 - 0.5j, 0.1 + 7.0j])
 
 
@@ -45,8 +50,8 @@ def _job(kernel):
 
 
 class TestShmPlane:
-    def test_handle_is_tiny_and_picklable(self, evaluator):
-        plane = KernelPlane.build(evaluator)
+    def test_handle_is_tiny_and_picklable(self, evaluator, plane_path):
+        plane = KernelPlane.build(evaluator, plane_path)
         try:
             payload = pickle.dumps(plane.handle())
             assert len(payload) < 512
@@ -54,24 +59,24 @@ class TestShmPlane:
         finally:
             plane.unlink()
 
-    def test_attach_is_zero_copy(self, evaluator):
-        plane = KernelPlane.build(evaluator)
+    def test_attach_is_zero_copy(self, kernel, evaluator, plane_path):
+        plane = KernelPlane.build(evaluator, plane_path)
         try:
             attached = plane.handle().attach()
             for name, array in attached.arrays.items():
                 assert not array.flags["OWNDATA"], name
             np.testing.assert_array_equal(
-                attached.arrays["csr_probs"], evaluator._csr_probs
+                attached.arrays["csr_probs"], kernel.csr.probs
             )
             np.testing.assert_array_equal(
-                attached.arrays["indptr"], evaluator._indptr
+                attached.arrays["indptr"], kernel.csr.indptr
             )
             attached.close()
         finally:
             plane.unlink()
 
-    def test_digest_round_trip(self, kernel, evaluator):
-        plane = KernelPlane.build(evaluator)
+    def test_digest_round_trip(self, kernel, evaluator, plane_path):
+        plane = KernelPlane.build(evaluator, plane_path)
         try:
             attached = plane.handle().attach()
             assert attached.digest == kernel_content_digest(kernel)
@@ -82,9 +87,9 @@ class TestShmPlane:
         finally:
             plane.unlink()
 
-    def test_attached_evaluator_matches_original(self, kernel, evaluator):
+    def test_attached_evaluator_matches_original(self, kernel, evaluator, plane_path):
         reference, _ = _job(kernel).evaluate_batch(S_POINTS)
-        plane = KernelPlane.build(evaluator)
+        plane = KernelPlane.build(evaluator, plane_path)
         try:
             attached = plane.handle().attach()
             job = _job(attached.kernel)
@@ -95,20 +100,18 @@ class TestShmPlane:
         finally:
             plane.unlink()
 
-    def test_factored_slices_prefilled(self, kernel, evaluator):
+    def test_factored_slices_prefilled(self, kernel, evaluator, plane_path):
         factored = evaluator.factored()
-        factored.prewarm()
-        factored.col_structure()
-        plane = KernelPlane.build(evaluator, include_factored=True)
+        plane = KernelPlane.build(evaluator, plane_path, include_factored=True)
         try:
             attached = plane.handle().attach()
             assert attached.factored
-            rebuilt = attached.evaluator._factored
-            assert rebuilt is not None
-            pair_src, pair_dist, pair_of_edge = factored._row_pairs()
-            np.testing.assert_array_equal(rebuilt._row_pair_cache[0], pair_src)
-            np.testing.assert_array_equal(rebuilt._row_pair_cache[1], pair_dist)
-            np.testing.assert_array_equal(rebuilt._row_pair_cache[2], pair_of_edge)
+            assert attached.evaluator.factored_built
+            rebuilt = attached.evaluator.factored()
+            exported = factored.export()
+            for name, array in rebuilt.export().items():
+                np.testing.assert_array_equal(array, exported[name])
+                assert not array.flags["OWNDATA"], name  # adopted, not recomputed
             col, rebuilt_col = factored.col_structure(), rebuilt.col_structure()
             assert rebuilt_col.n_pairs == col.n_pairs
             np.testing.assert_array_equal(
@@ -118,8 +121,8 @@ class TestShmPlane:
         finally:
             plane.unlink()
 
-    def test_unlink_is_idempotent(self, evaluator):
-        plane = KernelPlane.build(evaluator)
+    def test_unlink_is_idempotent(self, evaluator, plane_path):
+        plane = KernelPlane.build(evaluator, plane_path)
         plane.unlink()
         plane.unlink()
         with pytest.raises(FileNotFoundError):
@@ -128,8 +131,8 @@ class TestShmPlane:
 
 class TestFilePlane:
     def test_file_backing_round_trip(self, kernel, evaluator, tmp_path):
-        path = tmp_path / "kernel.plane"
-        plane = KernelPlane.build(evaluator, backing="file", path=path)
+        path = tmp_path / "nested" / "kernel.plane"
+        plane = KernelPlane.build(evaluator, path)
         assert path.exists()
         attached = plane.handle().attach()
         job = _job(attached.kernel)
@@ -142,20 +145,22 @@ class TestFilePlane:
         assert not path.exists()
 
     def test_file_backing_requires_path(self, evaluator):
-        with pytest.raises(ValueError):
-            KernelPlane.build(evaluator, backing="file")
+        """A plane is a file: there is nowhere else to build one."""
+        with pytest.raises(TypeError):
+            KernelPlane.build(evaluator)
 
-    def test_unknown_backing_rejected(self, evaluator):
-        with pytest.raises(ValueError):
-            KernelPlane.build(evaluator, backing="carrier-pigeon")
-        with pytest.raises(ValueError):
-            PlaneHandle("carrier-pigeon", "x").attach()
+    def test_unknown_backing_rejected(self, evaluator, tmp_path):
+        """... and the ``backing=`` / handle-``kind`` fork is gone with shm."""
+        with pytest.raises(TypeError):
+            KernelPlane.build(evaluator, tmp_path / "k.plane", backing="shm")
+        with pytest.raises(TypeError):
+            PlaneHandle("file", str(tmp_path / "k.plane"))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.plane"
         path.write_bytes(b"not a plane at all, sorry" * 4)
         with pytest.raises(ValueError, match="magic"):
-            PlaneHandle("file", str(path)).attach()
+            PlaneHandle(str(path)).attach()
 
 
 class TestPlaneStore:

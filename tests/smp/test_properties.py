@@ -1,11 +1,19 @@
 """Hypothesis property tests on random SMP kernels."""
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from repro.core.jobs import PassageTimeJob
 from repro.smp import (
+    KernelPlane,
+    SMPKernel,
     dtmc_steady_state,
+    kernel_content_digest,
     passage_transform_direct,
     passage_transform_vector,
     smp_steady_state,
@@ -82,3 +90,94 @@ def test_reachability_probability_at_small_s(seed, n, s):
     kernel = random_kernel(np.random.default_rng(seed), n)
     vec = passage_transform_direct(kernel, [n - 1], 1e-10)
     assert np.allclose(vec, 1.0, atol=1e-5)
+
+
+# --- the kernel image: one CSR, owned by the kernel, shared by every reader ---
+
+
+def _reinserted(kernel: SMPKernel, rng: np.random.Generator) -> SMPKernel:
+    """The same edges, inserted in a seeded random order."""
+    shuffle = rng.permutation(kernel.n_transitions)
+    return SMPKernel(
+        kernel.n_states, kernel.src[shuffle], kernel.dst[shuffle],
+        kernel.probs[shuffle], kernel.dist_index[shuffle], kernel.distributions,
+    )
+
+
+@given(seed=kernel_seeds, n=sizes)
+@settings(max_examples=30, deadline=None)
+def test_csr_image_is_scipys_canonical_csr(seed, n):
+    """``kernel.csr`` is what scipy's COO->CSR conversion of the edge columns
+    gives, array for array and dtype for dtype — whatever the insertion order."""
+    rng = np.random.default_rng(seed)
+    kernel = _reinserted(random_kernel(rng, n), rng)
+    tagged = sparse.csr_matrix(
+        (np.arange(1.0, kernel.n_transitions + 1), (kernel.src, kernel.dst)),
+        shape=(n, n),
+    )
+    entry = tagged.data.astype(np.int64) - 1  # COO position of each CSR entry
+    expected = (
+        tagged.indptr,
+        tagged.indices,
+        np.repeat(np.arange(n), np.diff(tagged.indptr)),
+        kernel.probs[entry],
+        kernel.dist_index[entry],
+    )
+    assert kernel.csr._fields == ("indptr", "indices", "rows", "probs", "dist_index")
+    for name, got, want in zip(kernel.csr._fields, kernel.csr, expected):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+
+
+@given(seed=kernel_seeds, n=sizes, s=s_values)
+@settings(max_examples=30, deadline=None)
+def test_evaluators_and_planes_are_views_of_the_image(seed, n, s):
+    kernel = random_kernel(np.random.default_rng(seed), n)
+    evaluator = kernel.evaluator()
+    held = [
+        array
+        for value in vars(evaluator).values()
+        for array in (value if isinstance(value, tuple) else (value,))
+        if isinstance(array, np.ndarray)
+    ]
+    assert len(held) == 5
+    assert all(any(np.shares_memory(a, b) for b in kernel.csr) for a in held)
+    u = evaluator.u(s)
+    assert np.shares_memory(u.indptr, kernel.csr.indptr)
+    assert np.shares_memory(u.indices, kernel.csr.indices)
+    assert kernel.evaluator().csr is kernel.csr  # every further evaluator: nothing
+
+    with tempfile.TemporaryDirectory() as directory:
+        plane = KernelPlane.build(evaluator, Path(directory) / "kernel.plane")
+        attached = plane.handle().attach()
+        try:
+            assert attached.evaluator.csr is attached.kernel.csr
+            for name, mapped, own in zip(kernel.csr._fields, attached.kernel.csr, kernel.csr):
+                assert mapped.dtype == own.dtype, name
+                assert np.array_equal(mapped, own), name
+                assert not mapped.flags["OWNDATA"], name
+        finally:
+            attached.close()
+
+
+@given(seed=kernel_seeds, n=sizes, s=s_values)
+@settings(max_examples=30, deadline=None)
+def test_insertion_order_moves_the_digest_not_the_values(seed, n, s):
+    """The solvers read ``csr`` only, so two insertion orders of the same
+    edges solve bit-identically; the content digest hashes the columns as
+    inserted, so it differs (dropping the columns would move digests)."""
+    rng = np.random.default_rng(seed)
+    kernel = random_kernel(rng, n)
+    shuffled = _reinserted(kernel, rng)
+    if np.array_equal(shuffled.src, kernel.src) and np.array_equal(shuffled.dst, kernel.dst):
+        return  # the identity permutation
+    assert kernel_content_digest(shuffled) != kernel_content_digest(kernel)
+    grid = np.array([s, s.conjugate() + 0.5, 2.0 * s])
+    values = [
+        PassageTimeJob(
+            kernel=k, alpha=source_weights(k, [0, n // 2]), targets=[n - 1]
+        ).evaluate_batch(grid)[0]
+        for k in (kernel, shuffled)
+    ]
+    assert np.array_equal(values[0], values[1])

@@ -5,20 +5,24 @@ job's batch evaluation, and only the two modules that own a key format call
 the scalar canonicaliser — every other surface reaches both through
 ``CoalescingScheduler.evaluate`` and the keys its ``QueryPlan`` carries.  One
 layer down, every batched solve is one block loop around one routed block
-solve around one driver (``smp/passage.py``).  A new call site outside these
-files is a second path growing back.
+solve around one driver (``smp/passage.py``).  One more down, the edges have
+one image — ``SMPKernel.csr`` — that every solver reads and a plane file
+shares.  A new call site outside these files is a second path growing back.
 """
 from __future__ import annotations
 
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import repro
-from repro.smp import SPointPolicy
+from repro.distributions import Exponential
+from repro.smp import SMPBuilder, SPointPolicy
 
 SRC = Path(repro.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _call_sites(*names: str) -> dict[str, int]:
@@ -97,3 +101,62 @@ def test_policy_knobs_earn_their_keep():
         "blockdiag_max_bytes", "direct_max_states", "chunk_size",
     ):
         assert name not in source, name
+
+
+# --- one more down: one kernel image ----------------------------------------
+
+
+def _nodes(path: Path, *kinds):
+    return [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, kinds)]
+
+
+def test_the_solvers_read_the_kernels_image():
+    """Nothing reaches for an evaluator-private projection of the edges: the
+    arrays have one name, ``kernel.csr.*``, in ``src/`` and in the tests."""
+    private = re.compile(r"_csr_\w+|_indptr|_indices")
+    reaches = {
+        path.as_posix(): node.attr
+        for root in (SRC, TESTS)
+        for path in sorted(root.rglob("*.py"))
+        if path != SRC / "smp" / "kernel.py"
+        for node in _nodes(path, ast.Attribute)
+        if private.fullmatch(node.attr)
+    }
+    assert not reaches
+
+
+def test_the_plane_goes_through_public_names():
+    builder = SMPBuilder()
+    builder.add_transition("a", "b", 1.0, Exponential(1.0))
+    builder.add_transition("b", "a", 1.0, Exponential(2.0))
+    evaluator = builder.build().evaluator()
+    private = {
+        name
+        for obj in (evaluator, evaluator.factored())
+        for name in (*vars(obj), *dir(type(obj)))
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert {"_factored", "_row_pair_cache", "_col_structure"} <= private
+    plane = SRC / "smp" / "plane.py"
+    named = {
+        getattr(node, "attr", None) or node.value
+        for node in _nodes(plane, ast.Attribute, ast.Constant)
+    }
+    assert not private & named
+
+
+def test_one_way_to_share_a_kernel():
+    """A plane is a file; one function writes it."""
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for name in (
+        "_from_parts", "_coo_to_csr", "_plane_cache", "shared_memory", "resource_tracker",
+    ):
+        assert not [path for path, text in sources.items() if name in text], name
+    writers = {}
+    for path in sources:
+        nodes = _nodes(path, ast.arg, ast.keyword, ast.Attribute)
+        assert "backing" not in [getattr(node, "arg", None) for node in nodes], path
+        writes = sum(getattr(node, "attr", None) == "ACCESS_WRITE" for node in nodes)
+        if writes:
+            writers[path.relative_to(SRC).as_posix()] = writes
+    assert writers == {"smp/plane.py": 1}
