@@ -26,7 +26,7 @@ from repro.models import (
     build_voting_graph,
     voting_spec_text,
 )
-from repro.petri import explore_vectorized
+from repro.petri import explore
 
 
 def main() -> None:
@@ -49,7 +49,7 @@ def main() -> None:
           f"constants {spec.constants}")
 
     net = load_model(spec_text, name="voting")
-    graph = explore_vectorized(net)
+    graph = explore(net)
     reference = build_voting_graph(params)
     print(f"state space from the specification : {graph.n_states} states / {graph.n_edges} edges")
     print(f"state space from the Python model  : {reference.n_states} states / {reference.n_edges} edges")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models import web_server_net
-from repro.petri import build_kernel, explore_vectorized, passage_solver
+from repro.petri import build_kernel, explore, passage_solver
 from repro.simulation import PetriSimulator
 from repro.smp import smp_steady_state
 
@@ -30,7 +30,7 @@ from repro.smp import smp_steady_state
 def main() -> None:
     servers, queue_capacity = 3, 4
     net = web_server_net(servers=servers, queue_capacity=queue_capacity)
-    graph = explore_vectorized(net)
+    graph = explore(net)
     kernel = build_kernel(graph)
     print(f"web-server cluster: {servers} servers, buffer {queue_capacity}")
     print(f"state space: {graph.n_states} states, {graph.n_edges} transitions\n")

@@ -64,7 +64,7 @@ from repro.distributions import Deterministic, Erlang, Exponential, Uniform, Wei
 from repro.laplace.euler import EulerInverter
 from repro.models import SCALED_CONFIGURATIONS
 from repro.models.voting import VotingParameters, build_voting_net
-from repro.petri import build_kernel, explore_vectorized
+from repro.petri import build_kernel, explore
 from repro.obs import get_metrics
 from repro.obs.metrics import effective_cores
 from repro.smp import SMPBuilder, SPointPolicy, passage_transform_batch
@@ -260,7 +260,7 @@ def voting_passage(params: VotingParameters, t_points, budget_bytes: int) -> dic
     print(f"# voting passage density: {params.label}", flush=True)
     started = time.perf_counter()
     net = build_voting_net(params)
-    graph = explore_vectorized(net)
+    graph = explore(net)
     kernel = build_kernel(graph, allow_truncated=graph.truncated)
     build_seconds = time.perf_counter() - started
     evaluator = kernel.evaluator()

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""State-space exploration benchmark: the array-backed core vs. the legacy explorer.
+"""State-space exploration benchmark: the array explorer vs. the per-marking reference.
 
 Explores a scaled voting model with the vectorized explorer all the way to a
 ready CSR kernel, recording throughput (states/sec), peak RSS and the speedup
-over the legacy per-marking explorer on the largest bundled example, and
+over the per-marking reference (``explore_reference``, the "legacy" of the
+report keys) on the largest bundled example, and
 writes the numbers to ``BENCH_statespace.json``.
 
 Modes
@@ -31,7 +32,8 @@ import time
 
 from repro.models import SCALED_CONFIGURATIONS
 from repro.models.voting import VotingParameters, build_voting_net
-from repro.petri import build_kernel, explore, explore_vectorized
+from repro.petri import build_kernel, explore
+from repro.petri.reachability import explore_reference
 
 #: The acceptance-scale configuration (paper Table 1, row 5 shape): our net
 #: reaches ~1.04M tangible states with CC=175, MM=45, NN=5.
@@ -100,7 +102,7 @@ def main(argv=None) -> int:
     print(f"# vectorized exploration: voting[{params.label}]", flush=True)
     net = build_voting_net(params)
     graph, kernel, explore_seconds, kernel_seconds = time_exploration(
-        net, explore_vectorized, repeats=repeats
+        net, explore, repeats=repeats
     )
     states_per_sec = graph.n_states / explore_seconds
     print(
@@ -144,13 +146,13 @@ def main(argv=None) -> int:
             flush=True,
         )
         legacy_graph, _, legacy_seconds, _ = time_exploration(
-            build_voting_net(legacy_params), explore,
+            build_voting_net(legacy_params), explore_reference,
             max_states=legacy_cap, with_kernel=False, repeats=repeats,
         )
         legacy_rate = legacy_graph.n_states / legacy_seconds
         if args.smoke:
             vec_graph, _, vec_seconds, _ = time_exploration(
-                build_voting_net(legacy_params), explore_vectorized,
+                build_voting_net(legacy_params), explore,
                 with_kernel=False, repeats=repeats,
             )
             assert vec_graph.n_states == legacy_graph.n_states

@@ -59,10 +59,10 @@ def _tiny_job(policy=None):
     from repro.core.jobs import PassageTimeJob
     from repro.dnamaca import load_model
     from repro.models import SCALED_CONFIGURATIONS, voting_spec_text
-    from repro.petri import build_kernel, explore_vectorized
+    from repro.petri import build_kernel, explore
 
     net = load_model(voting_spec_text(SCALED_CONFIGURATIONS["tiny"]))
-    graph = explore_vectorized(net)
+    graph = explore(net)
     kernel = build_kernel(graph, allow_truncated=graph.truncated)
     marking = graph.marking_array()
     targets = np.flatnonzero(marking[:, net.place_index["p2"]] == 4)

@@ -281,10 +281,32 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _one_malloc_arena() -> None:
+    """Keep every thread of this process on the malloc arenas it already has.
+
+    The server answers each request on a new thread, and glibc hands a thread
+    that starts while the previous one is still exiting an arena of its own.
+    A cold solve leaves ~70 MB of freed temporaries in whichever arena it ran
+    in, so the resident set after the same eight cold queries was anything
+    from 207 to 300 MiB, decided by that race; on one arena it is 207 MiB
+    every time.  The GIL already serialises the allocations, so nothing
+    contends.  A no-op where the C library has no ``mallopt``.
+    """
+    import ctypes
+
+    m_arena_max = -8  # M_ARENA_MAX in <malloc.h>
+    try:
+        ctypes.CDLL(None).mallopt(m_arena_max, 1)
+    except (AttributeError, OSError):
+        pass
+
+
 def _cmd_serve(args) -> int:
     import logging
 
     from .service import AnalysisService, create_server
+
+    _one_malloc_arena()
 
     # One structured line per request on the repro.service logger; the
     # handler writes to stderr so stdout stays clean for the banner.

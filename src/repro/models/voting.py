@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..distributions import Erlang, Exponential, Mixture, Uniform
 from ..petri.net import SMSPN, MarkingView, Transition
-from ..petri.reachability import ReachabilityGraph, build_kernel, explore
+from ..petri.statespace import StateSpace, build_kernel, explore
 from ..smp.kernel import SMPKernel
 
 __all__ = [
@@ -276,12 +276,12 @@ def build_voting_net(params: VotingParameters) -> SMSPN:
     return net
 
 
-def build_voting_graph(params: VotingParameters, **explore_options) -> ReachabilityGraph:
-    """Reachability graph of the voting SM-SPN."""
+def build_voting_graph(params: VotingParameters, **explore_options) -> StateSpace:
+    """Explored state space of the voting SM-SPN."""
     return explore(build_voting_net(params), **explore_options)
 
 
-def build_voting_kernel(params: VotingParameters, **explore_options) -> tuple[SMPKernel, ReachabilityGraph]:
+def build_voting_kernel(params: VotingParameters, **explore_options) -> tuple[SMPKernel, StateSpace]:
     """State space + SMP kernel of the voting system in one call."""
     graph = build_voting_graph(params, **explore_options)
     return build_kernel(graph), graph

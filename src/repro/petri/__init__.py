@@ -6,17 +6,15 @@ the net-enabled transitions are filtered to those of maximal priority and one
 of them is chosen probabilistically by weight; the sojourn in the marking is
 the chosen transition's firing distribution.  This race-free semantics maps
 the reachability graph directly onto a semi-Markov chain, which is what
-:func:`repro.petri.reachability.build_kernel` produces.
+:func:`build_kernel` produces.
 
-Two explorers produce that state space: :func:`explore_vectorized` (the
-array-backed default — frontier-batched NumPy evaluation into a
-:class:`StateSpace` of columnar markings and edges) and the legacy
-per-marking :func:`explore` (kept as the reference semantics for the
-equivalence suite).
+One explorer produces that state space: :func:`explore` (frontier-batched
+NumPy evaluation) into a :class:`StateSpace` of columnar markings and edges,
+the only representation of an explored net.  The per-marking reference it is
+tested against lives in :mod:`repro.petri.reachability` and is not exported.
 """
 from .net import MarkingView, SMSPN, Transition
-from .reachability import ReachabilityGraph, explore, build_kernel
-from .statespace import StateSpace, explore_vectorized
+from .statespace import StateSpace, build_kernel, explore, explore_vectorized
 from .analysis import passage_solver, transient_solver, marking_states
 from .vanishing import eliminate_vanishing, is_vanishing_distribution
 
@@ -24,7 +22,6 @@ __all__ = [
     "SMSPN",
     "Transition",
     "MarkingView",
-    "ReachabilityGraph",
     "StateSpace",
     "explore",
     "explore_vectorized",

@@ -7,14 +7,13 @@ from typing import Callable
 # itself imports this package, so the classes are looked up at call time.
 from ..core import solvers
 from .net import SMSPN, MarkingView
-from .reachability import ReachabilityGraph, build_kernel
-from .statespace import StateSpace, explore_vectorized
+from .statespace import StateSpace, build_kernel, explore
 
 __all__ = ["marking_states", "passage_solver", "transient_solver"]
 
 
 def marking_states(
-    graph: ReachabilityGraph | StateSpace,
+    graph: StateSpace,
     predicate: Callable[[MarkingView], bool],
     *,
     label: str = "predicate",
@@ -26,14 +25,8 @@ def marking_states(
     return states
 
 
-def _as_graph(net_or_graph: SMSPN | ReachabilityGraph | StateSpace):
-    if isinstance(net_or_graph, (ReachabilityGraph, StateSpace)):
-        return net_or_graph
-    return explore_vectorized(net_or_graph)
-
-
 def passage_solver(
-    net_or_graph: SMSPN | ReachabilityGraph | StateSpace,
+    net_or_graph: SMSPN | StateSpace,
     source_predicate: Callable[[MarkingView], bool],
     target_predicate: Callable[[MarkingView], bool],
     **solver_options,
@@ -43,9 +36,9 @@ def passage_solver(
     ``source_predicate`` and ``target_predicate`` receive a
     :class:`MarkingView` (name-indexed token counts) and select the source
     and target state sets; everything else is forwarded to the solver.  A
-    bare net is explored with the array-backed vectorized explorer.
+    bare net is explored first.
     """
-    graph = _as_graph(net_or_graph)
+    graph = explore(net_or_graph) if isinstance(net_or_graph, SMSPN) else net_or_graph
     kernel = build_kernel(graph)
     sources = marking_states(graph, source_predicate, label="source")
     targets = marking_states(graph, target_predicate, label="target")
@@ -53,13 +46,13 @@ def passage_solver(
 
 
 def transient_solver(
-    net_or_graph: SMSPN | ReachabilityGraph | StateSpace,
+    net_or_graph: SMSPN | StateSpace,
     source_predicate: Callable[[MarkingView], bool],
     target_predicate: Callable[[MarkingView], bool],
     **solver_options,
 ) -> solvers.TransientSolver:
     """Build a :class:`TransientSolver` between two marking predicates."""
-    graph = _as_graph(net_or_graph)
+    graph = explore(net_or_graph) if isinstance(net_or_graph, SMSPN) else net_or_graph
     kernel = build_kernel(graph)
     sources = marking_states(graph, source_predicate, label="source")
     targets = marking_states(graph, target_predicate, label="target")

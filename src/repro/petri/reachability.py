@@ -1,135 +1,47 @@
-"""Reachability-graph generation and mapping onto an SMP kernel.
+"""The reference explorer: the SM-SPN semantics one marking at a time.
 
-The SM-SPN semantics make every reachable marking a tangible semi-Markov
-state: the probability of moving to the next marking is the normalised weight
-of the chosen transition and the sojourn is its firing distribution.  The
-breadth-first exploration below therefore produces exactly the kernel
-``R(m, m', t) = p(m, m') H_{m,m'}(t)`` that the passage-time machinery needs.
+Every reachable marking is a tangible semi-Markov state: the probability of
+moving to the next marking is the normalised weight of the chosen transition
+and the sojourn is its firing distribution.  The breadth-first walk below
+asks :meth:`SMSPN.firing_choices` for exactly that, marking by marking, and
+is what the array explorer (:func:`repro.petri.explore`) is tested against —
+same discovery order, deadlocks, truncation and edges.  It is the oracle of
+the equivalence suite and ``scripts/bench_statespace.py``, not a shipped
+path: nothing else in ``src/`` imports it.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
 from ..distributions import Distribution
-from ..smp.builder import SMPBuilder
-from ..smp.kernel import SMPKernel
-from .net import SMSPN, MarkingView
+from .net import SMSPN
+from .statespace import StateSpace
 
-__all__ = ["ReachabilityGraph", "explore", "build_kernel"]
-
-
-@dataclass
-class ReachabilityGraph:
-    """The explored state space of an SM-SPN.
-
-    Attributes
-    ----------
-    net:
-        The net that was explored.
-    markings:
-        List of reachable markings (tuples of token counts), index = state id.
-    edges:
-        Tuples ``(src_state, dst_state, probability, distribution, transition_name)``.
-    initial_state:
-        Index of the initial marking (always 0 by construction).
-    deadlocks:
-        Indices of markings with no enabled transitions.
-    truncated:
-        True when exploration stopped at ``max_states`` before exhausting the
-        reachable set.
-    """
-
-    net: SMSPN
-    markings: list[tuple[int, ...]]
-    edges: list[tuple[int, int, float, Distribution, str]]
-    initial_state: int = 0
-    deadlocks: list[int] = field(default_factory=list)
-    truncated: bool = False
-    _intern: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _marking_array: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    # -------------------------------------------------------------- stats
-    @property
-    def n_states(self) -> int:
-        return len(self.markings)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def index_of(self, marking: Sequence[int]) -> int:
-        """State index of ``marking`` — O(1) via a lazily interned lookup table."""
-        marking = tuple(int(t) for t in marking)
-        if self._intern is None:
-            self._intern = {m: i for i, m in enumerate(self.markings)}
-        try:
-            return self._intern[marking]
-        except KeyError:
-            raise KeyError(f"marking {marking} is not reachable") from None
-
-    def view(self, state: int) -> MarkingView:
-        return self.net.view(self.markings[state])
-
-    def states_where(self, predicate: Callable[[MarkingView], bool]) -> list[int]:
-        """All state indices whose marking satisfies ``predicate``."""
-        return [i for i, m in enumerate(self.markings) if predicate(self.net.view(m))]
-
-    def marking_array(self) -> np.ndarray:
-        """All markings as an ``(n_states, n_places)`` int64 array.
-
-        Cached after the first call (it backs every vectorized predicate
-        evaluation) — treat the returned array as read-only.
-        """
-        if self._marking_array is None:
-            self._marking_array = np.asarray(self.markings, dtype=np.int64)
-        return self._marking_array
-
-    def transition_usage(self) -> dict[str, int]:
-        """How many state-space edges each net transition contributes."""
-        usage: dict[str, int] = {}
-        for _, _, _, _, name in self.edges:
-            usage[name] = usage.get(name, 0) + 1
-        return usage
+__all__ = ["explore_reference"]
 
 
-def explore(
-    net: SMSPN,
-    *,
-    max_states: int | None = None,
-    on_progress: Callable[[int], None] | None = None,
-    progress_every: int = 50_000,
-) -> ReachabilityGraph:
+def explore_reference(net: SMSPN, *, max_states: int | None = None) -> StateSpace:
     """Breadth-first exploration of the reachable markings of ``net``.
 
-    Parameters
-    ----------
-    max_states:
-        Optional safety cap; when hit, the returned graph is marked
-        ``truncated`` (passage-time analysis on a truncated graph is refused
-        by :func:`build_kernel` unless the frontier happens to be closed).
-    on_progress:
-        Optional callback invoked with the current state count every
-        ``progress_every`` discovered states — useful for the large voting
-        configurations.
+    ``max_states`` is the safety cap of :func:`repro.petri.explore`: edges to
+    markings beyond it are dropped and the result is marked ``truncated``.
     """
     initial = net.initial_marking
     index: dict[tuple[int, ...], int] = {initial: 0}
     markings: list[tuple[int, ...]] = [initial]
-    edges: list[tuple[int, int, float, Distribution, str]] = []
+    transition_index = {t.name: i for i, t in enumerate(net.transitions)}
+    dist_table: list[Distribution] = []
+    dist_ids: dict[Distribution, int] = {}
+    src, dst, prob, dist_of, trans = [], [], [], [], []
     deadlocks: list[int] = []
     queue: deque[int] = deque([0])
     truncated = False
 
     while queue:
         state = queue.popleft()
-        marking = markings[state]
-        choices = net.firing_choices(marking)
+        choices = net.firing_choices(markings[state])
         if not choices:
             deadlocks.append(state)
             continue
@@ -143,49 +55,26 @@ def explore(
                 index[next_marking] = nxt
                 markings.append(next_marking)
                 queue.append(nxt)
-                if on_progress is not None and nxt % progress_every == 0:
-                    on_progress(nxt)
-            edges.append((state, nxt, probability, dist, transition.name))
+            src.append(state)
+            dst.append(nxt)
+            prob.append(probability)
+            dist_id = dist_ids.get(dist)
+            if dist_id is None:
+                dist_id = dist_ids[dist] = len(dist_table)
+                dist_table.append(dist)
+            dist_of.append(dist_id)
+            trans.append(transition_index[transition.name])
 
-    return ReachabilityGraph(
+    return StateSpace(
         net=net,
-        markings=markings,
-        edges=edges,
-        deadlocks=deadlocks,
+        marking_matrix=np.asarray(markings, dtype=np.int64),
+        edge_src=np.asarray(src, dtype=np.int64),
+        edge_dst=np.asarray(dst, dtype=np.int64),
+        edge_prob=np.asarray(prob, dtype=float),
+        edge_dist=np.asarray(dist_of, dtype=np.int32),
+        edge_trans=np.asarray(trans, dtype=np.int32),
+        distributions=dist_table,
+        transition_names=[t.name for t in net.transitions],
+        deadlock_states=np.asarray(deadlocks, dtype=np.int64),
         truncated=truncated,
     )
-
-
-def build_kernel(graph, *, allow_truncated: bool = False) -> SMPKernel:
-    """Convert an explored state space into an :class:`SMPKernel`.
-
-    Accepts both the array-backed :class:`~repro.petri.statespace.StateSpace`
-    (zero-copy column handoff) and the legacy :class:`ReachabilityGraph`
-    (per-edge ``SMPBuilder`` path, kept for equivalence testing).
-
-    Deadlocked markings are given a self-loop with a unit-mean exponential
-    sojourn so that the kernel remains stochastic; genuine SM-SPN models of
-    *concurrent systems* (like the voting model) have none.
-    """
-    from .statespace import StateSpace
-
-    if isinstance(graph, StateSpace):
-        return graph.kernel(allow_truncated=allow_truncated)
-    if graph.truncated and not allow_truncated:
-        raise ValueError(
-            "the reachability graph was truncated at max_states; pass "
-            "allow_truncated=True only if edges leaving the truncation frontier "
-            "are acceptable to drop"
-        )
-    from ..distributions import Exponential
-
-    builder = SMPBuilder(n_states=graph.n_states)
-    for name in (str(m) for m in graph.markings):
-        builder.add_state(name)
-    for src, dst, probability, dist, _ in graph.edges:
-        builder.add_transition(src, dst, probability, dist)
-    for dead in graph.deadlocks:
-        builder.add_transition(dead, dead, 1.0, Exponential(1.0))
-    # Normalise defensively: probabilities of a truncated frontier state may
-    # not sum to one because edges to undiscovered markings were dropped.
-    return builder.build(normalise=graph.truncated)

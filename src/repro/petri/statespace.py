@@ -1,10 +1,10 @@
 """Array-backed state-space core: vectorized exploration of an SM-SPN.
 
-The per-marking explorer (:func:`repro.petri.reachability.explore`) evaluates
-guards, weights and firings one Python call at a time — at the paper's
-headline scale (10^5–10^7 tangible states) that is the wall in front of every
-vectorized layer downstream.  This module replaces it with a breadth-first
-exploration that expands the whole frontier as batched NumPy operations:
+Evaluating guards, weights and firings one Python call per marking is, at the
+paper's headline scale (10^5–10^7 tangible states), the wall in front of
+every vectorized layer downstream.  :func:`explore` is a breadth-first
+exploration that expands the whole frontier as batched NumPy operations, into
+the one representation of an explored net, :class:`StateSpace`:
 
 * markings live in one ``(n_states, n_places)`` int64 matrix (chunked,
   doubling growth — memory stays proportional to states, not Python objects),
@@ -21,10 +21,12 @@ exploration that expands the whole frontier as batched NumPy operations:
   net explores correctly and nets with declarative attributes explore fast.
 
 The discovery order (and therefore state numbering), deadlock list,
-``max_states`` truncation semantics and edge multiset are *identical* to the
-legacy explorer — asserted model-by-model in the equivalence suite — because
-candidate edges are interned in ``(source state, transition index)`` stream
-order, exactly the order the per-marking BFS visits them.
+``max_states`` truncation semantics and edge columns are *identical* to the
+per-marking reference (:func:`repro.petri.reachability.explore_reference`;
+probabilities to the last few ulps) — asserted model-by-model in the
+equivalence suite — because candidate edges are interned in ``(source state,
+transition index)`` stream order, exactly the order the per-marking BFS
+visits them.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from ..dnamaca.vectorize import VectorizedExpression
 from ..smp.kernel import SMPKernel
 from .net import SMSPN, MarkingView, Transition
 
-__all__ = ["StateSpace", "explore_vectorized"]
+__all__ = ["StateSpace", "build_kernel", "explore", "explore_vectorized"]
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +151,10 @@ class _VectorTransition:
         """``mask`` restricted to rows whose guard holds.
 
         Python-callable guards are only invoked on rows already passing the
-        arc check (the legacy short-circuit order).  A vectorized guard that
+        arc check (the reference's short-circuit order).  A vectorized guard that
         hits an arithmetic fault (division by a zero token count, ...) falls
         back to per-row scalar evaluation, which lazily skips untaken
-        branches and raises exactly where the legacy explorer raises.
+        branches and raises exactly where the reference explorer raises.
         """
         if self._guard_vec is not None:
             rows = np.flatnonzero(mask)
@@ -315,11 +317,10 @@ class _MarkingNames:
 class StateSpace:
     """The explored state space of an SM-SPN in columnar form.
 
-    The same information as :class:`~repro.petri.reachability.ReachabilityGraph`
-    — state ``i``'s marking is row ``i`` of :attr:`marking_matrix`, edge ``e``
+    State ``i``'s marking is row ``i`` of :attr:`marking_matrix`, edge ``e``
     is ``(edge_src[e], edge_dst[e])`` taken with probability ``edge_prob[e]``
     after the sojourn ``distributions[edge_dist[e]]`` via net transition
-    ``transition_names[edge_trans[e]]`` — but held in flat arrays, so kernels,
+    ``transition_names[edge_trans[e]]`` — all held in flat arrays, so kernels,
     predicates and partitioners consume it without materialising per-edge
     Python objects.
     """
@@ -358,8 +359,9 @@ class StateSpace:
 
     @property
     def edges(self) -> list[tuple[int, int, float, Distribution, str]]:
-        """Per-edge tuples in the legacy layout (materialised on demand;
-        debugging/equivalence aid — hot paths use the columns directly)."""
+        """Per-edge ``(src, dst, probability, distribution, transition name)``
+        tuples (materialised on demand; a debugging aid — hot paths use the
+        columns directly)."""
         return [
             (
                 int(self.edge_src[e]),
@@ -430,10 +432,11 @@ class StateSpace:
     def kernel(self, *, allow_truncated: bool = False) -> SMPKernel:
         """Zero-copy handoff of the edge columns to an :class:`SMPKernel`.
 
-        Deadlocked markings get a unit-mean exponential self-loop (the same
-        convention as the legacy :func:`~repro.petri.reachability.build_kernel`);
-        parallel edges between the same pair of states are merged by grouped
-        reduction inside :meth:`SMPKernel.from_columns`.
+        Deadlocked markings get a unit-mean exponential self-loop so that the
+        kernel remains stochastic (genuine SM-SPN models of *concurrent
+        systems*, like the voting model, have none); parallel edges between
+        the same pair of states are merged, and a truncated frontier
+        normalised, inside :meth:`SMPKernel.from_columns`.
         """
         if self.truncated and not allow_truncated:
             raise ValueError(
@@ -461,24 +464,16 @@ class StateSpace:
             )
         return SMPKernel.from_columns(
             self.n_states, src, dst, probs, dist_index, distributions,
-            # Marking-string names, as the legacy build_kernel sets — but
-            # deferred: a million-state kernel only pays for them on access.
+            # Marking-string names, deferred: a million-state kernel only
+            # pays for them on access.
             state_names=_MarkingNames(self.marking_matrix),
             normalise=self.truncated,
         )
 
-    def to_reachability_graph(self):
-        """Materialise the legacy per-object representation (small models)."""
-        from .reachability import ReachabilityGraph
 
-        return ReachabilityGraph(
-            net=self.net,
-            markings=[tuple(int(x) for x in row) for row in self.marking_matrix],
-            edges=self.edges,
-            initial_state=self.initial_state,
-            deadlocks=[int(d) for d in self.deadlock_states],
-            truncated=self.truncated,
-        )
+def build_kernel(space: StateSpace, *, allow_truncated: bool = False) -> SMPKernel:
+    """Convert an explored state space into an :class:`SMPKernel`."""
+    return space.kernel(allow_truncated=allow_truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +627,7 @@ class _MarkingInterner:
             self.delta_ids = self.delta_ids[:0]
 
 
-def explore_vectorized(
+def explore(
     net: SMSPN,
     *,
     max_states: int | None = None,
@@ -642,16 +637,20 @@ def explore_vectorized(
 ) -> StateSpace:
     """Breadth-first exploration with frontier-batched NumPy evaluation.
 
-    Drop-in counterpart of :func:`repro.petri.reachability.explore` producing
-    a :class:`StateSpace`; state numbering, deadlocks, edge multiset and
-    ``max_states`` truncation semantics match the legacy explorer exactly.
+    State numbering, deadlocks, edge columns and ``max_states`` truncation
+    semantics match the per-marking reference
+    (:func:`repro.petri.reachability.explore_reference`).
 
     Parameters
     ----------
     max_states:
-        Optional safety cap, with the legacy semantics: edges to markings
-        that would exceed the cap are dropped and the result is marked
-        ``truncated``.
+        Optional safety cap: edges to markings that would exceed the cap are
+        dropped and the result is marked ``truncated`` (a truncated space is
+        refused by :func:`build_kernel` unless ``allow_truncated``).
+    on_progress:
+        Optional callback invoked with the state count at every multiple of
+        ``progress_every`` discovered states — useful for the large voting
+        configurations.
     batch_size:
         Upper bound on frontier states expanded per batch; bounds the
         transient ``(batch, n_transitions)`` work matrices.
@@ -799,7 +798,7 @@ def explore_vectorized(
         nxt = np.ascontiguousarray(np.vstack(frag_next))
 
         # Re-order candidate edges into (source, transition) stream order so
-        # interning assigns ids exactly as the legacy per-marking BFS does.
+        # interning assigns ids exactly as the per-marking reference BFS does.
         order = np.lexsort((trans, src_local))
         src_local, trans, prob, dist = (
             src_local[order], trans[order], prob[order], dist[order],
@@ -809,7 +808,7 @@ def explore_vectorized(
         # Intern destinations.  Candidate markings dedup within the batch
         # (packed int64 keys when they fit, void rows otherwise), known ones
         # resolve by vectorized lookup, and fresh ones receive ids in stream
-        # order — the legacy discovery order.
+        # order — the reference's discovery order.
         cand_max = nxt.max(axis=0)
         if interner.byte_index is None and not interner.fits(cand_max):
             interner.rebuild(markings[:n_states], np.maximum(seen_max, cand_max))
@@ -883,3 +882,7 @@ def explore_vectorized(
         truncated=truncated,
         _index=interner.byte_index,
     )
+
+
+# The spelling ``bench/`` imports; the same function object.
+explore_vectorized = explore

@@ -7,7 +7,7 @@ time; the markings in which such a transition fires are *vanishing* — the
 process spends no time in them — and keeping them in the semi-Markov kernel
 both wastes states and breaks measures that count "time spent in ...".
 
-:func:`eliminate_vanishing` removes those markings from a reachability graph
+:func:`eliminate_vanishing` removes those markings from a state space
 by folding their branching probabilities into their predecessors: an edge
 ``u --(p, H)--> v`` into a vanishing marking ``v`` with outgoing branches
 ``v --(q_j, 0)--> w_j`` is replaced by edges ``u --(p q_j, H)--> w_j``.  The
@@ -17,13 +17,10 @@ Cycles of vanishing markings (a zero-time loop) are rejected.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from ..distributions import Distribution
 from ..utils.arrays import ragged_take
-from .reachability import ReachabilityGraph
 from .statespace import StateSpace
 
 __all__ = ["eliminate_vanishing", "is_vanishing_distribution"]
@@ -37,23 +34,27 @@ def is_vanishing_distribution(dist: Distribution) -> bool:
         return False
 
 
-def _vanishing_states(graph: ReachabilityGraph) -> set[int]:
-    """States all of whose outgoing edges are immediate firings."""
-    outgoing: dict[int, list[bool]] = defaultdict(list)
-    for src, _, _, dist, _ in graph.edges:
-        outgoing[src].append(is_vanishing_distribution(dist))
-    return {state for state, flags in outgoing.items() if flags and all(flags)}
+def eliminate_vanishing(space: StateSpace, *, max_chain: int = 500) -> StateSpace:
+    """Return an equivalent state space without vanishing markings.
 
-
-def _eliminate_vanishing_arrays(space: StateSpace, *, max_chain: int = 500) -> StateSpace:
-    """Vanishing elimination in the array domain (no per-edge Python tuples).
-
-    The vanishing test costs one pass over the *unique* distribution table
+    A marking is vanishing when all of its outgoing edges are immediate
+    firings.  The test costs one pass over the *unique* distribution table
     plus two ``bincount`` calls; edge redistribution is a vectorized
     gather/``repeat`` expansion followed by a grouped ``(src, dst,
     transition)`` reduction.  Only the per-vanishing-state resolution (the
     transitive closure of immediate branches) stays in Python — it touches
     vanishing states only, never the tangible bulk.
+
+    Parameters
+    ----------
+    space:
+        The state space to reduce.  It is not modified, and is returned as is
+        when it has no vanishing marking.
+    max_chain:
+        Safety bound on the length of immediate-firing chains followed while
+        redistributing probabilities; exceeding it indicates a zero-time
+        cycle, which is reported as an error (such a model has no valid
+        semi-Markov interpretation).
     """
     dist_vanishes = np.asarray(
         [is_vanishing_distribution(d) for d in space.distributions], dtype=bool
@@ -72,8 +73,7 @@ def _eliminate_vanishing_arrays(space: StateSpace, *, max_chain: int = 500) -> S
             "enabled there); give the model a timed initial activity first"
         )
 
-    # Branch lists of vanishing states, in edge order (parity with the legacy
-    # per-edge walk).
+    # Branch lists of vanishing states, in edge order.
     from_vanishing = vanishing[space.edge_src]
     branch_src = space.edge_src[from_vanishing]
     branch_dst = space.edge_dst[from_vanishing]
@@ -216,91 +216,4 @@ def _eliminate_vanishing_arrays(space: StateSpace, *, max_chain: int = 500) -> S
         initial_state=int(new_id[space.initial_state]),
         deadlock_states=new_id[deadlocks] if deadlocks.size else deadlocks,
         truncated=space.truncated,
-    )
-
-
-def eliminate_vanishing(
-    graph: ReachabilityGraph | StateSpace, *, max_chain: int = 500
-) -> ReachabilityGraph | StateSpace:
-    """Return an equivalent reachability graph without vanishing markings.
-
-    Accepts both the array-backed :class:`StateSpace` (vectorized
-    elimination) and the legacy :class:`ReachabilityGraph`.
-
-    Parameters
-    ----------
-    graph:
-        The graph to reduce.  It is not modified.
-    max_chain:
-        Safety bound on the length of immediate-firing chains followed while
-        redistributing probabilities; exceeding it indicates a zero-time
-        cycle, which is reported as an error (such a model has no valid
-        semi-Markov interpretation).
-    """
-    if isinstance(graph, StateSpace):
-        return _eliminate_vanishing_arrays(graph, max_chain=max_chain)
-    vanishing = _vanishing_states(graph)
-    if not vanishing:
-        return graph
-    if graph.initial_state in vanishing:
-        raise ValueError(
-            "the initial marking is vanishing (only immediate transitions are "
-            "enabled there); give the model a timed initial activity first"
-        )
-
-    # Outgoing branch lists of vanishing states: (probability, destination).
-    branches: dict[int, list[tuple[float, int]]] = defaultdict(list)
-    for src, dst, prob, dist, _ in graph.edges:
-        if src in vanishing:
-            branches[src].append((prob, dst))
-
-    def resolve(state: int, probability: float, depth: int = 0):
-        """Yield (tangible_state, probability) reached from ``state``."""
-        if state not in vanishing:
-            yield state, probability
-            return
-        if depth > max_chain:
-            raise ValueError(
-                "cycle of vanishing markings detected (a loop of immediate "
-                "transitions with no time advance)"
-            )
-        for branch_prob, destination in branches[state]:
-            yield from resolve(destination, probability * branch_prob, depth + 1)
-
-    # Build the reduced edge list over tangible states only.
-    tangible = [s for s in range(graph.n_states) if s not in vanishing]
-    new_index = {old: new for new, old in enumerate(tangible)}
-    merged: dict[tuple[int, int, str], tuple[float, Distribution]] = {}
-    for src, dst, prob, dist, name in graph.edges:
-        if src in vanishing:
-            continue
-        for target, probability in resolve(dst, prob):
-            key = (new_index[src], new_index[target], name)
-            if key in merged:
-                existing_prob, existing_dist = merged[key]
-                if existing_dist is not dist and existing_dist != dist:
-                    # Distinct sojourns folding onto the same edge via the same
-                    # net transition cannot happen (the sojourn is determined
-                    # by the source marking and transition), but guard anyway.
-                    raise ValueError(
-                        "conflicting sojourn distributions while merging "
-                        f"edges into {key}"
-                    )
-                merged[key] = (existing_prob + probability, existing_dist)
-            else:
-                merged[key] = (probability, dist)
-
-    new_edges = [
-        (src, dst, prob, dist, name)
-        for (src, dst, name), (prob, dist) in sorted(merged.items(), key=lambda kv: kv[0][:2])
-    ]
-    new_markings = [graph.markings[old] for old in tangible]
-    new_deadlocks = [new_index[d] for d in graph.deadlocks if d in new_index]
-    return ReachabilityGraph(
-        net=graph.net,
-        markings=new_markings,
-        edges=new_edges,
-        initial_state=new_index[graph.initial_state],
-        deadlocks=new_deadlocks,
-        truncated=graph.truncated,
     )

@@ -1,13 +1,13 @@
 """Content-addressed registry of built models.
 
 The expensive part of answering a DNAmaca query is everything *before* the
-transform evaluations: parsing the specification, exploring the reachability
-graph, eliminating vanishing states and assembling the SMP kernel.  The
-registry content-addresses each model by a digest of its specification text
-plus constant overrides, builds the artefacts once, and hands every later
-query the same :class:`ModelEntry` — including one shared
-:class:`~repro.smp.kernel.UEvaluator` so all measures on the kernel reuse its
-CSR structure and cached ``U(s)`` grids.
+transform evaluations: parsing the specification, exploring the state space
+and assembling the SMP kernel (every explored marking becomes a kernel state;
+vanishing markings are not eliminated).  The registry content-addresses each
+model by a digest of its specification text plus constant overrides, builds
+the artefacts once, and hands every later query the same :class:`ModelEntry`
+— including one shared :class:`~repro.smp.kernel.UEvaluator` so all measures
+on the kernel reuse its CSR structure and cached ``U(s)`` grids.
 
 Registration is thread-safe: concurrent registrations of the same spec
 observe a single build (waiters block on the builder's event rather than
@@ -34,7 +34,7 @@ from ..dnamaca.expressions import ExpressionError, parse_overrides
 from ..dnamaca.vectorize import vector_marking_predicate
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
-from ..petri import build_kernel, explore_vectorized
+from ..petri import build_kernel, explore
 from ..smp.kernel import SMPKernel, UEvaluator
 from ..smp.steady import steady_state_probability
 from ..utils.timing import Stopwatch
@@ -292,7 +292,7 @@ class ModelRegistry:
             constants = {**spec.constants, **overrides}
             net = load_model(spec, overrides=overrides or None)
             with obs_trace.span("explore", digest=digest):
-                graph = explore_vectorized(net, max_states=max_states)
+                graph = explore(net, max_states=max_states)
             with obs_trace.span(
                 "kernel-build", digest=digest, n_states=int(graph.n_states)
             ):

@@ -3,10 +3,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
-
-from ..distributions import Distribution, Mixture
-from ..utils.validation import check_probability_vector, require
+from ..distributions import Distribution
+from ..utils.validation import require
 from .kernel import SMPKernel
 
 __all__ = ["SMPBuilder"]
@@ -16,9 +14,11 @@ class SMPBuilder:
     """Builds an SMP kernel transition by transition.
 
     States may be referred to by integer index (``add_transition(0, 3, ...)``)
-    or created by name (``add_state("idle")``).  Parallel transitions between
-    the same pair of states are merged automatically into a single transition
-    whose probability is the sum and whose sojourn distribution is the
+    or created by name (``add_state("idle")``).  :meth:`build` orders the
+    transitions by ``(src, dst)``, numbers their distributions by first use
+    and hands the columns to :meth:`SMPKernel.from_columns`, which validates
+    them and merges parallel transitions between the same pair of states into
+    one whose probability is the sum and whose sojourn distribution is the
     probability-weighted :class:`~repro.distributions.Mixture` — exactly the
     semantics of competing SM-SPN transitions mapped onto one kernel entry.
     """
@@ -102,53 +102,24 @@ class SMPBuilder:
             raise ValueError("no transitions have been added")
         n = self.n_states
 
-        src, dst, probs, dists = [], [], [], []
-        for (i, j), branches in sorted(self._entries.items()):
-            total = float(sum(p for p, _ in branches))
-            if total == 0.0:
-                continue
-            if len(branches) == 1:
-                dist = branches[0][1]
-            else:
-                weights = check_probability_vector(
-                    [p for p, _ in branches], "parallel transition weights", normalise=True
-                )
-                dist = Mixture([d for _, d in branches], weights)
-            src.append(i)
-            dst.append(j)
-            probs.append(total)
-            dists.append(dist)
-
-        probs_arr = np.asarray(probs, dtype=float)
-        src_arr = np.asarray(src, dtype=np.int64)
-        if normalise:
-            row_sums = np.bincount(src_arr, weights=probs_arr, minlength=n)
-            zero_rows = np.where(row_sums == 0.0)[0]
-            if zero_rows.size:
-                raise ValueError(
-                    f"cannot normalise: states {zero_rows[:10].tolist()} have no outgoing weight"
-                )
-            probs_arr = probs_arr / row_sums[src_arr]
-
-        # Deduplicate distribution objects (structural equality).
+        # Un-merged branches in (src, dst) order, insertion order within a
+        # pair; distributions numbered by first use (structural equality).
+        src, dst, probs, dist_index = [], [], [], []
         unique: list[Distribution] = []
         index_of: dict[Distribution, int] = {}
-        dist_index = np.empty(len(dists), dtype=np.int64)
-        for k, d in enumerate(dists):
-            if d not in index_of:
-                index_of[d] = len(unique)
-                unique.append(d)
-            dist_index[k] = index_of[d]
+        for (i, j), branches in sorted(self._entries.items()):
+            for probability, dist in branches:
+                if dist not in index_of:
+                    index_of[dist] = len(unique)
+                    unique.append(dist)
+                src.append(i)
+                dst.append(j)
+                probs.append(probability)
+                dist_index.append(index_of[dist])
 
         names = None
         if self._names:
             names = list(self._names) + [str(i) for i in range(len(self._names), n)]
-        return SMPKernel(
-            n,
-            src_arr,
-            np.asarray(dst, dtype=np.int64),
-            probs_arr,
-            dist_index,
-            unique,
-            state_names=names,
+        return SMPKernel.from_columns(
+            n, src, dst, probs, dist_index, unique, names, normalise=normalise
         )

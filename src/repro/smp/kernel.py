@@ -260,15 +260,17 @@ class SMPKernel:
     ) -> "SMPKernel":
         """Build a kernel straight from edge columns (structure-of-arrays).
 
-        The zero-copy handoff from the array-backed state space: when no two
-        edges share a ``(src, dst)`` pair the columns are adopted as-is — no
-        per-edge Python objects, no :class:`SMPBuilder` dict merging.  Parallel
-        edges keep the builder's merge semantics via grouped reduction:
+        The one place edges are merged, normalised and validated — the
+        state space (:meth:`repro.petri.StateSpace.kernel`) and
+        :meth:`SMPBuilder.build` both end here.  When no two edges share a
+        ``(src, dst)`` pair the columns are adopted as-is (zero-copy, no
+        per-edge Python objects).  Parallel edges merge by grouped reduction:
         probabilities sum, sojourns combine into a probability-weighted
-        :class:`~repro.distributions.Mixture` in edge order.
+        :class:`~repro.distributions.Mixture` in edge order, appended to the
+        distribution table after the given entries.
 
         ``normalise`` rescales each state's outgoing probabilities to sum to
-        one (the truncated-graph convention of ``SMPBuilder.build``).
+        one (for raw weights, or a state space truncated at its frontier).
         """
         from ..distributions import Mixture
 

@@ -159,7 +159,7 @@ class TestCompiler:
         assert net.initial_marking == (2, 0)
         graph = explore(net)
         assert graph.n_states == 3  # on in {0, 1, 2}
-        assert not graph.deadlocks
+        assert graph.deadlocks.size == 0
 
     def test_weights_become_probabilities(self):
         net = load_model(ON_OFF_MODEL)
@@ -185,7 +185,7 @@ class TestCompiler:
         py_graph = build_voting_graph(params)
         assert spec_graph.n_states == py_graph.n_states
         assert spec_graph.n_edges == py_graph.n_edges
-        assert sorted(spec_graph.markings) == sorted(py_graph.markings)
+        assert sorted(map(tuple, spec_graph.markings)) == sorted(map(tuple, py_graph.markings))
 
     def test_unknown_name_in_condition_reported_at_compile_time(self):
         bad = ON_OFF_MODEL.replace("on > 0", "bogus > 0")

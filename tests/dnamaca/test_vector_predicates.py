@@ -15,7 +15,7 @@ from repro.dnamaca.expressions import ExpressionError, marking_predicate
 from repro.dnamaca.vectorize import VectorizedExpression, vector_marking_predicate
 from repro.models import SCALED_CONFIGURATIONS, build_voting_net, voting_spec_text
 from repro.models.queues import web_server_net
-from repro.petri import explore_vectorized
+from repro.petri import explore
 
 TINY = SCALED_CONFIGURATIONS["tiny"]
 
@@ -59,7 +59,7 @@ def assert_equivalent(graph, constants, expression):
 def voting_spaces():
     net_programmatic = build_voting_net(TINY)
     net_spec = load_model(voting_spec_text(TINY), name="voting-spec")
-    return explore_vectorized(net_programmatic), explore_vectorized(net_spec)
+    return explore(net_programmatic), explore(net_spec)
 
 
 @pytest.mark.parametrize("expression", VOTING_EXPRESSIONS)
@@ -70,7 +70,7 @@ def test_voting_predicates_scalar_vs_vector(voting_spaces, expression):
 
 @pytest.mark.parametrize("expression", WEB_EXPRESSIONS)
 def test_web_server_predicates_scalar_vs_vector(expression):
-    space = explore_vectorized(web_server_net())
+    space = explore(web_server_net())
     assert_equivalent(space, {}, expression)
 
 

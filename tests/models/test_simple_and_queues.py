@@ -116,7 +116,7 @@ class TestWebServerNet:
         graph = explore(net)
         assert graph.n_states > 10
         assert not graph.truncated
-        assert not graph.deadlocks
+        assert graph.deadlocks.size == 0
         kernel = build_kernel(graph)
         assert kernel.n_states == graph.n_states
 

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.distributions import Deterministic, Erlang, Exponential, Uniform
 from repro.petri import SMSPN, Transition, build_kernel, explore
+from repro.petri.reachability import explore_reference
+
+from .test_statespace import assert_same_space, assert_same_build
 
 DISTS = [Exponential(1.0), Erlang(2.0, 2), Uniform(0.2, 1.2), Deterministic(0.7)]
 
@@ -27,14 +30,15 @@ def random_nets(draw):
     for p in range(n_places):
         net.add_place(f"p{p}", tokens if p == 0 else 0)
     # A ring of transfers guarantees every token can keep moving (no deadlock),
-    # extra random transfers add branching.
-    pairs = {(i, (i + 1) % n_places) for i in range(n_places)}
+    # extra random transfers add branching — and, where a pair repeats,
+    # parallel edges between the same two markings.
+    pairs = [(i, (i + 1) % n_places) for i in range(n_places)]
     n_extra = draw(st.integers(min_value=0, max_value=4))
     for _ in range(n_extra):
         i = draw(st.integers(min_value=0, max_value=n_places - 1))
         j = draw(st.integers(min_value=0, max_value=n_places - 1))
         if i != j:
-            pairs.add((i, j))
+            pairs.append((i, j))
     for index, (i, j) in enumerate(sorted(pairs)):
         weight = draw(st.floats(min_value=0.1, max_value=5.0))
         dist = DISTS[draw(st.integers(min_value=0, max_value=len(DISTS) - 1))]
@@ -76,6 +80,19 @@ def test_kernel_is_row_stochastic_and_connected_enough(case):
             assert sum(p for _, p, _, _ in choices) == 1.0 or abs(
                 sum(p for _, p, _, _ in choices) - 1.0
             ) < 1e-9
+
+
+@given(random_nets(), st.sampled_from([None, 3, 12]))
+@settings(max_examples=60, deadline=None)
+def test_array_explorer_matches_reference_on_generated_nets(case, max_states):
+    """Aim 3's "generated models, not only the bundled ones" for the explorer:
+    same columns, and kernels — parallel edges merged into mixtures — that
+    agree on ``U(s)`` to 1e-12."""
+    net, _ = case
+    reference = explore_reference(net, max_states=max_states)
+    space = explore(net, max_states=max_states)
+    assert_same_space(reference, space)
+    assert_same_build(reference, space)
 
 
 @given(random_nets(), st.integers(min_value=0, max_value=2**31 - 1))

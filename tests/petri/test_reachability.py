@@ -1,4 +1,4 @@
-"""Tests for reachability-graph generation and the SM-SPN -> SMP mapping."""
+"""Tests for state-space generation and the SM-SPN -> SMP mapping."""
 from __future__ import annotations
 
 import numpy as np
@@ -32,13 +32,13 @@ class TestExplore:
         assert graph.n_states == 4
         assert graph.n_edges == 4
         assert not graph.truncated
-        assert graph.deadlocks == []
+        assert graph.deadlocks.size == 0
         assert graph.initial_state == 0
 
     def test_index_and_predicates(self):
         graph = explore(simple_cycle_net(3))
         idx = graph.index_of((0, 1, 0))
-        assert graph.markings[idx] == (0, 1, 0)
+        assert tuple(graph.markings[idx]) == (0, 1, 0)
         with pytest.raises(KeyError):
             graph.index_of((1, 1, 1))
         states = graph.states_where(lambda m: m["s2"] == 1)
@@ -71,7 +71,7 @@ class TestExplore:
             Transition(name="go", inputs={"a": 1}, outputs={"b": 1}, distribution=Exponential(1.0))
         )
         graph = explore(net)
-        assert graph.deadlocks == [graph.index_of((0, 1))]
+        assert graph.deadlocks.tolist() == [graph.index_of((0, 1))]
         kernel = build_kernel(graph)  # deadlock becomes a self-loop
         assert kernel.n_states == 2
 
@@ -153,19 +153,15 @@ class TestKernelMapping:
 
 
 class TestInternedLookups:
-    """Satellite regressions: O(1) index_of and cached marking_array."""
+    """Satellite regressions: O(1) index_of and the uncopied marking_array."""
 
     def test_index_of_does_not_scan_the_marking_list(self):
-        """index_of must answer from the interned table, never list.index."""
-
-        class NoScanList(list):
-            def index(self, *args, **kwargs):  # pragma: no cover - trap
-                raise AssertionError("index_of fell back to an O(n) list scan")
-
-        net = simple_cycle_net(4)
-        graph = explore(net)
-        graph.markings = NoScanList(graph.markings)
-        for i, marking in enumerate(graph.markings):
+        """index_of must answer from the interned table, never a row scan."""
+        graph = explore(simple_cycle_net(4))
+        markings = [tuple(row) for row in graph.markings]
+        graph.index_of(markings[0])                    # builds the table
+        graph.marking_matrix = graph.marking_matrix[:0]    # a scan finds nothing
+        for i, marking in enumerate(markings):
             assert graph.index_of(marking) == i
         with pytest.raises(KeyError, match="not reachable"):
             graph.index_of((99, 0, 0, 0))
@@ -174,14 +170,16 @@ class TestInternedLookups:
         net = simple_cycle_net(3)
         graph = explore(net)
         graph.index_of(graph.markings[0])
-        table = graph._intern
+        table = graph._index
+        assert table is not None
         graph.index_of(graph.markings[-1])
-        assert graph._intern is table
+        assert graph._index is table
 
     def test_marking_array_is_cached(self):
         net = simple_cycle_net(3)
         graph = explore(net)
         first = graph.marking_array()
         assert graph.marking_array() is first
+        assert first is graph.marking_matrix       # the backing store, no copy
         assert first.dtype == np.int64
         assert first.shape == (graph.n_states, 3)

@@ -11,7 +11,7 @@ from scipy import sparse
 from repro.distributions import Erlang, Exponential, Mixture, Uniform
 from repro.models import VotingParameters
 from repro.models.voting import build_voting_net
-from repro.petri import build_kernel, explore_vectorized
+from repro.petri import build_kernel, explore
 from repro.smp import SMPBuilder, SMPKernel
 
 
@@ -38,6 +38,18 @@ class TestBuilder:
         dist = k.distributions[k.dist_index[idx]]
         assert isinstance(dist, Mixture)
         assert np.allclose(dist.weights, [0.25, 0.75])
+        # The builder merges nothing itself: the same three branches given to
+        # from_columns are the same kernel, array for array.
+        direct = SMPKernel.from_columns(
+            2, [0, 0, 1], [1, 1, 0], [0.25, 0.75, 1.0], [0, 1, 2],
+            [Exponential(1.0), Erlang(2.0, 2), Exponential(3.0)],
+        )
+        for column in ("src", "dst", "probs", "dist_index"):
+            assert np.array_equal(getattr(k, column), getattr(direct, column)), column
+        assert k.distributions == direct.distributions
+        assert k.distributions[:3] == [Exponential(1.0), Erlang(2.0, 2), Exponential(3.0)]
+        assert np.array_equal(dist.weights, direct.distributions[3].weights)
+        assert dist.components == [Exponential(1.0), Erlang(2.0, 2)]
 
     def test_normalise_option_rescales_weights(self):
         b = SMPBuilder()
@@ -174,7 +186,7 @@ class TestRetention:
     on voting (30, 8, 3) — 5,058 states, 22,548 edges."""
 
     def test_kernel_owns_the_image_and_evaluators_own_nothing(self):
-        graph = explore_vectorized(build_voting_net(VotingParameters(30, 8, 3)))
+        graph = explore(build_voting_net(VotingParameters(30, 8, 3)))
         gc.collect()
         tracemalloc.start()
         try:

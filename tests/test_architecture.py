@@ -7,7 +7,10 @@ the scalar canonicaliser — every other surface reaches both through
 layer down, every batched solve is one block loop around one routed block
 solve around one driver (``smp/passage.py``).  One more down, the edges have
 one image — ``SMPKernel.csr`` — that every solver reads and a plane file
-shares.  A new call site outside these files is a second path growing back.
+shares.  Upstream of the kernel there is one road from a net to it: one
+explorer into one ``StateSpace``, one vanishing pass, one edge merge
+(``SMPKernel.from_columns``).  A new call site outside these files is a second
+path growing back.
 """
 from __future__ import annotations
 
@@ -160,3 +163,46 @@ def test_one_way_to_share_a_kernel():
         if writes:
             writers[path.relative_to(SRC).as_posix()] = writes
     assert writers == {"smp/plane.py": 1}
+
+
+# --- upstream of the kernel: one road from a net to it ----------------------
+
+
+def test_one_explored_model_and_one_edge_merge():
+    """Counts, PR 18 → 19: explored-model representations 2 → 1, ``isinstance``
+    forks on the representation 3 → 0, vanishing passes 2 → 1, parallel-edge
+    merges 2 → 1, shipped explorers 2 → 1."""
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for name in (
+        "ReachabilityGraph", "to_reachability_graph", "_vanishing_states", "_as_graph",
+    ):
+        assert not [path for path, text in sources.items() if name in text], name
+    forks = [
+        path.as_posix()
+        for path in sorted((SRC / "petri").glob("*.py"))
+        for node in _nodes(path, ast.Call)
+        if getattr(node.func, "id", None) == "isinstance"
+        and "StateSpace" in ast.unparse(node.args[1])
+    ]
+    assert not forks
+    # the reference explorer is an oracle (tests, scripts/bench_statespace.py),
+    # not a shipped path: no module imports it and no package re-exports it
+    importers = [
+        path.relative_to(SRC).as_posix()
+        for path in sources
+        for node in _nodes(path, ast.alias, ast.Attribute, ast.Name)
+        if "explore_reference" in (
+            getattr(node, "name", None), getattr(node, "attr", None), getattr(node, "id", None),
+        )
+    ]
+    assert not importers
+    assert not hasattr(repro, "explore_reference")
+    assert not hasattr(repro.petri, "explore_reference")
+    assert repro.petri.explore is repro.petri.explore_vectorized is repro.explore
+    assert repro.build_kernel is repro.petri.build_kernel
+    # parallel edges become a Mixture at one site; the builder constructs none
+    mixtures = _call_sites("Mixture")
+    assert {
+        path: n for path, n in mixtures.items() if path.startswith(("smp/", "petri/"))
+    } == {"smp/kernel.py": 1}
+    assert _call_sites("from_columns") == {"petri/statespace.py": 1, "smp/builder.py": 1}

@@ -379,3 +379,63 @@ class TestApiRouting:
         remote = json.loads(capsys.readouterr().out)
         assert np.allclose(np.asarray(local, dtype=float),
                            np.asarray(remote, dtype=float), atol=1e-10)
+
+
+_COUNT_ARENAS = """
+import ctypes, sys, threading
+from repro.cli import _one_malloc_arena
+if sys.argv[2] == "capped":
+    _one_malloc_arena()
+barrier = threading.Barrier(6)
+def work():
+    barrier.wait()
+    block = bytearray(1 << 16)  # past pymalloc: the thread attaches to an arena
+    barrier.wait()
+threads = [threading.Thread(target=work) for _ in range(6)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+stream = ctypes.c_void_p(libc.fopen(sys.argv[1].encode(), b"w"))
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+"""
+
+
+class TestServeMemory:
+    """``serve`` answers every request on a new thread; which malloc arena a
+    thread gets is a race, and a cold solve's freed temporaries stay resident
+    in each arena one ran in."""
+
+    @staticmethod
+    def _arenas(tmp_path, mode: str) -> int:
+        import os
+        import subprocess
+        import sys
+
+        out = tmp_path / f"malloc_info_{mode}.xml"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        subprocess.run([sys.executable, "-c", _COUNT_ARENAS, str(out), mode],
+                       env=env, check=True, timeout=60)
+        return out.read_text().count("<heap nr=")
+
+    def test_concurrent_threads_stay_on_one_arena(self, tmp_path):
+        import platform
+
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("malloc arenas are a glibc notion")
+        assert self._arenas(tmp_path, "default") > 1  # the test can fail
+        assert self._arenas(tmp_path, "capped") == 1
+
+    def test_no_mallopt_is_not_an_error(self, monkeypatch):
+        import ctypes
+
+        from repro.cli import _one_malloc_arena
+
+        def no_libc(name):
+            raise OSError("no C library to open")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        _one_malloc_arena()
