@@ -7,7 +7,8 @@ One scenario, driven entirely through public surfaces (CLI serve subprocess,
 1. boot ``semimarkov serve --workers 2`` with a checkpoint directory (which
    selects the sqlite job store), two tenants each submit an async passage
    query with ``async=true``;
-2. both poll to ``done`` and their results agree with a synchronous query;
+2. both poll to ``done`` and their results equal a synchronous reply key for
+   key outside ``statistics``; a malformed submission is a 400, not a job;
 3. tenant isolation: each tenant lists exactly its own job and cannot read
    the other's (404); job metrics appear on ``/metrics``;
 4. ``SIGKILL`` the server, restart it against the same checkpoint directory,
@@ -100,12 +101,20 @@ def main() -> int:
             assert final_a["state"] == "done", final_a
             assert final_b["state"] == "done", final_b
             sync = team_a.passage(spec=spec, cdf=True, **QUERY)
-            drift = max(
-                abs(x - y) for x, y in
-                zip(final_a["result"]["density"], sync["density"])
-            )
-            assert drift <= 1e-10, f"async/sync density drift {drift}"
+            for key in sync.keys() | final_a["result"].keys():
+                if key != "statistics":
+                    assert final_a["result"][key] == sync[key], f"async/sync differ on {key}"
             assert final_a["result"]["density"] == final_b["result"]["density"]
+
+            print("== malformed submission ==", flush=True)
+            team_c = ServiceClient(URL, tenant="team-c")
+            try:
+                team_c.submit("passage", spec=spec, quantile=2.0, **QUERY)
+            except ServiceClientError as exc:
+                assert exc.status == 400, f"expected 400, got {exc.status}"
+            else:
+                raise AssertionError("a malformed submission was accepted")
+            assert team_c.jobs()["jobs"] == [], "a malformed submission left a job"
 
             print("== tenant isolation ==", flush=True)
             mine_a = [j["job"] for j in team_a.jobs()["jobs"]]

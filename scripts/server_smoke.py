@@ -5,7 +5,9 @@ Starts the server as a real subprocess (the same entry point a user runs),
 registers the quickstart machine model (working/broken with Erlang failure
 and uniform repair — the semi-Markov example from ``examples/quickstart.py``
 expressed in the DNAmaca language), queries it over HTTP, and asserts the
-JSON response is sane.  Exits non-zero on any failure.
+JSON response is sane, that the same request as an async job stores the same
+reply, and that a malformed submission is a 400 that records no job.  Exits
+non-zero on any failure.
 
 Run:  PYTHONPATH=src python scripts/server_smoke.py
 """
@@ -75,11 +77,20 @@ def main() -> int:
         assert info["states"] == 2, info
         print(f"registered model {info['model']} ({info['states']} states)")
 
-        reply = client.passage(
+        request = dict(
             model=info["model"],
             source="working == 1", target="broken == 1",
             t_points=[0.5, 1.0, 2.0, 4.0], cdf=True, quantile=0.95,
         )
+        try:
+            client.submit("passage", **{**request, "epsilon": -1})
+        except ServiceClientError as exc:
+            assert exc.status == 400, exc
+        else:
+            raise AssertionError("a malformed submission was accepted")
+        assert client.jobs()["jobs"] == [], "a malformed submission left a job"
+
+        reply = client.passage(**request)
         density, cdf = reply["density"], reply["cdf"]
         assert len(density) == 4 and len(cdf) == 4, reply
         assert all(f >= -1e-9 for f in density), density
@@ -97,6 +108,13 @@ def main() -> int:
             t_points=[0.5, 1.0, 2.0, 4.0], cdf=True,
         )
         assert warm["statistics"]["s_points_computed"] == 0, warm["statistics"]
+
+        job = client.wait(client.submit("passage", **request)["job"], timeout=60)
+        assert job["state"] == "done", job
+        for key in reply.keys() | job["result"].keys():
+            if key != "statistics":
+                assert job["result"][key] == reply[key], f"job/sync differ on {key}"
+        print("async job stored the synchronous reply")
 
         stats = client.stats()
         assert stats["queries"]["passage"] >= 2, stats

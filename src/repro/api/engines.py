@@ -16,18 +16,17 @@ hold them to 1e-10 of each other.
 from __future__ import annotations
 
 import abc
+import dataclasses
 
-import numpy as np
-
-from ..core.results import PassageTimeResult, TransientResult
+from ..core.results import RESULT_TYPES, PassageTimeResult, TransientResult
 from ..distributed.backends import MultiprocessingBackend
 from ..distributed.checkpoint import CheckpointStore
 from ..service.cache import TieredResultCache
 from ..service.scheduler import CoalescingScheduler, QueryStatistics
 from . import measures
 from .errors import ApiError, EngineError
-from .model import resolve_state_sets
-from .plan import QueryPlan, build_job
+from .model import Model
+from .plan import QueryPlan
 
 __all__ = [
     "Engine",
@@ -47,32 +46,25 @@ class Engine(abc.ABC):
     #: registry name; also stamped into every result's statistics
     name: str = "abstract"
 
-    def run(self, query):
-        """Dispatch on the query's measure kind."""
-        kind = getattr(query, "kind", None)
-        if kind == "passage":
-            return self.run_passage(query)
-        if kind == "transient":
-            return self.run_transient(query)
-        raise EngineError(
-            f"engine {self.name!r} cannot run {type(query).__name__} queries"
-        )
+    def run(self, query) -> PassageTimeResult | TransientResult:
+        """Evaluate a passage-time or transient query."""
+        if getattr(query, "kind", None) not in RESULT_TYPES:
+            raise EngineError(
+                f"engine {self.name!r} cannot run {type(query).__name__} queries"
+            )
+        return self._run(query)
 
     @abc.abstractmethod
-    def run_passage(self, query) -> PassageTimeResult:
-        """Evaluate a passage-time query."""
-
-    @abc.abstractmethod
-    def run_transient(self, query) -> TransientResult:
-        """Evaluate a transient-probability query."""
+    def _run(self, query) -> PassageTimeResult | TransientResult:
+        """Evaluate a measure query (its kind already checked)."""
 
 
 class _LocalEngine(Engine):
     """The engine that evaluates s-points in this process tree.
 
-    One run is: resolve the state sets, build the job, derive the plan, and
-    hand it to the shared measure helpers over a *per-run* evaluation loop —
-    a :class:`CoalescingScheduler` on a result store (memory, over the
+    One run hands the query and its built model to the shared measure recipe
+    (:func:`repro.api.measures.compute`) over a *per-run* evaluation loop — a
+    :class:`CoalescingScheduler` on a result store (memory, over the
     checkpoint directory when there is one) and an executor (in-process by
     default, or a worker pool).  The three registered local engines are three
     ways of constructing it.
@@ -87,79 +79,32 @@ class _LocalEngine(Engine):
         #: completed s-block
         self.progress = progress
 
-    def _context(self, query):
-        entry = query.model.entry
-        sources, targets = resolve_state_sets(entry, query.source, query.target)
-        job = build_job(
-            entry, query.kind, sources, targets,
-            solver=query.solver, epsilon=query.epsilon,
-        )
-        plan = QueryPlan.derive(query.make_inverter(), query.grid())
+    def _run(self, query):
         scheduler = CoalescingScheduler(
             TieredResultCache(self.checkpoint), backend=self.backend
         )
-        return entry, targets, job, plan, scheduler
-
-    def _statistics(self, query, plan: QueryPlan, stats: QueryStatistics) -> dict:
-        return {
-            **stats.as_dict(),
-            "engine": self.name,
-            "solver": query.solver,
-            "conjugates_folded": plan.conjugates_folded,
-        }
-
-    # -------------------------------------------------------------- passage
-    def run_passage(self, query) -> PassageTimeResult:
-        _entry, _targets, job, plan, scheduler = self._context(query)
+        # Quantile probes are tiny (33 points each under Euler): they go
+        # through the same store, but on the default in-process executor
+        # rather than paying a pool round-trip each.
+        probes = CoalescingScheduler(scheduler.cache)
         stats = QueryStatistics()
+        plans: list[QueryPlan] = []
 
-        resolved = measures.gather(scheduler, job, plan, stats, reporter=self.progress)
-        density = measures.invert(plan, resolved, stats) if query.include_density else None
-        cdf = measures.invert(plan, resolved, stats, cdf=True) if query.include_cdf else None
+        def gather_job(job, plan):
+            plans.append(plan)
+            if len(plans) == 1:  # the measure's own grid comes first
+                return measures.gather(scheduler, job, plan, stats, reporter=self.progress)
+            return measures.gather(probes, job, plan, stats)
 
-        quantiles: dict[float, float] = {}
-        if query.quantiles:
-            # Probes are tiny (33 points each under Euler): they go through
-            # the same store, but on the default in-process executor rather
-            # than paying a pool round-trip each.
-            probes = CoalescingScheduler(scheduler.cache)
-            cdf_at = measures.cdf_probe(
-                lambda probe: measures.gather(probes, job, probe, stats),
-                plan.inverter, stats,
-            )
-            t_lower, t_upper = float(plan.t_points.min()), 10.0 * float(plan.t_points.max())
-            try:
-                for q in query.quantiles:
-                    quantiles[q] = measures.refine_quantile(cdf_at, q, t_lower, t_upper)
-            except measures.QuantileNotBracketed as exc:
-                raise ApiError(str(exc)) from None
-
-        return PassageTimeResult(
-            t_points=plan.t_points,
-            density=density,
-            cdf=cdf,
-            transform_values=resolved,
-            method=plan.inverter.name,
-            quantiles=quantiles,
-            statistics=self._statistics(query, plan, stats),
+        try:
+            result = measures.compute(query, query.model.entry, stats, gather_job)
+        except measures.QuantileNotBracketed as exc:
+            raise ApiError(str(exc)) from None
+        result.statistics.update(
+            engine=self.name, solver=query.solver,
+            conjugates_folded=plans[0].conjugates_folded,
         )
-
-    # ------------------------------------------------------------ transient
-    def run_transient(self, query) -> TransientResult:
-        entry, targets, job, plan, scheduler = self._context(query)
-        stats = QueryStatistics()
-
-        resolved = measures.gather(scheduler, job, plan, stats, reporter=self.progress)
-        probability = measures.invert(plan, resolved, stats)
-        steady = entry.steady_state(targets) if query.include_steady_state else None
-        return TransientResult(
-            t_points=plan.t_points,
-            probability=probability,
-            steady_state=steady,
-            transform_values=resolved,
-            method=plan.inverter.name,
-            statistics=self._statistics(query, plan, stats),
-        )
+        return result
 
 
 class InlineEngine(_LocalEngine):
@@ -264,103 +209,33 @@ class RemoteEngine(Engine):
             client = ServiceClient(url, timeout=timeout, tenant=tenant)
         self.client = client
 
-    def _call(self, method: str, **payload):
+    def _ask(self, query):
         from ..service.client import ServiceClientError
 
         try:
-            return getattr(self.client, method)(**payload)
+            reply = getattr(self.client, query.kind)(**query.to_wire())
         except ServiceClientError as exc:
             raise EngineError(str(exc)) from None
+        result = RESULT_TYPES[query.kind].from_wire(reply)
+        result.method = query.inversion
+        result.statistics["engine"] = self.name
+        return result
 
-    def _reference(self, query) -> dict:
-        if query.inverter_options:
-            raise EngineError(
-                "the remote engine does not support custom inverter options; "
-                "configure the server-side defaults instead"
+    def _run(self, query):
+        # the wire carries one quantile per request
+        further = getattr(query, "quantiles", ())[1:]
+        if not further:
+            return self._ask(query)
+        result = self._ask(dataclasses.replace(query, quantiles=query.quantiles[:1]))
+        # The first reply carries the registered digest; follow-up quantile
+        # requests reference it instead of re-sending the spec.
+        by_digest = Model.from_digest(result.statistics["model"])
+        for q in further:
+            extra = dataclasses.replace(
+                query, model=by_digest, include_cdf=False, quantiles=(q,)
             )
-        ref = query.model.reference()
-        return {
-            "model": ref.get("model"),
-            "spec": ref.get("spec"),
-            "overrides": ref.get("overrides"),
-            "max_states": ref.get("max_states"),
-        }
-
-    def run_passage(self, query) -> PassageTimeResult:
-        t_points = query.grid()
-        quantiles = list(query.quantiles)
-        reply = self._call(
-            "passage",
-            **self._reference(query),
-            source=query.source,
-            target=query.target,
-            t_points=[float(t) for t in t_points],
-            cdf=query.include_cdf,
-            quantile=quantiles[0] if quantiles else None,
-            solver=query.solver,
-            inversion=query.inversion,
-            epsilon=query.epsilon,
-        )
-        out_quantiles: dict[float, float] = {}
-        if "quantile" in reply:
-            out_quantiles[float(reply["quantile"]["q"])] = float(reply["quantile"]["t"])
-        for q in quantiles[1:]:
-            # The first reply carries the registered digest; follow-up
-            # quantile requests reference it instead of re-sending the spec.
-            extra = self._call(
-                "passage",
-                model=reply.get("model"),
-                spec=None,
-                overrides=None,
-                max_states=None,
-                source=query.source,
-                target=query.target,
-                t_points=[float(t) for t in t_points],
-                cdf=False,
-                quantile=q,
-                solver=query.solver,
-                inversion=query.inversion,
-                epsilon=query.epsilon,
-            )
-            out_quantiles[float(extra["quantile"]["q"])] = float(extra["quantile"]["t"])
-
-        stats = dict(reply.get("statistics", {}))
-        stats["engine"] = self.name
-        stats["model"] = reply.get("model")
-        return PassageTimeResult(
-            t_points=np.asarray(reply["t_points"], dtype=float),
-            density=np.asarray(reply["density"], dtype=float) if query.include_density else None,
-            cdf=np.asarray(reply["cdf"], dtype=float) if "cdf" in reply else None,
-            method=query.inversion,
-            quantiles=out_quantiles,
-            statistics=stats,
-        )
-
-    def run_transient(self, query) -> TransientResult:
-        t_points = query.grid()
-        reply = self._call(
-            "transient",
-            **self._reference(query),
-            source=query.source,
-            target=query.target,
-            t_points=[float(t) for t in t_points],
-            steady_state=query.include_steady_state,
-            solver=query.solver,
-            inversion=query.inversion,
-            epsilon=query.epsilon,
-        )
-        stats = dict(reply.get("statistics", {}))
-        stats["engine"] = self.name
-        stats["model"] = reply.get("model")
-        return TransientResult(
-            t_points=np.asarray(reply["t_points"], dtype=float),
-            probability=np.asarray(reply["probability"], dtype=float),
-            steady_state=(
-                float(reply["steady_state"]) if "steady_state" in reply else None
-            ),
-            method=query.inversion,
-            statistics=stats,
-        )
+            result.quantiles.update(self._ask(extra).quantiles)
+        return result
 
 
 # ---------------------------------------------------------------------------

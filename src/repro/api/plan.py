@@ -11,6 +11,7 @@ points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +21,35 @@ from ..laplace.inverter import Inverter, fold_conjugates
 from ..smp import PassageTimeOptions, source_weights
 from .errors import PlanError
 
-__all__ = ["QueryPlan", "build_job"]
+__all__ = ["Grid", "QueryPlan", "as_grid", "build_job"]
 
 _JOB_TYPES = {"passage": PassageTimeJob, "transient": TransientJob}
+
+
+class Grid(tuple):
+    """A checked t-grid: one or more finite, strictly positive floats.
+
+    :func:`as_grid` is its only constructor, so holding one is the proof the
+    check ran — a query's grid is validated when it is set and not again
+    when the plan is derived from it.
+    """
+
+    __slots__ = ()
+
+
+def as_grid(t_points) -> Grid:
+    """The one t-grid check; raises :class:`PlanError`."""
+    if type(t_points) is Grid:
+        return t_points
+    try:
+        grid = Grid(float(t) for t in np.atleast_1d(np.asarray(t_points, dtype=float)))
+    except (TypeError, ValueError) as exc:
+        raise PlanError(f"t-points must be a sequence of numbers: {exc}") from None
+    if not grid:
+        raise PlanError("a query needs at least one t-point")
+    if not all(0.0 < t < math.inf for t in grid):  # false for NaN too
+        raise PlanError("t-points must be finite and strictly positive")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -62,11 +89,7 @@ class QueryPlan:
     @classmethod
     def derive(cls, inverter: Inverter, t_points) -> "QueryPlan":
         """Derive the canonical evaluation grid for ``t_points``."""
-        t_points = np.asarray(list(np.atleast_1d(t_points)), dtype=float)
-        if t_points.size == 0:
-            raise PlanError("a query plan needs at least one t-point")
-        if not np.all(np.isfinite(t_points)) or np.any(t_points <= 0):
-            raise PlanError("t-points must be finite and strictly positive")
+        t_points = np.asarray(as_grid(t_points), dtype=float)
         required = inverter.required_s_points(t_points)
         s_points, s_keys, scheduled_at, mirrored = fold_conjugates(required)
         return cls(

@@ -13,6 +13,12 @@ execution engine selected by name (``inline`` / ``multiprocessing`` /
 ``distributed`` / ``remote``) or by instance.  Because queries are frozen,
 the *same* query object can be run on several engines and must return the
 same numbers — the engine-parity tests rely on this.
+
+A query is also *the request* on every serving surface: :meth:`to_wire` is
+the JSON body of ``POST /v1/passage`` / ``/v1/transient`` (and the request a
+durable job record stores) and :func:`from_wire` parses one back, validating
+through the same builders the fluent API uses — so a body is checked once,
+before any work, and the field names live here and nowhere else.
 """
 from __future__ import annotations
 
@@ -22,30 +28,19 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import EngineError, PlanError
+from .errors import EngineError, ModelError, PlanError
 from .model import Model
-from .plan import QueryPlan
+from .plan import Grid, QueryPlan, as_grid
 
 __all__ = [
     "PassageQuery",
     "TransientQuery",
     "SimulationQuery",
     "SimulationResult",
+    "from_wire",
 ]
 
 _SOLVERS = ("iterative", "direct")
-
-
-def _as_grid(t_points) -> tuple[float, ...]:
-    try:
-        grid = tuple(float(t) for t in np.atleast_1d(np.asarray(t_points, dtype=float)))
-    except (TypeError, ValueError) as exc:
-        raise PlanError(f"t-points must be a sequence of numbers: {exc}") from None
-    if not grid:
-        raise PlanError("a query needs at least one t-point")
-    if not all(np.isfinite(t) and t > 0 for t in grid):
-        raise PlanError("t-points must be finite and strictly positive")
-    return grid
 
 
 @dataclass(frozen=True)
@@ -62,6 +57,9 @@ class _MeasureQuery:
     epsilon: float = 1e-8
 
     kind: ClassVar[str] = "abstract"
+    #: the measure's optional extra as ``(wire flag, field)``; the field name
+    #: is also read as the flag's alias, because durable job records store it
+    wire_flag: ClassVar[tuple[str, str]]
 
     # ------------------------------------------------------------- builders
     def with_solver(self, solver: str) -> "_MeasureQuery":
@@ -89,16 +87,16 @@ class _MeasureQuery:
         return replace(self, epsilon=epsilon)
 
     def with_t_points(self, t_points) -> "_MeasureQuery":
-        return replace(self, t_points=_as_grid(t_points))
+        return replace(self, t_points=as_grid(t_points))
 
     # -------------------------------------------------------------- running
-    def grid(self) -> np.ndarray:
+    def grid(self) -> Grid:
         if self.t_points is None:
             raise PlanError(
                 "this query has no t-points yet; set them with "
                 f".{'density' if self.kind == 'passage' else 'probability'}(t_points)"
             )
-        return np.asarray(self.t_points, dtype=float)
+        return as_grid(self.t_points)
 
     def make_inverter(self):
         from ..laplace import get_inverter
@@ -118,20 +116,28 @@ class _MeasureQuery:
 
         return get_engine(engine, **engine_options).run(self)
 
-    def describe(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "model": self.model.digest,
+    def to_wire(self) -> dict:
+        """This query as the JSON body of ``POST /v1/<kind>``.
+
+        The model goes by reference (its spec text, or its digest when that
+        is all there is); :func:`from_wire` is the inverse.
+        """
+        if self.inverter_options:
+            raise PlanError(
+                "the wire format carries no inverter options; "
+                "configure the server-side defaults instead"
+            )
+        flag, field = self.wire_flag
+        return {
+            **self.model.reference(),
             "source": self.source,
             "target": self.target,
-            "t_points": None if self.t_points is None else list(self.t_points),
+            "t_points": list(self.grid()),
             "solver": self.solver,
             "inversion": self.inversion,
             "epsilon": self.epsilon,
+            flag: getattr(self, field),
         }
-        if self.inverter_options:
-            out["inverter_options"] = dict(self.inverter_options)
-        return out
 
 
 @dataclass(frozen=True)
@@ -143,16 +149,17 @@ class PassageQuery(_MeasureQuery):
     quantiles: tuple[float, ...] = ()
 
     kind: ClassVar[str] = "passage"
+    wire_flag = ("cdf", "include_cdf")
 
     def density(self, t_points=None) -> "PassageQuery":
         """Request the passage-time density, optionally setting the t-grid."""
         out = replace(self, include_density=True)
-        return out if t_points is None else replace(out, t_points=_as_grid(t_points))
+        return out if t_points is None else replace(out, t_points=as_grid(t_points))
 
     def cdf(self, t_points=None) -> "PassageQuery":
         """Request the passage-time CDF, optionally setting the t-grid."""
         out = replace(self, include_cdf=True)
-        return out if t_points is None else replace(out, t_points=_as_grid(t_points))
+        return out if t_points is None else replace(out, t_points=as_grid(t_points))
 
     def quantile(self, q: float) -> "PassageQuery":
         """Request the passage-time quantile ``t`` with ``P(T <= t) = q``."""
@@ -166,6 +173,14 @@ class PassageQuery(_MeasureQuery):
             return self
         return replace(self, quantiles=self.quantiles + (q,))
 
+    def to_wire(self) -> dict:
+        if len(self.quantiles) > 1:
+            raise PlanError("the wire format carries one quantile per request")
+        body = super().to_wire()
+        if self.quantiles:
+            body["quantile"] = self.quantiles[0]
+        return body
+
 
 @dataclass(frozen=True)
 class TransientQuery(_MeasureQuery):
@@ -174,16 +189,79 @@ class TransientQuery(_MeasureQuery):
     include_steady_state: bool = True
 
     kind: ClassVar[str] = "transient"
+    wire_flag = ("steady_state", "include_steady_state")
 
     def probability(self, t_points) -> "TransientQuery":
         """Set the t-grid on which to evaluate the transient probability."""
-        return replace(self, t_points=_as_grid(t_points))
+        return replace(self, t_points=as_grid(t_points))
 
     at = probability
 
     def without_steady_state(self) -> "TransientQuery":
         """Skip the embedded-DTMC steady-state solve."""
         return replace(self, include_steady_state=False)
+
+
+_QUERY_TYPES = {"passage": PassageQuery, "transient": TransientQuery}
+
+
+def _model_from_wire(body: dict) -> Model:
+    overrides = body.get("overrides")
+    if overrides is not None and not isinstance(overrides, dict):
+        raise PlanError("overrides must be a {constant: value} object")
+    try:
+        if body.get("spec") is not None:
+            return Model.from_spec(
+                body["spec"], overrides=overrides, max_states=body.get("max_states")
+            )
+        if not body.get("model"):
+            raise PlanError("request needs either 'model' (a digest) or 'spec'")
+        if overrides:
+            raise PlanError(
+                "constant overrides apply at registration; re-register the spec "
+                "with 'overrides' instead of overriding a digest"
+            )
+        return Model.from_digest(str(body["model"]))
+    except ModelError as exc:
+        raise PlanError(str(exc)) from None
+
+
+def from_wire(kind: str, body: dict, *, model: Model | None = None):
+    """Parse the JSON body of ``POST /v1/<kind>`` into a query, or raise
+    :class:`PlanError` — every field is checked here, before any work.
+
+    An absent field takes the query's default, except that the wire's ``cdf``
+    and ``steady_state`` flags default to true (``include_cdf`` /
+    ``include_steady_state`` are read as their aliases).  Unknown fields are
+    ignored.  ``model`` stands in for the body's model reference (``model`` /
+    ``spec`` / ``overrides`` / ``max_states``) when the caller already holds
+    it.
+    """
+    query_type = _QUERY_TYPES.get(kind)
+    if query_type is None:
+        raise PlanError(f"unknown measure kind {kind!r}")
+    if not isinstance(body, dict):
+        raise PlanError("request body must be a JSON object")
+    for role in ("source", "target"):
+        if not body.get(role) or not isinstance(body[role], str):
+            raise PlanError(f"{role} must be a marking-predicate expression")
+    flag, field = query_type.wire_flag
+    query = query_type(
+        model=model if model is not None else _model_from_wire(body),
+        source=body["source"],
+        target=body["target"],
+        t_points=as_grid(body.get("t_points", ())),
+        **{field: bool(body.get(field, body.get(flag, True)))},
+    )
+    if "solver" in body:
+        query = query.with_solver(body["solver"])
+    if "inversion" in body:
+        query = query.with_inversion(body["inversion"])
+    if "epsilon" in body:
+        query = query.with_epsilon(body["epsilon"])
+    if kind == "passage" and body.get("quantile") is not None:
+        query = query.quantile(body["quantile"])
+    return query
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +331,7 @@ class SimulationQuery:
         return replace(self, seed=seed)
 
     def with_t_points(self, t_points) -> "SimulationQuery":
-        return replace(self, t_points=_as_grid(t_points))
+        return replace(self, t_points=as_grid(t_points))
 
     def run(self, engine="inline", **engine_options) -> SimulationResult:
         """Simulate in-process (simulation has no remote/distributed engine yet)."""

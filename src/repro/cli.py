@@ -39,6 +39,7 @@ import sys
 from pathlib import Path
 
 from .api import ApiError, DistributedEngine, Model
+from .core.results import RESULT_TYPES
 from .dnamaca.expressions import ExpressionError, parse_overrides
 
 __all__ = ["main", "build_parser"]
@@ -71,7 +72,10 @@ def _query_model(args) -> Model:
     """Interpret a query's MODEL argument as a spec path or a digest."""
     overrides = _overrides(args)
     if Path(args.model).exists():
-        return Model.from_file(args.model, overrides=overrides)
+        return Model.from_file(
+            args.model, overrides=overrides,
+            max_states=getattr(args, "max_states", None),
+        )
     if overrides:
         raise SystemExit(
             "--set needs the specification text; pass a spec file path, not a digest"
@@ -116,12 +120,18 @@ def _emit(rows, header, args) -> None:
         print("  ".join(_cell(v).rjust(w) for v, w in zip(row, widths)))
 
 
-def _passage_rows(result) -> tuple[list[list], list[str]]:
-    """Rows/header from a PassageTimeResult, dropping all-``None`` columns."""
-    table = result.as_table()
-    header = ["t", "density", "cdf"]
-    keep = [0] + [i for i in (1, 2) if any(row[i] is not None for row in table)]
-    return [[row[i] for i in keep] for row in table], [header[i] for i in keep]
+def _print_measure(result, args) -> None:
+    """A measure result — local, remote or a finished job's — as its table
+    (all-``None`` columns dropped) and its quantile / steady-state lines."""
+    table, header = result.as_table(), result.columns
+    keep = [0] + [
+        i for i in range(1, len(header)) if any(row[i] is not None for row in table)
+    ]
+    _emit([[row[i] for i in keep] for row in table], [header[i] for i in keep], args)
+    for q, t in sorted(getattr(result, "quantiles", {}).items()):
+        print(f"quantile: P(T <= {t:.6g}) = {q}")
+    if getattr(result, "steady_state", None) is not None:
+        print(f"steady-state value: {result.steady_state:.6g}")
 
 
 def _measure_query(model: Model, args, kind: str):
@@ -142,11 +152,6 @@ def _measure_query(model: Model, args, kind: str):
         )
     except ApiError as exc:
         raise SystemExit(str(exc)) from None
-
-
-def _print_quantiles(result) -> None:
-    for q, t in sorted(result.quantiles.items()):
-        print(f"quantile: P(T <= {t:.6g}) = {q}")
 
 
 def _start_trace(args) -> str | None:
@@ -228,9 +233,7 @@ def _cmd_passage(args) -> int:
             engine.progress.finish()
         _finish_trace(trace_path)
 
-    rows, header = _passage_rows(result)
-    _emit(rows, header, args)
-    _print_quantiles(result)
+    _print_measure(result, args)
     stats = result.statistics
     cached = stats.get("s_points_from_memory", 0) + stats.get("s_points_from_disk", 0)
     print(f"# s-points computed: {stats.get('s_points_computed', 0)} "
@@ -250,8 +253,7 @@ def _cmd_transient(args) -> int:
         result = _run(query, "inline")
     finally:
         _finish_trace(trace_path)
-    _emit(result.as_table(), ["t", "probability"], args)
-    print(f"steady-state value: {result.steady_state:.6g}")
+    _print_measure(result, args)
     return 0
 
 
@@ -471,9 +473,7 @@ def _cmd_query_passage(args) -> int:
     model = _query_model(args)
     query = _measure_query(model, args, "passage")
     result = _run(query, "remote", url=args.url, tenant=args.tenant)
-    rows, header = _passage_rows(result)
-    _emit(rows, header, args)
-    _print_quantiles(result)
+    _print_measure(result, args)
     _print_query_stats(result.statistics)
     return 0
 
@@ -482,9 +482,7 @@ def _cmd_query_transient(args) -> int:
     model = _query_model(args)
     query = _measure_query(model, args, "transient")
     result = _run(query, "remote", url=args.url, tenant=args.tenant)
-    _emit(result.as_table(), ["t", "probability"], args)
-    if result.steady_state is not None:
-        print(f"steady-state value: {result.steady_state:.6g}")
+    _print_measure(result, args)
     _print_query_stats(result.statistics)
     return 0
 
@@ -525,57 +523,12 @@ def _print_job(view: dict, args) -> None:
           f"attempt {view.get('attempts', 0)}")
 
 
-def _print_job_result(view: dict, args) -> None:
-    """Emit a finished job's measure table (the sync commands' format)."""
-    result = view.get("result")
-    if not isinstance(result, dict):
-        return
-    t_points = result.get("t_points") or []
-    if result.get("measure") == "passage":
-        density = result.get("density") or []
-        cdf = result.get("cdf")
-        if cdf is not None:
-            rows = [[t, d, F] for t, d, F in zip(t_points, density, cdf)]
-            _emit(rows, ["t", "density", "cdf"], args)
-        else:
-            _emit([[t, d] for t, d in zip(t_points, density)], ["t", "density"], args)
-        quantile = result.get("quantile")
-        if quantile:
-            print(f"quantile: P(T <= {quantile['t']:.6g}) = {quantile['q']}")
-    else:
-        rows = [[t, p] for t, p in zip(t_points, result.get("probability") or [])]
-        _emit(rows, ["t", "probability"], args)
-        if result.get("steady_state") is not None:
-            print(f"steady-state value: {result['steady_state']:.6g}")
-
-
 def _cmd_query_jobs_submit(args) -> int:
     from .service import ServiceClientError
 
-    kwargs: dict = dict(
-        source=args.source, target=args.target, t_points=args.t_points,
-        solver=args.solver, inversion=args.inversion, epsilon=args.epsilon,
-    )
-    overrides = _overrides(args)
-    if Path(args.model).exists():
-        kwargs["spec"] = Path(args.model).read_text()
-        if overrides:
-            kwargs["overrides"] = overrides
-    else:
-        if overrides:
-            raise SystemExit(
-                "--set needs the specification text; pass a spec file path, "
-                "not a digest"
-            )
-        kwargs["model"] = args.model
-    if getattr(args, "max_states", None) is not None:
-        kwargs["max_states"] = args.max_states
-    if args.kind == "passage":
-        kwargs["cdf"] = args.cdf
-        if args.quantile is not None:
-            kwargs["quantile"] = args.quantile
+    query = _measure_query(_query_model(args), args, args.kind)
     try:
-        view = _client(args).submit(args.kind, **kwargs)
+        view = _client(args).submit(args.kind, **query.to_wire())
     except ServiceClientError as exc:
         raise SystemExit(str(exc)) from None
     if args.json:
@@ -611,7 +564,8 @@ def _cmd_query_jobs_wait(args) -> int:
         print(json.dumps(view, indent=2))
     else:
         _print_job(view, args)
-        _print_job_result(view, args)
+        if isinstance(view.get("result"), dict):
+            _print_measure(RESULT_TYPES[view["kind"]].from_wire(view["result"]), args)
     return 0 if view.get("state") == "done" else 1
 
 

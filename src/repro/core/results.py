@@ -1,11 +1,23 @@
-"""Result containers for passage-time and transient analyses."""
+"""Result containers for passage-time and transient analyses.
+
+A result is also *the reply* on every serving surface: ``to_wire()`` is the
+JSON a synchronous ``POST /v1/<kind>`` answers with and a finished job stores
+as its ``result``, ``from_wire()`` parses it back (the remote engine, the
+CLI's job printer).  The reply's keys are spelled here and nowhere else; the
+raw ``transform_values`` and the inversion ``method`` are not part of it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["PassageTimeResult", "TransientResult"]
+__all__ = ["PassageTimeResult", "TransientResult", "RESULT_TYPES"]
+
+
+def _wire_statistics(reply: dict) -> dict:
+    """A reply's statistics, with the digest the server answered for."""
+    return {**reply.get("statistics", {}), "model": reply.get("model")}
 
 
 @dataclass
@@ -94,6 +106,9 @@ class PassageTimeResult:
             raise ValueError("this result holds no density values")
         return float(abs(1.0 - np.trapezoid(self.density, self.t_points)))
 
+    #: column names of :meth:`as_table`
+    columns = ("t", "density", "cdf")
+
     def as_table(self) -> list[tuple[float, float | None, float | None]]:
         """Rows ``(t, f(t), F(t))`` — convenient for printing benchmark output."""
         density = self.density if self.density is not None else [None] * len(self.t_points)
@@ -102,6 +117,33 @@ class PassageTimeResult:
             (float(t), None if f is None else float(f), None if F is None else float(F))
             for t, f, F in zip(self.t_points, density, cdf)
         ]
+
+    # ---------------------------------------------------------------- wire
+    def to_wire(self, model: str | None = None) -> dict:
+        """The reply JSON; ``model`` is the digest the server answered for."""
+        if len(self.quantiles) > 1:
+            raise ValueError("the wire format carries one quantile per reply")
+        reply = {"model": model, "measure": "passage", "t_points": self.t_points.tolist()}
+        if self.density is not None:
+            reply["density"] = self.density.tolist()
+        if self.cdf is not None:
+            reply["cdf"] = self.cdf.tolist()
+        if self.quantiles:
+            ((q, t),) = self.quantiles.items()
+            reply["quantile"] = {"q": float(q), "t": float(t)}
+        reply["statistics"] = dict(self.statistics)
+        return reply
+
+    @classmethod
+    def from_wire(cls, reply: dict) -> "PassageTimeResult":
+        quantile = reply.get("quantile")
+        return cls(
+            t_points=reply["t_points"],
+            density=reply.get("density"),
+            cdf=reply.get("cdf"),
+            quantiles={float(quantile["q"]): float(quantile["t"])} if quantile else {},
+            statistics=_wire_statistics(reply),
+        )
 
 
 @dataclass
@@ -125,5 +167,36 @@ class TransientResult:
             return None
         return float(abs(self.probability[-1] - self.steady_state))
 
+    #: column names of :meth:`as_table`
+    columns = ("t", "probability")
+
     def as_table(self) -> list[tuple[float, float]]:
         return [(float(t), float(p)) for t, p in zip(self.t_points, self.probability)]
+
+    # ---------------------------------------------------------------- wire
+    def to_wire(self, model: str | None = None) -> dict:
+        """The reply JSON; ``model`` is the digest the server answered for."""
+        reply = {
+            "model": model,
+            "measure": "transient",
+            "t_points": self.t_points.tolist(),
+            "probability": self.probability.tolist(),
+        }
+        if self.steady_state is not None:
+            reply["steady_state"] = float(self.steady_state)
+        reply["statistics"] = dict(self.statistics)
+        return reply
+
+    @classmethod
+    def from_wire(cls, reply: dict) -> "TransientResult":
+        steady = reply.get("steady_state")
+        return cls(
+            t_points=reply["t_points"],
+            probability=reply["probability"],
+            steady_state=None if steady is None else float(steady),
+            statistics=_wire_statistics(reply),
+        )
+
+
+#: measure kind (a reply's ``measure``, a job's ``kind``) -> its result type
+RESULT_TYPES = {"passage": PassageTimeResult, "transient": TransientResult}

@@ -3,7 +3,7 @@
 Thin shims: each solver owns a job, an inverter and one evaluation loop (a
 :class:`~repro.service.scheduler.CoalescingScheduler` over an in-memory
 result store, on the given executor) and computes its measures with the
-helpers every other surface uses (:mod:`repro.api.measures`).  The store
+recipe every other surface uses (:mod:`repro.api.measures`).  The store
 lives as long as the solver, so repeated t-grids and overlapping Euler grids
 cost nothing extra.
 """
@@ -81,13 +81,6 @@ class _BaseSolver:
     def _gather(self, plan: QueryPlan) -> dict[complex, complex]:
         return measures.gather(self._scheduler, self._job, plan, self.statistics)
 
-    def _invert(self, t_points, *, cdf: bool = False) -> np.ndarray:
-        plan = QueryPlan.derive(self.inverter, t_points)
-        return measures.invert(plan, self._gather(plan), self.statistics, cdf=cdf)
-
-    def _statistics(self) -> dict:
-        return {**self.statistics.as_dict(), "solver": self.method}
-
 
 class PassageTimeSolver(_BaseSolver):
     """First-passage-time analysis from a set of sources to a set of targets.
@@ -119,27 +112,22 @@ class PassageTimeSolver(_BaseSolver):
     # ------------------------------------------------------------- measures
     def density(self, t_points) -> np.ndarray:
         """Passage-time density ``f(t)`` at each t-point."""
-        return self._invert(t_points)
+        return self.solve(t_points, include_cdf=False).density
 
     def cdf(self, t_points) -> np.ndarray:
         """Passage-time distribution function ``F(t)`` at each t-point."""
-        return self._invert(t_points, cdf=True)
+        return self.solve(t_points, include_density=False).cdf
 
     def solve(self, t_points, *, include_density: bool = True, include_cdf: bool = True) -> PassageTimeResult:
         """Compute density and/or CDF over ``t_points`` and package the result."""
-        plan = QueryPlan.derive(self.inverter, t_points)
-        resolved = self._gather(plan)
-        stats = self.statistics
-        return PassageTimeResult(
-            t_points=plan.t_points,
-            density=measures.invert(plan, resolved, stats) if include_density else None,
-            cdf=measures.invert(plan, resolved, stats, cdf=True) if include_cdf else None,
-            transform_values=resolved,
-            method=self.inverter.name,
-            statistics=self._statistics(),
+        result = measures.passage(
+            self._gather, self.inverter, t_points, self.statistics,
+            density=include_density, cdf=include_cdf,
         )
+        result.statistics["solver"] = self.method
+        return result
 
-    def quantile(self, q: float, t_lower: float, t_upper: float, *, xtol: float = 1e-6) -> float:
+    def quantile(self, q: float, t_lower: float, t_upper: float) -> float:
         """The passage-time quantile ``t`` with ``P(T <= t) = q``.
 
         A bracketing root find on the inverted CDF; each function evaluation
@@ -150,8 +138,10 @@ class PassageTimeSolver(_BaseSolver):
             raise ValueError("q must lie strictly between 0 and 1")
         if t_upper <= t_lower:
             raise ValueError("t_upper must exceed t_lower")
-        cdf_at = measures.cdf_probe(self._gather, self.inverter, self.statistics)
-        return measures.refine_quantile(cdf_at, q, t_lower, t_upper, xtol=xtol)
+        return measures.passage(
+            self._gather, self.inverter, [t_lower, t_upper], self.statistics,
+            density=False, quantiles=(q,), bracket=(t_lower, t_upper),
+        ).quantiles[q]
 
     def moments(self, order: int = 2, *, scale: float | None = None) -> np.ndarray:
         """Moments ``E[T^k]`` of the passage time from the transform near s=0.
@@ -223,20 +213,16 @@ class TransientSolver(_BaseSolver):
 
     def probability(self, t_points) -> np.ndarray:
         """``P(Z(t) in targets)`` at each t-point."""
-        return self._invert(t_points)
+        return self.solve(t_points, include_steady_state=False).probability
 
     def steady_state(self) -> float:
         """The t -> infinity limit of the transient probability."""
         return steady_state_probability(self.kernel, self.targets)
 
     def solve(self, t_points, *, include_steady_state: bool = True) -> TransientResult:
-        plan = QueryPlan.derive(self.inverter, t_points)
-        resolved = self._gather(plan)
-        return TransientResult(
-            t_points=plan.t_points,
-            probability=measures.invert(plan, resolved, self.statistics),
+        result = measures.transient(
+            self._gather, self.inverter, t_points, self.statistics,
             steady_state=self.steady_state() if include_steady_state else None,
-            transform_values=resolved,
-            method=self.inverter.name,
-            statistics=self._statistics(),
         )
+        result.statistics["solver"] = self.method
+        return result

@@ -2,10 +2,10 @@
 
 The :class:`JobRunner` owns one daemon thread.  Each claimed job is executed
 through the *same* code path a synchronous query takes —
-``AnalysisService.passage`` / ``.transient`` over the coalescing scheduler —
-with one difference: the runner hangs a :class:`_JobObserver` on the
-evaluation loop, which names the job's s-block size and sees every block the
-moment it has landed in the tiered result cache (and, with a checkpoint
+``AnalysisService.measure`` on the stored request, over the coalescing
+scheduler — with one difference: the runner hangs a :class:`_JobObserver` on
+the evaluation loop, which names the job's s-block size and sees every block
+the moment it has landed in the tiered result cache (and, with a checkpoint
 directory, on disk), so that
 
 * the job record's progress is advanced once per completed s-block
@@ -148,14 +148,14 @@ class JobRunner:
             self._execute(record)
 
     def _execute(self, record: JobRecord) -> None:
-        from ..service.service import ServiceError, measure_kwargs
+        from ..service.service import ServiceError
 
         observer = _JobObserver(self, record)
         self._active = record.job_id
         try:
-            kwargs = measure_kwargs(record.request, record.kind)
-            run = getattr(self.service, record.kind)
-            response = run(tenant=record.tenant, observer=observer, **kwargs)
+            response = self.service.measure(
+                record.kind, record.request, tenant=record.tenant, observer=observer
+            )
             observer.settle()
             self.store.transition(record.job_id, "done", result=response)
             logger.info("job=%s tenant=%s kind=%s state=done",

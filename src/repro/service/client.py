@@ -1,4 +1,12 @@
-"""Stdlib-only client for the analysis server's HTTP JSON API."""
+"""Stdlib-only client for the analysis server's HTTP JSON API.
+
+The measure calls post the request fields they are given, as given: the
+wire format is spelled by :meth:`repro.api.PassageQuery.to_wire` /
+:func:`repro.api.queries.from_wire` and its defaults are applied by the
+server, so ``client.passage(**query.to_wire())`` and a hand-written
+``client.passage(model=..., source=..., target=..., t_points=[...])`` are the
+same request.
+"""
 from __future__ import annotations
 
 import json
@@ -135,29 +143,6 @@ class ServiceClient:
         except ConnectionError as exc:  # reset mid-response body
             raise _ConnectionFailed(str(exc)) from None
 
-    @staticmethod
-    def _measure_payload(
-        model, spec, source, target, t_points, overrides, max_states,
-        solver, inversion, epsilon,
-    ) -> dict:
-        payload = {
-            "source": source,
-            "target": target,
-            "t_points": [float(t) for t in t_points],
-            "solver": solver,
-            "inversion": inversion,
-            "epsilon": epsilon,
-        }
-        if model is not None:
-            payload["model"] = model
-        if spec is not None:
-            payload["spec"] = spec
-        if overrides:
-            payload["overrides"] = overrides
-        if max_states is not None:
-            payload["max_states"] = max_states
-        return payload
-
     # ------------------------------------------------------------------ API
     def health(self) -> dict:
         return self._request("GET", "/v1/health")
@@ -205,55 +190,16 @@ class ServiceClient:
         """Models visible to this client's tenant (``GET /v1/models``)."""
         return self._request("GET", "/v1/models")
 
-    def passage(
-        self,
-        *,
-        model: str | None = None,
-        spec: str | None = None,
-        source: str,
-        target: str,
-        t_points,
-        cdf: bool = True,
-        quantile: float | None = None,
-        overrides: dict | None = None,
-        max_states: int | None = None,
-        solver: str = "iterative",
-        inversion: str = "euler",
-        epsilon: float = 1e-8,
-    ) -> dict:
-        payload = self._measure_payload(
-            model, spec, source, target, t_points, overrides, max_states,
-            solver, inversion, epsilon,
-        )
-        payload["cdf"] = cdf
-        if quantile is not None:
-            payload["quantile"] = quantile
-        return self._request("POST", "/v1/passage", payload)
+    def passage(self, **fields) -> dict:
+        """``POST /v1/passage``: density / CDF / quantile of a passage time."""
+        return self._request("POST", "/v1/passage", fields)
 
-    def transient(
-        self,
-        *,
-        model: str | None = None,
-        spec: str | None = None,
-        source: str,
-        target: str,
-        t_points,
-        steady_state: bool = True,
-        overrides: dict | None = None,
-        max_states: int | None = None,
-        solver: str = "iterative",
-        inversion: str = "euler",
-        epsilon: float = 1e-8,
-    ) -> dict:
-        payload = self._measure_payload(
-            model, spec, source, target, t_points, overrides, max_states,
-            solver, inversion, epsilon,
-        )
-        payload["steady_state"] = steady_state
-        return self._request("POST", "/v1/transient", payload)
+    def transient(self, **fields) -> dict:
+        """``POST /v1/transient``: transient probability on a t-grid."""
+        return self._request("POST", "/v1/transient", fields)
 
     # ----------------------------------------------------------- async jobs
-    def submit(self, kind: str, **query) -> dict:
+    def submit(self, kind: str, **fields) -> dict:
         """Submit an async query; returns the ``202`` job view immediately.
 
         ``kind`` is ``"passage"`` or ``"transient"``; the keyword arguments
@@ -261,24 +207,7 @@ class ServiceClient:
         """
         if kind not in ("passage", "transient"):
             raise ValueError(f"kind must be 'passage' or 'transient', not {kind!r}")
-        payload = self._measure_payload(
-            query.pop("model", None), query.pop("spec", None),
-            query.pop("source", None), query.pop("target", None),
-            query.pop("t_points", []), query.pop("overrides", None),
-            query.pop("max_states", None), query.pop("solver", "iterative"),
-            query.pop("inversion", "euler"), query.pop("epsilon", 1e-8),
-        )
-        if kind == "passage":
-            payload["cdf"] = bool(query.pop("cdf", True))
-            quantile = query.pop("quantile", None)
-            if quantile is not None:
-                payload["quantile"] = quantile
-        else:
-            payload["steady_state"] = bool(query.pop("steady_state", True))
-        if query:
-            raise TypeError(f"unexpected arguments: {sorted(query)}")
-        payload["async"] = True
-        return self._request("POST", f"/v1/{kind}", payload)
+        return self._request("POST", f"/v1/{kind}", {**fields, "async": True})
 
     def job(self, job_id: str) -> dict:
         """One job's state / progress / result (``GET /v1/jobs/{id}``)."""

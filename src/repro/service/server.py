@@ -48,7 +48,6 @@ from .service import (
     ServiceError,
     ServiceUnavailable,
     ValidationError,
-    measure_kwargs,
 )
 
 __all__ = ["create_server", "AnalysisHTTPServer"]
@@ -102,26 +101,6 @@ def _http_error(status: int, message: str) -> ServiceError:
     exc = ServiceError(message)
     exc.status = status
     return exc
-
-
-def _measure_body(payload: dict, kind: str) -> dict:
-    """Canonicalise one HTTP measure body (wire aliases, required keys).
-
-    The wire uses the short ``cdf`` / ``steady_state`` flags; the service
-    (and the durable job request) use the canonical ``include_*`` names.
-    Required fields default to empty values so their absence surfaces as a
-    400-class validation error, not a ``TypeError``.
-    """
-    body = dict(payload)
-    body.pop("async", None)
-    if kind == "passage" and "include_cdf" not in body:
-        body["include_cdf"] = bool(body.pop("cdf", True))
-    elif kind == "transient" and "include_steady_state" not in body:
-        body["include_steady_state"] = bool(body.pop("steady_state", True))
-    body.setdefault("t_points", [])
-    body.setdefault("source", None)
-    body.setdefault("target", None)
-    return body
 
 
 class AnalysisHTTPServer(ThreadingHTTPServer):
@@ -303,14 +282,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             ))
         elif path in ("/v1/passage", "/v1/transient"):
             kind = path.rsplit("/", 1)[1]
-            payload = self._read_json()
-            body = _measure_body(payload, kind)
-            if payload.get("async"):
+            body = self._read_json()
+            if body.pop("async", False):
                 view = service.submit(kind, body, tenant=tenant)
                 self._reply(202, view, headers={"Location": view["location"]})
             else:
-                run = getattr(service, kind)
-                self._reply(200, run(tenant=tenant, **measure_kwargs(body, kind)))
+                self._reply(200, service.measure(kind, body, tenant=tenant))
         else:  # pragma: no cover - _allowed_methods gates every path above
             self._error(404, f"unknown endpoint {self.path!r}")
 

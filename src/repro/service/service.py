@@ -6,11 +6,22 @@ build per distinct spec), a :class:`~repro.service.cache.TieredResultCache`
 (in-memory LRU over the on-disk checkpoint store) and a
 :class:`~repro.service.scheduler.CoalescingScheduler` (each s-point evaluated
 at most once across concurrent queries).  The HTTP layer in
-:mod:`repro.service.http` is a thin JSON adapter over the three query
-methods; tests and benchmarks may drive the service in-process.
+:mod:`repro.service.server` is a thin JSON adapter over it; tests and
+benchmarks may drive the service in-process.
+
+A measure request is a JSON object and :meth:`AnalysisService.measure` its
+one path: :func:`repro.api.queries.from_wire` turns the body into a query
+(every field validated there, before any work — synchronous call, async
+submission and job replay alike), the tenant-scoped registry turns the
+query's model reference into a built entry, :func:`repro.api.measures.compute`
+runs the shared recipe with this service's gather, and the result object's
+``to_wire()`` is the reply.  The api layer's errors become HTTP statuses in
+one place, :func:`_api_errors`.
 """
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import threading
 import time
@@ -20,7 +31,9 @@ import numpy as np
 from .. import faults
 from ..api import measures
 from ..api.errors import PlanError, PredicateError
-from ..api.plan import QueryPlan, build_job
+from ..api.model import Model, resolve_state_sets
+from ..api.plan import QueryPlan
+from ..api.queries import from_wire
 from ..core.jobs import TransformJob
 from ..distributed.checkpoint import CheckpointStore
 from ..dnamaca.expressions import ExpressionError, parse_overrides
@@ -33,7 +46,6 @@ from ..jobs import (
     TenantQuotas,
     open_backend,
 )
-from ..laplace import get_inverter
 from ..obs.metrics import effective_cores, get_metrics
 from ..obs.progress import ProgressBoard
 from .cache import TieredResultCache
@@ -49,7 +61,6 @@ __all__ = [
     "JobNotFound",
     "QueryError",
     "QuotaExceeded",
-    "measure_kwargs",
 ]
 
 
@@ -141,41 +152,17 @@ class QuotaExceeded(ServiceError):
         return out
 
 
-#: request fields each measure kind accepts; shared by the synchronous HTTP
-#: handlers, async submission and the job runner so every surface parses one
-#: payload shape
-_MEASURE_FIELDS = {
-    "passage": (
-        "model", "spec", "overrides", "max_states", "source", "target",
-        "t_points", "include_cdf", "quantile", "solver", "inversion",
-        "epsilon",
-    ),
-    "transient": (
-        "model", "spec", "overrides", "max_states", "source", "target",
-        "t_points", "include_steady_state", "solver", "inversion", "epsilon",
-    ),
-}
-
-
-def measure_kwargs(payload: dict, kind: str) -> dict:
-    """Extract the keyword arguments of one measure call from a JSON body."""
-    if kind not in _MEASURE_FIELDS:
-        raise ValidationError(f"unknown measure kind {kind!r}")
-    if not isinstance(payload, dict):
-        raise ValidationError("request body must be a JSON object")
-    return {k: payload[k] for k in _MEASURE_FIELDS[kind] if k in payload}
-
-
-def _as_t_points(raw) -> np.ndarray:
+@contextlib.contextmanager
+def _api_errors():
+    """The api layer's errors as the statuses the transport serves: a
+    malformed request is a 400, a well-formed one the model cannot answer a
+    422."""
     try:
-        t_points = np.asarray(list(raw), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"t_points must be a list of numbers: {exc}") from None
-    if t_points.size == 0:
-        raise ValidationError("t_points must not be empty")
-    if not np.all(np.isfinite(t_points)) or np.any(t_points <= 0):
-        raise ValidationError("t_points must be finite and strictly positive")
-    return t_points
+        yield
+    except PlanError as exc:
+        raise ValidationError(str(exc)) from None
+    except (PredicateError, measures.QuantileNotBracketed) as exc:
+        raise QueryError(str(exc)) from None
 
 
 def _package_version() -> str:
@@ -305,153 +292,56 @@ class AnalysisService:
             raise ValidationError(str(exc)) from None
 
     def _resolve_entry(
-        self,
-        model: str | None,
-        spec: str | None,
-        overrides: dict | None,
-        max_states: int | None,
-        tenant: str = DEFAULT_TENANT,
+        self, model: Model, tenant: str = DEFAULT_TENANT
     ) -> tuple[ModelEntry, bool]:
-        overrides = self._checked_overrides(overrides)
-        if spec is not None:
-            if not isinstance(spec, str) or not spec.strip():
-                raise ValidationError("spec must be a non-empty string")
+        """The tenant's built entry for a request's model reference."""
+        if model.spec_text is not None:
             try:
                 return self.registry.register(
-                    spec, overrides=overrides, max_states=max_states,
-                    tenant=tenant,
+                    model.spec_text, overrides=model.overrides,
+                    max_states=model.max_states, tenant=tenant,
                 )
             except QuotaError as exc:
                 raise QuotaExceeded.wrap(exc) from None
             except Exception as exc:
                 raise QueryError(f"cannot build model: {exc}") from exc
-        if not model:
-            raise ValidationError("request needs either 'model' (a digest) or 'spec'")
-        if overrides:
-            raise ValidationError(
-                "constant overrides apply at registration; re-register the spec "
-                "with 'overrides' instead of overriding a digest"
-            )
-        entry = self.registry.get(str(model), tenant=tenant)
+        entry = self.registry.get(model.digest, tenant=tenant)
         if entry is None:
             raise ModelNotFound(
-                f"unknown model {model!r}; register it via POST /v1/models first"
+                f"unknown model {model.digest!r}; register it via POST /v1/models first"
             )
         return entry, False
 
-    def _state_sets(self, entry: ModelEntry, source: str, target: str):
-        if not source or not isinstance(source, str):
-            raise ValidationError("source must be a marking-predicate expression")
-        if not target or not isinstance(target, str):
-            raise ValidationError("target must be a marking-predicate expression")
-        from ..api.model import resolve_state_sets
-
-        try:
-            return resolve_state_sets(entry, source, target)
-        except PredicateError as exc:
-            raise QueryError(str(exc)) from None
-
     # ------------------------------------------------------------ queries
-    def passage(
-        self,
-        *,
-        model: str | None = None,
-        spec: str | None = None,
-        overrides: dict | None = None,
-        max_states: int | None = None,
-        source: str,
-        target: str,
-        t_points,
-        include_cdf: bool = True,
-        quantile: float | None = None,
-        solver: str = "iterative",
-        inversion: str = "euler",
-        epsilon: float = 1e-8,
-        tenant: str = DEFAULT_TENANT,
-        observer=None,
+    def measure(
+        self, kind: str, body: dict, *, tenant: str = DEFAULT_TENANT, observer=None
     ) -> dict:
-        """First-passage-time density (and optionally CDF / quantile).
+        """Answer one measure request: the wire body in, the reply JSON out.
 
         ``observer`` is the job runner's hook on the evaluation loop (see
         :meth:`_gather`); synchronous queries pass none.
         """
-        t_points = _as_t_points(t_points)
-        entry, registered = self._resolve_entry(
-            model, spec, overrides, max_states, tenant=tenant
-        )
-        sources, targets = self._state_sets(entry, source, target)
-        job = self._make_job("passage", entry, sources, targets, solver, epsilon)
-        inverter = self._make_inverter(inversion)
-        stats = QueryStatistics()
-        stats.extra["model_registered"] = registered
+        with _api_errors():
+            query = from_wire(kind, body)
+            entry, registered = self._resolve_entry(query.model, tenant)
+            stats = QueryStatistics()
+            stats.extra["model_registered"] = registered
+            result = measures.compute(
+                query, entry, stats,
+                functools.partial(self._gather, entry, stats, observer),
+            )
+        self._count_query(kind, tenant)
+        return result.to_wire(entry.digest)
 
-        plan = QueryPlan.derive(inverter, t_points)
-        resolved = self._gather(job, entry, stats, observer, plan)
-        density = measures.invert(plan, resolved, stats)
-        cdf = measures.invert(plan, resolved, stats, cdf=True) if include_cdf else None
+    def passage(self, *, tenant: str = DEFAULT_TENANT, observer=None, **body) -> dict:
+        """First-passage-time density (and optionally CDF / quantile); the
+        keywords are the request's fields."""
+        return self.measure("passage", body, tenant=tenant, observer=observer)
 
-        response = {
-            "model": entry.digest,
-            "measure": "passage",
-            "t_points": [float(t) for t in t_points],
-            "density": [float(f) for f in density],
-        }
-        if cdf is not None:
-            response["cdf"] = [float(F) for F in cdf]
-        if quantile is not None:
-            response["quantile"] = {
-                "q": float(quantile),
-                "t": self._refine_quantile(
-                    job, entry, inverter, t_points, quantile, stats, observer
-                ),
-            }
-        self._count_query("passage", tenant)
-        response["statistics"] = stats.as_dict()
-        return response
-
-    def transient(
-        self,
-        *,
-        model: str | None = None,
-        spec: str | None = None,
-        overrides: dict | None = None,
-        max_states: int | None = None,
-        source: str,
-        target: str,
-        t_points,
-        include_steady_state: bool = True,
-        solver: str = "iterative",
-        inversion: str = "euler",
-        epsilon: float = 1e-8,
-        tenant: str = DEFAULT_TENANT,
-        observer=None,
-    ) -> dict:
-        """Transient probability ``P(Z(t) in targets)`` on a t-grid."""
-        t_points = _as_t_points(t_points)
-        entry, registered = self._resolve_entry(
-            model, spec, overrides, max_states, tenant=tenant
-        )
-        sources, targets = self._state_sets(entry, source, target)
-        job = self._make_job("transient", entry, sources, targets, solver, epsilon)
-        inverter = self._make_inverter(inversion)
-        stats = QueryStatistics()
-        stats.extra["model_registered"] = registered
-
-        plan = QueryPlan.derive(inverter, t_points)
-        resolved = self._gather(job, entry, stats, observer, plan)
-        probability = measures.invert(plan, resolved, stats)
-
-        response = {
-            "model": entry.digest,
-            "measure": "transient",
-            "t_points": [float(t) for t in t_points],
-            "probability": [float(p) for p in probability],
-        }
-        if include_steady_state:
-            response["steady_state"] = entry.steady_state(targets)
-        self._count_query("transient", tenant)
-        response["statistics"] = stats.as_dict()
-        return response
+    def transient(self, *, tenant: str = DEFAULT_TENANT, observer=None, **body) -> dict:
+        """Transient probability ``P(Z(t) in targets)`` on a t-grid; the
+        keywords are the request's fields."""
+        return self.measure("transient", body, tenant=tenant, observer=observer)
 
     # ------------------------------------------------------------ async jobs
     def admit(self, tenant: str) -> None:
@@ -473,25 +363,20 @@ class AnalysisService:
             raise ServiceUnavailable(
                 "server is draining for shutdown; submit to its successor"
             )
-        kwargs = measure_kwargs(payload, kind)
-        _as_t_points(kwargs.get("t_points", ()))
-        entry, _ = self._resolve_entry(
-            kwargs.get("model"), kwargs.get("spec"), kwargs.get("overrides"),
-            kwargs.get("max_states"), tenant=tenant,
-        )
-        self._state_sets(entry, kwargs.get("source"), kwargs.get("target"))
-        self._make_inverter(kwargs.get("inversion", "euler"))
+        with _api_errors():
+            query = from_wire(kind, payload)
+            entry, _ = self._resolve_entry(query.model, tenant)
+            resolve_state_sets(entry, query.source, query.target)
         try:
             self.tenancy.check_active_jobs(tenant, self.jobs.active_count(tenant))
         except QuotaError as exc:
             raise QuotaExceeded.wrap(exc) from None
-        request = dict(kwargs)
-        request.pop("model", None)
-        request["spec"] = entry.spec_text
-        request["overrides"] = entry.overrides
-        request["max_states"] = entry.max_states
+        by_spec = Model.from_spec(
+            entry.spec_text, overrides=entry.overrides, max_states=entry.max_states
+        )
         record = self.jobs.create(
-            tenant=tenant, kind=kind, request=request, model=entry.digest
+            tenant=tenant, kind=kind, model=entry.digest,
+            request=dataclasses.replace(query, model=by_spec).to_wire(),
         )
         self._runner.start()
         self._runner.wake()
@@ -576,26 +461,12 @@ class AnalysisService:
         return get_metrics().render_prometheus()
 
     # ------------------------------------------------------------ internals
-    def _make_job(self, kind, entry, sources, targets, solver, epsilon) -> TransformJob:
-        try:
-            return build_job(
-                entry, kind, sources, targets, solver=solver, epsilon=epsilon
-            )
-        except PlanError as exc:
-            raise ValidationError(str(exc)) from None
-
-    def _make_inverter(self, inversion: str):
-        try:
-            return get_inverter(inversion)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-
     def _gather(
         self,
-        job: TransformJob,
         entry: ModelEntry,
         stats: QueryStatistics,
         observer,
+        job: TransformJob,
         plan: QueryPlan,
     ) -> dict[complex, complex]:
         """One plan's transform values through the scheduler.
@@ -613,34 +484,6 @@ class AnalysisService:
             self.scheduler, job, plan, stats,
             eval_lock=entry.eval_lock, progress_key=entry.digest, **dispatch,
         )
-
-    def _refine_quantile(
-        self,
-        job: TransformJob,
-        entry: ModelEntry,
-        inverter,
-        t_points: np.ndarray,
-        q,
-        stats: QueryStatistics,
-        observer,
-    ) -> float:
-        """Root-find ``F(t) = q`` with extra inversions through the scheduler."""
-        try:
-            q = float(q)
-        except (TypeError, ValueError):
-            raise ValidationError("quantile must be a number") from None
-        if not 0.0 < q < 1.0:
-            raise ValidationError("quantile must lie strictly between 0 and 1")
-        cdf_at = measures.cdf_probe(
-            functools.partial(self._gather, job, entry, stats, observer),
-            inverter, stats,
-        )
-        try:
-            return measures.refine_quantile(
-                cdf_at, q, float(np.min(t_points)), 10.0 * float(np.max(t_points))
-            )
-        except measures.QuantileNotBracketed as exc:
-            raise QueryError(str(exc)) from None
 
     def _count_query(self, kind: str, tenant: str) -> None:
         with self._counter_lock:

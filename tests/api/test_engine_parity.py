@@ -168,21 +168,56 @@ def test_local_engines_match_inline(engine, inversion, kind, solver, voting_spec
     assert result.statistics["engine"] == engine.split("-")[0]
 
 
+def _measured(reply: dict) -> dict:
+    """A reply without the two keys that name the surface, not the measure."""
+    return {k: v for k, v in reply.items() if k not in ("statistics", "model")}
+
+
 @pytest.mark.parametrize("inversion", ["euler", "laguerre"])
 def test_service_equals_inline_bit_for_bit(inversion, voting_spec):
-    from repro.service import AnalysisService
+    """The surface matrix: one query object, five ways to ask — the inline
+    engine, the in-process service, sync HTTP, an async job, the remote
+    engine — and replies equal key for key with floats ``==``."""
+    import threading
 
-    inline = _matrix_query(voting_spec, "passage", inversion, "iterative").run()
+    from repro.service import AnalysisService, ServiceClient, create_server
+
+    model = Model.from_spec(voting_spec, name="voting-matrix")
+    queries = [
+        model.passage("p1 == CC", "p2 == CC").density(T_POINTS).cdf().quantile(0.9),
+        model.transient("p1 == CC", "p2 >= 1").probability(T_POINTS),
+    ]
     service = AnalysisService()
+    server = create_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}"
+    client = ServiceClient(url)
     try:
-        reply = service.passage(
-            spec=voting_spec, source="p1 == CC", target="p2 == CC",
-            t_points=T_POINTS, include_cdf=True, inversion=inversion,
-        )
+        for query in queries:
+            query = query.with_inversion(inversion)
+            inline = query.run()
+            expected = _measured(inline.to_wire())
+            assert set(expected) >= {"measure", "t_points"} | (
+                {"density", "cdf", "quantile"} if query.kind == "passage"
+                else {"probability", "steady_state"}
+            )
+            job = client.submit(query.kind, **query.to_wire())
+            replies = {
+                "service": getattr(service, query.kind)(**query.to_wire()),
+                "http": getattr(client, query.kind)(**query.to_wire()),
+                "job": client.wait(job["job"], timeout=120)["result"],
+                "remote": query.run(engine="remote", url=url).to_wire(),
+            }
+            for surface, reply in replies.items():
+                assert _measured(reply) == expected, surface
+            assert "model_registered" in replies["http"]["statistics"]
+            assert inline.statistics["engine"] == "inline"
     finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
         service.close()
-    assert reply["density"] == inline.density.tolist()
-    assert reply["cdf"] == inline.cdf.tolist()
 
 
 class TestCheckpointedEngine:

@@ -1,8 +1,12 @@
 """Tests of the lazy query objects, query plans and the engine registry."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     EngineError,
@@ -14,7 +18,8 @@ from repro.api import (
     get_engine,
     register_engine,
 )
-from repro.api.plan import QueryPlan
+from repro.api.plan import Grid, QueryPlan, as_grid
+from repro.api.queries import from_wire
 from repro.laplace import EulerInverter, LaguerreInverter, expand_to_grid
 from repro.laplace.inverter import canonical_s
 from repro.service.registry import ModelRegistry
@@ -69,6 +74,130 @@ class TestFluentQueries:
         q = model.passage("on == 2", "off == 99").density([1.0])
         with pytest.raises(PredicateError, match="target predicate"):
             q.run()
+
+
+_T_GRIDS = st.lists(
+    st.floats(min_value=1e-3, max_value=1e6, allow_nan=False), min_size=1, max_size=5
+)
+
+#: a passage request as the parent's job log stores it (``include_cdf``
+#: spelling, resolved model reference); the spec text is filled in by the test
+PARENT_JOB_REQUEST = {
+    "epsilon": 1e-08, "include_cdf": True, "inversion": "euler",
+    "max_states": None, "overrides": {}, "quantile": 0.5, "solver": "iterative",
+    "source": "on == 2", "t_points": [1.0, 2.0], "target": "off == 2",
+}
+
+
+class TestWireFormat:
+    """``to_wire`` / ``from_wire`` are the only spelling of a measure request."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t_points=_T_GRIDS,
+        cdf=st.booleans(),
+        quantile=st.none() | st.floats(min_value=0.01, max_value=0.99),
+        steady=st.booleans(),
+        inversion=st.sampled_from(["euler", "laguerre"]),
+        solver=st.sampled_from(["iterative", "direct"]),
+        epsilon=st.floats(min_value=1e-12, max_value=1e-3),
+    )
+    def test_round_trip(self, t_points, cdf, quantile, steady, inversion, solver, epsilon):
+        model = Model.from_digest("0123456789abcdef")
+        passage = model.passage("on == 2", "off == 2").density(t_points)
+        passage = passage.cdf() if cdf else passage
+        passage = passage if quantile is None else passage.quantile(quantile)
+        transient = model.transient("on == 2", "on > 0").probability(t_points)
+        transient = transient if steady else transient.without_steady_state()
+        for query in (passage, transient):
+            query = query.with_inversion(inversion).with_solver(solver).with_epsilon(epsilon)
+            body = json.loads(json.dumps(query.to_wire()))
+            assert from_wire(query.kind, body, model=query.model) == query
+            # without a model in hand, the body's own reference is used
+            assert from_wire(query.kind, body).to_wire() == query.to_wire()
+
+    def test_wire_defaults_are_the_servers(self, onoff_spec):
+        body = {"spec": onoff_spec, "source": "on == 2", "target": "off == 2",
+                "t_points": [1, 2]}
+        passage, transient = from_wire("passage", body), from_wire("transient", body)
+        assert passage.include_cdf and passage.quantiles == ()  # cdf defaults on
+        assert transient.include_steady_state
+        assert (passage.solver, passage.inversion, passage.epsilon) == (
+            "iterative", "euler", 1e-8
+        )
+        assert passage.model.spec_text == onoff_spec
+        assert not from_wire("passage", {**body, "cdf": False}).include_cdf
+        assert not from_wire("transient", {**body, "steady_state": 0}).include_steady_state
+        # a transient body may carry passage-only fields; they are not its own
+        assert from_wire("transient", {**body, "quantile": 7}).to_wire() == transient.to_wire()
+
+    def test_parent_job_log_request_parses(self, onoff_spec):
+        """The durable-store guard: a request the parent's job log stored —
+        ``include_cdf`` spelling, ``overrides: {}``, ``max_states: null``."""
+        query = from_wire("passage", {**PARENT_JOB_REQUEST, "spec": onoff_spec})
+        assert query.include_cdf and query.quantiles == (0.5,)
+        assert query.t_points == (1.0, 2.0) and query.model.overrides == {}
+        flipped = from_wire(
+            "passage", {**PARENT_JOB_REQUEST, "spec": onoff_spec, "include_cdf": False}
+        )
+        assert not flipped.include_cdf
+        # the alias wins over the wire flag, as it did at the parent
+        assert not from_wire("passage", {
+            **PARENT_JOB_REQUEST, "spec": onoff_spec, "include_cdf": False, "cdf": True,
+        }).include_cdf
+        steady = from_wire("transient", {
+            "spec": onoff_spec, "source": "on == 2", "target": "on > 0",
+            "t_points": [1.0, 5.0], "include_steady_state": False,
+        })
+        assert not steady.include_steady_state
+        assert query.run().quantiles[0.5] == pytest.approx(4.474629756769041, abs=1e-9)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_points", []), ("t_points", [-1.0]), ("t_points", ["x"]), ("t_points", None),
+        ("quantile", 2.0), ("quantile", "x"), ("epsilon", -1), ("epsilon", 0),
+        ("epsilon", "x"), ("solver", "bogus"), ("inversion", "talbot"),
+        ("source", None), ("target", 5), ("overrides", ["K=3"]), ("spec", "   "),
+    ])
+    def test_every_field_is_checked_before_any_work(self, onoff_spec, field, value):
+        body = {"spec": onoff_spec, "source": "on == 2", "target": "off == 2",
+                "t_points": [1.0], field: value}
+        with pytest.raises(PlanError):
+            from_wire("passage", body)
+
+    def test_malformed_model_references(self):
+        body = {"source": "a", "target": "b", "t_points": [1.0]}
+        with pytest.raises(PlanError, match="'model'.*or 'spec'"):
+            from_wire("passage", body)
+        with pytest.raises(PlanError, match="overrides apply at registration"):
+            from_wire("passage", {**body, "model": "abc", "overrides": {"K": 3}})
+        with pytest.raises(PlanError, match="unknown measure kind"):
+            from_wire("simulation", {**body, "model": "abc"})
+        with pytest.raises(PlanError, match="JSON object"):
+            from_wire("passage", [1, 2])
+
+    def test_what_the_wire_cannot_carry(self, model):
+        query = model.passage("on == 2", "off == 2").density([1.0])
+        with pytest.raises(PlanError, match="one quantile"):
+            query.quantile(0.5).quantile(0.9).to_wire()
+        with pytest.raises(PlanError, match="inverter options"):
+            query.with_inversion("laguerre", n_points=64).to_wire()
+        with pytest.raises(PlanError, match="t-points"):
+            model.passage("on == 2", "off == 2").to_wire()
+
+
+class TestOneGridCheck:
+    def test_a_checked_grid_is_not_checked_again(self, model):
+        grid = as_grid([1, 2.5])
+        assert type(grid) is Grid and grid == (1.0, 2.5)
+        assert as_grid(grid) is grid
+        query = model.passage("on == 2", "off == 2").density([1, 2.5])
+        assert query.grid() is query.t_points  # what the plan is derived from
+        assert QueryPlan.derive(EulerInverter(), grid).t_points.tolist() == [1.0, 2.5]
+
+    @pytest.mark.parametrize("bad", [[], [0.0], [-1.0], [float("nan")], [float("inf")], "x"])
+    def test_direct_plan_derivation_keeps_its_guard(self, bad):
+        with pytest.raises(PlanError):
+            QueryPlan.derive(EulerInverter(), bad)
 
 
 class TestQueryPlan:

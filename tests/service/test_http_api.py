@@ -103,6 +103,62 @@ class TestPassageEndpoint:
         assert err.value.status == 400
 
 
+#: malformed measure fields; each is a 400 on every surface, before any work
+MALFORMED = [
+    {"quantile": 2.0}, {"quantile": "x"}, {"epsilon": -1}, {"epsilon": 0},
+    {"epsilon": "x"}, {"solver": "bogus"}, {"inversion": "talbot"},
+]
+
+
+def _field_id(bad: dict) -> str:
+    return "-".join(map(str, *bad.items()))
+
+
+class TestValidatedOnceBeforeWork:
+    @pytest.fixture
+    def query(self, http_client, onoff_spec):
+        model = http_client.register_model(onoff_spec)["model"]
+        return dict(model=model, source="on == K", target="off == K", t_points=[1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", MALFORMED, ids=_field_id)
+    def test_sync_request_is_400_and_solves_nothing(self, http_client, service, query, bad):
+        from repro.service import ValidationError
+
+        with pytest.raises(ServiceClientError) as err:
+            http_client.passage(**query, **bad)
+        assert err.value.status == 400
+        with pytest.raises(ValidationError):
+            service.passage(**query, **bad)
+        # the whole body is checked before the first s-point is solved
+        assert service.scheduler.stats()["points_evaluated"] == 0
+        assert service.stats()["queries"]["total"] == 0
+
+    @pytest.mark.parametrize("bad", MALFORMED, ids=_field_id)
+    def test_async_submission_is_400_and_records_no_job(self, http_client, query, bad):
+        with pytest.raises(ServiceClientError) as err:
+            http_client.submit("passage", **query, **bad)
+        assert err.value.status == 400
+        assert http_client.jobs()["jobs"] == []
+
+    def test_unanswerable_requests_stay_422(self, http_client, query):
+        unsatisfiable = {**query, "source": "on == 99"}
+        for ask in (http_client.passage, lambda **q: http_client.submit("passage", **q)):
+            with pytest.raises(ServiceClientError) as err:
+                ask(**unsatisfiable)
+            assert err.value.status == 422
+        # a bracket miss is only known once solved
+        with pytest.raises(ServiceClientError) as err:
+            http_client.passage(**{**query, "quantile": 0.999999, "t_points": [1e-3]})
+        assert err.value.status == 422
+
+    def test_missing_required_fields_are_400(self, http_client, query):
+        for missing in ("source", "target", "t_points", "model"):
+            body = {k: v for k, v in query.items() if k != missing}
+            with pytest.raises(ServiceClientError) as err:
+                http_client.passage(**body)
+            assert err.value.status == 400, missing
+
+
 class TestTransientEndpoint:
     def test_transient_with_steady_state(self, http_client, onoff_spec):
         model = http_client.register_model(onoff_spec)["model"]

@@ -71,6 +71,70 @@ def test_the_deleted_surface_stays_deleted():
         assert name not in source, name
 
 
+def test_one_measure_wire_format():
+    """The request is the query object, the reply the result object, and the
+    recipe between them is written once — on every surface."""
+    # (core/results.py builds them too, as cls(...) in from_wire)
+    assert _call_sites("PassageTimeResult", "TransientResult") == {"api/measures.py": 2}
+    assert _call_sites("brentq") == {"api/measures.py": 1}
+
+    # as dict keys, the wire's optional extras are spelled by the two wire
+    # modules only
+    def keys(path):
+        for node in _nodes(path, ast.Dict, ast.Subscript, ast.Call):
+            if isinstance(node, ast.Dict):
+                yield from node.keys
+            elif isinstance(node, ast.Subscript):
+                yield node.slice
+            elif getattr(node.func, "attr", None) in ("get", "pop", "setdefault"):
+                yield from node.args[:1]
+
+    spelled = {
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        for key in keys(path)
+        if getattr(key, "value", None)
+        in ("include_cdf", "include_steady_state", "steady_state")
+    }
+    assert spelled <= {"api/queries.py", "core/results.py"}
+    assert "core/results.py" in spelled
+
+    source = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for name in (
+        "measure_kwargs", "_MEASURE_FIELDS", "_measure_body", "_measure_payload",
+        "_refine_quantile", "_as_t_points", "_print_job_result", "_as_grid",
+    ):
+        assert not [path for path, text in source.items() if name in text], name
+    # one t-grid check and one quantile-range check on the query path
+    for message, home in (
+        ("t-points must be finite", "api/plan.py"),
+        ("quantile must lie strictly", "api/queries.py"),
+    ):
+        homes = [p.relative_to(SRC).as_posix() for p, text in source.items() if message in text]
+        assert homes == [home], message
+
+    # no surface re-lists the request's fields as a signature
+    surfaces = [
+        *sorted((SRC / "service").glob("*.py")), SRC / "cli.py", SRC / "api" / "engines.py",
+    ]
+    relisted = [
+        f"{path.name}:{node.name}"
+        for path in surfaces
+        for node in _nodes(path, ast.FunctionDef)
+        if {"inversion", "epsilon"} <= {a.arg for a in (*node.args.args, *node.args.kwonlyargs)}
+    ]
+    assert not relisted
+
+    # the api layer's errors become HTTP statuses in exactly one try
+    mapping = [
+        ast.unparse(node)
+        for node in _nodes(SRC / "service" / "service.py", ast.Try)
+        if re.search(r"except \(?[\w., ]*(PlanError|PredicateError)", ast.unparse(node))
+    ]
+    assert len(mapping) == 1
+    assert "except PlanError" in mapping[0] and "PredicateError" in mapping[0]
+
+
 # --- one layer down: one routed block solve in smp/ -------------------------
 
 

@@ -283,7 +283,7 @@ class TestEmission:
         return argparse.Namespace(**defaults)
 
     def test_csv_renders_none_as_empty_field(self, capsys):
-        from repro.cli import _emit, _passage_rows
+        from repro.cli import _emit, _print_measure
         from repro.core.results import PassageTimeResult
 
         result = PassageTimeResult(t_points=[1.0, 2.0], cdf=[0.25, 0.5])
@@ -294,10 +294,9 @@ class TestEmission:
         assert out[1] == "1.0,,0.25"
         assert out[2] == "2.0,,0.5"
         assert "None" not in "\n".join(out)
-        # the pruning helper drops the all-None column entirely
-        pruned, header = _passage_rows(result)
-        assert header == ["t", "cdf"]
-        assert all(len(row) == 2 for row in pruned)
+        # the measure printer drops the all-None column entirely
+        _print_measure(result, self._args(csv=True))
+        assert capsys.readouterr().out.splitlines() == ["t,cdf", "1.0,0.25", "2.0,0.5"]
 
     def test_json_renders_none_as_null(self, capsys):
         from repro.cli import _emit
