@@ -44,10 +44,11 @@ PORT = int(os.environ.get("OBS_SMOKE_PORT", "8437"))
 MAX_OVERHEAD_FRACTION = 0.10
 
 REQUIRED_SPANS = ("explore", "kernel-build", "plane-export", "s-block",
-                  "s-block-solve", "inversion")
+                  "s-block-solve", "lst-fill", "route", "drive", "inversion")
 REQUIRED_METRICS = (
     "# TYPE repro_points_evaluated_total counter",
     "# TYPE repro_solve_iterations_total counter",
+    "# TYPE repro_product_rows_total counter",
     "# TYPE repro_block_seconds histogram",
     "# TYPE repro_iterations_per_s_point histogram",
     "# TYPE repro_queries_total counter",
@@ -206,11 +207,21 @@ def check_counter_reconciliation() -> None:
         total = sum(e["points"] for e in worker_stats_snapshot().values())
         assert total == len(s_points), (total, len(s_points))
         timed = registry.get("repro_block_seconds").snapshot_of()["count"]
-        n_blocks = len(job.last_report["blocks"])
-        assert timed == n_blocks, (timed, n_blocks)
+        blocks = job.last_report["blocks"]
+        assert timed == len(blocks), (timed, len(blocks))
+        # the workers' product rows arrive whole, and no block advanced fewer
+        # rows than the iterations it reports
+        rows = registry.get("repro_product_rows_total").value(
+            engine=job.last_report["engine"]
+        )
+        reported = sum(block["product_rows"] for block in blocks)
+        assert rows == reported, (rows, reported)
+        assert all(block["product_rows"] >= block["iterations"] for block in blocks)
+        iterations = registry.get("repro_solve_iterations_total").value()
         print(f"{job.kind()} counters reconcile: {int(counted)} points evaluated == "
               f"{len(s_points)} s-points dispatched ({job.targets.size} target "
-              f"state(s)), {timed} block timings == {n_blocks} solve blocks",
+              f"state(s)), {timed} block timings == {len(blocks)} solve blocks, "
+              f"{int(rows)} product rows for {int(iterations)} iterations",
               flush=True)
 
 

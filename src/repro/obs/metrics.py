@@ -450,6 +450,7 @@ def note_solve_block(
     points: int,
     seconds: float,
     iterations: int = 0,
+    product_rows: int = 0,
     direct_solves: int = 0,
     unconverged: int = 0,
     iteration_counts=None,
@@ -487,6 +488,13 @@ def note_solve_block(
             "repro_solve_blocks_total", "solve blocks per evaluation engine",
             ("engine",),
         ).inc(1, engine=engine)
+        # Against repro_solve_iterations_total this is the wasted-work ratio:
+        # rows of converged points that rode along until the block narrowed.
+        registry.counter(
+            "repro_product_rows_total",
+            "point-rows advanced by the iterative product, per evaluation engine",
+            ("engine",),
+        ).inc(product_rows, engine=engine)
     for count in iteration_counts or ():
         registry.histogram(
             "repro_iterations_per_s_point", "iterations needed per s-point",

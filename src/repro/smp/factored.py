@@ -374,6 +374,8 @@ class _FactoredOperator:
         self.targets = np.flatnonzero(target_mask)
         self.structure = structure
         self._pair_index = pair_index
+        #: point-rows advanced so far (what the block's ``product_rows`` sums)
+        self.product_rows = 0
         self._resize(factored.lst_grid(s_block))  # (k, D)
 
     def _resize(self, lst: np.ndarray) -> None:
@@ -400,10 +402,13 @@ class _FactoredOperator:
     def _advance(self) -> None:
         self._product(self._state, self._d_re, self._d_im, self._scratch, self._out)
         self._state, self._out = self._out, self._state
+        self.product_rows += self.width
 
-    def _live_columns(self, live: np.ndarray) -> np.ndarray:
-        keep = np.flatnonzero(live)
-        return np.concatenate((keep, self.width + keep))
+    def _prefix(self, packed: np.ndarray, width: int) -> np.ndarray:
+        """The packed block of the first ``width`` points."""
+        return np.concatenate(
+            (packed[:, :width], packed[:, self.width : self.width + width]), axis=1
+        )
 
     def zero_points(self, positions: np.ndarray) -> None:
         self._state[:, positions] = 0.0
@@ -441,12 +446,13 @@ class FactoredRowOperator(_FactoredOperator):
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self._totals[positions]
 
-    def shrink(self, live: np.ndarray) -> None:
-        self._state = np.ascontiguousarray(self._state[:, self._live_columns(live)])
-        self._totals = self._totals[live]
-        self._resize(self.lst[live])
+    def narrow(self, width: int) -> None:
+        if width < self.width:
+            self._state = self._prefix(self._state, width)
+            self._totals = self._totals[:width]
+            self._resize(self.lst[:width])
 
-    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
         return taken
 
 
@@ -460,7 +466,7 @@ class FactoredColOperator(_FactoredOperator):
     def __init__(self, factored, s_block, target_mask):
         structure = factored.col_structure()
         super().__init__(factored, structure, structure.pair_dst, s_block, target_mask)
-        self.lst_full = self.lst  # survives shrinking; indexed by block position
+        self.lst_full = self.lst  # survives narrowing; indexed by position
 
     def start(self) -> None:
         self._state = np.zeros((self.n, 2 * self.width))
@@ -481,20 +487,20 @@ class FactoredColOperator(_FactoredOperator):
         k = self.width
         return (self._acc[:, positions] + 1j * self._acc[:, k + positions]).T.copy()
 
-    def shrink(self, live: np.ndarray) -> None:
-        cols = self._live_columns(live)
-        self._state = np.ascontiguousarray(self._state[:, cols])
-        self._acc = np.ascontiguousarray(self._acc[:, cols])
-        self._resize(self.lst[live])
+    def narrow(self, width: int) -> None:
+        if width < self.width:
+            self._state = self._prefix(self._state, width)
+            self._acc = self._prefix(self._acc, width)
+            self._resize(self.lst[:width])
 
-    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Full (non-absorbing) ``U(s) @ acc`` for collected accumulators.
 
-        ``taken`` is ``(m, n)`` complex; ``block_positions`` gives each row's
-        position in the *original* s-block so the right transforms scale it.
+        ``taken`` is ``(m, n)`` complex; ``positions`` gives each row's
+        position in the operator's s-block so the right transforms scale it.
         """
         m = taken.shape[0]
-        d_re, d_im = self._pair_scales(self.lst_full[block_positions])
+        d_re, d_im = self._pair_scales(self.lst_full[positions])
         out = np.empty((self.n, 2 * m))
         self._product(
             _pack(taken.real.T, taken.imag.T), d_re, d_im,

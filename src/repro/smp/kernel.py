@@ -474,6 +474,19 @@ class SMPKernel:
         )
 
 
+def _diagonal_copies(csr: KernelCSR, n_states: int, width: int):
+    """``(indptr, indices)`` of ``width`` diagonal copies of ``csr``."""
+    nnz = csr.indices.size
+    fits = width * max(n_states, nnz) <= np.iinfo(np.int32).max
+    copies = np.arange(width, dtype=np.int32 if fits else np.int64)[:, None]
+    indptr = np.empty(width * n_states + 1, dtype=copies.dtype)
+    np.add(csr.indptr[:-1], copies * nnz, out=indptr[:-1].reshape(width, n_states))
+    indptr[-1] = width * nnz
+    indices = np.empty(width * nnz, dtype=copies.dtype)
+    np.add(csr.indices, copies * n_states, out=indices.reshape(width, nnz))
+    return indptr, indices
+
+
 @dataclass
 class _EvaluatorCache:
     s: complex | None = None
@@ -529,6 +542,7 @@ class UEvaluator:
         self._shape = (kernel.n_states, kernel.n_states)
         self._cache = _EvaluatorCache()
         self._batch_cache = _BatchLRU()
+        self._block_diag: tuple[int, np.ndarray, np.ndarray] | None = None
         self._factored = None
 
     # ------------------------------------------------------------ internals
@@ -658,15 +672,6 @@ class UEvaluator:
             self._batch_cache.put(key, out)
         return out
 
-    def u_prime_data_batch(self, s_values, target_mask: np.ndarray) -> np.ndarray:
-        """As :meth:`u_data_batch` but with the target states' rows zeroed."""
-        target_mask = np.asarray(target_mask, dtype=bool)
-        if target_mask.shape != (self.kernel.n_states,):
-            raise ValueError("target_mask must have one boolean per state")
-        data = self.u_data_batch(s_values).copy()
-        data[:, target_mask[self.csr.rows]] = 0.0
-        return data
-
     def sojourn_lst_batch(self, s_values) -> np.ndarray:
         """``(n_s, n_states)`` sojourn transforms ``h*_i(s)`` for a grid of s."""
         return np.add.reduceat(self.u_data_batch(s_values), self.csr.indptr[:-1], axis=1)
@@ -706,50 +711,44 @@ class UEvaluator:
             )
         return self._a_structure
 
-    def _csc_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSC view of the shared structure: (entry order, indptr, row indices)."""
-        if getattr(self, "_csc_order", None) is None:
-            order = np.argsort(self.csr.indices, kind="stable")
-            counts = np.bincount(self.csr.indices, minlength=self.kernel.n_states)
-            self._csc_order = order
-            self._csc_indptr = np.concatenate(([0], np.cumsum(counts)))
-            self._csc_rows = self.csr.rows[order]
-        return self._csc_order, self._csc_indptr, self._csc_rows
+    def block_diag_structure(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of ``block_diag`` of ``width`` copies of :attr:`csr`.
 
-    def block_diag_matrix(self, data_batch: np.ndarray, *, transpose: bool = False):
-        """``block_diag(M(s_1), ..., M(s_k))`` as one CSR matrix.
-
-        The batched iterative loops run one C-level sparse matvec per
-        iteration on this operator instead of ``k`` separate products (or a
-        Python-level gather/segment-sum), which is what makes grid-sized
-        batches cheaper than the scalar loop even when each point converges
-        quickly.  With ``transpose=True`` the blocks are ``M(s_t)^T``, so a
-        single matvec computes every row-form product ``v_t @ M(s_t)``.
+        The structure the batched iteration multiplies by: with the block's
+        ``(width, nnz)`` data raveled it *is* ``block_diag(M(s_1), ...,
+        M(s_width))`` in CSR form (one C-level product per iteration instead
+        of ``width``), and its ``.T`` — scipy's CSC scatter over the same
+        three arrays — applies every row-form product ``v_t @ M(s_t)``.  The
+        arrays depend on the kernel alone, so they are built once, on first
+        use, at the widest block seen (int32 while ``width · max(n, nnz)``
+        fits); a block of ``w <= width`` points reads the prefixes
+        ``indptr[:w·n + 1]``, ``indices[:w·nnz]``.  Retention follows the
+        U-grid LRU's rule: a structure above ``max_entry_bytes`` is handed
+        out but not kept.
         """
-        from scipy import sparse as _sparse
+        held = self._block_diag
+        if held is None or held[0] < width:
+            held = (width, *_diagonal_copies(self.csr, self.kernel.n_states, width))
+            if held[2].nbytes <= self._batch_cache.max_entry_bytes:
+                self._block_diag = held
+        n, nnz = self.kernel.n_states, self.csr.indices.size
+        return held[1][: width * n + 1], held[2][: width * nnz]
 
-        k, nnz = data_batch.shape
-        n = self.kernel.n_states
-        offsets_e = (np.arange(k, dtype=np.int64) * nnz)[:, None]
-        offsets_s = (np.arange(k, dtype=np.int64) * n)[:, None]
-        if transpose:
-            order, indptr, rows = self._csc_structure()
-            data = data_batch[:, order].ravel()
-            indices = (rows[None, :] + offsets_s).ravel()
-            block_indptr = indptr
-        else:
-            data = np.ascontiguousarray(data_batch).ravel()
-            indices = (self.csr.indices[None, :] + offsets_s).ravel()
-            block_indptr = self.csr.indptr
-        big_indptr = np.append(
-            (block_indptr[None, :-1] + offsets_e).ravel(), k * nnz
-        )
-        return _sparse.csr_matrix(
-            (data, indices, big_indptr), shape=(k * n, k * n), copy=False
-        )
+    def row_entries(self, states: np.ndarray) -> np.ndarray:
+        """Entry positions of the rows of ``states`` (ascending), in entry order.
 
-    def alpha_vec_matrix_batch(self, alpha: np.ndarray, data_batch: np.ndarray) -> np.ndarray:
-        """``out[t] = alpha @ M(s_t)`` for one shared row vector ``alpha``.
+        ``flatnonzero(mask[csr.rows])`` read off ``indptr`` instead: O(the
+        rows' own entries), not O(nnz).
+        """
+        lo = self.csr.indptr[states].astype(np.int64)
+        counts = self.csr.indptr[states + 1] - lo
+        first = np.cumsum(counts) - counts  # where each row's run starts in the answer
+        return np.repeat(lo - first, counts) + np.arange(counts.sum())
+
+    def alpha_vec_matrix_batch(
+        self, alpha: np.ndarray, data_batch: np.ndarray, points: np.ndarray
+    ) -> np.ndarray:
+        """``out[t] = alpha @ M(s)`` at the s-point of row ``points[t]`` of ``data_batch``.
 
         The batched engines start every s-point from the same source
         weighting, so the product only needs the entries whose *source row*
@@ -757,13 +756,12 @@ class UEvaluator:
         that is a handful of transitions rather than the whole kernel.
         """
         alpha = np.asarray(alpha, dtype=complex)
-        weights = alpha[self.csr.rows]
-        sel = np.flatnonzero(weights != 0)
-        out = np.zeros((data_batch.shape[0], self.kernel.n_states), dtype=complex)
+        sel = self.row_entries(np.flatnonzero(alpha))
+        out = np.zeros((points.size, self.kernel.n_states), dtype=complex)
         if sel.size == 0:
             return out
         cols = self.csr.indices[sel]
-        contrib = data_batch[:, sel] * weights[sel]
+        contrib = data_batch[points[:, None], sel] * alpha[self.csr.rows[sel]]
         order = np.argsort(cols, kind="stable")
         sorted_cols = cols[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_cols)) + 1))
@@ -777,5 +775,6 @@ class UEvaluator:
         construction), so the CSR row segments are all non-empty and a single
         ``reduceat`` over ``indptr`` performs all row reductions at once.
         """
-        contrib = data_batch * x[:, self.csr.indices]
+        contrib = x[:, self.csr.indices]
+        np.multiply(data_batch, contrib, out=contrib)
         return np.add.reduceat(contrib, self.csr.indptr[:-1], axis=1)

@@ -39,15 +39,21 @@ each of which exists exactly once:
   re-solves cap-hitting points directly.  It knows the row/column shape only
   through a small :class:`_Form`.
 * **driver** (:func:`_drive`) — the active-set iteration: one truncation
-  rule, converged points snapshotted and dropped, the operator shrunk
-  whenever the live set halves.  It never asks which form or engine it runs.
+  rule, converged points snapshotted and zeroed, the operator narrowed to
+  the prefix that still holds a live point.  The block orders its points
+  slowest first (largest contraction), so points converge from the back, the
+  prefix is nearly the live set (1.02 rows advanced per useful one on the
+  benchmark's grid) and narrowing is a view: no data moves, nothing is
+  rebuilt.  It never asks which form or engine it runs.
 * **operator** — what applies ``U'(s)`` to every live point per iteration:
-  ``batch`` (per-s-point complex CSR data: one block-diagonal sparse product
-  for the whole block, or one sparse matvec per point once the block's state
-  exceeds :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the
-  distribution-factored product of :mod:`repro.smp.factored`, whose
-  per-iteration sparse work is independent of the number of points in
-  flight), each in a row and a column variant behind one protocol.
+  ``batch`` (per-s-point complex CSR data, written once per block in run
+  order: one block-diagonal sparse product for the whole block — views of
+  that data under the kernel's one block-diagonal structure — or one sparse
+  matvec per point once the block's state exceeds
+  :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the distribution-factored
+  product of :mod:`repro.smp.factored`, whose per-iteration sparse work is
+  independent of the number of points in flight), each in a row and a
+  column variant behind one protocol.
 
 Every engine therefore runs the *same* truncation rule through one shared
 driver and agrees with the scalar functions to float associativity; the
@@ -152,9 +158,15 @@ FACTORED_MAX_DISTRIBUTIONS = 64
 #: ``solver="direct"`` is a request, not a routing decision, and is honoured.
 DIRECT_MAX_STATES = 200_000
 #: The batch engine applies one block-diagonal product for the whole block
-#: while the block's state fits in roughly this many bytes; beyond it the
-#: per-point state no longer caches and one sparse matvec per point (a much
-#: smaller random-access window) is faster.
+#: while the block's state (``width × n`` complex) is at most this many
+#: bytes, and one sparse matvec per point beyond it.  Measured on system 0
+#: (1,876 states, 7,959 edges; scratch probe, PR 21): the product costs
+#: 1.5-2.1 ns per edge at every width from 1 to 128 (state up to 3.7 MiB) —
+#: scipy's scalar complex multiply-add rate, not a memory rate, so below the
+#: threshold the block-diagonal form buys the per-matvec Python cost and
+#: nothing else — and 3.5-3.9 ns per edge at widths 512 and 2,048 (state 15
+#: and 59 MiB), where ``U'`` streams from memory.  The threshold itself
+#: predates that probe and was not re-derived from it.
 BLOCKDIAG_MAX_BYTES = 64 << 20
 
 
@@ -267,9 +279,26 @@ class SPointPolicy:
         never touch per-edge data; every other block — ``batch`` and the
         explicit direct solve, labelled ``direct-lu``, whatever engine the
         kernel would iterate on — materialises ``O(block · nnz)`` complex
-        data (the ``U``/``U'`` data, their magnitudes and the iteration
-        operator or LU factors).  ``vector`` adds the per-point ``n``-vector
-        of the column form; the direct solver's results always are vectors.
+        data.  ``vector`` adds the per-point ``n``-vectors of the column
+        form; the direct solver's results always are vectors.
+
+        The ``64 · nnz`` bytes per point are what a batch block allocates per
+        edge at its peak, plus headroom for its ``n``-vectors (``tracemalloc``
+        on a fresh evaluator holds the whole block under the figure:
+        ``tests/smp/test_block_pipeline.py``):
+
+        * row form, 44-48 B: the ``U`` grid 16 (alive for the block whether or
+          not the LRU keeps it) + ``U'`` 16 + the block-diagonal structure 4
+          (int32; built once per kernel) + at most 8 while a block narrowed
+          below half re-bases its ``U'`` view (the per-point regime holds
+          scipy's 16 B copy of each data row instead of structure and
+          re-base).  ``|U|`` for the contraction, 8 B, is freed before ``U'``
+          is written.  The other 16-20 B cover state, product and magnitude
+          vectors, 40 B per *state*;
+        * column form, 52 B at the final ``U(s) @ acc`` sweep, which runs
+          after ``U'`` is released: grid 16 + structure 4 + the gathered rows
+          of ``U`` 16 + their products 16; ``48 · n`` is the result, the taken
+          accumulators and the sweep's output.
         """
         kernel = evaluator.kernel
         engine = "direct-lu" if direct else self.resolve_engine(evaluator)
@@ -440,58 +469,75 @@ def _check_alpha(alpha, n: int) -> np.ndarray:
 class _BatchOperator:
     """What the two batch steppers share: per-s-point complex CSR data.
 
-    ``_state`` holds one ``n``-vector per point (the current term of the
-    sum), ``_acc`` what the form accumulates from it; both are indexed by
-    point along axis 0.  While the block's live state (``live_points × n``
-    complex) fits in roughly :data:`BLOCKDIAG_MAX_BYTES` the whole block
-    advances through one block-diagonal sparse product (amortising the
-    per-matvec Python cost); beyond that each point advances through its own
-    sparse matvec, whose random-access window is a single ``n``-vector.
+    The operator runs ``points`` — rows of the block's ``U`` grid ``u_data``
+    — in that order.  ``_state`` holds one ``n``-vector per point (the
+    current term of the sum), ``_acc`` what the form accumulates from it,
+    both indexed by run position along axis 0; ``_data`` is ``U'`` for those
+    points, raveled: written here, once, and read where it lies.  While the
+    live state (``width × n`` complex) fits in roughly
+    :data:`BLOCKDIAG_MAX_BYTES` the whole block advances through one
+    block-diagonal sparse product (amortising the per-matvec Python cost): a
+    prefix view of ``_data`` under a prefix view of the kernel's
+    :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`.  Beyond that
+    each point advances through its own sparse matvec, whose random-access
+    window is a single ``n``-vector.
     """
 
     engine = "batch"
-    #: row form multiplies from the left, ``v @ U'``: by the transpose
-    transpose: bool
+    #: what ``(data, indices, indptr)`` in the kernel's CSR order is read as:
+    #: ``csr_matrix`` is ``U'`` itself (column form); ``csc_matrix`` over the
+    #: same arrays is its transpose, so the row form's ``v @ U'`` is scipy's
+    #: CSC scatter and nothing is ever stored transposed
+    matrix: type
 
-    def __init__(self, evaluator, s_block, u_data, up_data):
+    def __init__(self, evaluator, mask, u_data, points):
         self.evaluator = evaluator
         self.n = evaluator.kernel.n_states
         self._u_data = u_data
-        self._up = up_data
-        self.width = int(np.asarray(s_block).size)
-        self._live = np.ones(self.width, dtype=bool)
-        self._operator = None
-        self._per_point = None
+        self._points = points
+        # U': the one gather of the block's U grid, target states' rows zeroed
+        data = u_data[points]
+        data[:, evaluator.row_entries(np.flatnonzero(mask))] = 0.0
+        self._data = data.reshape(-1)
+        self._live = np.ones(points.size, dtype=bool)
+        self._operator = self._diag = self._per_point = None
+        #: point-rows advanced so far (what the block's ``product_rows`` sums)
+        self.product_rows = 0
+        self._bind(points.size)
 
-    def _ensure_operator(self) -> None:
-        if self._operator is not None or self._per_point is not None:
-            return
-        if self.width * self.n * 16 <= BLOCKDIAG_MAX_BYTES:
-            self._operator = self.evaluator.block_diag_matrix(
-                self._up, transpose=self.transpose
+    def _bind(self, width: int) -> None:
+        """Point the product at the first ``width`` positions: views, no copy."""
+        self.width = width
+        n, nnz = self.n, self._u_data.shape[1]
+        if width * n * 16 <= BLOCKDIAG_MAX_BYTES:
+            indptr, indices = self._diag or self.evaluator.block_diag_structure(width)
+            self._operator = self.matrix(
+                (self._data[: width * nnz], indices[: width * nnz], indptr[: width * n + 1]),
+                shape=(width * n, width * n), copy=False,
             )
-        else:
+            # scipy re-bases a view smaller than half its base onto a copy:
+            # narrowing from what it kept pays that once per halving.
+            self._data, self._diag = self._operator.data, (indptr, self._operator.indices)
+            self._per_point = None
+        elif self._per_point is None:
             indptr, indices = self.evaluator.kernel.adjacency()
-            shape = (self.n, self.n)
             self._per_point = [
-                sparse.csr_matrix((self._up[t], indices, indptr), shape=shape)
-                for t in range(self.width)
+                self.matrix((row, indices, indptr), shape=(n, n))
+                for row in self._data.reshape(width, nnz)
             ]
-            if self.transpose:
-                # csr(data_t).T is a CSC view sharing the data row: one matvec
-                # computes v @ U'(s_t) without building a transposed structure.
-                self._per_point = [matrix.T for matrix in self._per_point]
 
     def step(self) -> None:
-        self._ensure_operator()
         if self._operator is not None:
             self._state = (self._operator @ self._state.ravel()).reshape(
                 self.width, self.n
             )
+            self.product_rows += self.width
         else:
             # Converged points are exactly zero: skip their matvecs.
-            for t in np.flatnonzero(self._live):
+            live = np.flatnonzero(self._live[: self.width])
+            for t in live:
                 self._state[t] = self._per_point[t] @ self._state[t]
+            self.product_rows += live.size
         self._accumulate()
 
     def take(self, positions: np.ndarray) -> np.ndarray:
@@ -501,28 +547,27 @@ class _BatchOperator:
         self._state[positions] = 0.0
         self._live[positions] = False
 
-    def shrink(self, live: np.ndarray) -> None:
-        self._up = self._up[live]
-        self._state = self._state[live]
-        self._acc = self._acc[live]
-        self.width = int(live.sum())
-        self._live = np.ones(self.width, dtype=bool)
-        self._operator = None
-        self._per_point = None
+    def narrow(self, width: int) -> None:
+        if width < self.width:
+            self._state = self._state[:width]
+            self._acc = self._acc[:width]
+            self._bind(width)
 
 
 class _BatchRowOperator(_BatchOperator):
     """Row-form stepper: ``v <- v @ U'(s_t)``, accumulating ``v . e``."""
 
-    transpose = True
+    matrix = sparse.csc_matrix
 
-    def __init__(self, evaluator, s_block, mask, alpha, u_data, up_data):
-        super().__init__(evaluator, s_block, u_data, up_data)
+    def __init__(self, evaluator, mask, alpha, u_data, points):
+        super().__init__(evaluator, mask, u_data, points)
         self._targets = np.flatnonzero(mask)
         self._alpha = alpha
 
     def start(self) -> None:
-        self._state = self.evaluator.alpha_vec_matrix_batch(self._alpha, self._u_data)
+        self._state = self.evaluator.alpha_vec_matrix_batch(
+            self._alpha, self._u_data, self._points
+        )
         self._acc = self._state[:, self._targets].sum(axis=1)
 
     def _accumulate(self) -> None:
@@ -531,17 +576,17 @@ class _BatchRowOperator(_BatchOperator):
     def residual(self) -> np.ndarray:
         return np.abs(self._state).sum(axis=1)
 
-    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
         return taken
 
 
 class _BatchColOperator(_BatchOperator):
     """Column-form stepper: ``term <- U'(s_t) @ term``, accumulating the terms."""
 
-    transpose = False
+    matrix = sparse.csr_matrix
 
-    def __init__(self, evaluator, s_block, mask, u_data, up_data):
-        super().__init__(evaluator, s_block, u_data, up_data)
+    def __init__(self, evaluator, mask, u_data, points):
+        super().__init__(evaluator, mask, u_data, points)
         self.e = mask.astype(complex)
 
     def start(self) -> None:
@@ -554,9 +599,15 @@ class _BatchColOperator(_BatchOperator):
     def residual(self) -> np.ndarray:
         return np.abs(self._state).max(axis=1)
 
-    def finish(self, taken: np.ndarray, block_positions: np.ndarray) -> np.ndarray:
+    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The final (non-absorbing) ``U(s) @ acc`` of the taken accumulators."""
-        return self.evaluator.matrix_vec_batch(self._u_data[block_positions], taken)
+        # The iteration is over: let go of U' and the state it advanced
+        # before this sweep gathers the rows of U.
+        self._operator = self._data = self._diag = self._per_point = None
+        self._state = self._acc = None
+        return self.evaluator.matrix_vec_batch(
+            self._u_data[self._points[positions]], taken
+        )
 
 
 def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True):
@@ -564,70 +615,61 @@ def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True
 
     ``op`` is one of the four block operators (batch / factored × row /
     column).  The driver sees only their shared protocol — ``start()``,
-    ``step()`` (advance every live point one transition and accumulate),
+    ``step()`` (advance every position one transition and accumulate),
     ``residual()`` (the per-point quantity the truncation rule tests),
-    ``take(positions)`` (accumulated results), ``zero_points`` / ``shrink``
-    and ``finish(taken, block_positions)`` (whatever turns accumulators into
+    ``take(positions)`` (accumulated results), ``zero_points`` / ``narrow``
+    and ``finish(taken, positions)`` (whatever turns accumulators into
     results: nothing in row form, the final ``U(s)`` product in column form,
     applied in one batched sweep at the end).
 
     Returns ``(order, results, iterations, deltas, converged)``:
-    ``results[i]`` belongs to the block's original point ``order[i]``, the
-    other three are indexed by original position.  Converged points are
-    snapshotted and their state zeroed (numerically inert thereafter); the
-    operator shrinks onto the surviving points whenever the live set halves,
-    so total work stays within 2x of the per-point optimum.  With
-    ``finalize_unconverged=False`` points that hit the iteration cap are left
-    out of ``order`` — for callers that will re-solve them directly anyway.
+    ``results[i]`` belongs to the operator's position ``order[i]``, the other
+    three are indexed by position.  Converged points are snapshotted and
+    their state zeroed (numerically inert thereafter), and the operator is
+    narrowed to the prefix that still holds a live point — the block runs
+    slowest point first, so that prefix is nearly the live set and the
+    narrowing costs a view.  With ``finalize_unconverged=False`` points that
+    hit the iteration cap are left out of ``order`` — for callers that will
+    re-solve them directly anyway.
     """
     width = op.width
     iterations = np.full(width, options.max_iterations, dtype=np.int64)
     deltas = np.zeros(width)
     converged = np.zeros(width, dtype=bool)
-    pos_map = np.arange(width)
     parked_pos: list[np.ndarray] = []
     parked: list[np.ndarray] = []
 
     op.start()
     below = np.zeros(width, dtype=np.int64)
-    delta = np.full(width, np.inf)
     live = np.ones(width, dtype=bool)
     for iteration in range(1, options.max_iterations + 1):
         op.step()
-        delta = op.residual()
-        below = np.where(delta < options.epsilon, below + 1, 0)
-        done = live & (below >= options.consecutive)
-        if done.any():
-            done_pos = np.flatnonzero(done)
-            orig = pos_map[done_pos]
-            iterations[orig] = iteration
-            deltas[orig] = delta[done_pos]
-            converged[orig] = True
-            parked_pos.append(orig)
+        delta = op.residual()  # one per position the operator still holds
+        below = np.where(delta < options.epsilon, below[: delta.size] + 1, 0)
+        done_pos = np.flatnonzero(live[: delta.size] & (below >= options.consecutive))
+        if done_pos.size:
+            iterations[done_pos] = iteration
+            deltas[done_pos] = delta[done_pos]
+            converged[done_pos] = True
+            parked_pos.append(done_pos)
             parked.append(op.take(done_pos))
-            live &= ~done
-            n_live = int(live.sum())
-            if n_live == 0:
+            live[done_pos] = False
+            if not live.any():
                 break
             op.zero_points(done_pos)
-            if n_live <= op.width // 2:
-                keep = np.flatnonzero(live)
-                op.shrink(live)
-                below = below[keep]
-                delta = delta[keep]
-                pos_map = pos_map[keep]
-                live = np.ones(op.width, dtype=bool)
-    if live.any():
-        live_pos = np.flatnonzero(live)
-        deltas[pos_map[live_pos]] = delta[live_pos]
+            op.narrow(1 + int(np.flatnonzero(live)[-1]))
+    live_pos = np.flatnonzero(live)
+    if live_pos.size:
+        deltas[live_pos] = delta[live_pos]
         if finalize_unconverged:
-            parked_pos.append(pos_map[live_pos])
+            parked_pos.append(live_pos)
             parked.append(op.take(live_pos))
     if not parked:
-        return pos_map[:0], None, iterations, deltas, converged
+        return live_pos[:0], None, iterations, deltas, converged
     order = np.concatenate(parked_pos)
-    results = op.finish(np.concatenate(parked), order)
-    return order, results, iterations, deltas, converged
+    taken = np.concatenate(parked)
+    parked.clear()
+    return order, op.finish(taken, order), iterations, deltas, converged
 
 
 @dataclass(frozen=True)
@@ -653,14 +695,23 @@ class _Form:
         """The direct solver's ``(m, n)`` passage vectors as results."""
         return vectors if self.vector else vectors @ self.alpha
 
-    def operator(self, evaluator, engine, s_iter, mask, u_data, up_data):
+    def operator(self, evaluator, engine, mask, s_iter, u_data, points):
+        """The stepper of the block's iterative points, in their run order:
+        ``s_iter`` their s-values, ``points`` their rows of the block's U grid
+        ``u_data`` (the batch engine reads the grid, the factored one ``s``)."""
         if engine == "factored":
             if self.vector:
                 return FactoredColOperator(evaluator.factored(), s_iter, mask)
             return FactoredRowOperator(evaluator.factored(), s_iter, mask, self.alpha)
         if self.vector:
-            return _BatchColOperator(evaluator, s_iter, mask, u_data, up_data)
-        return _BatchRowOperator(evaluator, s_iter, mask, self.alpha, u_data, up_data)
+            return _BatchColOperator(evaluator, mask, u_data, points)
+        return _BatchRowOperator(evaluator, mask, self.alpha, u_data, points)
+
+
+def _rows(grid: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Rows ``indices`` (ascending) of ``grid``: a view when they are one run."""
+    lo, hi = int(indices[0]), int(indices[-1]) + 1
+    return grid[lo:hi] if hi - lo == indices.size else grid[indices]
 
 
 def _solve_block(evaluator, engine, form, mask, targets, s_block, options, policy):
@@ -668,7 +719,9 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
 
     ``engine`` is the iterative engine of the block or ``"direct-lu"``, the
     explicit direct solve — the same routing with every point routed, which
-    therefore never computes a contraction or the ``U'`` data.
+    therefore never computes a contraction or the ``U'`` data.  Returns the
+    values, one diagnostics per point and the point-rows the iterative
+    product advanced.
     """
     n_s = s_block.size
     n = evaluator.kernel.n_states
@@ -676,26 +729,33 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
     diags: list[ConvergenceDiagnostics | None] = [None] * n_s
     may_route = n <= DIRECT_MAX_STATES
 
-    u_data = up_data = None
+    u_data = None
     if engine != "factored":
-        u_data = evaluator.u_data_batch(s_block)
-    if engine == "direct-lu":
-        direct_mask = np.ones(n_s, dtype=bool)
-    else:
-        if engine == "factored":
-            contraction = evaluator.factored().contraction(s_block, mask)
+        with _obs_trace.span("lst-fill", points=n_s):
+            u_data = evaluator.u_data_batch(s_block)
+    with _obs_trace.span("route", points=n_s):
+        if engine == "direct-lu":
+            direct_mask = np.ones(n_s, dtype=bool)
         else:
-            up_data = evaluator.u_prime_data_batch(s_block, mask)
-            contraction = evaluator.row_abs_sums(up_data).max(axis=1)
-        if may_route:
-            direct_mask = policy.route_direct(options.epsilon, contraction)
-        else:
-            direct_mask = np.zeros(n_s, dtype=bool)
-    direct_idx = np.flatnonzero(direct_mask)
-    iter_idx = np.flatnonzero(~direct_mask)
+            if engine == "factored":
+                contraction = evaluator.factored().contraction(s_block, mask)
+            else:
+                # The row sums of |U'| are those of |U| with the target rows'
+                # sums zeroed: routing reads the U grid, U' is not built yet.
+                contraction = np.where(mask, 0.0, evaluator.row_abs_sums(u_data)).max(axis=1)
+            if may_route:
+                direct_mask = policy.route_direct(options.epsilon, contraction)
+            else:
+                direct_mask = np.zeros(n_s, dtype=bool)
+        direct_idx = np.flatnonzero(direct_mask)
+        iter_idx = np.flatnonzero(~direct_mask)
+        if iter_idx.size:
+            # Slowest first: points then converge from the back of the block
+            # and the driver narrows the product by view.
+            iter_idx = iter_idx[np.argsort(-contraction[iter_idx], kind="stable")]
 
     def solve_direct(indices, solver_label, iterations, matvecs):
-        u_rows = u_data[indices] if u_data is not None else None
+        u_rows = _rows(u_data, indices) if u_data is not None else None
         result[indices] = form.reduce(passage_transform_direct_batch(
             evaluator, targets, s_block[indices], u_data=u_rows
         ))
@@ -713,18 +773,19 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
     if direct_idx.size:
         solve_direct(direct_idx, "direct", 0, 0)
 
+    product_rows = 0
     if iter_idx.size:
-        op = form.operator(
-            evaluator, engine, s_block[iter_idx], mask,
-            u_data[iter_idx] if u_data is not None else None,
-            up_data[iter_idx] if up_data is not None else None,
-        )
         # When the policy would re-solve cap-hitting points directly, their
         # finished result is wasted work — tell the driver to skip it.
         will_fallback = policy.fallback_to_direct and may_route
-        order, results, iterations, deltas, conv = _drive(
-            op, options, finalize_unconverged=not will_fallback
-        )
+        with _obs_trace.span("drive", points=int(iter_idx.size)):
+            op = form.operator(
+                evaluator, engine, mask, s_block[iter_idx], u_data, iter_idx
+            )
+            order, results, iterations, deltas, conv = _drive(
+                op, options, finalize_unconverged=not will_fallback
+            )
+            product_rows = op.product_rows
         if order.size:
             result[iter_idx[order]] = results
         retried = ~conv if will_fallback else np.zeros(iter_idx.size, dtype=bool)
@@ -738,13 +799,13 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
             )
         if retried.any():
             solve_direct(
-                iter_idx[retried], "direct-fallback",
+                np.sort(iter_idx[retried]), "direct-fallback",
                 options.max_iterations, options.max_iterations + 1,
             )
-    return result, diags
+    return result, diags, product_rows
 
 
-def _note_block(report, *, points, seconds, diags, engine) -> None:
+def _note_block(report, *, points, seconds, diags, engine, product_rows) -> None:
     iterations = int(sum(d.iterations for d in diags))
     direct_solves = int(sum(d.direct_solves for d in diags))
     # Points returned truncated (no convergence, no direct fallback —
@@ -755,6 +816,7 @@ def _note_block(report, *, points, seconds, diags, engine) -> None:
         points=int(points),
         seconds=seconds,
         iterations=iterations,
+        product_rows=int(product_rows),
         direct_solves=direct_solves,
         unconverged=unconverged,
         iteration_counts=[int(d.iterations) for d in diags],
@@ -767,6 +829,7 @@ def _note_block(report, *, points, seconds, diags, engine) -> None:
             "points": int(points),
             "seconds": round(seconds, 6),
             "iterations": iterations,
+            "product_rows": int(product_rows),
             "direct_solves": direct_solves,
             "unconverged": unconverged,
         }
@@ -780,9 +843,9 @@ def _block_loop(
 
     Resolves the engine and the block size, then per block opens one
     ``s-block-solve`` span, times ``solve(engine, s_block) -> (values,
-    diagnostics)`` once, stores the values into ``out`` and notes the block
-    once (metrics and ``report``) — so an s-block is traced, timed and
-    counted exactly once whatever the measure computed inside it.
+    diagnostics, product_rows)`` once, stores the values into ``out`` and
+    notes the block once (metrics and ``report``) — so an s-block is traced,
+    timed and counted exactly once whatever the measure computed inside it.
     """
     engine, block = policy._block_plan(evaluator, vector=vector, direct=direct)
     if report is not None:
@@ -793,12 +856,12 @@ def _block_loop(
         s_block = s_values[lo:lo + block]
         started = time.perf_counter()
         with _obs_trace.span("s-block-solve", points=s_block.size, engine=engine):
-            out[lo:lo + block], block_diags = solve(engine, s_block)
+            out[lo:lo + block], block_diags, product_rows = solve(engine, s_block)
         seconds = time.perf_counter() - started
         diags.extend(block_diags)
         _note_block(
             report, points=s_block.size, seconds=seconds, diags=block_diags,
-            engine=engine,
+            engine=engine, product_rows=product_rows,
         )
     return diags
 

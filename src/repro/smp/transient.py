@@ -154,8 +154,9 @@ def transient_transform_batch(
         direct_totals = np.zeros(s_block.size, dtype=np.int64)
         iterations_max = np.zeros(s_block.size, dtype=np.int64)
         converged_all = np.ones(s_block.size, dtype=bool)
+        product_rows = 0
         for k in targets:
-            l_mat, target_diags = _solve_block(
+            l_mat, target_diags, target_rows = _solve_block(
                 evaluator, engine, vector_form, target_mask(n, [k]), [k],
                 s_block, options, policy,
             )
@@ -167,6 +168,7 @@ def transient_transform_batch(
                 # contributes Lambda_k itself rather than Lambda_k L_kk(s).
                 l_src[:, k_pos[0]] = 1.0
             totals += lam * (l_src @ weights)
+            product_rows += target_rows
             for t, diag in enumerate(target_diags):
                 matvec_totals[t] += diag.matvec_count
                 direct_totals[t] += diag.direct_solves
@@ -184,7 +186,7 @@ def transient_transform_batch(
                 engine=engine,
             )
             for t in range(s_block.size)
-        ]
+        ], product_rows
 
     values = np.empty(s_values.size, dtype=complex)
     diags = _block_loop(

@@ -112,6 +112,17 @@ class TestWorkerStatsMerging:
             assert per_point.snapshot_of()["count"] == points
             by_engine = fresh_registry.get("repro_solve_blocks_total")
             assert by_engine.value(engine=job.last_report["engine"]) == n_blocks
+        # the wasted-work ratio survives the trip from the workers: rows the
+        # products advanced, as the blocks reported them, against iterations
+        engine = big_job.last_report["engine"]
+        assert transient_job.last_report["engine"] == engine
+        rows = fresh_registry.get("repro_product_rows_total").value(engine=engine)
+        reported = [
+            block for job in (big_job, transient_job) for block in job.last_report["blocks"]
+        ]
+        assert rows == sum(block["product_rows"] for block in reported)
+        passage_blocks = big_job.last_report["blocks"]
+        assert all(b["product_rows"] >= b["iterations"] > 0 for b in passage_blocks)
 
 
 class TestWorkerSpanCapture:
@@ -138,6 +149,12 @@ class TestWorkerSpanCapture:
         assert solves
         ids = {r["id"]: r for r in spans}
         assert all(ids[r["parent"]]["name"] == "s-block" for r in solves)
+        # ... and splits into the block's own layers: LST fill (the per-edge
+        # grid; the factored engine has none) / route / product
+        for solve in solves:
+            layers = sorted(r["name"] for r in spans if r["parent"] == solve["id"])
+            factored = solve["attributes"]["engine"] == "factored"
+            assert layers == (["drive", "route"] if factored else ["drive", "lst-fill", "route"])
         # the master recorded the plane export around pool start
         exports = [r for r in spans if r["name"] == "plane-export"]
         assert exports and exports[0]["pid"] == os.getpid()

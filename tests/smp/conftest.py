@@ -3,8 +3,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api import Model, resolve_state_sets
 from repro.distributions import Deterministic, Erlang, Exponential, Uniform
-from repro.smp import SMPBuilder
+from repro.models import VotingParameters, voting_spec_text
+from repro.service.registry import ModelRegistry
+from repro.smp import SMPBuilder, source_weights
+
+
+def voting_measure(voters: int, polling_units: int, central_units: int):
+    """``(kernel, alpha, targets)`` of the paper's passage measure — all voters
+    waiting to all voted — on a voting model built from its spec text."""
+    model = Model.from_spec(
+        voting_spec_text(VotingParameters(voters, polling_units, central_units)),
+        registry=ModelRegistry(),
+    )
+    sources, targets = resolve_state_sets(model.entry, "p1 == CC", "p2 == CC")
+    kernel = model.entry.kernel
+    return kernel, source_weights(kernel, sources), np.asarray(targets)
 
 
 def random_kernel(rng: np.random.Generator, n_states: int, density: float = 0.35):

@@ -170,6 +170,52 @@ def test_policy_knobs_earn_their_keep():
         assert name not in source, name
 
 
+def test_the_block_solve_does_not_copy():
+    """One block-diagonal image per kernel, ``U'`` written once, shrink by
+    view: the copying paths stay deleted and the protocol has one spelling."""
+    from repro.smp.factored import FactoredColOperator, FactoredRowOperator
+    from repro.smp.passage import _BatchColOperator, _BatchRowOperator
+
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for name in ("block_diag_matrix", "_csc_structure", "_ensure_operator", "pos_map"):
+        assert not [path for path, text in sources.items() if name in text], name
+    methods = [
+        node.name
+        for path in sources
+        for node in _nodes(path, ast.FunctionDef)
+        if node.name in ("shrink", "narrow")
+    ]
+    # the two batch operators share theirs; the factored ones slice different state
+    assert methods == ["narrow"] * 3
+    for operator in (
+        _BatchRowOperator, _BatchColOperator, FactoredRowOperator, FactoredColOperator,
+    ):
+        assert callable(operator.narrow) and not hasattr(operator, "shrink")
+    assert _call_sites("narrow") == {"smp/passage.py": 1}  # the driver's
+    assert _call_sites("block_diag_structure") == {"smp/passage.py": 1}
+
+    # the block's U grid is gathered once — U' as the operator is born — and
+    # _solve_block itself subscripts neither grid
+    passage = SRC / "smp" / "passage.py"
+    gathers = [
+        ast.unparse(node)
+        for node in _nodes(passage, ast.Subscript)
+        if getattr(node.value, "id", None) in ("u_data", "up_data")
+    ]
+    assert gathers == ["u_data[points]"]
+    (block,) = [
+        node for node in _nodes(passage, ast.FunctionDef) if node.name == "_solve_block"
+    ]
+    names = {node.id for node in ast.walk(block) if isinstance(node, ast.Name)}
+    assert "up_data" not in names
+    assert not [
+        node for node in ast.walk(block)
+        if isinstance(node, ast.Subscript)
+        and "iter_idx" in ast.unparse(node.slice)
+        and "u_data" in ast.unparse(node.value)
+    ]
+
+
 # --- one more down: one kernel image ----------------------------------------
 
 
