@@ -1,4 +1,5 @@
-"""Bit-level dump of the solver's answers: ``python scripts/bitdump.py OUT.json``.
+"""Bit-level dump of the solver's answers: ``python scripts/bitdump.py OUT.json
+[--against PARENT.json]``.
 
 A solver PR that claims "same arithmetic per point" proves it by running this
 script on a scratch clone of its parent and on itself and comparing the two
@@ -6,6 +7,14 @@ files byte for byte (``cmp``); CI runs it twice on one tree as a determinism
 gate.  Every float is written as ``float.hex()``, every count as an int, no
 timing and no path enters the file, and only result fields that a solver PR
 must not move are dumped (so a PR may *add* statistics keys).
+
+A PR that *means* to move values (it bumps ``DIGEST_EPOCH``) passes its
+parent's dump as ``--against``: every scenario is then classified as
+identical, digest-only or values-moved with the largest relative move per
+field, and the exit status is non-zero if any count or label (``iterations``,
+``converged``, ``solver``, ``direct_solves``, statistics, block shapes) differs,
+a hashed row differs (its move cannot be sized), a scenario is missing on
+either side, or any float moved by more than 1e-9 relative.
 
 The scenario matrix (about 30 s on a 2-core box):
 
@@ -233,9 +242,91 @@ def kernel_scenarios() -> dict:
     return out
 
 
+# ------------------------------------------------------- against a parent
+#: the largest relative move of any float a value-moving PR may make
+MAX_RELATIVE_MOVE = 1e-9
+#: inverted results.  An entry is sized against the largest inverted entry of
+#: its scenario, not against itself: inversion turns a 1e-14 move of the
+#: transforms into an absolute move of that order on every entry, whatever the
+#: entry's own size (a far-tail density of -1e-9, pure inversion noise, included)
+INVERTED = ("density", "cdf", "probability")
+
+
+def _is_hex_float(leaf) -> bool:
+    return isinstance(leaf, str) and leaf.lstrip("-").startswith("0x")
+
+
+def _compare(field, ours, theirs, moves, faults, inverted_scale):
+    """Walk two dumped values: float moves into ``moves[field]`` (largest
+    relative one), anything else that differs into ``faults``."""
+    if isinstance(ours, dict) and isinstance(theirs, dict) and set(ours) == set(theirs):
+        for key in ours:
+            _compare(field, ours[key], theirs[key], moves, faults, inverted_scale)
+    elif _is_hex_float(ours) and _is_hex_float(theirs):
+        _compare(field, [ours], [theirs], moves, faults, inverted_scale)
+    elif isinstance(ours, list) and isinstance(theirs, list) and len(ours) == len(theirs):
+        if not (ours and all(map(_is_hex_float, ours)) and all(map(_is_hex_float, theirs))):
+            for x, y in zip(ours, theirs):
+                _compare(field, x, y, moves, faults, inverted_scale)
+            return
+        a = np.asarray([float.fromhex(leaf) for leaf in ours])
+        b = np.asarray([float.fromhex(leaf) for leaf in theirs])
+        if field in ("transform", "values"):  # complex numbers, dumped as re, im
+            a, b = a.view(complex), b.view(complex)
+        if not np.array_equal(a, b):
+            scale = inverted_scale if field in INVERTED else np.maximum(np.abs(a), np.abs(b))
+            with np.errstate(invalid="ignore"):  # 0/0 where an entry is 0 on both sides
+                move = float(np.nanmax(np.abs(a - b) / scale))
+            moves[field] = max(moves.get(field, 0.0), move)
+    elif ours != theirs:
+        faults.append(f"{field}: {theirs!r} -> {ours!r}")
+
+
+def against(dump: dict, parent: dict) -> int:
+    """Print the classification of every scenario; the number of faults."""
+    faults = [f"{label}: only in the parent's dump" for label in sorted(set(parent) - set(dump))]
+    faults += [f"{label}: not in the parent's dump" for label in sorted(set(dump) - set(parent))]
+    classes = {"identical": 0, "digest-only": 0, "values-moved": 0}
+    largest: dict[str, float] = {}
+    for label in sorted(set(dump) & set(parent)):
+        ours, theirs = dict(dump[label]), dict(parent[label])
+        digests_moved = [
+            key for key in ("model", "job") if ours.pop(key, None) != theirs.pop(key, None)
+        ]
+        moves: dict[str, float] = {}
+        scenario_faults: list[str] = []
+        inverted_scale = max(
+            (abs(float.fromhex(leaf)) for field in INVERTED for leaf in theirs.get(field, ())),
+            default=1.0,
+        )
+        for field in sorted(set(ours) | set(theirs)):
+            _compare(
+                field, ours.get(field), theirs.get(field), moves, scenario_faults, inverted_scale
+            )
+        faults += [f"{label}: {fault}" for fault in scenario_faults]
+        faults += [
+            f"{label}: {field} moved {move:.2e} > {MAX_RELATIVE_MOVE:g}"
+            for field, move in moves.items() if move > MAX_RELATIVE_MOVE
+        ]
+        kind = "values-moved" if moves else "digest-only" if digests_moved else "identical"
+        classes[kind] += 1
+        for field, move in moves.items():
+            largest[field] = max(largest.get(field, 0.0), move)
+        detail = "  ".join(f"{field} {move:.2e}" for field, move in sorted(moves.items()))
+        moved = f"  [{'+'.join(digests_moved)} digest]" if digests_moved else ""
+        print(f"{kind:13s} {label}{moved}  {detail}".rstrip())
+    print("  ".join(f"{count} {kind}" for kind, count in classes.items()))
+    print("largest relative move per field: " + (
+        "  ".join(f"{field} {move:.2e}" for field, move in sorted(largest.items())) or "none"
+    ))
+    for fault in faults:
+        print(f"FAULT {fault}")
+    return len(faults)
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
-        print(__doc__.splitlines()[0], file=sys.stderr)
+    if len(argv) not in (2, 4) or (len(argv) == 4 and argv[2] != "--against"):
+        print(__doc__.split("\n\n")[0], file=sys.stderr)
         return 2
     started = time.perf_counter()
     dump = {**facade_scenarios(), **kernel_scenarios()}
@@ -243,6 +334,9 @@ def main(argv) -> int:
         json.dump(dump, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(f"{len(dump)} scenarios, {time.perf_counter() - started:.1f} s -> {argv[1]}")
+    if len(argv) == 4:
+        with open(argv[3]) as handle:
+            return 1 if against(dump, json.load(handle)) else 0
     return 0
 
 

@@ -357,10 +357,13 @@ class MultiprocessingBackend:
                     ),
                 )
                 try:
-                    by_future = {
-                        pool.submit(_block_worker_run, block): block
-                        for block in outstanding
-                    }
+                    # A worker whose initializer fails can break the pool
+                    # while blocks are still being queued, and submit raises
+                    # from then on: what was queued drains as a crash below.
+                    by_future = {}
+                    with contextlib.suppress(futures.process.BrokenProcessPool):
+                        for block in outstanding:
+                            by_future[pool.submit(_block_worker_run, block)] = block
                     procs = dict(pool._processes or {})
                     reason, hung = self._drain(
                         by_future, queue, on_block, reports,

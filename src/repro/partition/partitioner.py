@@ -60,7 +60,7 @@ def round_robin_partition(kernel: SMPKernel, n_parts: int) -> np.ndarray:
 def greedy_balanced_partition(kernel: SMPKernel, n_parts: int) -> np.ndarray:
     """Longest-processing-time assignment balancing per-part non-zero counts."""
     _check_parts(n_parts, kernel.n_states)
-    row_nnz = np.bincount(kernel.src, minlength=kernel.n_states).astype(float)
+    row_nnz = np.bincount(kernel.csr.rows, minlength=kernel.n_states).astype(float)
     # Every row also costs a vector entry even when it has few transitions.
     weights = row_nnz + 1.0
     order = np.argsort(-weights, kind="stable")
@@ -112,7 +112,7 @@ def bfs_locality_partition(kernel: SMPKernel, n_parts: int, *, start: int = 0) -
     levels.append(np.flatnonzero(~visited).astype(np.int64))
     order = np.concatenate(levels)
 
-    weights = np.bincount(kernel.src, minlength=n).astype(float) + 1.0
+    weights = np.bincount(kernel.csr.rows, minlength=n).astype(float) + 1.0
     total = weights.sum()
     target = total / n_parts
     assignment = np.empty(n, dtype=np.int64)
@@ -151,7 +151,7 @@ def refine_partition(
     if balance_tolerance < 1.0:
         raise ValueError("balance_tolerance must be >= 1.0")
 
-    weights = np.bincount(kernel.src, minlength=n).astype(float) + 1.0
+    weights = np.bincount(kernel.csr.rows, minlength=n).astype(float) + 1.0
     loads = np.bincount(assignment, weights=weights, minlength=n_parts)
     limit = balance_tolerance * weights.sum() / n_parts
 
@@ -162,7 +162,7 @@ def refine_partition(
 
     ones = np.ones(kernel.n_transitions)
     directed = sparse.csr_matrix(
-        (ones, (kernel.src, kernel.dst)), shape=(n, n)
+        (ones, (kernel.csr.rows, kernel.csr.indices)), shape=(n, n)
     )
     undirected = (directed + directed.T).tocsr()
     undirected.setdiag(0.0)
@@ -224,10 +224,11 @@ def evaluate_partition(kernel: SMPKernel, assignment: np.ndarray) -> PartitionQu
     if assignment.min() < 0:
         raise ValueError("part indices must be non-negative")
     n_parts = int(assignment.max()) + 1
-    nnz_per_part = np.bincount(assignment[kernel.src], minlength=n_parts).astype(float)
+    part_of_src = assignment[kernel.csr.rows]
+    nnz_per_part = np.bincount(part_of_src, minlength=n_parts).astype(float)
     ideal = kernel.n_transitions / n_parts
     imbalance = float(nnz_per_part.max() / ideal) if ideal > 0 else float("nan")
-    cut = int(np.count_nonzero(assignment[kernel.src] != assignment[kernel.dst]))
+    cut = int(np.count_nonzero(part_of_src != assignment[kernel.csr.indices]))
     return PartitionQuality(
         n_parts=n_parts,
         nnz_per_part=nnz_per_part,

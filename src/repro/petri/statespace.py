@@ -445,7 +445,7 @@ class StateSpace:
                 "are acceptable to drop"
             )
         src, dst = self.edge_src, self.edge_dst
-        probs, dist_index = self.edge_prob, self.edge_dist.astype(np.int64)
+        probs, dist_index = self.edge_prob, self.edge_dist
         distributions = self.distributions
         if self.deadlock_states.size:
             distributions = list(distributions)

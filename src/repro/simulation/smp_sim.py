@@ -13,21 +13,18 @@ __all__ = ["TrajectorySampler", "simulate_passage_times", "simulate_transient"]
 class TrajectorySampler:
     """Samples trajectories of an SMP kernel state by state.
 
-    The kernel's transitions are re-indexed per source state once at
-    construction (destination array, cumulative branch probabilities and the
-    sojourn distribution of each branch) so that each simulated transition is
-    a single binary search plus one distribution sample.
+    Reads the kernel's image (:attr:`~repro.smp.kernel.SMPKernel.csr`, a
+    state's branches in destination order) and adds the cumulative branch
+    probabilities of each state, so that each simulated transition is a
+    single binary search plus one distribution sample.
     """
 
     def __init__(self, kernel: SMPKernel):
         self.kernel = kernel
-        order = np.argsort(kernel.src, kind="stable")
-        src_sorted = kernel.src[order]
-        self._dst = kernel.dst[order]
-        self._dist_index = kernel.dist_index[order]
-        probs = kernel.probs[order]
-        counts = np.bincount(src_sorted, minlength=kernel.n_states)
-        self._offsets = np.concatenate([[0], np.cumsum(counts)])
+        self._offsets = kernel.csr.indptr
+        self._dst = kernel.csr.indices
+        self._dist_index = kernel.csr.dist_index
+        probs = kernel.csr.probs
         # Per-state cumulative probabilities (normalised defensively).
         self._cum = np.empty_like(probs)
         for state in range(kernel.n_states):

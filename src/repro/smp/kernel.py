@@ -8,12 +8,13 @@ exactly the matrix ``U`` of the iterative algorithm (Eq. 9).
 
 Every transition carries an index into a list of *unique* distribution
 objects, so evaluating ``U(s)`` costs one transform evaluation per distinct
-distribution (not per transition) plus a single data fill.  The kernel owns
-the one image of its edges that the solvers read — :attr:`SMPKernel.csr`, the
-columns in ``(src, dst)`` order — and keeps the columns as they were inserted
-only for what observes that order (the content digest, the simulator's branch
-order, ``mean_sojourn_times``).  Evaluators, the factored engine, the direct
-solver and the kernel plane are all views of ``csr``; none holds a copy.
+distribution (not per transition) plus a single data fill.  A kernel holds
+one image of its edges — :attr:`SMPKernel.csr`, the columns in ``(src, dst)``
+order — whatever order they were inserted in; the columns it was handed are
+validated, sorted into the image and let go.  Evaluators, the factored engine,
+the direct solver, the simulator, the content digest and the kernel plane all
+read ``csr``; none holds a copy, so a built, a pickled and a plane-attached
+kernel are indistinguishable.
 """
 from __future__ import annotations
 
@@ -39,24 +40,34 @@ __all__ = [
 ]
 
 
-def kernel_content_digest(kernel: "SMPKernel") -> str:
-    """A stable content hash of the kernel's structure and distributions.
+#: Hashed first into every kernel digest, and through it into every job
+#: digest, checkpoint key and plane file name.  A change that moves computed
+#: values bumps it: files written under the old epoch are then keyed by
+#: digests nothing can produce any more, so they are never read and never
+#: touched, and the first use recomputes (README, "Digest epochs").
+DIGEST_EPOCH = b"smp-digest-epoch-2"
 
-    Memoised on the kernel object: a long-lived analysis service re-digests
-    the same kernel on every query, and the arrays are immutable after build.
-    Kernels reconstructed from a kernel plane carry the original
-    digest forward (their edge columns are in CSR order, so re-hashing would
-    produce a different — but equivalent — value).
+
+def kernel_content_digest(kernel: "SMPKernel") -> str:
+    """A stable content hash of the kernel's image and distributions.
+
+    The image is in ``(src, dst)`` order however the edges arrived, so one
+    model has one digest.  Memoised on the kernel object: a long-lived
+    analysis service re-digests the same kernel on every query, and the
+    arrays are immutable after build.  A kernel attached from a plane carries
+    the exporter's digest as that memo (attaching must not hash the image);
+    recomputing it gives the same string.
     """
     cached = getattr(kernel, "_content_digest", None)
     if cached is not None:
         return cached
     h = hashlib.sha256()
+    h.update(DIGEST_EPOCH)
     h.update(np.int64(kernel.n_states).tobytes())
-    h.update(kernel.src.tobytes())
-    h.update(kernel.dst.tobytes())
-    h.update(kernel.probs.tobytes())
-    h.update(kernel.dist_index.tobytes())
+    h.update(kernel.csr.indptr.tobytes())
+    h.update(kernel.csr.indices.tobytes())
+    h.update(kernel.csr.probs.tobytes())
+    h.update(kernel.csr.dist_index.tobytes())
     for dist in kernel.distributions:
         h.update(repr(dist._key()).encode())
     digest = h.hexdigest()
@@ -140,24 +151,22 @@ class SMPKernel:
     ):
         require(n_states > 0, "an SMP kernel needs at least one state")
         self.n_states = int(n_states)
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.probs = np.asarray(probs, dtype=float)
-        self.dist_index = np.asarray(dist_index, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        probs = np.asarray(probs, dtype=float)
+        dist_index = np.asarray(dist_index)
         self.distributions = list(distributions)
-        if not (
-            self.src.shape == self.dst.shape == self.probs.shape == self.dist_index.shape
-        ):
+        if not src.shape == dst.shape == probs.shape == dist_index.shape:
             raise ValueError("src, dst, probs and dist_index must have identical shapes")
-        if self.src.size == 0:
+        if src.size == 0:
             raise ValueError("an SMP kernel needs at least one transition")
-        if self.src.min() < 0 or self.src.max() >= self.n_states:
+        if src.min() < 0 or src.max() >= self.n_states:
             raise ValueError("transition source index out of range")
-        if self.dst.min() < 0 or self.dst.max() >= self.n_states:
+        if dst.min() < 0 or dst.max() >= self.n_states:
             raise ValueError("transition destination index out of range")
-        if np.any(self.probs < 0) or np.any(~np.isfinite(self.probs)):
+        if np.any(probs < 0) or np.any(~np.isfinite(probs)):
             raise ValueError("transition probabilities must be finite and non-negative")
-        if self.dist_index.min() < 0 or self.dist_index.max() >= len(self.distributions):
+        if dist_index.min() < 0 or dist_index.max() >= len(self.distributions):
             raise ValueError("distribution index out of range")
         for d in self.distributions:
             if not isinstance(d, Distribution):
@@ -180,11 +189,12 @@ class SMPKernel:
             )
             self._state_names = [str(s) for s in state_names]
 
-        # The image shared by P, U(s) and U'(s).  ``_order`` is from_columns
-        # handing over the sort it already made to look for parallel edges.
+        # The image shared by P, U(s) and U'(s): the columns sorted, the only
+        # form they are kept in.  ``_order`` is from_columns handing over the
+        # sort it already made to look for parallel edges.
         order = _order
         if order is None:
-            order, parallel = _edge_order(self.n_states, self.src, self.dst)
+            order, parallel = _edge_order(self.n_states, src, dst)
             if parallel.any():
                 raise ValueError(
                     "duplicate transitions detected: combine parallel transitions into a "
@@ -192,21 +202,21 @@ class SMPKernel:
                 )
         index_dtype = (
             np.int32
-            if max(self.src.size, self.n_states) <= np.iinfo(np.int32).max
+            if max(src.size, self.n_states) <= np.iinfo(np.int32).max
             else np.int64
         )
-        counts = np.bincount(self.src, minlength=self.n_states)
+        counts = np.bincount(src, minlength=self.n_states)
         self.csr = KernelCSR(
             np.concatenate(([0], np.cumsum(counts))).astype(index_dtype),
-            self.dst.astype(index_dtype)[order],
-            self.src[order],
-            self.probs[order],
-            self.dist_index[order],
+            dst.astype(index_dtype)[order],
+            src[order],
+            probs[order],
+            dist_index[order].astype(np.int64, copy=False),
         )
         for array in self.csr:
             array.setflags(write=False)
 
-        row_sums = np.bincount(self.src, weights=self.probs, minlength=self.n_states)
+        row_sums = np.bincount(src, weights=probs, minlength=self.n_states)
         dangling = np.where(row_sums < row_sum_tolerance)[0]
         if dangling.size:
             raise ValueError(
@@ -263,8 +273,9 @@ class SMPKernel:
         The one place edges are merged, normalised and validated — the
         state space (:meth:`repro.petri.StateSpace.kernel`) and
         :meth:`SMPBuilder.build` both end here.  When no two edges share a
-        ``(src, dst)`` pair the columns are adopted as-is (zero-copy, no
-        per-edge Python objects).  Parallel edges merge by grouped reduction:
+        ``(src, dst)`` pair the columns go into the image as they are (any
+        integer ``dist_index``; no per-edge Python objects, and the kernel
+        keeps no reference to them).  Parallel edges merge by grouped reduction:
         probabilities sum, sojourns combine into a probability-weighted
         :class:`~repro.distributions.Mixture` in edge order, appended to the
         distribution table after the given entries.
@@ -277,7 +288,7 @@ class SMPKernel:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         probs = np.asarray(probs, dtype=float)
-        dist_index = np.asarray(dist_index, dtype=np.int64)
+        dist_index = np.asarray(dist_index)
         if np.any(probs < 0) or np.any(~np.isfinite(probs)):
             raise ValueError("transition probabilities must be finite and non-negative")
         positive = probs > 0.0
@@ -342,18 +353,13 @@ class SMPKernel:
         """Adopt an image exported by a kernel that passed ``__init__``.
 
         The plane attach path: no re-validation, no sort, no copy — ``csr`` is
-        the kernel, and the edge columns are its arrays (so they read in
-        ``(src, dst)`` order, not the exporter's insertion order).
-        ``content_digest`` stamps the exporter's digest so checkpoint keys
-        agree across processes.
+        the kernel.  ``content_digest`` is the exporter's digest, kept as the
+        memo :func:`kernel_content_digest` would otherwise fill by hashing the
+        image on the first query.
         """
         self = cls.__new__(cls)
         self.n_states = int(n_states)
         self.csr = csr
-        self.src = csr.rows
-        self.dst = csr.indices
-        self.probs = csr.probs
-        self.dist_index = csr.dist_index
         self.distributions = list(distributions)
         self._state_names = None
         self._state_names_factory = None
@@ -378,7 +384,7 @@ class SMPKernel:
     # ------------------------------------------------------------ topology
     @property
     def n_transitions(self) -> int:
-        return int(self.src.size)
+        return int(self.csr.indices.size)
 
     @property
     def n_distributions(self) -> int:
@@ -407,7 +413,7 @@ class SMPKernel:
             shape=(self.n_states, self.n_states), copy=True,
         )
 
-    def embedded_steady_state(self, method: str = "auto") -> np.ndarray:
+    def embedded_steady_state(self) -> np.ndarray:
         """Stationary vector of the embedded DTMC, solved once per kernel.
 
         Every multi-source ``alpha`` (Eq. 5) and every long-run state
@@ -415,13 +421,10 @@ class SMPKernel:
         memoised like ``_content_digest``: lazily (registration and
         single-source measures never pay for it) and single-flight
         (concurrent first queries wait on one solve).  The memoised array is
-        shared and read-only.  Naming a ``method`` asks for that algorithm
-        specifically and solves afresh.
+        shared and read-only.
         """
         from .embedded import dtmc_steady_state  # embedded imports this module
 
-        if method != "auto":
-            return dtmc_steady_state(self.embedded_matrix(), method=method)
         pi = self._embedded_pi
         if pi is None:
             with self._embedded_lock:
@@ -464,8 +467,8 @@ class SMPKernel:
     def mean_sojourn_times(self) -> np.ndarray:
         """Expected sojourn time in each state: ``m_i = sum_j p_ij E[H_ij]``."""
         means = np.asarray([d.mean() for d in self.distributions], dtype=float)
-        contrib = self.probs * means[self.dist_index]
-        return np.bincount(self.src, weights=contrib, minlength=self.n_states)
+        contrib = self.csr.probs * means[self.csr.dist_index]
+        return np.bincount(self.csr.rows, weights=contrib, minlength=self.n_states)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

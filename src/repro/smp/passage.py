@@ -568,10 +568,15 @@ class _BatchRowOperator(_BatchOperator):
         self._state = self.evaluator.alpha_vec_matrix_batch(
             self._alpha, self._u_data, self._points
         )
-        self._acc = self._state[:, self._targets].sum(axis=1)
+        self._acc = self._target_sums()
 
     def _accumulate(self) -> None:
-        self._acc = self._acc + self._state[:, self._targets].sum(axis=1)
+        self._acc = self._acc + self._target_sums()
+
+    def _target_sums(self) -> np.ndarray:
+        """``v . e`` per point: each row of the gather reduced on its own, so a
+        point's sum rounds the same whatever the width of the block."""
+        return np.add.reduce(np.take(self._state, self._targets, axis=1), axis=1)
 
     def residual(self) -> np.ndarray:
         return np.abs(self._state).sum(axis=1)
@@ -692,8 +697,16 @@ class _Form:
         return np.empty((n_s, n) if self.vector else n_s, dtype=complex)
 
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
-        """The direct solver's ``(m, n)`` passage vectors as results."""
-        return vectors if self.vector else vectors @ self.alpha
+        """The direct solver's ``(m, n)`` passage vectors as results.
+
+        Row form: ``vectors @ alpha`` over alpha's support, each row reduced
+        on its own — BLAS picks its kernel by the row count, and a point's
+        value must not depend on how many points share its block.
+        """
+        if self.vector:
+            return vectors
+        support = np.flatnonzero(self.alpha)
+        return np.add.reduce(np.take(vectors, support, axis=1) * self.alpha[support], axis=1)
 
     def operator(self, evaluator, engine, mask, s_iter, u_data, points):
         """The stepper of the block's iterative points, in their run order:

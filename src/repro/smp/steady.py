@@ -18,11 +18,10 @@ def smp_steady_state(
     kernel: SMPKernel,
     *,
     embedded_pi: np.ndarray | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """Limiting probability of finding the SMP in each state."""
     if embedded_pi is None:
-        embedded_pi = kernel.embedded_steady_state(method)
+        embedded_pi = kernel.embedded_steady_state()
     embedded_pi = np.asarray(embedded_pi, dtype=float)
     if embedded_pi.shape != (kernel.n_states,):
         raise ValueError("embedded_pi must have one probability per state")
@@ -41,7 +40,6 @@ def steady_state_probability(
     states,
     *,
     embedded_pi: np.ndarray | None = None,
-    method: str = "auto",
 ) -> float:
     """Limiting probability of the SMP occupying any state in ``states``."""
     states = np.atleast_1d(np.asarray(states, dtype=np.int64))
@@ -49,5 +47,5 @@ def steady_state_probability(
         return 0.0
     if states.min() < 0 or states.max() >= kernel.n_states:
         raise ValueError("state index out of range")
-    pi = smp_steady_state(kernel, embedded_pi=embedded_pi, method=method)
+    pi = smp_steady_state(kernel, embedded_pi=embedded_pi)
     return float(pi[np.unique(states)].sum())

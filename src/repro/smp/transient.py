@@ -161,13 +161,14 @@ def transient_transform_batch(
                 s_block, options, policy,
             )
             lam = (1.0 - h[:, k]) / (1.0 - l_mat[:, k])
-            l_src = l_mat[:, source_states].copy()
+            l_src = np.take(l_mat, source_states, axis=1)
             k_pos = np.flatnonzero(source_states == k)
             if k_pos.size:
                 # The delta term of Eq. (7): a source equal to the target
                 # contributes Lambda_k itself rather than Lambda_k L_kk(s).
                 l_src[:, k_pos[0]] = 1.0
-            totals += lam * (l_src @ weights)
+            # reduced row by row: a point's value is independent of its block
+            totals += lam * np.add.reduce(l_src * weights, axis=1)
             product_rows += target_rows
             for t, diag in enumerate(target_diags):
                 matvec_totals[t] += diag.matvec_count

@@ -12,8 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import DistributedEngine, Model
+from repro.api import DistributedEngine, Model, build_job, resolve_state_sets
 from repro.core.results import PassageTimeResult, TransientResult
+from repro.distributed import CheckpointStore
+from repro.service.registry import ModelRegistry
+from repro.smp import kernel as kernel_module
+from repro.smp import kernel_content_digest
 
 T_POINTS = [5.0, 10.0, 20.0]
 PARITY = dict(rtol=0.0, atol=1e-10)
@@ -286,3 +290,58 @@ class TestCheckpointedEngine:
         assert resumed.quantiles[0.9] == pytest.approx(reference.quantiles[0.9], abs=1e-10)
         workers = resumed.statistics["workers"]
         assert sum(entry["points"] for entry in workers.values()) == scheduled - checkpointed
+
+
+class TestDigestEpoch:
+    """Kernel, job, checkpoint and plane keys all hang off ``DIGEST_EPOCH``;
+    model ids do not.  A directory written under another epoch — what an
+    upgrade across a value-moving change leaves behind — is therefore never
+    read and never touched."""
+
+    @staticmethod
+    def _run(voting_spec, directory):
+        # a fresh registry every time: a kernel memoises its digest
+        model = Model.from_spec(voting_spec, registry=ModelRegistry())
+        query = model.passage("p1 == CC", "p2 == CC").density(T_POINTS).cdf()
+        result = query.run(engine="distributed", workers=2, checkpoint=str(directory))
+        sources, targets = resolve_state_sets(model.entry, query.source, query.target)
+        job = build_job(
+            model.entry, query.kind, sources, targets,
+            solver=query.solver, epsilon=query.epsilon,
+        )
+        return model, job, result
+
+    def test_the_epoch_moves_every_derived_digest_and_no_model_id(
+        self, voting_spec, tmp_path, monkeypatch
+    ):
+        seen = []
+        for epoch in (kernel_module.DIGEST_EPOCH, b"another-epoch"):
+            monkeypatch.setattr(kernel_module, "DIGEST_EPOCH", epoch)
+            directory = tmp_path / epoch.decode()
+            model, job, _ = self._run(voting_spec, directory)
+            kernel_digest = kernel_content_digest(model.entry.kernel)
+            assert [p.name for p in (directory / "planes").iterdir()] == [
+                f"{kernel_digest}.csr.plane"
+            ]
+            assert CheckpointStore(directory).digests() == [job.digest()]
+            seen.append((model.digest, kernel_digest, job.digest()))
+        (model_id, kernel_digest, job_digest), other = seen
+        assert other[0] == model_id
+        assert other[1] != kernel_digest and other[2] != job_digest
+
+    def test_a_directory_of_another_epoch_is_neither_read_nor_touched(
+        self, voting_spec, tmp_path, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_module, "DIGEST_EPOCH", b"the-parent's")
+            self._run(voting_spec, tmp_path)
+        old = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert len(old) == 3  # a checkpoint, its lock file, a plane
+
+        first = self._run(voting_spec, tmp_path)[2].statistics
+        assert first["s_points_from_disk"] == 0 and first["s_points_computed"] > 0
+        second = self._run(voting_spec, tmp_path)[2].statistics
+        assert second["s_points_computed"] == 0
+        assert second["s_points_from_disk"] == first["s_points_computed"]
+        assert {p: p.read_bytes() for p in old} == old
+        assert len([p for p in tmp_path.rglob("*") if p.is_file()]) == 6

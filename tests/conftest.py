@@ -24,20 +24,20 @@ def t_grid() -> np.ndarray:
 
 @pytest.fixture
 def embedded_solves(monkeypatch):
-    """The ``method`` of every ``dtmc_steady_state`` call made, in order.
+    """The chain size of every ``dtmc_steady_state`` call made, in order.
 
-    Every route to an embedded stationary-vector solve (the kernel memo, an
-    explicit ``method=``) resolves the function on ``repro.smp.embedded`` at
-    call time, so counting there counts them all.
+    The kernel memo — the one route to an embedded stationary-vector solve —
+    resolves the function on ``repro.smp.embedded`` at call time, so counting
+    there counts them all.
     """
     from repro.smp import embedded
 
-    calls: list[str] = []
+    calls: list[int] = []
     real = embedded.dtmc_steady_state
 
-    def counted(P, **kwargs):
-        calls.append(kwargs.get("method", "auto"))
-        return real(P, **kwargs)
+    def counted(P):
+        calls.append(P.shape[0])
+        return real(P)
 
     monkeypatch.setattr(embedded, "dtmc_steady_state", counted)
     return calls

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.api import Model, resolve_state_sets
 from repro.distributions import Deterministic, Erlang, Exponential, Uniform
@@ -47,3 +48,35 @@ def random_kernel(rng: np.random.Generator, n_states: int, density: float = 0.35
         for w, j in zip(weights, sorted(successors)):
             b.add_transition(i, j, float(w), dists[int(rng.integers(0, len(dists)))])
     return b.build()
+
+
+# --- the stationary vector's oracles: the two solvers ``dtmc_steady_state``
+# --- chose between until PR 22, kept here to check the one it has now
+
+
+def power_steady_state(P, tol: float = 1e-14, max_iterations: int = 200_000):
+    """Damped power iteration ``pi <- pi (P + I)/2``: the same fixed point,
+    aperiodic by construction, so it converges for periodic chains too."""
+    P = sparse.csr_matrix(P)
+    n = P.shape[0]
+    pi = np.full(n, 1.0 / n)
+    for _ in range(max_iterations):
+        new = 0.5 * (pi @ P + pi)
+        new /= new.sum()
+        if np.max(np.abs(new - pi)) < tol:
+            return new
+        pi = new
+    raise RuntimeError(f"power iteration did not converge within {max_iterations} iterations")
+
+
+def dense_steady_state(P):
+    """Dense solve of ``(P^T - I) pi = 0`` with the last equation replaced by
+    ``sum(pi) = 1`` (exact; for chains of up to a few thousand states)."""
+    P = sparse.csr_matrix(P).toarray()
+    n = P.shape[0]
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.maximum(np.linalg.solve(A, b), 0.0)
+    return pi / pi.sum()

@@ -6,23 +6,14 @@ the block a point is solved in — and whichever of the batch engine's two
 regimes advances it — its value comes back bit for bit the same, after the
 same number of iterations.
 
-Reversed and shuffled grids and the per-point regime are compared everywhere.
-A *one-point* call is compared wherever the arithmetic around the iteration
-does not itself depend on the number of rows it is handed; three reductions
-do, each of them the parent's arithmetic, kept because PR 21 is bit-identical
-to its parent (``scripts/bitdump.py``):
-
-* the row form sums a point's target components through ``state[:, targets]
-  .sum(axis=1)``; numpy lays that gather out column-major, so with more than
-  one row it adds the columns in order and with one row it sums pairwise —
-  different roundings once there are four or more target states;
-* direct solves end in ``vectors @ alpha``, the transient assembly in
-  ``l_src @ weights`` and the factored row form starts from ``lst @ A``:
-  BLAS picks its kernel (dot / gemv / gemm) by the row count.
-
-So one-point calls are compared in the column form everywhere, and in the
-batch engine's row form where the target set is small and no point is solved
-directly.
+Reversed and shuffled grids, the per-point regime and *one-point* calls are
+compared.  In the batch engine every reduction around the iteration sums a
+point's row on its own (``np.add.reduce`` along the contiguous axis of a
+gather), so the comparison holds in all three forms, with any number of
+targets and for points the sparse LU solves.  The factored row form still
+starts from ``lst @ A``, where BLAS picks its kernel (dot / gemv / gemm) by
+the row count: there a one-point call is compared in the column form and the
+transient assembly only.
 """
 from __future__ import annotations
 
@@ -30,8 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.api import Model
 from repro.laplace import EulerInverter
-from repro.models import mg1_queue_kernel
+from repro.models import VotingParameters, mg1_queue_kernel, voting_spec_text
+from repro.service.registry import ModelRegistry
 from repro.smp import (
     PassageTimeOptions,
     SPointPolicy,
@@ -90,9 +83,7 @@ def _check_independence(kernel, alpha, targets, engine, policy_name, monkeypatch
     options, fields = POLICIES[policy_name]
     policy = SPointPolicy(engine=engine, **fields)
     # see the module docstring for where a one-point call is comparable
-    one_point = {"column"}
-    if engine == "batch" and targets.size < 4 and policy_name != "cap+fallback":
-        one_point.add("row")
+    one_point = {"row", "column", "transient"} if engine == "batch" else {"column", "transient"}
     for name, transform in _transforms(kernel, alpha, targets, options, policy).items():
         reference, reference_diags = transform(GRID)
         orders = {
@@ -144,3 +135,19 @@ def test_a_point_is_independent_of_its_block_on_generated_kernels(seed, n):
                     kernel, alpha, targets, engine, policy_name, monkeypatch,
                     singles=(0, GRID.size // 2, GRID.size - 1),
                 )
+
+
+def test_pool_blocks_answer_what_the_inline_sweep_answers():
+    """A 2-worker pool cuts the grid into blocks the inline engine never forms;
+    all 132 transform values of the voting (8,3,2) density + CDF come back
+    bit for bit the same (PR 21 measured 131: one point finished as the sole
+    survivor of its block on one side only, and its target sum rounded by it)."""
+    model = Model.from_spec(
+        voting_spec_text(VotingParameters(8, 3, 2)), registry=ModelRegistry()
+    )
+    query = model.passage("p1 == CC", "p2 == CC").density([2.0, 5.0, 10.0, 20.0]).cdf()
+    inline = query.run().transform_values
+    pool = query.run(engine="multiprocessing", workers=2).transform_values
+    assert len(inline) == 132 and sorted(pool, key=repr) == sorted(inline, key=repr)
+    for s, value in inline.items():
+        assert np.complex128(pool[s]).tobytes() == np.complex128(value).tobytes(), s

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.distributions import Deterministic, Erlang, Exponential
+from repro.petri import build_kernel, explore
 from repro.smp import (
     SMPBuilder,
     dtmc_steady_state,
@@ -13,6 +15,8 @@ from repro.smp import (
     source_weights,
     steady_state_probability,
 )
+from tests.petri.test_random_nets_properties import random_nets
+from tests.smp.conftest import dense_steady_state, power_steady_state, random_kernel
 
 
 class TestDtmcSteadyState:
@@ -23,18 +27,19 @@ class TestDtmcSteadyState:
         assert np.allclose(pi, [1.0 / 3.0, 2.0 / 3.0])
 
     def test_direct_and_power_agree(self, rng):
+        """The two oracles agree with each other, and the solver with both."""
         n = 30
         raw = rng.random((n, n)) + 0.01
         P = sparse.csr_matrix(raw / raw.sum(axis=1, keepdims=True))
-        direct = dtmc_steady_state(P, method="direct")
-        power = dtmc_steady_state(P, method="power")
-        assert np.allclose(direct, power, atol=1e-8)
+        direct, power = dense_steady_state(P), power_steady_state(P)
+        assert np.allclose(direct, power, atol=1e-12)
+        assert np.allclose(dtmc_steady_state(P), direct, atol=1e-12)
 
     def test_periodic_chain_power_converges(self):
-        """A 2-cycle is periodic; the damped iteration must still converge."""
+        """A 2-cycle is periodic; the damped warm-up must not oscillate."""
         P = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        pi = dtmc_steady_state(P, method="power")
-        assert np.allclose(pi, [0.5, 0.5], atol=1e-8)
+        assert np.array_equal(dtmc_steady_state(P), [0.5, 0.5])
+        assert np.allclose(power_steady_state(P), [0.5, 0.5], atol=1e-12)
 
     def test_stationarity_property(self, rng):
         n = 12
@@ -51,9 +56,112 @@ class TestDtmcSteadyState:
             dtmc_steady_state(P)
 
     def test_unknown_method_rejected(self):
+        """There is one method and no way to name another."""
         P = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             dtmc_steady_state(P, method="magic")
+
+
+# --- the one stationary solver on chains it has not met -----------------------
+
+
+def _ring(n: int) -> sparse.csr_matrix:
+    states = np.arange(n)
+    return sparse.csr_matrix((np.ones(n), (states, (states + 1) % n)), shape=(n, n))
+
+
+def _nearly_decomposable(n_blocks: int = 4, size: int = 100, coupling: float = 1e-4):
+    """Sparse random blocks; a state of block ``b`` leaks ``(1 + b) * coupling``
+    of its mass to the next block, so the blocks' masses differ as 1/(1 + b)
+    and a uniform start is wrong by O(1) on a time scale of 1/coupling steps."""
+    rng = np.random.default_rng(2003)
+    n = n_blocks * size
+    states = np.arange(n)
+    P = np.zeros((n, n))
+    for block in range(n_blocks):
+        span = slice(block * size, (block + 1) * size)
+        P[span, span] = rng.random((size, size)) * (rng.random((size, size)) < 0.1)
+        P[span, span] += np.eye(size) * 0.01
+    leak = coupling * (1.0 + states // size)
+    P *= ((1.0 - leak) / P.sum(axis=1))[:, None]
+    P[states, (states + size) % n] += leak
+    return sparse.csr_matrix(P / P.sum(axis=1, keepdims=True))
+
+
+FIXED_CHAINS = {
+    "one-state": lambda: sparse.csr_matrix(np.array([[1.0]])),
+    "flip": lambda: _ring(2),
+    "ring-5": lambda: _ring(5),
+    "ring-1000": lambda: _ring(1000),
+    # two states nothing returns to, ahead of a closed pair
+    "transient-head": lambda: sparse.csr_matrix(np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.5, 0.5, 0.0],
+        [0.0, 0.0, 0.3, 0.7],
+        [0.0, 0.0, 0.6, 0.4],
+    ])),
+    # a transient state that keeps its mass through the whole warm-up
+    "sticky-head": lambda: sparse.csr_matrix(np.array([
+        [1.0 - 1e-9, 1e-9, 0.0],
+        [0.0, 0.2, 0.8],
+        [0.0, 0.5, 0.5],
+    ])),
+    "stiff-pair": lambda: sparse.csr_matrix(np.array([[1.0 - 1e-9, 1e-9], [0.5, 0.5]])),
+    "nearly-decomposable": _nearly_decomposable,
+}
+
+
+#: where power iteration needs 1e5 to 1e10 steps and is no oracle
+SLOW_MIXING = {"nearly-decomposable", "sticky-head"}
+
+
+def _assert_stationary(P, pi):
+    """Residual and agreement with the dense oracle to 1e-12, a distribution."""
+    assert pi.shape == (P.shape[0],)
+    assert np.all(pi >= 0.0)
+    assert abs(pi.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(pi @ P - pi)) <= 1e-12
+    assert np.max(np.abs(pi - dense_steady_state(P))) <= 1e-12
+
+
+class TestOneSolver:
+    @pytest.mark.parametrize("name", sorted(FIXED_CHAINS))
+    def test_fixed_chains(self, name):
+        P = FIXED_CHAINS[name]()
+        pi = dtmc_steady_state(P)
+        _assert_stationary(P, pi)
+        if name not in SLOW_MIXING:
+            assert np.allclose(pi, power_steady_state(P), atol=1e-9)
+        if name.endswith("-head"):
+            assert pi[0] <= 1e-15  # transient states carry no mass
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_random_kernels(self, seed, n):
+        P = random_kernel(np.random.default_rng(seed), n, density=0.15).embedded_matrix()
+        _assert_stationary(P, dtmc_steady_state(P))
+
+    @given(random_nets())
+    @settings(max_examples=40, deadline=None)
+    def test_random_nets(self, case):
+        net, _ = case
+        P = build_kernel(explore(net, max_states=500)).embedded_matrix()
+        _assert_stationary(P, dtmc_steady_state(P))
+
+    @pytest.mark.parametrize("blocks", ["exact", "rounded"])
+    def test_two_closed_classes_raise_the_one_error(self, blocks):
+        """No unique stationary vector: the documented failure, whether or not
+        round-off hides the singularity from the factorisation."""
+        rng = np.random.default_rng(7)
+        P = np.zeros((7, 7))
+        if blocks == "exact":
+            P[:3, :3], P[3:6, 3:6] = 1.0 / 3.0, 1.0 / 3.0
+        else:
+            P[:3, :3], P[3:6, 3:6] = rng.random((3, 3)), rng.random((3, 3))
+        P[6, :] = 1.0  # a transient state feeding both
+        P /= P.sum(axis=1, keepdims=True)
+        with pytest.raises(np.linalg.LinAlgError, match="2 closed classes"):
+            dtmc_steady_state(sparse.csr_matrix(P))
 
 
 class TestSourceWeights:

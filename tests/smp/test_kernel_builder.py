@@ -33,9 +33,9 @@ class TestBuilder:
         k = b.build()
         assert k.n_transitions == 2
         # The merged transition has total probability 1 and a Mixture sojourn.
-        idx = np.where((k.src == 0) & (k.dst == 1))[0][0]
-        assert k.probs[idx] == pytest.approx(1.0)
-        dist = k.distributions[k.dist_index[idx]]
+        idx = np.where((k.csr.rows == 0) & (k.csr.indices == 1))[0][0]
+        assert k.csr.probs[idx] == pytest.approx(1.0)
+        dist = k.distributions[k.csr.dist_index[idx]]
         assert isinstance(dist, Mixture)
         assert np.allclose(dist.weights, [0.25, 0.75])
         # The builder merges nothing itself: the same three branches given to
@@ -44,8 +44,8 @@ class TestBuilder:
             2, [0, 0, 1], [1, 1, 0], [0.25, 0.75, 1.0], [0, 1, 2],
             [Exponential(1.0), Erlang(2.0, 2), Exponential(3.0)],
         )
-        for column in ("src", "dst", "probs", "dist_index"):
-            assert np.array_equal(getattr(k, column), getattr(direct, column)), column
+        for column, ours, theirs in zip(k.csr._fields, k.csr, direct.csr):
+            assert np.array_equal(ours, theirs), column
         assert k.distributions == direct.distributions
         assert k.distributions[:3] == [Exponential(1.0), Erlang(2.0, 2), Exponential(3.0)]
         assert np.array_equal(dist.weights, direct.distributions[3].weights)

@@ -1,6 +1,7 @@
 """Hypothesis property tests on random SMP kernels."""
 from __future__ import annotations
 
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.core.jobs import PassageTimeJob
+from repro.distributed import CheckpointStore
+from repro.simulation import simulate_passage_times
 from repro.smp import (
     KernelPlane,
     SMPKernel,
@@ -19,6 +22,7 @@ from repro.smp import (
     smp_steady_state,
     source_weights,
 )
+from tests.oneloop import LoopRun
 from tests.smp.conftest import random_kernel
 
 
@@ -95,12 +99,20 @@ def test_reachability_probability_at_small_s(seed, n, s):
 # --- the kernel image: one CSR, owned by the kernel, shared by every reader ---
 
 
+def _shuffled_columns(kernel: SMPKernel, rng: np.random.Generator):
+    """The kernel's edges as ``(src, dst, probs, dist_index)`` in a seeded
+    random order — what a caller might have inserted."""
+    shuffle = rng.permutation(kernel.n_transitions)
+    csr = kernel.csr
+    return tuple(
+        column[shuffle] for column in (csr.rows, csr.indices, csr.probs, csr.dist_index)
+    )
+
+
 def _reinserted(kernel: SMPKernel, rng: np.random.Generator) -> SMPKernel:
     """The same edges, inserted in a seeded random order."""
-    shuffle = rng.permutation(kernel.n_transitions)
     return SMPKernel(
-        kernel.n_states, kernel.src[shuffle], kernel.dst[shuffle],
-        kernel.probs[shuffle], kernel.dist_index[shuffle], kernel.distributions,
+        kernel.n_states, *_shuffled_columns(kernel, rng), kernel.distributions
     )
 
 
@@ -110,18 +122,19 @@ def test_csr_image_is_scipys_canonical_csr(seed, n):
     """``kernel.csr`` is what scipy's COO->CSR conversion of the edge columns
     gives, array for array and dtype for dtype — whatever the insertion order."""
     rng = np.random.default_rng(seed)
-    kernel = _reinserted(random_kernel(rng, n), rng)
+    model = random_kernel(rng, n)
+    src, dst, probs, dist_index = _shuffled_columns(model, rng)
+    kernel = SMPKernel(n, src, dst, probs, dist_index, model.distributions)
     tagged = sparse.csr_matrix(
-        (np.arange(1.0, kernel.n_transitions + 1), (kernel.src, kernel.dst)),
-        shape=(n, n),
+        (np.arange(1.0, kernel.n_transitions + 1), (src, dst)), shape=(n, n),
     )
     entry = tagged.data.astype(np.int64) - 1  # COO position of each CSR entry
     expected = (
         tagged.indptr,
         tagged.indices,
         np.repeat(np.arange(n), np.diff(tagged.indptr)),
-        kernel.probs[entry],
-        kernel.dist_index[entry],
+        probs[entry],
+        dist_index[entry],
     )
     assert kernel.csr._fields == ("indptr", "indices", "rows", "probs", "dist_index")
     for name, got, want in zip(kernel.csr._fields, kernel.csr, expected):
@@ -163,21 +176,55 @@ def test_evaluators_and_planes_are_views_of_the_image(seed, n, s):
 
 @given(seed=kernel_seeds, n=sizes, s=s_values)
 @settings(max_examples=30, deadline=None)
-def test_insertion_order_moves_the_digest_not_the_values(seed, n, s):
-    """The solvers read ``csr`` only, so two insertion orders of the same
-    edges solve bit-identically; the content digest hashes the columns as
-    inserted, so it differs (dropping the columns would move digests)."""
+def test_insertion_order_moves_neither_the_digest_nor_the_values(seed, n, s):
+    """A kernel is its image, and the image is in ``(src, dst)`` order however
+    the edges arrived: two insertion orders of one model are one digest, solve
+    bit-identically and share one checkpoint file."""
     rng = np.random.default_rng(seed)
     kernel = random_kernel(rng, n)
     shuffled = _reinserted(kernel, rng)
-    if np.array_equal(shuffled.src, kernel.src) and np.array_equal(shuffled.dst, kernel.dst):
-        return  # the identity permutation
-    assert kernel_content_digest(shuffled) != kernel_content_digest(kernel)
+    assert kernel_content_digest(shuffled) == kernel_content_digest(kernel)
     grid = np.array([s, s.conjugate() + 0.5, 2.0 * s])
-    values = [
-        PassageTimeJob(
-            kernel=k, alpha=source_weights(k, [0, n // 2]), targets=[n - 1]
-        ).evaluate_batch(grid)[0]
-        for k in (kernel, shuffled)
-    ]
-    assert np.array_equal(values[0], values[1])
+    with tempfile.TemporaryDirectory() as directory:
+        store = CheckpointStore(directory)
+        values = []
+        for k in (kernel, shuffled):
+            job = PassageTimeJob(
+                kernel=k, alpha=source_weights(k, [0, n // 2]), targets=[n - 1]
+            )
+            values.append(job.evaluate_batch(grid)[0])
+            LoopRun(job, checkpoint=store).density([1.0])
+        assert values[0].tobytes() == values[1].tobytes()
+        assert len(store.digests()) == 1
+
+
+@given(seed=kernel_seeds, n=sizes)
+@settings(max_examples=20, deadline=None)
+def test_built_pickled_and_attached_kernels_are_one_kernel(seed, n):
+    """Equal image bytes, equal *recomputed* digest, equal seeded trajectories."""
+    rng = np.random.default_rng(seed)
+    built = _reinserted(random_kernel(rng, n), rng)
+    with tempfile.TemporaryDirectory() as directory:
+        plane = KernelPlane.build(built.evaluator(), Path(directory) / "kernel.plane")
+        attached = plane.handle().attach()
+        try:
+            stamped = attached.kernel._content_digest
+            for kernel in (pickle.loads(pickle.dumps(built)), attached.kernel):
+                for name, got, want in zip(built.csr._fields, kernel.csr, built.csr):
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), name
+                del kernel._content_digest  # the memo, not the fact
+                assert kernel_content_digest(kernel) == kernel_content_digest(built) == stamped
+                streams = [
+                    simulate_passage_times(k, [0], [n - 1], n_samples=20, rng=seed)
+                    for k in (built, kernel)
+                ]
+                assert streams[0].tobytes() == streams[1].tobytes()
+            # nothing edge-length lives on a kernel outside its image
+            edge_arrays = [
+                value for value in vars(built).values()
+                if isinstance(value, np.ndarray) and value.size >= built.n_transitions
+            ]
+            assert edge_arrays == []
+        finally:
+            attached.close()

@@ -6,8 +6,9 @@ the scalar canonicaliser — every other surface reaches both through
 ``CoalescingScheduler.evaluate`` and the keys its ``QueryPlan`` carries.  One
 layer down, every batched solve is one block loop around one routed block
 solve around one driver (``smp/passage.py``).  One more down, the edges have
-one image — ``SMPKernel.csr`` — that every solver reads and a plane file
-shares.  Upstream of the kernel there is one road from a net to it: one
+one image — ``SMPKernel.csr`` — that every solver, the simulator and the
+content digest read and a plane file shares; a kernel keeps them in no other
+order, and its embedded chain has one stationary solver.  Upstream of the kernel there is one road from a net to it: one
 explorer into one ``StateSpace``, one vanishing pass, one edge merge
 (``SMPKernel.from_columns``).  A new call site outside these files is a second
 path growing back.
@@ -223,6 +224,13 @@ def _nodes(path: Path, *kinds):
     return [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, kinds)]
 
 
+def _two_state_kernel():
+    builder = SMPBuilder()
+    builder.add_transition("a", "b", 1.0, Exponential(1.0))
+    builder.add_transition("b", "a", 1.0, Exponential(2.0))
+    return builder.build()
+
+
 def test_the_solvers_read_the_kernels_image():
     """Nothing reaches for an evaluator-private projection of the edges: the
     arrays have one name, ``kernel.csr.*``, in ``src/`` and in the tests."""
@@ -239,10 +247,7 @@ def test_the_solvers_read_the_kernels_image():
 
 
 def test_the_plane_goes_through_public_names():
-    builder = SMPBuilder()
-    builder.add_transition("a", "b", 1.0, Exponential(1.0))
-    builder.add_transition("b", "a", 1.0, Exponential(2.0))
-    evaluator = builder.build().evaluator()
+    evaluator = _two_state_kernel().evaluator()
     private = {
         name
         for obj in (evaluator, evaluator.factored())
@@ -273,6 +278,71 @@ def test_one_way_to_share_a_kernel():
         if writes:
             writers[path.relative_to(SRC).as_posix()] = writes
     assert writers == {"smp/plane.py": 1}
+
+
+# --- one digest epoch: one edge order, one stationary solver ---------------
+
+
+def test_a_kernel_holds_one_edge_order():
+    """The columns a kernel is handed are sorted into ``csr`` and let go: no
+    second copy on the object, no re-sort in the simulator."""
+    stored = {
+        target.attr
+        for node in _nodes(SRC / "smp" / "kernel.py", ast.Assign, ast.AnnAssign)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+    }
+    assert "csr" in stored
+    assert not stored & {"src", "dst", "probs", "dist_index"}
+    (sampler,) = [
+        node for node in _nodes(SRC / "simulation" / "smp_sim.py", ast.ClassDef)
+        if node.name == "TrajectorySampler"
+    ]
+    assert "argsort" not in ast.unparse(sampler)
+    kernel = _two_state_kernel()
+    assert not [name for name in ("src", "dst", "probs", "dist_index") if hasattr(kernel, name)]
+
+
+def test_one_stationary_solver_and_no_way_to_name_another():
+    embedded = (SRC / "smp" / "embedded.py").read_text()
+    for name in ("_solve_direct", "_solve_power", "2000", "2_000", "max_iterations"):
+        assert name not in embedded, name
+    knobs = [
+        f"{path.relative_to(SRC).as_posix()}:{function.name}"
+        for package in ("smp", "simulation")
+        for path in sorted((SRC / package).glob("*.py"))
+        for function in _nodes(path, ast.FunctionDef)
+        for arg in (*function.args.args, *function.args.kwonlyargs)
+        if arg.arg == "method"
+    ]
+    assert not knobs
+    (solver,) = [
+        node for node in _nodes(SRC / "smp" / "embedded.py", ast.FunctionDef)
+        if node.name == "dtmc_steady_state"
+    ]
+    assert [arg.arg for arg in (*solver.args.args, *solver.args.kwonlyargs)] == ["P"]
+
+
+def test_one_digest_epoch_read_by_the_kernel_digest_only():
+    mentions = {
+        path.relative_to(SRC).as_posix(): text.count("DIGEST_EPOCH")
+        for path in SRC.rglob("*.py")
+        if "DIGEST_EPOCH" in (text := path.read_text())
+    }
+    assert list(mentions) == ["smp/kernel.py"]
+    kernel = SRC / "smp" / "kernel.py"
+    definitions = [
+        node for node in _nodes(kernel, ast.Assign)
+        if "DIGEST_EPOCH" in [getattr(target, "id", None) for target in node.targets]
+    ]
+    assert len(definitions) == 1
+    readers = {
+        function.name
+        for function in _nodes(kernel, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "DIGEST_EPOCH"
+    }
+    assert readers == {"kernel_content_digest"}
 
 
 # --- upstream of the kernel: one road from a net to it ----------------------
