@@ -202,29 +202,35 @@ def check_overhead(reference: dict) -> None:
         f"disabled fire() costs {per_call * 1e6:.2f} us/call"
     )
 
-    def best_of(runs: int) -> float:
-        best = float("inf")
-        for _ in range(runs):
-            job = _tiny_job()
-            backend = MultiprocessingBackend(processes=2, block_size=4)
-            started = time.perf_counter()
-            try:
-                values = backend.evaluate(job, S_POINTS)
-            finally:
-                backend.close()
-            best = min(best, time.perf_counter() - started)
-            _assert_parity(values, reference)
-        return best
+    # One warm backend for both sides: what is compared is the solve with and
+    # without a plan to match rules against, not two pool spawns.  The sides
+    # alternate, so a slow phase of the machine falls on both — and each
+    # switch reaches workers that were forked long before it, with the blocks.
+    backend = MultiprocessingBackend(processes=2, block_size=4)
 
-    baseline = best_of(3)
-    # an installed-but-inert plan exercises the full rule-match path at every
-    # fault point without ever firing
-    os.environ["REPRO_FAULTS"] = "inert.point=raise"
+    def timed() -> float:
+        job = _tiny_job()
+        started = time.perf_counter()
+        values = backend.evaluate(job, S_POINTS)
+        elapsed = time.perf_counter() - started
+        _assert_parity(values, reference)
+        return elapsed
+
+    baseline = inert = float("inf")
     try:
-        inert = best_of(3)
+        timed()  # fork, attach, build
+        for _ in range(10):
+            baseline = min(baseline, timed())
+            # an installed-but-inert plan exercises the full rule-match path
+            # at every fault point without ever firing
+            os.environ["REPRO_FAULTS"] = "inert.point=raise"
+            try:
+                inert = min(inert, timed())
+            finally:
+                del os.environ["REPRO_FAULTS"]
     finally:
-        del os.environ["REPRO_FAULTS"]
         faults.clear()
+        backend.close()
     overhead = inert / baseline - 1.0
     print(f"overhead: no plan {baseline * 1e3:.1f} ms, inert plan "
           f"{inert * 1e3:.1f} ms -> {overhead * 100:+.2f}%", flush=True)

@@ -11,7 +11,8 @@ One scenario, driven entirely through public surfaces (CLI serve subprocess,
    key outside ``statistics``; a malformed submission is a 400, not a job;
 3. tenant isolation: each tenant lists exactly its own job and cannot read
    the other's (404); job metrics appear on ``/metrics``;
-4. ``SIGKILL`` the server, restart it against the same checkpoint directory,
+4. ``SIGKILL`` the server, assert the resident pool workers ``/v1/stats``
+   reported died with it, restart it against the same checkpoint directory,
    and assert the finished jobs — records *and* results — survived, straight
    from the replayed sqlite log.
 
@@ -69,6 +70,15 @@ def stop_server(server: subprocess.Popen, sig: int = signal.SIGTERM) -> None:
         out, _ = server.communicate()
     if out:
         sys.stderr.write("---- server log ----\n" + out.decode(errors="replace"))
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not a zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def expect_404(client: ServiceClient, job_id: str, who: str) -> None:
@@ -132,7 +142,17 @@ def main() -> int:
                   flush=True)
 
             print("== SIGKILL + restart on the same checkpoint ==", flush=True)
+            pool = team_a.stats()["pool"]
+            assert pool["spawns"] == {"first": 1}, pool
+            workers = pool["workers"]
+            assert len(workers) == 2 and all(alive(pid) for pid in workers), pool
             stop_server(server, signal.SIGKILL)
+            deadline = time.monotonic() + 2.0
+            while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            orphans = [pid for pid in workers if alive(pid)]
+            assert not orphans, f"pool workers outlived their server: {orphans}"
+            print(f"workers {workers} died with the server", flush=True)
         finally:
             if server.poll() is None:
                 stop_server(server, signal.SIGKILL)

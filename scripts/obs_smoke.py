@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI smoke test for the observability planes: tracing, metrics, progress.
 
-Four checks, each exercising the same surface a user would:
+Five checks, each exercising the same surface a user would:
 
 1. **CLI tracing** — ``semimarkov passage ... --workers 2 --trace out.json
    --progress`` as a real subprocess; asserts the written Chrome/Perfetto
@@ -11,14 +11,20 @@ Four checks, each exercising the same surface a user would:
 2. **Live /metrics scrape** — boots ``semimarkov serve --workers 2`` as a
    subprocess, runs an HTTP passage query, scrapes ``GET /metrics`` and
    asserts the core metric names/types, ``GET /v1/progress/{digest}`` shows
-   the finished run and ``/v1/stats`` carries version + build info.
+   the finished run and ``/v1/stats`` carries version + build info.  Then
+   three async jobs on the same server: the pool's life must reconcile —
+   one spawn (``repro_pool_spawns_total{reason="first"} 1``), as many plane
+   attaches as workers, the same two pids in ``/v1/stats`` before and after.
 3. **Counter reconciliation** — in-process 2-worker solves of a passage
    and a transient measure on a fresh registry;
    ``repro_points_evaluated_total`` must equal the number of s-points the
    run reported computing and ``repro_block_seconds`` must count its solve
    blocks, exactly (a transient block solves one vector per target state but
    is still one block of its points).
-4. **Overhead** — best-of-N block solves with tracing+metrics on vs off;
+4. **Pool lifetime in the trace** — three jobs on an in-process 2-worker
+   service with the tracer on: the Perfetto trace holds one ``pool-spawn``
+   span, inside the first job and before any worker's first ``s-block``.
+5. **Overhead** — best-of-N block solves with tracing+metrics on vs off;
    prints the measured overhead and fails above a generous CI bound (the
    instrumentation is per-block, so the real number sits well under 2%).
 
@@ -56,7 +62,10 @@ REQUIRED_METRICS = (
     "# TYPE repro_models_built_total counter",
     "# TYPE repro_worker_points_total counter",
     "# TYPE repro_worker_busy_fraction gauge",
+    "# TYPE repro_pool_spawns_total counter",
+    "# TYPE repro_worker_residency_total counter",
 )
+JOB_GRIDS = ([4.0, 9.0], [6.0, 13.0], [8.0, 17.0])
 
 
 def subprocess_env() -> dict:
@@ -156,6 +165,26 @@ def check_live_metrics(spec: str) -> None:
         print(f"metrics ok: {len(text.splitlines())} exposition lines, "
               f"{computed} points computed; progress + build info ok",
               flush=True)
+
+        # the pool's life: forked by the sync query above, shared by N jobs
+        born = stats["pool"]
+        assert born["generation"] == 1 and len(born["workers"]) == 2, born
+        for t_points in JOB_GRIDS:
+            job = client.submit("passage", model=model, source="p1 == 4",
+                                target="p2 == 4", t_points=t_points)
+            assert client.wait(job["job"], timeout=120)["state"] == "done"
+        pool = client.stats()["pool"]
+        assert pool == born and pool["spawns"] == {"first": 1}, (born, pool)
+        series = _series(client.metrics_text())
+        assert series['repro_pool_spawns_total{reason="first"}'] == 1, series
+        misses = series['repro_worker_residency_total{kind="plane",outcome="miss"}']
+        assert misses == len(pool["workers"]), (misses, pool)
+        hits = series['repro_worker_residency_total{kind="plane",outcome="hit"}']
+        blocks = sum(w["blocks"] for w in client.stats()["scheduler"]["workers"].values())
+        assert hits + misses == blocks, (hits, misses, blocks)
+        print(f"pool ok: {len(JOB_GRIDS)} jobs + 1 query on one spawn, "
+              f"{int(misses)} plane attaches for {int(blocks)} blocks, "
+              f"workers {pool['workers']} throughout", flush=True)
     finally:
         server.terminate()
         try:
@@ -165,6 +194,54 @@ def check_live_metrics(spec: str) -> None:
             out, _ = server.communicate()
         if out:
             sys.stderr.write("---- server log ----\n" + out.decode(errors="replace"))
+
+
+def _series(text: str) -> dict[str, float]:
+    """``{'name{labels}': value}`` of a Prometheus exposition body."""
+    return {
+        line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines() if line and not line.startswith("#")
+    }
+
+
+def check_pool_trace(spec: str) -> None:
+    print("== pool lifetime in the trace ==", flush=True)
+    from repro.obs import get_tracer
+    from repro.service import AnalysisService
+
+    tracer = get_tracer()
+    tracer.enable()
+    tracer.clear()
+    service = AnalysisService(workers=2)
+    try:
+        finished = []
+        for t_points in JOB_GRIDS:
+            job = service.submit("passage", dict(
+                spec=spec, source="p1 == 4", target="p2 == 4", t_points=t_points,
+            ))
+            deadline = time.monotonic() + 120
+            while service.job_view(job["job"])["state"] != "done":
+                assert time.monotonic() < deadline, "job did not finish"
+                time.sleep(0.01)
+            finished.append(time.time() * 1e6)
+        events = tracer.to_chrome_trace()["traceEvents"]
+    finally:
+        service.close()
+        tracer.disable()
+        tracer.clear()
+    spawns = [e for e in events if e["name"] == "pool-spawn"]
+    assert len(spawns) == 1, f"{len(spawns)} pool-spawn spans for one pool"
+    (spawn,) = spawns
+    assert spawn["pid"] == os.getpid() and spawn["args"]["reason"] == "first"
+    assert spawn["ts"] + spawn["dur"] <= finished[0], "spawn outside the first job"
+    blocks = [e for e in events if e["name"] == "s-block"]
+    assert spawn["ts"] + spawn["dur"] <= min(e["ts"] for e in blocks)
+    later = [e for e in blocks if e["ts"] > finished[0]]
+    assert later and {e["pid"] for e in later} <= {e["pid"] for e in blocks
+                                                   if e["ts"] <= finished[0]}
+    print(f"trace ok: 1 pool-spawn ({spawn['dur'] / 1e3:.1f} ms) under the first "
+          f"of {len(JOB_GRIDS)} jobs, {len(blocks)} s-blocks on "
+          f"{len({e['pid'] for e in blocks})} resident workers", flush=True)
 
 
 def _tiny_jobs():
@@ -269,6 +346,7 @@ def main() -> int:
         check_cli_trace(spec_path, os.path.join(tmp, "trace.json"))
     check_live_metrics(spec)
     check_counter_reconciliation()
+    check_pool_trace(spec)
     check_overhead()
     print("observability smoke test PASSED")
     return 0

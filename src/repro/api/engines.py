@@ -58,6 +58,18 @@ class Engine(abc.ABC):
     def _run(self, query) -> PassageTimeResult | TransientResult:
         """Evaluate a measure query (its kind already checked)."""
 
+    def close(self) -> None:
+        """Release what the engine holds between runs (a worker pool); the
+        engine stays usable.  ``query.run(engine="name", ...)`` closes the
+        engine it constructed; an engine instance is closed by its caller,
+        most simply as a context manager."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
 
 class _LocalEngine(Engine):
     """The engine that evaluates s-points in this process tree.
@@ -67,7 +79,8 @@ class _LocalEngine(Engine):
     :class:`CoalescingScheduler` on a result store (memory, over the
     checkpoint directory when there is one) and an executor (in-process by
     default, or a worker pool).  The three registered local engines are three
-    ways of constructing it.
+    ways of constructing it.  A pool lives from the first run that needs it
+    to :meth:`close`, so the runs of one engine share its resident workers.
     """
 
     def __init__(self, *, backend=None, checkpoint=None, progress=None):
@@ -83,18 +96,13 @@ class _LocalEngine(Engine):
         scheduler = CoalescingScheduler(
             TieredResultCache(self.checkpoint), backend=self.backend
         )
-        # Quantile probes are tiny (33 points each under Euler): they go
-        # through the same store, but on the default in-process executor
-        # rather than paying a pool round-trip each.
-        probes = CoalescingScheduler(scheduler.cache)
         stats = QueryStatistics()
         plans: list[QueryPlan] = []
 
         def gather_job(job, plan):
+            # the measure's own grid first, then one plan per quantile probe
             plans.append(plan)
-            if len(plans) == 1:  # the measure's own grid comes first
-                return measures.gather(scheduler, job, plan, stats, reporter=self.progress)
-            return measures.gather(probes, job, plan, stats)
+            return measures.gather(scheduler, job, plan, stats, reporter=self.progress)
 
         try:
             result = measures.compute(query, query.model.entry, stats, gather_job)
@@ -105,6 +113,13 @@ class _LocalEngine(Engine):
             conjugates_folded=plans[0].conjugates_folded,
         )
         return result
+
+    def close(self) -> None:
+        """Shut down the executor's worker pool, if it keeps one; the next
+        run starts it again."""
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
 
 
 class InlineEngine(_LocalEngine):
@@ -121,10 +136,12 @@ class MultiprocessingEngine(_LocalEngine):
 
     The pool shares one kernel plane (workers mmap the exported kernel file
     zero-copy instead of receiving a pickled model copy; the file lives in a
-    private temporary directory that goes when the engine does) and the unit
-    of dispatch is a memory-budgeted s-block.  ``workers`` and ``processes``
-    are synonyms; ``block_size`` overrides the policy-computed block, mainly
-    for tests.
+    private temporary directory) and the unit of dispatch is a
+    memory-budgeted s-block.  Workers and directory last until :meth:`close`
+    — ``with MultiprocessingEngine(workers=8) as engine:`` — so every run of
+    the engine, and every quantile probe of a run, finds the model already
+    handed out.  ``workers`` and ``processes`` are synonyms; ``block_size``
+    overrides the policy-computed block, mainly for tests.
     """
 
     name = "multiprocessing"

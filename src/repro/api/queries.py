@@ -111,10 +111,19 @@ class _MeasureQuery:
         return QueryPlan.derive(self.make_inverter(), self.grid())
 
     def run(self, engine="inline", **engine_options):
-        """Execute on the selected engine and return the result object."""
+        """Execute on the selected engine and return the result object.
+
+        An engine selected by name lives for this run (its worker pool, if
+        it starts one, is shut down before this returns); an engine instance
+        is the caller's to reuse and to close.
+        """
         from .engines import get_engine
 
-        return get_engine(engine, **engine_options).run(self)
+        chosen = get_engine(engine, **engine_options)
+        if chosen is engine:
+            return chosen.run(self)
+        with chosen:
+            return chosen.run(self)
 
     def to_wire(self) -> dict:
         """This query as the JSON body of ``POST /v1/<kind>``.

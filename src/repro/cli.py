@@ -229,6 +229,7 @@ def _cmd_passage(args) -> int:
     try:
         result = _run(query, engine)
     finally:
+        engine.close()  # reaps the --workers pool
         if engine.progress is not None:
             engine.progress.finish()
         _finish_trace(trace_path)

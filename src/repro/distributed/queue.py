@@ -14,10 +14,11 @@ class SBlock:
 
     PR 5's memory-budgeted s-block promoted from an engine-internal loop
     bound to a first-class work unit: a block id plus the *exact* contour
-    points it covers.  A block is what gets pickled to a worker (alongside
-    the one-time :class:`~repro.core.jobs.JobSpec`), what gets retried when
-    a worker dies, and the granularity at which results are merged into the
-    checkpoint — never the whole grid, never single scalars.
+    points it covers.  A block is what gets pickled to a worker (with the
+    few-hundred-byte :class:`~repro.core.jobs.JobSpec` and plane path that
+    name its measure), what gets retried when a worker dies, and the
+    granularity at which results are merged into the checkpoint — never the
+    whole grid, never single scalars.
     """
 
     index: int

@@ -13,8 +13,10 @@ This module provides the named fault points those defences are tested through:
   and *when* (probability, after-N-hits, at-most-N-times), seeded so a chaos
   run is reproducible;
 * plans are installed programmatically (:func:`install` / :func:`active`) or
-  through the ``REPRO_FAULTS`` environment variable, which worker processes
-  inherit — the one way to reach fault points inside a multiprocessing pool.
+  through the ``REPRO_FAULTS`` environment variable.  Either way the pool
+  backend ships the plan in force (:func:`active_spec`) with every s-block and
+  the worker :func:`adopt` s it — the one way to reach fault points inside a
+  pool whose workers were forked before the plan existed.
 
 ``REPRO_FAULTS`` grammar (semicolon-separated clauses)::
 
@@ -65,6 +67,8 @@ __all__ = [
     "FaultRule",
     "FaultPlan",
     "active",
+    "active_spec",
+    "adopt",
     "clear",
     "corrupt_buffer",
     "fire",
@@ -338,6 +342,31 @@ def clear() -> None:
     global _ACTIVE, _ENV_CACHE
     _ACTIVE = None
     _ENV_CACHE = (None, None)
+
+
+def active_spec() -> str | None:
+    """The plan in force here as a ``REPRO_FAULTS`` value, for :func:`adopt`
+    in another process (``None`` without a plan)."""
+    if _ACTIVE is not None:
+        return _ACTIVE.spec()
+    return os.environ.get(ENV_VAR) or None
+
+
+def adopt(spec: str | None) -> None:
+    """Make ``spec`` — another process's :func:`active_spec` — the plan here.
+
+    A resident pool worker calls this with every block: it was forked under
+    the plan of the day it was born, and the master's plan may have changed
+    since.  The spec goes through the environment variable, so a rule's
+    per-process counters (``after``, a ``limit`` without a state directory)
+    run on for as long as the spec string stays the same.
+    """
+    global _ACTIVE
+    _ACTIVE = None
+    if spec:
+        os.environ[ENV_VAR] = spec
+    else:
+        os.environ.pop(ENV_VAR, None)
 
 
 @contextlib.contextmanager

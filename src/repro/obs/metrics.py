@@ -33,6 +33,7 @@ __all__ = [
     "note_job_transition",
     "note_block_retry",
     "note_corrupt_artifact",
+    "note_pool_spawn",
     "observe_job_seconds",
     "record_worker_block",
     "effective_cores",
@@ -544,6 +545,17 @@ def note_block_retry(
         "s-blocks resubmitted after a worker-pool break, by break reason",
         ("reason",),
     ).inc(blocks, reason=reason)
+
+
+def note_pool_spawn(reason: str, registry: MetricsRegistry | None = None) -> None:
+    """Count one worker pool forked: the backend's ``first``, or the successor
+    of one that ``crashed``, ``hung`` or could not ``attach`` its plane."""
+    registry = registry or _METRICS
+    registry.counter(
+        "repro_pool_spawns_total",
+        "worker pools forked, by what made the spawn necessary",
+        ("reason",),
+    ).inc(1, reason=reason)
 
 
 def note_corrupt_artifact(

@@ -215,11 +215,13 @@ class AnalysisService:
         if workers > 1:
             from ..distributed.backends import MultiprocessingBackend
 
-            # With a checkpoint directory the kernel plane files go under
-            # <checkpoint>/planes, so workers — including ones started later,
-            # or sharing the directory across serve processes — attach by
-            # content digest; without one they go in a temporary directory
-            # private to the backend, which close() removes.
+            # One resident pool for the server's whole life: sync queries,
+            # jobs and quantile probes share its workers.  With a checkpoint
+            # directory the kernel plane files go under <checkpoint>/planes,
+            # so workers — including ones started later, or sharing the
+            # directory across serve processes — attach by content digest;
+            # without one they go in a temporary directory private to the
+            # backend, which close() removes.
             plane_store = str(store.directory / "planes") if store else None
             backend = MultiprocessingBackend(
                 processes=workers, plane_store=plane_store
@@ -424,11 +426,13 @@ class AnalysisService:
         return self._runner.drain(timeout)
 
     def close(self) -> None:
-        """Release everything: runner, job store, worker planes, lock files."""
+        """Release everything: runner, job store, worker pool and planes,
+        lock files."""
         self._runner.stop()
         self.jobs.close()
         if self.backend is not None:
-            # removes the backend's private plane directory, if it made one
+            # reaps the resident workers and removes the backend's private
+            # plane directory, if it made one
             self.backend.close()
         if self._checkpoint_store is not None:
             self._checkpoint_store.release_artifacts()
@@ -438,7 +442,7 @@ class AnalysisService:
         with self._counter_lock:
             queries = dict(self._query_counts)
         queries["total"] = sum(queries.values())
-        return {
+        out = {
             "uptime_seconds": time.monotonic() - self._started,
             "queries": queries,
             "workers": self.workers,
@@ -451,6 +455,9 @@ class AnalysisService:
             "jobs": self.jobs.stats(),
             "tenancy": self.tenancy.stats(),
         }
+        if self.backend is not None:
+            out["pool"] = self.backend.pool_stats()
+        return out
 
     def progress(self, digest: str) -> dict:
         """In-flight / recently finished evaluations for one model digest."""

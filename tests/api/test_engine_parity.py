@@ -288,8 +288,13 @@ class TestCheckpointedEngine:
         assert probes > 0  # the quantile's points, on top of the remainder only
         np.testing.assert_allclose(resumed.density, reference.density, **PARITY)
         assert resumed.quantiles[0.9] == pytest.approx(reference.quantiles[0.9], abs=1e-10)
+        # the workers solved the remainder and every probe: one scheduler a
+        # run, nothing falls back to the calling process
         workers = resumed.statistics["workers"]
-        assert sum(entry["points"] for entry in workers.values()) == scheduled - checkpointed
+        assert (
+            sum(entry["points"] for entry in workers.values())
+            == resumed.statistics["s_points_computed"]
+        )
 
 
 class TestDigestEpoch:

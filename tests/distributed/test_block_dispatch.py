@@ -1,10 +1,11 @@
 """Block-granular dispatch: payload size, crash recovery, checkpoint resume.
 
-What crosses the process boundary in the refactored execution stack is a
-one-time :class:`JobSpec` + :class:`PlaneHandle` pair at pool start and one
-:class:`SBlock` per task — never the kernel arrays.  These tests pin the
-payload sizes down as a regression (the scalar-era backend pickled the whole
-job, kernel included, into every worker), and exercise the failure paths:
+What crosses the process boundary in the refactored execution stack is one
+task message per block — the :class:`SBlock` and the :class:`JobSpec` +
+:class:`PlaneHandle` pair that names its measure to a resident, job-agnostic
+worker — never the kernel arrays.  These tests pin the payload sizes down as
+a regression (the scalar-era backend pickled the whole job, kernel included,
+into every worker), and exercise the failure paths:
 a worker killed mid-run is retried without recomputing finished blocks, and
 a run that exhausts its retries resumes from the per-block checkpoint.
 """
@@ -22,6 +23,7 @@ from repro.distributed import (
     SBlockQueue,
     SerialBackend,
 )
+from repro.distributed.backends import _BlockTask
 from repro.smp import KernelPlane, SPointPolicy, kernel_content_digest, source_weights
 from tests.oneloop import LoopRun
 from tests.smp.conftest import random_kernel
@@ -64,6 +66,17 @@ class TestPayloadSize:
             )
             assert handle_bytes < 512
             assert block_bytes < 1_024
+            # ... and the whole task message a resident worker is sent: the
+            # block, what it is a block of, and the call's context
+            task_bytes = max(
+                len(pickle.dumps(_BlockTask(
+                    big_job.digest(), JobSpec.from_job(big_job), plane.handle(),
+                    block, incident_dir=str(tmp_path), trace=True,
+                    faults="seed=1;state=/tmp/f;worker.solve=crash:limit=1,block=1",
+                )))
+                for block in queue.outstanding()
+            )
+            assert task_bytes < 2_048
         finally:
             plane.unlink()
 

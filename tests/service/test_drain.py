@@ -30,7 +30,7 @@ QUERY = dict(spec=ON_OFF, source="on == 2", target="on == 0",
              t_points=T_POINTS, cdf=True)
 
 
-def _start_server(checkpoint: Path, extra_env: dict | None = None):
+def _start_server(checkpoint: Path, extra_env: dict | None = None, *, workers: int = 1):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_FAULTS", None)
@@ -39,7 +39,8 @@ def _start_server(checkpoint: Path, extra_env: dict | None = None):
     env.update(extra_env or {})
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--checkpoint", str(checkpoint), "--job-store", "sqlite"],
+         "--checkpoint", str(checkpoint), "--job-store", "sqlite",
+         "--workers", str(workers)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     deadline = time.monotonic() + 30
@@ -112,3 +113,31 @@ def test_sigterm_drains_requeues_and_resumes(tmp_path):
     finally:
         process.kill()
         process.wait(timeout=30)
+
+
+def test_sigterm_reaps_the_resident_pool(tmp_path):
+    """The workers of ``--workers 2`` live as long as the server — the same
+    two across jobs — and not a moment longer: SIGTERM exits 0 with both
+    reaped (the benchmark reads their ``ru_maxrss`` through the server's
+    ``wait``), although they were forked under the server's drain handler."""
+    process, url = _start_server(tmp_path / "ckpt", workers=2)
+    try:
+        client = ServiceClient(url, retries=0)
+        pools = []
+        for t_points in (T_POINTS[:3], T_POINTS[3:6]):
+            job_id = client.submit("passage", **{**QUERY, "t_points": t_points})["job"]
+            assert client.wait(job_id, timeout=120, interval=0.05)["state"] == "done"
+            pools.append(client.stats()["pool"])
+        assert pools[0] == pools[1] and pools[0]["spawns"] == {"first": 1}
+        workers = pools[0]["workers"]
+        assert len(workers) == 2 and all(Path(f"/proc/{pid}").exists() for pid in workers)
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+    assert process.returncode == 0
+    assert "drained; all job state persisted" in output
+    assert "Traceback" not in output
+    assert not any(Path(f"/proc/{pid}").exists() for pid in workers)

@@ -51,6 +51,34 @@ def test_only_the_executors_evaluate_batches():
     assert sites == {"core/jobs.py": 1, "distributed/backends.py": 2}
 
 
+def test_one_worker_pool_per_backend_and_workers_that_know_no_job():
+    """The pool is a property of the backend: one function constructs an
+    executor of processes, and what a worker is born with names no job and
+    no plane — those arrive with the blocks."""
+    backends = SRC / "distributed" / "backends.py"
+    constructors = [
+        (path.relative_to(SRC).as_posix(), function.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for function in _nodes(path, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and "ProcessPoolExecutor" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        )
+    ]
+    assert constructors == [("distributed/backends.py", "_keep")]
+    (init,) = [
+        function for function in _nodes(backends, ast.FunctionDef)
+        if function.name == "_block_worker_init"
+    ]
+    assert ast.unparse(init.args) == ""
+    (keep,) = [
+        function for function in _nodes(backends, ast.FunctionDef)
+        if function.name == "_keep"
+    ]
+    assert "initargs" not in ast.unparse(keep)
+
+
 def test_scalar_canonicalisation_stays_with_the_key_formats():
     sites = _call_sites("canonical_s")
     assert set(sites) <= {"laplace/inverter.py", "distributed/checkpoint.py"}
