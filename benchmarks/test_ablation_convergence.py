@@ -14,10 +14,19 @@ import numpy as np
 import pytest
 
 from repro.models import SCALED_CONFIGURATIONS, all_voted_predicate, build_voting_kernel, initial_marking_predicate
-from repro.smp import PassageTimeOptions, passage_transform, passage_transform_direct, source_weights
+from repro.smp import (
+    PassageTimeOptions,
+    SPointPolicy,
+    passage_transform_batch,
+    passage_transform_direct_batch,
+    source_weights,
+)
 
 EPSILONS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 S_POINT = 0.15 + 1.1j
+
+#: no direct routing, no fallback: the truncated sum is what is measured
+PURE_ITERATIVE = SPointPolicy(predicted_iteration_limit=10**9, fallback_to_direct=False)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +36,7 @@ def case():
     sources = graph.states_where(initial_marking_predicate(params))
     targets = graph.states_where(all_voted_predicate(params))
     alpha = source_weights(kernel, sources)
-    exact = complex(np.dot(alpha, passage_transform_direct(kernel, targets, S_POINT)))
+    exact = complex(np.dot(alpha, passage_transform_direct_batch(kernel, targets, [S_POINT])[0]))
     return kernel, alpha, targets, exact
 
 
@@ -40,7 +49,9 @@ def test_truncation_error_vs_epsilon(benchmark, case, report):
         rows = []
         for eps in EPSILONS:
             options = PassageTimeOptions(epsilon=eps)
-            value, diag = passage_transform(evaluator, alpha, targets, S_POINT, options)
+            (value,), (diag,) = passage_transform_batch(
+                evaluator, alpha, targets, [S_POINT], options, policy=PURE_ITERATIVE
+            )
             rows.append((eps, diag.iterations, abs(value - exact), diag.converged))
         return rows
 

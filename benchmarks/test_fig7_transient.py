@@ -7,10 +7,11 @@ steady-state value it converges to as t -> infinity.
 Transient analysis is the most expensive measure in the paper's framework —
 Eq. (7) needs one passage-time vector computation per *target state* per
 s-point — so the default benchmark uses the tiny configuration (the same code
-path; see DESIGN.md).  Both claims of the figure are asserted: the transient
-curve approaches the independently computed steady-state value, and the early
-transient differs substantially from it (i.e. the transient analysis carries
-information the steady state cannot provide).
+path; see README.md, "Paper vs. reproduction").  Both claims of the figure are
+asserted: the transient curve approaches the independently computed
+steady-state value, and the early transient differs substantially from it
+(i.e. the transient analysis carries information the steady state cannot
+provide).
 
 The timed kernel is the transient-probability computation over the t-grid.
 """

@@ -63,7 +63,7 @@ def test_table1_state_space_generation(benchmark, label, report):
         lines.append(
             "      reconstruction preserves the behavioural features and the growth"
         )
-        lines.append("      of the state space with CC/MM/NN (see DESIGN.md).")
+        lines.append("      of the state space with CC/MM/NN (README.md, Paper vs. reproduction).")
         report("table1_state_space", lines)
 
 

@@ -6,7 +6,7 @@ system 1) with 1, 8, 16 and 32 slave processors and reports near-linear
 speedup (efficiency 1.000 / 0.965 / 0.876 / 0.712).
 
 That cluster does not exist here, so the experiment is reproduced in two
-parts (see DESIGN.md, substitutions):
+parts (README.md, "Paper vs. reproduction"):
 
 * a *real* parallel run on this machine's cores via the multiprocessing
   backend (limited to the available CPU count),

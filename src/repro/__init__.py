@@ -20,7 +20,7 @@ Quick start::
     density = solver.density(np.linspace(0.1, 6.0, 60))
     p99 = solver.quantile(0.99, 0.1, 20.0)
 
-Subpackage map (see DESIGN.md for the full inventory):
+Subpackage map (README.md, "Layout", has the full inventory):
 
 ===================  ======================================================
 ``repro.api``            the public facade: Model -> Query -> Engine -> result

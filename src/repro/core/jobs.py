@@ -1,11 +1,13 @@
 """Transform-evaluation jobs: the unit of work of the distributed pipeline.
 
 A *job* bundles everything a worker needs to evaluate the Laplace transform
-of one measure (a passage time or a transient probability) at an arbitrary
-s-point: the kernel, the source weighting, the target set and the truncation
-options.  Jobs are picklable, so the multiprocessing backend can ship them to
-worker processes once and then stream bare s-values, and they expose a stable
-digest used to key the on-disk checkpoint cache.
+of one measure (a passage time or a transient probability) at arbitrary
+s-points: the kernel, the source weighting, the target set and the truncation
+options.  It evaluates grids only — ``evaluate_batch(s_values)``, through the
+one block solve of :mod:`repro.smp`; a single s-point is a grid of one
+(``evaluate_many([s])``).  Jobs are picklable, so the multiprocessing backend
+can ship them to worker processes once and then stream bare s-values, and
+they expose a stable digest used to key the on-disk checkpoint cache.
 """
 from __future__ import annotations
 
@@ -16,14 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..smp.kernel import SMPKernel, UEvaluator, kernel_content_digest
-from ..smp.linear import passage_transform_direct
-from ..smp.passage import (
-    PassageTimeOptions,
-    SPointPolicy,
-    passage_transform,
-    passage_transform_batch,
-)
-from ..smp.transient import transient_transform, transient_transform_batch
+from ..smp.passage import PassageTimeOptions, SPointPolicy, passage_transform_batch
+from ..smp.transient import transient_transform_batch
 
 __all__ = ["TransformJob", "PassageTimeJob", "TransientJob", "JobSpec"]
 
@@ -37,7 +33,8 @@ _DIRECT_SOLVE_COST = 100.0
 
 @dataclass
 class TransformJob(abc.ABC):
-    """A transform-evaluation task: ``evaluate(s)`` for arbitrary complex ``s``."""
+    """A transform-evaluation task: ``evaluate_batch(s_values)`` for arbitrary
+    complex s-points."""
 
     kernel: SMPKernel
     alpha: np.ndarray
@@ -108,10 +105,6 @@ class TransformJob(abc.ABC):
         """Short label ("passage" / "transient") used in digests and logs."""
 
     @abc.abstractmethod
-    def evaluate(self, s: complex) -> complex:
-        """The transform value at ``s``."""
-
-    @abc.abstractmethod
     def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate a whole s-grid in one sweep via the batched engine.
 
@@ -145,26 +138,14 @@ class PassageTimeJob(TransformJob):
     def kind(self) -> str:
         return "passage"
 
-    def evaluate(self, s: complex) -> complex:
-        s = complex(s)
-        if s == 0:
-            # L(0) is the probability of ever reaching the target set, which
-            # is one in the irreducible chains this library targets.
-            return 1.0 + 0.0j
-        if self.solver == "direct":
-            vec = passage_transform_direct(self.evaluator, self.targets, s)
-            return complex(np.dot(self.alpha, vec))
-        value, _ = passage_transform(
-            self.evaluator, self.alpha, self.targets, s, self.options
-        )
-        return value
-
     def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         s_values = np.asarray(s_values, dtype=complex).ravel()
         values = np.empty(s_values.shape, dtype=complex)
         costs = np.zeros(s_values.shape, dtype=float)
         nonzero = np.flatnonzero(s_values != 0)
-        values[s_values == 0] = 1.0 + 0.0j  # reached almost surely, as in evaluate()
+        # L(0) is the probability of ever reaching the target set, which is
+        # one in the irreducible chains this library targets.
+        values[s_values == 0] = 1.0 + 0.0j
         if nonzero.size:
             values[nonzero], costs[nonzero] = self._batch(
                 passage_transform_batch, s_values[nonzero]
@@ -177,16 +158,6 @@ class TransientJob(TransformJob):
 
     def kind(self) -> str:
         return "transient"
-
-    def evaluate(self, s: complex) -> complex:
-        return transient_transform(
-            self.evaluator,
-            self.alpha,
-            self.targets,
-            complex(s),
-            self.options,
-            solver=self.solver,
-        )
 
     def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
         return self._batch(

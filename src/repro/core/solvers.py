@@ -5,7 +5,9 @@ Thin shims: each solver owns a job, an inverter and one evaluation loop (a
 result store, on the given executor) and computes its measures with the
 recipe every other surface uses (:mod:`repro.api.measures`).  The store
 lives as long as the solver, so repeated t-grids and overlapping Euler grids
-cost nothing extra.
+cost nothing extra.  The classes own no algorithm: a single transform value
+is a block of one through the same loop, and the moments are
+:func:`repro.smp.linear.passage_moments`.
 """
 from __future__ import annotations
 
@@ -15,12 +17,12 @@ import numpy as np
 
 from ..api import measures
 from ..api.plan import QueryPlan
-from ..distributions.moments import lst_moments
 from ..laplace import get_inverter
 from ..service.cache import TieredResultCache
 from ..service.scheduler import CoalescingScheduler, QueryStatistics
 from ..smp.embedded import source_weights
 from ..smp.kernel import SMPKernel
+from ..smp.linear import passage_moments
 from ..smp.passage import PassageTimeOptions
 from ..smp.steady import steady_state_probability
 from .jobs import PassageTimeJob, TransientJob, TransformJob
@@ -75,8 +77,13 @@ class _BaseSolver:
         return self._job
 
     def transform(self, s: complex) -> complex:
-        """The measure's Laplace transform at a single s-point."""
-        return self._job.evaluate(complex(s))
+        """The measure's Laplace transform at a single s-point: a block of
+        one through the solver's loop, so routed by the job's policy, stored
+        and counted in :attr:`statistics` like every point of a grid."""
+        (value,) = self._scheduler.evaluate(
+            self._job, [complex(s)], stats=self.statistics
+        ).values()
+        return value
 
     def _gather(self, plan: QueryPlan) -> dict[complex, complex]:
         return measures.gather(self._scheduler, self._job, plan, self.statistics)
@@ -143,59 +150,14 @@ class PassageTimeSolver(_BaseSolver):
             density=False, quantiles=(q,), bracket=(t_lower, t_upper),
         ).quantiles[q]
 
-    def moments(self, order: int = 2, *, scale: float | None = None) -> np.ndarray:
-        """Moments ``E[T^k]`` of the passage time from the transform near s=0.
-
-        The finite-difference step used to differentiate the transform must be
-        small relative to the *passage-time* scale, which for long rare-event
-        passages can be orders of magnitude larger than any single sojourn.
-        Starting from the sojourn-based guess (or an explicit ``scale``), the
-        estimate is therefore refined self-consistently: the step is re-derived
-        from the estimated mean until the two agree to within a factor of two.
-        """
-        if scale is None:
-            scale = float(np.dot(self.kernel.mean_sojourn_times(), np.abs(self.alpha))) or 1.0
-        scale = max(float(scale), 1e-12)
-
-        # Moment estimation samples the transform at s-points very close to
-        # zero, which is exactly where the iterative sum needs the most
-        # transitions to converge.  For kernels of the size this library
-        # handles in-process, the direct sparse solve is both exact and much
-        # faster there, so it is used for these few evaluations regardless of
-        # the solver selected for the inversion s-points.
-        if self.method == "direct" or self.kernel.n_states > 50_000:
-            moment_job = self._job
-        else:
-            moment_job = PassageTimeJob(
-                kernel=self.kernel,
-                alpha=self.alpha,
-                targets=self.targets,
-                options=self.options,
-                solver="direct",
-            )
-
-        def transform_vec(s):
-            return np.asarray(
-                [moment_job.evaluate(complex(x)) for x in np.atleast_1d(s)]
-            )
-
-        moments = lst_moments(transform_vec, max(order, 1), scale=scale)
-        for _ in range(8):
-            mean_estimate = float(moments[1])
-            if not np.isfinite(mean_estimate) or mean_estimate <= 0:
-                break
-            if 0.5 <= mean_estimate / scale <= 2.0:
-                break
-            scale = mean_estimate
-            moments = lst_moments(transform_vec, max(order, 1), scale=scale)
-        if order < 1:
-            return moments[: order + 1]
-        if order > 1:
-            moments = lst_moments(transform_vec, order, scale=scale)
-        return moments
+    def moments(self, order: int = 2) -> np.ndarray:
+        """Raw moments ``E[T^0], ..., E[T^order]`` of the passage time, exact:
+        two real sparse solves, no transform (``order <= 2``; see
+        :func:`~repro.smp.linear.passage_moments` for what it refuses)."""
+        return passage_moments(self._job.evaluator, self.alpha, self.targets, order)
 
     def mean(self) -> float:
-        """Mean passage time (first moment of the transform)."""
+        """Mean passage time."""
         return float(self.moments(1)[1])
 
 

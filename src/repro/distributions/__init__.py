@@ -28,7 +28,6 @@ from .standard import (
 from .combinators import Mixture, Convolution, Scaled, Shifted, probabilistic_choice
 from .sampled import SampledTransform, sample_transform
 from .numeric import numeric_lst
-from .moments import lst_moments, mean_from_lst, variance_from_lst
 
 __all__ = [
     "Distribution",
@@ -50,7 +49,4 @@ __all__ = [
     "SampledTransform",
     "sample_transform",
     "numeric_lst",
-    "lst_moments",
-    "mean_from_lst",
-    "variance_from_lst",
 ]

@@ -12,7 +12,8 @@ reproduces in Fig. 3 — and ``t6`` for central units).
 
 The exact graphical net of the paper's Fig. 2 is not recoverable from the
 text, so absolute state-space sizes differ from Table 1; the model preserves
-every behavioural feature the paper describes (see DESIGN.md, substitutions).
+every behavioural feature the paper describes (README.md, "Paper vs.
+reproduction").
 
 Parameters
 ----------

@@ -10,7 +10,8 @@ This package is the numerical heart of the reproduction:
 * :mod:`repro.smp.passage` — the paper's iterative passage-time algorithm
   (Eqs. 8–11),
 * :mod:`repro.smp.linear` — the classical direct linear solve (Eqs. 2–3),
-  used as a validation baseline,
+  used for routed s-points and as a validation baseline, and the passage
+  time's exact moments from the same system at ``s = 0``,
 * :mod:`repro.smp.transient` — transient state distributions via Pyke's
   relations (Eqs. 6–7),
 * :mod:`repro.smp.steady` — long-run SMP state probabilities (the t -> inf
@@ -25,14 +26,12 @@ from .steady import smp_steady_state, steady_state_probability
 from .passage import (
     PassageTimeOptions,
     SPointPolicy,
-    passage_transform,
     passage_transform_batch,
-    passage_transform_vector,
     passage_transform_vector_batch,
     ConvergenceDiagnostics,
 )
-from .linear import passage_transform_direct, passage_transform_direct_batch
-from .transient import transient_transform, transient_transform_batch, sojourn_lsts
+from .linear import passage_moments, passage_transform_direct_batch
+from .transient import transient_transform_batch
 
 __all__ = [
     "SMPKernel",
@@ -50,14 +49,10 @@ __all__ = [
     "steady_state_probability",
     "PassageTimeOptions",
     "SPointPolicy",
-    "passage_transform",
     "passage_transform_batch",
-    "passage_transform_vector",
     "passage_transform_vector_batch",
     "ConvergenceDiagnostics",
-    "passage_transform_direct",
+    "passage_moments",
     "passage_transform_direct_batch",
-    "transient_transform",
     "transient_transform_batch",
-    "sojourn_lsts",
 ]

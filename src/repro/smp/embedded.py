@@ -13,7 +13,7 @@ from ..obs.metrics import get_metrics
 from ..utils.validation import require
 from .kernel import SMPKernel
 
-__all__ = ["dtmc_steady_state", "source_weights"]
+__all__ = ["closed_classes", "dtmc_steady_state", "source_weights"]
 
 #: a returned vector must satisfy ``max|pi P - pi|`` to this bound; a solve
 #: that "converged" to anything worse is a failure, not an answer
@@ -27,6 +27,15 @@ _MAX_RESIDUAL = 1e-8
 _ILU_DROP_TOL = 1e-4
 _ILU_FILL_FACTOR = 10
 _GMRES_RESTART = 40
+
+
+def closed_classes(P: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(label, closed)``: every state's strongly connected class, and the
+    classes no edge leaves."""
+    n_classes, label = csgraph.connected_components(P, connection="strong")
+    edges = P.tocoo()
+    leaving = label[edges.row] != label[edges.col]
+    return label, np.setdiff1d(np.arange(n_classes), label[edges.row[leaving]])
 
 
 def dtmc_steady_state(P: sparse.spmatrix) -> np.ndarray:
@@ -57,10 +66,7 @@ def dtmc_steady_state(P: sparse.spmatrix) -> np.ndarray:
     with obs_trace.span("embedded-steady-state", n_states=n) as span:
         # A class no edge leaves is closed; each one carries a stationary
         # vector of its own, so the answer is unique only when there is one.
-        n_classes, label = csgraph.connected_components(P, connection="strong")
-        edges = P.tocoo()
-        leaving = label[edges.row] != label[edges.col]
-        closed = np.setdiff1d(np.arange(n_classes), label[edges.row[leaving]])
+        label, closed = closed_classes(P)
         if closed.size != 1:
             raise np.linalg.LinAlgError(
                 f"steady-state solve failed: the chain has {closed.size} closed "

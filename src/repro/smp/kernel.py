@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -460,10 +459,6 @@ class SMPKernel:
         """A reusable evaluator of ``U(s)`` / ``U'(s)`` over :attr:`csr` (O(1))."""
         return UEvaluator(self)
 
-    def u_matrix(self, s: complex) -> sparse.csr_matrix:
-        """The matrix ``U(s)`` with entries ``u_pq = r*_pq(s)`` (Eq. 9)."""
-        return self.evaluator().u(s)
-
     def mean_sojourn_times(self) -> np.ndarray:
         """Expected sojourn time in each state: ``m_i = sum_j p_ij E[H_ij]``."""
         means = np.asarray([d.mean() for d in self.distributions], dtype=float)
@@ -488,12 +483,6 @@ def _diagonal_copies(csr: KernelCSR, n_states: int, width: int):
     indices = np.empty(width * nnz, dtype=copies.dtype)
     np.add(csr.indices, copies * n_states, out=indices.reshape(width, nnz))
     return indptr, indices
-
-
-@dataclass
-class _EvaluatorCache:
-    s: complex | None = None
-    data: np.ndarray | None = None
 
 
 class _BatchLRU:
@@ -530,11 +519,11 @@ class _BatchLRU:
 
 
 class UEvaluator:
-    """Evaluates ``U(s)`` and target-absorbing ``U'(s)`` over the kernel's image.
+    """Evaluates ``U(s)`` over the kernel's image, a grid of s-points at a time.
 
-    The iterative algorithm calls this once per s-point and then performs
-    ``O(r)`` sparse vector–matrix products, so only the complex data vector is
-    refreshed when ``s`` changes; the structural arrays are the kernel's
+    The iterative algorithm calls this once per s-block and then performs
+    ``O(r)`` sparse products, so only the complex data grid is refreshed when
+    the s-points change; the structural arrays are the kernel's
     :attr:`~SMPKernel.csr`, shared, never copied — constructing an evaluator
     is O(1) whatever the kernel's size.
     """
@@ -542,57 +531,9 @@ class UEvaluator:
     def __init__(self, kernel: SMPKernel):
         self.kernel = kernel
         self.csr = kernel.csr
-        self._shape = (kernel.n_states, kernel.n_states)
-        self._cache = _EvaluatorCache()
         self._batch_cache = _BatchLRU()
         self._block_diag: tuple[int, np.ndarray, np.ndarray] | None = None
         self._factored = None
-
-    # ------------------------------------------------------------ internals
-    def _u_data(self, s: complex) -> np.ndarray:
-        s = complex(s)
-        if self._cache.s == s and self._cache.data is not None:
-            return self._cache.data
-        lst_values = np.asarray(
-            [d.lst(s) for d in self.kernel.distributions], dtype=complex
-        )
-        data = self.csr.probs * lst_values[self.csr.dist_index]
-        self._cache = _EvaluatorCache(s=s, data=data)
-        return data
-
-    def _matrix_from_data(self, data: np.ndarray) -> sparse.csr_matrix:
-        return sparse.csr_matrix(
-            (data, self.csr.indices, self.csr.indptr), shape=self._shape, copy=False
-        )
-
-    # ------------------------------------------------------------------ API
-    def u(self, s: complex) -> sparse.csr_matrix:
-        """``U(s)``: entry ``(p, q)`` equals ``p_pq H*_pq(s)``."""
-        return self._matrix_from_data(self._u_data(s).copy())
-
-    def u_prime(self, s: complex, target_mask: np.ndarray) -> sparse.csr_matrix:
-        """``U'(s)``: as ``U(s)`` but with the target states made absorbing.
-
-        Rows belonging to target states are zeroed so that probability mass
-        reaching the target set never leaves it again — this is what turns
-        the r-transition sum of Eq. (9) into a *first* passage quantity.
-        """
-        target_mask = np.asarray(target_mask, dtype=bool)
-        if target_mask.shape != (self.kernel.n_states,):
-            raise ValueError("target_mask must have one boolean per state")
-        data = self._u_data(s).copy()
-        data[target_mask[self.csr.rows]] = 0.0
-        return self._matrix_from_data(data)
-
-    def sojourn_lst(self, s: complex) -> np.ndarray:
-        """Per-state sojourn transform ``h*_i(s) = sum_j r*_ij(s)`` (row sums of U)."""
-        data = self._u_data(s)
-        rows = self.csr.rows
-        n = self.kernel.n_states
-        out = np.zeros(n, dtype=complex)
-        out.real = np.bincount(rows, weights=data.real, minlength=n)
-        out.imag = np.bincount(rows, weights=data.imag, minlength=n)
-        return out
 
     #: cap on the temporary working set of one internal ``u_data_batch``
     #: fill chunk; the gather below is performed in s-slices of at most this
@@ -630,8 +571,8 @@ class UEvaluator:
         Returns an ``(n_s, nnz)`` array whose row ``t`` is the data vector of
         ``U(s_values[t])`` in the shared CSR entry order.  Each distinct
         distribution's transform is evaluated exactly once over the full grid,
-        so the per-s-point Python overhead of the scalar path is amortised
-        across the batch.  The result is assembled in s-chunks bounded by
+        so the per-distribution Python overhead is amortised across the
+        batch.  The result is assembled in s-chunks bounded by
         :attr:`batch_fill_bytes` (optionally straight into ``out``), so the
         build never allocates beyond the result itself; results small enough
         to be worth retaining are cached (see :class:`_BatchLRU`) — the

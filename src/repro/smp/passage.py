@@ -12,14 +12,16 @@ evaluated with sparse vector–matrix products and truncated once successive
 terms fall below a tolerance in both real and imaginary parts (Eq. 11) —
 ``O(N^2 r)`` work in the worst case versus the ``O(N^3)`` of a direct solve.
 
-Two shapes of the computation are provided:
+Two shapes of the computation are provided, each over a whole s-grid (a
+single s-point is a grid of one — there is no scalar implementation):
 
-* :func:`passage_transform` — the scalar ``alpha``-weighted transform
+* :func:`passage_transform_batch` — the scalar ``alpha``-weighted transform
   (row-vector accumulation; what the passage-time pipeline evaluates at each
   s-point),
-* :func:`passage_transform_vector` — the full vector ``(L_1j(s), ..., L_Nj(s))``
-  for *every* source state (column-vector accumulation; what the transient
-  computation of Eq. (7) needs, one run per target state).
+* :func:`passage_transform_vector_batch` — the full vector
+  ``(L_1j(s), ..., L_Nj(s))`` for *every* source state (column-vector
+  accumulation; what the transient computation of Eq. (7) needs, one run per
+  target state).
 
 Batched evaluation
 ------------------
@@ -56,9 +58,10 @@ each of which exists exactly once:
   column variant behind one protocol.
 
 Every engine therefore runs the *same* truncation rule through one shared
-driver and agrees with the scalar functions to float associativity; the
-:class:`SPointPolicy` picks the engine (once per kernel), routes hard (small
-``|s|``) points to the sparse-LU direct solve and bounds block sizes.
+driver and agrees with the one-point-at-a-time oracles of ``tests/reference``
+to float associativity; the :class:`SPointPolicy` picks the engine (once per
+kernel), routes hard (small ``|s|``) points to the sparse-LU direct solve and
+bounds block sizes.
 """
 from __future__ import annotations
 
@@ -79,8 +82,6 @@ __all__ = [
     "PassageTimeOptions",
     "ConvergenceDiagnostics",
     "SPointPolicy",
-    "passage_transform",
-    "passage_transform_vector",
     "passage_transform_batch",
     "passage_transform_vector_batch",
 ]
@@ -330,128 +331,6 @@ class SPointPolicy:
         return max(1, min(self.block_points(evaluator, vector=vector), spread_cap))
 
 
-def passage_transform(
-    kernel_or_evaluator,
-    alpha: np.ndarray,
-    targets,
-    s: complex,
-    options: PassageTimeOptions | None = None,
-) -> tuple[complex, ConvergenceDiagnostics]:
-    """Evaluate ``L_{i->j}(s)`` for an ``alpha``-weighted source distribution.
-
-    Parameters
-    ----------
-    kernel_or_evaluator:
-        The SMP kernel (or a pre-built :class:`UEvaluator` when evaluating
-        many s-points against the same kernel).
-    alpha:
-        Source weighting vector of Eq. (5); must sum to one.
-    targets:
-        Target state indices (the set ``j`` of the paper).
-    s:
-        Complex transform argument with ``Re(s) >= 0``.
-    """
-    options = options or PassageTimeOptions()
-    evaluator = as_evaluator(kernel_or_evaluator)
-    n = evaluator.kernel.n_states
-    alpha = _check_alpha(alpha, n)
-    mask = target_mask(n, targets)
-    e = mask.astype(complex)
-
-    U = evaluator.u(s)
-    U_prime = evaluator.u_prime(s, mask)
-
-    # Row accumulation: v_0 = alpha U,  v_{k+1} = v_k U',  L = sum_k v_k . e
-    #
-    # Convergence is judged on ||v_k||_1 rather than on the added term
-    # |v_k . e| of Eq. (11): the row sums of |U'| never exceed one, so
-    # ||v||_1 is monotonically non-increasing and bounds *every* future term.
-    # This strengthens the paper's test — a structurally periodic model can
-    # produce exactly-zero terms at some transition counts (no path of that
-    # length reaches the target), which would otherwise trigger a premature
-    # stop even though later terms are still significant.
-    v = alpha @ U
-    total = complex(v @ e)
-    matvecs = 1
-    below = 0
-    delta = float(np.sum(np.abs(v)))
-    for iteration in range(1, options.max_iterations + 1):
-        v = v @ U_prime
-        matvecs += 1
-        total += complex(v @ e)
-        delta = float(np.sum(np.abs(v)))
-        if delta < options.epsilon:
-            below += 1
-            if below >= options.consecutive:
-                return total, ConvergenceDiagnostics(
-                    iterations=iteration,
-                    converged=True,
-                    final_delta=delta,
-                    matvec_count=matvecs,
-                )
-        else:
-            below = 0
-    return total, ConvergenceDiagnostics(
-        iterations=options.max_iterations,
-        converged=False,
-        final_delta=delta,
-        matvec_count=matvecs,
-    )
-
-
-def passage_transform_vector(
-    kernel_or_evaluator,
-    targets,
-    s: complex,
-    options: PassageTimeOptions | None = None,
-) -> tuple[np.ndarray, ConvergenceDiagnostics]:
-    """Evaluate the vector ``(L_{1->j}(s), ..., L_{N->j}(s))`` for every source.
-
-    This is the column-vector form of Eq. (9): the accumulator
-    ``acc_r = sum_{k=0}^{r-1} U'^k e`` is built by repeated sparse
-    matrix–vector products and the result is ``U acc_r``.  Because the row
-    sums of ``|U|`` never exceed one for ``Re(s) >= 0``, the change in the
-    result is bounded by the infinity norm of the current term, which is what
-    the convergence test monitors.
-    """
-    options = options or PassageTimeOptions()
-    evaluator = as_evaluator(kernel_or_evaluator)
-    n = evaluator.kernel.n_states
-    mask = target_mask(n, targets)
-    e = mask.astype(complex)
-
-    U = evaluator.u(s)
-    U_prime = evaluator.u_prime(s, mask)
-
-    term = e.copy()
-    acc = e.copy()
-    matvecs = 0
-    below = 0
-    converged = False
-    iterations = 0
-    for iteration in range(1, options.max_iterations + 1):
-        iterations = iteration
-        term = U_prime @ term
-        matvecs += 1
-        acc += term
-        delta = float(np.max(np.abs(term))) if term.size else 0.0
-        if delta < options.epsilon:
-            below += 1
-            if below >= options.consecutive:
-                converged = True
-                break
-        else:
-            below = 0
-    result = U @ acc
-    matvecs += 1
-    return np.asarray(result).ravel(), ConvergenceDiagnostics(
-        iterations=iterations,
-        converged=converged,
-        final_delta=float(np.max(np.abs(term))),
-        matvec_count=matvecs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batched evaluation: scaffold -> block -> driver -> operator (module docstring).
 # ---------------------------------------------------------------------------
@@ -579,6 +458,12 @@ class _BatchRowOperator(_BatchOperator):
         return np.add.reduce(np.take(self._state, self._targets, axis=1), axis=1)
 
     def residual(self) -> np.ndarray:
+        """``||v||_1`` per point rather than the added term ``|v . e|`` of
+        Eq. (11): the row sums of ``|U'|`` never exceed one, so it is
+        non-increasing and bounds *every* future term.  A structurally
+        periodic model has exactly-zero terms at some transition counts (no
+        path of that length reaches the target), which must not stop a sum
+        whose later terms are still significant."""
         return np.abs(self._state).sum(axis=1)
 
     def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -602,6 +487,8 @@ class _BatchColOperator(_BatchOperator):
         self._acc += self._state
 
     def residual(self) -> np.ndarray:
+        """``||term||_inf`` per point: the row sums of ``|U|`` never exceed
+        one for ``Re(s) >= 0``, so it bounds the change in ``U acc``."""
         return np.abs(self._state).max(axis=1)
 
     def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -892,15 +779,21 @@ def passage_transform_batch(
 ) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
     """Evaluate ``L_{i->j}(s)`` at every point of an s-grid in one sweep.
 
-    Semantically equivalent to calling :func:`passage_transform` per point
-    (same truncation rule, so iteratively-solved points match the scalar path
-    bit-for-bit up to float associativity), but the whole grid shares each
+    Semantically equivalent to the one-point oracle of ``tests/reference``
+    per point (same truncation rule, so iteratively-solved points match it
+    up to float associativity), but the whole grid shares each
     transform evaluation of the underlying distributions and each iteration's
     sparse products, processed in memory-bounded blocks.  Points that the
     :class:`SPointPolicy` predicts to need too many iterations — the
     small-``|s|`` rare-event regime — are solved with the sparse-LU direct
     method instead and come back exact; ``solver="direct"`` solves every
     point that way (engine label ``direct-lu``).
+
+    ``kernel_or_evaluator`` is the SMP kernel or a prepared
+    :class:`~repro.smp.kernel.UEvaluator` (share one across calls on the same
+    kernel), ``alpha`` the source weighting vector of Eq. (5), which must sum
+    to one, ``targets`` the target state indices (the set ``j`` of the paper)
+    and ``s_values`` complex transform arguments with ``Re(s) >= 0``.
 
     Returns the values as an ``(n_s,)`` array plus one
     :class:`ConvergenceDiagnostics` per s-point (in input order).  When a
@@ -923,9 +816,12 @@ def passage_transform_vector_batch(
     policy: SPointPolicy | None = None,
     report: dict | None = None,
 ) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
-    """Batched :func:`passage_transform_vector`: ``(n_s, n_states)`` at once.
+    """The vector ``(L_{1->j}(s), ..., L_{N->j}(s))`` for every source, at
+    every point of an s-grid: ``(n_s, n_states)`` at once.
 
-    Column-accumulation form used by the transient computation; the same
+    Column-accumulation form of Eq. (9), used by the transient computation:
+    the accumulator ``acc_r = sum_{k=0}^{r-1} U'^k e`` is built by repeated
+    sparse products and the result is ``U acc_r``.  The same
     blocked scheduling, active-set convergence masking and iterative/direct
     policy as :func:`passage_transform_batch` apply.  Note the result scales
     as ``O(n_s · n_states)`` — callers on large kernels should keep their

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import as_evaluator, target_mask
-from .linear import passage_transform_direct
 from .passage import (
     ConvergenceDiagnostics,
     PassageTimeOptions,
@@ -25,76 +24,9 @@ from .passage import (
     _check_alpha,
     _Form,
     _solve_block,
-    passage_transform_vector,
 )
 
-__all__ = ["transient_transform", "transient_transform_batch", "sojourn_lsts"]
-
-
-def sojourn_lsts(kernel_or_evaluator, s: complex) -> np.ndarray:
-    """Per-state sojourn-time transforms ``h*_i(s) = sum_j r*_ij(s)``."""
-    evaluator = as_evaluator(kernel_or_evaluator)
-    return evaluator.sojourn_lst(s)
-
-
-def transient_transform(
-    kernel_or_evaluator,
-    alpha: np.ndarray,
-    targets,
-    s: complex,
-    options: PassageTimeOptions | None = None,
-    *,
-    solver: str = "iterative",
-) -> complex:
-    """Evaluate ``T*_{i -> j}(s)``, the transform of ``P(Z(t) in j)``.
-
-    Parameters
-    ----------
-    alpha:
-        Initial-state weighting (Eq. 5); a unit vector for a single source.
-    targets:
-        Target state set ``j``.
-    solver:
-        ``"iterative"`` uses the paper's algorithm for the per-target
-        passage-time vectors, ``"direct"`` uses the sparse linear solve.
-    """
-    evaluator = as_evaluator(kernel_or_evaluator)
-    if solver not in ("iterative", "direct"):
-        raise ValueError("solver must be 'iterative' or 'direct'")
-
-    s = complex(s)
-    if s == 0:
-        raise ValueError("the transient transform has a pole at s = 0; use Re(s) > 0")
-
-    n = evaluator.kernel.n_states
-    alpha = _check_alpha(alpha, n)
-
-    targets = np.unique(np.atleast_1d(np.asarray(targets, dtype=np.int64)))
-    if targets.size == 0:
-        raise ValueError("at least one target state is required")
-    if targets.min() < 0 or targets.max() >= n:
-        raise ValueError("target state index out of range")
-
-    h = evaluator.sojourn_lst(s)
-
-    source_states = np.where(np.abs(alpha) > 0)[0]
-    total = 0.0 + 0.0j
-    for k in targets:
-        if solver == "iterative":
-            l_vec, _ = passage_transform_vector(evaluator, [k], s, options)
-        else:
-            l_vec = passage_transform_direct(evaluator, [k], s)
-        lam_k = (1.0 - h[k]) / (1.0 - l_vec[k])
-        # Contribution of target k to each source i:
-        #   i == k : Lambda_k (the system is still in its first sojourn at k,
-        #            or has returned) — the delta term of Eq. (7),
-        #   i != k : Lambda_k * L_ik(s).
-        for i in source_states:
-            if i == k:
-                total += alpha[i] * lam_k
-            else:
-                total += alpha[i] * lam_k * l_vec[i]
-    return complex(total / s)
+__all__ = ["transient_transform_batch"]
 
 
 def transient_transform_batch(
@@ -108,9 +40,13 @@ def transient_transform_batch(
     policy: SPointPolicy | None = None,
     report: dict | None = None,
 ) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
-    """Evaluate ``T*_{i->j}(s)`` at every point of an s-grid in one sweep.
+    """Evaluate ``T*_{i->j}(s)``, the transform of ``P(Z(t) in j)``, at every
+    point of an s-grid in one sweep.
 
-    Batched counterpart of :func:`transient_transform`: the s-grid runs
+    ``alpha`` is the initial-state weighting (Eq. 5; a unit vector for a
+    single source), ``targets`` the target state set ``j``; ``solver`` is
+    ``"iterative"`` (the paper's algorithm for the per-target passage-time
+    vectors) or ``"direct"`` (the sparse linear solve).  The s-grid runs
     through the block loop of :mod:`repro.smp.passage` and, inside each
     block, every target's passage-time vectors of Eq. (7) come from one
     column-form block solve (or the batched direct solve), so the sojourn

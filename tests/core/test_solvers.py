@@ -4,9 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import QueryPlan
 from repro.core import PassageTimeJob, PassageTimeSolver, TransientJob, TransientSolver
 from repro.distributions import Convolution, Erlang, Exponential, Uniform
 from repro.smp import PassageTimeOptions, SMPBuilder
+from tests import reference
 
 
 @pytest.fixture
@@ -54,10 +56,10 @@ class TestPassageTimeSolver:
     def test_mean_and_moments(self, erlang_target):
         kernel, dist = erlang_target
         solver = PassageTimeSolver(kernel, sources=[0], targets=[1])
-        assert solver.mean() == pytest.approx(dist.mean(), rel=1e-5)
+        assert solver.mean() == pytest.approx(dist.mean(), rel=1e-12)
         moments = solver.moments(2)
-        assert moments[0] == pytest.approx(1.0, abs=1e-8)
-        assert moments[2] == pytest.approx(dist.variance() + dist.mean() ** 2, rel=1e-3)
+        assert moments[0] == 1.0
+        assert moments[2] == pytest.approx(dist.variance() + dist.mean() ** 2, rel=1e-12)
 
     def test_direct_method_matches_iterative(self, erlang_target, t_grid):
         kernel, _ = erlang_target
@@ -83,7 +85,7 @@ class TestPassageTimeSolver:
             6.0 * (np.exp(-2.0 * ts) - np.exp(-3.0 * ts))
         )  # closed-form hypoexponential density
         assert np.allclose(recovered, expected, atol=1e-6)
-        assert solver.mean() == pytest.approx(cycle.mean(), rel=1e-5)
+        assert solver.mean() == pytest.approx(cycle.mean(), rel=1e-12)
 
     def test_transform_cache_reused(self, erlang_target, t_grid):
         kernel, _ = erlang_target
@@ -115,6 +117,47 @@ class TestPassageTimeSolver:
             PassageTimeSolver(kernel, sources=[0], targets=[1], alpha=np.ones(5))
         with pytest.raises(ValueError):
             PassageTimeSolver(kernel, sources=[0], targets=[1], method="nonsense")
+
+
+class TestSinglePoint:
+    """``transform(s)`` is a block of one through the solver's own loop: the
+    job's policy routes it, the solver's store keeps it, its statistics
+    count it."""
+
+    def test_a_point_of_a_computed_density_comes_from_the_store(self, erlang_target, t_grid):
+        kernel, _ = erlang_target
+        solver = PassageTimeSolver(kernel, sources=[0], targets=[1])
+        solver.density(t_grid)
+        plan = QueryPlan.derive(solver.inverter, t_grid)
+        stored = solver._scheduler.cache.peek(solver.job.digest(), plan.s_keys)
+        computed = solver.statistics.s_points_computed
+        from_memory = solver.statistics.s_points_from_memory
+        value = solver.transform(plan.s_points[7])
+        assert value == stored[plan.s_keys[7]]  # the stored complex, bit for bit
+        assert solver.statistics.s_points_computed == computed
+        assert solver.statistics.s_points_from_memory == from_memory + 1
+
+    def test_a_fresh_small_s_point_is_routed_like_a_grid_point(self, branching_kernel):
+        """At ``|s| ~ 1e-3`` the policy sends the point to the LU solve; the
+        scalar path ``transform`` used to take iterated it to the truncation
+        threshold instead and stopped 1e-8 short on this kernel (1.5e-9 on
+        the paper's system 0)."""
+        solver = PassageTimeSolver(branching_kernel, sources=[0], targets=[4])
+        s = 1e-3 + 1e-3j
+        value = solver.transform(s)
+        assert value == solver.job.evaluate_many([s])[s]
+        assert solver.statistics.s_points_computed == 1
+        assert solver.statistics.extra["solve_blocks"][-1]["direct_solves"] == 1
+        exact = solver.alpha @ reference.passage_transform_direct(branching_kernel, [4], s)
+        truncated, _ = reference.passage_transform(branching_kernel, solver.alpha, [4], s)
+        assert abs(value - exact) < 1e-12 < 1e-9 < abs(truncated - exact)
+        assert solver.transform(s) == value and solver.statistics.s_points_computed == 1
+
+    def test_the_origin(self, ctmc_kernel):
+        """L(0) = 1: the target is reached almost surely; T*(s) has a pole."""
+        assert PassageTimeSolver(ctmc_kernel, sources=[0], targets=[1]).transform(0) == 1.0
+        with pytest.raises(ValueError, match="pole"):
+            TransientSolver(ctmc_kernel, sources=[0], targets=[1]).transform(0)
 
 
 class TestTransientSolver:
@@ -149,7 +192,8 @@ class TestTransientSolver:
         job = PassageTimeSolver(ctmc_kernel, sources=[0], targets=[1]).job
         _ = job.evaluator  # force lazy construction
         clone = pickle.loads(pickle.dumps(job))
-        assert clone.evaluate(1.0 + 1j) == pytest.approx(job.evaluate(1.0 + 1j))
+        s = 1.0 + 1j
+        assert clone.evaluate_many([s])[s] == pytest.approx(job.evaluate_many([s])[s])
 
     def test_options_propagate(self, ctmc_kernel):
         opts = PassageTimeOptions(epsilon=1e-10, max_iterations=500)

@@ -10,12 +10,10 @@ from repro.distributions import (
     Mixture,
     SampledTransform,
     Uniform,
-    lst_moments,
-    mean_from_lst,
     sample_transform,
-    variance_from_lst,
 )
 from repro.laplace import EulerInverter
+from tests.reference import lst_moments, mean_from_lst, variance_from_lst
 
 
 @pytest.fixture
@@ -83,6 +81,9 @@ class TestSampledTransform:
 
 
 class TestMomentsFromTransform:
+    """The distributions' closed-form moments against their own transforms,
+    differentiated numerically by the oracle of ``tests.reference``."""
+
     @pytest.mark.parametrize(
         "dist",
         [Exponential(2.0), Erlang(1.5, 3), Uniform(1.0, 4.0)],

@@ -108,9 +108,13 @@ def assert_same_kernel(legacy_kernel, vector_kernel, tol=1e-12):
     assert vector_kernel.n_states == legacy_kernel.n_states
     assert vector_kernel.n_transitions == legacy_kernel.n_transitions
     assert vector_kernel.state_names == legacy_kernel.state_names
-    for s in S_POINTS:
-        difference = legacy_kernel.u_matrix(s) - vector_kernel.u_matrix(s)
-        assert abs(difference).max() <= tol
+    for ours, theirs in zip(vector_kernel.adjacency(), legacy_kernel.adjacency()):
+        assert np.array_equal(ours, theirs)
+    difference = (
+        legacy_kernel.evaluator().u_data_batch(S_POINTS)
+        - vector_kernel.evaluator().u_data_batch(S_POINTS)
+    )
+    assert np.abs(difference).max() <= tol
 
 
 def assert_same_build(reference: StateSpace, space: StateSpace):

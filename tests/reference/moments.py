@@ -1,9 +1,10 @@
 """Moments of a distribution recovered numerically from its Laplace transform.
 
 ``E[T^k] = (-1)^k d^k/ds^k L(s) |_{s=0}``.  The derivatives are estimated with
-one-sided finite differences on a geometric grid plus Richardson
-extrapolation, which is adequate for the diagnostic / cross-checking purposes
-these helpers serve (unit tests compare them against closed-form means).
+a polynomial fit through a short one-sided stencil, which is adequate for
+the cross-checking these helpers serve: until PR 24 ``PassageTimeSolver
+.moments()`` was this fit applied to the passage transform; it is now the
+oracle of the exact solve that replaced it (``repro.smp.passage_moments``).
 """
 from __future__ import annotations
 

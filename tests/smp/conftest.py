@@ -8,7 +8,33 @@ from repro.api import Model, resolve_state_sets
 from repro.distributions import Deterministic, Erlang, Exponential, Uniform
 from repro.models import VotingParameters, voting_spec_text
 from repro.service.registry import ModelRegistry
-from repro.smp import SMPBuilder, source_weights
+from repro.smp import (
+    SMPBuilder,
+    SPointPolicy,
+    passage_transform_batch,
+    passage_transform_vector_batch,
+    source_weights,
+)
+
+#: no direct routing, no fallback: every point is iterated to the truncation rule
+ITERATIVE_ONLY = SPointPolicy(predicted_iteration_limit=10**9, fallback_to_direct=False)
+
+
+def block_of_one(kernel, alpha, targets, s, options=None):
+    """The shipped row-form block solve at a grid of one, iterated:
+    ``(value, diagnostics)``."""
+    values, diags = passage_transform_batch(
+        kernel, alpha, targets, [s], options, policy=ITERATIVE_ONLY
+    )
+    return complex(values[0]), diags[0]
+
+
+def vector_block_of_one(kernel, targets, s, options=None):
+    """The shipped column-form block solve at a grid of one, iterated."""
+    values, diags = passage_transform_vector_batch(
+        kernel, targets, [s], options, policy=ITERATIVE_ONLY
+    )
+    return values[0], diags[0]
 
 
 def voting_measure(voters: int, polling_units: int, central_units: int):

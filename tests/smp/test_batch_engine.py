@@ -1,9 +1,10 @@
 """Batch-vs-scalar equivalence of the s-point transform-evaluation engine.
 
-The batched engine must be a drop-in replacement for the scalar loops: on the
-iterative path it applies the *same* truncation rule per s-point, so values
-match the scalar functions to float associativity; policy-routed points come
-from the sparse-LU direct solve and must match the direct oracle.
+The batched engine must agree with the scalar loops kept as oracles in
+``tests.reference``: on the iterative path it applies the *same* truncation
+rule per s-point, so values match the scalar functions to float
+associativity; policy-routed points come from the sparse-LU direct solve and
+must match the direct oracle.
 """
 from __future__ import annotations
 
@@ -29,17 +30,19 @@ from repro.smp import (
     PassageTimeOptions,
     SMPBuilder,
     SPointPolicy,
-    passage_transform,
     passage_transform_batch,
-    passage_transform_direct,
     passage_transform_direct_batch,
-    passage_transform_vector,
     passage_transform_vector_batch,
     source_weights,
-    transient_transform,
     transient_transform_batch,
 )
-from tests.smp.conftest import random_kernel
+from tests.reference import (
+    passage_transform,
+    passage_transform_direct,
+    passage_transform_vector,
+    transient_transform,
+)
+from tests.smp.conftest import ITERATIVE_ONLY, random_kernel
 
 # One representative of every distribution family shipped with the library.
 FAMILIES = {
@@ -59,9 +62,6 @@ FAMILIES = {
 }
 
 S_GRID = np.array([0.4 + 0.0j, 0.8 + 2.5j, 1.5 - 1.0j, 0.1 + 6.0j, 2.5 + 0.5j])
-
-#: forces the pure batched-iterative path (no direct routing, no fallback)
-ITERATIVE_ONLY = SPointPolicy(predicted_iteration_limit=10**9, fallback_to_direct=False)
 
 
 def family_kernel(dist):

@@ -24,6 +24,7 @@ from repro.smp import (
 from repro.smp import kernel as kernel_module
 from repro.smp import passage as passage_module
 from repro.smp.kernel import _BatchLRU
+from tests.reference import u_matrix
 from tests.smp.conftest import random_kernel, voting_measure
 
 #: voting (8,3,2) and the paper's system 0 with a three-t Euler grid (the
@@ -131,7 +132,8 @@ def test_the_structure_is_the_block_diagonal_of_the_kernel():
     indptr, indices = evaluator.block_diag_structure(width)
     data = np.arange(1.0, width * kernel.n_transitions + 1)
     blocks = [
-        evaluator._matrix_from_data(row) for row in data.reshape(width, -1)
+        sparse.csr_matrix((row, kernel.csr.indices, kernel.csr.indptr), shape=(n, n))
+        for row in data.reshape(width, -1)
     ]
     expected = sparse.block_diag(blocks, format="csr")
     got = sparse.csr_matrix((data, indices, indptr), shape=(width * n, width * n))
@@ -184,7 +186,7 @@ def test_alpha_start_vectors_match_the_matrix_product(measure):
     whole = evaluator.alpha_vec_matrix_batch(weights, u_data, np.arange(s_block.size))
     assert got.tobytes() == whole[points].tobytes()
     for row, t in zip(got, points):
-        expected = np.asarray(weights @ evaluator.u(complex(s_block[t]))).ravel()
+        expected = np.asarray(weights @ u_matrix(kernel, complex(s_block[t]))).ravel()
         assert np.abs(row - expected).max() < 1e-14
 
 

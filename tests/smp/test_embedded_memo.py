@@ -170,7 +170,7 @@ class TestPicklingAndPlane:
         clone = pickle.loads(pickle.dumps(job))
         assert clone.digest() == job.digest()
         s = 0.7 + 1.3j
-        assert clone.evaluate(s) == job.evaluate(s)
+        assert clone.evaluate_many([s]) == job.evaluate_many([s])
 
     def test_plane_attached_kernel_memoises_too(self, kernel, embedded_solves, tmp_path):
         plane = KernelPlane.build(kernel.evaluator(), tmp_path / "kernel.plane")

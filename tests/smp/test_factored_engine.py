@@ -38,14 +38,14 @@ from repro.smp import (
     PassageTimeOptions,
     SMPBuilder,
     SPointPolicy,
-    passage_transform,
     passage_transform_batch,
     passage_transform_direct_batch,
-    passage_transform_vector,
     passage_transform_vector_batch,
     source_weights,
     transient_transform_batch,
 )
+from tests import reference
+from tests.reference import passage_transform, passage_transform_vector
 from tests.smp.conftest import random_kernel
 
 #: pure-iterative policies, one per engine (no direct routing, no fallback)
@@ -214,13 +214,13 @@ def test_factored_u_product_against_matrix():
     row = FactoredRowOperator(fac, s_block, mask, np.asarray(alpha, dtype=complex))
     row.start()
     for t, s in enumerate(s_block):
-        expected = np.asarray(alpha @ evaluator.u(complex(s))).ravel()
+        expected = np.asarray(alpha @ reference.u_matrix(kernel, complex(s))).ravel()
         got = row._state[:, t] + 1j * row._state[:, s_block.size + t]
         assert np.abs(got - expected).max() < 1e-12
     row.step()  # one application of U'
     for t, s in enumerate(s_block):
-        v0 = np.asarray(alpha @ evaluator.u(complex(s))).ravel()
-        expected = v0 @ evaluator.u_prime(complex(s), mask)
+        v0 = np.asarray(alpha @ reference.u_matrix(kernel, complex(s))).ravel()
+        expected = v0 @ reference.u_prime(kernel, complex(s), mask)
         got = row._state[:, t] + 1j * row._state[:, s_block.size + t]
         assert np.abs(got - expected).max() < 1e-12
 
@@ -229,12 +229,12 @@ def test_factored_u_product_against_matrix():
     col.step()
     e = mask.astype(complex)
     for t, s in enumerate(s_block):
-        expected = evaluator.u_prime(complex(s), mask) @ e
+        expected = reference.u_prime(kernel, complex(s), mask) @ e
         got = col._state[:, t] + 1j * col._state[:, s_block.size + t]
         assert np.abs(got - expected).max() < 1e-12
     rows = col.finish(np.tile(e, (3, 1)), np.arange(3))
     for t, s in enumerate(s_block):
-        assert np.abs(rows[t] - evaluator.u(complex(s)) @ e).max() < 1e-12
+        assert np.abs(rows[t] - reference.u_matrix(kernel, complex(s)) @ e).max() < 1e-12
 
 
 def test_blocked_grid_matches_unblocked():

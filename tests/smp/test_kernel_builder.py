@@ -13,6 +13,15 @@ from repro.models import VotingParameters
 from repro.models.voting import build_voting_net
 from repro.petri import build_kernel, explore
 from repro.smp import SMPBuilder, SMPKernel
+from tests import reference
+
+
+def u_matrix(kernel, s) -> np.ndarray:
+    """Dense ``U(s)`` from the shipped LST fill: a one-point grid's data over
+    the kernel's image."""
+    (data,) = kernel.evaluator().u_data_batch([s])
+    n = kernel.n_states
+    return sparse.csr_matrix((data, kernel.csr.indices, kernel.csr.indptr), shape=(n, n)).toarray()
 
 
 class TestBuilder:
@@ -121,38 +130,36 @@ class TestKernel:
 
     def test_u_matrix_values(self, two_state_kernel):
         s = 0.4 + 1.1j
-        U = two_state_kernel.u_matrix(s).toarray()
+        U = u_matrix(two_state_kernel, s)
         assert U[0, 1] == pytest.approx(Erlang(2.0, 3).lst(s))
         assert U[1, 0] == pytest.approx(Uniform(1.0, 2.0).lst(s))
         assert U[0, 0] == 0 and U[1, 1] == 0
 
     def test_u_matrix_at_zero_is_embedded_matrix(self, branching_kernel):
-        U0 = branching_kernel.u_matrix(0.0).toarray().real
+        U0 = u_matrix(branching_kernel, 0.0).real
         P = branching_kernel.embedded_matrix().toarray()
         assert np.allclose(U0, P)
 
     def test_u_prime_zeroes_target_rows(self, branching_kernel):
+        """What the block operators zero to make the targets absorbing — the
+        entries ``row_entries`` names — are exactly the target states' rows."""
         ev = branching_kernel.evaluator()
         mask = np.zeros(branching_kernel.n_states, dtype=bool)
         mask[[1, 3]] = True
         s = 0.2 + 0.9j
-        U = ev.u(s).toarray()
-        Up = ev.u_prime(s, mask).toarray()
-        assert np.allclose(Up[mask], 0.0)
-        assert np.allclose(Up[~mask], U[~mask])
+        data = ev.u_data_batch([s])[0].copy()
+        data[ev.row_entries(np.flatnonzero(mask))] = 0.0
+        Up = reference.u_prime(branching_kernel, s, mask)
+        assert np.allclose(data, Up.data)
+        assert np.allclose(Up.toarray()[mask], 0.0)
+        assert np.allclose(Up.toarray()[~mask], u_matrix(branching_kernel, s)[~mask])
 
     def test_sojourn_lst_is_row_sum(self, branching_kernel):
         ev = branching_kernel.evaluator()
         s = 1.3 + 0.4j
-        h = ev.sojourn_lst(s)
-        assert np.allclose(h, ev.u(s).toarray().sum(axis=1))
-
-    def test_evaluator_caches_per_s(self, two_state_kernel):
-        ev = two_state_kernel.evaluator()
-        s = 0.5 + 2.0j
-        d1 = ev._u_data(s)
-        d2 = ev._u_data(s)
-        assert d1 is d2  # same cached array
+        (h,) = ev.sojourn_lst_batch([s])
+        assert np.allclose(h, u_matrix(branching_kernel, s).sum(axis=1))
+        assert np.allclose(h, reference.sojourn_lsts(branching_kernel, s))
 
     def test_duplicate_transitions_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

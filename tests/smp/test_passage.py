@@ -1,18 +1,18 @@
-"""Tests for the iterative passage-time algorithm and the direct baseline."""
+"""Tests for the iterative passage-time algorithm and the direct baseline.
+
+The subject is the shipped block solve at a one-point grid — under a
+pure-iterative policy, so the iteration itself is what runs; the oracles of
+``tests.reference`` appear on the right-hand side of comparisons only.
+"""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from repro.distributions import Convolution, Erlang, Exponential, Uniform
-from repro.smp import (
-    PassageTimeOptions,
-    passage_transform,
-    passage_transform_direct,
-    passage_transform_vector,
-    source_weights,
-)
-from tests.smp.conftest import random_kernel
+from repro.smp import PassageTimeOptions, passage_transform_direct_batch, source_weights
+from tests.reference import passage_transform_direct
+from tests.smp.conftest import block_of_one, random_kernel, vector_block_of_one
 
 S_POINTS = [0.5 + 0.0j, 0.3 + 2.1j, 4.0 - 1.5j, 0.05 + 9.0j]
 
@@ -23,7 +23,7 @@ class TestAgainstClosedForms:
         erlang = Erlang(2.0, 3)
         alpha = source_weights(two_state_kernel, [0])
         for s in S_POINTS:
-            value, diag = passage_transform(two_state_kernel, alpha, [1], s)
+            value, diag = block_of_one(two_state_kernel, alpha, [1], s)
             assert diag.converged
             assert value == pytest.approx(erlang.lst(s), rel=1e-8, abs=1e-10)
 
@@ -33,7 +33,7 @@ class TestAgainstClosedForms:
         cycle = Convolution([Erlang(2.0, 3), Uniform(1.0, 2.0)])
         alpha = source_weights(two_state_kernel, [0])
         for s in S_POINTS:
-            value, _ = passage_transform(two_state_kernel, alpha, [0], s)
+            value, _ = block_of_one(two_state_kernel, alpha, [0], s)
             assert value == pytest.approx(cycle.lst(s), rel=1e-8, abs=1e-10)
 
     def test_ring_passage_is_convolution_of_segments(self, ring_kernel):
@@ -42,7 +42,7 @@ class TestAgainstClosedForms:
         conv = Convolution([Exponential(1.0), Erlang(2.0, 2), Uniform(0.25, 0.75)])
         alpha = source_weights(ring_kernel, [0])
         s = 0.8 + 1.3j
-        value, _ = passage_transform(ring_kernel, alpha, [3], s)
+        value, _ = block_of_one(ring_kernel, alpha, [3], s)
         # p->q->r->s traverses Exponential, Erlang, Deterministic... note the
         # passage *into* s happens when the r -> s transition fires, so the
         # segments are the sojourns in p, q and r.
@@ -66,7 +66,7 @@ class TestAgainstClosedForms:
         k = b.build()
         alpha = source_weights(k, [0])
         for s in S_POINTS:
-            value, _ = passage_transform(k, alpha, [2], s)
+            value, _ = block_of_one(k, alpha, [2], s)
             expected = 0.4 / (1 + s) + 0.6 / (1 + s) ** 2
             assert value == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
@@ -74,7 +74,7 @@ class TestAgainstClosedForms:
 class TestIterativeMatchesDirect:
     @pytest.mark.parametrize("s", S_POINTS)
     def test_vector_forms_agree(self, branching_kernel, s):
-        iterative, diag = passage_transform_vector(branching_kernel, [4], s)
+        iterative, diag = vector_block_of_one(branching_kernel, [4], s)
         direct = passage_transform_direct(branching_kernel, [4], s)
         assert diag.converged
         assert np.allclose(iterative, direct, atol=1e-8)
@@ -82,7 +82,7 @@ class TestIterativeMatchesDirect:
     @pytest.mark.parametrize("targets", [[0], [2, 4], [1, 2, 3]])
     def test_multiple_targets_agree(self, branching_kernel, targets):
         s = 0.6 + 1.7j
-        iterative, _ = passage_transform_vector(branching_kernel, targets, s)
+        iterative, _ = vector_block_of_one(branching_kernel, targets, s)
         direct = passage_transform_direct(branching_kernel, targets, s)
         assert np.allclose(iterative, direct, atol=1e-8)
 
@@ -91,7 +91,7 @@ class TestIterativeMatchesDirect:
             kernel = random_kernel(rng, n)
             targets = [int(rng.integers(0, n))]
             s = complex(rng.uniform(0.05, 2.0), rng.uniform(-5.0, 5.0))
-            iterative, diag = passage_transform_vector(kernel, targets, s)
+            iterative, diag = vector_block_of_one(kernel, targets, s)
             direct = passage_transform_direct(kernel, targets, s)
             assert diag.converged
             assert np.allclose(iterative, direct, atol=1e-7)
@@ -99,7 +99,7 @@ class TestIterativeMatchesDirect:
     def test_scalar_form_is_alpha_weighted_vector_form(self, branching_kernel):
         s = 0.4 + 0.9j
         alpha = source_weights(branching_kernel, [0, 1, 2])
-        scalar, _ = passage_transform(branching_kernel, alpha, [4], s)
+        scalar, _ = block_of_one(branching_kernel, alpha, [4], s)
         vector = passage_transform_direct(branching_kernel, [4], s)
         assert scalar == pytest.approx(np.dot(alpha, vector), rel=1e-7)
 
@@ -110,8 +110,8 @@ class TestConvergenceControls:
         alpha = source_weights(branching_kernel, [0])
         loose = PassageTimeOptions(epsilon=1e-4)
         tight = PassageTimeOptions(epsilon=1e-12)
-        _, d_loose = passage_transform(branching_kernel, alpha, [4], s, loose)
-        _, d_tight = passage_transform(branching_kernel, alpha, [4], s, tight)
+        _, d_loose = block_of_one(branching_kernel, alpha, [4], s, loose)
+        _, d_tight = block_of_one(branching_kernel, alpha, [4], s, tight)
         assert d_tight.iterations >= d_loose.iterations
         assert d_loose.converged and d_tight.converged
 
@@ -119,7 +119,7 @@ class TestConvergenceControls:
         s = 0.001 + 0.01j
         alpha = source_weights(branching_kernel, [0])
         capped = PassageTimeOptions(epsilon=1e-14, max_iterations=3)
-        _, diag = passage_transform(branching_kernel, alpha, [4], s, capped)
+        _, diag = block_of_one(branching_kernel, alpha, [4], s, capped)
         assert not diag.converged
         assert diag.iterations == 3
 
@@ -133,36 +133,36 @@ class TestConvergenceControls:
 
     def test_bad_alpha_rejected(self, branching_kernel):
         with pytest.raises(ValueError):
-            passage_transform(branching_kernel, np.ones(5), [1], 1.0)
+            block_of_one(branching_kernel, np.ones(5), [1], 1.0)
         with pytest.raises(ValueError):
-            passage_transform(branching_kernel, np.ones(3) / 3, [1], 1.0)
+            block_of_one(branching_kernel, np.ones(3) / 3, [1], 1.0)
 
     def test_bad_targets_rejected(self, branching_kernel):
         alpha = source_weights(branching_kernel, [0])
         with pytest.raises(ValueError):
-            passage_transform(branching_kernel, alpha, [], 1.0)
+            block_of_one(branching_kernel, alpha, [], 1.0)
         with pytest.raises(ValueError):
-            passage_transform(branching_kernel, alpha, [77], 1.0)
+            block_of_one(branching_kernel, alpha, [77], 1.0)
         with pytest.raises(ValueError):
-            passage_transform_direct(branching_kernel, [99], 1.0)
+            passage_transform_direct_batch(branching_kernel, [99], [1.0])
 
 
 class TestTransformProperties:
     def test_transform_at_zero_is_reachability_probability(self, branching_kernel):
         """L(0) = P(target is ever reached) = 1 for an irreducible SMP."""
-        value = passage_transform_direct(branching_kernel, [4], 1e-12)
+        (value,) = passage_transform_direct_batch(branching_kernel, [4], [1e-12])
         assert np.allclose(value, 1.0, atol=1e-6)
 
     def test_magnitude_never_exceeds_one(self, branching_kernel, rng):
         alpha = source_weights(branching_kernel, [0])
         for _ in range(10):
             s = complex(rng.uniform(0, 3), rng.uniform(-10, 10))
-            value, _ = passage_transform(branching_kernel, alpha, [3], s)
+            value, _ = block_of_one(branching_kernel, alpha, [3], s)
             assert abs(value) <= 1.0 + 1e-9
 
     def test_conjugate_symmetry(self, branching_kernel):
         alpha = source_weights(branching_kernel, [1])
         s = 0.7 + 3.3j
-        v1, _ = passage_transform(branching_kernel, alpha, [4], s)
-        v2, _ = passage_transform(branching_kernel, alpha, [4], np.conj(s))
+        v1, _ = block_of_one(branching_kernel, alpha, [4], s)
+        v2, _ = block_of_one(branching_kernel, alpha, [4], np.conj(s))
         assert v2 == pytest.approx(np.conj(v1), rel=1e-9)

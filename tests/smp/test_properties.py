@@ -17,13 +17,13 @@ from repro.smp import (
     SMPKernel,
     dtmc_steady_state,
     kernel_content_digest,
-    passage_transform_direct,
-    passage_transform_vector,
+    passage_transform_direct_batch,
     smp_steady_state,
     source_weights,
 )
+from tests import reference
 from tests.oneloop import LoopRun
-from tests.smp.conftest import random_kernel
+from tests.smp.conftest import random_kernel, vector_block_of_one
 
 
 kernel_seeds = st.integers(min_value=0, max_value=10_000)
@@ -41,8 +41,8 @@ def test_iterative_agrees_with_direct_solver(seed, n, s):
     to the solution of the linear system of Eq. (2)."""
     kernel = random_kernel(np.random.default_rng(seed), n)
     target = [seed % n]
-    iterative, diag = passage_transform_vector(kernel, target, s)
-    direct = passage_transform_direct(kernel, target, s)
+    iterative, diag = vector_block_of_one(kernel, target, s)
+    direct = reference.passage_transform_direct(kernel, target, s)
     assert diag.converged
     assert np.allclose(iterative, direct, atol=1e-7)
 
@@ -52,7 +52,7 @@ def test_iterative_agrees_with_direct_solver(seed, n, s):
 def test_passage_transform_magnitude_bounded(seed, n, s):
     """|L(s)| <= 1 on the right half plane — it is the transform of a density."""
     kernel = random_kernel(np.random.default_rng(seed), n)
-    vec, _ = passage_transform_vector(kernel, [0], s)
+    vec, _ = vector_block_of_one(kernel, [0], s)
     assert np.all(np.abs(vec) <= 1.0 + 1e-8)
 
 
@@ -92,7 +92,7 @@ def test_source_weights_supported_on_sources(seed, n):
 def test_reachability_probability_at_small_s(seed, n, s):
     """As s -> 0 the passage transform approaches 1 (target reached a.s.)."""
     kernel = random_kernel(np.random.default_rng(seed), n)
-    vec = passage_transform_direct(kernel, [n - 1], 1e-10)
+    (vec,) = passage_transform_direct_batch(kernel, [n - 1], [1e-10])
     assert np.allclose(vec, 1.0, atol=1e-5)
 
 
@@ -156,9 +156,9 @@ def test_evaluators_and_planes_are_views_of_the_image(seed, n, s):
     ]
     assert len(held) == 5
     assert all(any(np.shares_memory(a, b) for b in kernel.csr) for a in held)
-    u = evaluator.u(s)
-    assert np.shares_memory(u.indptr, kernel.csr.indptr)
-    assert np.shares_memory(u.indices, kernel.csr.indices)
+    # the one LST fill writes its grid in the image's edge order
+    (data,) = evaluator.u_data_batch([s])
+    assert np.allclose(data, reference.u_data(kernel, s), rtol=1e-13, atol=0.0)
     assert kernel.evaluator().csr is kernel.csr  # every further evaluator: nothing
 
     with tempfile.TemporaryDirectory() as directory:

@@ -1,4 +1,8 @@
-"""Tests for transient state distributions (Pyke's relations, Eqs. 6-7)."""
+"""Tests for transient state distributions (Pyke's relations, Eqs. 6-7).
+
+The subject is the shipped ``transient_transform_batch`` — a whole Euler grid
+per inversion, as every surface runs it.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -9,10 +13,10 @@ from repro.laplace import EulerInverter
 from repro.smp import (
     SMPBuilder,
     smp_steady_state,
-    sojourn_lsts,
     source_weights,
-    transient_transform,
+    transient_transform_batch,
 )
+from tests import reference
 
 
 def invert_transient(kernel, sources, targets, t_points, solver="iterative"):
@@ -20,10 +24,7 @@ def invert_transient(kernel, sources, targets, t_points, solver="iterative"):
     inv = EulerInverter()
 
     def transform(s_values):
-        return np.asarray(
-            [transient_transform(kernel, alpha, targets, s, solver=solver) for s in s_values],
-            dtype=complex,
-        )
+        return transient_transform_batch(kernel, alpha, targets, s_values, solver=solver)[0]
 
     return inv.invert(transform, t_points)
 
@@ -121,21 +122,21 @@ class TestLongRunBehaviour:
 class TestValidation:
     def test_sojourn_lsts_match_row_sums(self, branching_kernel):
         s = 0.9 + 2.2j
-        h = sojourn_lsts(branching_kernel, s)
-        U = branching_kernel.u_matrix(s).toarray()
+        (h,) = branching_kernel.evaluator().sojourn_lst_batch([s])
+        U = reference.u_matrix(branching_kernel, s).toarray()
         assert np.allclose(h, U.sum(axis=1))
 
     def test_zero_s_rejected(self, ctmc_kernel):
         alpha = source_weights(ctmc_kernel, [0])
         with pytest.raises(ValueError):
-            transient_transform(ctmc_kernel, alpha, [1], 0.0)
+            transient_transform_batch(ctmc_kernel, alpha, [1], [0.0])
 
     def test_bad_solver_rejected(self, ctmc_kernel):
         alpha = source_weights(ctmc_kernel, [0])
         with pytest.raises(ValueError):
-            transient_transform(ctmc_kernel, alpha, [1], 1.0, solver="guess")
+            transient_transform_batch(ctmc_kernel, alpha, [1], [1.0], solver="guess")
 
     def test_bad_targets_rejected(self, ctmc_kernel):
         alpha = source_weights(ctmc_kernel, [0])
         with pytest.raises(ValueError):
-            transient_transform(ctmc_kernel, alpha, [9], 1.0)
+            transient_transform_batch(ctmc_kernel, alpha, [9], [1.0])

@@ -5,7 +5,9 @@ job's batch evaluation, and only the two modules that own a key format call
 the scalar canonicaliser — every other surface reaches both through
 ``CoalescingScheduler.evaluate`` and the keys its ``QueryPlan`` carries.  One
 layer down, every batched solve is one block loop around one routed block
-solve around one driver (``smp/passage.py``).  One more down, the edges have
+solve around one driver (``smp/passage.py``) — and there is no other solve: a
+single s-point is a block of one, the scalar implementation an oracle under
+``tests/reference``.  One more down, the edges have
 one image — ``SMPKernel.csr`` — that every solver, the simulator and the
 content digest read and a plane file shares; a kernel keeps them in no other
 order, and its embedded chain has one stationary solver.  Upstream of the kernel there is one road from a net to it: one
@@ -49,6 +51,81 @@ def test_only_the_executors_evaluate_batches():
     sites = _call_sites("evaluate_batch", "evaluate_many")
     # core/jobs.py: evaluate_many is defined there as a wrapper of evaluate_batch
     assert sites == {"core/jobs.py": 1, "distributed/backends.py": 2}
+    # the solver classes reach their job's values through their scheduler —
+    # a single transform value included — and in no other way
+    solvers = SRC / "core" / "solvers.py"
+    evaluations = [
+        ast.unparse(node.func)
+        for node in _nodes(solvers, ast.Call)
+        if getattr(node.func, "attr", "").startswith("evaluate")
+    ]
+    assert evaluations == ["self._scheduler.evaluate"]
+    assert _call_sites("gather")["core/solvers.py"] == 1
+
+
+def test_one_implementation_of_the_per_point_algorithm():
+    """The block solve is the only implementation in ``src/``: the scalar
+    cone — its LST fill, its ``U'``, its row and column loops, its transient
+    assembly, its LU assembly and the polynomial-fit moments built on it —
+    lives in ``tests/reference`` as oracles, and a single s-point is a block
+    of one."""
+    from repro.core.jobs import PassageTimeJob, TransformJob, TransientJob
+    from repro.core.solvers import PassageTimeSolver
+    from repro.smp import SMPKernel, UEvaluator
+
+    cone = {
+        "passage_transform", "passage_transform_vector", "transient_transform",
+        "passage_transform_direct", "sojourn_lsts", "lst_moments", "mean_from_lst",
+        "variance_from_lst",
+    }
+    defined, exported, imported = [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        defined += [
+            f"{where}:{node.name}" for node in _nodes(path, ast.FunctionDef) if node.name in cone
+        ]
+        exported += [
+            f"{where}:{node.value}"
+            for assign in _nodes(path, ast.Assign)
+            if "__all__" in [getattr(target, "id", None) for target in assign.targets]
+            for node in ast.walk(assign.value)
+            if isinstance(node, ast.Constant) and node.value in cone
+        ]
+        imported += [
+            f"{where}:{module}"
+            for node in _nodes(path, ast.Import, ast.ImportFrom)
+            for module in (
+                [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else [alias.name for alias in node.names]
+            )
+            if module.split(".")[0] in ("tests", "benchmarks")
+        ]
+    assert not defined and not exported
+    assert not imported  # an oracle is never a dependency of what it checks
+    assert not (SRC / "distributions" / "moments.py").exists()
+
+    for job in (TransformJob, PassageTimeJob, TransientJob):
+        assert not hasattr(job, "evaluate")
+    for name in ("u", "u_prime", "sojourn_lst", "_u_data", "_matrix_from_data"):
+        assert not hasattr(UEvaluator, name), name
+    assert not hasattr(SMPKernel, "u_matrix")
+    scalar_s = [
+        name for name, method in inspect.getmembers(UEvaluator, inspect.isfunction)
+        if "s" in inspect.signature(method).parameters
+    ]
+    assert not scalar_s
+
+    # both users of a sparse LU share one assembly of I - U K
+    assert _call_sites("splu", "spsolve") == {"smp/linear.py": 1}
+    # one moments code, called from one place, with nothing to select
+    assert _call_sites("passage_moments") == {"core/solvers.py": 1}
+    assert not _call_sites("polyfit", "polyder")
+    assert list(inspect.signature(PassageTimeSolver.moments).parameters) == ["self", "order"]
+    (moments,) = [
+        node for node in _nodes(SRC / "core" / "solvers.py", ast.FunctionDef)
+        if node.name == "moments"
+    ]
+    assert not [node for node in ast.walk(moments) if isinstance(node, (ast.If, ast.IfExp))]
 
 
 def test_one_worker_pool_per_backend_and_workers_that_know_no_job():

@@ -1,6 +1,9 @@
 """Tests of the top-level public API surface."""
 from __future__ import annotations
 
+import tomllib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,40 @@ import repro
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_pyproject_agrees_with_the_package(self):
+        """One version — what ``/v1/stats`` reports is what the metadata says —
+        and dependency floors as high as the calls the code makes."""
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["version"] == repro.__version__
+        assert project["dependencies"] == ["numpy>=2.0", "scipy>=1.12"]
+
+    def test_subpackage_exports_resolve(self):
+        import repro.core
+        import repro.distributions
+        import repro.smp
+
+        for package in (repro.core, repro.distributions, repro.smp):
+            for name in package.__all__:
+                assert hasattr(package, name), f"{package.__name__}.{name}"
+
+    def test_the_scalar_cone_is_not_exported(self):
+        """A single s-point is ``job.evaluate_many([s])`` / ``solver.transform(s)``
+        and the moments are ``solver.moments()``; the one-point-at-a-time
+        functions are oracles in ``tests/reference``."""
+        import repro.distributions
+        import repro.smp
+
+        for name in (
+            "passage_transform", "passage_transform_vector", "passage_transform_direct",
+            "transient_transform", "sojourn_lsts",
+        ):
+            assert not hasattr(repro.smp, name), name
+        for name in ("lst_moments", "mean_from_lst", "variance_from_lst"):
+            assert not hasattr(repro.distributions, name), name
+        assert not hasattr(repro.PassageTimeJob, "evaluate")
+        assert "passage_moments" in repro.smp.__all__
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
