@@ -144,12 +144,13 @@ class PassageTimeJob(TransformJob):
         costs = np.zeros(s_values.shape, dtype=float)
         nonzero = np.flatnonzero(s_values != 0)
         # L(0) is the probability of ever reaching the target set, which is
-        # one in the irreducible chains this library targets.
+        # one in the irreducible chains this library targets.  A grid of
+        # s = 0 points alone still runs the (empty) solve, so its report
+        # names the engine and no blocks instead of keeping the last call's.
         values[s_values == 0] = 1.0 + 0.0j
-        if nonzero.size:
-            values[nonzero], costs[nonzero] = self._batch(
-                passage_transform_batch, s_values[nonzero]
-            )
+        values[nonzero], costs[nonzero] = self._batch(
+            passage_transform_batch, s_values[nonzero]
+        )
         return values, costs
 
 

@@ -87,6 +87,10 @@ class VectorizedExpression:
     def source(self) -> str:
         return self._expr.source
 
+    @property
+    def tree(self) -> ast.AST:
+        return self._expr.tree
+
     def names(self) -> set[str]:
         return self._expr.names()
 

@@ -12,13 +12,21 @@ the one representation of an explored net, :class:`StateSpace`:
 * edges are structure-of-arrays — ``src``/``dst`` int64, ``prob`` float64,
   ``dist`` int32 into a table of *unique* distributions deduplicated at
   exploration time, ``trans`` int32 into the net's transition names,
+* the net is compiled once per explore: a declaratively specified attribute
+  (an expression string, see :class:`repro.petri.net.Transition`) that names
+  no place is a constant, evaluated once — place-free weights and
+  priorities, ``p ± c`` actions (``c`` a constant integer) and guards that
+  are conjunctions of ``place <,<=,>,>= constant`` fold into constant
+  vectors, a firing delta and per-place integer bounds that the wave loop
+  applies with single broadcasts,
 * enabledness, priority selection, weight normalisation and firing are
-  evaluated per *transition over the frontier batch* — declaratively
-  specified attributes (expression strings, see
-  :class:`repro.petri.net.Transition`) compile to one NumPy evaluation via
+  evaluated per *transition over the frontier batch* — attributes that do
+  not fold compile to one NumPy evaluation per wave via
   :class:`repro.dnamaca.vectorize.VectorizedExpression`; opaque Python
   callables fall back to per-row evaluation of just that attribute, so any
-  net explores correctly and nets with declarative attributes explore fast.
+  net explores correctly and nets with declarative attributes explore fast,
+* a marking-dependent firing distribution with declared dependent places is
+  built once per distinct token row of those places for the whole explore.
 
 The discovery order (and therefore state numbering), deadlock list,
 ``max_states`` truncation semantics and edge columns are *identical* to the
@@ -30,6 +38,8 @@ visits them.
 """
 from __future__ import annotations
 
+import ast
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -59,8 +69,28 @@ def _broadcast(value, k: int) -> np.ndarray:
     return arr
 
 
+# Guard folding: ``place <op> c`` on integer token counts is an integer bound
+# (``p > c`` ⇔ ``p >= floor(c) + 1``); ``c <op> place`` mirrors the operator.
+_NO_UPPER = np.iinfo(np.int64).max
+_EXACT_INT = 2.0 ** 53  # beyond this a float constant no longer names one integer
+_INTEGER_BOUND = {
+    ast.Gt: lambda c: math.floor(c) + 1,
+    ast.GtE: math.ceil,
+    ast.Lt: lambda c: math.ceil(c) - 1,
+    ast.LtE: math.floor,
+}
+_MIRRORED = {ast.Gt: ast.Lt, ast.GtE: ast.LtE, ast.Lt: ast.Gt, ast.LtE: ast.GtE}
+
+
 class _VectorTransition:
-    """One net transition compiled for frontier-batch evaluation."""
+    """One net transition compiled for frontier-batch evaluation.
+
+    Compiled once per explore: an expression attribute that names no place
+    is a constant, evaluated here over the transition's constants, so a
+    place-free weight or priority, a ``p ± c`` action and a guard made of
+    ``place <op> constant`` comparisons cost nothing per wave.  Whatever does
+    not fold stays on the per-wave expression path below.
+    """
 
     def __init__(self, transition: Transition, net: SMSPN, index: int):
         self.transition = transition
@@ -68,36 +98,41 @@ class _VectorTransition:
         self.name = transition.name
         self.index = index
         place_index = dict(net.place_index)
+        self._place_index = place_index
         self._place_items = list(place_index.items())
         self.constants = dict(getattr(transition, "_bound_constants", {}) or {})
         n_places = len(net.places)
 
-        self.input_cols = np.asarray(
-            [place_index[p] for p in transition.inputs], dtype=np.int64
-        )
-        self.input_counts = np.asarray(
-            [transition.inputs[p] for p in transition.inputs], dtype=np.int64
-        )
+        # Enabling bounds: input arcs are lower bounds, and a foldable guard
+        # tightens them and adds upper bounds.
+        self.lower = np.zeros(n_places, dtype=np.int64)
+        for place, count in transition.inputs.items():
+            self.lower[place_index[place]] = int(count)
+        self.upper = np.full(n_places, _NO_UPPER, dtype=np.int64)
 
-        # Dispatch per attribute: a vectorized expression or a constant when
-        # declared, otherwise each method's final branch evaluates the
+        # Dispatch per attribute: a constant, else a vectorized expression
+        # when declared, otherwise each method's final branch evaluates the
         # transition's scalar callable per row.
         self.has_guard = transition._guard_fn is not None
+        self._guard_vec = None
         if transition.guard_source is not None:
-            self._guard_vec = VectorizedExpression(transition.guard_source)
-        else:
-            self._guard_vec = None
+            guard = VectorizedExpression(transition.guard_source)
+            lower, upper = self.lower.copy(), self.upper.copy()
+            if self._fold_guard(guard.tree, lower, upper):
+                self.lower, self.upper = lower, upper
+                self.has_guard = False
+            else:
+                self._guard_vec = guard
+        self.bound_cols = np.flatnonzero((self.lower > 0) | (self.upper < _NO_UPPER))
 
-        self._priority_vec = self._priority_const = None
-        if transition.priority_source is not None:
-            self._priority_vec = VectorizedExpression(transition.priority_source)
-        elif not callable(transition.priority):
+        self._priority_vec, self._priority_const = self._declared(transition.priority_source)
+        if self._priority_const is not None:
+            self._priority_const = float(np.rint(self._priority_const))
+        elif transition.priority_source is None and not callable(transition.priority):
             self._priority_const = float(int(transition.priority))
 
-        self._weight_vec = self._weight_const = None
-        if transition.weight_source is not None:
-            self._weight_vec = VectorizedExpression(transition.weight_source)
-        elif not callable(transition.weight):
+        self._weight_vec, self._weight_const = self._declared(transition.weight_source)
+        if transition.weight_source is None and not callable(transition.weight):
             self._weight_const = float(transition.weight)
 
         self._fire_delta = self._fire_vec = None
@@ -114,18 +149,26 @@ class _VectorTransition:
                     raise KeyError(
                         f"action of {transition.name!r} writes unknown place {place!r}"
                     )
-            self._fire_vec = [
-                (place_index[place], VectorizedExpression(expr))
+            actions = [
+                (place, VectorizedExpression(expr))
                 for place, expr in transition.action_source.items()
             ]
+            self._fire_delta = self._action_delta(actions)
+            if self._fire_delta is None:
+                self._fire_vec = [(place_index[place], expr) for place, expr in actions]
 
         self._dist_const: Distribution | None = None
         self._dist_cols: np.ndarray | None = None
+        # Distribution-table id per token row of the declared dependent
+        # places, kept for the whole explore: each distinct row is built once.
+        # (A whole-marking key never repeats — each state expands once.)
+        self._dist_memo: dict[bytes, int] | None = None
         if isinstance(transition.distribution, Distribution):
             self._dist_const = transition.distribution
         else:
             depends = transition.distribution_depends
             if depends is not None:
+                self._dist_memo = {}
                 for place in depends:
                     if place not in place_index:
                         raise KeyError(
@@ -136,6 +179,96 @@ class _VectorTransition:
             else:
                 cols = list(range(n_places))
             self._dist_cols = np.asarray(cols, dtype=np.int64)
+
+    # ------------------------------------------------------------ folding
+    def _constant(self, expr: VectorizedExpression | ast.AST) -> float | None:
+        """The value of a place-free expression, evaluated once.
+
+        ``None`` when the expression names a place (place columns shadow
+        same-named constants), faults, or is not a finite real: the caller
+        then keeps the attribute on the per-wave path, which raises where
+        the reference raises.
+        """
+        if not isinstance(expr, VectorizedExpression):
+            expr = VectorizedExpression(ast.unparse(expr))
+        if expr.names() & self._place_index.keys():
+            return None
+        try:
+            value = float(expr.evaluate_checked(self.constants))
+        except (ArithmeticError, TypeError, ValueError):
+            return None
+        return value if math.isfinite(value) else None
+
+    def _declared(self, source: str | None):
+        """``(per-wave expression, None)`` or ``(None, constant)`` for an
+        expression attribute; ``(None, None)`` when there is none."""
+        if source is None:
+            return None, None
+        expr = VectorizedExpression(source)
+        value = self._constant(expr)
+        return (expr, None) if value is None else (None, value)
+
+    def _action_delta(self, actions) -> np.ndarray | None:
+        """The firing delta of an action whose every right-hand side is
+        ``p + c`` / ``p - c`` on its own place with ``c`` a constant integer."""
+        delta = np.zeros(len(self._place_index), dtype=np.int64)
+        for place, expr in actions:
+            node = expr.tree
+            if not (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.Add, ast.Sub))
+                and isinstance(node.left, ast.Name)
+                and node.left.id == place
+            ):
+                return None
+            step = self._constant(node.right)
+            if step is None or not step.is_integer() or abs(step) >= _EXACT_INT:
+                return None
+            sign = 1 if isinstance(node.op, ast.Add) else -1
+            delta[self._place_index[place]] = sign * int(step)
+        return delta
+
+    def _fold_guard(self, node: ast.AST, lower: np.ndarray, upper: np.ndarray) -> bool:
+        """Fold a conjunction of ``place <op> constant`` comparisons (either
+        side, ``<`` ``<=`` ``>`` ``>=``) and constants into integer per-place
+        bounds; ``False`` when any part does not fold."""
+        value = self._constant(node)
+        if value is not None:
+            if not value:
+                if lower.size == 0:
+                    return False  # no place to carry the empty interval
+                lower[0], upper[0] = 1, 0
+            return True
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            return all(self._fold_guard(value, lower, upper) for value in node.values)
+        if isinstance(node, ast.Compare):
+            left = node.left
+            for op, right in zip(node.ops, node.comparators):
+                if not self._fold_comparison(left, type(op), right, lower, upper):
+                    return False
+                left = right
+            return True
+        return False
+
+    def _fold_comparison(self, left, op, right, lower, upper) -> bool:
+        if isinstance(left, ast.Name) and left.id in self._place_index:
+            place, other = left.id, right
+        elif isinstance(right, ast.Name) and right.id in self._place_index:
+            place, other, op = right.id, left, _MIRRORED.get(op)
+        else:
+            return False
+        if op not in _INTEGER_BOUND:
+            return False
+        value = self._constant(other)
+        if value is None or abs(value) >= _EXACT_INT:
+            return False
+        column = self._place_index[place]
+        bound = _INTEGER_BOUND[op](value)
+        if op in (ast.Gt, ast.GtE):
+            lower[column] = max(lower[column], bound)
+        else:
+            upper[column] = min(upper[column], bound)
+        return True
 
     # ------------------------------------------------------------ helpers
     def _column_env(self, M: np.ndarray) -> dict:
@@ -283,11 +416,16 @@ class _VectorTransition:
             return np.full(len(M_rows), intern(self._dist_const), dtype=np.int64)
         sub = np.ascontiguousarray(M_rows[:, self._dist_cols])
         void = sub.view(np.dtype((np.void, sub.dtype.itemsize * sub.shape[1]))).ravel()
-        _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+        keys, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+        memo = self._dist_memo if self._dist_memo is not None else {}
         ids = np.empty(first.size, dtype=np.int64)
         for u, row in enumerate(first):
-            dist = self.transition.distribution_in(view_of_row(M_rows[row]))
-            ids[u] = intern(dist)
+            key = keys[u].tobytes()
+            found = memo.get(key)
+            if found is None:
+                dist = self.transition.distribution_in(view_of_row(M_rows[row]))
+                found = memo[key] = intern(dist)
+            ids[u] = found
         return ids[inverse]
 
 
@@ -661,22 +799,25 @@ def explore(
     compiled = [_VectorTransition(t, net, i) for i, t in enumerate(net.transitions)]
     n_trans = len(compiled)
 
-    # Wave-overhead fast paths: all input-arc constraints check as ONE
-    # broadcast comparison, and all-constant priorities / weights fill their
-    # work matrices with a single np.where instead of per-transition loops.
-    required = np.zeros((n_trans, n_places), dtype=np.int64)
+    # Wave-overhead fast paths.  Every net is compiled once above, so input
+    # arcs and folded guards check as ONE broadcast comparison against
+    # per-place lower / upper bounds, and all-constant priorities / weights
+    # (declared numbers or place-free expressions, as DNAmaca specs write
+    # them) fill their work matrices with a single np.where instead of
+    # per-transition loops.  Only what did not fold is evaluated per wave.
+    lower = np.zeros((n_trans, n_places), dtype=np.int64)
+    upper = np.full((n_trans, n_places), _NO_UPPER, dtype=np.int64)
     for t in compiled:
-        required[t.index, t.input_cols] = t.input_counts
+        lower[t.index], upper[t.index] = t.lower, t.upper
+    has_upper = bool((upper < _NO_UPPER).any())
     guarded = [t for t in compiled if t.has_guard]
     const_priority = None
     if all(t._priority_const is not None for t in compiled):
         const_priority = np.asarray([t._priority_const for t in compiled])
-    const_weight = None
+    const_weight = negative = None
     if all(t._weight_const is not None for t in compiled):
         const_weight = np.asarray([t._weight_const for t in compiled])
-        if np.any(const_weight < 0):
-            bad = compiled[int(np.flatnonzero(const_weight < 0)[0])]
-            raise ValueError(f"transition {bad.name!r} produced a negative weight")
+        negative = np.flatnonzero(const_weight < 0)
 
     capacity = 1024
     markings = np.empty((capacity, n_places), dtype=np.int64)
@@ -718,18 +859,22 @@ def explore(
                 view_cache[row] = view
             return view
 
-        # One broadcast comparison checks every arc of every transition, as
-        # long as the (batch, transitions, places) temporary stays small;
-        # wide nets fall back to per-transition checks over their own arc
-        # columns so the per-wave footprint tracks actual arcs.
+        # One broadcast comparison checks every bound of every transition,
+        # as long as the (batch, transitions, places) temporary stays small;
+        # wide nets fall back to per-transition checks over their own bounded
+        # columns so the per-wave footprint tracks actual arcs and guards.
         if k * n_trans * n_places <= 16_000_000:
-            enabled = (M[:, None, :] >= required[None, :, :]).all(axis=2)
+            enabled = (M[:, None, :] >= lower[None, :, :]).all(axis=2)
+            if has_upper:
+                enabled &= (M[:, None, :] <= upper[None, :, :]).all(axis=2)
         else:
             enabled = np.ones((k, n_trans), dtype=bool)
             for t in compiled:
-                if t.input_cols.size:
+                cols = t.bound_cols
+                if cols.size:
+                    sub = M[:, cols]
                     enabled[:, t.index] = (
-                        M[:, t.input_cols] >= t.input_counts
+                        (sub >= t.lower[cols]) & (sub <= t.upper[cols])
                     ).all(axis=1)
         for t in guarded:
             column = enabled[:, t.index]
@@ -756,6 +901,11 @@ def explore(
         active = enabled & (priority == top[:, None])
 
         if const_weight is not None:
+            # A negative weight is an error only once its transition is
+            # active, as in the per-marking semantics.
+            if negative.size and active[:, negative].any():
+                bad = compiled[int(negative[active[:, negative].any(axis=0)][0])]
+                raise ValueError(f"transition {bad.name!r} produced a negative weight")
             weights = np.where(active, const_weight[None, :], 0.0)
         else:
             weights = np.zeros((k, n_trans))

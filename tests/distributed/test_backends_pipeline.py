@@ -23,6 +23,17 @@ def erlang_job(two_state_kernel):
     )
 
 
+def test_zero_only_batch_resets_last_report(erlang_job):
+    """A grid of ``s = 0`` points solves nothing, and its report says so
+    instead of repeating the previous call's blocks."""
+    erlang_job.evaluate_batch([0.5 + 1j, 2.0 + 0j])
+    engine = erlang_job.last_report["engine"]
+    assert erlang_job.last_report["blocks"]
+    values, costs = erlang_job.evaluate_batch([0j, 0j])
+    assert values.tolist() == [1.0, 1.0] and costs.tolist() == [0.0, 0.0]
+    assert erlang_job.last_report == {"engine": engine, "blocks": []}
+
+
 class TestSerialBackend:
     def test_matches_direct_evaluation(self, erlang_job):
         backend = SerialBackend()

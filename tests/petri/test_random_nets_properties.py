@@ -54,6 +54,95 @@ def random_nets(draw):
     return net, tokens
 
 
+# Declarative spellings of "move one token from a to b".  The explorer folds
+# some of them at compile time (place-free weights and priorities, ``p ± K``
+# actions, conjunctions of place-vs-constant bounds) and keeps the rest on the
+# per-wave expression path; every one must explore like the reference.
+_GUARDS = [
+    "{a} > 0",                      # folds
+    "{a} >= ONE && {b} < CAP",      # folds: an interval over two places
+    "HALF < {a}",                   # folds: mirrored, non-integer bound
+    "{a} != 0",                     # expression path: != does not fold
+    "{a} > 0 || {a} > 5",           # expression path: || does not fold
+    "{a} > 0 && {a} > {b} - CAP",   # expression path: marking-dependent bound
+]
+_WEIGHTS = ["W{i}", "{w}", "W{i} * ONE", "W{i} + {a}"]  # the last is per-wave
+_PRIORITIES = ["PRI", "1", "{a} > 1"]                    # the last is per-wave
+_ACTIONS = [
+    {"{a}": "{a} - ONE", "{b}": "{b} + ONE"},     # folds to a delta
+    {"{a}": "{a} - 1", "{b}": "{b} + (ONE + 0)"},  # folds to a delta
+    {"{a}": "{a} - 1", "{b}": "{b} + ({a} > 0)"},  # cross-place: per-wave
+    {"{a}": "{a} - 0.6", "{b}": "{b} + 1.4"},      # non-integer: per-wave
+    None,                                          # input / output arcs
+]
+
+
+@st.composite
+def random_declarative_nets(draw):
+    """The token-conserving transfer nets of :func:`random_nets`, declared
+    with expression strings over named constants (the DNAmaca form)."""
+    n_places = draw(st.integers(min_value=2, max_value=4))
+    tokens = draw(st.integers(min_value=1, max_value=3))
+    constants = {
+        "ONE": 1.0,
+        "HALF": 0.5,
+        "CAP": float(draw(st.integers(min_value=1, max_value=tokens + 1))),
+        "PRI": float(draw(st.integers(min_value=0, max_value=1))),
+    }
+    net = SMSPN("random-declarative")
+    for p in range(n_places):
+        net.add_place(f"p{p}", tokens if p == 0 else 0)
+    pairs = [(i, (i + 1) % n_places) for i in range(n_places)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=n_places - 1))
+        j = draw(st.integers(min_value=0, max_value=n_places - 1))
+        if i != j:
+            pairs.append((i, j))
+    for index, (i, j) in enumerate(sorted(pairs)):
+        names = {"a": f"p{i}", "b": f"p{j}", "i": index}
+        weight = draw(st.floats(min_value=0.1, max_value=5.0))
+        constants[f"W{index}"] = weight
+        names["w"] = repr(weight)
+        guard = draw(st.sampled_from(_GUARDS)).format(**names)
+        action = draw(st.sampled_from(_ACTIONS))
+        if action is None:
+            kwargs = dict(inputs={f"p{i}": 1}, outputs={f"p{j}": 1})
+        else:
+            kwargs = dict(
+                action={k.format(**names): v.format(**names) for k, v in action.items()}
+            )
+        if draw(st.booleans()):
+            kwargs["distribution"] = DISTS[draw(st.integers(0, len(DISTS) - 1))]
+        else:
+            # Marking-dependent sojourn, built once per distinct token count.
+            kwargs["distribution"] = lambda m, b=f"p{j}": Erlang(2.0, 1 + m[b])
+            kwargs["distribution_depends"] = (f"p{j}",)
+        net.add_transition(
+            Transition(
+                name=f"t{index}",
+                guard=guard,
+                weight=draw(st.sampled_from(_WEIGHTS)).format(**names),
+                priority=draw(st.sampled_from(_PRIORITIES)).format(**names),
+                constants=constants,
+                **kwargs,
+            )
+        )
+    return net, tokens
+
+
+@given(random_declarative_nets(), st.sampled_from([None, 3, 12]))
+@settings(max_examples=60, deadline=None)
+def test_array_explorer_matches_reference_on_declarative_nets(case, max_states):
+    """Folded and per-wave attributes run through one wave loop; either way
+    the array explorer answers exactly like the reference."""
+    net, tokens = case
+    reference = explore_reference(net, max_states=max_states)
+    space = explore(net, max_states=max_states)
+    assert_same_space(reference, space)
+    assert_same_build(reference, space)
+    assert np.all(space.marking_array().sum(axis=1) == tokens)
+
+
 @given(random_nets())
 @settings(max_examples=40, deadline=None)
 def test_reachable_markings_conserve_tokens(case):

@@ -323,6 +323,170 @@ def test_interner_repacks_when_token_counts_grow():
     assert int(space.marking_matrix[:, 0].max()) == 1024
 
 
+# ---------------------------------------------------------------------------
+# Compile once: place-free attributes fold at compile time
+# ---------------------------------------------------------------------------
+
+
+def _two_state_net(**dead_kwargs) -> SMSPN:
+    """``go`` / ``back`` shuttle one token between ``a`` and ``b``; ``dead``
+    is a third transition configured by the caller."""
+    net = SMSPN("shuttle")
+    net.add_place("a", 1)
+    net.add_place("b", 0)
+    net.add_place("never", 0)
+    net.add_transition(
+        Transition(name="go", inputs={"a": 1}, outputs={"b": 1}, distribution=Exponential(1.0))
+    )
+    net.add_transition(
+        Transition(name="back", inputs={"b": 1}, outputs={"a": 1}, distribution=Exponential(2.0))
+    )
+    net.add_transition(
+        Transition(name="dead", distribution=Exponential(3.0), constants={"K": 1.0}, **dead_kwargs)
+    )
+    return net
+
+
+@pytest.mark.parametrize("weight", [-1.0, "-K"], ids=["number", "folded"])
+def test_negative_weight_raises_only_once_active(weight):
+    """A negative weight is an error of the marking that activates it, not
+    of the net: a transition that is never enabled explores like the
+    reference, and one that is enabled raises like it."""
+    idle = _two_state_net(inputs={"never": 1}, outputs={"a": 1}, weight=weight)
+    reference = explore_reference(idle)
+    assert reference.n_states == 2
+    assert_same_space(reference, explore(idle))
+
+    live = _two_state_net(inputs={"a": 1}, outputs={"never": 1}, weight=weight)
+    for explorer in (explore_reference, explore):
+        with pytest.raises(ValueError, match="'dead' produced a negative weight"):
+            explorer(live)
+
+
+@pytest.mark.parametrize("guard", ["0", "K > 5", "never > 0 && K < 0", "a > K"])
+def test_constant_false_and_unsatisfiable_guards_fold(guard):
+    net = _two_state_net(guard=guard, action={"a": "a + 1"})
+    reference = explore_reference(net)
+    assert_same_space(reference, explore(net))
+    assert reference.n_states == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(weight="1 / 0"),
+        dict(priority="1 / 0"),
+        dict(guard="b > 1 / 0"),
+        dict(action={"a": "a + 1 / 0"}),
+    ],
+    ids=["weight", "priority", "guard", "action"],
+)
+@pytest.mark.parametrize("live", [False, True], ids=["idle", "live"])
+def test_faulting_constant_stays_on_the_expression_path(kwargs, live):
+    """``1/0`` is place-free but does not fold: where the transition is
+    evaluated both explorers raise, and where it never is both explore."""
+    kwargs = {"inputs": {"b" if live else "never": 1}, "outputs": {}, **kwargs}
+    if "action" not in kwargs:
+        kwargs["outputs"] = {"a": 1}
+    net = _two_state_net(**kwargs)
+    if live:
+        for explorer in (explore_reference, explore):
+            with pytest.raises(ZeroDivisionError):
+                explorer(net)
+    else:
+        assert_same_space(explore_reference(net), explore(net))
+
+
+def _slot_net(slots: int, padding: int) -> SMSPN:
+    """One token in ``c`` moves into any empty slot ``x<j>`` and back; an
+    ``x<j>`` that holds a token has a ``bump`` transition whose guard
+    ``0 < x<j> && x<j> < 1`` no integer satisfies, so only the guard's
+    upper bound keeps it disabled.  ``padding`` idle places widen the net."""
+    net = SMSPN(f"slots[{slots}+{padding}]")
+    net.add_place("c", 1)
+    for j in range(slots):
+        net.add_place(f"x{j}", 0)
+    for j in range(padding):
+        net.add_place(f"pad{j}", 0)
+    for j in range(slots):
+        x = f"x{j}"
+        net.add_transition(Transition(
+            name=f"put{j}", guard=f"c > 0 && {x} < 1",
+            action={"c": "c - 1", x: f"{x} + 1"}, distribution=Exponential(1.0),
+        ))
+        net.add_transition(Transition(
+            name=f"take{j}", guard=f"{x} >= 1",
+            action={"c": "c + 1", x: f"{x} - 1"}, distribution=Exponential(2.0),
+        ))
+        net.add_transition(Transition(
+            name=f"bump{j}", guard=f"0 < {x} && {x} < 1",
+            action={x: f"{x} + 1"}, distribution=Exponential(3.0),
+        ))
+    return net
+
+
+def test_wide_net_fallback_applies_folded_guard_bounds():
+    """The per-transition enabling check of wide nets applies the same
+    lower / upper bounds as the one broadcast comparison."""
+    slots, padding = 60, 1500
+    narrow = _slot_net(slots, 0)
+    wide = _slot_net(slots, padding)
+    # The second wave expands all ``slots`` one-token-in-a-slot states at
+    # once; over the wide net that batch exceeds the broadcast cut-off.
+    assert slots * len(wide.transitions) * len(wide.places) > 16_000_000
+    assert slots * len(narrow.transitions) * len(narrow.places) <= 16_000_000
+    # Ignoring the upper bound lets ``bump`` grow a slot without end; the cap
+    # turns that into a truncated, mismatching space instead.
+    cap = 2 * (slots + 1)
+    reference = explore_reference(narrow, max_states=cap)
+    assert reference.n_states == slots + 1 and not reference.truncated
+    assert_same_space(reference, explore(narrow, max_states=cap))
+    space = explore(wide, max_states=cap)
+    assert not space.truncated
+    assert np.array_equal(space.marking_matrix[:, : len(narrow.places)], reference.marking_matrix)
+    assert not space.marking_matrix[:, len(narrow.places):].any()
+    for column in ("edge_src", "edge_dst", "edge_trans", "deadlock_states"):
+        assert np.array_equal(getattr(space, column), getattr(reference, column)), column
+
+
+def test_voting_spec_evaluates_nothing_per_wave(monkeypatch):
+    """Every DNAmaca voting attribute folds: expressions are evaluated only
+    while compiling, and t2's marking-dependent Erlang is built once per
+    distinct ``p5``, not once per ``p5`` per wave."""
+    from repro.dnamaca.vectorize import VectorizedExpression
+    from repro.models import VotingParameters
+    from repro.petri.statespace import _VectorTransition
+
+    net = load_model(voting_spec_text(VotingParameters(50, 15, 4)))
+    counts = {"evaluate_checked": 0, "distribution_in": 0}
+
+    def counting(name, original):
+        def wrapper(self, *args):
+            counts[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    for cls, name in ((VectorizedExpression, "evaluate_checked"), (Transition, "distribution_in")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+
+    for index, transition in enumerate(net.transitions):
+        _VectorTransition(transition, net, index)
+    compile_calls = counts["evaluate_checked"]
+    counts["evaluate_checked"] = 0
+
+    space = explore(net)
+    assert space.n_states == 31_210
+    # 5,723 calls when every wave re-evaluated its constants.
+    assert counts["evaluate_checked"] == compile_calls <= 60
+    places = {name: i for i, name in enumerate(net.places)}
+    M = space.marking_matrix
+    fires_t2 = (M[:, places["p4"]] > 0) & (M[:, places["p5"]] > 0)
+    distinct_p5 = np.unique(M[fires_t2, places["p5"]]).size
+    assert distinct_p5 == 4
+    # 452 calls when each wave rebuilt its own distinct values.
+    assert counts["distribution_in"] <= distinct_p5
+
+
 class TestStateSpaceInterface:
     def test_o1_index_of_and_unknown_marking(self):
         space = explore(build_voting_net(SCALED_CONFIGURATIONS["tiny"]))
