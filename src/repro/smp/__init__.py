@@ -10,8 +10,9 @@ This package is the numerical heart of the reproduction:
 * :mod:`repro.smp.passage` — the paper's iterative passage-time algorithm
   (Eqs. 8–11),
 * :mod:`repro.smp.linear` — the classical direct linear solve (Eqs. 2–3),
-  used for routed s-points and as a validation baseline, and the passage
-  time's exact moments from the same system at ``s = 0``,
+  used for routed s-points and as a validation baseline, the passage
+  time's exact moments from the same system at ``s = 0``, and the one real
+  sparse solve those moments and the embedded steady state share,
 * :mod:`repro.smp.transient` — transient state distributions via Pyke's
   relations (Eqs. 6–7),
 * :mod:`repro.smp.steady` — long-run SMP state probabilities (the t -> inf

@@ -1,41 +1,28 @@
-"""Steady state of the embedded DTMC and the multi-source weights of Eq. (5)."""
+"""Steady state of the embedded DTMC and the multi-source weights of Eq. (5).
+
+The stationary vector is one real sparse solve at ``s = 0``: the pinned
+system is handed to :func:`repro.smp.linear._real_solver`, the recipe the
+passage time's moments use too (ILU once, preconditioned GMRES), so this
+module carries no solver of its own, only its gate on ``max|pi P - pi|``.
+"""
 from __future__ import annotations
 
 import time
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.sparse import linalg as splinalg
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
 from ..utils.validation import require
 from .kernel import SMPKernel
+from .linear import _real_solver, closed_classes
 
-__all__ = ["closed_classes", "dtmc_steady_state", "source_weights"]
+__all__ = ["dtmc_steady_state", "source_weights"]
 
 #: a returned vector must satisfy ``max|pi P - pi|`` to this bound; a solve
 #: that "converged" to anything worse is a failure, not an answer
 _MAX_RESIDUAL = 1e-8
-
-# The pinned system's preconditioner and Krylov window, probed on voting
-# models of 226 to 92,340 states (ROADMAP item 4's table): the incomplete LU
-# drops entries below ``drop_tol`` relative to their column and stops at
-# ``fill_factor`` times the matrix's own entries; GMRES restarts every
-# ``restart`` vectors.
-_ILU_DROP_TOL = 1e-4
-_ILU_FILL_FACTOR = 10
-_GMRES_RESTART = 40
-
-
-def closed_classes(P: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``(label, closed)``: every state's strongly connected class, and the
-    classes no edge leaves."""
-    n_classes, label = csgraph.connected_components(P, connection="strong")
-    edges = P.tocoo()
-    leaving = label[edges.row] != label[edges.col]
-    return label, np.setdiff1d(np.arange(n_classes), label[edges.row[leaving]])
 
 
 def dtmc_steady_state(P: sparse.spmatrix) -> np.ndarray:
@@ -80,36 +67,20 @@ def dtmc_steady_state(P: sparse.spmatrix) -> np.ndarray:
         for _ in range(min(n, 200)):
             pi = 0.5 * (pi @ P + pi)
         pinned = int(np.argmax(np.where(label == closed[0], pi, 0.0)))
-        residual_norms: list[float] = []
-        fill = 0.0
+        iterations, fill = 0, 0.0
         if n > 1:
             keep = np.delete(np.arange(n), pinned)
             system = (sparse.identity(n - 1, format="csr") - P[keep][:, keep]).T
-            try:
-                ilu = splinalg.spilu(
-                    system, drop_tol=_ILU_DROP_TOL, fill_factor=_ILU_FILL_FACTOR
-                )
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise np.linalg.LinAlgError(f"steady-state solve failed: {exc}") from exc
-            fill = ilu.nnz / system.nnz
-            # ``rtol`` sits at what double precision delivers, so the vector
-            # is as tight as the factorisation allows, and 25 restarts (1,000
-            # inner iterations; the 92,340 states of system 1 take 199) bound
-            # a stall.  GMRES's own verdict is not consulted: the residual
-            # gate below is the one test a vector has to pass.
-            solution, _ = splinalg.gmres(
-                system, P[[pinned]][:, keep].toarray().ravel(),
-                x0=pi[keep] / pi[pinned],
-                M=splinalg.LinearOperator(system.shape, ilu.solve),
-                restart=_GMRES_RESTART, maxiter=25, rtol=1e-14, atol=0.0,
-                callback=residual_norms.append, callback_type="pr_norm",
+            solve, fill = _real_solver(system)
+            solution, iterations, _ = solve(
+                P[[pinned]][:, keep].toarray().ravel(), x0=pi[keep] / pi[pinned]
             )
             pi = np.insert(solution, pinned, 1.0)
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
         residual = float(np.max(np.abs(pi @ P - pi)))
         span.set(
-            iterations=len(residual_norms), residual=residual,
+            iterations=iterations, residual=residual,
             pinned_state=pinned, ilu_fill=round(fill, 3),
         )
         if not residual <= _MAX_RESIDUAL:

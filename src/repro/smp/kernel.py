@@ -95,6 +95,18 @@ def target_mask(n_states: int, targets) -> np.ndarray:
     return mask
 
 
+def check_alpha(alpha, n_states: int) -> np.ndarray:
+    """Validated source weights (Eq. 5): one real weight per state, sum 1."""
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape != (n_states,):
+        raise ValueError("alpha must have one weight per state")
+    if alpha.imag.any():
+        raise ValueError("alpha must be real")
+    if abs(alpha.sum() - 1.0) > 1e-6:
+        raise ValueError("alpha must sum to 1")
+    return alpha
+
+
 class KernelCSR(NamedTuple):
     """A kernel's edges in ``(src, dst)`` order — the image the solvers read.
 

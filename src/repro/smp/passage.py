@@ -75,7 +75,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 
 from .factored import FactoredColOperator, FactoredRowOperator
-from .kernel import as_evaluator, target_mask
+from .kernel import as_evaluator, check_alpha, target_mask
 from .linear import passage_transform_direct_batch
 
 __all__ = [
@@ -334,15 +334,6 @@ class SPointPolicy:
 # ---------------------------------------------------------------------------
 # Batched evaluation: scaffold -> block -> driver -> operator (module docstring).
 # ---------------------------------------------------------------------------
-
-
-def _check_alpha(alpha, n: int) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (n,):
-        raise ValueError("alpha must have one weight per state")
-    if abs(alpha.sum() - 1.0) > 1e-6:
-        raise ValueError("alpha must sum to 1")
-    return alpha
 
 
 class _BatchOperator:
@@ -801,7 +792,7 @@ def passage_transform_batch(
     per-block solve timings.
     """
     evaluator = as_evaluator(kernel_or_evaluator)
-    alpha = _check_alpha(alpha, evaluator.kernel.n_states)
+    alpha = check_alpha(alpha, evaluator.kernel.n_states)
     return _form_batch(
         evaluator, _Form(alpha), targets, s_values, options, solver, policy, report
     )

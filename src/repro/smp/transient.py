@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import as_evaluator, target_mask
+from .kernel import as_evaluator, check_alpha, target_mask
 from .passage import (
     ConvergenceDiagnostics,
     PassageTimeOptions,
     SPointPolicy,
     _block_loop,
-    _check_alpha,
     _Form,
     _solve_block,
 )
@@ -65,7 +64,7 @@ def transient_transform_batch(
         raise ValueError("the transient transform has a pole at s = 0; use Re(s) > 0")
 
     n = evaluator.kernel.n_states
-    alpha = _check_alpha(alpha, n)
+    alpha = check_alpha(alpha, n)
 
     targets = np.unique(np.atleast_1d(np.asarray(targets, dtype=np.int64)))
     if targets.size == 0:

@@ -8,10 +8,12 @@ the right-hand side of comparisons only.
   the scalar LST fill, ``U`` / ``U'`` as matrices, the row and the column
   loop, the transient assembly of Eq. (7) and a from-scratch direct solve.
   The package shipped these until PR 24; it now runs the block solve only.
-* :mod:`tests.reference.moments` — moments by numerical differentiation of a
-  transform near ``s = 0``, the oracle of ``repro.smp.passage_moments``.
+* :mod:`tests.reference.moments` — the oracles of ``repro.smp.passage_moments``:
+  the same ``s = 0`` system by a complete sparse LU (the package's solve
+  until its real solves became one ILU + GMRES recipe), and moments by
+  numerical differentiation of a transform near ``s = 0``.
 """
-from .moments import lst_moments, mean_from_lst, variance_from_lst
+from .moments import lst_moments, lu_passage_moments, mean_from_lst, variance_from_lst
 from .smp import (
     passage_transform,
     passage_transform_direct,
@@ -25,6 +27,7 @@ from .smp import (
 
 __all__ = [
     "lst_moments",
+    "lu_passage_moments",
     "mean_from_lst",
     "variance_from_lst",
     "passage_transform",

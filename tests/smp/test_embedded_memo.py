@@ -35,6 +35,7 @@ from repro.smp import (
     KernelPlane,
     dtmc_steady_state,
     embedded,
+    linear,
     smp_steady_state,
     source_weights,
     steady_state_probability,
@@ -219,7 +220,7 @@ class TestObservability:
         n = kernel.n_states
         # every state as heavy as the pinned one: a distribution, not the stationary one
         monkeypatch.setattr(
-            embedded.splinalg, "gmres", lambda *args, **kwargs: (np.ones(n - 1), 0)
+            linear.splinalg, "gmres", lambda *args, **kwargs: (np.ones(n - 1), 0)
         )
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
             dtmc_steady_state(kernel.embedded_matrix())

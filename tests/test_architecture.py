@@ -10,7 +10,8 @@ single s-point is a block of one, the scalar implementation an oracle under
 ``tests/reference``.  One more down, the edges have
 one image — ``SMPKernel.csr`` — that every solver, the simulator and the
 content digest read and a plane file shares; a kernel keeps them in no other
-order, and its embedded chain has one stationary solver.  Upstream of the kernel there is one road from a net to it: one
+order, its embedded chain has one stationary solver, and every real system
+at ``s = 0`` one solve.  Upstream of the kernel there is one road from a net to it: one
 explorer into one ``StateSpace``, one vanishing pass, one edge merge
 (``SMPKernel.from_columns``).  A new call site outside these files is a second
 path growing back.
@@ -45,6 +46,28 @@ def _call_sites(*names: str) -> dict[str, int]:
         if count:
             sites[path.relative_to(SRC).as_posix()] = count
     return sites
+
+
+def _callers(*names: str) -> list[str]:
+    """``path:function`` of the outermost function around each call in
+    ``src/repro`` to a function or method called one of ``names``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [
+            node
+            for parent in (tree, *[c for c in tree.body if isinstance(c, ast.ClassDef)])
+            for node in parent.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        found += [
+            f"{path.relative_to(SRC).as_posix()}:{function.name}"
+            for function in functions
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in names
+        ]
+    return found
 
 
 def test_only_the_executors_evaluate_batches():
@@ -115,8 +138,11 @@ def test_one_implementation_of_the_per_point_algorithm():
     ]
     assert not scalar_s
 
-    # both users of a sparse LU share one assembly of I - U K
+    # a complete sparse LU is the complex routed points' alone: one call, in
+    # _factor, whose one caller is the direct batch solve
     assert _call_sites("splu", "spsolve") == {"smp/linear.py": 1}
+    assert _callers("splu", "spsolve") == ["smp/linear.py:_factor"]
+    assert _callers("_factor") == ["smp/linear.py:passage_transform_direct_batch"]
     # one moments code, called from one place, with nothing to select
     assert _call_sites("passage_moments") == {"core/solvers.py": 1}
     assert not _call_sites("polyfit", "polyder")
@@ -426,6 +452,23 @@ def test_one_stationary_solver_and_no_way_to_name_another():
         if node.name == "dtmc_steady_state"
     ]
     assert [arg.arg for arg in (*solver.args.args, *solver.args.kwonlyargs)] == ["P"]
+
+
+def test_one_real_solve_at_s_zero():
+    """The stationary vector and the moments solve their real systems through
+    one function: the incomplete LU and GMRES are each called there and
+    nowhere else, and the import runs one way, ``embedded -> linear``."""
+    assert _call_sites("spilu") == {"smp/linear.py": 1}
+    assert _call_sites("gmres") == {"smp/linear.py": 1}
+    assert _callers("spilu") == _callers("gmres") == ["smp/linear.py:_real_solver"]
+    assert _callers("_real_solver") == [
+        "smp/embedded.py:dtmc_steady_state", "smp/linear.py:passage_moments",
+    ]
+    assert "splinalg" not in (SRC / "smp" / "embedded.py").read_text()
+    imported = {
+        node.module for node in _nodes(SRC / "smp" / "linear.py", ast.ImportFrom)
+    }
+    assert "embedded" not in imported and "passage" not in imported
 
 
 def test_one_digest_epoch_read_by_the_kernel_digest_only():
