@@ -55,6 +55,7 @@ REQUIRED_METRICS = (
     "# TYPE repro_points_evaluated_total counter",
     "# TYPE repro_solve_iterations_total counter",
     "# TYPE repro_product_rows_total counter",
+    "# TYPE repro_product_edges_total counter",
     "# TYPE repro_block_seconds histogram",
     "# TYPE repro_iterations_per_s_point histogram",
     "# TYPE repro_queries_total counter",
@@ -294,11 +295,18 @@ def check_counter_reconciliation() -> None:
         reported = sum(block["product_rows"] for block in blocks)
         assert rows == reported, (rows, reported)
         assert all(block["product_rows"] >= block["iterations"] for block in blocks)
+        # the edge-point products arrive whole too: at most every edge of
+        # every row advanced (the row form's frontier takes fewer)
+        edges = registry.get("repro_product_edges_total").value(
+            engine=job.last_report["engine"]
+        )
+        assert 0 < edges <= rows * job.kernel.n_transitions, (edges, rows)
         iterations = registry.get("repro_solve_iterations_total").value()
         print(f"{job.kind()} counters reconcile: {int(counted)} points evaluated == "
               f"{len(s_points)} s-points dispatched ({job.targets.size} target "
               f"state(s)), {timed} block timings == {len(blocks)} solve blocks, "
-              f"{int(rows)} product rows for {int(iterations)} iterations",
+              f"{int(rows)} product rows for {int(iterations)} iterations, "
+              f"{edges / (rows * job.kernel.n_transitions):.3f} of their edges taken",
               flush=True)
 
 

@@ -320,11 +320,17 @@ class FaultPlan:
 _ACTIVE: FaultPlan | None = None
 _ENV_CACHE: tuple[str | None, FaultPlan | None] = (None, None)
 
+# ``os.environ``'s backing dict and the variable's key in it, encoded once:
+# with the variable unset a fire() point costs one membership test, where
+# ``os.environ.get`` raises and catches a KeyError every call.  Assignments
+# through ``os.environ`` (``monkeypatch.setenv`` included) land in this dict.
+_ENVIRON, _ENV_KEY = os.environ._data, os.environ.encodekey(ENV_VAR)
+
 
 def _active_plan() -> FaultPlan | None:
     if _ACTIVE is not None:
         return _ACTIVE
-    spec = os.environ.get(ENV_VAR) or None
+    spec = (os.environ.get(ENV_VAR) or None) if _ENV_KEY in _ENVIRON else None
     global _ENV_CACHE
     if _ENV_CACHE[0] != spec:
         _ENV_CACHE = (spec, FaultPlan.parse(spec) if spec else None)

@@ -452,6 +452,7 @@ def note_solve_block(
     seconds: float,
     iterations: int = 0,
     product_rows: int = 0,
+    product_edges: int = 0,
     direct_solves: int = 0,
     unconverged: int = 0,
     iteration_counts=None,
@@ -496,6 +497,13 @@ def note_solve_block(
             "point-rows advanced by the iterative product, per evaluation engine",
             ("engine",),
         ).inc(product_rows, engine=engine)
+        # The edge-point products actually taken: below product_rows x nnz
+        # by what the row form's frontier skipped.
+        registry.counter(
+            "repro_product_edges_total",
+            "edge-point products taken by the iterative product, per evaluation engine",
+            ("engine",),
+        ).inc(product_edges, engine=engine)
     for count in iteration_counts or ():
         registry.histogram(
             "repro_iterations_per_s_point", "iterations needed per s-point",

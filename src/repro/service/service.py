@@ -380,9 +380,12 @@ class AnalysisService:
             tenant=tenant, kind=kind, model=entry.digest,
             request=dataclasses.replace(query, model=by_spec).to_wire(),
         )
+        # The view is taken before the runner may claim the job: the record
+        # is live, and a fast job could otherwise be reported already done.
+        view = record.view(include_result=False)
         self._runner.start()
         self._runner.wake()
-        return record.view(include_result=False)
+        return view
 
     def job_view(self, job_id: str, *, tenant: str = DEFAULT_TENANT) -> dict:
         """One job's state/progress/result (``GET /v1/jobs/{id}``)."""

@@ -375,7 +375,8 @@ class _FactoredOperator:
         self.structure = structure
         self._pair_index = pair_index
         #: point-rows advanced so far (what the block's ``product_rows`` sums)
-        self.product_rows = 0
+        #: and the entries of the pair-expansion matrix they multiplied
+        self.product_rows = self.product_edges = 0
         self._resize(factored.lst_grid(s_block))  # (k, D)
 
     def _resize(self, lst: np.ndarray) -> None:
@@ -403,6 +404,7 @@ class _FactoredOperator:
         self._product(self._state, self._d_re, self._d_im, self._scratch, self._out)
         self._state, self._out = self._out, self._state
         self.product_rows += self.width
+        self.product_edges += self.width * self.structure.matrix.nnz
 
     def _prefix(self, packed: np.ndarray, width: int) -> np.ndarray:
         """The packed block of the first ``width`` points."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -689,6 +690,23 @@ class UEvaluator:
                 self._block_diag = held
         n, nnz = self.kernel.n_states, self.csr.indices.size
         return held[1][: width * n + 1], held[2][: width * nnz]
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """``reach[h]``: one past the highest state any of rows ``0..h-1`` leads to.
+
+        A row vector supported on the states below ``h`` stays, after one
+        product with ``U(s)`` or ``U'(s)``, supported below ``reach[h]`` —
+        whatever ``s`` and the target set, because the bound reads the
+        structure only.  The row-form iteration multiplies just that prefix
+        of source rows.  Length ``n + 1``, non-decreasing, ``reach[0] = 0``;
+        built once per evaluator from :attr:`csr` (every row has an entry).
+        """
+        reach = np.zeros(self.kernel.n_states + 1, dtype=np.int64)
+        row_max = np.maximum.reduceat(self.csr.indices, self.csr.indptr[:-1])
+        np.maximum.accumulate(row_max, out=reach[1:])
+        reach[1:] += 1
+        return reach
 
     def row_entries(self, states: np.ndarray) -> np.ndarray:
         """Entry positions of the rows of ``states`` (ascending), in entry order.

@@ -50,12 +50,17 @@ each of which exists exactly once:
 * **operator** — what applies ``U'(s)`` to every live point per iteration:
   ``batch`` (per-s-point complex CSR data, written once per block in run
   order: one block-diagonal sparse product for the whole block — views of
-  that data under the kernel's one block-diagonal structure — or one sparse
-  matvec per point once the block's state exceeds
+  that data under the kernel's one block-diagonal structure — or one call
+  of scipy's sparse kernel per live point on its own data, while the row
+  form's frontier is short of ``n`` or once the block's state exceeds
   :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the distribution-factored
   product of :mod:`repro.smp.factored`, whose per-iteration sparse work is
   independent of the number of points in flight), each in a row and a
-  column variant behind one protocol.
+  column variant behind one protocol.  The row form's frontier is
+  structural: states are numbered in exploration order, so the support of
+  ``v`` grows as a prefix from alpha's, and a step multiplies only the
+  source rows of that prefix (:attr:`UEvaluator.reach
+  <repro.smp.kernel.UEvaluator.reach>`) — same values, byte for byte.
 
 Every engine therefore runs the *same* truncation rule through one shared
 driver and agrees with the one-point-at-a-time oracles of ``tests/reference``
@@ -66,10 +71,12 @@ bounds block sizes.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
@@ -160,7 +167,7 @@ FACTORED_MAX_DISTRIBUTIONS = 64
 DIRECT_MAX_STATES = 200_000
 #: The batch engine applies one block-diagonal product for the whole block
 #: while the block's state (``width × n`` complex) is at most this many
-#: bytes, and one sparse matvec per point beyond it.  Measured on system 0
+#: bytes, and one sparse kernel call per live point beyond it.  Measured on system 0
 #: (1,876 states, 7,959 edges; scratch probe, PR 21): the product costs
 #: 1.5-2.1 ns per edge at every width from 1 to 128 (state up to 3.7 MiB) —
 #: scipy's scalar complex multiply-add rate, not a memory rate, so below the
@@ -291,11 +298,11 @@ class SPointPolicy:
         * row form, 44-48 B: the ``U`` grid 16 (alive for the block whether or
           not the LRU keeps it) + ``U'`` 16 + the block-diagonal structure 4
           (int32; built once per kernel) + at most 8 while a block narrowed
-          below half re-bases its ``U'`` view (the per-point regime holds
-          scipy's 16 B copy of each data row instead of structure and
-          re-base).  ``|U|`` for the contraction, 8 B, is freed before ``U'``
-          is written.  The other 16-20 B cover state, product and magnitude
-          vectors, 40 B per *state*;
+          below half re-bases its ``U'`` view (the per-point regime needs
+          neither: it reads ``U'`` where it lies, under one diagonal block's
+          structure).  ``|U|`` for the contraction, 8 B, is freed before
+          ``U'`` is written.  The other 16-20 B cover state, product and
+          magnitude vectors, 40 B per *state*;
         * column form, 52 B at the final ``U(s) @ acc`` sweep, which runs
           after ``U'`` is released: grid 16 + structure 4 + the gathered rows
           of ``U`` 16 + their products 16; ``48 · n`` is the result, the taken
@@ -343,14 +350,18 @@ class _BatchOperator:
     — in that order.  ``_state`` holds one ``n``-vector per point (the
     current term of the sum), ``_acc`` what the form accumulates from it,
     both indexed by run position along axis 0; ``_data`` is ``U'`` for those
-    points, raveled: written here, once, and read where it lies.  While the
-    live state (``width × n`` complex) fits in roughly
-    :data:`BLOCKDIAG_MAX_BYTES` the whole block advances through one
-    block-diagonal sparse product (amortising the per-matvec Python cost): a
-    prefix view of ``_data`` under a prefix view of the kernel's
-    :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`.  Beyond that
-    each point advances through its own sparse matvec, whose random-access
-    window is a single ``n``-vector.
+    points, raveled: written here, once, and read where it lies.  A step
+    multiplies the source rows below the frontier ``_hi`` — the only ones
+    whose state entries can be non-zero (the row form bounds them with the
+    evaluator's :attr:`~repro.smp.kernel.UEvaluator.reach`; the column form
+    reads every row).  While the frontier is short of ``n``, or the live
+    state (``width × n`` complex) exceeds :data:`BLOCKDIAG_MAX_BYTES`, each
+    live point advances through one call of scipy's sparse kernel on its
+    own data prefix (:meth:`_advance_points`).  Otherwise the whole block
+    advances through one block-diagonal sparse product, amortising the
+    per-call Python cost: a prefix view of ``_data`` under a prefix view of
+    the kernel's :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`,
+    whose first diagonal block is also the per-point calls' structure.
     """
 
     engine = "batch"
@@ -359,6 +370,10 @@ class _BatchOperator:
     #: same arrays is its transpose, so the row form's ``v @ U'`` is scipy's
     #: CSC scatter and nothing is ever stored transposed
     matrix: type
+    #: scipy's kernel behind ``matrix @ x``, called as ``(n, hi, indptr[:hi +
+    #: 1], indices, data, x, out)``: it adds the product of the first ``hi``
+    #: rows (CSR) or columns (CSC) into ``out``
+    matvec: Callable[..., None]
 
     def __init__(self, evaluator, mask, u_data, points):
         self.evaluator = evaluator
@@ -370,17 +385,24 @@ class _BatchOperator:
         data[:, evaluator.row_entries(np.flatnonzero(mask))] = 0.0
         self._data = data.reshape(-1)
         self._live = np.ones(points.size, dtype=bool)
-        self._operator = self._diag = self._per_point = None
+        self._operator = self._diag = None
+        self._hi = self.n
         #: point-rows advanced so far (what the block's ``product_rows`` sums)
-        self.product_rows = 0
+        #: and the edge-point products they took
+        self.product_rows = self.product_edges = 0
         self._bind(points.size)
 
     def _bind(self, width: int) -> None:
         """Point the product at the first ``width`` positions: views, no copy."""
         self.width = width
         n, nnz = self.n, self._u_data.shape[1]
-        if width * n * 16 <= BLOCKDIAG_MAX_BYTES:
-            indptr, indices = self._diag or self.evaluator.block_diag_structure(width)
+        whole = width * n * 16 <= BLOCKDIAG_MAX_BYTES
+        if self._diag is None or (whole and self._diag[1].size < width * nnz):
+            self._diag = self.evaluator.block_diag_structure(width if whole else 1)
+        indptr, indices = self._diag
+        self._block0 = indptr[: n + 1], indices[:nnz]
+        self._operator = None
+        if whole:
             self._operator = self.matrix(
                 (self._data[: width * nnz], indices[: width * nnz], indptr[: width * n + 1]),
                 shape=(width * n, width * n), copy=False,
@@ -388,27 +410,37 @@ class _BatchOperator:
             # scipy re-bases a view smaller than half its base onto a copy:
             # narrowing from what it kept pays that once per halving.
             self._data, self._diag = self._operator.data, (indptr, self._operator.indices)
-            self._per_point = None
-        elif self._per_point is None:
-            indptr, indices = self.evaluator.kernel.adjacency()
-            self._per_point = [
-                self.matrix((row, indices, indptr), shape=(n, n))
-                for row in self._data.reshape(width, nnz)
-            ]
 
     def step(self) -> None:
-        if self._operator is not None:
+        if self._hi < self.n or self._operator is None:
+            self._advance_points()
+        else:
             self._state = (self._operator @ self._state.ravel()).reshape(
                 self.width, self.n
             )
             self.product_rows += self.width
-        else:
-            # Converged points are exactly zero: skip their matvecs.
-            live = np.flatnonzero(self._live[: self.width])
-            for t in live:
-                self._state[t] = self._per_point[t] @ self._state[t]
-            self.product_rows += live.size
+            self.product_edges += self.width * self._u_data.shape[1]
         self._accumulate()
+
+    def _advance_points(self) -> None:
+        """One kernel call per live point over the source rows below ``_hi``.
+
+        Converged points are exactly zero, and so is every state entry at or
+        past the frontier: the calls skip both, and each point's products and
+        sums run in the order the full product would take them.
+        """
+        n, hi, nnz = self.n, self._hi, self._u_data.shape[1]
+        indptr, indices = self._block0
+        indptr = indptr[: hi + 1]
+        stop = int(indptr[hi])
+        data, state, matvec = self._data, self._state, self.matvec
+        out = np.zeros(state.shape, dtype=complex)
+        live = np.flatnonzero(self._live[: self.width]).tolist()
+        for t in live:
+            matvec(n, hi, indptr, indices, data[t * nnz : t * nnz + stop], state[t], out[t])
+        self._state = out
+        self.product_rows += len(live)
+        self.product_edges += len(live) * stop
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self._acc[positions]
@@ -425,9 +457,16 @@ class _BatchOperator:
 
 
 class _BatchRowOperator(_BatchOperator):
-    """Row-form stepper: ``v <- v @ U'(s_t)``, accumulating ``v . e``."""
+    """Row-form stepper: ``v <- v @ U'(s_t)``, accumulating ``v . e``.
+
+    States are numbered in exploration order, so the support of ``v`` after
+    ``r`` steps is a prefix of the states that grows from alpha's: the
+    frontier starts one past alpha's image and moves to ``reach[hi]`` after
+    every step, and the block pays for the edges of that prefix only.
+    """
 
     matrix = sparse.csc_matrix
+    matvec = staticmethod(_sparsetools.csc_matvec)
 
     def __init__(self, evaluator, mask, alpha, u_data, points):
         super().__init__(evaluator, mask, u_data, points)
@@ -438,7 +477,12 @@ class _BatchRowOperator(_BatchOperator):
         self._state = self.evaluator.alpha_vec_matrix_batch(
             self._alpha, self._u_data, self._points
         )
+        self._hi = int(self.evaluator.reach[1 + np.flatnonzero(self._alpha)[-1]])
         self._acc = self._target_sums()
+
+    def step(self) -> None:
+        super().step()
+        self._hi = int(self.evaluator.reach[self._hi])
 
     def _accumulate(self) -> None:
         self._acc = self._acc + self._target_sums()
@@ -465,6 +509,7 @@ class _BatchColOperator(_BatchOperator):
     """Column-form stepper: ``term <- U'(s_t) @ term``, accumulating the terms."""
 
     matrix = sparse.csr_matrix
+    matvec = staticmethod(_sparsetools.csr_matvec)
 
     def __init__(self, evaluator, mask, u_data, points):
         super().__init__(evaluator, mask, u_data, points)
@@ -486,7 +531,7 @@ class _BatchColOperator(_BatchOperator):
         """The final (non-absorbing) ``U(s) @ acc`` of the taken accumulators."""
         # The iteration is over: let go of U' and the state it advanced
         # before this sweep gathers the rows of U.
-        self._operator = self._data = self._diag = self._per_point = None
+        self._operator = self._data = self._diag = self._block0 = None
         self._state = self._acc = None
         return self.evaluator.matrix_vec_batch(
             self._u_data[self._points[positions]], taken
@@ -611,8 +656,8 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
     ``engine`` is the iterative engine of the block or ``"direct-lu"``, the
     explicit direct solve — the same routing with every point routed, which
     therefore never computes a contraction or the ``U'`` data.  Returns the
-    values, one diagnostics per point and the point-rows the iterative
-    product advanced.
+    values, one diagnostics per point and the iterative product's work:
+    ``(point-rows advanced, edge-point products taken)``.
     """
     n_s = s_block.size
     n = evaluator.kernel.n_states
@@ -664,19 +709,20 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
     if direct_idx.size:
         solve_direct(direct_idx, "direct", 0, 0)
 
-    product_rows = 0
+    work = (0, 0)
     if iter_idx.size:
         # When the policy would re-solve cap-hitting points directly, their
         # finished result is wasted work — tell the driver to skip it.
         will_fallback = policy.fallback_to_direct and may_route
-        with _obs_trace.span("drive", points=int(iter_idx.size)):
+        with _obs_trace.span("drive", points=int(iter_idx.size)) as drive:
             op = form.operator(
                 evaluator, engine, mask, s_block[iter_idx], u_data, iter_idx
             )
             order, results, iterations, deltas, conv = _drive(
                 op, options, finalize_unconverged=not will_fallback
             )
-            product_rows = op.product_rows
+            work = (op.product_rows, op.product_edges)
+            drive.set(product_edges=op.product_edges)
         if order.size:
             result[iter_idx[order]] = results
         retried = ~conv if will_fallback else np.zeros(iter_idx.size, dtype=bool)
@@ -693,10 +739,11 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
                 np.sort(iter_idx[retried]), "direct-fallback",
                 options.max_iterations, options.max_iterations + 1,
             )
-    return result, diags, product_rows
+    return result, diags, work
 
 
-def _note_block(report, *, points, seconds, diags, engine, product_rows) -> None:
+def _note_block(report, *, points, seconds, diags, engine, work) -> None:
+    product_rows, product_edges = (int(count) for count in work)
     iterations = int(sum(d.iterations for d in diags))
     direct_solves = int(sum(d.direct_solves for d in diags))
     # Points returned truncated (no convergence, no direct fallback —
@@ -707,7 +754,8 @@ def _note_block(report, *, points, seconds, diags, engine, product_rows) -> None
         points=int(points),
         seconds=seconds,
         iterations=iterations,
-        product_rows=int(product_rows),
+        product_rows=product_rows,
+        product_edges=product_edges,
         direct_solves=direct_solves,
         unconverged=unconverged,
         iteration_counts=[int(d.iterations) for d in diags],
@@ -720,7 +768,7 @@ def _note_block(report, *, points, seconds, diags, engine, product_rows) -> None
             "points": int(points),
             "seconds": round(seconds, 6),
             "iterations": iterations,
-            "product_rows": int(product_rows),
+            "product_rows": product_rows,
             "direct_solves": direct_solves,
             "unconverged": unconverged,
         }
@@ -734,7 +782,8 @@ def _block_loop(
 
     Resolves the engine and the block size, then per block opens one
     ``s-block-solve`` span, times ``solve(engine, s_block) -> (values,
-    diagnostics, product_rows)`` once, stores the values into ``out`` and
+    diagnostics, work)`` once — ``work`` is ``(point-rows, edge-point
+    products)`` the iterative product advanced — stores the values into ``out`` and
     notes the block once (metrics and ``report``) — so an s-block is traced,
     timed and counted exactly once whatever the measure computed inside it.
     """
@@ -747,12 +796,12 @@ def _block_loop(
         s_block = s_values[lo:lo + block]
         started = time.perf_counter()
         with _obs_trace.span("s-block-solve", points=s_block.size, engine=engine):
-            out[lo:lo + block], block_diags, product_rows = solve(engine, s_block)
+            out[lo:lo + block], block_diags, work = solve(engine, s_block)
         seconds = time.perf_counter() - started
         diags.extend(block_diags)
         _note_block(
             report, points=s_block.size, seconds=seconds, diags=block_diags,
-            engine=engine, product_rows=product_rows,
+            engine=engine, work=work,
         )
     return diags
 

@@ -89,9 +89,9 @@ def transient_transform_batch(
         direct_totals = np.zeros(s_block.size, dtype=np.int64)
         iterations_max = np.zeros(s_block.size, dtype=np.int64)
         converged_all = np.ones(s_block.size, dtype=bool)
-        product_rows = 0
+        work = np.zeros(2, dtype=np.int64)
         for k in targets:
-            l_mat, target_diags, target_rows = _solve_block(
+            l_mat, target_diags, target_work = _solve_block(
                 evaluator, engine, vector_form, target_mask(n, [k]), [k],
                 s_block, options, policy,
             )
@@ -104,7 +104,7 @@ def transient_transform_batch(
                 l_src[:, k_pos[0]] = 1.0
             # reduced row by row: a point's value is independent of its block
             totals += lam * np.add.reduce(l_src * weights, axis=1)
-            product_rows += target_rows
+            work += target_work
             for t, diag in enumerate(target_diags):
                 matvec_totals[t] += diag.matvec_count
                 direct_totals[t] += diag.direct_solves
@@ -122,7 +122,7 @@ def transient_transform_batch(
                 engine=engine,
             )
             for t in range(s_block.size)
-        ], product_rows
+        ], work
 
     values = np.empty(s_values.size, dtype=complex)
     diags = _block_loop(

@@ -8,6 +8,7 @@ must stay a no-op.
 from __future__ import annotations
 
 import errno
+import os
 import pickle
 import time
 
@@ -174,6 +175,28 @@ class TestSwitchboard:
         monkeypatch.setenv(faults.ENV_VAR, "point=raise:limit=1,fresh=x")
         with pytest.raises(FaultInjected):
             faults.fire("point", fresh="x")  # changed spec re-parses
+
+    def test_a_disabled_point_never_reads_the_environment_mapping(self, monkeypatch):
+        """Unset, the variable costs a membership test on ``os.environ``'s
+        own dict — no ``Mapping.get`` raising and catching ``KeyError`` per
+        call — and a ``setenv`` in this process is still seen at once."""
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        reads = []
+        real = type(os.environ).__getitem__
+
+        def counted(environ, key):
+            reads.append(key)
+            return real(environ, key)
+
+        monkeypatch.setattr(type(os.environ), "__getitem__", counted)
+        for _ in range(100):
+            faults.fire("point")
+        assert reads == []
+        monkeypatch.setenv(faults.ENV_VAR, "point=raise")
+        with pytest.raises(FaultInjected):
+            faults.fire("point")
+        monkeypatch.delenv(faults.ENV_VAR)
+        faults.fire("point")
 
     def test_installed_plan_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "point=raise")

@@ -173,13 +173,15 @@ class TestWorkerStatsPath:
 class TestNoteSolveBlock:
     def test_core_counters(self, registry):
         note_solve_block(
-            points=4, seconds=0.2, iterations=120, product_rows=126, direct_solves=1,
+            points=4, seconds=0.2, iterations=120, product_rows=126, product_edges=5_000,
+            direct_solves=1,
             unconverged=2, iteration_counts=[10, 30, 40, 40],
             engine="batch", registry=registry,
         )
         assert registry.get("repro_points_evaluated_total").value() == 4
         assert registry.get("repro_solve_iterations_total").value() == 120
         assert registry.get("repro_product_rows_total").value(engine="batch") == 126
+        assert registry.get("repro_product_edges_total").value(engine="batch") == 5_000
         assert registry.get("repro_direct_solves_total").value() == 1
         assert registry.get("repro_unconverged_points_total").value() == 2
         assert registry.get("repro_block_seconds").snapshot_of()["count"] == 1

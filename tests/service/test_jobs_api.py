@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.jobs import TenantQuotas
+from repro.jobs.runner import JobRunner
 from repro.service import AnalysisService, ServiceClient, ServiceClientError, create_server
 from repro.service.client import _ConnectionFailed
 
@@ -58,6 +59,33 @@ class TestAsyncSubmission:
             assert view["state"] in ("queued", "running")
             assert view["kind"] == "passage"
             assert view["model"] == model
+
+    def test_the_202_view_is_taken_before_the_runner_can_finish_the_job(self, onoff_spec):
+        """A runner at its fastest — the job done inside ``wake()`` — still
+        leaves the submission reporting the job as it was accepted."""
+
+        class InlineRunner(JobRunner):
+            def start(self):
+                pass
+
+            def wake(self):
+                record = self.store.next_queued()
+                if record is not None:
+                    self._execute(self.store.transition(record.job_id, "running"))
+
+        service = AnalysisService()
+        try:
+            service._runner = InlineRunner(service, service.jobs)
+            model = service.register_model(onoff_spec)["model"]
+            view = service.submit("passage", {
+                "model": model, "source": "on == 2", "target": "on == 0",
+                "t_points": [0.5, 1.0],
+            })
+            assert view["state"] == "queued"
+            assert not view["has_result"]
+            assert service.job_view(view["job"])["state"] == "done"
+        finally:
+            service.close()
 
     def test_async_result_matches_sync(self, onoff_spec):
         with _serve(AnalysisService(job_block_points=20)) as url:

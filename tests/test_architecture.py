@@ -348,6 +348,44 @@ def test_the_block_solve_does_not_copy():
     ]
 
 
+def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
+    """The batch operator builds one scipy matrix — the block-diagonal
+    product's, in ``_bind`` — and a point advanced on its own is one call of
+    scipy's C kernel on its data prefix, not a per-point matrix over the
+    kernel's adjacency.  ``scipy.sparse._sparsetools`` is private, so its
+    users are pinned with the kernels they call."""
+    passage = SRC / "smp" / "passage.py"
+    tree = ast.parse(passage.read_text())
+    builds = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and re.fullmatch(r"(self\.matrix|(sparse\.)?cs[rc]_matrix)", ast.unparse(node.func))
+    ]
+    assert [ast.unparse(node.func) for node in builds] == ["self.matrix"]
+    enclosing = (ast.FunctionDef, ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
+    scopes = {
+        node.name if isinstance(node, ast.FunctionDef) else type(node).__name__
+        for node in ast.walk(tree)
+        if isinstance(node, enclosing) and builds[0] in list(ast.walk(node))
+    }
+    assert scopes == {"_bind"}
+    assert "_per_point" not in passage.read_text()
+    assert "smp/passage.py" not in _call_sites("adjacency")
+
+    users = {}
+    for path in sorted(SRC.rglob("*.py")):
+        imports = _nodes(path, ast.Import, ast.ImportFrom)
+        if any("_sparsetools" in ast.unparse(node) for node in imports):
+            users[path.relative_to(SRC).as_posix()] = sorted({
+                node.attr for node in _nodes(path, ast.Attribute)
+                if getattr(node.value, "id", None) == "_sparsetools"
+            })
+    assert users == {
+        "smp/factored.py": ["csr_matvecs"],
+        "smp/passage.py": ["csc_matvec", "csr_matvec"],
+    }
+
+
 # --- one more down: one kernel image ----------------------------------------
 
 

@@ -16,11 +16,12 @@ class TestPublicApi:
 
     def test_pyproject_agrees_with_the_package(self):
         """One version — what ``/v1/stats`` reports is what the metadata says —
-        and dependency floors as high as the calls the code makes."""
+        and dependency floors as high as the calls the code makes (SciPy 1.13:
+        the first release built against NumPy 2)."""
         pyproject = Path(__file__).parent.parent / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text())["project"]
         assert project["version"] == repro.__version__
-        assert project["dependencies"] == ["numpy>=2.0", "scipy>=1.12"]
+        assert project["dependencies"] == ["numpy>=2.0", "scipy>=1.13"]
 
     def test_subpackage_exports_resolve(self):
         import repro.core
