@@ -13,8 +13,8 @@ parent's dump as ``--against``: every scenario is then classified as
 identical, digest-only or values-moved with the largest relative move per
 field, and the exit status is non-zero if any count or label (``iterations``,
 ``converged``, ``solver``, ``direct_solves``, statistics, block shapes) differs,
-a hashed row differs (its move cannot be sized), a scenario is missing on
-either side, or any float moved by more than 1e-9 relative.
+a scenario is missing on either side, or any float moved by more than 1e-9
+relative.
 
 The scenario matrix (about 30 s on a 2-core box):
 
@@ -22,8 +22,8 @@ The scenario matrix (about 30 s on a 2-core box):
   density+CDF / quantile / transient × Euler / Laguerre × iterative / direct
   × inline / 2-worker pool, pruned where a cell adds time but no new code
   path; model and job digests ride along;
-* kernel level — the row form (``passage_transform_batch``), the column form
-  (``passage_transform_vector_batch``) and ``transient_transform_batch`` on
+* kernel level — the passage (``passage_transform_batch``) and the transient
+  (``transient_transform_batch``), both the row form's block solve, on
   voting (8,3,2), a ``repro.models`` builder kernel and the high-fan-out
   kernel the factored engine exists for × batch / factored × default /
   cap-hit / cap-hit-with-fallback policies, plus the batch engine's per-point
@@ -32,7 +32,6 @@ The scenario matrix (about 30 s on a 2-core box):
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -52,7 +51,6 @@ from repro.smp import (  # noqa: E402
     SMPBuilder,
     SPointPolicy,
     passage_transform_batch,
-    passage_transform_vector_batch,
     source_weights,
     transient_transform_batch,
 )
@@ -68,12 +66,8 @@ BLOCK_FIELDS = ("points", "iterations", "direct_solves", "unconverged")
 
 
 def hexes(values) -> list[str]:
-    """Every float of ``values`` as hex; a matrix as one sha256 per row (the
-    column form returns an ``n``-vector per s-point: the row names the point)."""
-    values = np.ascontiguousarray(np.asarray(values))
-    if values.ndim == 2:
-        return [hashlib.sha256(row.tobytes()).hexdigest() for row in values]
-    flat = values.ravel()
+    """Every float of ``values`` as hex."""
+    flat = np.asarray(values).ravel()
     if np.iscomplexobj(flat):
         flat = flat.view(float)
     return [float(v).hex() for v in flat]
@@ -203,10 +197,6 @@ def kernel_scenarios() -> dict:
             kernel, alpha, targets, grid, options, policy=policy
         )
         out[f"{label}/row"] = {"values": hexes(values), "points": dump_diagnostics(diags)}
-        vectors, diags = passage_transform_vector_batch(
-            kernel, targets, grid, options, policy=policy
-        )
-        out[f"{label}/column"] = {"values": hexes(vectors), "points": dump_diagnostics(diags)}
         values, diags = transient_transform_batch(
             kernel, alpha, targets[:3], grid[:20], options, policy=policy
         )

@@ -533,7 +533,6 @@ class MultiprocessingBackend:
         ):
             if include_factored:
                 evaluator.factored().prewarm()
-                evaluator.factored().col_structure()
             with self._lock:
                 if self.plane_store is None:
                     directory = tempfile.mkdtemp(prefix=f"repro-planes-{os.getpid()}-")
@@ -617,8 +616,7 @@ class MultiprocessingBackend:
     def block_points(self, job: TransformJob, n_points: int) -> int:
         policy = job.policy or SPointPolicy()
         size = policy.dispatch_block_points(
-            job.evaluator, n_points, min(self.processes, n_points),
-            vector=job.kind() == "transient",
+            job.evaluator, n_points, min(self.processes, n_points)
         )
         return size if self.block_size is None else min(self.block_size, size)
 

@@ -214,8 +214,7 @@ class _JobObserver:
         n_points = plan.n_evaluations
         policy = job.policy or SPointPolicy()
         size = runner.block_points or policy.dispatch_block_points(
-            entry.evaluator, n_points, max(int(runner.service.workers), 1),
-            vector=job.kind() == "transient",
+            entry.evaluator, n_points, max(int(runner.service.workers), 1)
         )
         n_blocks = -(-n_points // size)
         if self.reporter is not None:

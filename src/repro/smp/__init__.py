@@ -13,8 +13,8 @@ This package is the numerical heart of the reproduction:
   used for routed s-points and as a validation baseline, the passage
   time's exact moments from the same system at ``s = 0``, and the one real
   sparse solve those moments and the embedded steady state share,
-* :mod:`repro.smp.transient` — transient state distributions via Pyke's
-  relations (Eqs. 6–7),
+* :mod:`repro.smp.transient` — transient state distributions (Eqs. 6–7)
+  as one Markov-renewal row sum,
 * :mod:`repro.smp.steady` — long-run SMP state probabilities (the t -> inf
   reference line of Fig. 7).
 """
@@ -28,7 +28,6 @@ from .passage import (
     PassageTimeOptions,
     SPointPolicy,
     passage_transform_batch,
-    passage_transform_vector_batch,
     ConvergenceDiagnostics,
 )
 from .linear import passage_moments, passage_transform_direct_batch
@@ -51,7 +50,6 @@ __all__ = [
     "PassageTimeOptions",
     "SPointPolicy",
     "passage_transform_batch",
-    "passage_transform_vector_batch",
     "ConvergenceDiagnostics",
     "passage_moments",
     "passage_transform_direct_batch",

@@ -13,8 +13,8 @@ flight — while the s-dependence lives in an ``(n_s, n_dists)`` table of
 distribution transforms.  Peak memory is ``O(nnz + n_s·n)`` instead of the
 ``O(n_s·nnz)`` of the batched data materialisation.
 
-Concretely both product shapes reduce to a *pair expansion*.  For the
-row form ``v ← v @ U'(s)`` group edges by ``(distribution, source)`` pair::
+Concretely the row form's product ``v ← v @ U'(s)`` is a *pair
+expansion*: group edges by ``(distribution, source)`` pair::
 
     expV[(d, i), t] = v[i, t] · lst_d(s_t)          (gather + scale)
     out[j, t]       = Σ_{e=(i,j,d)} p_e · expV[(d, i), t]     (one real SpMM)
@@ -23,9 +23,8 @@ The gather/scale works on a packed real block ``(n, 2k)`` ([Re | Im]
 halves), the sparse product is one real CSR×dense multiply accumulated in
 C by scipy's ``csr_matvecs``, and target-absorbing ``U'`` drops the pairs
 whose source is a target state (zeroing rows of ``U`` equals zeroing the
-corresponding components of ``v`` before the product).  The column form
-``U'(s) @ x`` groups by ``(distribution, destination)`` instead and zeroes
-target rows of the *output*.
+corresponding components of ``v`` before the product; a transient absorbs
+nothing and keeps every pair).
 
 When this engine wins — and when it does not
 --------------------------------------------
@@ -48,6 +47,8 @@ from collections import OrderedDict
 
 import numpy as np
 from scipy import sparse
+
+from .kernel import weighted_sums
 
 __all__ = ["FactoredUEvaluator"]
 
@@ -98,35 +99,6 @@ class _RowStructure:
         self.matrix.sort_indices()
 
 
-class _ColStructure:
-    """s-independent column-form expansion (``(dist, destination)`` pairs).
-
-    Target absorption zeroes *output rows*, so one structure serves every
-    target set.
-    """
-
-    __slots__ = ("pair_dst", "pair_dist", "matrix", "n_pairs")
-
-    def __init__(self, pair_dst: np.ndarray, pair_dist: np.ndarray, matrix):
-        self.pair_dst = pair_dst
-        self.pair_dist = pair_dist
-        self.matrix = matrix
-        self.n_pairs = int(pair_dst.size)
-
-    @classmethod
-    def of(cls, kernel) -> "_ColStructure":
-        csr, n = kernel.csr, kernel.n_states
-        keys = csr.dist_index * np.int64(n) + csr.indices
-        unique_keys, pair_of_edge = np.unique(keys, return_inverse=True)
-        matrix = sparse.csr_matrix(
-            (csr.probs, (csr.rows, pair_of_edge)), shape=(n, unique_keys.size)
-        )
-        matrix.sort_indices()
-        return cls(
-            (unique_keys % n).astype(np.int64), (unique_keys // n).astype(np.int64), matrix
-        )
-
-
 class FactoredUEvaluator:
     """Distribution-factored products for a kernel's :class:`UEvaluator`.
 
@@ -146,7 +118,6 @@ class FactoredUEvaluator:
         self._row_pair_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._row_pair_count: int | None = None
         self._row_structures: "OrderedDict[bytes, _RowStructure]" = OrderedDict()
-        self._col_structure: _ColStructure | None = None
         self._dist_row_sums: np.ndarray | None = None
         if exported is not None:
             self._adopt(exported)
@@ -160,16 +131,10 @@ class FactoredUEvaluator:
         that computes none of them again.
         """
         pair_src, pair_dist, pair_of_edge = self._row_pairs()
-        col = self.col_structure()
         return {
             "pair_src": pair_src,
             "pair_dist": pair_dist,
             "pair_of_edge": pair_of_edge,
-            "col_pair_dst": col.pair_dst,
-            "col_pair_dist": col.pair_dist,
-            "col_indptr": col.matrix.indptr,
-            "col_indices": col.matrix.indices,
-            "col_data": col.matrix.data,
             "dist_row_sums": self.dist_row_sums(),
         }
 
@@ -177,11 +142,6 @@ class FactoredUEvaluator:
         self._row_pair_cache = (v["pair_src"], v["pair_dist"], v["pair_of_edge"])
         self._row_pair_count = int(v["pair_src"].size)
         self._dist_row_sums = v["dist_row_sums"]
-        matrix = sparse.csr_matrix(
-            (v["col_data"], v["col_indices"], v["col_indptr"]),
-            shape=(self.kernel.n_states, v["col_pair_dst"].size), copy=False,
-        )
-        self._col_structure = _ColStructure(v["col_pair_dst"], v["col_pair_dist"], matrix)
 
     # -------------------------------------------------------------- identity
     @property
@@ -261,11 +221,6 @@ class FactoredUEvaluator:
         while len(self._row_structures) > self._STRUCTURE_CACHE:
             self._row_structures.popitem(last=False)
         return structure
-
-    def col_structure(self) -> _ColStructure:
-        if self._col_structure is None:
-            self._col_structure = _ColStructure.of(self.kernel)
-        return self._col_structure
 
     def dist_row_sums(self) -> np.ndarray:
         """``R[d, i] = Σ_j p_ij`` over transitions of distribution ``d``."""
@@ -357,23 +312,27 @@ def _scale_pairs(
     out[:, k:] += g_im * d_re
 
 
-class _FactoredOperator:
-    """What the two factored steppers share: the pair-expansion product.
+class FactoredRowOperator:
+    """Row-form stepper: ``v ← (v ⊙ non-absorbing) @ U(s_t)`` for a whole block.
 
     ``_state`` is the packed real block ``(n, 2k)`` of the current term, one
-    column pair per live s-point; ``_pair_index`` names the state each
-    expanded pair gathers from (its source in row form, its destination in
-    column form).
+    column pair per live s-point.  As in the batch engine's operator the
+    form enters in two parts: the ``absorbing`` mask picks the pair-expansion
+    structure (the targets for a passage, none for a transient), and the
+    accumulation over ``targets`` is ``v . e`` for a passage (``weights``
+    None) or ``v . w_t`` for a transient, whose ``weights`` are ``(k,
+    |targets|)`` and whose sum starts with ``alpha . w``.
     """
 
     engine = "factored"
 
-    def __init__(self, factored, structure, pair_index, s_block, target_mask):
+    def __init__(self, factored, s_block, absorbing, alpha, targets, weights=None):
         self.factored = factored
         self.n = factored.kernel.n_states
-        self.targets = np.flatnonzero(target_mask)
-        self.structure = structure
-        self._pair_index = pair_index
+        self.targets = targets
+        self.structure = factored.row_structure(absorbing)
+        self._alpha = np.asarray(alpha)
+        self._weights = weights
         #: point-rows advanced so far (what the block's ``product_rows`` sums)
         #: and the entries of the pair-expansion matrix they multiplied
         self.product_rows = self.product_edges = 0
@@ -383,47 +342,11 @@ class _FactoredOperator:
         """Bind the live points' transform table and the buffers it sizes."""
         self.lst = lst
         self.width = lst.shape[0]
-        self._d_re, self._d_im = self._pair_scales(lst)
+        pair_dist = self.structure.pair_dist
+        self._d_re = np.ascontiguousarray(lst.real[:, pair_dist].T)
+        self._d_im = np.ascontiguousarray(lst.imag[:, pair_dist].T)
         self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
         self._out = np.empty((self.n, 2 * self.width))
-
-    def _pair_scales(self, lst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pair_dist = self.structure.pair_dist
-        return (
-            np.ascontiguousarray(lst.real[:, pair_dist].T),
-            np.ascontiguousarray(lst.imag[:, pair_dist].T),
-        )
-
-    def _product(self, block, d_re, d_im, scratch, out) -> None:
-        """``out = matrix @ (block[pairs] · D)`` on packed planar blocks."""
-        _scale_pairs(block[self._pair_index], d_re, d_im, scratch, scratch.shape[1] // 2)
-        out[:] = 0.0
-        _spmm_accumulate(self.structure.matrix, scratch, out)
-
-    def _advance(self) -> None:
-        self._product(self._state, self._d_re, self._d_im, self._scratch, self._out)
-        self._state, self._out = self._out, self._state
-        self.product_rows += self.width
-        self.product_edges += self.width * self.structure.matrix.nnz
-
-    def _prefix(self, packed: np.ndarray, width: int) -> np.ndarray:
-        """The packed block of the first ``width`` points."""
-        return np.concatenate(
-            (packed[:, :width], packed[:, self.width : self.width + width]), axis=1
-        )
-
-    def zero_points(self, positions: np.ndarray) -> None:
-        self._state[:, positions] = 0.0
-        self._state[:, self.width + positions] = 0.0
-
-
-class FactoredRowOperator(_FactoredOperator):
-    """Row-form stepper: ``v ← (v ⊙ non-target) @ U(s_t)`` for a whole block."""
-
-    def __init__(self, factored, s_block, target_mask, alpha):
-        structure = factored.row_structure(target_mask)
-        super().__init__(factored, structure, structure.pair_src, s_block, target_mask)
-        self._alpha = np.asarray(alpha)
 
     def start(self) -> None:
         """``v0 = α @ U(s_t)`` for every point of the block."""
@@ -432,80 +355,50 @@ class FactoredRowOperator(_FactoredOperator):
             np.ascontiguousarray(v0.real.T), np.ascontiguousarray(v0.imag.T)
         )
         self._totals = self._target_totals()
+        if self._weights is not None:
+            self._scale = np.maximum(np.abs(self._weights).max(axis=1), 1.0)
+            self._totals += weighted_sums(self._alpha.real[self.targets], 0.0, self._weights)
 
     def step(self) -> None:
-        self._advance()
+        """``out = matrix @ (state[pair sources] · D)`` on packed planar blocks."""
+        _scale_pairs(
+            self._state[self.structure.pair_src], self._d_re, self._d_im,
+            self._scratch, self.width,
+        )
+        self._out[:] = 0.0
+        _spmm_accumulate(self.structure.matrix, self._scratch, self._out)
+        self._state, self._out = self._out, self._state
+        self.product_rows += self.width
+        self.product_edges += self.width * self.structure.matrix.nnz
         self._totals = self._totals + self._target_totals()
 
     def _target_totals(self) -> np.ndarray:
-        sums = self._state[self.targets].sum(axis=0)
-        return sums[: self.width] + 1j * sums[self.width :]
+        k = self.width
+        picked = self._state[self.targets]
+        if self._weights is None:
+            sums = picked.sum(axis=0)
+            return sums[:k] + 1j * sums[k:]
+        return weighted_sums(picked[:, :k].T, picked[:, k:].T, self._weights)
 
     def residual(self) -> np.ndarray:
         k = self.width
-        return np.hypot(self._state[:, :k], self._state[:, k:]).sum(axis=0)
+        norm = np.hypot(self._state[:, :k], self._state[:, k:]).sum(axis=0)
+        return norm if self._weights is None else norm * self._scale
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self._totals[positions]
 
+    def zero_points(self, positions: np.ndarray) -> None:
+        self._state[:, positions] = 0.0
+        self._state[:, self.width + positions] = 0.0
+
     def narrow(self, width: int) -> None:
         if width < self.width:
-            self._state = self._prefix(self._state, width)
+            self._state = np.concatenate(
+                (self._state[:, :width], self._state[:, self.width : self.width + width]),
+                axis=1,
+            )
             self._totals = self._totals[:width]
+            if self._weights is not None:
+                self._weights, self._scale = self._weights[:width], self._scale[:width]
             self._resize(self.lst[:width])
-
-    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        return taken
-
-
-class FactoredColOperator(_FactoredOperator):
-    """Column-form stepper: ``term ← U'(s_t) @ term`` plus accumulator.
-
-    Target absorption zeroes *output rows* of the product, so one structure
-    serves every target set.
-    """
-
-    def __init__(self, factored, s_block, target_mask):
-        structure = factored.col_structure()
-        super().__init__(factored, structure, structure.pair_dst, s_block, target_mask)
-        self.lst_full = self.lst  # survives narrowing; indexed by position
-
-    def start(self) -> None:
-        self._state = np.zeros((self.n, 2 * self.width))
-        self._state[self.targets, : self.width] = 1.0
-        self._acc = self._state.copy()
-
-    def step(self) -> None:
-        self._advance()
-        self._state[self.targets] = 0.0
-        self._acc += self._state
-
-    def residual(self) -> np.ndarray:
-        k = self.width
-        return np.hypot(self._state[:, :k], self._state[:, k:]).max(axis=0)
-
-    def take(self, positions: np.ndarray) -> np.ndarray:
-        """Accumulators of the given (current-width) columns as ``(m, n)`` complex."""
-        k = self.width
-        return (self._acc[:, positions] + 1j * self._acc[:, k + positions]).T.copy()
-
-    def narrow(self, width: int) -> None:
-        if width < self.width:
-            self._state = self._prefix(self._state, width)
-            self._acc = self._prefix(self._acc, width)
-            self._resize(self.lst[:width])
-
-    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Full (non-absorbing) ``U(s) @ acc`` for collected accumulators.
-
-        ``taken`` is ``(m, n)`` complex; ``positions`` gives each row's
-        position in the operator's s-block so the right transforms scale it.
-        """
-        m = taken.shape[0]
-        d_re, d_im = self._pair_scales(self.lst_full[positions])
-        out = np.empty((self.n, 2 * m))
-        self._product(
-            _pack(taken.real.T, taken.imag.T), d_re, d_im,
-            np.empty((self.structure.n_pairs, 2 * m)), out,
-        )
-        return (out[:, :m] + 1j * out[:, m:]).T.copy()

@@ -45,7 +45,7 @@ __all__ = [
 #: values bumps it: files written under the old epoch are then keyed by
 #: digests nothing can produce any more, so they are never read and never
 #: touched, and the first use recomputes (README, "Digest epochs").
-DIGEST_EPOCH = b"smp-digest-epoch-2"
+DIGEST_EPOCH = b"smp-digest-epoch-3"
 
 
 def kernel_content_digest(kernel: "SMPKernel") -> str:
@@ -106,6 +106,19 @@ def check_alpha(alpha, n_states: int) -> np.ndarray:
     if abs(alpha.sum() - 1.0) > 1e-6:
         raise ValueError("alpha must sum to 1")
     return alpha
+
+
+def weighted_sums(re: np.ndarray, im: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_k (re + i im)[t, k] · weights[t, k]`` per row ``t``, in real arithmetic.
+
+    numpy's complex multiply has a vector and a scalar loop that round
+    differently, and which one a product takes depends on the array around
+    it; every real product and sum rounds once, wherever its row sits, so a
+    point's weighted sum does not depend on the block it is solved in.
+    """
+    return np.add.reduce(re * weights.real - im * weights.imag, axis=1) + 1j * np.add.reduce(
+        re * weights.imag + im * weights.real, axis=1
+    )
 
 
 class KernelCSR(NamedTuple):
@@ -588,10 +601,8 @@ class UEvaluator:
         batch.  The result is assembled in s-chunks bounded by
         :attr:`batch_fill_bytes` (optionally straight into ``out``), so the
         build never allocates beyond the result itself; results small enough
-        to be worth retaining are cached (see :class:`_BatchLRU`) — the
-        transient computation re-requests the same grid once per target
-        state, and measures sharing one evaluator alternate between a few
-        grids.
+        to be worth retaining are cached (see :class:`_BatchLRU`): measures
+        sharing one evaluator alternate between a few grids.
 
         The *result* still scales as ``O(n_s · nnz)``: callers handling
         large kernels should block their s-grid (see
@@ -741,14 +752,3 @@ class UEvaluator:
         starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_cols)) + 1))
         out[:, sorted_cols[starts]] = np.add.reduceat(contrib[:, order], starts, axis=1)
         return out
-
-    def matrix_vec_batch(self, data_batch: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Column-form batched product: ``out[t] = M(s_t) @ x[t]``.
-
-        Every state has at least one outgoing transition (enforced at kernel
-        construction), so the CSR row segments are all non-empty and a single
-        ``reduceat`` over ``indptr`` performs all row reductions at once.
-        """
-        contrib = x[:, self.csr.indices]
-        np.multiply(data_batch, contrib, out=contrib)
-        return np.add.reduceat(contrib, self.csr.indptr[:-1], axis=1)

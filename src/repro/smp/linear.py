@@ -9,7 +9,9 @@ directly.  This module implements that baseline with a sparse LU solve; it is
 exact (up to solver tolerance) and serves as the solver of the s-points the
 policy routes away from the iteration, as the validation oracle for the
 iterative method on small models and as the comparator in the "iterative vs.
-direct" ablation benchmark.
+direct" ablation benchmark.  A transient point is the same matrix with
+nothing absorbed, ``I - U(s)``, solved once, transposed, against the
+initial weighting (:func:`transient_transform_direct_batch`).
 
 At ``s = 0`` the systems are real and the package solves two of them: the
 passage time's moments (:func:`passage_moments`: the same ``I - U K``,
@@ -30,7 +32,12 @@ from scipy.sparse import linalg as splinalg
 from ..obs import trace as obs_trace
 from .kernel import as_evaluator, check_alpha, target_mask
 
-__all__ = ["closed_classes", "passage_moments", "passage_transform_direct_batch"]
+__all__ = [
+    "closed_classes",
+    "passage_moments",
+    "passage_transform_direct_batch",
+    "transient_transform_direct_batch",
+]
 
 # The real solve's preconditioner and Krylov window, probed on voting models
 # of 226 to 92,340 states: the incomplete LU drops entries below
@@ -111,44 +118,11 @@ def passage_transform_direct_batch(
     mask = target_mask(n, targets)
     s_values = np.asarray(s_values, dtype=complex).ravel()
     out = np.empty((s_values.size, n), dtype=complex)
-    if s_values.size == 0:
-        return out
-
     rows_u = evaluator.kernel.csr.rows
-    cols_u = evaluator.kernel.csr.indices
     # Entries of U that land in a target column feed the right-hand side
     # b_i = sum_{k in j} r*_ik(s); the remaining entries form U K.
-    tgt_entries = mask[cols_u]
-
-    # ``u_data`` lets callers that already hold the batch's U(s) data (the
-    # adaptive engine routing a subset of its grid here) skip re-evaluating
-    # the distributions' transforms.  Without it the data is materialised in
-    # bounded chunks so a large routed set never allocates O(n_s · nnz).
-    nnz = cols_u.size
-    if u_data is None:
-        # Fill chunks into one reused caller-owned buffer: chunk grids are
-        # throwaway and must not cycle through (and pollute) the evaluator's
-        # grid LRU, whose slots exist for reusable measure grids.
-        chunk = min(evaluator.fill_chunk_points(), s_values.size)
-        chunk_buffer = np.empty((chunk, nnz), dtype=complex)
-        data_batch = None
-    else:
-        data_batch = np.asarray(u_data, dtype=complex)
-        if data_batch.shape != (s_values.size, nnz):
-            raise ValueError("u_data must have shape (n_s, nnz)")
-    chunk_data = None
-    chunk_lo = -1
-    for t in range(s_values.size):
-        if data_batch is not None:
-            data = data_batch[t]
-        else:
-            if chunk_data is None or t >= chunk_lo + chunk:
-                chunk_lo = t
-                hi = min(chunk_lo + chunk, s_values.size)
-                chunk_data = evaluator.u_data_batch(
-                    s_values[chunk_lo:hi], out=chunk_buffer[: hi - chunk_lo]
-                )
-            data = chunk_data[t - chunk_lo]
+    tgt_entries = mask[evaluator.kernel.csr.indices]
+    for t, data in enumerate(_point_data(evaluator, s_values, u_data)):
         b = np.zeros(n, dtype=complex)
         b.real = np.bincount(rows_u[tgt_entries], weights=data.real[tgt_entries], minlength=n)
         b.imag = np.bincount(rows_u[tgt_entries], weights=data.imag[tgt_entries], minlength=n)
@@ -156,6 +130,62 @@ def passage_transform_direct_batch(
         kept[tgt_entries] = 0.0
         out[t] = _factor(evaluator, kept).solve(b)
     return out
+
+
+def transient_transform_direct_batch(
+    kernel_or_evaluator,
+    alpha: np.ndarray,
+    targets: np.ndarray,
+    s_values,
+    *,
+    u_data: np.ndarray | None = None,
+) -> np.ndarray:
+    """``T*(s) = alpha (I - U(s))^-1 w(s)`` for every s-point of a grid.
+
+    The transient's Markov-renewal sum (see :mod:`repro.smp.transient`)
+    solved exactly: one sparse LU of ``A = I - U(s)`` per point — the
+    matrix of :func:`passage_transform_direct_batch` with nothing absorbed
+    — solved transposed against ``alpha`` and dotted with
+    ``w = (1 - h*(s)) / s`` on the ``targets`` (ascending state indices),
+    ``h*`` the row sums of the point's own ``U`` data.  ``u_data`` as for
+    :func:`passage_transform_direct_batch`.
+    """
+    evaluator = as_evaluator(kernel_or_evaluator)
+    indptr = evaluator.kernel.csr.indptr[:-1]
+    s_values = np.asarray(s_values, dtype=complex).ravel()
+    out = np.empty(s_values.size, dtype=complex)
+    for t, data in enumerate(_point_data(evaluator, s_values, u_data)):
+        x = _factor(evaluator, data).solve(alpha, trans="T")
+        weights = (1.0 - np.add.reduceat(data, indptr)[targets]) / s_values[t]
+        out[t] = np.add.reduce(x[targets] * weights)
+    return out
+
+
+def _point_data(evaluator, s_values: np.ndarray, u_data: np.ndarray | None):
+    """Each s-point's ``U(s)`` data vector, in grid order.
+
+    ``u_data`` lets callers that already hold the grid's ``U(s)`` data (the
+    block solve routing a subset of its grid here) skip re-evaluating the
+    distributions' transforms.  Without it the data is materialised in
+    bounded chunks so a large routed set never allocates ``O(n_s · nnz)``.
+    """
+    nnz = evaluator.kernel.csr.indices.size
+    if not s_values.size:
+        return
+    if u_data is not None:
+        u_data = np.asarray(u_data, dtype=complex)
+        if u_data.shape != (s_values.size, nnz):
+            raise ValueError("u_data must have shape (n_s, nnz)")
+        yield from u_data
+        return
+    # Fill chunks into one reused caller-owned buffer: chunk grids are
+    # throwaway and must not cycle through (and pollute) the evaluator's
+    # grid LRU, whose slots exist for reusable measure grids.
+    chunk = min(evaluator.fill_chunk_points(), s_values.size)
+    buffer = np.empty((chunk, nnz), dtype=complex)
+    for lo in range(0, s_values.size, chunk):
+        hi = min(lo + chunk, s_values.size)
+        yield from evaluator.u_data_batch(s_values[lo:hi], out=buffer[: hi - lo])
 
 
 def _system(evaluator, kept: np.ndarray) -> sparse.csc_matrix:

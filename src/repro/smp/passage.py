@@ -12,16 +12,13 @@ evaluated with sparse vector–matrix products and truncated once successive
 terms fall below a tolerance in both real and imaginary parts (Eq. 11) —
 ``O(N^2 r)`` work in the worst case versus the ``O(N^3)`` of a direct solve.
 
-Two shapes of the computation are provided, each over a whole s-grid (a
-single s-point is a grid of one — there is no scalar implementation):
-
-* :func:`passage_transform_batch` — the scalar ``alpha``-weighted transform
-  (row-vector accumulation; what the passage-time pipeline evaluates at each
-  s-point),
-* :func:`passage_transform_vector_batch` — the full vector
-  ``(L_1j(s), ..., L_Nj(s))`` for *every* source state (column-vector
-  accumulation; what the transient computation of Eq. (7) needs, one run per
-  target state).
+The computation has one shape, over a whole s-grid (a single s-point is a
+grid of one — there is no scalar implementation): a row vector ``v``
+advanced by ``v <- v @ M(s)`` from alpha, accumulating one complex per
+s-point.  :func:`passage_transform_batch` sums Eq. (10) with ``M = U'`` and
+the target indicator ``e``; :func:`repro.smp.transient.transient_transform_batch`
+sums the transient's Markov-renewal series with ``M = U`` and the weight
+``w(s) = (1 - h*(s)) / s`` on the targets in place of ``e``.
 
 Batched evaluation
 ------------------
@@ -34,12 +31,12 @@ each of which exists exactly once:
   165-point Euler grid streams through a million-state kernel instead of
   materialising an ``O(n_s · nnz)`` data matrix) and, per block, opens one
   ``s-block-solve`` span, times one solve and notes it once.  Passage,
-  vector, transient and explicit ``solver="direct"`` solves all loop here.
+  transient and explicit ``solver="direct"`` solves all loop here.
 * **block** (:func:`_solve_block`) — computes the per-point contraction and
   the routing mask once, sends the routed points (all of them for an
   explicit direct solve) to the sparse-LU solver, drives the rest and
-  re-solves cap-hitting points directly.  It knows the row/column shape only
-  through a small :class:`_Form`.
+  re-solves cap-hitting points directly.  It knows passage from transient
+  only through a small :class:`_Form`.
 * **driver** (:func:`_drive`) — the active-set iteration: one truncation
   rule, converged points snapshotted and zeroed, the operator narrowed to
   the prefix that still holds a live point.  The block orders its points
@@ -47,31 +44,33 @@ each of which exists exactly once:
   prefix is nearly the live set (1.02 rows advanced per useful one on the
   benchmark's grid) and narrowing is a view: no data moves, nothing is
   rebuilt.  It never asks which form or engine it runs.
-* **operator** — what applies ``U'(s)`` to every live point per iteration:
+* **operator** — what applies ``M(s)`` to every live point per iteration
+  and accumulates the form's sum, the absorbing states (``M``) and the
+  accumulation (``e`` or ``w``) held apart:
   ``batch`` (per-s-point complex CSR data, written once per block in run
   order: one block-diagonal sparse product for the whole block — views of
   that data under the kernel's one block-diagonal structure — or one call
-  of scipy's sparse kernel per live point on its own data, while the row
-  form's frontier is short of ``n`` or once the block's state exceeds
+  of scipy's sparse kernel per live point on its own data, while the
+  frontier is short of ``n`` or once the block's state exceeds
   :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the distribution-factored
   product of :mod:`repro.smp.factored`, whose per-iteration sparse work is
-  independent of the number of points in flight), each in a row and a
-  column variant behind one protocol.  The row form's frontier is
-  structural: states are numbered in exploration order, so the support of
-  ``v`` grows as a prefix from alpha's, and a step multiplies only the
-  source rows of that prefix (:attr:`UEvaluator.reach
+  independent of the number of points in flight), behind one protocol.
+  The frontier is structural: states are numbered in exploration order, so
+  the support of ``v`` grows as a prefix from alpha's, and a step multiplies
+  only the source rows of that prefix (:attr:`UEvaluator.reach
   <repro.smp.kernel.UEvaluator.reach>`) — same values, byte for byte.
 
 Every engine therefore runs the *same* truncation rule through one shared
-driver and agrees with the one-point-at-a-time oracles of ``tests/reference``
-to float associativity; the :class:`SPointPolicy` picks the engine (once per
+driver; a passage agrees with the one-point-at-a-time oracle of
+``tests/reference`` to float associativity, a transient with the oracle's
+target-by-target assembly of Eq. (7) to the truncation tolerance (the two
+truncate different sums).  The :class:`SPointPolicy` picks the engine (once per
 kernel), routes hard (small ``|s|``) points to the sparse-LU direct solve and
 bounds block sizes.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,16 +80,15 @@ from scipy.sparse import _sparsetools
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 
-from .factored import FactoredColOperator, FactoredRowOperator
-from .kernel import as_evaluator, check_alpha, target_mask
-from .linear import passage_transform_direct_batch
+from .factored import FactoredRowOperator
+from .kernel import as_evaluator, check_alpha, target_mask, weighted_sums
+from .linear import passage_transform_direct_batch, transient_transform_direct_batch
 
 __all__ = [
     "PassageTimeOptions",
     "ConvergenceDiagnostics",
     "SPointPolicy",
     "passage_transform_batch",
-    "passage_transform_vector_batch",
 ]
 
 
@@ -278,54 +276,42 @@ class SPointPolicy:
             evaluator._auto_engine = engine
         return engine
 
-    def _block_plan(
-        self, evaluator, *, vector: bool = False, direct: bool = False
-    ) -> tuple[str, int]:
+    def _block_plan(self, evaluator, *, direct: bool = False) -> tuple[str, int]:
         """``(engine, s-points per block)`` — how a block loop starts.
 
         ``factored`` blocks hold ``O(block · (pairs + n))`` dense state and
         never touch per-edge data; every other block — ``batch`` and the
         explicit direct solve, labelled ``direct-lu``, whatever engine the
         kernel would iterate on — materialises ``O(block · nnz)`` complex
-        data.  ``vector`` adds the per-point ``n``-vectors of the column
-        form; the direct solver's results always are vectors.
+        data.  The direct solver's passage vectors add ``n`` per point.
 
         The ``64 · nnz`` bytes per point are what a batch block allocates per
         edge at its peak, plus headroom for its ``n``-vectors (``tracemalloc``
         on a fresh evaluator holds the whole block under the figure:
-        ``tests/smp/test_block_pipeline.py``):
-
-        * row form, 44-48 B: the ``U`` grid 16 (alive for the block whether or
-          not the LRU keeps it) + ``U'`` 16 + the block-diagonal structure 4
-          (int32; built once per kernel) + at most 8 while a block narrowed
-          below half re-bases its ``U'`` view (the per-point regime needs
-          neither: it reads ``U'`` where it lies, under one diagonal block's
-          structure).  ``|U|`` for the contraction, 8 B, is freed before
-          ``U'`` is written.  The other 16-20 B cover state, product and
-          magnitude vectors, 40 B per *state*;
-        * column form, 52 B at the final ``U(s) @ acc`` sweep, which runs
-          after ``U'`` is released: grid 16 + structure 4 + the gathered rows
-          of ``U`` 16 + their products 16; ``48 · n`` is the result, the taken
-          accumulators and the sweep's output.
+        ``tests/smp/test_block_pipeline.py``): 44-48 B, the ``U`` grid 16
+        (alive for the block whether or not the LRU keeps it) + the
+        iteration's ``M`` 16 + the block-diagonal structure 4 (int32; built
+        once per kernel) + at most 8 while a block narrowed below half
+        re-bases its ``M`` view (the per-point regime needs neither: it reads
+        ``M`` where it lies, under one diagonal block's structure).  ``|U|``
+        for the contraction, 8 B, and a transient's ``h*`` row sums, 16 B
+        per *state*, are freed before ``M`` is written.  The other 16-20 B
+        cover state, product and magnitude vectors, 40 B per state.
         """
         kernel = evaluator.kernel
         engine = "direct-lu" if direct else self.resolve_engine(evaluator)
         if engine == "factored":
             pairs = evaluator.factored().row_pair_count
-            per_point = 16 * (3 * pairs + (4 if vector else 3) * kernel.n_states)
+            per_point = 16 * (3 * pairs + 3 * kernel.n_states)
         else:
-            per_point = 64 * kernel.n_transitions + (
-                48 * kernel.n_states if vector or direct else 0
-            )
+            per_point = 64 * kernel.n_transitions + (48 * kernel.n_states if direct else 0)
         return engine, max(1, int(self.max_block_bytes // max(per_point, 1)))
 
-    def block_points(self, evaluator, *, vector: bool = False) -> int:
+    def block_points(self, evaluator) -> int:
         """s-points per block so the block working set fits the budget."""
-        return self._block_plan(evaluator, vector=vector)[1]
+        return self._block_plan(evaluator)[1]
 
-    def dispatch_block_points(
-        self, evaluator, n_points: int, workers: int, *, vector: bool = False
-    ) -> int:
+    def dispatch_block_points(self, evaluator, n_points: int, workers: int) -> int:
         """s-points per *dispatched* block when farming a grid out to workers.
 
         The single code path for every parallel backend: the memory-budgeted
@@ -335,7 +321,7 @@ class SPointPolicy:
         """
         workers = max(1, int(workers))
         spread_cap = max(1, -(-int(n_points) // (4 * workers)))
-        return max(1, min(self.block_points(evaluator, vector=vector), spread_cap))
+        return max(1, min(self.block_points(evaluator), spread_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -343,50 +329,57 @@ class SPointPolicy:
 # ---------------------------------------------------------------------------
 
 
-class _BatchOperator:
-    """What the two batch steppers share: per-s-point complex CSR data.
+class _BatchRowOperator:
+    """The batch engine's stepper: ``v <- v @ M(s_t)`` on per-s-point CSR data.
 
     The operator runs ``points`` — rows of the block's ``U`` grid ``u_data``
     — in that order.  ``_state`` holds one ``n``-vector per point (the
-    current term of the sum), ``_acc`` what the form accumulates from it,
-    both indexed by run position along axis 0; ``_data`` is ``U'`` for those
-    points, raveled: written here, once, and read where it lies.  A step
-    multiplies the source rows below the frontier ``_hi`` — the only ones
-    whose state entries can be non-zero (the row form bounds them with the
-    evaluator's :attr:`~repro.smp.kernel.UEvaluator.reach`; the column form
-    reads every row).  While the frontier is short of ``n``, or the live
-    state (``width × n`` complex) exceeds :data:`BLOCKDIAG_MAX_BYTES`, each
-    live point advances through one call of scipy's sparse kernel on its
-    own data prefix (:meth:`_advance_points`).  Otherwise the whole block
-    advances through one block-diagonal sparse product, amortising the
-    per-call Python cost: a prefix view of ``_data`` under a prefix view of
-    the kernel's :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`,
+    current term of the sum), ``_acc`` the sum accumulated from it, both
+    indexed by run position along axis 0.  The form enters in two separate
+    parts:
+
+    * the *absorbing* states, whose rows of ``M`` are zeroed: the targets
+      for a passage (``M = U'``), none for a transient (``M = U``).
+      ``_data`` is ``M`` for the block's points, raveled: written here,
+      once, and read where it lies;
+    * the *accumulation* over ``targets``: ``v . e`` for a passage
+      (``weights`` is None), ``v . w_t`` for a transient, whose
+      ``weights[t]`` is ``w`` on the targets at the point of run position
+      ``t``; the transient's sum also starts with its ``r = 0`` term
+      ``alpha . w``.
+
+    The kernel's data is read as ``csc_matrix((data, indices, indptr))``,
+    the transpose of ``M``, so ``v @ M`` is scipy's CSC scatter and nothing
+    is ever stored transposed.  States are numbered in exploration order, so
+    the support of ``v`` after ``r`` steps is a prefix that grows from
+    alpha's: the frontier ``_hi`` starts one past alpha's image, moves to
+    ``reach[_hi]`` after every step, and a step multiplies the source rows
+    below it only.  While the frontier is short of ``n``, or the live state
+    (``width × n`` complex) exceeds :data:`BLOCKDIAG_MAX_BYTES`, each live
+    point advances through one call of scipy's sparse kernel on its own data
+    prefix (:meth:`_advance_points`).  Otherwise the whole block advances
+    through one block-diagonal sparse product, amortising the per-call
+    Python cost: a prefix view of ``_data`` under a prefix view of the
+    kernel's :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`,
     whose first diagonal block is also the per-point calls' structure.
     """
 
     engine = "batch"
-    #: what ``(data, indices, indptr)`` in the kernel's CSR order is read as:
-    #: ``csr_matrix`` is ``U'`` itself (column form); ``csc_matrix`` over the
-    #: same arrays is its transpose, so the row form's ``v @ U'`` is scipy's
-    #: CSC scatter and nothing is ever stored transposed
-    matrix: type
-    #: scipy's kernel behind ``matrix @ x``, called as ``(n, hi, indptr[:hi +
-    #: 1], indices, data, x, out)``: it adds the product of the first ``hi``
-    #: rows (CSR) or columns (CSC) into ``out``
-    matvec: Callable[..., None]
 
-    def __init__(self, evaluator, mask, u_data, points):
+    def __init__(self, evaluator, absorbing, alpha, targets, weights, u_data, points):
         self.evaluator = evaluator
         self.n = evaluator.kernel.n_states
         self._u_data = u_data
         self._points = points
-        # U': the one gather of the block's U grid, target states' rows zeroed
+        self._alpha = alpha
+        self._targets = targets
+        self._weights = weights
+        # M: the one gather of the block's U grid, absorbing states' rows zeroed
         data = u_data[points]
-        data[:, evaluator.row_entries(np.flatnonzero(mask))] = 0.0
+        data[:, evaluator.row_entries(np.flatnonzero(absorbing))] = 0.0
         self._data = data.reshape(-1)
         self._live = np.ones(points.size, dtype=bool)
         self._operator = self._diag = None
-        self._hi = self.n
         #: point-rows advanced so far (what the block's ``product_rows`` sums)
         #: and the edge-point products they took
         self.product_rows = self.product_edges = 0
@@ -403,13 +396,23 @@ class _BatchOperator:
         self._block0 = indptr[: n + 1], indices[:nnz]
         self._operator = None
         if whole:
-            self._operator = self.matrix(
+            self._operator = sparse.csc_matrix(
                 (self._data[: width * nnz], indices[: width * nnz], indptr[: width * n + 1]),
                 shape=(width * n, width * n), copy=False,
             )
             # scipy re-bases a view smaller than half its base onto a copy:
             # narrowing from what it kept pays that once per halving.
             self._data, self._diag = self._operator.data, (indptr, self._operator.indices)
+
+    def start(self) -> None:
+        self._state = self.evaluator.alpha_vec_matrix_batch(
+            self._alpha, self._u_data, self._points
+        )
+        self._hi = int(self.evaluator.reach[1 + np.flatnonzero(self._alpha)[-1]])
+        self._acc = self._target_sums()
+        if self._weights is not None:
+            self._scale = np.maximum(np.abs(self._weights).max(axis=1), 1.0)
+            self._acc += weighted_sums(self._alpha.real[self._targets], 0.0, self._weights)
 
     def step(self) -> None:
         if self._hi < self.n or self._operator is None:
@@ -420,7 +423,8 @@ class _BatchOperator:
             )
             self.product_rows += self.width
             self.product_edges += self.width * self._u_data.shape[1]
-        self._accumulate()
+        self._acc = self._acc + self._target_sums()
+        self._hi = int(self.evaluator.reach[self._hi])
 
     def _advance_points(self) -> None:
         """One kernel call per live point over the source rows below ``_hi``.
@@ -433,14 +437,40 @@ class _BatchOperator:
         indptr, indices = self._block0
         indptr = indptr[: hi + 1]
         stop = int(indptr[hi])
-        data, state, matvec = self._data, self._state, self.matvec
+        data, state = self._data, self._state
         out = np.zeros(state.shape, dtype=complex)
         live = np.flatnonzero(self._live[: self.width]).tolist()
         for t in live:
-            matvec(n, hi, indptr, indices, data[t * nnz : t * nnz + stop], state[t], out[t])
+            _sparsetools.csc_matvec(
+                n, hi, indptr, indices, data[t * nnz : t * nnz + stop], state[t], out[t]
+            )
         self._state = out
         self.product_rows += len(live)
         self.product_edges += len(live) * stop
+
+    def _target_sums(self) -> np.ndarray:
+        """``v . e`` (or ``v . w_t``) per point: each row of the gather reduced
+        on its own, so a point's sum rounds the same whatever the width of
+        the block."""
+        picked = np.take(self._state, self._targets, axis=1)
+        if self._weights is None:
+            return np.add.reduce(picked, axis=1)
+        return weighted_sums(picked.real, picked.imag, self._weights)
+
+    def residual(self) -> np.ndarray:
+        """``||v||_1`` per point rather than the added term of Eq. (11): the
+        row sums of ``|M|`` never exceed one, so it is non-increasing and
+        bounds *every* future term.  A structurally periodic model has
+        exactly-zero terms at some transition counts (no path of that length
+        reaches the target), which must not stop a sum whose later terms are
+        still significant.  A transient's terms are ``v . w_t``, so its norm
+        is scaled by ``max(1, max |w_t|)``: never a looser rule than the
+        passage's, and a term bound where ``w`` is large.  (Scaling by
+        ``max |w_t|`` alone, which is small far from ``s = 0``, stops those
+        points with a relative error the Euler inversion multiplies by
+        ``e^(A/2) / t``.)"""
+        norm = np.abs(self._state).sum(axis=1)
+        return norm if self._weights is None else norm * self._scale
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self._acc[positions]
@@ -453,102 +483,19 @@ class _BatchOperator:
         if width < self.width:
             self._state = self._state[:width]
             self._acc = self._acc[:width]
+            if self._weights is not None:
+                self._weights, self._scale = self._weights[:width], self._scale[:width]
             self._bind(width)
-
-
-class _BatchRowOperator(_BatchOperator):
-    """Row-form stepper: ``v <- v @ U'(s_t)``, accumulating ``v . e``.
-
-    States are numbered in exploration order, so the support of ``v`` after
-    ``r`` steps is a prefix of the states that grows from alpha's: the
-    frontier starts one past alpha's image and moves to ``reach[hi]`` after
-    every step, and the block pays for the edges of that prefix only.
-    """
-
-    matrix = sparse.csc_matrix
-    matvec = staticmethod(_sparsetools.csc_matvec)
-
-    def __init__(self, evaluator, mask, alpha, u_data, points):
-        super().__init__(evaluator, mask, u_data, points)
-        self._targets = np.flatnonzero(mask)
-        self._alpha = alpha
-
-    def start(self) -> None:
-        self._state = self.evaluator.alpha_vec_matrix_batch(
-            self._alpha, self._u_data, self._points
-        )
-        self._hi = int(self.evaluator.reach[1 + np.flatnonzero(self._alpha)[-1]])
-        self._acc = self._target_sums()
-
-    def step(self) -> None:
-        super().step()
-        self._hi = int(self.evaluator.reach[self._hi])
-
-    def _accumulate(self) -> None:
-        self._acc = self._acc + self._target_sums()
-
-    def _target_sums(self) -> np.ndarray:
-        """``v . e`` per point: each row of the gather reduced on its own, so a
-        point's sum rounds the same whatever the width of the block."""
-        return np.add.reduce(np.take(self._state, self._targets, axis=1), axis=1)
-
-    def residual(self) -> np.ndarray:
-        """``||v||_1`` per point rather than the added term ``|v . e|`` of
-        Eq. (11): the row sums of ``|U'|`` never exceed one, so it is
-        non-increasing and bounds *every* future term.  A structurally
-        periodic model has exactly-zero terms at some transition counts (no
-        path of that length reaches the target), which must not stop a sum
-        whose later terms are still significant."""
-        return np.abs(self._state).sum(axis=1)
-
-    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        return taken
-
-
-class _BatchColOperator(_BatchOperator):
-    """Column-form stepper: ``term <- U'(s_t) @ term``, accumulating the terms."""
-
-    matrix = sparse.csr_matrix
-    matvec = staticmethod(_sparsetools.csr_matvec)
-
-    def __init__(self, evaluator, mask, u_data, points):
-        super().__init__(evaluator, mask, u_data, points)
-        self.e = mask.astype(complex)
-
-    def start(self) -> None:
-        self._state = np.tile(self.e, (self.width, 1))
-        self._acc = self._state.copy()
-
-    def _accumulate(self) -> None:
-        self._acc += self._state
-
-    def residual(self) -> np.ndarray:
-        """``||term||_inf`` per point: the row sums of ``|U|`` never exceed
-        one for ``Re(s) >= 0``, so it bounds the change in ``U acc``."""
-        return np.abs(self._state).max(axis=1)
-
-    def finish(self, taken: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """The final (non-absorbing) ``U(s) @ acc`` of the taken accumulators."""
-        # The iteration is over: let go of U' and the state it advanced
-        # before this sweep gathers the rows of U.
-        self._operator = self._data = self._diag = self._block0 = None
-        self._state = self._acc = None
-        return self.evaluator.matrix_vec_batch(
-            self._u_data[self._points[positions]], taken
-        )
 
 
 def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True):
     """Advance one block to convergence: any form, any engine.
 
-    ``op`` is one of the four block operators (batch / factored × row /
-    column).  The driver sees only their shared protocol — ``start()``,
-    ``step()`` (advance every position one transition and accumulate),
-    ``residual()`` (the per-point quantity the truncation rule tests),
-    ``take(positions)`` (accumulated results), ``zero_points`` / ``narrow``
-    and ``finish(taken, positions)`` (whatever turns accumulators into
-    results: nothing in row form, the final ``U(s)`` product in column form,
-    applied in one batched sweep at the end).
+    ``op`` is one of the two block operators (batch or factored).  The
+    driver sees only their shared protocol — ``start()``, ``step()``
+    (advance every position one transition and accumulate), ``residual()``
+    (the per-point quantity the truncation rule tests), ``take(positions)``
+    (accumulated sums) and ``zero_points`` / ``narrow``.
 
     Returns ``(order, results, iterations, deltas, converged)``:
     ``results[i]`` belongs to the operator's position ``order[i]``, the other
@@ -594,54 +541,79 @@ def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True
             parked.append(op.take(live_pos))
     if not parked:
         return live_pos[:0], None, iterations, deltas, converged
-    order = np.concatenate(parked_pos)
-    taken = np.concatenate(parked)
-    parked.clear()
-    return order, op.finish(taken, order), iterations, deltas, converged
+    return np.concatenate(parked_pos), np.concatenate(parked), iterations, deltas, converged
 
 
 @dataclass(frozen=True)
 class _Form:
-    """Which shape of the truncated sum a block solve computes.
+    """What a block solve sums: one row iteration from ``alpha``, two ways.
 
-    Row form (``alpha`` given) is the α-weighted scalar of Eq. (10), one
-    complex per s-point; column form (``alpha=None``) the vector of Eq. (9)
-    for every source state, one ``n``-row per s-point.  This is all the
-    block solve knows about the difference.
+    A passage (Eq. 10) makes the target states ``mask`` absorbing and
+    accumulates ``v . e``; a transient (``transient=True``; see
+    :mod:`repro.smp.transient`) absorbs nothing and accumulates ``v . w(s)``
+    with ``w = (1 - h*(s)) / s`` on the targets.  Either way the answer is
+    one complex per s-point, and this is all the block solve knows about
+    the difference.
     """
 
-    alpha: np.ndarray | None = None
+    alpha: np.ndarray
+    mask: np.ndarray
+    transient: bool = False
 
     @property
-    def vector(self) -> bool:
-        return self.alpha is None
+    def targets(self) -> np.ndarray:
+        return np.flatnonzero(self.mask)
 
-    def empty(self, n_s: int, n: int) -> np.ndarray:
-        return np.empty((n_s, n) if self.vector else n_s, dtype=complex)
+    @property
+    def absorbing(self) -> np.ndarray:
+        """The states whose rows the iteration zeroes: the targets, or none."""
+        return np.zeros_like(self.mask) if self.transient else self.mask
 
-    def reduce(self, vectors: np.ndarray) -> np.ndarray:
-        """The direct solver's ``(m, n)`` passage vectors as results.
+    def weights(self, evaluator, engine, s_block, u_data) -> np.ndarray | None:
+        """``w`` on the targets at every point of the block (None for a passage).
 
-        Row form: ``vectors @ alpha`` over alpha's support, each row reduced
-        on its own — BLAS picks its kernel by the row count, and a point's
-        value must not depend on how many points share its block.
+        ``h*`` is read off what the block already holds — the row sums of its
+        ``U`` grid, or the factored engine's distribution table — so no
+        transform is evaluated twice.
         """
-        if self.vector:
-            return vectors
+        if not self.transient:
+            return None
+        if engine == "factored":
+            h = evaluator.factored().sojourn_lst_batch(s_block)
+        else:
+            h = np.add.reduceat(u_data, evaluator.csr.indptr[:-1], axis=1)
+        return (1.0 - h[:, self.targets]) / s_block[:, None]
+
+    def direct(self, evaluator, s_values, u_data) -> np.ndarray:
+        """The values of points the sparse LU solves, one factorisation each.
+
+        A passage reduces the LU's passage vectors ``vectors @ alpha`` over
+        alpha's support, each row on its own — BLAS picks its kernel by the
+        row count, and a point's value must not depend on how many points
+        share its block.
+        """
+        if self.transient:
+            return transient_transform_direct_batch(
+                evaluator, self.alpha, self.targets, s_values, u_data=u_data
+            )
+        vectors = passage_transform_direct_batch(
+            evaluator, self.targets, s_values, u_data=u_data
+        )
         support = np.flatnonzero(self.alpha)
         return np.add.reduce(np.take(vectors, support, axis=1) * self.alpha[support], axis=1)
 
-    def operator(self, evaluator, engine, mask, s_iter, u_data, points):
+    def operator(self, evaluator, engine, s_iter, u_data, points, weights):
         """The stepper of the block's iterative points, in their run order:
         ``s_iter`` their s-values, ``points`` their rows of the block's U grid
-        ``u_data`` (the batch engine reads the grid, the factored one ``s``)."""
+        ``u_data`` (the batch engine reads the grid, the factored one ``s``),
+        ``weights`` their rows of :meth:`weights`."""
         if engine == "factored":
-            if self.vector:
-                return FactoredColOperator(evaluator.factored(), s_iter, mask)
-            return FactoredRowOperator(evaluator.factored(), s_iter, mask, self.alpha)
-        if self.vector:
-            return _BatchColOperator(evaluator, mask, u_data, points)
-        return _BatchRowOperator(evaluator, mask, self.alpha, u_data, points)
+            return FactoredRowOperator(
+                evaluator.factored(), s_iter, self.absorbing, self.alpha, self.targets, weights
+            )
+        return _BatchRowOperator(
+            evaluator, self.absorbing, self.alpha, self.targets, weights, u_data, points
+        )
 
 
 def _rows(grid: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -650,18 +622,18 @@ def _rows(grid: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return grid[lo:hi] if hi - lo == indices.size else grid[indices]
 
 
-def _solve_block(evaluator, engine, form, mask, targets, s_block, options, policy):
+def _solve_block(evaluator, engine, form, s_block, options, policy):
     """One memory-bounded s-block: route, solve directly, drive, fall back.
 
     ``engine`` is the iterative engine of the block or ``"direct-lu"``, the
     explicit direct solve — the same routing with every point routed, which
-    therefore never computes a contraction or the ``U'`` data.  Returns the
-    values, one diagnostics per point and the iterative product's work:
+    therefore never computes a contraction or the iteration's data.  Returns
+    the values, one diagnostics per point and the iterative product's work:
     ``(point-rows advanced, edge-point products taken)``.
     """
     n_s = s_block.size
     n = evaluator.kernel.n_states
-    result = form.empty(n_s, n)
+    result = np.empty(n_s, dtype=complex)
     diags: list[ConvergenceDiagnostics | None] = [None] * n_s
     may_route = n <= DIRECT_MAX_STATES
 
@@ -673,12 +645,13 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
         if engine == "direct-lu":
             direct_mask = np.ones(n_s, dtype=bool)
         else:
+            absorbing = form.absorbing
             if engine == "factored":
-                contraction = evaluator.factored().contraction(s_block, mask)
+                contraction = evaluator.factored().contraction(s_block, absorbing)
             else:
-                # The row sums of |U'| are those of |U| with the target rows'
-                # sums zeroed: routing reads the U grid, U' is not built yet.
-                contraction = np.where(mask, 0.0, evaluator.row_abs_sums(u_data)).max(axis=1)
+                # The row sums of |M| are those of |U| with the absorbing
+                # rows' sums zeroed: routing reads the U grid, M is not built yet.
+                contraction = np.where(absorbing, 0.0, evaluator.row_abs_sums(u_data)).max(axis=1)
             if may_route:
                 direct_mask = policy.route_direct(options.epsilon, contraction)
             else:
@@ -692,9 +665,7 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
 
     def solve_direct(indices, solver_label, iterations, matvecs):
         u_rows = _rows(u_data, indices) if u_data is not None else None
-        result[indices] = form.reduce(passage_transform_direct_batch(
-            evaluator, targets, s_block[indices], u_data=u_rows
-        ))
+        result[indices] = form.direct(evaluator, s_block[indices], u_rows)
         for idx in indices:
             diags[idx] = ConvergenceDiagnostics(
                 iterations=iterations,
@@ -715,8 +686,10 @@ def _solve_block(evaluator, engine, form, mask, targets, s_block, options, polic
         # finished result is wasted work — tell the driver to skip it.
         will_fallback = policy.fallback_to_direct and may_route
         with _obs_trace.span("drive", points=int(iter_idx.size)) as drive:
+            weights = form.weights(evaluator, engine, s_block, u_data)
             op = form.operator(
-                evaluator, engine, mask, s_block[iter_idx], u_data, iter_idx
+                evaluator, engine, s_block[iter_idx], u_data, iter_idx,
+                None if weights is None else weights[iter_idx],
             )
             order, results, iterations, deltas, conv = _drive(
                 op, options, finalize_unconverged=not will_fallback
@@ -776,7 +749,7 @@ def _note_block(report, *, points, seconds, diags, engine, work) -> None:
 
 
 def _block_loop(
-    evaluator, policy, s_values, out, solve, report, *, vector: bool, direct: bool = False
+    evaluator, policy, s_values, out, solve, report, *, direct: bool = False
 ) -> list[ConvergenceDiagnostics]:
     """The one block loop every batched solve runs through.
 
@@ -787,7 +760,7 @@ def _block_loop(
     notes the block once (metrics and ``report``) — so an s-block is traced,
     timed and counted exactly once whatever the measure computed inside it.
     """
-    engine, block = policy._block_plan(evaluator, vector=vector, direct=direct)
+    engine, block = policy._block_plan(evaluator, direct=direct)
     if report is not None:
         report["engine"] = engine
         report.setdefault("blocks", [])
@@ -841,53 +814,22 @@ def passage_transform_batch(
     per-block solve timings.
     """
     evaluator = as_evaluator(kernel_or_evaluator)
-    alpha = check_alpha(alpha, evaluator.kernel.n_states)
-    return _form_batch(
-        evaluator, _Form(alpha), targets, s_values, options, solver, policy, report
-    )
+    n = evaluator.kernel.n_states
+    form = _Form(check_alpha(alpha, n), target_mask(n, targets))
+    return _form_batch(evaluator, form, s_values, options, solver, policy, report)
 
 
-def passage_transform_vector_batch(
-    kernel_or_evaluator,
-    targets,
-    s_values,
-    options: PassageTimeOptions | None = None,
-    *,
-    policy: SPointPolicy | None = None,
-    report: dict | None = None,
-) -> tuple[np.ndarray, list[ConvergenceDiagnostics]]:
-    """The vector ``(L_{1->j}(s), ..., L_{N->j}(s))`` for every source, at
-    every point of an s-grid: ``(n_s, n_states)`` at once.
-
-    Column-accumulation form of Eq. (9), used by the transient computation:
-    the accumulator ``acc_r = sum_{k=0}^{r-1} U'^k e`` is built by repeated
-    sparse products and the result is ``U acc_r``.  The same
-    blocked scheduling, active-set convergence masking and iterative/direct
-    policy as :func:`passage_transform_batch` apply.  Note the result scales
-    as ``O(n_s · n_states)`` — callers on large kernels should keep their
-    s-grids blocked (the transient computation does).
-    """
-    return _form_batch(
-        as_evaluator(kernel_or_evaluator), _Form(), targets, s_values, options,
-        "iterative", policy, report,
-    )
-
-
-def _form_batch(evaluator, form, targets, s_values, options, solver, policy, report):
-    """Either form of the passage transform over a whole s-grid."""
+def _form_batch(evaluator, form, s_values, options, solver, policy, report):
+    """A passage or a transient (``form``) over a whole s-grid."""
     if solver not in ("iterative", "direct"):
         raise ValueError("solver must be 'iterative' or 'direct'")
     options = options or PassageTimeOptions()
     policy = policy or SPointPolicy()
-    n = evaluator.kernel.n_states
-    mask = target_mask(n, targets)
     s_values = np.asarray(s_values, dtype=complex).ravel()
-    out = form.empty(s_values.size, n)
+    out = np.empty(s_values.size, dtype=complex)
     diags = _block_loop(
         evaluator, policy, s_values, out,
-        lambda engine, s_block: _solve_block(
-            evaluator, engine, form, mask, targets, s_block, options, policy
-        ),
-        report, vector=form.vector, direct=solver == "direct",
+        lambda engine, s_block: _solve_block(evaluator, engine, form, s_block, options, policy),
+        report, direct=solver == "direct",
     )
     return out, diags

@@ -1,15 +1,29 @@
-"""Transient state distributions from passage-time quantities (Eqs. 6–7).
+"""Transient state distributions (Eqs. 6–7) as one Markov-renewal sum.
 
-Pyke's relations connect the transform of the transient probability
-``T_ij(t) = P(Z(t) = j | Z(0) = i)`` to first-passage and cycle-time
-transforms:
+The transform of the transient probability ``P(Z(t) in j)`` from an
+initial weighting ``alpha`` sums over the number ``r`` of transitions made
+by time ``t``: the process is in state ``k`` after ``r`` transitions with
+transform ``(alpha U(s)^r)_k`` and is still there at ``t`` while its
+sojourn lasts, whose transform is ``(1 - h*_k(s)) / s``.  Hence
+
+    T*_{alpha,j}(s) = sum_{r >= 0} (alpha U(s)^r) . w(s),
+    w_k(s) = (1 - h*_k(s)) / s  for k in j,  0 otherwise,
+
+which is ``alpha (I - U(s))^-1 w(s)``.  It equals Pyke's relations of the
+paper,
 
     T*_ii(s) = (1/s) (1 - h*_i(s)) / (1 - L_ii(s))
-    T*_ij(s) = L_ij(s) T*_jj(s)                       (i != j)
+    T*_ij(s) = L_ij(s) T*_jj(s)                       (i != j),
 
-For a set of target states ``j`` (Eq. 7) this needs, per s-point, one
-passage-time vector computation per target state — each yields both
-``L_ik(s)`` for every source ``i`` and the cycle transform ``L_kk(s)``.
+because splitting the paths from ``i`` at their first visit to ``j``
+gives ``L_ij(s)`` and splitting those from ``j`` at each return gives the
+geometric series ``sum_m L_jj(s)^m = 1 / (1 - L_jj(s))``; Eq. (7) sums the
+same terms target by target.  The sum above needs no passage quantity at
+all: it is the row iteration of :mod:`repro.smp.passage` with ``U`` in place
+of ``U'``, the weight ``w(s)`` in place of the target indicator and the
+``r = 0`` term ``alpha . w`` added — one block solve per s-block, whatever
+the number of target states, and one sparse LU per point the policy routes
+to the direct solve.
 """
 from __future__ import annotations
 
@@ -20,9 +34,8 @@ from .passage import (
     ConvergenceDiagnostics,
     PassageTimeOptions,
     SPointPolicy,
-    _block_loop,
     _Form,
-    _solve_block,
+    _form_batch,
 )
 
 __all__ = ["transient_transform_batch"]
@@ -44,89 +57,18 @@ def transient_transform_batch(
 
     ``alpha`` is the initial-state weighting (Eq. 5; a unit vector for a
     single source), ``targets`` the target state set ``j``; ``solver`` is
-    ``"iterative"`` (the paper's algorithm for the per-target passage-time
-    vectors) or ``"direct"`` (the sparse linear solve).  The s-grid runs
-    through the block loop of :mod:`repro.smp.passage` and, inside each
-    block, every target's passage-time vectors of Eq. (7) come from one
-    column-form block solve (or the batched direct solve), so the sojourn
-    transforms, the cached transform data and each iteration's sparse
-    products are shared by the block's points and targets.  Returns the
-    values plus one aggregated :class:`ConvergenceDiagnostics` per s-point
-    (matvec counts summed over the target states, used by backends to
-    apportion wall-clock time).
+    ``"iterative"`` (the Markov-renewal sum of the module docstring) or
+    ``"direct"`` (one sparse LU of ``I - U(s)`` per point, solved
+    transposed against ``alpha``).  The s-grid runs through the block loop
+    of :mod:`repro.smp.passage` under the same truncation rule, routing and
+    fallback as a passage, with ``||v||_1 · max|w(s)|`` as the bound on
+    every future term.  Returns the values plus one
+    :class:`ConvergenceDiagnostics` per s-point, each the point's own.
     """
     evaluator = as_evaluator(kernel_or_evaluator)
-    if solver not in ("iterative", "direct"):
-        raise ValueError("solver must be 'iterative' or 'direct'")
-
     s_values = np.asarray(s_values, dtype=complex).ravel()
     if np.any(s_values == 0):
         raise ValueError("the transient transform has a pole at s = 0; use Re(s) > 0")
-
     n = evaluator.kernel.n_states
-    alpha = check_alpha(alpha, n)
-
-    targets = np.unique(np.atleast_1d(np.asarray(targets, dtype=np.int64)))
-    if targets.size == 0:
-        raise ValueError("at least one target state is required")
-    if targets.min() < 0 or targets.max() >= n:
-        raise ValueError("target state index out of range")
-
-    options = options or PassageTimeOptions()
-    policy = policy or SPointPolicy()
-    source_states = np.where(np.abs(alpha) > 0)[0]
-    weights = alpha[source_states]
-    vector_form = _Form()
-
-    def solve(engine, s_block):
-        if engine == "factored":
-            h = evaluator.factored().sojourn_lst_batch(s_block)
-        else:
-            h = evaluator.sojourn_lst_batch(s_block)
-
-        totals = np.zeros(s_block.size, dtype=complex)
-        matvec_totals = np.zeros(s_block.size, dtype=np.int64)
-        direct_totals = np.zeros(s_block.size, dtype=np.int64)
-        iterations_max = np.zeros(s_block.size, dtype=np.int64)
-        converged_all = np.ones(s_block.size, dtype=bool)
-        work = np.zeros(2, dtype=np.int64)
-        for k in targets:
-            l_mat, target_diags, target_work = _solve_block(
-                evaluator, engine, vector_form, target_mask(n, [k]), [k],
-                s_block, options, policy,
-            )
-            lam = (1.0 - h[:, k]) / (1.0 - l_mat[:, k])
-            l_src = np.take(l_mat, source_states, axis=1)
-            k_pos = np.flatnonzero(source_states == k)
-            if k_pos.size:
-                # The delta term of Eq. (7): a source equal to the target
-                # contributes Lambda_k itself rather than Lambda_k L_kk(s).
-                l_src[:, k_pos[0]] = 1.0
-            # reduced row by row: a point's value is independent of its block
-            totals += lam * np.add.reduce(l_src * weights, axis=1)
-            work += target_work
-            for t, diag in enumerate(target_diags):
-                matvec_totals[t] += diag.matvec_count
-                direct_totals[t] += diag.direct_solves
-                iterations_max[t] = max(iterations_max[t], diag.iterations)
-                converged_all[t] &= diag.converged
-
-        return totals / s_block, [
-            ConvergenceDiagnostics(
-                iterations=int(iterations_max[t]),
-                converged=bool(converged_all[t]),
-                final_delta=0.0,
-                matvec_count=int(matvec_totals[t]),
-                solver="direct" if direct_totals[t] and matvec_totals[t] == 0 else "iterative",
-                direct_solves=int(direct_totals[t]),
-                engine=engine,
-            )
-            for t in range(s_block.size)
-        ], work
-
-    values = np.empty(s_values.size, dtype=complex)
-    diags = _block_loop(
-        evaluator, policy, s_values, values, solve, report,
-        vector=True, direct=solver == "direct",
-    )
-    return values, diags
+    form = _Form(check_alpha(alpha, n), target_mask(n, targets), transient=True)
+    return _form_batch(evaluator, form, s_values, options, solver, policy, report)

@@ -9,10 +9,10 @@ from repro.distributions import Deterministic, Erlang, Exponential, Uniform
 from repro.models import VotingParameters, voting_spec_text
 from repro.service.registry import ModelRegistry
 from repro.smp import (
+    ConvergenceDiagnostics,
     SMPBuilder,
     SPointPolicy,
     passage_transform_batch,
-    passage_transform_vector_batch,
     source_weights,
 )
 
@@ -30,11 +30,25 @@ def block_of_one(kernel, alpha, targets, s, options=None):
 
 
 def vector_block_of_one(kernel, targets, s, options=None):
-    """The shipped column-form block solve at a grid of one, iterated."""
-    values, diags = passage_transform_vector_batch(
-        kernel, targets, [s], options, policy=ITERATIVE_ONLY
+    """The vector ``(L_{1->j}(s), ..., L_{N->j}(s))`` from the shipped row-form
+    block solve, one unit ``alpha`` per source state, iterated: ``(vector,
+    diagnostics)``, the diagnostics of the slowest source with ``converged``
+    over all of them."""
+    n = kernel.n_states
+    vector = np.empty(n, dtype=complex)
+    diags = []
+    for source in range(n):
+        alpha = np.zeros(n)
+        alpha[source] = 1.0
+        vector[source], diag = block_of_one(kernel, alpha, targets, s, options)
+        diags.append(diag)
+    slowest = max(diags, key=lambda d: d.iterations)
+    return vector, ConvergenceDiagnostics(
+        iterations=slowest.iterations,
+        converged=all(d.converged for d in diags),
+        final_delta=slowest.final_delta,
+        matvec_count=slowest.matvec_count,
     )
-    return values[0], diags[0]
 
 
 def voting_measure(voters: int, polling_units: int, central_units: int):

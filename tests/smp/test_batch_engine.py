@@ -32,7 +32,6 @@ from repro.smp import (
     SPointPolicy,
     passage_transform_batch,
     passage_transform_direct_batch,
-    passage_transform_vector_batch,
     source_weights,
     transient_transform_batch,
 )
@@ -109,27 +108,40 @@ def test_direct_batch_matches_scalar_direct():
 
 
 def test_vector_batch_matches_scalar_on_random_kernels():
+    """The row-form block solve from every single source reproduces the
+    scalar column oracle's vector ``(L_{1->j}(s), ..., L_{N->j}(s))``."""
     for seed in range(5):
         kernel = random_kernel(np.random.default_rng(seed), 4 + seed * 2)
-        target = [kernel.n_states - 1]
-        batch, diags = passage_transform_vector_batch(
-            kernel, target, S_GRID, policy=ITERATIVE_ONLY
-        )
+        n = kernel.n_states
+        target = [n - 1]
+        rows = []
+        for source in range(n):
+            alpha = np.zeros(n)
+            alpha[source] = 1.0
+            values, diags = passage_transform_batch(
+                kernel, alpha, target, S_GRID, policy=ITERATIVE_ONLY
+            )
+            assert all(d.converged for d in diags)
+            rows.append(values)
+        batch = np.column_stack(rows)
         for t, s in enumerate(S_GRID):
             scalar, scalar_diag = passage_transform_vector(kernel, target, complex(s))
+            assert scalar_diag.converged
             assert np.allclose(batch[t], scalar, atol=1e-10)
-            assert diags[t].iterations == scalar_diag.iterations
 
 
 def test_transient_batch_matches_scalar(branching_kernel):
+    """The renewal sum against Pyke's relations, target by target: the two
+    truncate different sums, so both run to 1e-12 to agree to 1e-10."""
     alpha = source_weights(branching_kernel, [0])
     targets = [3, 4]
+    tight = PassageTimeOptions(epsilon=1e-12)
     batch, diags = transient_transform_batch(
-        branching_kernel, alpha, targets, S_GRID, policy=ITERATIVE_ONLY
+        branching_kernel, alpha, targets, S_GRID, tight, policy=ITERATIVE_ONLY
     )
     assert len(diags) == len(S_GRID)
     for t, s in enumerate(S_GRID):
-        scalar = transient_transform(branching_kernel, alpha, targets, complex(s))
+        scalar = transient_transform(branching_kernel, alpha, targets, complex(s), tight)
         assert batch[t] == pytest.approx(scalar, abs=1e-10)
 
 

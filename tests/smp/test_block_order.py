@@ -9,11 +9,10 @@ same number of iterations.
 Reversed and shuffled grids, the per-point regime and *one-point* calls are
 compared.  In the batch engine every reduction around the iteration sums a
 point's row on its own (``np.add.reduce`` along the contiguous axis of a
-gather), so the comparison holds in all three forms, with any number of
-targets and for points the sparse LU solves.  The factored row form still
-starts from ``lst @ A``, where BLAS picks its kernel (dot / gemv / gemm) by
-the row count: there a one-point call is compared in the column form and the
-transient assembly only.
+gather), so the comparison holds for the passage and the transient, with any
+number of targets and for points the sparse LU solves.  The factored engine
+starts both from ``lst @ A``, where BLAS picks its kernel (dot / gemv / gemm)
+by the row count: there a one-point call is not compared.
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ from repro.smp import (
     PassageTimeOptions,
     SPointPolicy,
     passage_transform_batch,
-    passage_transform_vector_batch,
     source_weights,
     transient_transform_batch,
 )
@@ -56,19 +54,16 @@ CASES = {"voting832": voting_measure(8, 3, 2), "mg1_queue": _builder_case()}
 
 
 def _transforms(kernel, alpha, targets, options, policy):
-    """The three batched entry points as ``grid -> (values, iterations)``."""
+    """The two batched entry points as ``grid -> (values, iterations)``."""
     def row(grid):
         return passage_transform_batch(kernel, alpha, targets, grid, options, policy=policy)
-
-    def column(grid):
-        return passage_transform_vector_batch(kernel, targets, grid, options, policy=policy)
 
     def transient(grid):
         return transient_transform_batch(
             kernel, alpha, targets[:2], grid, options, policy=policy
         )
 
-    return {"row": row, "column": column, "transient": transient}
+    return {"row": row, "transient": transient}
 
 
 def _assert_same(label, values, diags, reference, reference_diags, order):
@@ -83,7 +78,7 @@ def _check_independence(kernel, alpha, targets, engine, policy_name, monkeypatch
     options, fields = POLICIES[policy_name]
     policy = SPointPolicy(engine=engine, **fields)
     # see the module docstring for where a one-point call is comparable
-    one_point = {"row", "column", "transient"} if engine == "batch" else {"column", "transient"}
+    one_point = {"row", "transient"} if engine == "batch" else set()
     for name, transform in _transforms(kernel, alpha, targets, options, policy).items():
         reference, reference_diags = transform(GRID)
         orders = {

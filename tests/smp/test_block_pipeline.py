@@ -17,7 +17,6 @@ from repro.laplace import EulerInverter
 from repro.smp import (
     SPointPolicy,
     passage_transform_batch,
-    passage_transform_vector_batch,
     source_weights,
     transient_transform_batch,
 )
@@ -51,17 +50,19 @@ def _traced_peak(solve) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("form", ["row", "column"])
+@pytest.mark.parametrize("form", ["row", "transient"])
 def test_a_block_stays_inside_its_memory_plan(measure, form):
     """``max_block_bytes`` is true: the largest block the policy allows, on a
     fresh evaluator — so the ``U`` grid, the block-diagonal structure and
-    every temporary count — peaks below the budget it was sized for.  (The
-    parent peaked at 100 B per edge per point against the 64 it budgeted.)"""
+    every temporary count — peaks below the budget it was sized for, for the
+    passage and for the transient (sized as the same row block).  (Before
+    the block pipeline wrote ``U'`` once, a block peaked at 100 B per edge
+    per point against the 64 it budgeted.)"""
     kernel, alpha, targets, grid = measure
     budget = (4 if kernel.n_states < 1000 else 64) << 20
     policy = SPointPolicy(engine="batch", max_block_bytes=budget)
     evaluator = kernel.evaluator()
-    block = policy.block_points(evaluator, vector=form == "column")
+    block = policy.block_points(evaluator)
     wide = np.concatenate((grid, 1.1 * grid))
     assert 50 <= block <= wide.size
     report: dict = {}
@@ -72,8 +73,8 @@ def test_a_block_stays_inside_its_memory_plan(measure, form):
             )
     else:
         def solve():
-            passage_transform_vector_batch(
-                evaluator, targets[:1], wide[:block], policy=policy, report=report
+            transient_transform_batch(
+                evaluator, alpha, targets, wide[:block], policy=policy, report=report
             )
     peak = _traced_peak(solve)
     assert [entry["points"] for entry in report["blocks"]] == [block]
@@ -81,8 +82,8 @@ def test_a_block_stays_inside_its_memory_plan(measure, form):
 
 
 def test_the_block_diagonal_structure_is_built_once_per_kernel(measure, monkeypatch):
-    """Five ops on fresh grids, every narrowing of every block, the row and the
-    column form: one build — and a wider block grows it, once."""
+    """Five ops on fresh grids, every narrowing of every block, the passage
+    and the transient: one build — and a wider block grows it, once."""
     kernel, alpha, targets, grid = measure
     builds = []
     real = kernel_module._diagonal_copies
@@ -98,7 +99,7 @@ def test_the_block_diagonal_structure_is_built_once_per_kernel(measure, monkeypa
             evaluator, alpha, targets, grid * (1.0 + 0.01 * op)
         )
         assert all(d.converged and d.solver == "iterative" for d in diags)
-    passage_transform_vector_batch(evaluator, targets[:1], grid[:20])
+    transient_transform_batch(evaluator, alpha, targets, grid[:20])
     assert builds == [grid.size]
     passage_transform_batch(evaluator, alpha, targets, np.concatenate((grid, 1.5 * grid)))
     assert builds == [grid.size, 2 * grid.size]
@@ -151,14 +152,24 @@ def test_hardly_a_wasted_row_on_the_benchmark_grid(measure):
 
 
 def test_product_rows_sum_over_a_transient_blocks_targets(measure):
+    """One row iteration per block whatever the number of targets: a point's
+    diagnostics are its own, and the block's ``product_rows`` are the sum of
+    its points' iterations, as for a passage."""
     kernel, alpha, targets, grid = measure
-    report: dict = {}
-    _, diags = transient_transform_batch(kernel, alpha, targets[:3], grid[:12], report=report)
-    (block,) = report["blocks"]
-    # one column solve per target state, each advancing at least the
-    # slowest target's iterations of every point
-    assert block["product_rows"] >= block["iterations"]
-    assert block["product_rows"] <= 3 * 1.1 * block["iterations"]
+    reports = []
+    for count in (1, 3):
+        report: dict = {}
+        _, diags = transient_transform_batch(
+            kernel, alpha, targets[:count], grid[:12], report=report
+        )
+        (block,) = report["blocks"]
+        assert block["iterations"] == sum(d.iterations for d in diags)
+        assert block["iterations"] <= block["product_rows"] <= 1.1 * block["iterations"]
+        assert all(d.matvec_count == d.iterations + 1 for d in diags)
+        assert all(d.final_delta > 0.0 and d.direct_solves == 0 for d in diags)
+        reports.append(block["product_rows"])
+    # three targets do not cost three solves
+    assert reports[1] <= 1.2 * reports[0]
 
 
 def test_row_entries_are_the_mask_gather(measure):

@@ -4,8 +4,9 @@ The distribution-factored engine must be a drop-in replacement for the
 batched per-edge-data engine, which itself matches the scalar loops: all
 three apply the same truncation rule, so values agree to float associativity
 (asserted at 1e-10) and iteration counts agree exactly.  Parity is checked
-across every bundled model family, both ``U`` product shapes (row/passage
-and column/vector, i.e. plain and target-absorbing kernels), real-dominated
+across every bundled model family, both measures the row form sums (the
+passage over the target-absorbing ``U'`` and the transient over the plain
+``U``), real-dominated
 Euler grids and the complex Laguerre contour, plus the degenerate shapes the
 factoring must survive: a single-distribution kernel and a heavy-Mixture
 kernel where almost every edge carries a distinct distribution.
@@ -39,13 +40,11 @@ from repro.smp import (
     SMPBuilder,
     SPointPolicy,
     passage_transform_batch,
-    passage_transform_direct_batch,
-    passage_transform_vector_batch,
     source_weights,
     transient_transform_batch,
 )
 from tests import reference
-from tests.reference import passage_transform, passage_transform_vector
+from tests.reference import passage_transform, transient_transform
 from tests.smp.conftest import random_kernel
 
 #: pure-iterative policies, one per engine (no direct routing, no fallback)
@@ -142,11 +141,13 @@ def test_passage_parity_across_engines(name, grid_name, grid):
     ids=[*sorted(KERNELS), "mg1_queue-cap-hit-fallback"],
 )
 def test_vector_parity_across_engines(name, cap):
-    """Column form: both the absorbing U' iteration and the final full-U
-    product must agree between engines (this exercises u and u_prime).  With
+    """The transient's row form — the plain ``U`` iteration with the weighted
+    accumulation — must agree between engines on every bundled kernel.  With
     an iteration ``cap`` the points that hit it are re-solved directly — the
-    one route (column × factored × fallback) no benchmark workload drives."""
+    one route (transient × factored × fallback) no benchmark workload
+    drives."""
     kernel = KERNELS[name]
+    alpha = source_weights(kernel, [0])
     targets = [kernel.n_states - 1]
     if cap is None:
         options, fac_policy, bat_policy = None, FACTORED, BATCH
@@ -154,19 +155,19 @@ def test_vector_parity_across_engines(name, cap):
         options = PassageTimeOptions(max_iterations=cap)
         fac_policy = SPointPolicy(engine="factored", predicted_iteration_limit=10**9)
         bat_policy = SPointPolicy(engine="batch", predicted_iteration_limit=10**9)
-    fac, fac_diags = passage_transform_vector_batch(
-        kernel, targets, EULER_GRID, options, policy=fac_policy
+    fac, fac_diags = transient_transform_batch(
+        kernel, alpha, targets, EULER_GRID, options, policy=fac_policy
     )
-    bat, bat_diags = passage_transform_vector_batch(
-        kernel, targets, EULER_GRID, options, policy=bat_policy
+    bat, bat_diags = transient_transform_batch(
+        kernel, alpha, targets, EULER_GRID, options, policy=bat_policy
     )
     assert np.abs(fac - bat).max() < 1e-10
     for df, db in zip(fac_diags, bat_diags):
         assert df.iterations == db.iterations
         assert df.engine == "factored" and db.engine == "batch"
     if cap is None:
-        scalar, _ = passage_transform_vector(kernel, targets, complex(EULER_GRID[3]))
-        assert np.abs(fac[3] - scalar).max() < 1e-10
+        exact = transient_transform(kernel, alpha, targets, complex(EULER_GRID[3]), solver="direct")
+        assert abs(fac[3] - exact) < 1e-8
     else:
         fell_back = np.array([d.solver == "direct-fallback" for d in fac_diags])
         assert fell_back.any() and not fell_back.all()  # a mixed block
@@ -174,7 +175,9 @@ def test_vector_parity_across_engines(name, cap):
             assert df.solver == db.solver == ("direct-fallback" if hit else "iterative")
             assert df.converged and df.direct_solves == db.direct_solves == int(hit)
             assert df.matvec_count == df.iterations + 1
-        exact = passage_transform_direct_batch(kernel, targets, EULER_GRID[fell_back])
+        exact, _ = transient_transform_batch(
+            kernel, alpha, targets, EULER_GRID[fell_back], solver="direct"
+        )
         assert np.array_equal(fac[fell_back], exact)
         assert np.array_equal(bat[fell_back], exact)
 
@@ -200,8 +203,9 @@ def test_multi_target_absorbing_parity():
 
 
 def test_factored_u_product_against_matrix():
-    """The factored row/col operators reproduce dense U(s)/U'(s) products."""
-    from repro.smp.factored import FactoredColOperator, FactoredRowOperator
+    """The factored row operator reproduces dense ``U'(s)`` products for a
+    passage and ``U(s)`` products with the weighted sums for a transient."""
+    from repro.smp.factored import FactoredRowOperator
 
     kernel = random_kernel(np.random.default_rng(3), 9)
     evaluator = kernel.evaluator()
@@ -209,9 +213,9 @@ def test_factored_u_product_against_matrix():
     s_block = np.array([0.7 + 0.4j, 1.3 - 2.0j, 0.2 + 5.0j])
     mask = np.zeros(kernel.n_states, dtype=bool)
     mask[[2, 6]] = True
-    alpha = source_weights(kernel, [0])
+    alpha = np.asarray(source_weights(kernel, [0]), dtype=complex)
 
-    row = FactoredRowOperator(fac, s_block, mask, np.asarray(alpha, dtype=complex))
+    row = FactoredRowOperator(fac, s_block, mask, alpha, np.flatnonzero(mask))
     row.start()
     for t, s in enumerate(s_block):
         expected = np.asarray(alpha @ reference.u_matrix(kernel, complex(s))).ravel()
@@ -224,17 +228,23 @@ def test_factored_u_product_against_matrix():
         got = row._state[:, t] + 1j * row._state[:, s_block.size + t]
         assert np.abs(got - expected).max() < 1e-12
 
-    col = FactoredColOperator(fac, s_block, mask)
-    col.start()
-    col.step()
-    e = mask.astype(complex)
+    targets = np.asarray([0, 2, 6])
+    weights = np.stack([
+        (1.0 - reference.sojourn_lsts(kernel, complex(s))[targets]) / s for s in s_block
+    ])
+    transient = FactoredRowOperator(
+        fac, s_block, np.zeros(kernel.n_states, dtype=bool), alpha, targets, weights
+    )
+    transient.start()
+    transient.step()  # one application of U: nothing absorbed
     for t, s in enumerate(s_block):
-        expected = reference.u_prime(kernel, complex(s), mask) @ e
-        got = col._state[:, t] + 1j * col._state[:, s_block.size + t]
-        assert np.abs(got - expected).max() < 1e-12
-    rows = col.finish(np.tile(e, (3, 1)), np.arange(3))
-    for t, s in enumerate(s_block):
-        assert np.abs(rows[t] - reference.u_matrix(kernel, complex(s)) @ e).max() < 1e-12
+        u = reference.u_matrix(kernel, complex(s))
+        terms = [alpha, np.asarray(alpha @ u).ravel()]
+        terms.append(terms[-1] @ u)
+        got = transient._state[:, t] + 1j * transient._state[:, s_block.size + t]
+        assert np.abs(got - terms[-1]).max() < 1e-12
+        expected = sum(term[targets] @ weights[t] for term in terms)
+        assert abs(transient.take(np.asarray([t]))[0] - expected) < 1e-12
 
 
 def test_blocked_grid_matches_unblocked():
@@ -288,12 +298,12 @@ def test_perpoint_submode_matches_blockdiag(monkeypatch):
     policy = SPointPolicy(engine="batch", predicted_iteration_limit=10**9,
                           fallback_to_direct=False)
     v1, d1 = passage_transform_batch(kernel, alpha, targets, EULER_GRID, policy=policy)
-    m1, c1 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=policy)
+    m1, c1 = transient_transform_batch(kernel, alpha, targets, EULER_GRID, policy=policy)
     monkeypatch.setattr(passage_module, "BLOCKDIAG_MAX_BYTES", 0)
     v2, d2 = passage_transform_batch(kernel, alpha, targets, EULER_GRID, policy=policy)
     assert np.array_equal(v1, v2)
     assert [d.iterations for d in d1] == [d.iterations for d in d2]
-    m2, c2 = passage_transform_vector_batch(kernel, targets, EULER_GRID, policy=policy)
+    m2, c2 = transient_transform_batch(kernel, alpha, targets, EULER_GRID, policy=policy)
     assert np.array_equal(m1, m2)
     assert [d.iterations for d in c1] == [d.iterations for d in c2]
 
@@ -344,7 +354,7 @@ def test_transient_direct_solver_uses_batch_block_sizing():
     )
     expected_block = SPointPolicy(
         engine="batch", max_block_bytes=1 << 20
-    ).block_points(evaluator, vector=True)
+    ).block_points(evaluator)
     assert report["engine"] == "direct-lu"
     assert all(b["points"] <= expected_block for b in report["blocks"])
     iterative, _ = transient_transform_batch(
@@ -458,6 +468,5 @@ def test_factored_structures_cached():
     mask = np.zeros(kernel.n_states, dtype=bool)
     mask[1] = True
     assert fac.row_structure(mask) is fac.row_structure(mask)
-    assert fac.col_structure() is fac.col_structure()
     assert fac.row_pair_count <= kernel.n_transitions
     assert fac.density_ratio() > 0

@@ -6,6 +6,8 @@ whose ``reach`` table says ``n`` everywhere — the full product of every step
 — and compares ``tobytes()``: the skipped entries multiply state entries that
 are exactly ``+0.0``, and each point keeps its column order.  Both are also
 held to the one-point oracle, which has no frontier to share a mistake with.
+The transient runs the same iteration without absorbing states, so it is
+checked the same way against Pyke's relations.
 """
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ from scipy.sparse import _sparsetools
 
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
-from repro.smp import SMPKernel, passage_transform_batch, passage_transform_vector_batch
+from repro.smp import SMPKernel, passage_transform_batch, transient_transform_batch
 from repro.smp import passage as passage_module
 
-from tests.reference import passage_transform
+from tests.reference import passage_transform, transient_transform
 
 from .conftest import ITERATIVE_ONLY, random_kernel, voting_measure
 
@@ -48,15 +50,16 @@ def _edges(solve) -> int:
     return counter.value(engine="batch") - before
 
 
-def _assert_same_solve(kernel, alpha, targets, grid=GRID):
+def _assert_same_solve(kernel, alpha, targets, grid=GRID, *, transient=False):
     """Frontier and full product agree byte for byte; returns the edge-point
     products of each."""
+    transform = transient_transform_batch if transient else passage_transform_batch
     runs = []
     for evaluator in (kernel.evaluator(), _full_product(kernel)):
         got = {}
 
         def solve():
-            got["values"], got["diags"] = passage_transform_batch(
+            got["values"], got["diags"] = transform(
                 evaluator, alpha, targets, grid, policy=ITERATIVE_ONLY
             )
 
@@ -66,8 +69,13 @@ def _assert_same_solve(kernel, alpha, targets, grid=GRID):
     assert [(d.iterations, d.final_delta) for d in frontier_diags] == [
         (d.iterations, d.final_delta) for d in full_diags
     ]
-    oracle = [passage_transform(kernel, alpha, targets, s)[0] for s in grid]
-    np.testing.assert_allclose(frontier, oracle, rtol=1e-9, atol=1e-12)
+    if transient:
+        # the renewal sum and Pyke's per-target sums truncate differently
+        oracle = [transient_transform(kernel, alpha, targets, s) for s in grid]
+        np.testing.assert_allclose(frontier, oracle, rtol=0, atol=5e-8)
+    else:
+        oracle = [passage_transform(kernel, alpha, targets, s)[0] for s in grid]
+        np.testing.assert_allclose(frontier, oracle, rtol=1e-9, atol=1e-12)
     return frontier_edges, full_edges
 
 
@@ -86,6 +94,16 @@ def test_bundled_voting_models(voting):
         frontier_edges, full_edges = _assert_same_solve(kernel, alpha, targets)
         # the frontier is real on exploration-ordered models
         assert frontier_edges < 0.9 * full_edges
+
+
+def test_the_transient_takes_the_same_frontier(voting):
+    kernel, alpha, targets = voting[0]
+    frontier_edges, full_edges = _assert_same_solve(kernel, alpha, targets, transient=True)
+    assert frontier_edges < 0.9 * full_edges
+    n = kernel.n_states
+    late = np.zeros(n)
+    late[[n - 5, n - 2]] = 0.5
+    _assert_same_solve(kernel, late, targets[:2], GRID[:3], transient=True)
 
 
 def test_alpha_on_late_states_only(voting):
@@ -134,20 +152,23 @@ def test_randomly_numbered_kernels(seed, n, density):
 def test_per_point_regime(voting, monkeypatch):
     """Above BLOCKDIAG_MAX_BYTES the same per-point call runs — frontier and
     all — and a block that narrows into the block-diagonal product mid-run
-    changes nothing either: both forms, against the default full product."""
+    changes nothing either: passage and transient, against the default full
+    product."""
     kernel, alpha, targets = voting[1]
     reference = passage_transform_batch(
         _full_product(kernel), alpha, targets, GRID, policy=ITERATIVE_ONLY
     )[0]
-    column = passage_transform_vector_batch(kernel, targets[:1], GRID[:3], policy=ITERATIVE_ONLY)[0]
+    transient = transient_transform_batch(
+        _full_product(kernel), alpha, targets[:3], GRID, policy=ITERATIVE_ONLY
+    )[0]
     for threshold in (0, 16 * kernel.n_states * 2):
         monkeypatch.setattr(passage_module, "BLOCKDIAG_MAX_BYTES", threshold)
         got = passage_transform_batch(kernel, alpha, targets, GRID, policy=ITERATIVE_ONLY)[0]
         assert got.tobytes() == reference.tobytes()
-        got = passage_transform_vector_batch(
-            kernel, targets[:1], GRID[:3], policy=ITERATIVE_ONLY
+        got = transient_transform_batch(
+            kernel, alpha, targets[:3], GRID, policy=ITERATIVE_ONLY
         )[0]
-        assert got.tobytes() == column.tobytes()
+        assert got.tobytes() == transient.tobytes()
 
 
 def test_the_drive_span_and_counter_carry_the_edges_taken(voting):
@@ -172,9 +193,9 @@ def test_the_drive_span_and_counter_carry_the_edges_taken(voting):
 
 def test_the_prefix_call_is_scipys_product():
     """The per-point call over the first ``hi`` source rows equals scipy's
-    ``csc_matrix @ x`` (``csr_matrix @ x`` for the column form) byte for
-    byte whenever ``x`` is zero from ``hi`` on — a guard on the private
-    kernel's signature and accumulation order across scipy releases."""
+    ``csc_matrix @ x`` byte for byte whenever ``x`` is zero from ``hi`` on —
+    a guard on the private kernel's signature and accumulation order across
+    scipy releases."""
     rng = np.random.default_rng(11)
     kernel = random_kernel(rng, 40, density=0.1)
     n, nnz = kernel.n_states, kernel.n_transitions
@@ -190,7 +211,3 @@ def test_the_prefix_call_is_scipys_product():
             n, hi, indptr[: hi + 1], indices, data[: indptr[hi]], x, out
         )
         assert out.tobytes() == (transposed @ x).tobytes()
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    out = np.zeros(n, dtype=complex)
-    _sparsetools.csr_matvec(n, n, indptr, indices, data, x, out)
-    assert out.tobytes() == (sparse.csr_matrix((data, indices, indptr), shape=(n, n)) @ x).tobytes()

@@ -139,10 +139,14 @@ def test_one_implementation_of_the_per_point_algorithm():
     assert not scalar_s
 
     # a complete sparse LU is the complex routed points' alone: one call, in
-    # _factor, whose one caller is the direct batch solve
+    # _factor, whose callers are the passage's and the transient's direct
+    # batch solves
     assert _call_sites("splu", "spsolve") == {"smp/linear.py": 1}
     assert _callers("splu", "spsolve") == ["smp/linear.py:_factor"]
-    assert _callers("_factor") == ["smp/linear.py:passage_transform_direct_batch"]
+    assert _callers("_factor") == [
+        "smp/linear.py:passage_transform_direct_batch",
+        "smp/linear.py:transient_transform_direct_batch",
+    ]
     # one moments code, called from one place, with nothing to select
     assert _call_sites("passage_moments") == {"core/solvers.py": 1}
     assert not _call_sites("polyfit", "polyder")
@@ -275,10 +279,12 @@ def test_one_routed_block_solve():
     solve (time it, route it, solve it directly) is written exactly once."""
     assert _call_sites("route_direct") == {"smp/passage.py": 1}
     assert _call_sites("passage_transform_direct_batch") == {"smp/passage.py": 1}
+    assert _call_sites("transient_transform_direct_batch") == {"smp/passage.py": 1}
     assert _call_sites("_drive") == {"smp/passage.py": 1}
-    # the transient solve runs its per-target solves inside the same scaffold
-    assert _call_sites("_solve_block") == {"smp/passage.py": 1, "smp/transient.py": 1}
-    assert _call_sites("_block_loop") == {"smp/passage.py": 1, "smp/transient.py": 1}
+    # the transient is the same grid solve with another form
+    assert _call_sites("_form_batch") == {"smp/passage.py": 1, "smp/transient.py": 1}
+    assert _call_sites("_solve_block") == {"smp/passage.py": 1}
+    assert _call_sites("_block_loop") == {"smp/passage.py": 1}
     assert _call_sites("_note_block") == {"smp/passage.py": 1}
     clocks = _call_sites("perf_counter")
     timed = ("smp/passage.py", "smp/transient.py", "core/jobs.py")
@@ -305,8 +311,8 @@ def test_policy_knobs_earn_their_keep():
 def test_the_block_solve_does_not_copy():
     """One block-diagonal image per kernel, ``U'`` written once, shrink by
     view: the copying paths stay deleted and the protocol has one spelling."""
-    from repro.smp.factored import FactoredColOperator, FactoredRowOperator
-    from repro.smp.passage import _BatchColOperator, _BatchRowOperator
+    from repro.smp.factored import FactoredRowOperator
+    from repro.smp.passage import _BatchRowOperator
 
     sources = {path: path.read_text() for path in SRC.rglob("*.py")}
     for name in ("block_diag_matrix", "_csc_structure", "_ensure_operator", "pos_map"):
@@ -317,12 +323,11 @@ def test_the_block_solve_does_not_copy():
         for node in _nodes(path, ast.FunctionDef)
         if node.name in ("shrink", "narrow")
     ]
-    # the two batch operators share theirs; the factored ones slice different state
-    assert methods == ["narrow"] * 3
-    for operator in (
-        _BatchRowOperator, _BatchColOperator, FactoredRowOperator, FactoredColOperator,
-    ):
+    # the two operators, one per engine, each slicing its own state
+    assert methods == ["narrow"] * 2
+    for operator in (_BatchRowOperator, FactoredRowOperator):
         assert callable(operator.narrow) and not hasattr(operator, "shrink")
+        assert not hasattr(operator, "finish")
     assert _call_sites("narrow") == {"smp/passage.py": 1}  # the driver's
     assert _call_sites("block_diag_structure") == {"smp/passage.py": 1}
 
@@ -361,7 +366,7 @@ def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
         if isinstance(node, ast.Call)
         and re.fullmatch(r"(self\.matrix|(sparse\.)?cs[rc]_matrix)", ast.unparse(node.func))
     ]
-    assert [ast.unparse(node.func) for node in builds] == ["self.matrix"]
+    assert [ast.unparse(node.func) for node in builds] == ["sparse.csc_matrix"]
     enclosing = (ast.FunctionDef, ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
     scopes = {
         node.name if isinstance(node, ast.FunctionDef) else type(node).__name__
@@ -382,8 +387,26 @@ def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
             })
     assert users == {
         "smp/factored.py": ["csr_matvecs"],
-        "smp/passage.py": ["csc_matvec", "csr_matvec"],
+        "smp/passage.py": ["csc_matvec"],
     }
+
+
+def test_the_column_form_stays_deleted():
+    """The transient is one row iteration, so nothing in ``src/`` runs the
+    column form any more: not its operators, its product, its entry point,
+    a per-target loop or a ``vector`` block size."""
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        for name in (
+            "csr_matvec", "_BatchColOperator", "FactoredColOperator",
+            "matrix_vec_batch", "passage_transform_vector_batch",
+        ):
+            # csr_matvecs, the factored engine's SpMM, is another kernel
+            assert not re.search(rf"\b{name}\b", text), (path, name)
+    transient = SRC / "smp" / "transient.py"
+    assert not _nodes(transient, ast.For, ast.AsyncFor, ast.comprehension, ast.While)
+    for name, method in inspect.getmembers(SPointPolicy, inspect.isfunction):
+        assert "vector" not in inspect.signature(method).parameters, name
 
 
 # --- one more down: one kernel image ----------------------------------------
@@ -423,7 +446,7 @@ def test_the_plane_goes_through_public_names():
         for name in (*vars(obj), *dir(type(obj)))
         if name.startswith("_") and not name.startswith("__")
     }
-    assert {"_factored", "_row_pair_cache", "_col_structure"} <= private
+    assert {"_factored", "_row_pair_cache"} <= private
     plane = SRC / "smp" / "plane.py"
     named = {
         getattr(node, "attr", None) or node.value
