@@ -1,37 +1,34 @@
 #!/usr/bin/env python3
-"""The distributed master/worker analysis pipeline and its scalability.
+"""The distributed master/worker analysis pipeline.
 
-Reproduces the architecture of Section 4 and the scalability study of
-Section 5.3.3 (Table 2), spelling out the one evaluation loop every surface
-of the library shares — plan -> scheduler/store -> executor -> ``on_block``:
+Reproduces the architecture of Section 4, spelling out the one evaluation
+loop every surface of the library shares — plan -> scheduler/store ->
+executor -> ``on_block``:
 
 1. the plan fixes the s-points required by the Euler inversion of a
    voting-system passage time (5 t-points x 33 evaluations = 165 s-points,
    matching the paper's task count),
 2. the scheduler resolves them through its result store and hands the rest
-   to an executor — a serial backend (recording per-task cost), a real
-   multiprocessing pool, and, for the Table 2 shape, the recorded costs
-   replayed on a simulated cluster with 1/8/16/32 slaves,
+   to an executor — a serial backend, then a real multiprocessing pool,
 3. every solved block lands in the store (memory and on-disk checkpoint)
    before the caller's ``on_block`` sees it, and the script demonstrates a
    resumed run that does no recomputation.
+
+The scalability study of Section 5.3.3 (Table 2) is replayed by
+``benchmarks/test_table2_scalability.py``.
 
 Run:  python examples/distributed_pipeline.py
 """
 from __future__ import annotations
 
+import os
 import tempfile
 
 import numpy as np
 
 from repro.api import QueryPlan, measures
 from repro.core.jobs import PassageTimeJob
-from repro.distributed import (
-    CheckpointStore,
-    MultiprocessingBackend,
-    SerialBackend,
-    scalability_table,
-)
+from repro.distributed import CheckpointStore, MultiprocessingBackend, SerialBackend
 from repro.laplace import get_inverter
 from repro.models import (
     SCALED_CONFIGURATIONS,
@@ -70,8 +67,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as checkpoint_dir:
         store = CheckpointStore(checkpoint_dir)
-        serial = SerialBackend(record_timings=True)
-        resolved, stats = evaluate(job, plan, backend=serial, checkpoint=store)
+        resolved, stats = evaluate(job, plan, backend=SerialBackend(), checkpoint=store)
         density = measures.invert(plan, resolved, stats)
         cdf = measures.invert(plan, resolved, stats, cdf=True)
 
@@ -87,32 +83,16 @@ def main() -> None:
         print(f"\nresumed run recomputed {resumed.s_points_computed} s-points "
               f"({resumed.s_points_from_disk} served from the checkpoint)")
 
-        durations = serial.task_durations
-
     # ------------------------------------------------------------------
     # 2. Real multiprocessing speed-up on this machine.
     # ------------------------------------------------------------------
-    import os
-
     workers = min(4, os.cpu_count() or 1)
     mp_backend = MultiprocessingBackend(processes=workers, block_size=4)
     blocks = []
-    evaluate(job, plan, backend=mp_backend, on_block=blocks.append)
+    _, mp_stats = evaluate(job, plan, backend=mp_backend, on_block=blocks.append)
     mp_backend.close()
-    serial_time = sum(durations)
     print(f"\nmultiprocessing backend ({workers} workers, {len(blocks)} s-blocks): "
-          f"{mp_backend.last_wall_clock:.2f}s wall-clock vs {serial_time:.2f}s serial compute")
-
-    # ------------------------------------------------------------------
-    # 3. Table 2: simulated cluster at 1 / 8 / 16 / 32 slaves.
-    # ------------------------------------------------------------------
-    print("\nSimulated cluster scalability (Table 2 shape), using the measured "
-          f"per-s-point durations of the serial run ({len(durations)} tasks):")
-    print(f"{'slaves':>7} {'time (s)':>10} {'speedup':>9} {'efficiency':>11}")
-    for row in scalability_table(durations, (1, 8, 16, 32)):
-        print(f"{row.slaves:7d} {row.time_seconds:10.2f} {row.speedup:9.2f} {row.efficiency:11.3f}")
-    print("\npaper's Table 2 for comparison: "
-          "549.1s/1.00/1.000, 71.1s/7.72/0.965, 39.2s/14.02/0.876, 24.1s/22.79/0.712")
+          f"{mp_stats.evaluation_seconds:.2f}s vs {stats.evaluation_seconds:.2f}s serial")
 
 
 if __name__ == "__main__":

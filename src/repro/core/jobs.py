@@ -3,11 +3,12 @@
 A *job* bundles everything a worker needs to evaluate the Laplace transform
 of one measure (a passage time or a transient probability) at arbitrary
 s-points: the kernel, the source weighting, the target set and the truncation
-options.  It evaluates grids only — ``evaluate_batch(s_values)``, through the
-one block solve of :mod:`repro.smp`; a single s-point is a grid of one
-(``evaluate_many([s])``).  Jobs are picklable, so the multiprocessing backend
-can ship them to worker processes once and then stream bare s-values, and
-they expose a stable digest used to key the on-disk checkpoint cache.
+options.  It evaluates grids only — ``evaluate_batch(s_values)`` returns the
+transform values in input order, through the one block solve of
+:mod:`repro.smp`; a single s-point is a grid of one (``evaluate_many([s])``).
+Jobs are picklable, so the multiprocessing backend can ship them to worker
+processes once and then stream bare s-values, and they expose a stable digest
+used to key the on-disk checkpoint cache.
 """
 from __future__ import annotations
 
@@ -22,13 +23,6 @@ from ..smp.passage import PassageTimeOptions, SPointPolicy, passage_transform_ba
 from ..smp.transient import transient_transform_batch
 
 __all__ = ["TransformJob", "PassageTimeJob", "TransientJob", "JobSpec"]
-
-#: Relative cost, in matvec-equivalents, attributed to one sparse-LU solve
-#: when apportioning a batch's wall-clock time over its s-points.  Only the
-#: *shape* matters (the simulated cluster replays relative durations); a
-#: factorisation is far more expensive than a single sparse matvec but
-#: independent of ``|s|``.
-_DIRECT_SOLVE_COST = 100.0
 
 
 @dataclass
@@ -105,30 +99,25 @@ class TransformJob(abc.ABC):
         """Short label ("passage" / "transient") used in digests and logs."""
 
     @abc.abstractmethod
-    def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate a whole s-grid in one sweep via the batched engine.
+    def evaluate_batch(self, s_values) -> np.ndarray:
+        """Evaluate a whole s-grid in one sweep via the batched engine: the
+        complex transform values, in input order."""
 
-        Returns ``(values, costs)``: the transform values (in input order)
-        and non-negative relative per-point costs (matvec-equivalents) that
-        backends use to apportion the batch's wall-clock time.
-        """
-
-    def _batch(self, transform, s_values) -> tuple[np.ndarray, np.ndarray]:
+    def _batch(self, transform, s_values) -> np.ndarray:
         """:meth:`evaluate_batch` through one of the batched transforms of
         :mod:`repro.smp` (they share a signature); records its report."""
         report: dict = {}
-        values, diags = transform(
+        values, _ = transform(
             self.evaluator, self.alpha, self.targets, s_values, self.options,
             solver=self.solver, policy=self.policy, report=report,
         )
         self.last_report = report
-        costs = [d.matvec_count + d.direct_solves * _DIRECT_SOLVE_COST for d in diags]
-        return values, np.asarray(costs, dtype=float)
+        return values
 
     def evaluate_many(self, s_values) -> dict[complex, complex]:
         """Evaluate a batch of s-points, returned as an ``{s: L(s)}`` mapping."""
         s_list = [complex(s) for s in s_values]
-        values, _ = self.evaluate_batch(np.asarray(s_list, dtype=complex))
+        values = self.evaluate_batch(np.asarray(s_list, dtype=complex))
         return {s: complex(v) for s, v in zip(s_list, values)}
 
 
@@ -138,20 +127,17 @@ class PassageTimeJob(TransformJob):
     def kind(self) -> str:
         return "passage"
 
-    def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_batch(self, s_values) -> np.ndarray:
         s_values = np.asarray(s_values, dtype=complex).ravel()
         values = np.empty(s_values.shape, dtype=complex)
-        costs = np.zeros(s_values.shape, dtype=float)
         nonzero = np.flatnonzero(s_values != 0)
         # L(0) is the probability of ever reaching the target set, which is
         # one in the irreducible chains this library targets.  A grid of
         # s = 0 points alone still runs the (empty) solve, so its report
         # names the engine and no blocks instead of keeping the last call's.
         values[s_values == 0] = 1.0 + 0.0j
-        values[nonzero], costs[nonzero] = self._batch(
-            passage_transform_batch, s_values[nonzero]
-        )
-        return values, costs
+        values[nonzero] = self._batch(passage_transform_batch, s_values[nonzero])
+        return values
 
 
 class TransientJob(TransformJob):
@@ -160,7 +146,7 @@ class TransientJob(TransformJob):
     def kind(self) -> str:
         return "transient"
 
-    def evaluate_batch(self, s_values) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_batch(self, s_values) -> np.ndarray:
         return self._batch(
             transient_transform_batch, np.asarray(s_values, dtype=complex).ravel()
         )

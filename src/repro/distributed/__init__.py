@@ -26,16 +26,14 @@ block_points=None, on_block=None)`` and everything lands in ``on_block``:
 * executors — :class:`SerialBackend` (blocks solved in the calling process)
   and :class:`MultiprocessingBackend` (real parallelism on this machine's
   cores, with watchdog, poison-block quarantine and rebuild-only-unfinished
-  recovery),
-* :class:`SimulatedCluster` — not an executor but a deterministic timing
-  model of a cluster with a configurable number of slaves, per-task compute
-  times, master dispatch overhead and network latency, used to regenerate
-  the shape of Table 2.
+  recovery).
+
+The paper's Table 2 cluster is not an executor either: its timing model lives
+next to the benchmark that draws it (``benchmarks/cluster_model.py``).
 """
 from .queue import SBlock, SBlockQueue
 from .checkpoint import CheckpointStore
 from .backends import Backend, PoisonBlockError, SerialBackend, MultiprocessingBackend
-from .simcluster import SimulatedCluster, ClusterTiming, ScalabilityRow, scalability_table, relative_timing
 
 __all__ = [
     "SBlock",
@@ -45,9 +43,4 @@ __all__ = [
     "PoisonBlockError",
     "SerialBackend",
     "MultiprocessingBackend",
-    "SimulatedCluster",
-    "ClusterTiming",
-    "ScalabilityRow",
-    "scalability_table",
-    "relative_timing",
 ]

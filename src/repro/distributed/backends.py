@@ -8,8 +8,6 @@ drives it, :meth:`repro.service.scheduler.CoalescingScheduler.evaluate`.
 
 * :class:`SerialBackend` — the ``workers=0`` case: blocks solved one after
   the other in the calling process (one block unless the caller sizes them),
-  optionally recording a wall-clock duration per s-point (the durations feed
-  the simulated cluster used to regenerate Table 2),
 * :class:`MultiprocessingBackend` — a pool of worker *processes* sharing one
   kernel image, and the paper's hand-out: slaves are assigned the model once
   and then pull s-values until the analysis is done.  The pool belongs to the
@@ -39,9 +37,6 @@ drives it, :meth:`repro.service.scheduler.CoalescingScheduler.evaluate`.
   default SIGTERM, ignore SIGINT and ask the kernel to be killed with their
   master, so neither a server's signal handlers nor its violent death
   leave a worker behind.
-
-(:class:`repro.distributed.simcluster.SimulatedCluster` is not an executor
-but a timing model; see that module.)
 """
 from __future__ import annotations
 
@@ -132,23 +127,7 @@ class Backend(Protocol):
 
 
 class SerialBackend:
-    """Solve the blocks one after the other in the calling process.
-
-    Parameters
-    ----------
-    record_timings:
-        When true, per-s-point wall-clock durations are appended to
-        :attr:`task_durations`; the Table 2 benchmark replays them through the
-        simulated cluster.  The batched engine evaluates a block in one sweep,
-        so the measured block time is apportioned over its points in
-        proportion to the per-point work reported by the job (iteration/matvec
-        counts, LU-solve equivalents) — the per-task durations keep the same
-        relative shape a scalar evaluation loop would have recorded.
-    """
-
-    def __init__(self, *, record_timings: bool = False):
-        self.record_timings = record_timings
-        self.task_durations: list[float] = []
+    """Solve the blocks one after the other in the calling process."""
 
     def block_points(self, job: TransformJob, n_points: int) -> int:
         return max(1, n_points)
@@ -162,17 +141,8 @@ class SerialBackend:
         reports = []
         for lo in range(0, len(s_list), size):
             block = s_list[lo:lo + size]
-            start = time.perf_counter()
-            values, costs = job.evaluate_batch(np.asarray(block, dtype=complex))
-            elapsed = time.perf_counter() - start
+            values = job.evaluate_batch(np.asarray(block, dtype=complex))
             reports.append(job.last_report)
-            if self.record_timings:
-                total_cost = float(np.sum(costs))
-                if total_cost > 0:
-                    durations = elapsed * np.asarray(costs, dtype=float) / total_cost
-                else:
-                    durations = np.full(len(block), elapsed / len(block))
-                self.task_durations.extend(float(d) for d in durations)
             solved = {s: complex(v) for s, v in zip(block, values)}
             out.update(solved)
             if on_block is not None:
@@ -359,7 +329,7 @@ def _block_worker_run(task: _BlockTask):  # pragma: no cover - subprocess
     faults.fire("worker.solve", block=block.index, pid=pid, measure=task.digest)
     started = time.perf_counter()
     with obs_trace.span("s-block", index=block.index, points=block.n_points):
-        values, _ = job.evaluate_batch(block.s_points)
+        values = job.evaluate_batch(block.s_points)
     elapsed = time.perf_counter() - started
     pairs = [(complex(s), complex(v)) for s, v in zip(block.s_points, values)]
     # Everything the master-side observability needs from this block: the
@@ -506,7 +476,6 @@ class MultiprocessingBackend:
         self.max_retries = max_retries
         # What the last evaluate to finish left; a call's own copy is on its
         # job's ``last_report``, which concurrent calls do not share.
-        self.last_wall_clock: float | None = None
         #: per-worker {"blocks", "busy_seconds", "points"}
         self.last_worker_stats: dict[str, dict] | None = None
         #: {"retries": {block: n}, "suspected": {block: n}}
@@ -833,7 +802,6 @@ class MultiprocessingBackend:
         }
         self.last_worker_stats = workers
         self.last_retry_stats = retry_stats
-        self.last_wall_clock = wall_clock
         gauge = obs_metrics.get_metrics().gauge(
             "repro_worker_busy_fraction",
             "busy seconds / wall-clock of the last pool evaluate",

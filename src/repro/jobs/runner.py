@@ -39,6 +39,18 @@ logger = logging.getLogger("repro.jobs")
 _BLOCK_POINTS_ENV = "REPRO_JOBS_BLOCK_POINTS"
 
 
+def _block_size(name: str, value) -> int:
+    """``value`` as an s-block size; anything but an integer >= 1 would let a
+    job's blocks go unsolved, so it is refused up front, naming ``name``."""
+    try:
+        points = int(value)
+    except (TypeError, ValueError):
+        points = 0
+    if points < 1 or isinstance(value, (bool, float)):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return points
+
+
 class JobCancelled(Exception):
     """Raised between blocks when the job's cancel flag is set."""
 
@@ -73,7 +85,11 @@ class JobRunner:
         self.service = service
         self.store = store
         env_block = os.environ.get(_BLOCK_POINTS_ENV)
-        self.block_points = int(env_block) if env_block else block_points
+        if env_block:
+            block_points = _block_size(_BLOCK_POINTS_ENV, env_block)
+        elif block_points is not None:
+            block_points = _block_size("job_block_points", block_points)
+        self.block_points = block_points
         self.poll_interval = float(poll_interval)
         self._cond = threading.Condition()
         self._thread: threading.Thread | None = None

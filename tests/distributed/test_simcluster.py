@@ -1,48 +1,39 @@
-"""Tests for the simulated-cluster timing model (the Table 2 substrate)."""
+"""Tests for the Table 2 cluster timing model (``benchmarks/cluster_model.py``)."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.distributed import ClusterTiming, ScalabilityRow, SimulatedCluster, scalability_table
+from benchmarks.cluster_model import ScalabilityRow, makespan, scalability_table
 
 
 class TestSimulatedCluster:
     def test_single_slave_is_serial_sum(self):
-        timing = ClusterTiming(dispatch_overhead=0.0, network_latency=0.0)
-        cluster = SimulatedCluster(1, timing)
         durations = [1.0, 2.0, 3.0]
-        assert cluster.makespan(durations) == pytest.approx(6.0)
+        assert makespan(durations, 1) == pytest.approx(6.0)
 
     def test_perfect_split_without_overheads(self):
-        timing = ClusterTiming(dispatch_overhead=0.0, network_latency=0.0)
-        cluster = SimulatedCluster(4, timing)
         # 8 equal tasks over 4 slaves -> exactly 2 rounds.
-        assert cluster.makespan([1.0] * 8) == pytest.approx(2.0)
+        assert makespan([1.0] * 8, 4) == pytest.approx(2.0)
 
     def test_master_dispatch_serialises(self):
-        timing = ClusterTiming(dispatch_overhead=1.0, network_latency=0.0)
-        cluster = SimulatedCluster(100, timing)
         # With huge dispatch cost the master is the bottleneck.
-        assert cluster.makespan([0.001] * 10) >= 10.0
+        assert makespan([0.001] * 10, 100, dispatch=1.0) >= 10.0
 
     def test_slave_speed_scaling(self):
-        slow = SimulatedCluster(1, ClusterTiming(0.0, 0.0, slave_speed=1.0))
-        fast = SimulatedCluster(1, ClusterTiming(0.0, 0.0, slave_speed=2.0))
-        assert fast.makespan([4.0]) == pytest.approx(0.5 * slow.makespan([4.0]))
+        # Without overheads the makespan is linear in the task durations:
+        # slaves twice as fast drain the queue in half the time.
+        durations = np.array([4.0, 1.0, 2.5, 3.0])
+        assert makespan(durations / 2, 2) == pytest.approx(0.5 * makespan(durations, 2))
 
     def test_empty_task_list(self):
-        assert SimulatedCluster(4).makespan([]) == 0.0
+        assert makespan([], 4, dispatch=1.0, latency=1.0) == 0.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            SimulatedCluster(0)
+            makespan([1.0], 0)
         with pytest.raises(ValueError):
-            ClusterTiming(dispatch_overhead=-1.0)
-        with pytest.raises(ValueError):
-            ClusterTiming(slave_speed=0.0)
-        with pytest.raises(ValueError):
-            SimulatedCluster(2).makespan([-1.0])
+            makespan([-1.0], 2)
 
 
 class TestScalabilityTable:
@@ -74,8 +65,9 @@ class TestScalabilityTable:
     def test_row_tuple_accessor(self, durations):
         row = scalability_table(durations, (4,))[0]
         assert isinstance(row, ScalabilityRow)
-        slaves, time_s, speedup, efficiency = row.as_tuple()
+        slaves, time_s, speedup, efficiency = row
         assert slaves == 4 and time_s > 0
+        assert (speedup, efficiency) == (row.speedup, row.efficiency)
 
     def test_invalid_slave_counts(self, durations):
         with pytest.raises(ValueError):

@@ -73,7 +73,7 @@ class _ScriptedJob:
 
 
 def _ones(s_values):
-    return np.ones(len(s_values), dtype=complex), np.zeros(len(s_values))
+    return np.ones(len(s_values), dtype=complex)
 
 
 def _leader_and_waiter(scheduler, job):

@@ -88,13 +88,13 @@ class TestShmPlane:
             plane.unlink()
 
     def test_attached_evaluator_matches_original(self, kernel, evaluator, plane_path):
-        reference, _ = _job(kernel).evaluate_batch(S_POINTS)
+        reference = _job(kernel).evaluate_batch(S_POINTS)
         plane = KernelPlane.build(evaluator, plane_path)
         try:
             attached = plane.handle().attach()
             job = _job(attached.kernel)
             job.attach_evaluator(attached.evaluator)
-            values, _ = job.evaluate_batch(S_POINTS)
+            values = job.evaluate_batch(S_POINTS)
             np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
             attached.close()
         finally:
@@ -137,8 +137,8 @@ class TestFilePlane:
         attached = plane.handle().attach()
         job = _job(attached.kernel)
         job.attach_evaluator(attached.evaluator)
-        reference, _ = _job(kernel).evaluate_batch(S_POINTS)
-        values, _ = job.evaluate_batch(S_POINTS)
+        reference = _job(kernel).evaluate_batch(S_POINTS)
+        values = job.evaluate_batch(S_POINTS)
         np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-12)
         attached.close()
         plane.unlink()

@@ -192,7 +192,7 @@ def test_insertion_order_moves_neither_the_digest_nor_the_values(seed, n, s):
             job = PassageTimeJob(
                 kernel=k, alpha=source_weights(k, [0, n // 2]), targets=[n - 1]
             )
-            values.append(job.evaluate_batch(grid)[0])
+            values.append(job.evaluate_batch(grid))
             LoopRun(job, checkpoint=store).density([1.0])
         assert values[0].tobytes() == values[1].tobytes()
         assert len(store.digests()) == 1

@@ -198,13 +198,48 @@ def test_one_quantile_refiner():
 
 def test_the_deleted_surface_stays_deleted():
     assert not (SRC / "distributed" / "pipeline.py").exists()
+    assert not (SRC / "distributed" / "simcluster.py").exists()
     source = "\n".join(path.read_text() for path in SRC.rglob("*.py"))
     for name in (
         "DistributedPipeline", "PipelineStatistics", "SPointWorkQueue",
         "WorkItem", "supports_blocks", "supports_progress", "_evaluate=",
-        "_run_state",
+        "_run_state", "record_timings", "task_durations", "_DIRECT_SOLVE_COST",
+        "last_wall_clock", "SimulatedCluster", "scalability_table",
     ):
         assert name not in source, name
+
+
+def test_the_table2_timing_model_is_not_in_the_product():
+    """Table 2's cluster lives next to its benchmark: ``repro.distributed``
+    exports executors and the checkpoint store only, the serial executor has
+    no options, and a job's batch evaluation returns its values and nothing
+    for a timing model to read."""
+    package = SRC / "distributed" / "__init__.py"
+    (exports,) = [
+        ast.literal_eval(node.value)
+        for node in _nodes(package, ast.Assign)
+        if [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+    ]
+    assert sorted(exports) == sorted([
+        "SBlock", "SBlockQueue", "CheckpointStore", "Backend", "PoisonBlockError",
+        "SerialBackend", "MultiprocessingBackend",
+    ])
+
+    (serial,) = [
+        node for node in _nodes(SRC / "distributed" / "backends.py", ast.ClassDef)
+        if node.name == "SerialBackend"
+    ]
+    for init in [n for n in serial.body if getattr(n, "name", None) == "__init__"]:
+        arguments = init.args
+        assert [a.arg for a in arguments.posonlyargs + arguments.args] == ["self"]
+        assert not (arguments.kwonlyargs or arguments.vararg or arguments.kwarg)
+
+    batches = [
+        node for node in _nodes(SRC / "core" / "jobs.py", ast.FunctionDef)
+        if node.name in ("evaluate_batch", "_batch")
+    ]
+    assert len(batches) == 4
+    assert {ast.unparse(node.returns) for node in batches} == {"np.ndarray"}
 
 
 def test_one_measure_wire_format():
