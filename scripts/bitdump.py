@@ -28,10 +28,17 @@ The scenario matrix (about 30 s on a 2-core box):
   kernel the factored engine exists for × batch / factored × default /
   cap-hit / cap-hit-with-fallback policies, plus the batch engine's per-point
   regime, with every point's ``iterations``, ``converged``, ``final_delta``,
-  ``solver``, ``direct_solves`` and ``matvec_count``.
+  ``solver``, ``direct_solves`` and ``matvec_count``;
+* explore — every bundled net (the DNAmaca voting spec at four sizes up to
+  the paper's system 1, the programmatic voting net and the web-server net)
+  explored once: state and edge counts, the truncation flag and the sha256 of
+  the marking matrix, the five edge columns, the deadlock list and the
+  distribution table's reprs, so an explorer PR's identity claim is a
+  ``cmp`` too.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -44,7 +51,15 @@ import numpy as np  # noqa: E402
 from repro.api import Model, build_job, resolve_state_sets  # noqa: E402
 from repro.distributions import Erlang, Exponential, Uniform  # noqa: E402
 from repro.laplace import EulerInverter  # noqa: E402
-from repro.models import VotingParameters, mg1_queue_kernel, voting_spec_text  # noqa: E402
+from repro.dnamaca import load_model  # noqa: E402
+from repro.models import (  # noqa: E402
+    VotingParameters,
+    build_voting_net,
+    mg1_queue_kernel,
+    voting_spec_text,
+    web_server_net,
+)
+from repro.petri import explore  # noqa: E402
 from repro.service.registry import ModelRegistry  # noqa: E402
 from repro.smp import (  # noqa: E402
     PassageTimeOptions,
@@ -232,6 +247,43 @@ def kernel_scenarios() -> dict:
     return out
 
 
+# ------------------------------------------------------------------ explore
+def sha256(array) -> str:
+    array = np.ascontiguousarray(array)
+    return hashlib.sha256(f"{array.dtype.str}{array.shape}".encode() + array.tobytes()).hexdigest()
+
+
+def explore_scenarios() -> dict:
+    nets = {
+        f"voting-spec{''.join(map(str, sizes))}": lambda sizes=sizes: load_model(
+            voting_spec_text(VotingParameters(*sizes)), name="voting"
+        )
+        for sizes in ((8, 3, 2), (18, 6, 3), (50, 15, 4), (60, 25, 4))
+    }
+    nets["voting-net832"] = lambda: build_voting_net(VotingParameters(8, 3, 2))
+    nets["web-server"] = web_server_net
+    out = {}
+    for label, factory in nets.items():
+        space = explore(factory())
+        out[f"explore/{label}"] = {
+            "states": space.n_states,
+            "edges": space.n_edges,
+            "truncated": space.truncated,
+            "markings": sha256(space.marking_matrix),
+            **{
+                column: sha256(getattr(space, column))
+                for column in (
+                    "edge_src", "edge_dst", "edge_prob", "edge_dist", "edge_trans",
+                    "deadlock_states",
+                )
+            },
+            "distributions": hashlib.sha256(
+                "\n".join(map(repr, space.distributions)).encode()
+            ).hexdigest(),
+        }
+    return out
+
+
 # ------------------------------------------------------- against a parent
 #: the largest relative move of any float a value-moving PR may make
 MAX_RELATIVE_MOVE = 1e-9
@@ -319,7 +371,7 @@ def main(argv) -> int:
         print(__doc__.split("\n\n")[0], file=sys.stderr)
         return 2
     started = time.perf_counter()
-    dump = {**facade_scenarios(), **kernel_scenarios()}
+    dump = {**facade_scenarios(), **kernel_scenarios(), **explore_scenarios()}
     with open(argv[1], "w") as handle:
         json.dump(dump, handle, indent=1, sort_keys=True)
         handle.write("\n")

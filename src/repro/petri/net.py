@@ -225,6 +225,15 @@ class Transition:
 
     def fire(self, view: MarkingView, place_index: Mapping[str, int]) -> tuple[int, ...]:
         """The marking reached by firing this transition."""
+        tokens = self.next_tokens(view, place_index)
+        if any(t < 0 for t in tokens):
+            raise ValueError(
+                f"firing {self.name!r} produced a negative marking {tuple(tokens)}"
+            )
+        return tuple(tokens)
+
+    def next_tokens(self, view: MarkingView, place_index: Mapping[str, int]) -> list[int]:
+        """The token counts after firing, not yet checked for negativity."""
         tokens = list(view.tokens)
         if self._action_fn is not None:
             updates = self._action_fn(view)
@@ -237,11 +246,7 @@ class Transition:
                 tokens[place_index[place]] -= count
             for place, count in self.outputs.items():
                 tokens[place_index[place]] += count
-        if any(t < 0 for t in tokens):
-            raise ValueError(
-                f"firing {self.name!r} produced a negative marking {tuple(tokens)}"
-            )
-        return tuple(tokens)
+        return tokens
 
 
 class SMSPN:

@@ -8,7 +8,8 @@ the one representation of an explored net, :class:`StateSpace`:
 
 * markings live in one ``(n_states, n_places)`` int64 matrix (chunked,
   doubling growth — memory stays proportional to states, not Python objects),
-* markings are interned through a ``bytes -> id`` dictionary (O(1) lookup),
+* markings are interned as packed int64 keys in a sorted array (a
+  ``bytes -> id`` dictionary once a marking outgrows 63 bits),
 * edges are structure-of-arrays — ``src``/``dst`` int64, ``prob`` float64,
   ``dist`` int32 into a table of *unique* distributions deduplicated at
   exploration time, ``trans`` int32 into the net's transition names,
@@ -20,8 +21,8 @@ the one representation of an explored net, :class:`StateSpace`:
   vectors, a firing delta and per-place integer bounds that the wave loop
   applies with single broadcasts,
 * enabledness, priority selection, weight normalisation and firing are
-  evaluated per *transition over the frontier batch* — attributes that do
-  not fold compile to one NumPy evaluation per wave via
+  evaluated for a *whole frontier wave* at once — attributes that do not
+  fold compile to one NumPy evaluation per transition and wave via
   :class:`repro.dnamaca.vectorize.VectorizedExpression`; opaque Python
   callables fall back to per-row evaluation of just that attribute, so any
   net explores correctly and nets with declarative attributes explore fast,
@@ -376,35 +377,26 @@ class _VectorTransition:
     def fire(
         self, M_rows: np.ndarray, view_of_row: Callable[[np.ndarray], MarkingView]
     ) -> np.ndarray:
-        if self._fire_delta is not None:
-            out = M_rows + self._fire_delta
-        elif self._fire_vec is not None:
+        """Successor rows of an action that did not fold into a firing delta.
+
+        Unchecked: :func:`explore` checks a whole wave for negative markings
+        at once, so the error names the first offending pair in stream order.
+        """
+        if self._fire_vec is not None:
             try:
                 env = self._column_env(M_rows)
                 out = M_rows.copy()
                 for column, expr in self._fire_vec:
                     values = np.asarray(expr.evaluate_checked(env), dtype=float)
                     out[:, column] = np.rint(values).astype(np.int64)
+                return out
             except FloatingPointError:
-                return self._fire_rows_scalar(M_rows, view_of_row)
-        else:
-            return self._fire_rows_scalar(M_rows, view_of_row)
-        if (out < 0).any():
-            bad = int(np.flatnonzero((out < 0).any(axis=1))[0])
-            raise ValueError(
-                f"firing {self.name!r} produced a negative marking "
-                f"{tuple(int(x) for x in out[bad])}"
-            )
-        return out
-
-    def _fire_rows_scalar(
-        self, M_rows: np.ndarray, view_of_row: Callable[[np.ndarray], MarkingView]
-    ) -> np.ndarray:
+                pass  # fall back to exact scalar semantics below
         place_index = dict(self.net.place_index)
         out = np.empty_like(M_rows)
         for i, row in enumerate(M_rows):
-            out[i] = self.transition.fire(view_of_row(row), place_index)
-        return out  # transition.fire already checked negativity
+            out[i] = self.transition.next_tokens(view_of_row(row), place_index)
+        return out
 
     def dist_ids(
         self,
@@ -661,8 +653,11 @@ class _MarkingInterner:
     When every place's token count fits into a fixed bit budget summing to at
     most 63 bits, a marking packs losslessly into one int64 key and whole
     candidate batches intern through ``searchsorted`` against a sorted key
-    array — no per-marking Python.  Nets whose markings outgrow the budget
-    fall back to a ``bytes -> id`` dictionary (still O(1) per lookup).
+    array — no per-marking Python.  In that mode :meth:`lookup` and
+    :meth:`add` take *candidates* as sorted packed keys (the keys
+    ``np.unique`` returns), so a wave packs its successor rows once.  Nets
+    whose markings outgrow the budget fall back to a ``bytes -> id``
+    dictionary (still O(1) per lookup), whose candidates are marking rows.
     """
 
     def __init__(self, n_places: int):
@@ -732,30 +727,27 @@ class _MarkingInterner:
         found = keys[pos] == wanted
         out[found] = ids[pos[found]]
 
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Known state id per candidate row, -1 where unseen (vectorized)."""
+    def lookup(self, candidates: np.ndarray) -> np.ndarray:
+        """Known state id per candidate, -1 where unseen (vectorized)."""
         if self.byte_index is not None:
             get = self.byte_index.get
             return np.asarray(
-                [get(row.tobytes(), -1) for row in rows], dtype=np.int64
+                [get(row.tobytes(), -1) for row in candidates], dtype=np.int64
             )
-        keys = self.pack(rows)
-        ids = np.full(rows.shape[0], -1, dtype=np.int64)
-        self._search(self.base_keys, self.base_ids, keys, ids)
-        self._search(self.delta_keys, self.delta_ids, keys, ids)
+        ids = np.full(candidates.shape[0], -1, dtype=np.int64)
+        self._search(self.base_keys, self.base_ids, candidates, ids)
+        self._search(self.delta_keys, self.delta_ids, candidates, ids)
         return ids
 
-    def add(self, rows: np.ndarray, ids: np.ndarray) -> None:
-        """Register freshly assigned (marking row, id) pairs."""
+    def add(self, candidates: np.ndarray, ids: np.ndarray) -> None:
+        """Register freshly assigned (candidate, id) pairs; packed keys come
+        sorted."""
         if self.byte_index is not None:
-            for row, state in zip(rows, ids):
+            for row, state in zip(candidates, ids):
                 self.byte_index[row.tobytes()] = int(state)
             return
-        keys = self.pack(rows)
-        order = np.argsort(keys)
-        keys, ids = keys[order], np.asarray(ids, dtype=np.int64)[order]
-        positions = np.searchsorted(self.delta_keys, keys)
-        self.delta_keys = np.insert(self.delta_keys, positions, keys)
+        positions = np.searchsorted(self.delta_keys, candidates)
+        self.delta_keys = np.insert(self.delta_keys, positions, candidates)
         self.delta_ids = np.insert(self.delta_ids, positions, ids)
         if self.delta_keys.size > max(4096, self.base_keys.size // 8):
             positions = np.searchsorted(self.base_keys, self.delta_keys)
@@ -773,11 +765,18 @@ def explore(
     progress_every: int = 50_000,
     batch_size: int = 32_768,
 ) -> StateSpace:
-    """Breadth-first exploration with frontier-batched NumPy evaluation.
+    """Breadth-first exploration, one frontier wave at a time in NumPy.
 
     State numbering, deadlocks, edge columns and ``max_states`` truncation
     semantics match the per-marking reference
-    (:func:`repro.petri.reachability.explore_reference`).
+    (:func:`repro.petri.reachability.explore_reference`).  A wave of ``k``
+    frontier states is one gather: enabling is one ``(transitions, k)`` bool
+    matrix checked places-outermost, ``np.nonzero`` of the positive-weight
+    active ``(k, transitions)`` matrix lists every ``(state, transition)``
+    pair already in the reference's stream order, and the pairs fire at once
+    (``M[src] + delta[trans]``; an action that did not fold overwrites its
+    own rows).  The successor rows are packed once, deduplicated by
+    ``np.unique`` and interned by their sorted keys.
 
     Parameters
     ----------
@@ -787,8 +786,8 @@ def explore(
         refused by :func:`build_kernel` unless ``allow_truncated``).
     on_progress:
         Optional callback invoked with the state count at every multiple of
-        ``progress_every`` discovered states — useful for the large voting
-        configurations.
+        ``progress_every`` up to the final count, once each, as soon as the
+        count reaches it — useful for the large voting configurations.
     batch_size:
         Upper bound on frontier states expanded per batch; bounds the
         transient ``(batch, n_transitions)`` work matrices.
@@ -800,15 +799,19 @@ def explore(
     n_trans = len(compiled)
 
     # Wave-overhead fast paths.  Every net is compiled once above, so input
-    # arcs and folded guards check as ONE broadcast comparison against
-    # per-place lower / upper bounds, and all-constant priorities / weights
+    # arcs and folded guards check as one broadcast comparison against
+    # per-place lower / upper bounds, all-constant priorities / weights
     # (declared numbers or place-free expressions, as DNAmaca specs write
-    # them) fill their work matrices with a single np.where instead of
-    # per-transition loops.  Only what did not fold is evaluated per wave.
-    lower = np.zeros((n_trans, n_places), dtype=np.int64)
-    upper = np.full((n_trans, n_places), _NO_UPPER, dtype=np.int64)
+    # them) fill their work matrices with a single np.where, and folded
+    # actions fire as one gather of their deltas.  Only what did not fold is
+    # evaluated per wave.
+    lower = np.zeros((n_places, n_trans, 1), dtype=np.int64)
+    upper = np.full((n_places, n_trans, 1), _NO_UPPER, dtype=np.int64)
+    deltas = np.zeros((n_trans, n_places), dtype=np.int64)
     for t in compiled:
-        lower[t.index], upper[t.index] = t.lower, t.upper
+        lower[:, t.index, 0], upper[:, t.index, 0] = t.lower, t.upper
+        if t._fire_delta is not None:
+            deltas[t.index] = t._fire_delta
     has_upper = bool((upper < _NO_UPPER).any())
     guarded = [t for t in compiled if t.has_guard]
     const_priority = None
@@ -824,6 +827,8 @@ def explore(
     initial = np.asarray(net.initial_marking, dtype=np.int64)
     markings[0] = initial
     n_states = 1
+    if on_progress is not None and progress_every == 1:
+        on_progress(1)
     seen_max = np.maximum(initial, 0)
     interner = _MarkingInterner(n_places)
     interner.rebuild(markings[:1], seen_max)
@@ -839,6 +844,13 @@ def explore(
             dist_ids[dist] = found
             dist_table.append(dist)
         return found
+
+    # A constant distribution's table id, set the first time its transition
+    # fires; -1 before that and for marking-dependent distributions.
+    const_dist = np.full(n_trans, -1, dtype=np.int64)
+
+    def view_of_row(row: np.ndarray) -> MarkingView:
+        return _row_view(net, row)
 
     deadlocks: list[int] = []
     truncated = False
@@ -859,28 +871,32 @@ def explore(
                 view_cache[row] = view
             return view
 
-        # One broadcast comparison checks every bound of every transition,
-        # as long as the (batch, transitions, places) temporary stays small;
-        # wide nets fall back to per-transition checks over their own bounded
-        # columns so the per-wave footprint tracks actual arcs and guards.
+        # Enabling and priority selection in (transitions, batch) layout:
+        # every bound of every transition is one comparison with the places
+        # outermost and the batch innermost, so the reductions run over whole
+        # planes instead of a short trailing axis — as long as the (places,
+        # transitions, batch) temporary stays small; wide nets fall back to
+        # per-transition checks over their own bounded columns so the
+        # per-wave footprint tracks actual arcs and guards.
         if k * n_trans * n_places <= 16_000_000:
-            enabled = (M[:, None, :] >= lower[None, :, :]).all(axis=2)
+            columns = np.ascontiguousarray(M.T)[:, None, :]
+            enabled = (columns >= lower).all(axis=0)
             if has_upper:
-                enabled &= (M[:, None, :] <= upper[None, :, :]).all(axis=2)
+                enabled &= (columns <= upper).all(axis=0)
         else:
-            enabled = np.ones((k, n_trans), dtype=bool)
+            enabled = np.ones((n_trans, k), dtype=bool)
             for t in compiled:
                 cols = t.bound_cols
                 if cols.size:
                     sub = M[:, cols]
-                    enabled[:, t.index] = (
+                    enabled[t.index] = (
                         (sub >= t.lower[cols]) & (sub <= t.upper[cols])
                     ).all(axis=1)
         for t in guarded:
-            column = enabled[:, t.index]
+            column = enabled[t.index]
             if column.any():
-                enabled[:, t.index] = t.guard_mask(M, column, view_of)
-        enabled_any = enabled.any(axis=1)
+                enabled[t.index] = t.guard_mask(M, column, view_of)
+        enabled_any = enabled.any(axis=0)
         if not enabled_any.all():
             deadlocks.extend((cursor + np.flatnonzero(~enabled_any)).tolist())
         if not enabled_any.any():
@@ -889,16 +905,18 @@ def explore(
 
         # EP(m): among net-enabled transitions keep those of maximal priority.
         if const_priority is not None:
-            priority = np.where(enabled, const_priority[None, :], -np.inf)
+            priority = np.where(enabled, const_priority[:, None], -np.inf)
         else:
-            priority = np.full((k, n_trans), -np.inf)
+            priority = np.full((n_trans, k), -np.inf)
             for t in compiled:
-                column = enabled[:, t.index]
+                column = enabled[t.index]
                 if column.any():
                     values = t.priorities(M, column, view_of)
-                    priority[column, t.index] = values[column]
-        top = priority.max(axis=1)
-        active = enabled & (priority == top[:, None])
+                    priority[t.index, column] = values[column]
+        top = priority.max(axis=0)
+        # Back to (batch, transitions): each state's weights are summed along
+        # a contiguous row, in the order (and so to the bits) they always were.
+        active = np.ascontiguousarray((enabled & (priority == top)).T)
 
         if const_weight is not None:
             # A negative weight is an error only once its transition is
@@ -924,38 +942,39 @@ def explore(
                 f"(enabled: {names})"
             )
 
-        frag_src, frag_trans, frag_prob, frag_dist, frag_next = [], [], [], [], []
-        for t in compiled:
-            rows = np.flatnonzero(active[:, t.index] & (weights[:, t.index] > 0.0))
-            if rows.size == 0:
-                continue
-            M_rows = M[rows]
-            frag_next.append(t.fire(M_rows, lambda row: _row_view(net, row)))
-            frag_src.append(rows)
-            frag_trans.append(np.full(rows.size, t.index, dtype=np.int32))
-            frag_prob.append(weights[rows, t.index] / totals[rows])
-            frag_dist.append(
-                t.dist_ids(M_rows, intern_dist, lambda row: _row_view(net, row))
-            )
-        if not frag_src:
+        # Every firing pair of the wave, row-major: by source, then by
+        # transition — the per-marking reference's stream order.
+        src_local, trans = np.nonzero(active & (weights > 0.0))
+        if src_local.size == 0:
             cursor = hi
             continue
+        prob = weights[src_local, trans] / totals[src_local]
+        M_src = M[src_local]
+        nxt = M_src + deltas[trans]
+        dist = const_dist[trans]
+        # What did not fold, in transition index order: the distribution
+        # table fills in (wave, transition) order as it always has, and its
+        # reprs enter the model digest.
+        fired = np.zeros(n_trans, dtype=bool)
+        fired[trans] = True
+        for t in compiled:
+            if not fired[t.index] or (t._fire_delta is not None and const_dist[t.index] >= 0):
+                continue
+            rows = np.flatnonzero(trans == t.index)
+            if t._fire_delta is None:
+                nxt[rows] = t.fire(M_src[rows], view_of_row)
+            if t._dist_const is None:
+                dist[rows] = t.dist_ids(M_src[rows], intern_dist, view_of_row)
+            elif const_dist[t.index] < 0:
+                dist[rows] = const_dist[t.index] = intern_dist(t._dist_const)
+        if nxt.min() < 0:
+            bad = int(np.flatnonzero((nxt < 0).any(axis=1))[0])
+            raise ValueError(
+                f"firing {compiled[trans[bad]].name!r} produced a negative marking "
+                f"{tuple(int(x) for x in nxt[bad])}"
+            )
 
-        src_local = np.concatenate(frag_src)
-        trans = np.concatenate(frag_trans)
-        prob = np.concatenate(frag_prob)
-        dist = np.concatenate(frag_dist)
-        nxt = np.ascontiguousarray(np.vstack(frag_next))
-
-        # Re-order candidate edges into (source, transition) stream order so
-        # interning assigns ids exactly as the per-marking reference BFS does.
-        order = np.lexsort((trans, src_local))
-        src_local, trans, prob, dist = (
-            src_local[order], trans[order], prob[order], dist[order],
-        )
-        nxt = np.ascontiguousarray(nxt[order])
-
-        # Intern destinations.  Candidate markings dedup within the batch
+        # Intern destinations.  Successor markings dedup within the wave
         # (packed int64 keys when they fit, void rows otherwise), known ones
         # resolve by vectorized lookup, and fresh ones receive ids in stream
         # order — the reference's discovery order.
@@ -964,13 +983,13 @@ def explore(
             interner.rebuild(markings[:n_states], np.maximum(seen_max, cand_max))
         seen_max = np.maximum(seen_max, cand_max)
         if interner.byte_index is None:
-            _, first, inverse = np.unique(
+            candidates, first, inverse = np.unique(
                 interner.pack(nxt), return_index=True, return_inverse=True
             )
         else:
             void = nxt.view(void_dtype).ravel()
             _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
-        candidates = nxt[first]
+            candidates = nxt[first]
 
         uid_to_state = interner.lookup(candidates)
         fresh = np.flatnonzero(uid_to_state < 0)
@@ -992,11 +1011,13 @@ def explore(
                     grown = np.empty((capacity, n_places), dtype=np.int64)
                     grown[:n_states] = markings[:n_states]
                     markings = grown
-                markings[n_states:needed] = candidates[chosen]
-                interner.add(candidates[chosen], ids)
+                markings[n_states:needed] = nxt[first[chosen]]
+                # ``fresh`` is ascending, so its candidates are in key order.
+                added = fresh if chosen.size == fresh.size else np.sort(chosen)
+                interner.add(candidates[added], uid_to_state[added])
                 if on_progress is not None:
-                    start = ((n_states + progress_every - 1) // progress_every) * progress_every
-                    for milestone in range(start, needed, progress_every):
+                    start = (n_states // progress_every + 1) * progress_every
+                    for milestone in range(start, needed + 1, progress_every):
                         on_progress(milestone)
                 n_states = needed
 
@@ -1007,7 +1028,7 @@ def explore(
             dst[keep],
             prob[keep],
             dist[keep].astype(np.int32),
-            trans[keep],
+            trans[keep].astype(np.int32),
         )
         cursor = hi
 

@@ -92,6 +92,29 @@ class TestExplore:
         explore(net, on_progress=seen.append, progress_every=1)
         assert seen  # called at least once with a state count
 
+    @pytest.mark.parametrize(
+        "every,expected",
+        [
+            (226, [226]),
+            (1, list(range(1, 227))),
+            (50, [50, 100, 150, 200]),
+            (227, []),
+        ],
+    )
+    def test_progress_reports_every_milestone_once(self, every, expected):
+        """Every multiple of ``progress_every`` up to the final count, once,
+        the final one included (voting (8,3,2) has 226 states)."""
+        from repro.models import SCALED_CONFIGURATIONS, build_voting_net
+
+        seen = []
+        space = explore(
+            build_voting_net(SCALED_CONFIGURATIONS["small"]),
+            on_progress=seen.append,
+            progress_every=every,
+        )
+        assert space.n_states == 226
+        assert seen == expected
+
 
 class TestKernelMapping:
     def test_ring_passage_time_is_convolution(self):

@@ -323,6 +323,48 @@ def test_interner_repacks_when_token_counts_grow():
     assert int(space.marking_matrix[:, 0].max()) == 1024
 
 
+def _negative_pair_net(action) -> SMSPN:
+    """State 0 fires ``t0`` into state 1 and ``t1`` into state 2; in the
+    next wave state 1 fires ``t3`` into ``(0, -1, 0)`` and state 2 fires
+    ``t2`` into ``(0, 0, -1)``.  ``action(place)`` builds the bad action."""
+    net = SMSPN("negative")
+    net.add_place("a", 1)
+    net.add_place("b", 0)
+    net.add_place("c", 0)
+    net.add_transition(
+        Transition(name="t0", inputs={"a": 1}, outputs={"b": 1}, distribution=Exponential(1.0))
+    )
+    net.add_transition(
+        Transition(name="t1", inputs={"a": 1}, outputs={"c": 1}, distribution=Exponential(2.0))
+    )
+    net.add_transition(
+        Transition(name="t2", guard="c > 0", action=action("c"), distribution=Exponential(3.0))
+    )
+    net.add_transition(
+        Transition(name="t3", guard="b > 0", action=action("b"), distribution=Exponential(4.0))
+    )
+    return net
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        lambda place: {place: f"{place} - 2"},
+        lambda place: {place: f"{place} - 2 + 0 * a"},
+        lambda place: (lambda m: {place: m[place] - 2}),
+    ],
+    ids=["folded-delta", "vector-action", "callable-action"],
+)
+def test_negative_marking_names_the_first_pair_in_stream_order(action):
+    """Both offending pairs sit in one wave: the error names the pair the
+    reference meets first (state 1's ``t3``), not the lowest transition."""
+    net = _negative_pair_net(action)
+    for explorer in (explore_reference, explore):
+        with pytest.raises(ValueError) as raised:
+            explorer(net)
+        assert str(raised.value) == "firing 't3' produced a negative marking (0, -1, 0)"
+
+
 # ---------------------------------------------------------------------------
 # Compile once: place-free attributes fold at compile time
 # ---------------------------------------------------------------------------

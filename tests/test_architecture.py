@@ -630,3 +630,30 @@ def test_one_explored_model_and_one_edge_merge():
         path: n for path, n in mixtures.items() if path.startswith(("smp/", "petri/"))
     } == {"smp/kernel.py": 1}
     assert _call_sites("from_columns") == {"petri/statespace.py": 1, "smp/builder.py": 1}
+
+
+def test_one_gather_per_wave():
+    """``explore`` fires every (state, transition) pair of a wave at once:
+    ``np.nonzero`` already lists them in stream order, so nothing re-sorts
+    them (no ``lexsort``), no per-transition edge fragments are collected in
+    a loop and stacked, and the successor rows are packed once."""
+    path = SRC / "petri" / "statespace.py"
+    assert "lexsort" not in path.read_text()
+    explore = next(
+        node for node in _nodes(path, ast.FunctionDef) if node.name == "explore"
+    )
+    calls = [node for node in ast.walk(explore) if isinstance(node, ast.Call)]
+    assert sum(getattr(node.func, "attr", None) == "pack" for node in calls) == 1
+    stacked = [
+        ast.unparse(node)
+        for loop in ast.walk(explore) if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("append", "extend", "concatenate", "vstack")
+    ]
+    assert not stacked
+    assert not [
+        node for node in calls
+        if getattr(node.func, "attr", None) in ("concatenate", "vstack")
+        and getattr(node.func.value, "id", None) == "np"
+    ]
