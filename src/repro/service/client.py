@@ -9,11 +9,14 @@ same request.
 """
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 
 __all__ = ["ServiceClient", "ServiceClientError"]
 
@@ -49,6 +52,18 @@ class _ConnectionFailed(Exception):
     """Internal: the TCP/socket layer failed before an HTTP status existed."""
 
 
+def _peer_closed(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle kept-alive connection can no longer carry a request.
+
+    Between requests the server sends nothing, so a readable socket means it
+    has closed its end (idle timeout, restart, drain) or broken the protocol.
+    """
+    try:
+        return bool(select.select([connection.sock], [], [], 0)[0])
+    except (OSError, ValueError):  # closed fd, or one select cannot watch
+        return True
+
+
 class ServiceClient:
     """Talks to a running ``semimarkov serve`` instance.
 
@@ -56,6 +71,16 @@ class ServiceClient:
     >>> model = client.register_model(spec_text)["model"]
     >>> reply = client.passage(model=model, source="p1 == 4", target="p2 == 4",
     ...                        t_points=[5, 10, 20], cdf=True)
+
+    Each thread that uses the client keeps one persistent HTTP/1.1
+    connection to the server and sends all its requests over it.  Before a
+    request reuses it, a connection the server has closed (its idle timeout,
+    a restart, a drain) or one inherited across ``fork`` is replaced by a
+    fresh one; any error, or a reply that announces ``Connection: close``,
+    drops it.  ``close()`` (or leaving a ``with`` block) releases every
+    connection the client holds; a later call opens a new one.  Only plain
+    ``http://`` URLs are accepted, and proxy environment variables are not
+    read: the server is addressed directly.
 
     Idempotent ``GET`` requests are retried with capped exponential backoff
     when the connection itself fails (refused, reset, dropped mid-read) —
@@ -75,20 +100,47 @@ class ServiceClient:
         max_backoff: float = 2.0,
     ):
         self.base_url = base_url.rstrip("/")
+        scheme, sep, rest = self.base_url.partition("://")
+        if not sep or scheme.lower() != "http":
+            raise ValueError(f"ServiceClient needs an http:// URL, not {base_url!r}")
+        self._netloc, _, prefix = rest.partition("/")
+        self._prefix = "/" + prefix if prefix else ""
         self.timeout = timeout
         self.tenant = tenant
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.max_backoff = float(max_backoff)
+        self._local = threading.local()
+        #: every connection a thread of this client opened and still holds
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close every connection this client holds; a later call reconnects."""
+        for connection in list(self._connections):
+            connection.close()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------- plumbing
-    def _headers(self, accept: str = "application/json") -> dict:
-        headers = {"Accept": accept}
-        if self.tenant:
-            headers["X-Repro-Tenant"] = self.tenant
-        return headers
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection: reused while the server keeps it open."""
+        local = self._local
+        connection = getattr(local, "connection", None)
+        if connection is None or local.pid != os.getpid():
+            if connection is not None:  # inherited across fork: the parent's
+                connection.close()
+            connection = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+            local.connection, local.pid = connection, os.getpid()
+            self._connections.add(connection)
+        elif connection.sock is not None and _peer_closed(connection):
+            connection.close()  # the next request() opens a fresh socket
+        return connection
 
-    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+    def _request(self, method: str, path: str, payload: dict | None = None):
         attempts = self.retries if method == "GET" else 0
         delay = self.backoff
         while True:
@@ -103,45 +155,52 @@ class ServiceClient:
                 time.sleep(_jittered(delay))
                 delay = min(delay * 2.0, self.max_backoff)
 
-    def _request_once(self, method: str, path: str, payload: dict | None) -> dict:
+    def _request_once(self, method: str, path: str, payload: dict | None):
+        """One exchange: the decoded JSON reply, or the text of ``/metrics``."""
+        accept = "text/plain" if path == "/metrics" else "application/json"
+        headers = {"Accept": accept}
+        if self.tenant:
+            headers["X-Repro-Tenant"] = self.tenant
         data = None
-        headers = self._headers()
         if payload is not None:
             data = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            body: dict = {}
+            connection.request(method, self._prefix + path, body=data, headers=headers)
+            response = connection.getresponse()
+            body = response.read()
+        except ConnectionError as exc:  # refused, reset, dropped mid-response
+            connection.close()
+            raise _ConnectionFailed(str(exc)) from None
+        except OSError as exc:
+            connection.close()
+            raise ServiceClientError(
+                0, f"cannot reach server at {self.base_url}: {exc}"
+            ) from None
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        if response.status >= 400:
+            reply: dict = {}
             try:
-                body = json.loads(exc.read())
-                detail = body.get("error", exc.reason)
+                reply = json.loads(body)
+                detail = reply.get("error", response.reason)
             except Exception:
-                detail = str(exc.reason)
+                detail = response.reason
             retry_after = None
-            raw = exc.headers.get("Retry-After") if exc.headers else None
+            raw = response.getheader("Retry-After")
             if raw is not None:
                 try:
                     retry_after = float(raw)
                 except ValueError:
                     pass
             raise ServiceClientError(
-                exc.code, detail, body, retry_after=retry_after
-            ) from None
-        except urllib.error.URLError as exc:
-            # urlopen wraps socket-level failures (ConnectionRefusedError,
-            # ConnectionResetError, RemoteDisconnected, ...) in URLError
-            if isinstance(exc.reason, ConnectionError):
-                raise _ConnectionFailed(str(exc.reason)) from None
-            raise ServiceClientError(
-                0, f"cannot reach server at {self.base_url}: {exc.reason}"
-            ) from None
-        except ConnectionError as exc:  # reset mid-response body
-            raise _ConnectionFailed(str(exc)) from None
+                response.status, detail, reply, retry_after=retry_after
+            )
+        return body.decode() if accept == "text/plain" else json.loads(body)
 
     # ------------------------------------------------------------------ API
     def health(self) -> dict:
@@ -156,18 +215,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """The raw Prometheus exposition body from ``GET /metrics``."""
-        request = urllib.request.Request(
-            self.base_url + "/metrics", headers=self._headers("text/plain")
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode()
-        except urllib.error.HTTPError as exc:
-            raise ServiceClientError(exc.code, str(exc.reason)) from None
-        except urllib.error.URLError as exc:
-            raise ServiceClientError(
-                0, f"cannot reach server at {self.base_url}: {exc.reason}"
-            ) from None
+        return self._request("GET", "/metrics")
 
     def register_model(
         self,

@@ -20,8 +20,13 @@ GET     ``/v1/health``            liveness probe
 GET     ``/metrics``              Prometheus text exposition (``text/plain``)
 ======  ========================  ==============================================
 
-Built on :class:`http.server.ThreadingHTTPServer` so concurrent requests map
-onto threads — which is exactly the shape the coalescing scheduler expects.
+Built on :class:`http.server.ThreadingHTTPServer` so concurrent connections
+map onto threads — which is exactly the shape the coalescing scheduler
+expects.  Connections are HTTP/1.1 keep-alive: one handler thread serves
+every request a client sends over its connection, and closes it after
+``_IDLE_TIMEOUT_SECONDS`` without one (or at once, after a reply to a request
+whose body it did not read).  Replies go out with Nagle's algorithm off, so a
+kept-alive client does not wait out a delayed ACK for each reply's body.
 
 Tenancy: every request resolves its tenant from the ``X-Repro-Tenant``
 header (``default`` when absent) through a single admission hook — name
@@ -37,6 +42,8 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -53,6 +60,9 @@ from .service import (
 __all__ = ["create_server", "AnalysisHTTPServer"]
 
 _MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: a kept-alive connection with no request for this long is closed (seconds)
+_IDLE_TIMEOUT_SECONDS = 30.0
 
 #: the tenant header name (case-insensitive per HTTP)
 TENANT_HEADER = "X-Repro-Tenant"
@@ -104,7 +114,12 @@ def _http_error(status: int, message: str) -> ServiceError:
 
 
 class AnalysisHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one :class:`AnalysisService`."""
+    """ThreadingHTTPServer bound to one :class:`AnalysisService`.
+
+    ``server_close`` also ends the kept-alive connections: their handler
+    threads see end-of-stream once the request in hand (if any) is answered,
+    and close, so clients reconnect to whatever listens next.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -112,14 +127,50 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service: AnalysisService, *, quiet: bool = True):
         self.service = service
         self.quiet = quiet
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, _ServiceHandler)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # closed by its handler meanwhile
+                pass
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
+    """One client connection: every request it carries, in order.
+
+    The handler outlives a request, so :meth:`_dispatch` resets the
+    per-request log fields before each one.  ``disable_nagle_algorithm``
+    sends each reply's headers and body without waiting for the client's
+    ACK of the headers; the socket timeout is the idle limit between
+    requests.
+    """
+
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: AnalysisHTTPServer
 
     # ------------------------------------------------------------- plumbing
+    def setup(self) -> None:
+        self.timeout = _IDLE_TIMEOUT_SECONDS
+        super().setup()
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # The stdlib per-request line is replaced by the structured line
         # emitted in _log_request; keep the stdlib one only in verbose mode.
@@ -128,21 +179,26 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, payload: dict, headers: dict | None = None) -> None:
         self._note_outcome(status, payload)
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, json.dumps(payload).encode(), "application/json", headers)
 
     def _reply_text(self, status: int, text: str) -> None:
         self._note_outcome(status, None)
-        body = text.encode()
+        self._send(status, text.encode(), "text/plain; version=0.0.4; charset=utf-8")
+
+    def _send(
+        self, status: int, body: bytes, content_type: str, headers: dict | None = None
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, str(value))
+        if not self._body_read and (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        ):
+            # an unread body would be parsed as the connection's next request
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -161,19 +217,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _log_request(self, method: str, path: str, started: float) -> None:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        status = getattr(self, "_status", 0)
-        tenant = getattr(self, "_tenant", DEFAULT_TENANT)
         label = _metric_path(path)
         logger.info(
             "method=%s path=%s digest=%s tenant=%s status=%d ms=%.1f points=%d",
-            method, path, getattr(self, "_digest", "-"), tenant, status,
-            elapsed_ms, getattr(self, "_points", 0),
+            method, path, self._digest, self._tenant, self._status,
+            elapsed_ms, self._points,
         )
         registry = get_metrics()
         registry.counter(
             "repro_requests_total", "HTTP requests by path, status and tenant",
             ("path", "status", "tenant"),
-        ).inc(1, path=label, status=status, tenant=tenant)
+        ).inc(1, path=label, status=self._status, tenant=self._tenant)
         registry.histogram(
             "repro_request_seconds", "HTTP request latency", ("path",),
         ).observe(elapsed_ms / 1000.0, path=label)
@@ -185,6 +239,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if length > _MAX_BODY_BYTES:
             raise ValidationError("request body too large")
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -206,6 +261,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         """The one request pipeline: tenant admission, routing, errors."""
         started = time.perf_counter()
+        # one handler serves every request of a kept-alive connection
+        self._status, self._digest, self._points = 0, "-", 0
+        self._tenant = DEFAULT_TENANT
+        self._body_read = False
         path = self.path.split("?", 1)[0].rstrip("/")
         try:
             allowed = _allowed_methods(path)

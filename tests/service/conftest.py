@@ -46,9 +46,11 @@ def http_client(service):
     server = create_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
     try:
-        yield ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        yield client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)

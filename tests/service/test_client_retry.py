@@ -5,10 +5,9 @@ Retry-After) nor re-arrive in lockstep after a shared backoff (no jitter).
 """
 from __future__ import annotations
 
-import io
-import urllib.error
-import urllib.request
-from email.message import Message
+import contextlib
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -27,37 +26,50 @@ class TestJitter:
 
 
 class TestRetryAfterParsing:
-    def _raise_429(self, retry_after=None):
-        headers = Message()
-        if retry_after is not None:
-            headers["Retry-After"] = retry_after
-        return urllib.error.HTTPError(
-            "http://127.0.0.1:1/v1/jobs/x", 429, "Too Many Requests",
-            headers, io.BytesIO(b'{"error": "rate limited"}'),
-        )
+    @staticmethod
+    @contextlib.contextmanager
+    def _serve_429(retry_after: str):
+        """A stub server answering every request with a JSON 429."""
 
-    def test_retry_after_header_lands_on_the_exception(self, monkeypatch):
-        error = self._raise_429("7")
-        monkeypatch.setattr(
-            urllib.request, "urlopen",
-            lambda *a, **k: (_ for _ in ()).throw(error),
-        )
-        client = ServiceClient("http://127.0.0.1:1", retries=0)
-        with pytest.raises(ServiceClientError) as excinfo:
-            client.job("x")
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):  # noqa: N802 - stdlib naming
+                body = b'{"error": "rate limited"}'
+                self.send_response(429)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Retry-After", retry_after)
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_retry_after_header_lands_on_the_exception(self):
+        with self._serve_429("7") as url, ServiceClient(url, retries=0) as client:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.job("x")
         assert excinfo.value.status == 429
         assert excinfo.value.retry_after == 7.0
         assert excinfo.value.message == "rate limited"
 
-    def test_unparseable_retry_after_is_ignored(self, monkeypatch):
-        error = self._raise_429("next tuesday")
-        monkeypatch.setattr(
-            urllib.request, "urlopen",
-            lambda *a, **k: (_ for _ in ()).throw(error),
-        )
-        client = ServiceClient("http://127.0.0.1:1", retries=0)
-        with pytest.raises(ServiceClientError) as excinfo:
-            client.job("x")
+    def test_unparseable_retry_after_is_ignored(self):
+        with self._serve_429("next tuesday") as url, ServiceClient(url, retries=0) as client:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.job("x")
+        assert excinfo.value.status == 429
+        assert excinfo.value.message == "rate limited"
         assert excinfo.value.retry_after is None
 
 

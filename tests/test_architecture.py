@@ -657,3 +657,27 @@ def test_one_gather_per_wave():
         if getattr(node.func, "attr", None) in ("concatenate", "vstack")
         and getattr(node.func.value, "id", None) == "np"
     ]
+
+
+# --- around the loop: one HTTP transport -------------------------------------
+
+
+def test_one_kept_alive_transport():
+    """The client speaks over its per-thread ``http.client`` connections and
+    nothing else, and the server answers them with Nagle's algorithm off."""
+    client = SRC / "service" / "client.py"
+    imported = {
+        alias.name for node in _nodes(client, ast.Import) for alias in node.names
+    } | {node.module for node in _nodes(client, ast.ImportFrom)}
+    assert "urllib.request" not in imported
+    assert not any(name and name.startswith("urllib") for name in imported)
+    handler = next(
+        node for node in _nodes(SRC / "service" / "server.py", ast.ClassDef)
+        if node.name == "_ServiceHandler"
+    )
+    nagle = [
+        node.value for node in handler.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(target) for target in node.targets] == ["disable_nagle_algorithm"]
+    ]
+    assert [ast.literal_eval(value) for value in nagle] == [True]
