@@ -35,40 +35,28 @@ Subpackage map (README.md, "Layout", has the full inventory):
 ``repro.distributed``    executors (serial / worker pool), checkpoint store
 ``repro.partition``      state-space partitioning (future-work extension)
 ===================  ======================================================
+
+``import repro`` imports nothing else: each name in ``__all__`` and each
+subpackage is imported on first access (PEP 562, :mod:`repro._lazy`), so a
+process pays only for the layers it runs.  Building a model never loads the
+analysis server, the job store or ``scipy.optimize``.
 """
-from .core import (
-    PassageTimeJob,
-    PassageTimeResult,
-    PassageTimeSolver,
-    TransientJob,
-    TransientResult,
-    TransientSolver,
-)
-from .smp import PassageTimeOptions, SMPBuilder, SMPKernel
-from .petri import SMSPN, Transition, build_kernel, explore
-from .dnamaca import load_model
-from .api import Model, PassageQuery, SimulationQuery, TransientQuery
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Model",
-    "PassageQuery",
-    "TransientQuery",
-    "SimulationQuery",
-    "PassageTimeSolver",
-    "TransientSolver",
-    "PassageTimeResult",
-    "TransientResult",
-    "PassageTimeJob",
-    "TransientJob",
-    "PassageTimeOptions",
-    "SMPBuilder",
-    "SMPKernel",
-    "SMSPN",
-    "Transition",
-    "explore",
-    "build_kernel",
-    "load_model",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "api": ["Model", "PassageQuery", "TransientQuery", "SimulationQuery"],
+    "core": [
+        "PassageTimeSolver",
+        "TransientSolver",
+        "PassageTimeResult",
+        "TransientResult",
+        "PassageTimeJob",
+        "TransientJob",
+    ],
+    "smp": ["PassageTimeOptions", "SMPBuilder", "SMPKernel"],
+    "petri": ["SMSPN", "Transition", "explore", "build_kernel"],
+    "dnamaca": ["load_model"],
+})
+__all__ += ["__version__"]

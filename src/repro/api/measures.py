@@ -20,7 +20,6 @@ import functools
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from ..core.results import PassageTimeResult, TransientResult
 from ..obs import trace as obs_trace
@@ -101,6 +100,8 @@ def refine_quantile(
             f"quantile {q} is not bracketed by [{t_lower:.6g}, {t_upper:.6g}] "
             f"(F(lower)-q={lo:.4g}, F(upper)-q={hi:.4g})"
         )
+    from scipy import optimize
+
     return float(optimize.brentq(lambda t: cdf_at(t) - q, t_lower, t_upper, xtol=1e-6))
 
 

@@ -444,7 +444,10 @@ def _print_engine_stats(statistics: dict) -> None:
 def _client(args):
     from .service import ServiceClient
 
-    return ServiceClient(args.url, tenant=getattr(args, "tenant", None))
+    try:
+        return ServiceClient(args.url, tenant=getattr(args, "tenant", None))
+    except ValueError as exc:  # not an http:// URL
+        raise SystemExit(str(exc)) from None
 
 
 def _cmd_query_register(args) -> int:

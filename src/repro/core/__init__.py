@@ -14,16 +14,10 @@ transform at each of them, invert); they are thin shims over the evaluation
 loop (:mod:`repro.service.scheduler`) and the measure helpers
 (:mod:`repro.api.measures`) every other surface shares.
 """
-from .jobs import PassageTimeJob, TransientJob, TransformJob
-from .results import PassageTimeResult, TransientResult
-from .solvers import PassageTimeSolver, TransientSolver
+from .._lazy import attach
 
-__all__ = [
-    "TransformJob",
-    "PassageTimeJob",
-    "TransientJob",
-    "PassageTimeResult",
-    "TransientResult",
-    "PassageTimeSolver",
-    "TransientSolver",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "jobs": ["TransformJob", "PassageTimeJob", "TransientJob"],
+    "results": ["PassageTimeResult", "TransientResult"],
+    "solvers": ["PassageTimeSolver", "TransientSolver"],
+})

@@ -31,16 +31,10 @@ block_points=None, on_block=None)`` and everything lands in ``on_block``:
 The paper's Table 2 cluster is not an executor either: its timing model lives
 next to the benchmark that draws it (``benchmarks/cluster_model.py``).
 """
-from .queue import SBlock, SBlockQueue
-from .checkpoint import CheckpointStore
-from .backends import Backend, PoisonBlockError, SerialBackend, MultiprocessingBackend
+from .._lazy import attach
 
-__all__ = [
-    "SBlock",
-    "SBlockQueue",
-    "CheckpointStore",
-    "Backend",
-    "PoisonBlockError",
-    "SerialBackend",
-    "MultiprocessingBackend",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "queue": ["SBlock", "SBlockQueue"],
+    "checkpoint": ["CheckpointStore"],
+    "backends": ["Backend", "PoisonBlockError", "SerialBackend", "MultiprocessingBackend"],
+})

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from ..utils.validation import check_positive, check_non_negative, check_probability_vector
 from .base import Distribution
@@ -104,6 +103,8 @@ class Erlang(Distribution):
         return np.where(t >= 0, np.nan_to_num(val), 0.0)
 
     def cdf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         return np.where(t >= 0, special.gammainc(self.shape, self.rate * np.maximum(t, 0.0)), 0.0)
 
@@ -135,6 +136,8 @@ class Gamma(Distribution):
         return self.shape / self.rate**2
 
     def pdf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         k, lam = self.shape, self.rate
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -142,6 +145,8 @@ class Gamma(Distribution):
         return np.where(t > 0, np.nan_to_num(val), 0.0)
 
     def cdf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         return np.where(t >= 0, special.gammainc(self.shape, self.rate * np.maximum(t, 0.0)), 0.0)
 
@@ -249,9 +254,13 @@ class Weibull(Distribution):
         return self.scale * rng.weibull(self.shape, size=size)
 
     def mean(self):
+        from scipy import special
+
         return self.scale * special.gamma(1.0 + 1.0 / self.shape)
 
     def variance(self):
+        from scipy import special
+
         g1 = special.gamma(1.0 + 1.0 / self.shape)
         g2 = special.gamma(1.0 + 2.0 / self.shape)
         return self.scale**2 * (g2 - g1**2)
@@ -287,6 +296,8 @@ class LogNormal(Distribution):
         return self._match_shape(vals.reshape(np.shape(s)) if np.ndim(s) else vals[0], s)
 
     def ppf(self, p):
+        from scipy import special
+
         return np.exp(self.mu + self.sigma * special.ndtri(np.asarray(p, dtype=float)))
 
     def sample(self, rng, size=None):
@@ -307,6 +318,8 @@ class LogNormal(Distribution):
         return np.where(t > 0, np.nan_to_num(val), 0.0)
 
     def cdf(self, t):
+        from scipy import special
+
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = special.ndtr((np.log(t) - self.mu) / self.sigma)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.special import comb
 
 from ..utils.validation import check_positive
 from .inverter import Inverter
@@ -52,6 +51,8 @@ class EulerInverter(Inverter):
     name = "euler"
 
     def __init__(self, a: float = 19.1, n_terms: int = 21, euler_order: int = 11):
+        from scipy.special import comb
+
         self.a = check_positive(a, "a")
         if n_terms < 1 or euler_order < 0:
             raise ValueError("n_terms must be >= 1 and euler_order >= 0")

@@ -12,23 +12,16 @@ One explorer produces that state space: :func:`explore` (frontier-batched
 NumPy evaluation) into a :class:`StateSpace` of columnar markings and edges,
 the only representation of an explored net.  The per-marking reference it is
 tested against lives in :mod:`repro.petri.reachability` and is not exported.
-"""
-from .net import MarkingView, SMSPN, Transition
-from .statespace import StateSpace, build_kernel, explore, explore_vectorized
-from .analysis import passage_solver, transient_solver, marking_states
-from .vanishing import eliminate_vanishing, is_vanishing_distribution
 
-__all__ = [
-    "SMSPN",
-    "Transition",
-    "MarkingView",
-    "StateSpace",
-    "explore",
-    "explore_vectorized",
-    "build_kernel",
-    "passage_solver",
-    "transient_solver",
-    "marking_states",
-    "eliminate_vanishing",
-    "is_vanishing_distribution",
-]
+The names are imported on first access: importing the net layer does not load
+the net-level solver shims of :mod:`repro.petri.analysis`, which sit above the
+api layer.
+"""
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "net": ["SMSPN", "Transition", "MarkingView"],
+    "statespace": ["StateSpace", "explore", "explore_vectorized", "build_kernel"],
+    "analysis": ["passage_solver", "transient_solver", "marking_states"],
+    "vanishing": ["eliminate_vanishing", "is_vanishing_distribution"],
+})

@@ -15,37 +15,25 @@ and on disk:
 * :class:`AnalysisService` + :func:`create_server` / :class:`ServiceClient`
   — the transport-agnostic facade and its stdlib HTTP JSON API
   (``semimarkov serve`` / ``semimarkov query`` on the command line).
-"""
-from .cache import CacheLookup, TieredResultCache
-from .client import ServiceClient, ServiceClientError
-from .registry import ModelEntry, ModelRegistry, spec_digest
-from .scheduler import CoalescingScheduler, QueryStatistics
-from .server import AnalysisHTTPServer, create_server
-from .service import (
-    AnalysisService,
-    ModelNotFound,
-    QueryError,
-    ServiceError,
-    ServiceUnavailable,
-    ValidationError,
-)
 
-__all__ = [
-    "AnalysisHTTPServer",
-    "AnalysisService",
-    "CacheLookup",
-    "CoalescingScheduler",
-    "ModelEntry",
-    "ModelNotFound",
-    "ModelRegistry",
-    "QueryError",
-    "QueryStatistics",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceError",
-    "ServiceUnavailable",
-    "TieredResultCache",
-    "ValidationError",
-    "create_server",
-    "spec_digest",
-]
+The names are imported on first access, each from its own module: the api
+engines and the solver shims use the scheduler and the cache without loading
+the HTTP server (``http.server``), the job store (``sqlite3``) or the facade.
+"""
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "server": ["AnalysisHTTPServer", "create_server"],
+    "service": [
+        "AnalysisService",
+        "ModelNotFound",
+        "QueryError",
+        "ServiceError",
+        "ServiceUnavailable",
+        "ValidationError",
+    ],
+    "cache": ["CacheLookup", "TieredResultCache"],
+    "scheduler": ["CoalescingScheduler", "QueryStatistics"],
+    "registry": ["ModelEntry", "ModelRegistry", "spec_digest"],
+    "client": ["ServiceClient", "ServiceClientError"],
+})

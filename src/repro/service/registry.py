@@ -34,7 +34,7 @@ from ..dnamaca.expressions import ExpressionError, parse_overrides
 from ..dnamaca.vectorize import vector_marking_predicate
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
-from ..petri import build_kernel, explore
+from ..petri.statespace import build_kernel, explore
 from ..smp.kernel import SMPKernel, UEvaluator
 from ..smp.steady import steady_state_probability
 from ..utils.timing import Stopwatch

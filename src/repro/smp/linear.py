@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.sparse import linalg as splinalg
 
 from ..obs import trace as obs_trace
 from .kernel import as_evaluator, check_alpha, target_mask
@@ -55,6 +53,8 @@ _MAX_RELATIVE_RESIDUAL = 1e-10
 def closed_classes(P: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     """``(label, closed)``: every state's strongly connected class, and the
     classes no edge leaves."""
+    from scipy.sparse import csgraph
+
     n_classes, label = csgraph.connected_components(P, connection="strong")
     edges = P.tocoo()
     leaving = label[edges.row] != label[edges.col]
@@ -77,6 +77,8 @@ def _real_solver(system: sparse.spmatrix):
     Raises :class:`numpy.linalg.LinAlgError` when the incomplete
     factorisation breaks down.
     """
+    from scipy.sparse import linalg as splinalg
+
     try:
         ilu = splinalg.spilu(system, drop_tol=_ILU_DROP_TOL, fill_factor=_ILU_FILL_FACTOR)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -202,6 +204,8 @@ def _system(evaluator, kept: np.ndarray) -> sparse.csc_matrix:
 
 def _factor(evaluator, kept: np.ndarray):
     """Sparse LU of ``A = I - U K`` at one complex s-point."""
+    from scipy.sparse import linalg as splinalg
+
     return splinalg.splu(_system(evaluator, kept))
 
 

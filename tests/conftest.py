@@ -1,13 +1,40 @@
 """Shared pytest fixtures for the test suite."""
 from __future__ import annotations
 
+import ast
+import functools
+import importlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.distributions import Deterministic, Erlang, Exponential, Uniform
 from repro.smp import SMPBuilder
+
+CANONICALISERS = ("canonical_s", "canonical_keys")
+
+
+@functools.cache
+def canonicalisation_consumers() -> tuple[str, ...]:
+    """The ``repro`` modules that define or import a canonicaliser, by an ast
+    scan of the source: the modules that hold a name to patch."""
+    src = Path(repro.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                else {node.name} if isinstance(node, ast.FunctionDef)
+                else set()
+            )
+            if named & set(CANONICALISERS):
+                parts = path.relative_to(src.parent).with_suffix("").parts
+                found.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+                break
+    return tuple(found)
 
 
 @pytest.fixture
@@ -47,6 +74,12 @@ def embedded_solves(monkeypatch):
 def canonicalised(monkeypatch):
     """Points canonicalised so far, by the scalar or the vectorised function,
     wherever in ``repro`` the name was imported."""
+    return count_canonicalisations(monkeypatch)
+
+
+def count_canonicalisations(monkeypatch) -> list[int]:
+    """The ``canonicalised`` fixture's body.  Every consumer is imported first,
+    so one that nothing has loaded yet cannot escape the count."""
     from repro.laplace import inverter as inverter_module
 
     count = [0]
@@ -62,10 +95,12 @@ def canonicalised(monkeypatch):
 
     replacements = {"canonical_s": counting_scalar, "canonical_keys": counting_vectorised}
     originals = (scalar, vectorised)
+    for name in canonicalisation_consumers():
+        importlib.import_module(name)
     for name, module in list(sys.modules.items()):
         if name == "repro" or name.startswith("repro."):
             for attribute, replacement in replacements.items():
-                if getattr(module, attribute, None) in originals:
+                if vars(module).get(attribute) in originals:
                     monkeypatch.setattr(module, attribute, replacement)
     return count
 

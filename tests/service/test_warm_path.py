@@ -7,10 +7,21 @@ cache and both inversions.
 """
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.api import Model
 from repro.obs.metrics import get_metrics
 from repro.service.registry import ModelRegistry
 from repro.smp import SPointPolicy
+from tests.conftest import canonicalisation_consumers
+
+SRC = Path(repro.__file__).parent.parent
+ROOT = Path(__file__).parent.parent.parent
 
 MULTI = dict(source="on > 0", target="on == 0")  # two source states
 SINGLE = dict(source="on == 2", target="on == 0")
@@ -63,6 +74,27 @@ class TestEmbeddedSolveIsPerModel:
 
 
 class TestCanonicalisedOncePerPlan:
+    def test_the_count_covers_every_module_that_holds_a_canonicaliser(self):
+        """From a fresh interpreter that has loaded no consumer, the fixture
+        patches exactly the modules the source scan names."""
+        code = (
+            "import sys, pytest\n"
+            "from tests.conftest import CANONICALISERS, count_canonicalisations\n"
+            "count_canonicalisations(pytest.MonkeyPatch())\n"
+            "print(sorted(name for name, module in list(sys.modules.items())\n"
+            "    if name.split('.')[0] == 'repro' and any(\n"
+            "        getattr(vars(module).get(a), '__name__', '').startswith('counting_')\n"
+            "        for a in CANONICALISERS)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(ROOT)]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=ROOT, env=env, timeout=120, check=True,
+        )
+        patched = ast.literal_eval(done.stdout)
+        assert patched == sorted(canonicalisation_consumers())
+        assert "repro.distributed.checkpoint" in patched  # the scan is not empty
+
     def test_warm_passage_with_cdf_canonicalises_each_required_point_once(
         self, service, onoff_spec, canonicalised
     ):

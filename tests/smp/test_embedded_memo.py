@@ -35,7 +35,6 @@ from repro.smp import (
     KernelPlane,
     dtmc_steady_state,
     embedded,
-    linear,
     smp_steady_state,
     source_weights,
     steady_state_probability,
@@ -220,7 +219,7 @@ class TestObservability:
         n = kernel.n_states
         # every state as heavy as the pinned one: a distribution, not the stationary one
         monkeypatch.setattr(
-            linear.splinalg, "gmres", lambda *args, **kwargs: (np.ones(n - 1), 0)
+            "scipy.sparse.linalg.gmres", lambda *args, **kwargs: (np.ones(n - 1), 0)
         )
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
             dtmc_steady_state(kernel.embedded_matrix())

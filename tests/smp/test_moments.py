@@ -35,7 +35,6 @@ from repro.obs import get_tracer
 from repro.simulation import simulate_passage_times
 from repro.smp import (
     SMPBuilder,
-    linear,
     passage_moments,
     passage_transform_direct_batch,
     source_weights,
@@ -272,7 +271,7 @@ class TestTheRealSolve:
 
     def test_a_solve_that_fails_its_gate_returns_no_number(self, branching_kernel, monkeypatch):
         n = branching_kernel.n_states
-        monkeypatch.setattr(linear.splinalg, "gmres", lambda *args, **kwargs: (np.ones(n), 0))
+        monkeypatch.setattr("scipy.sparse.linalg.gmres", lambda *args, **kwargs: (np.ones(n), 0))
         solver = PassageTimeSolver(branching_kernel, sources=[0], targets=[4])
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
             passage_moments(branching_kernel, solver.alpha, [4], order=1)
@@ -285,7 +284,7 @@ class TestTheRealSolve:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(linear.splinalg, "spilu", singular)
+        monkeypatch.setattr("scipy.sparse.linalg.spilu", singular)
         with pytest.raises(np.linalg.LinAlgError, match="exactly singular"):
             passage_moments(branching_kernel, source_weights(branching_kernel, [0]), [4])
 

@@ -21,8 +21,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.distributions import Exponential
@@ -214,13 +219,9 @@ def test_the_table2_timing_model_is_not_in_the_product():
     exports executors and the checkpoint store only, the serial executor has
     no options, and a job's batch evaluation returns its values and nothing
     for a timing model to read."""
-    package = SRC / "distributed" / "__init__.py"
-    (exports,) = [
-        ast.literal_eval(node.value)
-        for node in _nodes(package, ast.Assign)
-        if [getattr(target, "id", None) for target in node.targets] == ["__all__"]
-    ]
-    assert sorted(exports) == sorted([
+    import repro.distributed
+
+    assert sorted(repro.distributed.__all__) == sorted([
         "SBlock", "SBlockQueue", "CheckpointStore", "Backend", "PoisonBlockError",
         "SerialBackend", "MultiprocessingBackend",
     ])
@@ -681,3 +682,138 @@ def test_one_kept_alive_transport():
         and [ast.unparse(target) for target in node.targets] == ["disable_nagle_algorithm"]
     ]
     assert [ast.literal_eval(value) for value in nagle] == [True]
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _module_level_imports(path: Path) -> list[str]:
+    """The absolute names a module imports while it is being imported (every
+    import outside a function body); ``from X import y`` names ``X`` and
+    ``X.y``."""
+    package = _module_name(path)
+    if path.name != "__init__.py":
+        package = package.rpartition(".")[0]
+    names: list[str] = []
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: package.count(".") + 2 - node.level]
+                base = ".".join(anchor + ([node.module] if node.module else []))
+            names += [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _import_graph() -> dict[str, set[str]]:
+    """``{module: modules its import runs}`` over ``src/repro``, each package
+    ``__init__`` a node of its own.  Importing ``a.b.c`` runs the ``a`` and
+    ``a.b`` inits first, except those the importer sits in: they are already
+    running when it is imported."""
+    paths = {_module_name(path): path for path in SRC.rglob("*.py")}
+    graph = {}
+    for name, path in paths.items():
+        own = {".".join(name.split(".")[:i]) for i in range(1, name.count(".") + 2)}
+        runs = set()
+        for imported in _module_level_imports(path):
+            parts = imported.split(".")
+            runs |= {".".join(parts[:i]) for i in range(1, len(parts) + 1)}
+        graph[name] = (runs & paths.keys()) - own
+    return graph
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    done: set[str] = set()
+
+    def visit(path: list[str]) -> list[str] | None:
+        for successor in sorted(graph[path[-1]]):
+            if successor in path:
+                return path[path.index(successor):] + [successor]
+            if successor not in done:
+                found = visit(path + [successor])
+                if found:
+                    return found
+        done.add(path[-1])
+        return None
+
+    for node in sorted(graph):
+        found = None if node in done else visit([node])
+        if found:
+            return found
+    return None
+
+
+def test_the_import_graph_is_layered():
+    """Module-level imports among ``src/repro`` modules form no cycle: a
+    package ``__init__`` names its exports lazily (``repro/_lazy.py``) instead
+    of importing the layers above it, so importing a layer runs only the
+    layers below it."""
+    graph = _import_graph()
+    assert "repro.smp.passage" in graph["repro.core.jobs"]  # the scan sees edges
+    assert _cycle(graph) is None, " -> ".join(_cycle(graph))
+
+
+def test_heavy_modules_are_imported_where_they_run():
+    """The SciPy submodules one function calls are imported in that function,
+    and the HTTP server and the sqlite store only by the two modules that are
+    them."""
+    heavy = {"scipy.optimize", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special"}
+    owners = {"http.server": {"service/server.py"}, "sqlite3": {"jobs/store.py"}}
+    found: dict[str, set[str]] = {module: set() for module in heavy | owners.keys()}
+    for path in sorted(SRC.rglob("*.py")):
+        for imported in _module_level_imports(path):
+            for module in found:
+                if imported == module or imported.startswith(module + "."):
+                    found[module].add(path.relative_to(SRC).as_posix())
+    assert found == {**{module: set() for module in heavy}, **owners}
+
+
+_FRESH_IMPORTS = {
+    "repro": "import repro",
+    "passage": "import repro.smp.passage",
+    "petri": "import repro.petri",
+    "build": (
+        "from repro import Model\n"
+        "from repro.models import VotingParameters, voting_spec_text\n"
+        "Model.from_spec(voting_spec_text(VotingParameters(8, 3, 2))).states('p1 > 0')"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRESH_IMPORTS))
+def test_a_fresh_process_loads_only_the_layers_it_runs(case):
+    """Against what ``numpy`` and ``scipy.sparse`` load on their own (so the
+    check holds at any SciPy release), neither importing the package nor
+    building a model loads the server, the job store or a SciPy submodule the
+    build does not call; the solver loads nothing above itself."""
+    code = (
+        "import sys\n"
+        "import numpy, scipy.sparse\n"
+        "baseline = set(sys.modules)\n"
+        f"{_FRESH_IMPORTS[case]}\n"
+        "print(sorted(set(sys.modules) - baseline))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    added = set(ast.literal_eval(done.stdout))
+    assert {"repro.smp.passage", "repro.petri", "repro"} & added  # the import ran
+    forbidden = {
+        "repro.service.server", "repro.jobs", "http.server", "sqlite3",
+        "scipy.optimize", "scipy.sparse.linalg", "scipy.special",
+    }
+    if case == "passage":
+        forbidden |= {"repro.service", "repro.api"}
+    assert sorted(added & forbidden) == []

@@ -223,6 +223,27 @@ class TestServeAndQuery:
             ])
 
 
+    @pytest.mark.parametrize("url", ["127.0.0.1:8080", "https://127.0.0.1:8080"])
+    def test_a_url_that_is_not_http_fails_in_one_line(self, url):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "query", "--url", url, "stats"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        assert done.stderr.strip().splitlines() == [
+            f"ServiceClient needs an http:// URL, not {url!r}"
+        ]
+
+
 class TestTransientAndSimulate:
     def test_transient(self, onoff_file, capsys):
         code = main([
