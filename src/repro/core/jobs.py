@@ -67,9 +67,10 @@ class TransformJob(abc.ABC):
 
         The analysis service keeps one :class:`UEvaluator` per registered
         model so every measure on that kernel reuses the CSR structure, the
-        cached ``U(s)`` grid data and the symbolic direct-solve structure.
-        Callers sharing an evaluator across threads must serialise their
-        evaluations (its grid caches are not thread-safe).  Like the lazily
+        block-diagonal and symbolic direct-solve structures and the
+        distribution row sums.  Callers sharing an evaluator across threads
+        must serialise their evaluations (its lazily built structures are
+        not thread-safe).  Like the lazily
         built evaluator, an attached one is dropped on pickling.
         """
         if evaluator.kernel is not self.kernel:

@@ -20,8 +20,8 @@ that point blocks on the ticket and receives the same value — one evaluation
 fans out to all waiting queries.
 
 Evaluations on one kernel are serialised by the model entry's ``eval_lock``
-(the shared :class:`~repro.smp.kernel.UEvaluator` grid caches are not
-thread-safe), held per s-block; waiting on tickets never happens while that
+(the shared :class:`~repro.smp.kernel.UEvaluator`'s lazily built
+structures are not thread-safe), held per s-block; waiting on tickets never happens while that
 lock is held, so the scheme is deadlock-free.
 """
 from __future__ import annotations

@@ -118,7 +118,6 @@ class FactoredUEvaluator:
         self._row_pair_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._row_pair_count: int | None = None
         self._row_structures: "OrderedDict[bytes, _RowStructure]" = OrderedDict()
-        self._dist_row_sums: np.ndarray | None = None
         if exported is not None:
             self._adopt(exported)
 
@@ -141,7 +140,7 @@ class FactoredUEvaluator:
     def _adopt(self, v: dict) -> None:
         self._row_pair_cache = (v["pair_src"], v["pair_dist"], v["pair_of_edge"])
         self._row_pair_count = int(v["pair_src"].size)
-        self._dist_row_sums = v["dist_row_sums"]
+        self.evaluator._dist_row_sums = v["dist_row_sums"]
 
     # -------------------------------------------------------------- identity
     @property
@@ -223,44 +222,23 @@ class FactoredUEvaluator:
         return structure
 
     def dist_row_sums(self) -> np.ndarray:
-        """``R[d, i] = Σ_j p_ij`` over transitions of distribution ``d``."""
-        if self._dist_row_sums is None:
-            csr = self.kernel.csr
-            R = np.zeros((self.n_distributions, self.kernel.n_states))
-            np.add.at(R, (csr.dist_index, csr.rows), csr.probs)
-            self._dist_row_sums = R
-        return self._dist_row_sums
+        """``R[d, i] = Σ_j p_ij`` over transitions of distribution ``d``:
+        the evaluator's (:meth:`UEvaluator.dist_row_sums
+        <repro.smp.kernel.UEvaluator.dist_row_sums>`)."""
+        return self.evaluator.dist_row_sums()
 
     # ------------------------------------------------------------- transforms
     def lst_grid(self, s_values) -> np.ndarray:
         """``(n_s, n_dists)`` table of distribution transforms over the grid."""
-        s_values = np.asarray(s_values, dtype=complex).ravel()
-        table = np.empty((s_values.size, self.n_distributions), dtype=complex)
-        for d, dist in enumerate(self.kernel.distributions):
-            table[:, d] = dist.lst_batch(s_values)
-        return table
+        return self.evaluator.lst_table(s_values)
 
     def contraction(
         self, s_values, target_mask: np.ndarray | None, *, chunk: int = 65536
     ) -> np.ndarray:
-        """``max_i Σ_j |u'_ij(s)|`` per s-point, without touching nnz-sized data.
-
-        ``|u_ij(s)| = p_ij |lst_d(s)|``, so the row sums of ``|U(s)|`` are
-        ``|L| @ R`` — an ``(n_s, n_dists) × (n_dists, n)`` product evaluated
-        in state chunks to keep the intermediate bounded.
-        """
-        abs_lst = np.abs(self.lst_grid(s_values))
-        R = self.dist_row_sums()
-        n = self.kernel.n_states
-        best = np.zeros(abs_lst.shape[0])
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            rows = abs_lst @ R[:, lo:hi]
-            if target_mask is not None and target_mask[lo:hi].any():
-                rows[:, target_mask[lo:hi]] = 0.0
-            if rows.size:
-                np.maximum(best, rows.max(axis=1), out=best)
-        return best
+        """``max_i Σ_j |u'_ij(s)|`` per s-point: the evaluator's
+        :meth:`~repro.smp.kernel.UEvaluator.contraction` of the grid's table,
+        the one formula both engines route by."""
+        return self.evaluator.contraction(self.lst_grid(s_values), target_mask, chunk=chunk)
 
     def sojourn_lst_batch(self, s_values) -> np.ndarray:
         """``(n_s, n_states)`` sojourn transforms ``h*_i(s) = Σ_d lst_d(s) R[d,i]``."""

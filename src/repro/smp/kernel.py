@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -511,45 +510,23 @@ def _diagonal_copies(csr: KernelCSR, n_states: int, width: int):
     return indptr, indices
 
 
-class _BatchLRU:
-    """A handful of recent ``U(s)`` data grids, keyed by the grid bytes.
-
-    One slot covers the transient computation (which re-requests the same
-    grid once per target state); a long-lived analysis service additionally
-    interleaves *measures* on one shared evaluator — density, CDF and
-    quantile-refinement requests that alternate between a few distinct
-    grids — so a short LRU keeps those from evicting each other.  Grids
-    larger than ``max_entry_bytes`` are never retained: pinning several
-    multi-GiB ``(n_s, nnz)`` arrays is exactly the failure mode the blocked
-    evaluation path exists to avoid.
-    """
-
-    def __init__(self, capacity: int = 4, max_entry_bytes: int = 256 << 20):
-        self.capacity = capacity
-        self.max_entry_bytes = max_entry_bytes
-        self._entries: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-
-    def get(self, key: bytes) -> np.ndarray | None:
-        data = self._entries.get(key)
-        if data is not None:
-            self._entries.move_to_end(key)
-        return data
-
-    def put(self, key: bytes, data: np.ndarray) -> None:
-        if data.nbytes > self.max_entry_bytes:
-            return
-        self._entries[key] = data
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+#: A block-diagonal structure above this many bytes is handed out but not kept
+#: (:meth:`UEvaluator.block_diag_structure`): an evaluator outlives its
+#: solves, and a structure sized for one very wide block would pin that
+#: memory for the life of the model.
+BLOCK_DIAG_RETAIN_BYTES = 256 << 20
 
 
 class UEvaluator:
     """Evaluates ``U(s)`` over the kernel's image, a grid of s-points at a time.
 
-    The iterative algorithm calls this once per s-block and then performs
-    ``O(r)`` sparse products, so only the complex data grid is refreshed when
-    the s-points change; the structural arrays are the kernel's
+    ``U(s)``'s entries are ``p_e · lst_d(s)`` for a handful of distinct
+    distributions ``d``, so a grid is two steps: the ``(n_s, n_dists)``
+    transform table (:meth:`lst_table`), then one per-edge fill from its rows
+    (:meth:`fill_u_data`).  The table alone answers what the block solve asks
+    before it fills anything — each point's contraction (:meth:`contraction`),
+    hence its routing and run order.  The evaluator keeps no grid: a block
+    writes its own, once.  The structural arrays are the kernel's
     :attr:`~SMPKernel.csr`, shared, never copied — constructing an evaluator
     is O(1) whatever the kernel's size.
     """
@@ -557,13 +534,12 @@ class UEvaluator:
     def __init__(self, kernel: SMPKernel):
         self.kernel = kernel
         self.csr = kernel.csr
-        self._batch_cache = _BatchLRU()
         self._block_diag: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._dist_row_sums: np.ndarray | None = None
         self._factored = None
 
-    #: cap on the temporary working set of one internal ``u_data_batch``
-    #: fill chunk; the gather below is performed in s-slices of at most this
-    #: many bytes so building a large grid never doubles its own footprint
+    #: cap on one chunk of a :meth:`fill_u_data` fill (and of the direct
+    #: solver's reused fill buffer), in bytes of per-edge data
     batch_fill_bytes: int = 256 << 20
 
     def fill_chunk_points(self) -> int:
@@ -591,67 +567,93 @@ class UEvaluator:
         return self._factored is not None
 
     # ------------------------------------------------------------- batch API
-    def u_data_batch(self, s_values, out: np.ndarray | None = None) -> np.ndarray:
-        """CSR data of ``U(s)`` for a whole grid of s-points at once.
+    def lst_table(self, s_values) -> np.ndarray:
+        """``(n_s, n_dists)`` table of the distributions' transforms over a grid.
+
+        Each distinct distribution is evaluated exactly once over the whole
+        grid, so the per-distribution Python overhead is amortised across it.
+        """
+        s_values = np.asarray(s_values, dtype=complex).ravel()
+        table = np.empty((s_values.size, len(self.kernel.distributions)), dtype=complex)
+        for k, dist in enumerate(self.kernel.distributions):
+            table[:, k] = dist.lst_batch(s_values)
+        return table
+
+    def fill_u_data(self, table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """CSR data of ``U(s)`` for each row of an :meth:`lst_table`.
 
         Returns an ``(n_s, nnz)`` array whose row ``t`` is the data vector of
-        ``U(s_values[t])`` in the shared CSR entry order.  Each distinct
-        distribution's transform is evaluated exactly once over the full grid,
-        so the per-distribution Python overhead is amortised across the
-        batch.  The result is assembled in s-chunks bounded by
-        :attr:`batch_fill_bytes` (optionally straight into ``out``), so the
-        build never allocates beyond the result itself; results small enough
-        to be worth retaining are cached (see :class:`_BatchLRU`): measures
-        sharing one evaluator alternate between a few grids.
+        ``U`` at the s-point of ``table[t]``, in the shared CSR entry order,
+        written once (optionally straight into ``out``) in s-chunks of at most
+        :attr:`batch_fill_bytes`.  The gather runs in ``mode="clip"``: the
+        indices are in range by construction, and numpy's default mode
+        buffers ``out`` — a second full-size array per chunk.
+        """
+        nnz = self.csr.indices.size
+        if out is None:
+            out = np.empty((table.shape[0], nnz), dtype=complex)
+        elif out.shape != (table.shape[0], nnz):
+            raise ValueError("out must have shape (n_s, nnz)")
+        chunk = self.fill_chunk_points()
+        for lo in range(0, table.shape[0], chunk):
+            block = out[lo:lo + chunk]
+            np.take(table[lo:lo + chunk], self.csr.dist_index, axis=1, out=block, mode="clip")
+            block *= self.csr.probs
+        return out
 
-        The *result* still scales as ``O(n_s · nnz)``: callers handling
-        large kernels should block their s-grid (see
+    def u_data_batch(self, s_values, out: np.ndarray | None = None) -> np.ndarray:
+        """CSR data of ``U(s)`` for a whole grid of s-points at once:
+        :meth:`fill_u_data` of the grid's :meth:`lst_table`.
+
+        The result scales as ``O(n_s · nnz)`` and is not retained: callers
+        handling large kernels block their s-grid (see
         :class:`~repro.smp.passage.SPointPolicy.block_points`) or use the
         factored engine, which never materialises per-edge data.
         """
-        s_values = np.asarray(s_values, dtype=complex).ravel()
-        nnz = self.csr.indices.size
-        if out is not None and out.shape != (s_values.size, nnz):
-            raise ValueError("out must have shape (n_s, nnz)")
-        key = s_values.tobytes()
-        cached = self._batch_cache.get(key)
-        if cached is not None:
-            if out is not None:
-                out[:] = cached
-                return out
-            return cached
-        # A caller-owned buffer must never enter the LRU: the caller will
-        # overwrite it, silently corrupting every alias in the cache.
-        cacheable = out is None
-        if out is None:
-            out = np.empty((s_values.size, nnz), dtype=complex)
-        lst_matrix = np.empty(
-            (s_values.size, len(self.kernel.distributions)), dtype=complex
-        )
-        for k, dist in enumerate(self.kernel.distributions):
-            lst_matrix[:, k] = dist.lst_batch(s_values)
-        chunk = self.fill_chunk_points()
-        for lo in range(0, s_values.size, chunk):
-            hi = min(lo + chunk, s_values.size)
-            block = out[lo:hi]
-            np.take(lst_matrix[lo:hi], self.csr.dist_index, axis=1, out=block)
-            block *= self.csr.probs
-        if cacheable:
-            self._batch_cache.put(key, out)
-        return out
+        return self.fill_u_data(self.lst_table(s_values), out)
 
     def sojourn_lst_batch(self, s_values) -> np.ndarray:
         """``(n_s, n_states)`` sojourn transforms ``h*_i(s)`` for a grid of s."""
         return np.add.reduceat(self.u_data_batch(s_values), self.csr.indptr[:-1], axis=1)
 
-    def row_abs_sums(self, data_batch: np.ndarray) -> np.ndarray:
-        """Per-state row sums of ``|data|`` for every s-point: ``(n_s, n_states)``.
+    def dist_row_sums(self) -> np.ndarray:
+        """``R[d, i] = Σ_j p_ij`` over the transitions of distribution ``d``.
 
-        The maximum over states bounds the per-iteration contraction of the
-        iterative sum, which is what the adaptive iterative/direct policy uses
-        to predict iteration counts.
+        ``(n_dists, n_states)``, built once per evaluator (or adopted from a
+        kernel plane with the factored engine's arrays).
         """
-        return np.add.reduceat(np.abs(data_batch), self.csr.indptr[:-1], axis=1)
+        if self._dist_row_sums is None:
+            csr = self.csr
+            R = np.zeros((len(self.kernel.distributions), self.kernel.n_states))
+            np.add.at(R, (csr.dist_index, csr.rows), csr.probs)
+            self._dist_row_sums = R
+        return self._dist_row_sums
+
+    def contraction(
+        self, table: np.ndarray, absorbing: np.ndarray | None, *, chunk: int = 65536
+    ) -> np.ndarray:
+        """``max_i Σ_j |m_ij(s)|`` per row of an :meth:`lst_table`.
+
+        ``M`` is ``U`` with the ``absorbing`` states' rows zeroed, and
+        ``|u_ij(s)| = p_ij |lst_d(s)|``, so the row sums are ``|L| @ R``
+        (:meth:`dist_row_sums`) with the absorbing states' zeroed — an
+        ``(n_s, n_dists) × (n_dists, n)`` product, evaluated in state chunks
+        to keep the intermediate bounded, that never touches per-edge data.
+        It bounds the per-iteration contraction of the iterative sum, which
+        is what routing and run order read; both engines route by it.
+        """
+        abs_lst = np.abs(table)
+        R = self.dist_row_sums()
+        n = self.kernel.n_states
+        best = np.zeros(abs_lst.shape[0])
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            rows = abs_lst @ R[:, lo:hi]
+            if absorbing is not None and absorbing[lo:hi].any():
+                rows[:, absorbing[lo:hi]] = 0.0
+            if rows.size:
+                np.maximum(best, rows.max(axis=1), out=best)
+        return best
 
     def direct_solve_structure(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Cached CSC symbolic structure of ``A = I - U K`` (Eq. 3).
@@ -690,14 +692,13 @@ class UEvaluator:
         arrays depend on the kernel alone, so they are built once, on first
         use, at the widest block seen (int32 while ``width · max(n, nnz)``
         fits); a block of ``w <= width`` points reads the prefixes
-        ``indptr[:w·n + 1]``, ``indices[:w·nnz]``.  Retention follows the
-        U-grid LRU's rule: a structure above ``max_entry_bytes`` is handed
-        out but not kept.
+        ``indptr[:w·n + 1]``, ``indices[:w·nnz]``.  A structure above
+        :data:`BLOCK_DIAG_RETAIN_BYTES` is handed out but not kept.
         """
         held = self._block_diag
         if held is None or held[0] < width:
             held = (width, *_diagonal_copies(self.csr, self.kernel.n_states, width))
-            if held[2].nbytes <= self._batch_cache.max_entry_bytes:
+            if held[2].nbytes <= BLOCK_DIAG_RETAIN_BYTES:
                 self._block_diag = held
         n, nnz = self.kernel.n_states, self.csr.indices.size
         return held[1][: width * n + 1], held[2][: width * nnz]

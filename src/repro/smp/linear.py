@@ -166,8 +166,8 @@ def transient_transform_direct_batch(
 def _point_data(evaluator, s_values: np.ndarray, u_data: np.ndarray | None):
     """Each s-point's ``U(s)`` data vector, in grid order.
 
-    ``u_data`` lets callers that already hold the grid's ``U(s)`` data (the
-    block solve routing a subset of its grid here) skip re-evaluating the
+    ``u_data`` lets callers that already hold the points' ``U(s)`` data (the
+    block solve, handing over the tail of its grid) skip re-evaluating the
     distributions' transforms.  Without it the data is materialised in
     bounded chunks so a large routed set never allocates ``O(n_s · nnz)``.
     """
@@ -180,9 +180,8 @@ def _point_data(evaluator, s_values: np.ndarray, u_data: np.ndarray | None):
             raise ValueError("u_data must have shape (n_s, nnz)")
         yield from u_data
         return
-    # Fill chunks into one reused caller-owned buffer: chunk grids are
-    # throwaway and must not cycle through (and pollute) the evaluator's
-    # grid LRU, whose slots exist for reusable measure grids.
+    # Fill chunks into one reused buffer: a routed set of any size holds
+    # one chunk of per-edge data at a time.
     chunk = min(evaluator.fill_chunk_points(), s_values.size)
     buffer = np.empty((chunk, nnz), dtype=complex)
     for lo in range(0, s_values.size, chunk):

@@ -33,10 +33,12 @@ each of which exists exactly once:
   ``s-block-solve`` span, times one solve and notes it once.  Passage,
   transient and explicit ``solver="direct"`` solves all loop here.
 * **block** (:func:`_solve_block`) — computes the per-point contraction and
-  the routing mask once, sends the routed points (all of them for an
-  explicit direct solve) to the sparse-LU solver, drives the rest and
-  re-solves cap-hitting points directly.  It knows passage from transient
-  only through a small :class:`_Form`.
+  the routing mask once, from the block's transform table, then writes the
+  block's one ``U`` grid in run order (the batch engine's iterative points,
+  then the routed ones), sends the routed points (all of them for an
+  explicit direct solve) to the sparse-LU solver on the grid's tail, drives
+  the rest on its head and re-solves cap-hitting points directly.  It knows
+  passage from transient only through a small :class:`_Form`.
 * **driver** (:func:`_drive`) — the active-set iteration: one truncation
   rule, converged points snapshotted and zeroed, the operator narrowed to
   the prefix that still holds a live point.  The block orders its points
@@ -48,9 +50,10 @@ each of which exists exactly once:
   and accumulates the form's sum, the absorbing states (``M``) and the
   accumulation (``e`` or ``w``) held apart:
   ``batch`` (per-s-point complex CSR data, written once per block in run
-  order: one block-diagonal sparse product for the whole block — views of
-  that data under the kernel's one block-diagonal structure — or one call
-  of scipy's sparse kernel per live point on its own data, while the
+  order and turned into ``M`` in place: one block-diagonal sparse product
+  for the whole block — views of that data under the kernel's one
+  block-diagonal structure — or one per live point on its own data, each
+  a direct call of scipy's C kernel, while the
   frontier is short of ``n`` or once the block's state exceeds
   :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the distribution-factored
   product of :mod:`repro.smp.factored`, whose per-iteration sparse work is
@@ -74,7 +77,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from repro.obs import metrics as _obs_metrics
@@ -285,18 +287,15 @@ class SPointPolicy:
         kernel would iterate on — materialises ``O(block · nnz)`` complex
         data.  The direct solver's passage vectors add ``n`` per point.
 
-        The ``64 · nnz`` bytes per point are what a batch block allocates per
-        edge at its peak, plus headroom for its ``n``-vectors (``tracemalloc``
-        on a fresh evaluator holds the whole block under the figure:
-        ``tests/smp/test_block_pipeline.py``): 44-48 B, the ``U`` grid 16
-        (alive for the block whether or not the LRU keeps it) + the
-        iteration's ``M`` 16 + the block-diagonal structure 4 (int32; built
-        once per kernel) + at most 8 while a block narrowed below half
-        re-bases its ``M`` view (the per-point regime needs neither: it reads
-        ``M`` where it lies, under one diagonal block's structure).  ``|U|``
-        for the contraction, 8 B, and a transient's ``h*`` row sums, 16 B
-        per *state*, are freed before ``M`` is written.  The other 16-20 B
-        cover state, product and magnitude vectors, 40 B per state.
+        A batch block's peak per point, on ``tracemalloc`` with a fresh
+        evaluator (``tests/smp/test_block_pipeline.py`` holds the whole block
+        under the figure), is 20 B per edge: the block's one ``U`` grid, 16,
+        which the iteration turns into ``M`` in place, and the block-diagonal
+        structure, 4 (int32; built once per kernel).  Nothing else the block
+        holds is per edge: routing reads the ``(n_s, n_dists)`` transform
+        table.  The ``n``-vectors — state, product, magnitudes, the
+        structure's ``indptr`` and a transient's ``h*`` — measure 36-44 B
+        per state; 48 are budgeted.
         """
         kernel = evaluator.kernel
         engine = "direct-lu" if direct else self.resolve_engine(evaluator)
@@ -304,7 +303,7 @@ class SPointPolicy:
             pairs = evaluator.factored().row_pair_count
             per_point = 16 * (3 * pairs + 3 * kernel.n_states)
         else:
-            per_point = 64 * kernel.n_transitions + (48 * kernel.n_states if direct else 0)
+            per_point = 20 * kernel.n_transitions + (96 if direct else 48) * kernel.n_states
         return engine, max(1, int(self.max_block_bytes // max(per_point, 1)))
 
     def block_points(self, evaluator) -> int:
@@ -332,82 +331,71 @@ class SPointPolicy:
 class _BatchRowOperator:
     """The batch engine's stepper: ``v <- v @ M(s_t)`` on per-s-point CSR data.
 
-    The operator runs ``points`` — rows of the block's ``U`` grid ``u_data``
-    — in that order.  ``_state`` holds one ``n``-vector per point (the
-    current term of the sum), ``_acc`` the sum accumulated from it, both
-    indexed by run position along axis 0.  The form enters in two separate
-    parts:
+    ``grid`` is the first ``width`` rows of the block's ``U`` grid — the
+    iterative points, in run order — and becomes ``M``: :meth:`start` reads
+    the start vector off it (Eq. 10's first term is ``alpha U``, not
+    ``alpha U'``, when a source is a target) and then zeroes the absorbing
+    states' rows in place, so the grid itself is ``M`` and is read where it
+    lies.  ``_state`` holds one ``n``-vector per point (the current term of
+    the sum), ``_acc`` the sum accumulated from it, both indexed by run
+    position along axis 0.  The form enters in two separate parts:
 
     * the *absorbing* states, whose rows of ``M`` are zeroed: the targets
-      for a passage (``M = U'``), none for a transient (``M = U``).
-      ``_data`` is ``M`` for the block's points, raveled: written here,
-      once, and read where it lies;
+      for a passage (``M = U'``), none for a transient (``M = U``);
     * the *accumulation* over ``targets``: ``v . e`` for a passage
       (``weights`` is None), ``v . w_t`` for a transient, whose
       ``weights[t]`` is ``w`` on the targets at the point of run position
       ``t``; the transient's sum also starts with its ``r = 0`` term
       ``alpha . w``.
 
-    The kernel's data is read as ``csc_matrix((data, indices, indptr))``,
-    the transpose of ``M``, so ``v @ M`` is scipy's CSC scatter and nothing
-    is ever stored transposed.  States are numbered in exploration order, so
-    the support of ``v`` after ``r`` steps is a prefix that grows from
-    alpha's: the frontier ``_hi`` starts one past alpha's image, moves to
-    ``reach[_hi]`` after every step, and a step multiplies the source rows
-    below it only.  While the frontier is short of ``n``, or the live state
-    (``width × n`` complex) exceeds :data:`BLOCKDIAG_MAX_BYTES`, each live
-    point advances through one call of scipy's sparse kernel on its own data
-    prefix (:meth:`_advance_points`).  Otherwise the whole block advances
-    through one block-diagonal sparse product, amortising the per-call
-    Python cost: a prefix view of ``_data`` under a prefix view of the
-    kernel's :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`,
+    The kernel's data is read as CSC — the transpose of ``M`` — so ``v @ M``
+    is scipy's CSC scatter (``_sparsetools.csc_matvec``, called directly on
+    prefix views: no scipy matrix is built) and nothing is ever stored
+    transposed.  States are numbered in exploration order, so the support of
+    ``v`` after ``r`` steps is a prefix that grows from alpha's: the frontier
+    ``_hi`` starts one past alpha's image, moves to ``reach[_hi]`` after
+    every step, and a step multiplies the source rows below it only.  While
+    the frontier is short of ``n``, or the live state (``width × n``
+    complex) exceeds :data:`BLOCKDIAG_MAX_BYTES`, each live point advances
+    through one kernel call on its own data prefix (:meth:`_advance_points`).
+    Otherwise the whole block advances through one block-diagonal product,
+    amortising the per-call Python cost: the data's prefix under a prefix of
+    the kernel's :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`,
     whose first diagonal block is also the per-point calls' structure.
     """
 
     engine = "batch"
 
-    def __init__(self, evaluator, absorbing, alpha, targets, weights, u_data, points):
+    def __init__(self, evaluator, absorbing, alpha, targets, weights, grid):
         self.evaluator = evaluator
         self.n = evaluator.kernel.n_states
-        self._u_data = u_data
-        self._points = points
+        self._nnz = grid.shape[1]
+        self._grid = grid
+        self._data = grid.reshape(-1)  # a view: the grid is C-contiguous
+        self._absorbing = absorbing
         self._alpha = alpha
         self._targets = targets
         self._weights = weights
-        # M: the one gather of the block's U grid, absorbing states' rows zeroed
-        data = u_data[points]
-        data[:, evaluator.row_entries(np.flatnonzero(absorbing))] = 0.0
-        self._data = data.reshape(-1)
-        self._live = np.ones(points.size, dtype=bool)
-        self._operator = self._diag = None
+        self._live = np.ones(grid.shape[0], dtype=bool)
+        self._diag = None
         #: point-rows advanced so far (what the block's ``product_rows`` sums)
         #: and the edge-point products they took
         self.product_rows = self.product_edges = 0
-        self._bind(points.size)
+        self._bind(grid.shape[0])
 
     def _bind(self, width: int) -> None:
         """Point the product at the first ``width`` positions: views, no copy."""
         self.width = width
-        n, nnz = self.n, self._u_data.shape[1]
-        whole = width * n * 16 <= BLOCKDIAG_MAX_BYTES
-        if self._diag is None or (whole and self._diag[1].size < width * nnz):
-            self._diag = self.evaluator.block_diag_structure(width if whole else 1)
-        indptr, indices = self._diag
-        self._block0 = indptr[: n + 1], indices[:nnz]
-        self._operator = None
-        if whole:
-            self._operator = sparse.csc_matrix(
-                (self._data[: width * nnz], indices[: width * nnz], indptr[: width * n + 1]),
-                shape=(width * n, width * n), copy=False,
-            )
-            # scipy re-bases a view smaller than half its base onto a copy:
-            # narrowing from what it kept pays that once per halving.
-            self._data, self._diag = self._operator.data, (indptr, self._operator.indices)
+        self._whole = width * self.n * 16 <= BLOCKDIAG_MAX_BYTES
+        if self._diag is None or (self._whole and self._diag[1].size < width * self._nnz):
+            self._diag = self.evaluator.block_diag_structure(width if self._whole else 1)
 
     def start(self) -> None:
         self._state = self.evaluator.alpha_vec_matrix_batch(
-            self._alpha, self._u_data, self._points
+            self._alpha, self._grid, np.arange(self.width)
         )
+        # the grid is U until here, M from here on
+        self._grid[:, self.evaluator.row_entries(np.flatnonzero(self._absorbing))] = 0.0
         self._hi = int(self.evaluator.reach[1 + np.flatnonzero(self._alpha)[-1]])
         self._acc = self._target_sums()
         if self._weights is not None:
@@ -415,14 +403,19 @@ class _BatchRowOperator:
             self._acc += weighted_sums(self._alpha.real[self._targets], 0.0, self._weights)
 
     def step(self) -> None:
-        if self._hi < self.n or self._operator is None:
+        if self._hi < self.n or not self._whole:
             self._advance_points()
         else:
-            self._state = (self._operator @ self._state.ravel()).reshape(
-                self.width, self.n
+            rows, edges = self.width * self.n, self.width * self._nnz
+            indptr, indices = self._diag
+            out = np.zeros(rows, dtype=complex)
+            _sparsetools.csc_matvec(
+                rows, rows, indptr[: rows + 1], indices[:edges], self._data[:edges],
+                self._state.ravel(), out,
             )
+            self._state = out.reshape(self.width, self.n)
             self.product_rows += self.width
-            self.product_edges += self.width * self._u_data.shape[1]
+            self.product_edges += edges
         self._acc = self._acc + self._target_sums()
         self._hi = int(self.evaluator.reach[self._hi])
 
@@ -433,10 +426,11 @@ class _BatchRowOperator:
         past the frontier: the calls skip both, and each point's products and
         sums run in the order the full product would take them.
         """
-        n, hi, nnz = self.n, self._hi, self._u_data.shape[1]
-        indptr, indices = self._block0
+        n, hi, nnz = self.n, self._hi, self._nnz
+        indptr, indices = self._diag
         indptr = indptr[: hi + 1]
         stop = int(indptr[hi])
+        indices = indices[:stop]
         data, state = self._data, self._state
         out = np.zeros(state.shape, dtype=complex)
         live = np.flatnonzero(self._live[: self.width]).tolist()
@@ -569,20 +563,23 @@ class _Form:
         """The states whose rows the iteration zeroes: the targets, or none."""
         return np.zeros_like(self.mask) if self.transient else self.mask
 
-    def weights(self, evaluator, engine, s_block, u_data) -> np.ndarray | None:
-        """``w`` on the targets at every point of the block (None for a passage).
+    def weights(self, evaluator, s_block, table, iter_idx, grid) -> np.ndarray | None:
+        """``w`` on the targets at the block's iterative points ``iter_idx``,
+        in run order (None for a passage).
 
         ``h*`` is read off what the block already holds — the row sums of its
-        ``U`` grid, or the factored engine's distribution table — so no
-        transform is evaluated twice.
+        ``U`` grid, whose first rows are those points (a transient zeroes
+        none of them), or, with no grid (the factored engine), its transform
+        table times the distribution row sums — so no transform is
+        evaluated twice.
         """
         if not self.transient:
             return None
-        if engine == "factored":
-            h = evaluator.factored().sojourn_lst_batch(s_block)
+        if grid is None:
+            h = (table @ evaluator.dist_row_sums())[iter_idx]
         else:
-            h = np.add.reduceat(u_data, evaluator.csr.indptr[:-1], axis=1)
-        return (1.0 - h[:, self.targets]) / s_block[:, None]
+            h = np.add.reduceat(grid[: iter_idx.size], evaluator.csr.indptr[:-1], axis=1)
+        return (1.0 - h[:, self.targets]) / s_block[iter_idx, None]
 
     def direct(self, evaluator, s_values, u_data) -> np.ndarray:
         """The values of points the sparse LU solves, one factorisation each.
@@ -602,34 +599,32 @@ class _Form:
         support = np.flatnonzero(self.alpha)
         return np.add.reduce(np.take(vectors, support, axis=1) * self.alpha[support], axis=1)
 
-    def operator(self, evaluator, engine, s_iter, u_data, points, weights):
+    def operator(self, evaluator, engine, s_iter, grid, weights):
         """The stepper of the block's iterative points, in their run order:
-        ``s_iter`` their s-values, ``points`` their rows of the block's U grid
-        ``u_data`` (the batch engine reads the grid, the factored one ``s``),
-        ``weights`` their rows of :meth:`weights`."""
+        ``s_iter`` their s-values, ``grid`` their rows of the block's U grid
+        (the batch engine reads the grid, the factored one ``s``),
+        ``weights`` their :meth:`weights`."""
         if engine == "factored":
             return FactoredRowOperator(
                 evaluator.factored(), s_iter, self.absorbing, self.alpha, self.targets, weights
             )
         return _BatchRowOperator(
-            evaluator, self.absorbing, self.alpha, self.targets, weights, u_data, points
+            evaluator, self.absorbing, self.alpha, self.targets, weights, grid
         )
 
 
-def _rows(grid: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Rows ``indices`` (ascending) of ``grid``: a view when they are one run."""
-    lo, hi = int(indices[0]), int(indices[-1]) + 1
-    return grid[lo:hi] if hi - lo == indices.size else grid[indices]
-
-
 def _solve_block(evaluator, engine, form, s_block, options, policy):
-    """One memory-bounded s-block: route, solve directly, drive, fall back.
+    """One memory-bounded s-block: route, fill, solve directly, drive, fall back.
 
     ``engine`` is the iterative engine of the block or ``"direct-lu"``, the
     explicit direct solve — the same routing with every point routed, which
-    therefore never computes a contraction or the iteration's data.  Returns
-    the values, one diagnostics per point and the iterative product's work:
-    ``(point-rows advanced, edge-point products taken)``.
+    therefore never computes a contraction.  The block's transform table
+    comes first and routing reads it; then the batch engine and the LU write
+    the block's one ``U`` grid, in run order — the iterative points slowest
+    first, then the routed ones — so the LU reads a view of its tail and the
+    iteration turns its head into ``M`` in place.  Returns the values, one
+    diagnostics per point and the iterative product's work: ``(point-rows
+    advanced, edge-point products taken)``.
     """
     n_s = s_block.size
     n = evaluator.kernel.n_states
@@ -637,21 +632,12 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
     diags: list[ConvergenceDiagnostics | None] = [None] * n_s
     may_route = n <= DIRECT_MAX_STATES
 
-    u_data = None
-    if engine != "factored":
-        with _obs_trace.span("lst-fill", points=n_s):
-            u_data = evaluator.u_data_batch(s_block)
     with _obs_trace.span("route", points=n_s):
+        table = evaluator.lst_table(s_block)
         if engine == "direct-lu":
             direct_mask = np.ones(n_s, dtype=bool)
         else:
-            absorbing = form.absorbing
-            if engine == "factored":
-                contraction = evaluator.factored().contraction(s_block, absorbing)
-            else:
-                # The row sums of |M| are those of |U| with the absorbing
-                # rows' sums zeroed: routing reads the U grid, M is not built yet.
-                contraction = np.where(absorbing, 0.0, evaluator.row_abs_sums(u_data)).max(axis=1)
+            contraction = evaluator.contraction(table, form.absorbing)
             if may_route:
                 direct_mask = policy.route_direct(options.epsilon, contraction)
             else:
@@ -662,9 +648,14 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
             # Slowest first: points then converge from the back of the block
             # and the driver narrows the product by view.
             iter_idx = iter_idx[np.argsort(-contraction[iter_idx], kind="stable")]
+    n_iter = iter_idx.size
 
-    def solve_direct(indices, solver_label, iterations, matvecs):
-        u_rows = _rows(u_data, indices) if u_data is not None else None
+    grid = None
+    if engine != "factored":
+        with _obs_trace.span("lst-fill", points=n_s):
+            grid = evaluator.fill_u_data(table[np.concatenate((iter_idx, direct_idx))])
+
+    def solve_direct(indices, u_rows, solver_label, iterations, matvecs):
         result[indices] = form.direct(evaluator, s_block[indices], u_rows)
         for idx in indices:
             diags[idx] = ConvergenceDiagnostics(
@@ -678,18 +669,18 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
             )
 
     if direct_idx.size:
-        solve_direct(direct_idx, "direct", 0, 0)
+        solve_direct(direct_idx, None if grid is None else grid[n_iter:], "direct", 0, 0)
 
     work = (0, 0)
-    if iter_idx.size:
+    if n_iter:
         # When the policy would re-solve cap-hitting points directly, their
         # finished result is wasted work — tell the driver to skip it.
         will_fallback = policy.fallback_to_direct and may_route
-        with _obs_trace.span("drive", points=int(iter_idx.size)) as drive:
-            weights = form.weights(evaluator, engine, s_block, u_data)
+        with _obs_trace.span("drive", points=n_iter) as drive:
+            weights = form.weights(evaluator, s_block, table, iter_idx, grid)
             op = form.operator(
-                evaluator, engine, s_block[iter_idx], u_data, iter_idx,
-                None if weights is None else weights[iter_idx],
+                evaluator, engine, s_block[iter_idx],
+                None if grid is None else grid[:n_iter], weights,
             )
             order, results, iterations, deltas, conv = _drive(
                 op, options, finalize_unconverged=not will_fallback
@@ -698,7 +689,7 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
             drive.set(product_edges=op.product_edges)
         if order.size:
             result[iter_idx[order]] = results
-        retried = ~conv if will_fallback else np.zeros(iter_idx.size, dtype=bool)
+        retried = ~conv if will_fallback else np.zeros(n_iter, dtype=bool)
         for pos in np.flatnonzero(~retried):
             diags[iter_idx[pos]] = ConvergenceDiagnostics(
                 iterations=int(iterations[pos]),
@@ -708,8 +699,15 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
                 engine=engine,
             )
         if retried.any():
+            again = np.sort(iter_idx[retried])
+            u_rows = None
+            if grid is not None:
+                # Their rows of the grid are M now: free it, and re-fill
+                # theirs from the table.
+                grid = op = None
+                u_rows = evaluator.fill_u_data(table[again])
             solve_direct(
-                np.sort(iter_idx[retried]), "direct-fallback",
+                again, u_rows, "direct-fallback",
                 options.max_iterations, options.max_iterations + 1,
             )
     return result, diags, work

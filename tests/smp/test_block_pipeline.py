@@ -22,7 +22,6 @@ from repro.smp import (
 )
 from repro.smp import kernel as kernel_module
 from repro.smp import passage as passage_module
-from repro.smp.kernel import _BatchLRU
 from tests.reference import u_matrix
 from tests.smp.conftest import random_kernel, voting_measure
 
@@ -57,9 +56,10 @@ def test_a_block_stays_inside_its_memory_plan(measure, form):
     every temporary count — peaks below the budget it was sized for, for the
     passage and for the transient (sized as the same row block).  (Before
     the block pipeline wrote ``U'`` once, a block peaked at 100 B per edge
-    per point against the 64 it budgeted.)"""
+    per point against the 64 it budgeted; before the block kept one grid and
+    no LRU, at 48.)"""
     kernel, alpha, targets, grid = measure
-    budget = (4 if kernel.n_states < 1000 else 64) << 20
+    budget = (4 if kernel.n_states < 1000 else 40) << 20
     policy = SPointPolicy(engine="batch", max_block_bytes=budget)
     evaluator = kernel.evaluator()
     block = policy.block_points(evaluator)
@@ -111,11 +111,13 @@ def test_the_block_diagonal_structure_is_built_once_per_kernel(measure, monkeypa
     assert first[0].dtype == first[1].dtype == np.int32
 
 
-def test_structure_retention_follows_the_grid_lru_rule(measure):
-    """Never above ``_BatchLRU.max_entry_bytes``: handed out, not kept."""
+def test_structure_retention_follows_the_grid_lru_rule(measure, monkeypatch):
+    """Never above :data:`~repro.smp.kernel.BLOCK_DIAG_RETAIN_BYTES`: handed
+    out, not kept."""
     kernel, alpha, targets, grid = measure
+    assert kernel_module.BLOCK_DIAG_RETAIN_BYTES == 256 << 20
+    monkeypatch.setattr(kernel_module, "BLOCK_DIAG_RETAIN_BYTES", 4 * kernel.n_transitions * 10)
     evaluator = kernel.evaluator()
-    evaluator._batch_cache = _BatchLRU(max_entry_bytes=4 * kernel.n_transitions * 10)
     kept = evaluator.block_diag_structure(10)
     assert np.shares_memory(kept[1], evaluator.block_diag_structure(4)[1])
     wide = evaluator.block_diag_structure(11)
@@ -202,33 +204,43 @@ def test_alpha_start_vectors_match_the_matrix_product(measure):
 
 
 def test_an_explicit_direct_solve_reads_the_grid_uncopied(measure, monkeypatch):
-    """``solver="direct"`` hands the LU solver the block's ``U`` grid itself,
-    and a routed run of neighbouring points a slice of it — no row copy."""
+    """``solver="direct"`` hands the LU solver the block's one ``U`` grid
+    itself, and a routed run of points the grid's tail — no row copy."""
     kernel, alpha, targets, grid = measure
     evaluator = kernel.evaluator()
-    handed = []
+    handed, fills = [], []
     real = passage_module.passage_transform_direct_batch
+    real_fill = evaluator.fill_u_data
 
     def spy(evaluator, targets, s_values, *, u_data=None):
         handed.append(u_data)
         return real(evaluator, targets, s_values, u_data=u_data)
 
+    def spy_fill(table, out=None):
+        fills.append(real_fill(table, out))
+        return fills[-1]
+
     monkeypatch.setattr(passage_module, "passage_transform_direct_batch", spy)
+    monkeypatch.setattr(evaluator, "fill_u_data", spy_fill)
     s_block = grid[:6]
     passage_transform_batch(evaluator, alpha, targets, s_block, solver="direct")
-    block_grid = evaluator.u_data_batch(s_block)
-    assert handed[0].shape == block_grid.shape and np.shares_memory(handed[0], block_grid)
+    assert len(fills) == 1
+    assert handed[0].shape == fills[0].shape and np.shares_memory(handed[0], fills[0])
     # three points so close to s = 0 that the default policy routes them
     routed = np.concatenate((grid[:3] * 1e-6, grid[3:6]))
     _, diags = passage_transform_batch(evaluator, alpha, targets, routed)
     assert [d.solver for d in diags] == ["direct"] * 3 + ["iterative"] * 3
-    assert handed[1].shape[0] == 3
-    assert np.shares_memory(handed[1], evaluator.u_data_batch(routed))
+    assert len(fills) == 2 and fills[1].shape[0] == 6
+    # the routed rows are the tail of the block's one fill, in input order
+    assert handed[1].shape[0] == 3 and np.shares_memory(handed[1], fills[1])
+    assert handed[1].tobytes() == evaluator.u_data_batch(routed[:3]).tobytes()
 
 
 def test_the_block_span_splits_into_its_layers(measure):
-    """``lst-fill`` / ``route`` / ``drive`` under ``s-block-solve``: the
-    product's own tracer answers "LST fill or product?"."""
+    """``route`` / ``lst-fill`` / ``drive`` under ``s-block-solve``, in that
+    order — routing reads the transform table, then the block's one ``U``
+    grid is written in run order: the product's own tracer answers "LST
+    fill or product?"."""
     from repro.obs import get_tracer
 
     kernel, alpha, targets, grid = measure
@@ -245,21 +257,152 @@ def test_the_block_span_splits_into_its_layers(measure):
     layers = sorted(
         (r for r in spans if r["parent"] == block["id"]), key=lambda r: r["start"]
     )
-    assert [r["name"] for r in layers] == ["lst-fill", "route", "drive"]
+    assert [r["name"] for r in layers] == ["route", "lst-fill", "drive"]
     assert sum(r["duration"] for r in layers) <= block["duration"]
     assert layers[2]["attributes"]["points"] == grid.size
 
 
 def test_the_contraction_read_off_the_u_grid_is_u_primes(measure):
-    """Routing reads ``|U|`` row sums with the target states' sums zeroed:
-    bit for bit the row sums of ``|U'|`` — so routing cannot move."""
+    """Routing reads ``|L| @ R`` off the transform table with the target
+    states' sums zeroed: the row sums of ``|U'|`` to a few ulps — and on the
+    bundled grids the same routing mask and the same run order."""
     kernel, alpha, targets, grid = measure
     evaluator = kernel.evaluator()
     mask = np.zeros(kernel.n_states, dtype=bool)
     mask[targets] = True
-    u_data = evaluator.u_data_batch(grid)
-    u_prime = u_data.copy()
+    u_prime = evaluator.u_data_batch(grid)
     u_prime[:, mask[kernel.csr.rows]] = 0.0
-    expected = evaluator.row_abs_sums(u_prime).max(axis=1)
-    got = np.where(mask, 0.0, evaluator.row_abs_sums(u_data)).max(axis=1)
-    assert got.tobytes() == expected.tobytes()
+    expected = np.add.reduceat(np.abs(u_prime), kernel.csr.indptr[:-1], axis=1).max(axis=1)
+    got = evaluator.contraction(evaluator.lst_table(grid), mask)
+    assert np.abs(got - expected).max() <= 8 * np.finfo(float).eps * expected.max()
+    policy = SPointPolicy()
+    for epsilon in (1e-8, 1e-12):
+        assert np.array_equal(
+            policy.route_direct(epsilon, got), policy.route_direct(epsilon, expected)
+        )
+    assert np.array_equal(
+        np.argsort(-got, kind="stable"), np.argsort(-expected, kind="stable")
+    )
+
+
+def test_a_fill_writes_its_grid_once(measure):
+    """``fill_u_data`` peaks at its result, and ``u_data_batch`` at its
+    result plus its transform table: no hidden output buffer (numpy's
+    default ``take`` mode buffers ``out``, a second full-size grid)."""
+    kernel, alpha, targets, grid = measure
+    evaluator = kernel.evaluator()
+    table = evaluator.lst_table(grid)
+    tracemalloc.start()
+    try:
+        filled = evaluator.fill_u_data(table)
+        fill_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        batch = evaluator.u_data_batch(grid)
+        batch_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy's fixed casting buffer (8,192 complex) for ``*= probs``, each
+    # distribution's n_s-sized temporaries and Python objects
+    slack = 256 << 10
+    assert fill_peak <= filled.nbytes + slack
+    assert batch_peak - filled.nbytes <= batch.nbytes + table.nbytes + slack
+    assert filled.tobytes() == batch.tobytes()
+
+
+def _routing_limit(evaluator, form_mask, grid, share):
+    """A ``predicted_iteration_limit`` that routes about ``share`` of
+    ``grid`` to the LU, halfway between two points' predictions so that no
+    point sits on the boundary."""
+    policy = SPointPolicy()
+    predicted = np.sort(policy.predicted_iterations(
+        1e-8, evaluator.contraction(evaluator.lst_table(grid), form_mask)
+    ))
+    k = int(round((1.0 - share) * grid.size))
+    return int((predicted[k - 1] + predicted[k]) / 2)
+
+
+@pytest.mark.parametrize("transient", [False, True])
+def test_a_block_mostly_routed_to_lu_solves_its_points_as_blocks_of_one(measure, transient):
+    """More than half the block routed, the rest iterated: the iterating
+    points sit at the head of the grid and turn it into ``M`` in place, the
+    routed ones read its unzeroed tail.  Values, iteration counts and the
+    block's work are those of each point solved in a block of its own."""
+    kernel, alpha, targets, grid = measure
+    evaluator = kernel.evaluator()
+    solve = transient_transform_batch if transient else passage_transform_batch
+    absorbing = np.zeros(kernel.n_states, dtype=bool)
+    if not transient:
+        absorbing[targets] = True
+    # nearer s = 0 than the inversion grid, where zeroing the targets' rows
+    # moves values by 1e-2 and iteration counts twofold
+    s_block = 0.2 * grid[::3]
+    policy = SPointPolicy(
+        predicted_iteration_limit=_routing_limit(evaluator, absorbing, s_block, 0.6)
+    )
+    report: dict = {}
+    values, diags = solve(evaluator, alpha, targets, s_block, policy=policy, report=report)
+    routed = sum(d.solver == "direct" for d in diags)
+    assert s_block.size / 2 < routed < s_block.size
+    (block,) = report["blocks"]
+    exact, _ = solve(evaluator, alpha, targets, s_block, solver="direct")
+    assert np.abs(values - exact).max() < 1e-7
+    alone_values, alone_diags, alone_blocks = [], [], []
+    for s in s_block:
+        alone: dict = {}
+        value, (diag,) = solve(evaluator, alpha, targets, [s], policy=policy, report=alone)
+        alone_values.append(value[0])
+        alone_diags.append(diag)
+        alone_blocks += alone["blocks"]
+    assert values.tobytes() == np.asarray(alone_values).tobytes()
+    assert [(d.solver, d.iterations, d.converged) for d in diags] == [
+        (d.solver, d.iterations, d.converged) for d in alone_diags
+    ]
+    for key in ("points", "iterations", "direct_solves", "unconverged"):
+        assert block[key] == sum(entry[key] for entry in alone_blocks), key
+
+
+def test_a_source_inside_the_target_set_starts_from_unzeroed_u():
+    """Eq. 10's first term is ``alpha U``: a source that is a target leaves
+    on its own first step, so the start product reads the grid before the
+    target rows are zeroed — also in a block that routes points to the LU."""
+    kernel = random_kernel(np.random.default_rng(11), 14, density=0.4)
+    targets = np.asarray([2, 5, 9])
+    alpha = np.zeros(kernel.n_states)
+    alpha[2] = 1.0
+    first_step = kernel.csr.probs[kernel.evaluator().row_entries(np.asarray([2]))]
+    assert np.isin(kernel.csr.indices[kernel.evaluator().row_entries(np.asarray([2]))],
+                   targets).any() and first_step.sum() == pytest.approx(1.0)
+    s_block = np.asarray(EulerInverter().required_s_points(np.asarray([1.0, 3.0])))
+    exact, _ = passage_transform_batch(kernel, alpha, targets, s_block, solver="direct")
+    mask = np.zeros(kernel.n_states, dtype=bool)
+    mask[targets] = True
+    for limit in (2000, _routing_limit(kernel.evaluator(), mask, s_block, 0.5)):
+        policy = SPointPolicy(predicted_iteration_limit=limit)
+        values, diags = passage_transform_batch(kernel, alpha, targets, s_block, policy=policy)
+        assert any(d.solver == "iterative" for d in diags)
+        assert np.abs(values - exact).max() < 1e-7
+        assert np.abs(exact).min() > 1e-3  # a zeroed start would give 0
+
+
+def test_a_solve_leaves_nothing_on_the_evaluator(measure):
+    """The evaluator keeps the block-diagonal structure and no grid: once it
+    exists, a solve on a fresh grid returns traced memory to its baseline."""
+    import gc
+
+    kernel, alpha, targets, grid = measure
+    evaluator = kernel.evaluator()
+    passage_transform_batch(evaluator, alpha, targets, grid)
+    transient_transform_batch(evaluator, alpha, targets, grid)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for scale in (1.01, 1.02):
+            passage_transform_batch(evaluator, alpha, targets, scale * grid)
+            transient_transform_batch(evaluator, alpha, targets, scale * grid)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    one_grid = grid.size * kernel.n_transitions * 16
+    assert retained < min(64 << 10, one_grid // 10), retained

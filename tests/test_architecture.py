@@ -210,6 +210,7 @@ def test_the_deleted_surface_stays_deleted():
         "WorkItem", "supports_blocks", "supports_progress", "_evaluate=",
         "_run_state", "record_timings", "task_durations", "_DIRECT_SOLVE_COST",
         "last_wall_clock", "SimulatedCluster", "scalability_table",
+        "_BatchLRU", "row_abs_sums",
     ):
         assert name not in source, name
 
@@ -367,49 +368,49 @@ def test_the_block_solve_does_not_copy():
     assert _call_sites("narrow") == {"smp/passage.py": 1}  # the driver's
     assert _call_sites("block_diag_structure") == {"smp/passage.py": 1}
 
-    # the block's U grid is gathered once — U' as the operator is born — and
-    # _solve_block itself subscripts neither grid
+    # the block's one U grid is written in run order and read by views only:
+    # no subscript of it gathers, and M is the grid, zeroed in place
     passage = SRC / "smp" / "passage.py"
-    gathers = [
-        ast.unparse(node)
-        for node in _nodes(passage, ast.Subscript)
-        if getattr(node.value, "id", None) in ("u_data", "up_data")
+    grids = ("u_data", "up_data", "grid", "self._grid", "self._data", "data")
+    reads = [
+        node for node in _nodes(passage, ast.Subscript)
+        if ast.unparse(node.value) in grids and isinstance(node.ctx, ast.Load)
     ]
-    assert gathers == ["u_data[points]"]
+    assert reads and all(isinstance(node.slice, ast.Slice) for node in reads), [
+        ast.unparse(node) for node in reads if not isinstance(node.slice, ast.Slice)
+    ]
+    writes = [
+        ast.unparse(node) for node in _nodes(passage, ast.Subscript)
+        if ast.unparse(node.value) in grids and isinstance(node.ctx, ast.Store)
+    ]
+    assert writes == ["self._grid[:, self.evaluator.row_entries(np.flatnonzero(self._absorbing))]"]
     (block,) = [
         node for node in _nodes(passage, ast.FunctionDef) if node.name == "_solve_block"
     ]
     names = {node.id for node in ast.walk(block) if isinstance(node, ast.Name)}
-    assert "up_data" not in names
-    assert not [
-        node for node in ast.walk(block)
-        if isinstance(node, ast.Subscript)
-        and "iter_idx" in ast.unparse(node.slice)
-        and "u_data" in ast.unparse(node.value)
-    ]
+    assert "up_data" not in names and "u_data" not in names
+    assert _call_sites("fill_u_data") == {"smp/kernel.py": 1, "smp/passage.py": 2}
 
 
 def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
-    """The batch operator builds one scipy matrix — the block-diagonal
-    product's, in ``_bind`` — and a point advanced on its own is one call of
-    scipy's C kernel on its data prefix, not a per-point matrix over the
-    kernel's adjacency.  ``scipy.sparse._sparsetools`` is private, so its
-    users are pinned with the kernels they call."""
+    """The batch operator builds no scipy matrix: the block-diagonal product
+    and a point advanced on its own are both one call of scipy's C kernel on
+    prefix views of the block's data and the kernel's one structure, not a
+    per-point matrix over the kernel's adjacency.
+    ``scipy.sparse._sparsetools`` is private, so its users are pinned with
+    the kernels they call."""
     passage = SRC / "smp" / "passage.py"
     tree = ast.parse(passage.read_text())
     builds = [
-        node for node in ast.walk(tree)
+        ast.unparse(node.func) for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and re.fullmatch(r"(self\.matrix|(sparse\.)?cs[rc]_matrix)", ast.unparse(node.func))
+        and re.fullmatch(r"(self\.matrix|(sparse\.)?cs[rc]_(matrix|array))", ast.unparse(node.func))
     ]
-    assert [ast.unparse(node.func) for node in builds] == ["sparse.csc_matrix"]
-    enclosing = (ast.FunctionDef, ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
-    scopes = {
-        node.name if isinstance(node, ast.FunctionDef) else type(node).__name__
-        for node in ast.walk(tree)
-        if isinstance(node, enclosing) and builds[0] in list(ast.walk(node))
-    }
-    assert scopes == {"_bind"}
+    assert builds == []
+    imports = [ast.unparse(node) for node in _nodes(passage, ast.Import, ast.ImportFrom)]
+    assert [line for line in imports if "scipy" in line] == [
+        "from scipy.sparse import _sparsetools"
+    ]
     assert "_per_point" not in passage.read_text()
     assert "smp/passage.py" not in _call_sites("adjacency")
 
