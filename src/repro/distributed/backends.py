@@ -127,7 +127,12 @@ class Backend(Protocol):
 
 
 class SerialBackend:
-    """Solve the blocks one after the other in the calling process."""
+    """Solve the blocks one after the other in the calling process.
+
+    One block unless the caller sizes them; a sized grid is cut by
+    :meth:`SBlockQueue.from_points`, the pool's rule, so a serial and a pooled
+    run of one grid solve the same blocks.
+    """
 
     def block_points(self, job: TransformJob, n_points: int) -> int:
         return max(1, n_points)
@@ -139,11 +144,10 @@ class SerialBackend:
         size = block_points or self.block_points(job, len(s_list))
         out: dict[complex, complex] = {}
         reports = []
-        for lo in range(0, len(s_list), size):
-            block = s_list[lo:lo + size]
-            values = job.evaluate_batch(np.asarray(block, dtype=complex))
+        for block in SBlockQueue.from_points(s_list, size).outstanding():
+            values = job.evaluate_batch(block.s_points)
             reports.append(job.last_report)
-            solved = {s: complex(v) for s, v in zip(block, values)}
+            solved = {complex(s): complex(v) for s, v in zip(block.s_points, values)}
             out.update(solved)
             if on_block is not None:
                 on_block(solved)
@@ -202,6 +206,9 @@ class _BlockTask:
     trace: bool
     #: the fault plan in force in the calling process (:func:`faults.active_spec`)
     faults: str | None
+    #: ``time.monotonic()`` when the master submitted the block: the worker
+    #: reports the wait from here to its start (a system-wide clock on Linux)
+    submitted: float
 
 
 class _Resident(NamedTuple):
@@ -291,6 +298,7 @@ def _resident_job(task: _BlockTask, registry) -> TransformJob:  # pragma: no cov
 def _block_worker_run(task: _BlockTask):  # pragma: no cover - subprocess
     if os.getppid() != _MASTER_PID:
         os._exit(0)  # the master is gone and so is whoever wanted this block
+    dispatch_wait = max(0.0, time.monotonic() - task.submitted)
     block, pid = task.block, os.getpid()
     # Drop a started-marker before anything else and remove it after: the
     # master's watchdog times a block from its marker, and when the pool
@@ -328,14 +336,21 @@ def _block_worker_run(task: _BlockTask):  # pragma: no cover - subprocess
         os._exit(1)
     faults.fire("worker.solve", block=block.index, pid=pid, measure=task.digest)
     started = time.perf_counter()
-    with obs_trace.span("s-block", index=block.index, points=block.n_points):
+    with obs_trace.span(
+        "s-block", index=block.index, points=block.n_points,
+        dispatch_wait=round(dispatch_wait, 6),
+    ):
         values = job.evaluate_batch(block.s_points)
     elapsed = time.perf_counter() - started
     pairs = [(complex(s), complex(v)) for s, v in zip(block.s_points, values)]
     # Everything the master-side observability needs from this block: the
-    # worker's finished spans and its metrics delta, shipped with the result
-    # so crashes lose a block's telemetry only alongside the block itself.
-    obs = {"spans": tracer.drain(), "metrics": registry.diff(baseline)}
+    # worker's finished spans, its metrics delta and how long the block
+    # waited from submit to start, shipped with the result so crashes lose a
+    # block's telemetry only alongside the block itself.
+    obs = {
+        "spans": tracer.drain(), "metrics": registry.diff(baseline),
+        "dispatch_wait": dispatch_wait,
+    }
     if marker is not None:
         with contextlib.suppress(OSError):
             os.unlink(marker)
@@ -439,9 +454,9 @@ class MultiprocessingBackend:
     block_size:
         Upper bound on the s-points per dispatched :class:`SBlock` when the
         caller of :meth:`evaluate` names no size.  ``None`` (default)
-        delegates to :meth:`SPointPolicy.dispatch_block_points` — the same
-        memory-budget computation the in-process engines block by, capped so
-        every worker sees about four blocks.
+        delegates to :meth:`SPointPolicy.dispatch_block_points`: one block
+        per worker, dealt round-robin by :meth:`SBlockQueue.from_points`,
+        unless the memory budget the in-process engines block by is smaller.
     plane_store:
         Where the kernel plane files go (a :class:`~repro.smp.plane.PlaneStore`
         or a directory path) — the serve-fleet layout, workers attach by
@@ -641,7 +656,10 @@ class MultiprocessingBackend:
                     for block in queue.outstanding():
                         by_future[pool.executor.submit(
                             _block_worker_run,
-                            message(block=block, incident_dir=call.incident_dir),
+                            message(
+                                block=block, incident_dir=call.incident_dir,
+                                submitted=time.monotonic(),
+                            ),
                         )] = block
                 hung = self._drain(by_future, call, on_block, policy, pool)
                 if not queue.n_pending:
@@ -744,7 +762,8 @@ class MultiprocessingBackend:
                     obs_trace.get_tracer().absorb(obs.get("spans"))
                     registry.absorb(obs.get("metrics"))
                     obs_metrics.record_worker_block(
-                        pid, block.n_points, elapsed, registry=registry
+                        pid, block.n_points, elapsed,
+                        dispatch_wait=obs.get("dispatch_wait"), registry=registry,
                     )
                     depth_gauge.set(queue.n_pending)
                     if on_block is not None:

@@ -36,9 +36,11 @@ class SBlock:
 class SBlockQueue:
     """Completion bookkeeping for dispatched s-blocks.
 
-    Tracks which blocks are outstanding so a broken pool can be rebuilt and
-    only the unfinished blocks resubmitted, and records which worker served
-    each block (plus its busy time) for the scalability statistics.
+    Built by :meth:`from_points`, which cuts a grid into blocks for both
+    executors.  Tracks which blocks are outstanding so a broken pool can be
+    rebuilt and only the unfinished blocks resubmitted, and records which
+    worker served each block (plus its busy time) for the scalability
+    statistics.
     """
 
     pending: dict[int, SBlock] = field(default_factory=dict)
@@ -50,10 +52,16 @@ class SBlockQueue:
 
     @classmethod
     def from_points(cls, s_points, block_size: int) -> "SBlockQueue":
+        """The one place a grid is cut into blocks: ``ceil(n / block_size)``
+        blocks, the points dealt round-robin (block ``i`` is
+        ``s_points[i::n_blocks]``).  A plan lists its points t by t, so every
+        block carries an even share of each t's slow and fast points; block
+        sizes differ by at most one and none exceeds ``block_size``."""
         s_points = np.asarray(list(s_points), dtype=complex)
+        n_blocks = -(-s_points.size // max(1, int(block_size)))
         queue = cls()
-        for index, lo in enumerate(range(0, s_points.size, int(block_size))):
-            queue.pending[index] = SBlock(index, s_points[lo : lo + int(block_size)])
+        for index in range(n_blocks):
+            queue.pending[index] = SBlock(index, s_points[index::n_blocks])
         return queue
 
     @property

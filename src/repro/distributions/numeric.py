@@ -96,12 +96,18 @@ def numeric_lst(
         if cdf is not None:
             tail = max(1.0 - float(np.asarray(cdf(np.asarray([eff_upper])))[0]), 0.0)
         # Broadcast over the group's s-points in modest chunks so the
-        # (n_s, n_nodes) oscillation factor never dominates memory.
+        # (n_s, n_nodes) oscillation factor never dominates memory, then sum
+        # each point's row on its own (numpy's pairwise sum over one
+        # contiguous row): a point's value is a function of that point alone,
+        # never of which others share its call or its chunk, as a matmul's
+        # blocking would make it.
         group = np.asarray(indices, dtype=np.int64)
         for start in range(0, group.size, 32):
             chunk = group[start : start + 32]
             s_chunk = s_values[chunk]
-            values = np.exp(-s_chunk[:, None] * nodes[None, :]) @ weighted_pdf
+            terms = np.exp(-s_chunk[:, None] * nodes[None, :])
+            terms *= weighted_pdf
+            values = np.array([np.add.reduce(row) for row in terms])
             if tail > 0.0:
                 values = values + tail * np.exp(-s_chunk * eff_upper)
             out[chunk] = values

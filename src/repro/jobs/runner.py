@@ -208,7 +208,12 @@ class _JobObserver:
 
     The service tells it every plan before gathering it (:meth:`on_plan`: the
     measure's grid first, then one single-t plan per quantile probe) and the
-    scheduler every landed block (:meth:`on_block`).
+    scheduler every landed block (:meth:`on_block`).  Blocks are sized by
+    :meth:`SPointPolicy.dispatch_block_points`, one per worker unless the
+    memory plan caps them, so progress and cancellation advance one
+    worker-sized block at a time: a 2-worker job over one grid reports two
+    blocks, and a cancel is seen only when a worker's whole share lands
+    (the blocks still running then finish and are discarded).
     """
 
     def __init__(self, runner: JobRunner, record: JobRecord):

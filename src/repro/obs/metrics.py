@@ -410,11 +410,19 @@ def merge_worker_stats(into: dict, update: dict | None) -> dict:
 
 
 def record_worker_block(
-    worker, points: int, seconds: float, registry: MetricsRegistry | None = None
+    worker, points: int, seconds: float, registry: MetricsRegistry | None = None,
+    *, dispatch_wait: float | None = None,
 ) -> None:
-    """Feed one completed s-block into the registry's per-worker counters."""
+    """Feed one completed s-block into the registry's per-worker counters and,
+    when the worker reported it, the block's wait from submit to start into
+    the dispatch-wait histogram."""
     registry = registry or _METRICS
     label = str(worker)
+    if dispatch_wait is not None:
+        registry.histogram(
+            "repro_block_dispatch_wait_seconds",
+            "wait of a dispatched s-block from submit to worker start",
+        ).observe(dispatch_wait)
     registry.counter(
         "repro_worker_blocks_total", "s-blocks completed per worker", ("worker",)
     ).inc(1, worker=label)

@@ -294,7 +294,9 @@ class FactoredRowOperator:
     """Row-form stepper: ``v ← (v ⊙ non-absorbing) @ U(s_t)`` for a whole block.
 
     ``_state`` is the packed real block ``(n, 2k)`` of the current term, one
-    column pair per live s-point.  As in the batch engine's operator the
+    column pair per live s-point, and ``lst`` the live points' rows of the
+    block's transform table, ``(k, n_dists)``, which the block solve has
+    already evaluated to route them.  As in the batch engine's operator the
     form enters in two parts: the ``absorbing`` mask picks the pair-expansion
     structure (the targets for a passage, none for a transient), and the
     accumulation over ``targets`` is ``v . e`` for a passage (``weights``
@@ -304,7 +306,7 @@ class FactoredRowOperator:
 
     engine = "factored"
 
-    def __init__(self, factored, s_block, absorbing, alpha, targets, weights=None):
+    def __init__(self, factored, lst, absorbing, alpha, targets, weights=None):
         self.factored = factored
         self.n = factored.kernel.n_states
         self.targets = targets
@@ -314,7 +316,7 @@ class FactoredRowOperator:
         #: point-rows advanced so far (what the block's ``product_rows`` sums)
         #: and the entries of the pair-expansion matrix they multiplied
         self.product_rows = self.product_edges = 0
-        self._resize(factored.lst_grid(s_block))  # (k, D)
+        self._resize(lst)  # (k, D)
 
     def _resize(self, lst: np.ndarray) -> None:
         """Bind the live points' transform table and the buffers it sizes."""

@@ -313,14 +313,20 @@ class SPointPolicy:
     def dispatch_block_points(self, evaluator, n_points: int, workers: int) -> int:
         """s-points per *dispatched* block when farming a grid out to workers.
 
-        The single code path for every parallel backend: the memory-budgeted
-        :meth:`block_points` bound (a worker solves its block in one sweep),
-        additionally capped so each worker sees several blocks — small grids
-        still spread across the pool, and stragglers can be rebalanced.
+        The single code path for every parallel backend: one block per
+        worker, ``ceil(n_points / workers)``, unless the memory-budgeted
+        :meth:`block_points` bound (a worker solves its block in one sweep)
+        is smaller.  :meth:`SBlockQueue.from_points
+        <repro.distributed.queue.SBlockQueue.from_points>` deals the grid's
+        points round-robin into the blocks, so each worker gets an even
+        share of every t's slow and fast points and one hand-off per call.
+        The price: a job's progress and cancellation advance one
+        worker-sized block at a time, and on a large grid a block grows to
+        the ``max_block_bytes`` plan.
         """
         workers = max(1, int(workers))
-        spread_cap = max(1, -(-int(n_points) // (4 * workers)))
-        return max(1, min(self.block_points(evaluator), spread_cap))
+        per_worker = max(1, -(-int(n_points) // workers))
+        return min(self.block_points(evaluator), per_worker)
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +605,14 @@ class _Form:
         support = np.flatnonzero(self.alpha)
         return np.add.reduce(np.take(vectors, support, axis=1) * self.alpha[support], axis=1)
 
-    def operator(self, evaluator, engine, s_iter, grid, weights):
+    def operator(self, evaluator, engine, table, grid, weights):
         """The stepper of the block's iterative points, in their run order:
-        ``s_iter`` their s-values, ``grid`` their rows of the block's U grid
-        (the batch engine reads the grid, the factored one ``s``),
-        ``weights`` their :meth:`weights`."""
+        the factored engine reads ``table``, their rows of the block's
+        transform table, the batch engine ``grid``, their rows of the block's
+        U grid (the other is None); ``weights`` are their :meth:`weights`."""
         if engine == "factored":
             return FactoredRowOperator(
-                evaluator.factored(), s_iter, self.absorbing, self.alpha, self.targets, weights
+                evaluator.factored(), table, self.absorbing, self.alpha, self.targets, weights
             )
         return _BatchRowOperator(
             evaluator, self.absorbing, self.alpha, self.targets, weights, grid
@@ -679,7 +685,8 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
         with _obs_trace.span("drive", points=n_iter) as drive:
             weights = form.weights(evaluator, s_block, table, iter_idx, grid)
             op = form.operator(
-                evaluator, engine, s_block[iter_idx],
+                evaluator, engine,
+                table[iter_idx] if grid is None else None,
                 None if grid is None else grid[:n_iter], weights,
             )
             order, results, iterations, deltas, conv = _drive(

@@ -46,15 +46,16 @@ class TestSerialBackend:
             assert values[s] == pytest.approx(oracle)
 
     def test_blocks_land_in_order_through_on_block(self, erlang_job):
-        """``block_points`` sizes the blocks; ``on_block`` sees each one once,
-        and the call's report covers them all."""
+        """``block_points`` sizes the blocks, dealt round-robin as the pool's
+        are; ``on_block`` sees each one once, in block order, and the call's
+        report covers them all."""
         s_points = [complex(0.5 + k, 1.0 + k) for k in range(7)]
         blocks = []
         values = SerialBackend().evaluate(
             erlang_job, s_points, block_points=3, on_block=blocks.append
         )
         assert [list(block) for block in blocks] == [
-            s_points[0:3], s_points[3:6], s_points[6:7]
+            s_points[0::3], s_points[1::3], s_points[2::3]
         ]
         assert values == {s: v for block in blocks for s, v in block.items()}
         assert values == SerialBackend().evaluate(erlang_job, s_points)
@@ -90,13 +91,18 @@ class TestMultiprocessingBackend:
         blocks = []
         backend = MultiprocessingBackend(processes=2)
         try:
-            assert backend.block_points(erlang_job, len(s_points)) == 1
+            # one block per worker: ceil(7 / 2)
+            assert backend.block_points(erlang_job, len(s_points)) == 4
             values = backend.evaluate(
                 erlang_job, s_points, block_points=3, on_block=blocks.append
             )
         finally:
             backend.close()
-        assert sorted(len(block) for block in blocks) == [1, 3, 3]
+        # three blocks dealt round-robin: sizes differ by at most one
+        assert sorted(len(block) for block in blocks) == [2, 2, 3]
+        assert {frozenset(block) for block in blocks} == {
+            frozenset(s_points[k::3]) for k in range(3)
+        }
         assert values == {s: v for block in blocks for s, v in block.items()}
         assert sum(e["blocks"] for e in backend.last_worker_stats.values()) == 3
 

@@ -24,6 +24,7 @@ from repro.distributed import (
     SerialBackend,
 )
 from repro.distributed.backends import _BlockTask
+from repro.laplace import EulerInverter
 from repro.smp import KernelPlane, SPointPolicy, kernel_content_digest, source_weights
 from tests.oneloop import LoopRun
 from tests.smp.conftest import random_kernel
@@ -73,6 +74,7 @@ class TestPayloadSize:
                     big_job.digest(), JobSpec.from_job(big_job), plane.handle(),
                     block, incident_dir=str(tmp_path), trace=True,
                     faults="seed=1;state=/tmp/f;worker.solve=crash:limit=1,block=1",
+                    submitted=12345.678,
                 )))
                 for block in queue.outstanding()
             )
@@ -107,8 +109,24 @@ class TestBlockSizing:
         policy = SPointPolicy()
         evaluator = big_job.evaluator
         expected = policy.dispatch_block_points(evaluator, 16, 4)
-        assert expected <= 4  # ceil(16 / (4 workers * 4)) caps the budget
+        assert expected <= 4  # ceil(16 / 4 workers) caps the budget
         assert expected == min(policy.block_points(evaluator), expected)
+
+    @pytest.mark.parametrize("max_block_bytes", [1 << 20, 64 << 20])
+    def test_one_block_per_worker_unless_the_memory_plan_is_smaller(
+        self, big_job, max_block_bytes
+    ):
+        policy = SPointPolicy(max_block_bytes=max_block_bytes)
+        evaluator = big_job.evaluator
+        budget = policy.block_points(evaluator)
+        for n_points in (1, 2, 7, 66, 99, 132, 5_000, 100_000):
+            for workers in (1, 2, 3, 8):
+                assert policy.dispatch_block_points(evaluator, n_points, workers) == min(
+                    budget, -(-n_points // workers)
+                ), (n_points, workers)
+        # degenerate inputs still give a block of one
+        assert policy.dispatch_block_points(evaluator, 0, 2) == 1
+        assert policy.dispatch_block_points(evaluator, 5, 0) == min(budget, 5)
 
     def test_explicit_block_size_and_policy_take_the_min(self, big_job):
         policy = SPointPolicy()
@@ -130,6 +148,46 @@ class TestBlockSizing:
         assert not hasattr(backend, "chunk_size")
         with pytest.raises(TypeError):
             MultiprocessingBackend(processes=1, chunk_size=7)
+
+
+class TestRoundRobinBlocks:
+    """``SBlockQueue.from_points`` deals a grid round-robin, so every block of
+    a multi-t plan holds an even share of each t's points."""
+
+    @staticmethod
+    def _two_t_plan() -> tuple[list[complex], set[complex], set[complex]]:
+        inverter = EulerInverter()
+        first = [complex(s) for s in inverter.required_s_points(np.asarray([15.0]))]
+        second = [complex(s) for s in inverter.required_s_points(np.asarray([60.0]))]
+        return first + second, set(first), set(second)
+
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 5, 16, 33, 65, 66, 1_000])
+    def test_blocks_cover_the_grid_once_and_differ_by_at_most_one(self, block_size):
+        plan, _, _ = self._two_t_plan()
+        blocks = SBlockQueue.from_points(plan, block_size).outstanding()
+        assert len(blocks) == -(-len(plan) // block_size)
+        sizes = [block.n_points for block in blocks]
+        assert max(sizes) <= block_size
+        assert max(sizes) - min(sizes) <= 1
+        dealt = [complex(s) for block in blocks for s in block.s_points]
+        assert sorted(dealt, key=repr) == sorted(plan, key=repr)
+        assert [block.index for block in blocks] == list(range(len(blocks)))
+        for block in blocks:
+            assert [complex(s) for s in block.s_points] == plan[block.index::len(blocks)]
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_every_worker_block_holds_points_of_both_t(self, workers):
+        plan, first, second = self._two_t_plan()
+        blocks = SBlockQueue.from_points(plan, -(-len(plan) // workers)).outstanding()
+        assert len(blocks) == workers
+        for block in blocks:
+            points = {complex(s) for s in block.s_points}
+            assert points & first and points & second
+            # an even share: within one point of the t's count over the blocks
+            assert abs(len(points & first) - len(first) / workers) <= 1
+
+    def test_empty_grid_has_no_blocks(self):
+        assert SBlockQueue.from_points([], 4).n_pending == 0
 
 
 class TestCrashRecovery:

@@ -362,6 +362,30 @@ class TestPoolTelemetry:
         assert len(exports) == 2 and exports[0] <= spawn["start"] <= exports[1]
         assert len([r for r in spans if r["name"] == "s-block"]) == 2 * blocks
 
+    def test_each_block_reports_its_dispatch_wait(self, kernel, backend):
+        """The wait from the master's submit to the worker's start rides back
+        with the block: an ``s-block`` span attribute and one histogram
+        observation per completed block."""
+        histogram = get_metrics().histogram(
+            "repro_block_dispatch_wait_seconds",
+            "wait of a dispatched s-block from submit to worker start",
+        )
+        before = histogram.snapshot_of()["count"]
+        tracer = get_tracer()
+        tracer.enable()
+        tracer.clear()
+        try:
+            backend.evaluate(_job(kernel), S_GRID)
+            spans = [r for r in tracer.spans() if r["name"] == "s-block"]
+        finally:
+            tracer.disable()
+            tracer.clear()
+        blocks = sum(w["blocks"] for w in backend.last_worker_stats.values())
+        assert len(spans) == blocks == 4  # block_size=4 caps the 16 points
+        waits = [r["attributes"]["dispatch_wait"] for r in spans]
+        assert all(0.0 <= wait < 30.0 for wait in waits)
+        assert histogram.snapshot_of()["count"] == before + blocks
+
 
 class TestFaultPlanReachesResidentWorkers:
     def test_a_plan_installed_after_the_pool_exists(

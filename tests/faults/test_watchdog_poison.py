@@ -66,6 +66,7 @@ class TestPoisonQuarantine:
         policy = SPointPolicy(poison_after=2)
         job = _job(kernel, policy)
         size = min(4, policy.dispatch_block_points(job.evaluator, len(S_GRID), 2))
+        n_blocks = -(-len(S_GRID) // size)
         backend = MultiprocessingBackend(processes=2, block_size=4, max_retries=10)
         try:
             with pytest.raises(PoisonBlockError) as excinfo:
@@ -76,7 +77,8 @@ class TestPoisonQuarantine:
         assert error.block_index == 1
         assert error.failures == 2
         assert error.reason == "crashed"
-        assert error.s_points == [complex(s) for s in S_GRID[size : 2 * size]]
+        # block 1 of the round-robin deal
+        assert error.s_points == [complex(s) for s in S_GRID[1::n_blocks]]
         assert "quarantined" in str(error)
         assert f"{error.s_points[0]:.6g}" in str(error)
 

@@ -215,7 +215,7 @@ def test_factored_u_product_against_matrix():
     mask[[2, 6]] = True
     alpha = np.asarray(source_weights(kernel, [0]), dtype=complex)
 
-    row = FactoredRowOperator(fac, s_block, mask, alpha, np.flatnonzero(mask))
+    row = FactoredRowOperator(fac, fac.lst_grid(s_block), mask, alpha, np.flatnonzero(mask))
     row.start()
     for t, s in enumerate(s_block):
         expected = np.asarray(alpha @ reference.u_matrix(kernel, complex(s))).ravel()
@@ -233,7 +233,8 @@ def test_factored_u_product_against_matrix():
         (1.0 - reference.sojourn_lsts(kernel, complex(s))[targets]) / s for s in s_block
     ])
     transient = FactoredRowOperator(
-        fac, s_block, np.zeros(kernel.n_states, dtype=bool), alpha, targets, weights
+        fac, fac.lst_grid(s_block), np.zeros(kernel.n_states, dtype=bool), alpha, targets,
+        weights,
     )
     transient.start()
     transient.step()  # one application of U: nothing absorbed

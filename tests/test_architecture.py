@@ -191,6 +191,27 @@ def test_one_worker_pool_per_backend_and_workers_that_know_no_job():
     assert "initargs" not in ast.unparse(keep)
 
 
+def test_one_rule_cuts_a_grid_into_blocks():
+    """``SBlockQueue.from_points`` (round-robin, ``ceil(n / size)`` blocks) is
+    the only place a grid is cut into blocks: both executors cut through it,
+    nothing else builds an :class:`SBlock`, and no layer from the executors
+    up slices a grid by a block size or a stride."""
+    assert _callers("from_points") == ["distributed/backends.py:evaluate"] * 2
+    assert _callers("SBlock") == ["distributed/queue.py:from_points"]
+    cuts = []
+    for layer in ("distributed", "service", "jobs", "api", "core"):
+        for path in sorted((SRC / layer).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                stepped_range = (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "range"
+                    and len(node.args) == 3
+                )
+                if stepped_range or (isinstance(node, ast.Slice) and node.step is not None):
+                    cuts.append(f"{path.relative_to(SRC).as_posix()}:{ast.unparse(node)}")
+    assert cuts == ["distributed/queue.py:index::n_blocks"]
+
+
 def test_scalar_canonicalisation_stays_with_the_key_formats():
     sites = _call_sites("canonical_s")
     assert set(sites) <= {"laplace/inverter.py", "distributed/checkpoint.py"}
