@@ -15,7 +15,7 @@ import pytest
 from repro.distributions import Erlang, Exponential, Gamma, Mixture, Uniform
 from repro.laplace import EulerInverter, LaguerreInverter
 from repro.models import SCALED_CONFIGURATIONS, all_voted_predicate, initial_marking_predicate
-from repro.petri import passage_solver
+from repro.core import PassageTimeSolver
 
 SMOOTH = Mixture([Erlang(1.5, 3), Gamma(2.5, 0.8), Exponential(0.7)], [0.4, 0.4, 0.2])
 DISCONTINUOUS = Mixture([Uniform(0.5, 2.0), Uniform(2.5, 4.0)], [0.6, 0.4])
@@ -91,17 +91,19 @@ def test_discontinuous_density_needs_euler(benchmark, report):
 
 
 @pytest.mark.benchmark(group="ablation-inversion")
-def test_voting_passage_euler_vs_laguerre(benchmark, voting_graph_small, report):
+def test_voting_passage_euler_vs_laguerre(
+    benchmark, voting_graph_small, voting_kernel_small, report
+):
     """On the voting model (uniform + deterministic-style firing times) the two
     algorithms agree on the bulk of the distribution; Euler is the default."""
     params = SCALED_CONFIGURATIONS["small"]
-    solver_euler = passage_solver(
-        voting_graph_small, initial_marking_predicate(params), all_voted_predicate(params)
-    )
-    solver_laguerre = passage_solver(
-        voting_graph_small,
-        initial_marking_predicate(params),
-        all_voted_predicate(params),
+    sources = voting_graph_small.states_where(initial_marking_predicate(params))
+    targets = voting_graph_small.states_where(all_voted_predicate(params))
+    solver_euler = PassageTimeSolver(voting_kernel_small, sources, targets)
+    solver_laguerre = PassageTimeSolver(
+        voting_kernel_small,
+        sources,
+        targets,
         inversion="laguerre",
         inverter_options={"time_scale": 4.0},
     )

@@ -21,7 +21,7 @@ from repro.models import (
     build_voting_net,
     initial_marking_predicate,
 )
-from repro.petri import passage_solver
+from repro.core import PassageTimeSolver
 from repro.simulation import PetriSimulator, density_histogram, empirical_cdf
 
 PARAMS = SCALED_CONFIGURATIONS["medium"]   # the paper's system 0 parameters
@@ -29,9 +29,11 @@ N_REPLICATIONS = 1_500
 
 
 @pytest.fixture(scope="module")
-def solver(voting_graph_medium):
-    return passage_solver(
-        voting_graph_medium, initial_marking_predicate(PARAMS), all_voted_predicate(PARAMS)
+def solver(voting_graph_medium, voting_kernel_medium):
+    return PassageTimeSolver(
+        voting_kernel_medium,
+        voting_graph_medium.states_where(initial_marking_predicate(PARAMS)),
+        voting_graph_medium.states_where(all_voted_predicate(PARAMS)),
     )
 
 

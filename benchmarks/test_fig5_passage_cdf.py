@@ -16,15 +16,17 @@ import numpy as np
 import pytest
 
 from repro.models import SCALED_CONFIGURATIONS, all_voted_predicate, initial_marking_predicate
-from repro.petri import passage_solver
+from repro.core import PassageTimeSolver
 
 PARAMS = SCALED_CONFIGURATIONS["medium"]
 
 
 @pytest.fixture(scope="module")
-def solver(voting_graph_medium):
-    return passage_solver(
-        voting_graph_medium, initial_marking_predicate(PARAMS), all_voted_predicate(PARAMS)
+def solver(voting_graph_medium, voting_kernel_medium):
+    return PassageTimeSolver(
+        voting_kernel_medium,
+        voting_graph_medium.states_where(initial_marking_predicate(PARAMS)),
+        voting_graph_medium.states_where(all_voted_predicate(PARAMS)),
     )
 
 

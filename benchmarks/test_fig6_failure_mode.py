@@ -26,7 +26,7 @@ from repro.models import (
     failure_mode_predicate,
     initial_marking_predicate,
 )
-from repro.petri import passage_solver
+from repro.core import PassageTimeSolver
 from repro.simulation import PetriSimulator, empirical_cdf
 
 PARAMS = SCALED_CONFIGURATIONS["medium"]
@@ -35,16 +35,20 @@ N_REPLICATIONS = 300    # deliberately modest: the point of Fig. 6 is that
 
 
 @pytest.fixture(scope="module")
-def failure_solver(voting_graph_medium):
-    return passage_solver(
-        voting_graph_medium, initial_marking_predicate(PARAMS), failure_mode_predicate(PARAMS)
+def failure_solver(voting_graph_medium, voting_kernel_medium):
+    return PassageTimeSolver(
+        voting_kernel_medium,
+        voting_graph_medium.states_where(initial_marking_predicate(PARAMS)),
+        voting_graph_medium.states_where(failure_mode_predicate(PARAMS)),
     )
 
 
 @pytest.fixture(scope="module")
-def voting_solver(voting_graph_medium):
-    return passage_solver(
-        voting_graph_medium, initial_marking_predicate(PARAMS), all_voted_predicate(PARAMS)
+def voting_solver(voting_graph_medium, voting_kernel_medium):
+    return PassageTimeSolver(
+        voting_kernel_medium,
+        voting_graph_medium.states_where(initial_marking_predicate(PARAMS)),
+        voting_graph_medium.states_where(all_voted_predicate(PARAMS)),
     )
 
 

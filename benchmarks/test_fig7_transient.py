@@ -22,18 +22,18 @@ from repro.models import (
     initial_marking_predicate,
     voters_done_predicate,
 )
-from repro.petri import transient_solver
+from repro.core import TransientSolver
 
 PARAMS = SCALED_CONFIGURATIONS["medium"]  # system 0
 VOTERS_DONE = 5   # the "transit of k voters to p2" condition
 
 
 @pytest.fixture(scope="module")
-def solver(voting_graph_medium):
-    return transient_solver(
-        voting_graph_medium,
-        initial_marking_predicate(PARAMS),
-        voters_done_predicate(VOTERS_DONE),
+def solver(voting_graph_medium, voting_kernel_medium):
+    return TransientSolver(
+        voting_kernel_medium,
+        voting_graph_medium.states_where(initial_marking_predicate(PARAMS)),
+        voting_graph_medium.states_where(voters_done_predicate(VOTERS_DONE)),
     )
 
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import PassageTimeSolver
 from repro.models import web_server_net
-from repro.petri import build_kernel, explore, passage_solver
+from repro.petri import build_kernel, explore
 from repro.simulation import PetriSimulator
 from repro.smp import smp_steady_state
 
@@ -41,7 +42,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Time from a fully healthy cluster to a total outage.
     # ------------------------------------------------------------------
-    outage = passage_solver(graph, healthy, all_down)
+    outage = PassageTimeSolver(
+        kernel, graph.states_where(healthy), graph.states_where(all_down)
+    )
     mean_ttf = outage.mean()
     print(f"mean time to total outage: {mean_ttf:.1f} time units")
 

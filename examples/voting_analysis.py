@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from repro import PassageTimeSolver, TransientSolver, build_kernel
 from repro.models import (
     SCALED_CONFIGURATIONS,
     all_voted_predicate,
@@ -31,7 +32,6 @@ from repro.models import (
     initial_marking_predicate,
     voters_done_predicate,
 )
-from repro.petri import passage_solver, transient_solver
 from repro.simulation import PetriSimulator, empirical_cdf
 
 
@@ -40,13 +40,15 @@ def main(config_name: str = "tiny") -> None:
     print(f"Voting system configuration '{config_name}': {params.label}")
 
     graph = build_voting_graph(params)
+    kernel = build_kernel(graph)
+    initial = graph.states_where(initial_marking_predicate(params))
     print(f"reachable states: {graph.n_states}, transitions: {graph.n_edges}\n")
 
     # ------------------------------------------------------------------
     # Passage: all voters processed (Fig. 4 / Fig. 5 analogue).
     # ------------------------------------------------------------------
-    voters = passage_solver(
-        graph, initial_marking_predicate(params), all_voted_predicate(params)
+    voters = PassageTimeSolver(
+        kernel, initial, graph.states_where(all_voted_predicate(params))
     )
     mean = voters.mean()
     t_points = np.linspace(0.4 * mean, 1.8 * mean, 15)
@@ -77,8 +79,8 @@ def main(config_name: str = "tiny") -> None:
     # ------------------------------------------------------------------
     # Passage into a failure mode (Fig. 6 analogue).
     # ------------------------------------------------------------------
-    failure = passage_solver(
-        graph, initial_marking_predicate(params), failure_mode_predicate(params)
+    failure = PassageTimeSolver(
+        kernel, initial, graph.states_where(failure_mode_predicate(params))
     )
     fail_mean = failure.mean()
     fail_t = np.linspace(0.1 * fail_mean, 2.0 * fail_mean, 8)
@@ -95,8 +97,8 @@ def main(config_name: str = "tiny") -> None:
     # Transient distribution (Fig. 7 analogue).
     # ------------------------------------------------------------------
     count = max(2, params.voters // 4)
-    transient = transient_solver(
-        graph, initial_marking_predicate(params), voters_done_predicate(count)
+    transient = TransientSolver(
+        kernel, initial, graph.states_where(voters_done_predicate(count))
     )
     steady = transient.steady_state()
     ts = np.linspace(0.5, 3.0 * mean, 12)

@@ -3,8 +3,8 @@
 The :class:`JobRunner` owns one daemon thread.  Each claimed job is executed
 through the *same* code path a synchronous query takes —
 ``AnalysisService.measure`` on the stored request, over the coalescing
-scheduler — with one difference: the runner hangs a :class:`_JobObserver` on
-the evaluation loop, which names the job's s-block size and sees every block
+scheduler, in the blocks the executor cuts — with one difference: the runner
+hangs a :class:`_JobObserver` on the evaluation loop, which sees every block
 the moment it has landed in the tiered result cache (and, with a checkpoint
 directory, on disk), so that
 
@@ -28,7 +28,6 @@ import threading
 import time
 
 from .. import faults
-from ..smp.passage import SPointPolicy
 from .store import JobRecord, JobStore, JobStoreError
 
 __all__ = ["JobCancelled", "JobDrained", "JobRunner"]
@@ -207,13 +206,16 @@ class _JobObserver:
     """One running job's hooks on the evaluation loop.
 
     The service tells it every plan before gathering it (:meth:`on_plan`: the
-    measure's grid first, then one single-t plan per quantile probe) and the
-    scheduler every landed block (:meth:`on_block`).  Blocks are sized by
-    :meth:`SPointPolicy.dispatch_block_points`, one per worker unless the
-    memory plan caps them, so progress and cancellation advance one
-    worker-sized block at a time: a 2-worker job over one grid reports two
-    blocks, and a cancel is seen only when a worker's whole share lands
-    (the blocks still running then finish and are discarded).
+    measure's grid first, then one single-t plan per quantile probe).  The
+    scheduler tells it how it cut the points no cache tier holds
+    (:meth:`add_total`: it is the run's progress reporter) and every landed
+    block (:meth:`on_block`).  The executor sizes the blocks as for a
+    synchronous query, one per worker unless the memory plan caps them, so
+    progress and cancellation advance one worker-sized block at a time: a
+    2-worker job over one cold grid reports two blocks, and a cancel is seen
+    only when a worker's whole share lands (the blocks still running then
+    finish and are discarded).  The record's plan counts the blocks the
+    measure's grid was solved in.
     """
 
     def __init__(self, runner: JobRunner, record: JobRecord):
@@ -222,6 +224,8 @@ class _JobObserver:
         self.board = runner.service.progress_board
         self.board_key: str | None = None
         self.reporter = None
+        #: the measure's plan, recorded once its grid's blocks are known
+        self.plan: dict | None = None
         self.progress = {
             "points_total": 0, "blocks_total": 0,
             "points_done": 0, "blocks_done": 0, "points_computed": 0,
@@ -233,15 +237,9 @@ class _JobObserver:
         if store.cancel_requested(self.job_id):
             raise JobCancelled(self.job_id)
         n_points = plan.n_evaluations
-        policy = job.policy or SPointPolicy()
-        size = runner.block_points or policy.dispatch_block_points(
-            entry.evaluator, n_points, max(int(runner.service.workers), 1)
-        )
-        n_blocks = -(-n_points // size)
         if self.reporter is not None:
             self.settle()  # the previous gather returned: all of it is done
         self.progress["points_total"] += n_points
-        self.progress["blocks_total"] += n_blocks
         if self.reporter is None:
             # One board run spans the whole job — each landed block advances
             # it, so /v1/progress/{digest} shows a single monotone run
@@ -250,22 +248,39 @@ class _JobObserver:
             self.reporter = self.board.start(
                 entry.digest, label=f"job:{self.job_id}"
             )
-            store.annotate_plan(self.job_id, {
+            self.plan = {
                 "measure": job.digest(),
                 "engine": entry.evaluator_engine,
                 "n_s_points": n_points,
-                "n_blocks": n_blocks,
-                "block_points": size,
                 "solver": job.solver,
                 "points_checkpointed": runner.service.cache.checkpointed_points(
                     job.digest()
                 ),
-            })
+            }
             store.progress(self.job_id, dict(self.progress))
         return {
-            "block_points": size, "on_block": self.on_block,
-            "reporter": self.reporter,
+            "block_points": runner.block_points, "on_block": self.on_block,
+            "reporter": self,
         }
+
+    def add_total(self, blocks: int, points: int = 0) -> None:
+        """The scheduler cut ``points`` leftover s-points into ``blocks``
+        round-robin blocks (so of at most ``ceil(points / blocks)`` points)."""
+        self.reporter.add_total(blocks, points)
+        self.progress["blocks_total"] += blocks
+        self._record_plan(blocks, -(-points // blocks))
+
+    def advance(self, blocks: int = 1, points: int = 0) -> None:
+        self.reporter.advance(blocks, points)
+
+    def _record_plan(self, n_blocks: int, block_points: int) -> None:
+        """Record the measure's plan with the blocks its grid was solved in
+        (the first gather's; none when every point was stored already)."""
+        if self.plan is not None:
+            self.runner.store.annotate_plan(self.job_id, {
+                **self.plan, "n_blocks": n_blocks, "block_points": block_points,
+            })
+            self.plan = None
 
     def on_block(self, values: dict) -> None:
         """A block has landed (stored, checkpointed): record it, then stop
@@ -287,12 +302,10 @@ class _JobObserver:
     def settle(self) -> None:
         """Everything planned so far is resolved — points served from the
         cache tiers never pass :meth:`on_block`, so count them in here."""
+        self._record_plan(0, 0)
         progress = self.progress
-        if (progress["points_done"], progress["blocks_done"]) != (
-            progress["points_total"], progress["blocks_total"]
-        ):
+        if progress["points_done"] != progress["points_total"]:
             progress["points_done"] = progress["points_total"]
-            progress["blocks_done"] = progress["blocks_total"]
             self.runner.store.progress(self.job_id, dict(progress))
 
     def close(self) -> None:

@@ -13,15 +13,13 @@ NumPy evaluation) into a :class:`StateSpace` of columnar markings and edges,
 the only representation of an explored net.  The per-marking reference it is
 tested against lives in :mod:`repro.petri.reachability` and is not exported.
 
-The names are imported on first access: importing the net layer does not load
-the net-level solver shims of :mod:`repro.petri.analysis`, which sit above the
-api layer.
+The names are imported on first access.  Nothing here imports a layer above
+the net: a solver takes ``build_kernel(space)`` and state sets from
+``space.states_where(predicate)``, or the ``Model`` facade builds one.
 """
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "net": ["SMSPN", "Transition", "MarkingView"],
     "statespace": ["StateSpace", "explore", "explore_vectorized", "build_kernel"],
-    "analysis": ["passage_solver", "transient_solver", "marking_states"],
-    "vanishing": ["eliminate_vanishing", "is_vanishing_distribution"],
 })

@@ -64,6 +64,9 @@ _MAX_BODY_BYTES = 16 * 1024 * 1024
 #: a kept-alive connection with no request for this long is closed (seconds)
 _IDLE_TIMEOUT_SECONDS = 30.0
 
+#: how long ``server_close`` waits for the connections it ended (seconds)
+_CLOSE_WAIT_S = 5.0
+
 #: the tenant header name (case-insensitive per HTTP)
 TENANT_HEADER = "X-Repro-Tenant"
 
@@ -118,7 +121,10 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
 
     ``server_close`` also ends the kept-alive connections: their handler
     threads see end-of-stream once the request in hand (if any) is answered,
-    and close, so clients reconnect to whatever listens next.
+    and close, so clients reconnect to whatever listens next.  It returns
+    once they have closed (or after ``_CLOSE_WAIT_S``, for a handler still
+    answering a request): until then a request arriving on one would still
+    be read and answered here.
     """
 
     daemon_threads = True
@@ -128,28 +134,33 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.quiet = quiet
         self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
+        self._connections_changed = threading.Condition()
         super().__init__(address, _ServiceHandler)
 
     def process_request(self, request, client_address):
-        with self._connections_lock:
+        with self._connections_changed:
             self._connections.add(request)
         super().process_request(request, client_address)
 
     def shutdown_request(self, request):
-        with self._connections_lock:
-            self._connections.discard(request)
         super().shutdown_request(request)
+        with self._connections_changed:
+            self._connections.discard(request)
+            self._connections_changed.notify_all()
 
     def server_close(self):
         super().server_close()
-        with self._connections_lock:
+        with self._connections_changed:
             connections = list(self._connections)
         for connection in connections:
             try:
                 connection.shutdown(socket.SHUT_RD)
             except OSError:  # closed by its handler meanwhile
                 pass
+        with self._connections_changed:
+            self._connections_changed.wait_for(
+                lambda: self._connections.isdisjoint(connections), _CLOSE_WAIT_S
+            )
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):

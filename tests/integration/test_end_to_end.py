@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import PassageTimeSolver, load_model
+from repro import PassageTimeSolver, TransientSolver, load_model
 from repro.core.jobs import PassageTimeJob
 from repro.distributed import CheckpointStore, MultiprocessingBackend
 from repro.dnamaca import parse_model
@@ -21,7 +21,7 @@ from repro.models import (
     initial_marking_predicate,
     voting_spec_text,
 )
-from repro.petri import build_kernel, explore, passage_solver, transient_solver
+from repro.petri import build_kernel, explore
 from repro.simulation import PetriSimulator, empirical_cdf, simulate_passage_times
 from repro.smp import smp_steady_state, source_weights
 from tests.oneloop import LoopRun
@@ -50,8 +50,10 @@ class TestSpecificationToMeasures:
         kernel = build_kernel(graph)
         assert kernel.n_states == graph.n_states
 
-        solver = passage_solver(
-            graph, initial_marking_predicate(params), all_voted_predicate(params)
+        solver = PassageTimeSolver(
+            kernel,
+            graph.states_where(initial_marking_predicate(params)),
+            graph.states_where(all_voted_predicate(params)),
         )
         mean = solver.mean()
         q50 = solver.quantile(0.50, 0.01 * mean, 10.0 * mean)
@@ -61,11 +63,13 @@ class TestSpecificationToMeasures:
 
     def test_spec_model_agrees_with_python_model(self, params, graph):
         spec_graph = explore(load_model(voting_spec_text(params)))
-        spec_solver = passage_solver(
-            spec_graph, initial_marking_predicate(params), all_voted_predicate(params)
-        )
-        py_solver = passage_solver(
-            graph, initial_marking_predicate(params), all_voted_predicate(params)
+        spec_solver, py_solver = (
+            PassageTimeSolver(
+                build_kernel(space),
+                space.states_where(initial_marking_predicate(params)),
+                space.states_where(all_voted_predicate(params)),
+            )
+            for space in (spec_graph, graph)
         )
         ts = np.array([5.0, 10.0, 20.0])
         assert np.allclose(spec_solver.density(ts), py_solver.density(ts), atol=1e-8)
@@ -75,12 +79,10 @@ class TestAnalyticAgainstSimulation:
     """The paper's validation methodology: analytic curves vs simulation."""
 
     def test_voting_passage_cdf(self, params, graph):
-        solver = passage_solver(
-            graph, initial_marking_predicate(params), all_voted_predicate(params)
-        )
         kernel = build_kernel(graph)
         sources = graph.states_where(initial_marking_predicate(params))
         targets = graph.states_where(all_voted_predicate(params))
+        solver = PassageTimeSolver(kernel, sources, targets)
         samples = simulate_passage_times(
             kernel, sources, targets, n_samples=3000, rng=123
         )
@@ -144,10 +146,10 @@ class TestSteadyStateConsistency:
     def test_transient_limit_matches_smp_steady_state(self, params, graph):
         kernel = build_kernel(graph)
         operational = graph.states_where(lambda m: m["p7"] == 0 and m["p6"] == 0)
-        solver = transient_solver(
-            graph,
-            initial_marking_predicate(params),
-            lambda m: m["p7"] == 0 and m["p6"] == 0,
+        solver = TransientSolver(
+            kernel,
+            graph.states_where(initial_marking_predicate(params)),
+            operational,
             method="direct",
         )
         limit = solver.steady_state()

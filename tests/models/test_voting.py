@@ -16,12 +16,18 @@ from repro.models import (
     initial_marking_predicate,
     voters_done_predicate,
 )
-from repro.petri import passage_solver, transient_solver
+from repro.core import PassageTimeSolver, TransientSolver
+from repro.petri import build_kernel
 
 
 @pytest.fixture(scope="module")
 def tiny_graph():
     return build_voting_graph(SCALED_CONFIGURATIONS["tiny"])
+
+
+@pytest.fixture(scope="module")
+def tiny_kernel(tiny_graph):
+    return build_kernel(tiny_graph)
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +123,12 @@ class TestStateSpace:
 
 
 class TestVotingMeasures:
-    def test_voter_passage_time_is_sensible(self, tiny_graph):
+    def test_voter_passage_time_is_sensible(self, tiny_graph, tiny_kernel):
         params = SCALED_CONFIGURATIONS["tiny"]
-        solver = passage_solver(
-            tiny_graph, initial_marking_predicate(params), all_voted_predicate(params)
+        solver = PassageTimeSolver(
+            tiny_kernel,
+            tiny_graph.states_where(initial_marking_predicate(params)),
+            tiny_graph.states_where(all_voted_predicate(params)),
         )
         mean = solver.mean()
         assert 2.0 < mean < 100.0
@@ -141,30 +149,33 @@ class TestVotingMeasures:
                                       np.concatenate([[0.0], grid])))
         assert mean == pytest.approx(integral, rel=0.15)
 
-    def test_density_integrates_to_one(self, tiny_graph):
+    def test_density_integrates_to_one(self, tiny_graph, tiny_kernel):
         params = SCALED_CONFIGURATIONS["tiny"]
-        solver = passage_solver(
-            tiny_graph, initial_marking_predicate(params), all_voted_predicate(params)
+        solver = PassageTimeSolver(
+            tiny_kernel,
+            tiny_graph.states_where(initial_marking_predicate(params)),
+            tiny_graph.states_where(all_voted_predicate(params)),
         )
         mean = solver.mean()
         ts = np.linspace(1e-2, 6 * mean, 200)
         density = solver.density(ts)
         assert np.trapezoid(density, ts) == pytest.approx(1.0, abs=0.05)
 
-    def test_failure_mode_is_much_rarer_than_voting(self, tiny_graph):
+    def test_failure_mode_is_much_rarer_than_voting(self, tiny_graph, tiny_kernel):
         """The failure-mode passage has a far longer mean than the voter
         passage — the regime in which the paper's Fig. 6 says simulation
         struggles and the analytic method shines."""
         params = SCALED_CONFIGURATIONS["tiny"]
-        voting = passage_solver(
-            tiny_graph, initial_marking_predicate(params), all_voted_predicate(params)
+        initial = tiny_graph.states_where(initial_marking_predicate(params))
+        voting = PassageTimeSolver(
+            tiny_kernel, initial, tiny_graph.states_where(all_voted_predicate(params))
         ).mean()
-        failure = passage_solver(
-            tiny_graph, initial_marking_predicate(params), failure_mode_predicate(params)
+        failure = PassageTimeSolver(
+            tiny_kernel, initial, tiny_graph.states_where(failure_mode_predicate(params))
         ).mean()
         assert failure > 2.0 * voting
 
-    def test_transient_tends_to_steady_state(self, tiny_graph):
+    def test_transient_tends_to_steady_state(self, tiny_graph, tiny_kernel):
         """Fig. 7 behaviour: the transient approaches its steady-state value.
 
         Mixing is slow because the bulk-repair distribution of Fig. 3 has a
@@ -172,10 +183,10 @@ class TestVotingMeasures:
         and the (exact) direct solver is used to keep the test fast.
         """
         params = SCALED_CONFIGURATIONS["tiny"]
-        solver = transient_solver(
-            tiny_graph,
-            initial_marking_predicate(params),
-            voters_done_predicate(2),
+        solver = TransientSolver(
+            tiny_kernel,
+            tiny_graph.states_where(initial_marking_predicate(params)),
+            tiny_graph.states_where(voters_done_predicate(2)),
             method="direct",
         )
         limit = solver.steady_state()
@@ -184,11 +195,13 @@ class TestVotingMeasures:
         assert late == pytest.approx(limit, abs=0.02)
         assert abs(late - limit) < abs(early - limit)
 
-    def test_quantile_extraction(self, tiny_graph):
+    def test_quantile_extraction(self, tiny_graph, tiny_kernel):
         """The reliability-quantile computation of Fig. 5 / Section 5.3.1."""
         params = SCALED_CONFIGURATIONS["tiny"]
-        solver = passage_solver(
-            tiny_graph, initial_marking_predicate(params), all_voted_predicate(params)
+        solver = PassageTimeSolver(
+            tiny_kernel,
+            tiny_graph.states_where(initial_marking_predicate(params)),
+            tiny_graph.states_where(all_voted_predicate(params)),
         )
         mean = solver.mean()
         median = solver.quantile(0.50, 0.01 * mean, 20.0 * mean)

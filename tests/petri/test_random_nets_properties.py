@@ -6,11 +6,14 @@ must hold for *any* well-formed net, not just the hand-built models.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.distributions import Deterministic, Erlang, Exponential, Uniform
+from repro.core import PassageTimeSolver, TransientSolver
+from repro.distributions import Deterministic, Erlang, Exponential, Immediate, Uniform
+from repro.laplace import EulerInverter
 from repro.petri import SMSPN, Transition, build_kernel, explore
 from repro.petri.reachability import explore_reference
+from tests.reference import eliminate_vanishing
 
 from .test_statespace import assert_same_space, assert_same_build
 
@@ -18,11 +21,15 @@ DISTS = [Exponential(1.0), Erlang(2.0, 2), Uniform(0.2, 1.2), Deterministic(0.7)
 
 
 @st.composite
-def random_nets(draw):
+def random_nets(draw, immediate: bool = False):
     """A small random net of token-conserving transfer transitions.
 
     Every transition moves one token from one place to another, so the total
     token count is invariant and the state space is finite by construction.
+    With ``immediate=True`` a transfer out of any place but ``p0`` may be a
+    GSPN immediate transition: zero firing time at priority 1, so a marking
+    that enables one is vanishing and the initial marking is not.  Such
+    transfers can form a zero-time cycle.
     """
     n_places = draw(st.integers(min_value=2, max_value=4))
     tokens = draw(st.integers(min_value=1, max_value=3))
@@ -42,12 +49,16 @@ def random_nets(draw):
     for index, (i, j) in enumerate(sorted(pairs)):
         weight = draw(st.floats(min_value=0.1, max_value=5.0))
         dist = DISTS[draw(st.integers(min_value=0, max_value=len(DISTS) - 1))]
+        priority = 0
+        if immediate and i != 0 and draw(st.booleans()):
+            dist, priority = Immediate(), 1
         net.add_transition(
             Transition(
                 name=f"t{index}",
                 inputs={f"p{i}": 1},
                 outputs={f"p{j}": 1},
                 weight=weight,
+                priority=priority,
                 distribution=dist,
             )
         )
@@ -208,3 +219,50 @@ def test_simulated_choice_frequencies_match_probabilities(case, seed):
         # observed frequency may exceed a single branch's probability; it must
         # never be significantly below it.
         assert observed >= probability - 4.5 * np.sqrt(probability * (1 - probability) / n_draws) - 1e-9
+
+
+# The Euler grid the product inverts for three t-points (99 s-points).
+S_POINTS = EulerInverter().required_s_points([0.5, 1.5, 4.0])
+
+
+def _reduced_pair(net):
+    """The explored net and its reduction by the oracle, with the reduced
+    states' indices in the unreduced space; nets the reduction refuses (a
+    zero-time cycle) are skipped."""
+    full = explore(net, max_states=500)
+    try:
+        reduced = eliminate_vanishing(full)
+    except ValueError as exc:
+        assert "cycle of vanishing markings" in str(exc)
+        assume(False)
+    assume(reduced is not full)
+    tangible = [full.index_of(tuple(row)) for row in reduced.markings]
+    return full, reduced, tangible
+
+
+@given(random_nets(immediate=True), st.data(), st.sampled_from(["direct", "iterative"]))
+@settings(max_examples=40, deadline=None)
+def test_vanishing_markings_kept_measure_like_the_reduced_kernel(case, data, method):
+    """GSPN immediate transitions need no reduction pass: on the unreduced
+    kernel a vanishing marking is a zero-sojourn state (``h*(s) = 1`` in the
+    passage sum, no weight in the transient), and the passage and transient
+    transforms between tangible markings, on the grid the product inverts,
+    equal the reduced kernel's.  The direct solve agrees to round-off; the
+    iterative one truncates the two sums at different steps, so to within
+    its tolerance."""
+    net, _ = case
+    full, reduced, tangible = _reduced_pair(net)
+    n = reduced.n_states
+    sources = [data.draw(st.integers(0, n - 1))]  # a set of transient states has no weights
+    targets = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))))
+    tolerance = 1e-12 if method == "direct" else 1e-7
+    unreduced_kernel, reduced_kernel = build_kernel(full), build_kernel(reduced)
+    for solver in (PassageTimeSolver, TransientSolver):
+        unreduced = solver(
+            unreduced_kernel, [tangible[i] for i in sources], [tangible[i] for i in targets],
+            method=method,
+        )
+        expected = solver(reduced_kernel, sources, targets, method=method)
+        assert np.max(np.abs(
+            unreduced.job.evaluate_batch(S_POINTS) - expected.job.evaluate_batch(S_POINTS)
+        )) <= tolerance, solver.__name__

@@ -4,9 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import PassageTimeSolver
+from repro.core import PassageTimeSolver, TransientSolver
 from repro.distributions import Convolution, Deterministic, Exponential, Uniform
-from repro.petri import SMSPN, Transition, build_kernel, explore, marking_states, passage_solver, transient_solver
+from repro.petri import SMSPN, Transition, build_kernel, explore
 
 
 def simple_cycle_net(stages: int = 3) -> SMSPN:
@@ -159,18 +159,28 @@ class TestKernelMapping:
         assert P[i, j_right] == pytest.approx(0.25)
 
     def test_helpers_build_solvers(self):
+        """Marking predicates select the solvers' state sets on the kernel."""
         net = simple_cycle_net(3)
         graph = explore(net)
-        ps = passage_solver(graph, lambda m: m["s0"] == 1, lambda m: m["s2"] == 1)
-        ts = transient_solver(graph, lambda m: m["s0"] == 1, lambda m: m["s1"] == 1)
+        kernel = build_kernel(graph)
+        start = graph.states_where(lambda m: m["s0"] == 1)
+        ps = PassageTimeSolver(kernel, start, graph.states_where(lambda m: m["s2"] == 1))
+        ts = TransientSolver(kernel, start, graph.states_where(lambda m: m["s1"] == 1))
         assert ps.targets.tolist() == [graph.index_of((0, 0, 1))]
         assert 0.0 < ts.steady_state() < 1.0
-        with pytest.raises(ValueError):
-            marking_states(graph, lambda m: m["s0"] == 99)
+        assert graph.states_where(lambda m: m["s0"] == 99) == []
+        with pytest.raises(ValueError, match="source state"):
+            PassageTimeSolver(kernel, [], ps.targets)
 
     def test_passage_solver_accepts_raw_net(self):
+        """A bare net is one ``explore`` away from a kernel the solver takes."""
         net = simple_cycle_net(3)
-        ps = passage_solver(net, lambda m: m["s0"] == 1, lambda m: m["s1"] == 1)
+        graph = explore(net)
+        ps = PassageTimeSolver(
+            build_kernel(graph),
+            graph.states_where(lambda m: m["s0"] == 1),
+            graph.states_where(lambda m: m["s1"] == 1),
+        )
         density = ps.density([1.0])
         assert density[0] >= 0.0
 

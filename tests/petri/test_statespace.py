@@ -15,15 +15,9 @@ from repro.distributions import Erlang, Exponential, Immediate, Uniform
 from repro.dnamaca import load_model
 from repro.models import SCALED_CONFIGURATIONS, build_voting_net, voting_spec_text
 from repro.models.queues import web_server_net
-from repro.petri import (
-    SMSPN,
-    StateSpace,
-    Transition,
-    build_kernel,
-    eliminate_vanishing,
-    explore,
-)
+from repro.petri import SMSPN, StateSpace, Transition, build_kernel, explore
 from repro.petri.reachability import explore_reference
+from tests.reference import eliminate_vanishing
 
 S_POINTS = (0.5 + 0.0j, 1.0 + 1.0j, 3.0 - 2.0j)
 

@@ -1,4 +1,10 @@
-"""Tests for vanishing-marking elimination (GSPN-style immediate transitions)."""
+"""GSPN-style immediate transitions: the vanishing-marking reduction.
+
+The package keeps vanishing markings as zero-sojourn states; the reduction
+that folds them away is the oracle :mod:`tests.reference.vanishing`, checked
+here on hand-built nets before the generated-net invariant
+(``tests/petri/test_random_nets_properties.py``) trusts it.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,14 +12,8 @@ import pytest
 
 from repro.core import PassageTimeSolver
 from repro.distributions import Deterministic, Erlang, Exponential, Immediate, Uniform
-from repro.petri import (
-    SMSPN,
-    Transition,
-    build_kernel,
-    eliminate_vanishing,
-    explore,
-    is_vanishing_distribution,
-)
+from repro.petri import SMSPN, Transition, build_kernel, explore
+from tests.reference import eliminate_vanishing, is_vanishing_distribution
 
 
 def routed_net(weights=(3.0, 1.0)) -> SMSPN:

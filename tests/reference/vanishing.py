@@ -1,11 +1,13 @@
-"""Elimination of vanishing markings (zero-delay states).
+"""Elimination of vanishing markings (zero-delay states): an oracle.
 
 The paper notes that SPNs and GSPNs translate into the SM-SPN paradigm in a
 straightforward manner.  A GSPN's *immediate* transitions become SM-SPN
 transitions with an :class:`~repro.distributions.Immediate` (zero) firing
 time; the markings in which such a transition fires are *vanishing* — the
-process spends no time in them — and keeping them in the semi-Markov kernel
-both wastes states and breaks measures that count "time spent in ...".
+process spends no time in them.  The package keeps them in the kernel as
+zero-sojourn states (``h*(s) = 1`` in the passage sum, weight 0 in the
+transient), so its measures need no reduction pass; this one is the
+independent witness that they are right.
 
 :func:`eliminate_vanishing` removes those markings from a state space
 by folding their branching probabilities into their predecessors: an edge
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distributions import Distribution
-from ..utils.arrays import ragged_take
-from .statespace import StateSpace
+from repro.distributions import Distribution
+from repro.petri import StateSpace
+from repro.utils.arrays import ragged_take
 
 __all__ = ["eliminate_vanishing", "is_vanishing_distribution"]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -342,3 +343,42 @@ class TestClientRetries:
         with pytest.raises(ServiceClientError):
             client._request("GET", "/v1/jobs/x")
         assert calls["n"] == 1
+
+
+def _solve_warm_leftovers(spec, *, as_job):
+    """On a fresh 2-worker service with t = 1 warm, the response for
+    t = [1, 4] (synchronous, or as a job's record) and the point count of
+    every block solved for it."""
+    service = AnalysisService(workers=2)
+    try:
+        model = service.register_model(spec)["model"]
+        body = {"model": model, "source": "on == 2", "target": "on == 0"}
+        service.measure("passage", {**body, "t_points": [1.0]})
+        body["t_points"] = [1.0, 4.0]
+        if not as_job:
+            response = service.measure("passage", body)
+            return response, [b["points"] for b in response["statistics"]["solve_blocks"]]
+        job = service.submit("passage", body)["job"]
+        deadline = time.monotonic() + 60
+        while (view := service.job_view(job))["state"] not in ("done", "failed"):
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        return view, [b["points"] for b in view["result"]["statistics"]["solve_blocks"]]
+    finally:
+        service.close()
+
+
+class TestJobBlocks:
+    def test_a_job_cuts_a_warm_grids_leftovers_like_a_sync_query(self, onoff_spec):
+        """A job over a grid the cache half holds solves the 33 leftover
+        points in the executor's blocks, one per worker, as a synchronous
+        query does; its record counts exactly those blocks."""
+        sync, sync_blocks = _solve_warm_leftovers(onoff_spec, as_job=False)
+        view, job_blocks = _solve_warm_leftovers(onoff_spec, as_job=True)
+        assert sorted(sync_blocks) == sorted(job_blocks) == [16, 17]
+        assert view["state"] == "done"
+        assert view["result"]["density"] == sync["density"]
+        progress = view["progress"]
+        assert progress["blocks_done"] == progress["blocks_total"] == 2
+        assert view["plan"]["n_blocks"] == 2 and view["plan"]["block_points"] == 17
+        assert progress["points_done"] == progress["points_total"]

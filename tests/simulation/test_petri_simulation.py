@@ -12,7 +12,8 @@ from repro.models import (
     initial_marking_predicate,
     voters_done_predicate,
 )
-from repro.petri import SMSPN, Transition, passage_solver, transient_solver
+from repro.core import PassageTimeSolver, TransientSolver
+from repro.petri import SMSPN, Transition, build_kernel
 from repro.distributions import Exponential, Uniform
 from repro.simulation import PetriSimulator, empirical_cdf
 
@@ -40,8 +41,10 @@ class TestPetriSimulator:
         samples = simulator.sample_passage_times(
             all_voted_predicate(tiny_params), n_samples=1500, rng=7
         )
-        solver = passage_solver(
-            tiny_graph, initial_marking_predicate(tiny_params), all_voted_predicate(tiny_params)
+        solver = PassageTimeSolver(
+            build_kernel(tiny_graph),
+            tiny_graph.states_where(initial_marking_predicate(tiny_params)),
+            tiny_graph.states_where(all_voted_predicate(tiny_params)),
         )
         ts = np.quantile(samples, [0.25, 0.5, 0.75])
         analytic = solver.cdf(ts)
@@ -58,8 +61,10 @@ class TestPetriSimulator:
         simulated = simulator.sample_transient(
             voters_done_predicate(2), t_points, n_samples=2000, rng=11
         )
-        solver = transient_solver(
-            tiny_graph, initial_marking_predicate(tiny_params), voters_done_predicate(2)
+        solver = TransientSolver(
+            build_kernel(tiny_graph),
+            tiny_graph.states_where(initial_marking_predicate(tiny_params)),
+            tiny_graph.states_where(voters_done_predicate(2)),
         )
         analytic = solver.probability(t_points)
         assert np.max(np.abs(simulated - analytic)) < 0.05

@@ -12,9 +12,9 @@ one image — ``SMPKernel.csr`` — that every solver, the simulator and the
 content digest read and a plane file shares; a kernel keeps them in no other
 order, its embedded chain has one stationary solver, and every real system
 at ``s = 0`` one solve.  Upstream of the kernel there is one road from a net to it: one
-explorer into one ``StateSpace``, one vanishing pass, one edge merge
-(``SMPKernel.from_columns``).  A new call site outside these files is a second
-path growing back.
+explorer into one ``StateSpace`` (vanishing markings kept, no reduction pass),
+one edge merge (``SMPKernel.from_columns``), and the net layer imports nothing
+above it.  A new call site outside these files is a second path growing back.
 """
 from __future__ import annotations
 
@@ -191,6 +191,14 @@ def test_one_worker_pool_per_backend_and_workers_that_know_no_job():
     assert "initargs" not in ast.unparse(keep)
 
 
+def test_the_executor_alone_sizes_blocks():
+    """A block's size is decided where it is cut: the executors ask the
+    policy (``dispatch_block_points``) for the points they are handed, so a
+    job and a synchronous query over the same leftovers solve the same
+    blocks."""
+    assert _call_sites("dispatch_block_points") == {"distributed/backends.py": 1}
+
+
 def test_one_rule_cuts_a_grid_into_blocks():
     """``SBlockQueue.from_points`` (round-robin, ``ceil(n / size)`` blocks) is
     the only place a grid is cut into blocks: both executors cut through it,
@@ -225,13 +233,17 @@ def test_one_quantile_refiner():
 def test_the_deleted_surface_stays_deleted():
     assert not (SRC / "distributed" / "pipeline.py").exists()
     assert not (SRC / "distributed" / "simcluster.py").exists()
+    assert not (SRC / "petri" / "vanishing.py").exists()
+    assert not (SRC / "petri" / "analysis.py").exists()
     source = "\n".join(path.read_text() for path in SRC.rglob("*.py"))
     for name in (
         "DistributedPipeline", "PipelineStatistics", "SPointWorkQueue",
         "WorkItem", "supports_blocks", "supports_progress", "_evaluate=",
         "_run_state", "record_timings", "task_durations", "_DIRECT_SOLVE_COST",
         "last_wall_clock", "SimulatedCluster", "scalability_table",
-        "_BatchLRU", "row_abs_sums",
+        "_BatchLRU", "row_abs_sums", "eliminate_vanishing",
+        "is_vanishing_distribution", "passage_solver", "transient_solver",
+        "marking_states",
     ):
         assert name not in source, name
 
@@ -711,10 +723,10 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _module_level_imports(path: Path) -> list[str]:
+def _module_level_imports(path: Path, *, functions: bool = False) -> list[str]:
     """The absolute names a module imports while it is being imported (every
-    import outside a function body); ``from X import y`` names ``X`` and
-    ``X.y``."""
+    import outside a function body; with ``functions``, those inside one
+    too); ``from X import y`` names ``X`` and ``X.y``."""
     package = _module_name(path)
     if path.name != "__init__.py":
         package = package.rpartition(".")[0]
@@ -722,7 +734,7 @@ def _module_level_imports(path: Path) -> list[str]:
     stack = list(ast.parse(path.read_text()).body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not functions:
             continue
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
@@ -783,6 +795,24 @@ def test_the_import_graph_is_layered():
     graph = _import_graph()
     assert "repro.smp.passage" in graph["repro.core.jobs"]  # the scan sees edges
     assert _cycle(graph) is None, " -> ".join(_cycle(graph))
+
+
+def test_the_net_layer_imports_nothing_above_it():
+    """No ``repro.petri`` module imports the solvers, the facade or the
+    service, at module level or inside a function: a solver over a net is
+    built on its kernel (``PassageTimeSolver(build_kernel(space), ...)``)."""
+    imports = {
+        path.name: _module_level_imports(path, functions=True)
+        for path in sorted((SRC / "petri").glob("*.py"))
+    }
+    assert "repro.smp.kernel" in imports["statespace.py"]  # the scan sees imports
+    above = ("repro.core", "repro.api", "repro.service")
+    assert [
+        f"{module}:{name}"
+        for module, names in imports.items()
+        for name in names
+        if name in above or name.startswith(tuple(f"{layer}." for layer in above))
+    ] == []
 
 
 def test_heavy_modules_are_imported_where_they_run():
