@@ -21,7 +21,9 @@ The scenario matrix (about 30 s on a 2-core box):
 * facade — models (voting (8,3,2), system 0, voting (30,8,3)) × passage
   density+CDF / quantile / transient × Euler / Laguerre × iterative / direct
   × inline / 2-worker pool, pruned where a cell adds time but no new code
-  path; model and job digests ride along;
+  path, plus system 0's far tail (part of the grid routed to the sparse LU)
+  and Fig. 6's failure-mode passage at t = 1,000 (every point routed);
+  model and job digests ride along;
 * kernel level — the passage (``passage_transform_batch``) and the transient
   (``transient_transform_batch``), both the row form's block solve, on
   voting (8,3,2), a ``repro.models`` builder kernel and the high-fan-out
@@ -148,6 +150,10 @@ def facade_scenarios() -> dict:
     # far tail: the default policy routes part of the grid to the sparse LU
     add("system0/euler/iterative/inline/tail640",
         system0.passage(SOURCE, TARGET).density([640.0]).cdf())
+    # Fig. 6's rare-event passage: every point routed, one strong component
+    add("system0/euler/iterative/inline/failure1000",
+        system0.passage("p1 == CC && p3 == MM && p5 == NN", "p7 >= MM || p6 >= NN")
+        .density([1000.0]).cdf())
     add("system0/euler/iterative/inline/transient",
         system0.transient(SOURCE, "p2 >= 17").probability([10.0, 30.0]))
     add("voting3083/euler/iterative/inline/passage",

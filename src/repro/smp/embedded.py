@@ -33,7 +33,8 @@ def dtmc_steady_state(P: sparse.spmatrix) -> np.ndarray:
     removes its row and column from the singular system ``(I - P^T) pi = 0``
     and leaves a sparse non-singular one, solved by ILU-preconditioned GMRES
     warm-started from the power iterate; the result is renormalised.
-    Transient states come back with probability zero.
+    Transient states — those outside the closed class — come back with
+    probability exactly zero.
 
     Raises :class:`numpy.linalg.LinAlgError` — the one failure of this
     function — when it has no vector to return: the chain has several closed
@@ -76,6 +77,9 @@ def dtmc_steady_state(P: sparse.spmatrix) -> np.ndarray:
                 P[[pinned]][:, keep].toarray().ravel(), x0=pi[keep] / pi[pinned]
             )
             pi = np.insert(solution, pinned, 1.0)
+        # A state outside the closed class is transient: its probability is
+        # zero exactly, not the solve's round-off.
+        pi[label != closed[0]] = 0.0
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
         residual = float(np.max(np.abs(pi @ P - pi)))
@@ -112,6 +116,10 @@ def source_weights(
     For multiple sources the embedded DTMC's stationary probabilities,
     restricted to the source set and renormalised, are used — the probability
     that the passage starts in each particular source state at equilibrium.
+    A transient source has stationary probability zero, so it gets no weight
+    beside a recurrent one.  A set of transient states only has no
+    equilibrium weighting at all; it is weighted uniformly, ``1 / |sources|``
+    each — the passage from a source drawn at random from the set.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
@@ -130,7 +138,5 @@ def source_weights(
         steady_state = kernel.embedded_steady_state()
     restricted = steady_state[sources]
     total = restricted.sum()
-    if total <= 0:
-        raise ValueError("the source states have zero steady-state probability")
-    alpha[sources] = restricted / total
+    alpha[sources] = restricted / total if total > 0 else 1.0 / sources.size
     return alpha

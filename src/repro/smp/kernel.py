@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,7 +45,7 @@ __all__ = [
 #: values bumps it: files written under the old epoch are then keyed by
 #: digests nothing can produce any more, so they are never read and never
 #: touched, and the first use recomputes (README, "Digest epochs").
-DIGEST_EPOCH = b"smp-digest-epoch-4"
+DIGEST_EPOCH = b"smp-digest-epoch-5"
 
 
 def kernel_content_digest(kernel: "SMPKernel") -> str:
@@ -510,6 +511,25 @@ def _diagonal_copies(csr: KernelCSR, n_states: int, width: int):
     return indptr, indices
 
 
+def _csc_identity_plus(n_states: int, rows: np.ndarray, cols: np.ndarray):
+    """The CSC structure of the identity plus the entries ``(rows, cols)``.
+
+    Returns ``(nnz, indices, indptr, diag_pos, entry_pos)``: the merged
+    pattern (an entry on the diagonal shares its position with the identity)
+    and where the identity's and each entry's value lands in its data vector.
+    ``(rows, cols)`` hold no duplicates (the kernel rejects parallel
+    transitions), so ``data[entry_pos] -= values`` is a safe scatter.
+    """
+    n = n_states
+    diag = np.arange(n, dtype=np.int64)
+    keys = np.concatenate((diag, cols)) * np.int64(n) + np.concatenate((diag, rows))
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    indices = (unique_keys % n).astype(np.int32)
+    col_counts = np.bincount((unique_keys // n).astype(np.int64), minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(col_counts))).astype(np.int32)
+    return int(unique_keys.size), indices, indptr, inverse[:n], inverse[n:]
+
+
 #: A block-diagonal structure above this many bytes is handed out but not kept
 #: (:meth:`UEvaluator.block_diag_structure`): an evaluator outlives its
 #: solves, and a structure sized for one very wide block would pin that
@@ -537,6 +557,13 @@ class UEvaluator:
         self._block_diag: tuple[int, np.ndarray, np.ndarray] | None = None
         self._dist_row_sums: np.ndarray | None = None
         self._factored = None
+        self._direct_orderings: "OrderedDict[bytes, DirectOrdering]" = OrderedDict()
+        self._direct_orderings_lock = threading.Lock()
+
+    #: how many direct-solve orderings (one per absorbing mask) to keep: a
+    #: bound on what an evaluator holds, not a tuned figure — a mask asked
+    #: again after falling out pays its ordering again (4–7 ms on system 0)
+    _DIRECT_ORDERINGS = 4
 
     #: cap on one chunk of a :meth:`fill_u_data` fill (and of the direct
     #: solver's reused fill buffer), in bytes of per-edge data
@@ -656,30 +683,43 @@ class UEvaluator:
         return best
 
     def direct_solve_structure(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached CSC symbolic structure of ``A = I - U K`` (Eq. 3).
+        """Cached CSC symbolic structure of ``A = I - U K`` (Eq. 3), unpermuted.
 
-        The pattern is independent of both ``s`` and the target set (targets
-        only zero data), so it is assembled once per evaluator: the identity's
-        coordinates are merged with ``U``'s, sorted into CSC order, and
-        duplicates collapsed (a self-loop of ``U`` shares its position with
-        the diagonal).  Returns ``(nnz_A, indices, indptr, diag_pos, u_pos)``
-        where ``diag_pos``/``u_pos`` map the identity/U entries into the CSC
-        data vector.
+        The real solve at ``s = 0`` (:func:`repro.smp.linear.passage_moments`)
+        reads it.  The pattern is independent of both ``s`` and the target
+        set (targets only zero data), so it is assembled once per evaluator:
+        the identity's coordinates are merged with ``U``'s, sorted into CSC
+        order, and duplicates collapsed (a self-loop of ``U`` shares its
+        position with the diagonal).  Returns ``(nnz_A, indices, indptr,
+        diag_pos, u_pos)`` where ``diag_pos``/``u_pos`` map the identity/U
+        entries into the CSC data vector.
         """
         if getattr(self, "_a_structure", None) is None:
-            n = self.kernel.n_states
-            diag = np.arange(n, dtype=np.int64)
-            all_rows = np.concatenate((diag, self.csr.rows))
-            all_cols = np.concatenate((diag, self.csr.indices))
-            keys = all_cols * np.int64(n) + all_rows
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            a_indices = (unique_keys % n).astype(np.int32)
-            col_counts = np.bincount((unique_keys // n).astype(np.int64), minlength=n)
-            a_indptr = np.concatenate(([0], np.cumsum(col_counts))).astype(np.int32)
-            self._a_structure = (
-                int(unique_keys.size), a_indices, a_indptr, inverse[:n], inverse[n:]
-            )
+            csr = self.csr
+            self._a_structure = _csc_identity_plus(self.kernel.n_states, csr.rows, csr.indices)
         return self._a_structure
+
+    def direct_ordering(self, absorbing: np.ndarray) -> "DirectOrdering":
+        """The complex direct solve's symbolic analysis for one absorbing mask.
+
+        Built on first use (:class:`repro.smp.linear.DirectOrdering`) and
+        kept for the last :attr:`_DIRECT_ORDERINGS` masks, so every routed
+        s-point of a measure — across its blocks and its queries — is
+        factored in one ordering computed once.  A server's request threads
+        share one evaluator, so the cache is locked and single-flight:
+        concurrent first asks for a mask wait on one build.
+        """
+        from .linear import DirectOrdering
+
+        key = np.asarray(absorbing, dtype=bool).tobytes()
+        with self._direct_orderings_lock:
+            held = self._direct_orderings.pop(key, None)
+            if held is None:
+                held = DirectOrdering(self, absorbing)
+            self._direct_orderings[key] = held  # most recent last
+            while len(self._direct_orderings) > self._DIRECT_ORDERINGS:
+                self._direct_orderings.popitem(last=False)
+        return held
 
     def block_diag_structure(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of ``block_diag`` of ``width`` copies of :attr:`csr`.

@@ -12,6 +12,7 @@ from repro.core import PassageTimeSolver, TransientSolver
 from repro.distributions import Deterministic, Erlang, Exponential, Immediate, Uniform
 from repro.laplace import EulerInverter
 from repro.petri import SMSPN, Transition, build_kernel, explore
+from repro.smp import source_weights
 from repro.petri.reachability import explore_reference
 from tests.reference import eliminate_vanishing
 
@@ -247,13 +248,16 @@ def test_vanishing_markings_kept_measure_like_the_reduced_kernel(case, data, met
     kernel a vanishing marking is a zero-sojourn state (``h*(s) = 1`` in the
     passage sum, no weight in the transient), and the passage and transient
     transforms between tangible markings, on the grid the product inverts,
-    equal the reduced kernel's.  The direct solve agrees to round-off; the
+    equal the reduced kernel's — from one source or a set of them, weighted by
+    the embedded chain (the unreduced chain's stationary vector, restricted to
+    the tangible markings, is the reduced chain's) or, for a set of transient
+    markings, uniformly.  The direct solve agrees to round-off; the
     iterative one truncates the two sums at different steps, so to within
     its tolerance."""
     net, _ = case
     full, reduced, tangible = _reduced_pair(net)
     n = reduced.n_states
-    sources = [data.draw(st.integers(0, n - 1))]  # a set of transient states has no weights
+    sources = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))))
     targets = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))))
     tolerance = 1e-12 if method == "direct" else 1e-7
     unreduced_kernel, reduced_kernel = build_kernel(full), build_kernel(reduced)
@@ -266,3 +270,44 @@ def test_vanishing_markings_kept_measure_like_the_reduced_kernel(case, data, met
         assert np.max(np.abs(
             unreduced.job.evaluate_batch(S_POINTS) - expected.job.evaluate_batch(S_POINTS)
         )) <= tolerance, solver.__name__
+
+
+def test_a_gspn_source_set_of_transient_markings_is_weighted_uniformly():
+    """A net ``random_nets(immediate=True)`` draws: the immediate ``p2 -> p1``
+    pre-empts the timed ``p2 -> p3``, so the tokens never come back to ``p0``
+    and the reduced markings 0 and 1 are transient.  Stationary probability
+    zero on both: the set is weighted uniformly, and the unreduced kernel,
+    whose vanishing markings keep their place, weights it the same way."""
+    net = SMSPN("trapping")
+    for p in range(4):
+        net.add_place(f"p{p}", 3 if p == 0 else 0)
+    for name, (i, j), weight, priority, dist in [
+        ("t0", (0, 1), 4.79, 0, Erlang(2.0, 2)),
+        ("t1", (1, 2), 3.81, 0, Exponential(1.0)),
+        ("t2", (2, 1), 4.28, 1, Immediate()),
+        ("t3", (2, 3), 2.5, 0, Exponential(1.0)),
+        ("t4", (3, 0), 4.02, 1, Immediate()),
+    ]:
+        net.add_transition(Transition(
+            name=name, inputs={f"p{i}": 1}, outputs={f"p{j}": 1},
+            weight=weight, priority=priority, distribution=dist,
+        ))
+    full = explore(net)
+    reduced = eliminate_vanishing(full)
+    tangible = [full.index_of(tuple(row)) for row in reduced.markings]
+    reduced_kernel, unreduced_kernel = build_kernel(reduced), build_kernel(full)
+    assert reduced_kernel.embedded_steady_state()[[0, 1]].tolist() == [0.0, 0.0]
+    sources, targets = [0, 1], [reduced.n_states - 1]
+    alpha = source_weights(reduced_kernel, sources)
+    assert alpha[sources].tolist() == [0.5, 0.5]
+    unreduced_alpha = source_weights(unreduced_kernel, [tangible[i] for i in sources])
+    assert unreduced_alpha[[tangible[i] for i in sources]].tolist() == [0.5, 0.5]
+    for solver in (PassageTimeSolver, TransientSolver):
+        unreduced = solver(
+            unreduced_kernel, [tangible[i] for i in sources], [tangible[i] for i in targets],
+            method="direct",
+        )
+        expected = solver(reduced_kernel, sources, targets, method="direct")
+        assert np.max(np.abs(
+            unreduced.job.evaluate_batch(S_POINTS) - expected.job.evaluate_batch(S_POINTS)
+        )) <= 1e-12, solver.__name__

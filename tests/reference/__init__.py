@@ -9,6 +9,9 @@ the right-hand side of comparisons only (the reduction's hand-built cases in
   the scalar LST fill, ``U`` / ``U'`` as matrices, the row and the column
   loop, the transient assembly of Eq. (7) and a from-scratch direct solve.
   The package shipped these until PR 24; it now runs the block solve only.
+* :mod:`tests.reference.dense` — the complex direct solve as dense
+  ``numpy.linalg.solve`` on the full matrices, the parity oracle of the
+  block-triangular sparse LU the package factors routed points with.
 * :mod:`tests.reference.moments` — the oracles of ``repro.smp.passage_moments``:
   the same ``s = 0`` system by a complete sparse LU (the package's solve
   until its real solves became one ILU + GMRES recipe), and moments by
@@ -18,6 +21,7 @@ the right-hand side of comparisons only (the reduction's hand-built cases in
   them as zero-sojourn states instead, so measures on the reduced kernel are
   what its measures on the unreduced one must equal.
 """
+from .dense import dense_passage_vector, dense_transient_transform
 from .moments import lst_moments, lu_passage_moments, mean_from_lst, variance_from_lst
 from .smp import (
     passage_transform,
@@ -32,6 +36,8 @@ from .smp import (
 from .vanishing import eliminate_vanishing, is_vanishing_distribution
 
 __all__ = [
+    "dense_passage_vector",
+    "dense_transient_transform",
     "eliminate_vanishing",
     "is_vanishing_distribution",
     "lst_moments",

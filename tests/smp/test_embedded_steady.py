@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from repro.api import Model, resolve_state_sets
 from repro.distributions import Deterministic, Erlang, Exponential
-from repro.models import VotingParameters, build_voting_kernel
+from repro.models import VotingParameters, build_voting_kernel, voting_spec_text
 from repro.petri import build_kernel, explore
 from repro.smp import (
     SMPBuilder,
@@ -190,6 +191,27 @@ class TestOneSolver:
             dtmc_steady_state(sparse.csr_matrix(P))
 
 
+def _voting_with_setup(params: VotingParameters) -> str:
+    """The voting spec with a place ``p0`` of two set-up tokens, consumed one
+    at a time at top priority before any vote: the two markings with ``p0 >
+    0`` are transient, every other one is the voting model's."""
+    text = voting_spec_text(params)
+    text = text.replace("\\model{\n", "\\model{\n  \\place{p0}{2}\n", 1)
+    setup = """
+  \\transition{t0}{
+    \\condition{p0 > 0}
+    \\action{
+      next->p0 = p0 - 1;
+    }
+    \\weight{1.0}
+    \\priority{3}
+    \\sojourntimeLT{ return expLT(2.0, s); }
+  }
+"""
+    end = text.rindex("}")
+    return text[:end] + setup + text[end:]
+
+
 class TestSourceWeights:
     def test_single_source_is_unit_vector(self, branching_kernel):
         alpha = source_weights(branching_kernel, [2])
@@ -204,6 +226,35 @@ class TestSourceWeights:
         assert alpha[0] == pytest.approx(pi[0] / (pi[0] + pi[3]))
         assert alpha[3] == pytest.approx(pi[3] / (pi[0] + pi[3]))
         assert np.all(alpha[[1, 2, 4]] == 0.0)
+
+    def test_a_set_of_transient_markings_is_weighted_uniformly(self):
+        """Two set-up markings ahead of the voting model: transient in the
+        embedded chain, so their stationary probability is zero exactly and
+        Eq. (5) gives no weighting; the set is weighted 1/2 each, and its
+        passage and transient — solved directly, so no truncation differs —
+        are the mean of the two markings' own."""
+        model = Model.from_spec(_voting_with_setup(VotingParameters(8, 3, 2)))
+        kernel = model.entry.kernel
+        sources, _ = resolve_state_sets(model.entry, "p0 > 0", "p2 == CC")
+        assert list(sources) == [0, 1]
+        assert np.all(kernel.embedded_steady_state()[sources] == 0.0)
+        alpha = source_weights(kernel, sources)
+        assert alpha[sources].tolist() == [0.5, 0.5] and alpha.sum() == 1.0
+        t_points = [5.0, 20.0]
+        for measure in ("passage", "transient"):
+            def density(source):
+                query = getattr(model, measure)(source, "p2 == CC")
+                if measure == "passage":
+                    return query.density(t_points).with_solver("direct").run().density
+                return query.probability(t_points).with_solver("direct").run().probability
+
+            both, first, second = density("p0 > 0"), density("p0 == 2"), density("p0 == 1")
+            assert np.allclose(both, (first + second) / 2, rtol=1e-9, atol=1e-12), measure
+
+    def test_a_transient_source_beside_a_recurrent_one_gets_no_weight(self):
+        model = Model.from_spec(_voting_with_setup(VotingParameters(8, 3, 2)))
+        alpha = source_weights(model.entry.kernel, [0, 1, 5])
+        assert alpha[[0, 1]].tolist() == [0.0, 0.0] and alpha[5] == 1.0
 
     def test_duplicate_sources_rejected(self, branching_kernel):
         with pytest.raises(ValueError):

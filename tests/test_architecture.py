@@ -144,11 +144,37 @@ def test_one_implementation_of_the_per_point_algorithm():
     assert not scalar_s
 
     # a complete sparse LU is the complex routed points' alone: one call, in
-    # _factor, whose callers are the passage's and the transient's direct
-    # batch solves
+    # _factor, always in the given order (``NATURAL``), reached from a
+    # DirectOrdering's solve only; the ordering it factors in is COLAMD's,
+    # read once per mask off an incomplete LU in DirectOrdering.__init__ —
+    # and the passage's and the transient's direct batch solves are what ask
+    # for an ordering
     assert _call_sites("splu", "spsolve") == {"smp/linear.py": 1}
     assert _callers("splu", "spsolve") == ["smp/linear.py:_factor"]
-    assert _callers("_factor") == [
+    linear_calls = [
+        node for node in _nodes(SRC / "smp" / "linear.py", ast.Call)
+        if getattr(node.func, "attr", None) in ("splu", "spilu")
+    ]
+    permc = {
+        (node.func.attr, ast.unparse(kw.value))
+        for node in linear_calls for kw in node.keywords if kw.arg == "permc_spec"
+    }
+    assert permc == {("splu", "'NATURAL'"), ("spilu", "'COLAMD'")}
+    (factor,) = [
+        node for node in _nodes(SRC / "smp" / "linear.py", ast.FunctionDef)
+        if node.name == "_factor"
+    ]
+    assert [arg.arg for arg in factor.args.args] == ["system"]
+    assert _callers("_factor") == ["smp/linear.py:solve"]
+    (ordering,) = [
+        node for node in _nodes(SRC / "smp" / "linear.py", ast.ClassDef)
+        if node.name == "DirectOrdering"
+    ]
+    assert "_factor" in {
+        node.func.id for node in ast.walk(ordering)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert _callers("direct_ordering") == [
         "smp/linear.py:passage_transform_direct_batch",
         "smp/linear.py:transient_transform_direct_batch",
     ]
@@ -508,6 +534,32 @@ def test_the_solvers_read_the_kernels_image():
     assert not reaches
 
 
+def test_the_direct_ordering_is_cached_on_the_evaluator():
+    """One symbolic analysis per evaluator and absorbing mask: the one place a
+    ``DirectOrdering`` is built is ``UEvaluator.direct_ordering``, and its
+    bounded cache is an attribute of the evaluator and of nothing else."""
+    assert _callers("DirectOrdering") == ["smp/kernel.py:direct_ordering"]
+    (evaluator,) = [
+        node for node in _nodes(SRC / "smp" / "kernel.py", ast.ClassDef)
+        if node.name == "UEvaluator"
+    ]
+    holders = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if "_direct_orderings" in path.read_text()
+    }
+    assert holders == {"smp/kernel.py"}
+    in_class = [
+        node for node in ast.walk(evaluator)
+        if isinstance(node, ast.Attribute) and node.attr == "_direct_orderings"
+    ]
+    in_module = [
+        node for node in _nodes(SRC / "smp" / "kernel.py", ast.Attribute)
+        if node.attr == "_direct_orderings"
+    ]
+    assert in_class and len(in_class) == len(in_module)
+
+
 def test_the_plane_goes_through_public_names():
     evaluator = _two_state_kernel().evaluator()
     private = {
@@ -587,11 +639,13 @@ def test_one_stationary_solver_and_no_way_to_name_another():
 
 def test_one_real_solve_at_s_zero():
     """The stationary vector and the moments solve their real systems through
-    one function: the incomplete LU and GMRES are each called there and
-    nowhere else, and the import runs one way, ``embedded -> linear``."""
-    assert _call_sites("spilu") == {"smp/linear.py": 1}
+    one function: GMRES is called there and nowhere else, the incomplete LU
+    there and in the direct ordering alone (which reads only its COLAMD
+    order), and the import runs one way, ``embedded -> linear``."""
+    assert _call_sites("spilu") == {"smp/linear.py": 2}
     assert _call_sites("gmres") == {"smp/linear.py": 1}
-    assert _callers("spilu") == _callers("gmres") == ["smp/linear.py:_real_solver"]
+    assert _callers("gmres") == ["smp/linear.py:_real_solver"]
+    assert _callers("spilu") == ["smp/linear.py:_real_solver", "smp/linear.py:__init__"]
     assert _callers("_real_solver") == [
         "smp/embedded.py:dtmc_steady_state", "smp/linear.py:passage_moments",
     ]
