@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """End-to-end passage-time density benchmark: the blocked/factored solver layer.
 
-Two measurements, written to ``BENCH_passage.json``:
+Three measurements, written as one JSON report to ``--out FILE`` (nothing is
+written without it; ``BENCH_passage.json`` at the repository root is the
+committed full-mode record):
 
 1. **Mid-size engine comparison** — the distribution-factored engine vs the
    ``u_data_batch`` (per-edge-data) engine, end-to-end on the same measure,
@@ -47,6 +49,7 @@ default (full)
 Usage::
 
     PYTHONPATH=src python scripts/bench_passage.py [--smoke] [--out FILE]
+    PYTHONPATH=src python scripts/bench_passage.py --out BENCH_passage.json   # refresh the record
     PYTHONPATH=src python scripts/bench_passage.py --skip-voting
     PYTHONPATH=src python scripts/bench_passage.py --smoke --scaling --skip-voting
 """
@@ -329,7 +332,9 @@ def voting_passage(params: VotingParameters, t_points, budget_bytes: int) -> dic
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small CI guard run")
-    parser.add_argument("--out", default="BENCH_passage.json")
+    parser.add_argument(
+        "--out", default=None, help="write the JSON report here (default: write nothing)"
+    )
     parser.add_argument(
         "--skip-voting", action="store_true",
         help="only run the engine comparison (skips the large voting solve)",
@@ -467,10 +472,11 @@ def main(argv=None) -> int:
                 )
     report["failures"] = failures
 
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"# wrote {args.out}", flush=True)
+    if args.out is not None:
+        with open(args.out, "w") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+        print(f"# wrote {args.out}", flush=True)
 
     if failures:
         for failure in failures:

@@ -19,27 +19,42 @@ expansion*: group edges by ``(distribution, source)`` pair::
     expV[(d, i), t] = v[i, t] · lst_d(s_t)          (gather + scale)
     out[j, t]       = Σ_{e=(i,j,d)} p_e · expV[(d, i), t]     (one real SpMM)
 
-The gather/scale works on a packed real block ``(n, 2k)`` ([Re | Im]
-halves), the sparse product is one real CSR×dense multiply accumulated in
-C by scipy's ``csr_matvecs``, and target-absorbing ``U'`` drops the pairs
-whose source is a target state (zeroing rows of ``U`` equals zeroing the
-corresponding components of ``v`` before the product; a transient absorbs
-nothing and keeps every pair).
+This module holds what that product needs and nothing that steps: the
+pairs, their expansion matrix per absorbing mask (target-absorbing ``U'``
+drops the pairs whose source is a target state — zeroing rows of ``U``
+equals zeroing those components of ``v`` before the product; a transient
+absorbs nothing and keeps every pair), the start vector's factors and the
+plane export.  The stepper is
+:class:`repro.smp.passage._FactoredRowOperator`, the batch engine's operator
+with this product: it keeps the batch operator's complex ``(width, n)``
+state, gathers the transposed state at the pair sources, scales by the
+pairs' transforms in one complex multiply and applies the real expansion
+matrix to the ``2 · width`` real columns of the result in one call of
+scipy's ``csr_matvecs``.
 
 When this engine wins — and when it does not
 --------------------------------------------
-Per iteration the factored product streams ``O(nnz)`` sparse data plus a
-dense working set proportional to ``(pairs + 2n) · n_s``; the batched
-block-diagonal product streams ``O(n_s · nnz)`` complex data.  The factored
-engine therefore dominates when the kernel has high fan-out relative to its
-pair count (``nnz >> pairs + 2n``, e.g. service pools where every state can
-hand off to many successors drawn from few distributions) and it is the
-only engine whose *memory* allows very wide s-blocks on very large kernels.
+Per iteration the factored product streams ``O(nnz)`` sparse data once for
+the whole block plus a dense working set of ``(2 pairs + 3 n) · n_s``
+complex entries; the batched block-diagonal product streams
+``O(n_s · nnz)`` complex data.  The factored engine can therefore win when
+the kernel has high fan-out relative to its pair count (``nnz >> pairs +
+2n``, e.g. service pools where every state can hand off to many successors
+drawn from few distributions), and it is the only engine whose *memory*
+allows very wide s-blocks on very large kernels.  Measured on the
+benchmark's service-pool kernel (600 states, 34.7k edges, six
+distributions, fan-out ratio 7.2) over a 66-point grid it runs 1.6 times
+as fast as the batch engine (``smp.factored.vs_batch_ratio`` 1.62 on
+``python3 bench/run.py --workload solve_variants --trace 1``, 2-core box).
 On low fan-out kernels (``nnz ≈ pairs + 2n``, e.g. the voting net with
-average degree ~5) the dense gather/scale touches as many bytes as the
-batched product streams, so :class:`~repro.smp.passage.SPointPolicy` routes
-those to the batched engine instead and bounds its block size.  See
-``scripts/bench_passage.py`` for the measured crossover.
+average degree ~5) the dense gather and scale touch as many bytes as the
+batched product streams, and the batch engine is as fast or faster: the
+paper's system 0 passage (1,876 states, 99 points) solves in 105 ms on it
+and 167 ms here, voting (8,3,2) in 8 ms on either (pure iterative, median of
+five).  :class:`~repro.smp.passage.SPointPolicy` therefore keeps those on the
+batched engine (``auto`` picks ``batch`` on every bundled model) and bounds
+its block size.  ``scripts/bench_passage.py`` measures the per-iteration
+crossover.
 """
 from __future__ import annotations
 
@@ -48,24 +63,7 @@ from collections import OrderedDict
 import numpy as np
 from scipy import sparse
 
-from .kernel import weighted_sums
-
 __all__ = ["FactoredUEvaluator"]
-
-try:  # scipy's C kernel accumulates `out += A @ B` without temporaries.
-    from scipy.sparse import _sparsetools
-
-    def _spmm_accumulate(matrix: sparse.csr_matrix, block: np.ndarray, out: np.ndarray) -> None:
-        n_row, n_col = matrix.shape
-        _sparsetools.csr_matvecs(
-            n_row, n_col, block.shape[1],
-            matrix.indptr, matrix.indices, matrix.data,
-            block.ravel(), out.ravel(),
-        )
-except Exception:  # pragma: no cover - exercised only on exotic scipy builds
-
-    def _spmm_accumulate(matrix, block, out):
-        out += matrix @ block
 
 
 class _RowStructure:
@@ -248,7 +246,8 @@ class FactoredUEvaluator:
         """``A[d, j] = Σ_e α_src(e) p_e`` over edges of distribution ``d``.
 
         ``α @ U(s) = L(s,:) @ A`` — the factored form of the batched
-        ``alpha_vec_matrix_batch`` start vector.
+        ``alpha_vec_matrix_batch`` start vector, which the factored operator
+        sums over the distributions in their order, not as a BLAS product.
         """
         csr = self.kernel.csr
         alpha = np.asarray(alpha, dtype=complex)
@@ -261,124 +260,3 @@ class FactoredUEvaluator:
             weights[selected] * csr.probs[selected],
         )
         return A
-
-
-# ---------------------------------------------------------------------------
-# Block operators: the per-s-block stepping objects the iteration driver in
-# repro.smp.passage drives.  State is a packed real block (rows, 2k) whose
-# first k columns are real parts and last k imaginary parts.
-# ---------------------------------------------------------------------------
-
-
-def _pack(real_block: np.ndarray, imag_block: np.ndarray) -> np.ndarray:
-    n, k = real_block.shape
-    packed = np.empty((n, 2 * k))
-    packed[:, :k] = real_block
-    packed[:, k:] = imag_block
-    return packed
-
-
-def _scale_pairs(
-    gathered: np.ndarray, d_re: np.ndarray, d_im: np.ndarray, out: np.ndarray, k: int
-) -> None:
-    """``out = gathered · D`` complex multiply on packed planar blocks."""
-    g_re = gathered[:, :k]
-    g_im = gathered[:, k:]
-    np.multiply(g_re, d_re, out=out[:, :k])
-    out[:, :k] -= g_im * d_im
-    np.multiply(g_re, d_im, out=out[:, k:])
-    out[:, k:] += g_im * d_re
-
-
-class FactoredRowOperator:
-    """Row-form stepper: ``v ← (v ⊙ non-absorbing) @ U(s_t)`` for a whole block.
-
-    ``_state`` is the packed real block ``(n, 2k)`` of the current term, one
-    column pair per live s-point, and ``lst`` the live points' rows of the
-    block's transform table, ``(k, n_dists)``, which the block solve has
-    already evaluated to route them.  As in the batch engine's operator the
-    form enters in two parts: the ``absorbing`` mask picks the pair-expansion
-    structure (the targets for a passage, none for a transient), and the
-    accumulation over ``targets`` is ``v . e`` for a passage (``weights``
-    None) or ``v . w_t`` for a transient, whose ``weights`` are ``(k,
-    |targets|)`` and whose sum starts with ``alpha . w``.
-    """
-
-    engine = "factored"
-
-    def __init__(self, factored, lst, absorbing, alpha, targets, weights=None):
-        self.factored = factored
-        self.n = factored.kernel.n_states
-        self.targets = targets
-        self.structure = factored.row_structure(absorbing)
-        self._alpha = np.asarray(alpha)
-        self._weights = weights
-        #: point-rows advanced so far (what the block's ``product_rows`` sums)
-        #: and the entries of the pair-expansion matrix they multiplied
-        self.product_rows = self.product_edges = 0
-        self._resize(lst)  # (k, D)
-
-    def _resize(self, lst: np.ndarray) -> None:
-        """Bind the live points' transform table and the buffers it sizes."""
-        self.lst = lst
-        self.width = lst.shape[0]
-        pair_dist = self.structure.pair_dist
-        self._d_re = np.ascontiguousarray(lst.real[:, pair_dist].T)
-        self._d_im = np.ascontiguousarray(lst.imag[:, pair_dist].T)
-        self._scratch = np.empty((self.structure.n_pairs, 2 * self.width))
-        self._out = np.empty((self.n, 2 * self.width))
-
-    def start(self) -> None:
-        """``v0 = α @ U(s_t)`` for every point of the block."""
-        v0 = self.lst @ self.factored.alpha_dist_matrix(self._alpha)
-        self._state = _pack(
-            np.ascontiguousarray(v0.real.T), np.ascontiguousarray(v0.imag.T)
-        )
-        self._totals = self._target_totals()
-        if self._weights is not None:
-            self._scale = np.maximum(np.abs(self._weights).max(axis=1), 1.0)
-            self._totals += weighted_sums(self._alpha.real[self.targets], 0.0, self._weights)
-
-    def step(self) -> None:
-        """``out = matrix @ (state[pair sources] · D)`` on packed planar blocks."""
-        _scale_pairs(
-            self._state[self.structure.pair_src], self._d_re, self._d_im,
-            self._scratch, self.width,
-        )
-        self._out[:] = 0.0
-        _spmm_accumulate(self.structure.matrix, self._scratch, self._out)
-        self._state, self._out = self._out, self._state
-        self.product_rows += self.width
-        self.product_edges += self.width * self.structure.matrix.nnz
-        self._totals = self._totals + self._target_totals()
-
-    def _target_totals(self) -> np.ndarray:
-        k = self.width
-        picked = self._state[self.targets]
-        if self._weights is None:
-            sums = picked.sum(axis=0)
-            return sums[:k] + 1j * sums[k:]
-        return weighted_sums(picked[:, :k].T, picked[:, k:].T, self._weights)
-
-    def residual(self) -> np.ndarray:
-        k = self.width
-        norm = np.hypot(self._state[:, :k], self._state[:, k:]).sum(axis=0)
-        return norm if self._weights is None else norm * self._scale
-
-    def take(self, positions: np.ndarray) -> np.ndarray:
-        return self._totals[positions]
-
-    def zero_points(self, positions: np.ndarray) -> None:
-        self._state[:, positions] = 0.0
-        self._state[:, self.width + positions] = 0.0
-
-    def narrow(self, width: int) -> None:
-        if width < self.width:
-            self._state = np.concatenate(
-                (self._state[:, :width], self._state[:, self.width : self.width + width]),
-                axis=1,
-            )
-            self._totals = self._totals[:width]
-            if self._weights is not None:
-                self._weights, self._scale = self._weights[:width], self._scale[:width]
-            self._resize(self.lst[:width])

@@ -45,7 +45,7 @@ __all__ = [
 #: values bumps it: files written under the old epoch are then keyed by
 #: digests nothing can produce any more, so they are never read and never
 #: touched, and the first use recomputes (README, "Digest epochs").
-DIGEST_EPOCH = b"smp-digest-epoch-5"
+DIGEST_EPOCH = b"smp-digest-epoch-6"
 
 
 def kernel_content_digest(kernel: "SMPKernel") -> str:

@@ -55,16 +55,19 @@ each of which exists exactly once:
   block-diagonal structure — or one per live point on its own data, each
   a direct call of scipy's C kernel, while the
   frontier is short of ``n`` or once the block's state exceeds
-  :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the distribution-factored
-  product of :mod:`repro.smp.factored`, whose per-iteration sparse work is
-  independent of the number of points in flight), behind one protocol.
+  :data:`BLOCKDIAG_MAX_BYTES`) or ``factored`` (the batch operator with
+  another start vector and product: the distribution-factored pair
+  expansion over the structures of :mod:`repro.smp.factored`, whose
+  per-iteration sparse work is independent of the number of points in
+  flight).  Both keep one complex ``(width, n)`` state.
   The frontier is structural: states are numbered in exploration order, so
   the support of ``v`` grows as a prefix from alpha's, and a step multiplies
   only the source rows of that prefix (:attr:`UEvaluator.reach
   <repro.smp.kernel.UEvaluator.reach>`) — same values, byte for byte.
 
-Every engine therefore runs the *same* truncation rule through one shared
-driver; a passage agrees with the one-point-at-a-time oracle of
+Every engine therefore runs the *same* truncation rule — one driver, and
+one ``residual`` / ``take`` / ``zero_points`` / ``narrow`` both operators
+inherit; a passage agrees with the one-point-at-a-time oracle of
 ``tests/reference`` to float associativity, a transient with the oracle's
 target-by-target assembly of Eq. (7) to the truncation tolerance (the two
 truncate different sums).  The :class:`SPointPolicy` picks the engine (once per
@@ -82,7 +85,6 @@ from scipy.sparse import _sparsetools
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 
-from .factored import FactoredRowOperator
 from .kernel import as_evaluator, check_alpha, target_mask, weighted_sums
 from .linear import passage_transform_direct_batch, transient_transform_direct_batch
 
@@ -281,7 +283,7 @@ class SPointPolicy:
     def _block_plan(self, evaluator, *, direct: bool = False) -> tuple[str, int]:
         """``(engine, s-points per block)`` — how a block loop starts.
 
-        ``factored`` blocks hold ``O(block · (pairs + n))`` dense state and
+        ``factored`` blocks hold ``O(block · (pairs + n))`` dense arrays and
         never touch per-edge data; every other block — ``batch`` and the
         explicit direct solve, labelled ``direct-lu``, whatever engine the
         kernel would iterate on — materialises ``O(block · nnz)`` complex
@@ -296,12 +298,22 @@ class SPointPolicy:
         table.  The ``n``-vectors — state, product, magnitudes, the
         structure's ``indptr`` and a transient's ``h*`` — measure 36-44 B
         per state; 48 are budgeted.
+
+        A factored block's working set per point is the pairs' transforms
+        and the scaled pairs, 16 B per pair each, and the state, its
+        transpose and the product, 16 B per state each.  A step frees the
+        scaled pairs before it transposes the product back, so the five are
+        never live together: on ``tracemalloc`` (the same test module) the
+        block peaks at ``16 · (2 pairs + 2 n)`` and under 1 KB more per
+        point.  ``16 · (2 pairs + 3 n)`` is budgeted, which also covers the
+        step's last moment — the pairs' transforms, the state, the product
+        and its transpose — when pairs are fewer than states.
         """
         kernel = evaluator.kernel
         engine = "direct-lu" if direct else self.resolve_engine(evaluator)
         if engine == "factored":
             pairs = evaluator.factored().row_pair_count
-            per_point = 16 * (3 * pairs + 3 * kernel.n_states)
+            per_point = 16 * (2 * pairs + 3 * kernel.n_states)
         else:
             per_point = 20 * kernel.n_transitions + (96 if direct else 48) * kernel.n_states
         return engine, max(1, int(self.max_block_bytes // max(per_point, 1)))
@@ -387,29 +399,38 @@ class _BatchRowOperator:
         #: point-rows advanced so far (what the block's ``product_rows`` sums)
         #: and the edge-point products they took
         self.product_rows = self.product_edges = 0
-        self._bind(grid.shape[0])
+        self.width = grid.shape[0]
+        self._one_product()
 
-    def _bind(self, width: int) -> None:
-        """Point the product at the first ``width`` positions: views, no copy."""
-        self.width = width
-        self._whole = width * self.n * 16 <= BLOCKDIAG_MAX_BYTES
-        if self._diag is None or (self._whole and self._diag[1].size < width * self._nnz):
-            self._diag = self.evaluator.block_diag_structure(width if self._whole else 1)
+    def _one_product(self) -> bool:
+        """Whether the live points advance through one block-diagonal
+        product (their state is at most :data:`BLOCKDIAG_MAX_BYTES`), with
+        ``_diag`` holding the structure it reads — or, when not, the one a
+        point advanced on its own reads, its first diagonal block."""
+        whole = self.width * self.n * 16 <= BLOCKDIAG_MAX_BYTES
+        if self._diag is None or (whole and self._diag[1].size < self.width * self._nnz):
+            self._diag = self.evaluator.block_diag_structure(self.width if whole else 1)
+        return whole
 
     def start(self) -> None:
-        self._state = self.evaluator.alpha_vec_matrix_batch(
+        state = self.evaluator.alpha_vec_matrix_batch(
             self._alpha, self._grid, np.arange(self.width)
         )
         # the grid is U until here, M from here on
         self._grid[:, self.evaluator.row_entries(np.flatnonzero(self._absorbing))] = 0.0
         self._hi = int(self.evaluator.reach[1 + np.flatnonzero(self._alpha)[-1]])
+        self._begin(state)
+
+    def _begin(self, state: np.ndarray) -> None:
+        """Take ``alpha U`` per point as the state and open the sums from it."""
+        self._state = state
         self._acc = self._target_sums()
         if self._weights is not None:
             self._scale = np.maximum(np.abs(self._weights).max(axis=1), 1.0)
             self._acc += weighted_sums(self._alpha.real[self._targets], 0.0, self._weights)
 
     def step(self) -> None:
-        if self._hi < self.n or not self._whole:
+        if self._hi < self.n or not self._one_product():
             self._advance_points()
         else:
             rows, edges = self.width * self.n, self.width * self._nnz
@@ -480,12 +501,73 @@ class _BatchRowOperator:
         self._live[positions] = False
 
     def narrow(self, width: int) -> None:
+        """Keep the first ``width`` positions: views, no copy."""
         if width < self.width:
+            self.width = width
             self._state = self._state[:width]
             self._acc = self._acc[:width]
             if self._weights is not None:
                 self._weights, self._scale = self._weights[:width], self._scale[:width]
-            self._bind(width)
+
+
+class _FactoredRowOperator(_BatchRowOperator):
+    """The factored engine's stepper: the batch operator with another product.
+
+    The state, the sums, the residual, the zeroing and the narrowing are the
+    batch operator's own, so the two engines run one truncation test.  Only
+    the start vector and the product differ: ``table`` holds the live points'
+    rows of the block's transform table, ``(width, n_dists)``, and there is
+    no ``U`` grid.  A step is the pair expansion of
+    :mod:`repro.smp.factored` — transpose the state to ``(n, width)``,
+    gather it at the pair sources, scale by the pairs' transforms and apply
+    the real pair-expansion matrix to the result, viewed as ``2 · width``
+    real columns, in one call of scipy's ``csr_matvecs``.
+    """
+
+    engine = "factored"
+
+    def __init__(self, evaluator, absorbing, alpha, targets, weights, table):
+        self.evaluator = evaluator
+        self.n = evaluator.kernel.n_states
+        self._alpha = alpha
+        self._targets = targets
+        self._weights = weights
+        self._lst = table
+        self.width = table.shape[0]
+        self._live = np.ones(self.width, dtype=bool)
+        structure = evaluator.factored().row_structure(absorbing)
+        self._pair_src, self._matrix = structure.pair_src, structure.matrix
+        #: ``(pairs, width)``: the transform each pair's entries carry, per point
+        self._pair_lst = np.take(table.T, structure.pair_dist, axis=0)
+        self.product_rows = self.product_edges = 0
+
+    def start(self) -> None:
+        self._begin(_dist_sum(self._lst, self.evaluator.factored().alpha_dist_matrix(self._alpha)))
+
+    def step(self) -> None:
+        n, width, matrix = self.n, self.width, self._matrix
+        scaled = np.take(np.ascontiguousarray(self._state.T), self._pair_src, axis=0)
+        scaled *= self._pair_lst[:, :width]
+        out = np.zeros((n, width), dtype=complex)
+        _sparsetools.csr_matvecs(
+            n, scaled.shape[0], 2 * width, matrix.indptr, matrix.indices, matrix.data,
+            scaled.view(float).ravel(), out.view(float).ravel(),
+        )
+        del scaled  # the block's memory plan holds the pairs or the new state, not both
+        self._state = np.ascontiguousarray(out.T)
+        self.product_rows += width
+        self.product_edges += width * matrix.nnz
+        self._acc = self._acc + self._target_sums()
+
+
+def _dist_sum(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``table @ rows`` summed over the distributions one at a time, in their
+    order: a BLAS product blocks by the number of points, and a point's value
+    must not depend on how many points share its block."""
+    total = table[:, 0, None] * rows[0]
+    for d in range(1, rows.shape[0]):
+        total += table[:, d, None] * rows[d]
+    return total
 
 
 def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True):
@@ -576,16 +658,17 @@ class _Form:
         ``h*`` is read off what the block already holds — the row sums of its
         ``U`` grid, whose first rows are those points (a transient zeroes
         none of them), or, with no grid (the factored engine), its transform
-        table times the distribution row sums — so no transform is
-        evaluated twice.
+        table times the distribution row sums, summed in a fixed order
+        (:func:`_dist_sum`) — so no transform is evaluated twice.
         """
         if not self.transient:
             return None
         if grid is None:
-            h = (table @ evaluator.dist_row_sums())[iter_idx]
+            h = _dist_sum(table[iter_idx], evaluator.dist_row_sums()[:, self.targets])
         else:
             h = np.add.reduceat(grid[: iter_idx.size], evaluator.csr.indptr[:-1], axis=1)
-        return (1.0 - h[:, self.targets]) / s_block[iter_idx, None]
+            h = h[:, self.targets]
+        return (1.0 - h) / s_block[iter_idx, None]
 
     def direct(self, evaluator, s_values, u_data) -> np.ndarray:
         """The values of points the sparse LU solves, one factorisation each.
@@ -611,8 +694,8 @@ class _Form:
         transform table, the batch engine ``grid``, their rows of the block's
         U grid (the other is None); ``weights`` are their :meth:`weights`."""
         if engine == "factored":
-            return FactoredRowOperator(
-                evaluator.factored(), table, self.absorbing, self.alpha, self.targets, weights
+            return _FactoredRowOperator(
+                evaluator, self.absorbing, self.alpha, self.targets, weights, table
             )
         return _BatchRowOperator(
             evaluator, self.absorbing, self.alpha, self.targets, weights, grid

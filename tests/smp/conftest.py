@@ -90,6 +90,29 @@ def random_kernel(rng: np.random.Generator, n_states: int, density: float = 0.35
     return b.build()
 
 
+def fan_out_kernel(n_states: int = 300, degree: int = 40, seed: int = 7):
+    """A service-pool kernel: every state hands off to ~``degree`` successors
+    drawn from six sojourn distributions, so ``auto`` factors it."""
+    rng = np.random.default_rng(seed)
+    sojourns = [
+        Exponential(1.2), Erlang(2.0, 3), Uniform(0.2, 1.4),
+        Deterministic(0.5), Erlang(1.0, 2), Exponential(4.0),
+    ]
+    b = SMPBuilder()
+    for i in range(n_states):
+        b.add_state(f"s{i}")
+    for i in range(n_states):
+        successors = np.unique(
+            np.concatenate([[(i + 1) % n_states], rng.integers(0, n_states, degree)])
+        )
+        successors = successors[successors != i]
+        weights = rng.random(successors.size) + 0.05
+        weights /= weights.sum()
+        for w, j in zip(weights, successors):
+            b.add_transition(i, int(j), float(w), sojourns[int(rng.integers(0, len(sojourns)))])
+    return b.build()
+
+
 # --- the stationary vector's oracles: the two solvers ``dtmc_steady_state``
 # --- chose between until PR 22, kept here to check the one it has now
 

@@ -23,7 +23,7 @@ from repro.smp import (
 from repro.smp import kernel as kernel_module
 from repro.smp import passage as passage_module
 from tests.reference import u_matrix
-from tests.smp.conftest import random_kernel, voting_measure
+from tests.smp.conftest import fan_out_kernel, random_kernel, voting_measure
 
 #: voting (8,3,2) and the paper's system 0 with a three-t Euler grid (the
 #: second is the benchmark's ``solve_passage`` op)
@@ -79,6 +79,35 @@ def test_a_block_stays_inside_its_memory_plan(measure, form):
     peak = _traced_peak(solve)
     assert [entry["points"] for entry in report["blocks"]] == [block]
     assert peak <= budget, (peak / block / kernel.n_transitions, "B per edge per point")
+
+
+@pytest.mark.parametrize("form", ["row", "transient"])
+def test_a_factored_block_stays_inside_its_memory_plan(form):
+    """The factored engine's plan, ``16 · (2 pairs + 3 n)`` B per point, is
+    its working set: the largest block the policy allows peaks below the
+    budget and above three quarters of it.  The kernel's pair structures are
+    built first — they are the kernel's, not the block's.  (The packed
+    planar operator budgeted ``16 · (3 pairs + 3 n)`` and peaked at 3.9
+    ``(pairs + n)`` per point, above it.)"""
+    kernel = fan_out_kernel()
+    alpha = np.zeros(kernel.n_states)
+    alpha[0] = 1.0
+    targets = [kernel.n_states - 1]
+    solve = passage_transform_batch if form == "row" else transient_transform_batch
+    budget = 8 << 20
+    policy = SPointPolicy(engine="factored", max_block_bytes=budget)
+    evaluator = kernel.evaluator()
+    evaluator.factored().prewarm()
+    block = policy.block_points(evaluator)
+    grid = np.asarray(EulerInverter().required_s_points(np.asarray([2.0, 4.0, 6.0, 9.0])))
+    assert 50 <= block <= grid.size
+    solve(evaluator, alpha, targets, 1.1 * grid[:3], policy=policy)
+    report: dict = {}
+    peak = _traced_peak(
+        lambda: solve(evaluator, alpha, targets, grid[:block], policy=policy, report=report)
+    )
+    assert [entry["points"] for entry in report["blocks"]] == [block]
+    assert budget * 3 // 4 < peak <= budget, peak / budget
 
 
 def test_the_block_diagonal_structure_is_built_once_per_kernel(measure, monkeypatch):

@@ -45,7 +45,7 @@ from repro.smp import (
 )
 from tests import reference
 from tests.reference import passage_transform, transient_transform
-from tests.smp.conftest import random_kernel
+from tests.smp.conftest import fan_out_kernel, random_kernel
 
 #: pure-iterative policies, one per engine (no direct routing, no fallback)
 FACTORED = SPointPolicy(
@@ -204,37 +204,37 @@ def test_multi_target_absorbing_parity():
 
 def test_factored_u_product_against_matrix():
     """The factored row operator reproduces dense ``U'(s)`` products for a
-    passage and ``U(s)`` products with the weighted sums for a transient."""
-    from repro.smp.factored import FactoredRowOperator
+    passage and ``U(s)`` products with the weighted sums for a transient, on
+    the batch operator's complex ``(width, n)`` state."""
+    from repro.smp.passage import _FactoredRowOperator
 
     kernel = random_kernel(np.random.default_rng(3), 9)
     evaluator = kernel.evaluator()
-    fac = evaluator.factored()
     s_block = np.array([0.7 + 0.4j, 1.3 - 2.0j, 0.2 + 5.0j])
+    table = evaluator.lst_table(s_block)
     mask = np.zeros(kernel.n_states, dtype=bool)
     mask[[2, 6]] = True
     alpha = np.asarray(source_weights(kernel, [0]), dtype=complex)
 
-    row = FactoredRowOperator(fac, fac.lst_grid(s_block), mask, alpha, np.flatnonzero(mask))
+    row = _FactoredRowOperator(evaluator, mask, alpha, np.flatnonzero(mask), None, table)
     row.start()
+    assert row._state.shape == (s_block.size, kernel.n_states)
+    assert row._state.dtype == complex
     for t, s in enumerate(s_block):
         expected = np.asarray(alpha @ reference.u_matrix(kernel, complex(s))).ravel()
-        got = row._state[:, t] + 1j * row._state[:, s_block.size + t]
-        assert np.abs(got - expected).max() < 1e-12
+        assert np.abs(row._state[t] - expected).max() < 1e-12
     row.step()  # one application of U'
     for t, s in enumerate(s_block):
         v0 = np.asarray(alpha @ reference.u_matrix(kernel, complex(s))).ravel()
         expected = v0 @ reference.u_prime(kernel, complex(s), mask)
-        got = row._state[:, t] + 1j * row._state[:, s_block.size + t]
-        assert np.abs(got - expected).max() < 1e-12
+        assert np.abs(row._state[t] - expected).max() < 1e-12
 
     targets = np.asarray([0, 2, 6])
     weights = np.stack([
         (1.0 - reference.sojourn_lsts(kernel, complex(s))[targets]) / s for s in s_block
     ])
-    transient = FactoredRowOperator(
-        fac, fac.lst_grid(s_block), np.zeros(kernel.n_states, dtype=bool), alpha, targets,
-        weights,
+    transient = _FactoredRowOperator(
+        evaluator, np.zeros(kernel.n_states, dtype=bool), alpha, targets, weights, table
     )
     transient.start()
     transient.step()  # one application of U: nothing absorbed
@@ -242,10 +242,36 @@ def test_factored_u_product_against_matrix():
         u = reference.u_matrix(kernel, complex(s))
         terms = [alpha, np.asarray(alpha @ u).ravel()]
         terms.append(terms[-1] @ u)
-        got = transient._state[:, t] + 1j * transient._state[:, s_block.size + t]
-        assert np.abs(got - terms[-1]).max() < 1e-12
+        assert np.abs(transient._state[t] - terms[-1]).max() < 1e-12
         expected = sum(term[targets] @ weights[t] for term in terms)
         assert abs(transient.take(np.asarray([t]))[0] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("solve", [passage_transform_batch, transient_transform_batch],
+                         ids=["passage", "transient"])
+@pytest.mark.parametrize("engine", ["batch", "factored"])
+def test_a_points_value_does_not_depend_on_its_block(engine, solve):
+    """On a high-fan-out kernel a point's value is bit-identical solved
+    alone, in its block and in a shuffled block, for both engines, passage
+    and transient.  (The factored start vector and the transient's ``h*``
+    were BLAS products whose blocking follows the block's width, and moved
+    the factored transient's values with it.)"""
+    kernel = fan_out_kernel()
+    assert SPointPolicy().resolve_engine(kernel.evaluator()) == "factored"
+    alpha = np.zeros(kernel.n_states)
+    alpha[0] = 1.0
+    targets = [kernel.n_states - 1, kernel.n_states // 2]
+    policy = SPointPolicy(
+        engine=engine, predicted_iteration_limit=10**9, fallback_to_direct=False
+    )
+    grid = np.concatenate([euler_s_points(t) for t in (2.0, 6.0)])
+    block, _ = solve(kernel, alpha, targets, grid, policy=policy)
+    order = np.random.default_rng(5).permutation(grid.size)
+    shuffled, _ = solve(kernel, alpha, targets, grid[order], policy=policy)
+    assert np.array_equal(shuffled, block[order])
+    for index in range(0, grid.size, 5):
+        alone, _ = solve(kernel, alpha, targets, grid[index:index + 1], policy=policy)
+        assert alone[0] == block[index], index
 
 
 def test_blocked_grid_matches_unblocked():

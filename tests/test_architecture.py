@@ -407,8 +407,7 @@ def test_policy_knobs_earn_their_keep():
 def test_the_block_solve_does_not_copy():
     """One block-diagonal image per kernel, ``U'`` written once, shrink by
     view: the copying paths stay deleted and the protocol has one spelling."""
-    from repro.smp.factored import FactoredRowOperator
-    from repro.smp.passage import _BatchRowOperator
+    from repro.smp.passage import _BatchRowOperator, _FactoredRowOperator
 
     sources = {path: path.read_text() for path in SRC.rglob("*.py")}
     for name in ("block_diag_matrix", "_csc_structure", "_ensure_operator", "pos_map"):
@@ -419,9 +418,9 @@ def test_the_block_solve_does_not_copy():
         for node in _nodes(path, ast.FunctionDef)
         if node.name in ("shrink", "narrow")
     ]
-    # the two operators, one per engine, each slicing its own state
-    assert methods == ["narrow"] * 2
-    for operator in (_BatchRowOperator, FactoredRowOperator):
+    # one narrowing: the factored operator inherits the batch operator's
+    assert methods == ["narrow"]
+    for operator in (_BatchRowOperator, _FactoredRowOperator):
         assert callable(operator.narrow) and not hasattr(operator, "shrink")
         assert not hasattr(operator, "finish")
     assert _call_sites("narrow") == {"smp/passage.py": 1}  # the driver's
@@ -457,7 +456,8 @@ def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
     prefix views of the block's data and the kernel's one structure, not a
     per-point matrix over the kernel's adjacency.
     ``scipy.sparse._sparsetools`` is private, so its users are pinned with
-    the kernels they call."""
+    the kernels they call: one module, the batch operator's ``csc_matvec``
+    and the factored operator's ``csr_matvecs``."""
     passage = SRC / "smp" / "passage.py"
     tree = ast.parse(passage.read_text())
     builds = [
@@ -481,10 +481,28 @@ def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
                 node.attr for node in _nodes(path, ast.Attribute)
                 if getattr(node.value, "id", None) == "_sparsetools"
             })
-    assert users == {
-        "smp/factored.py": ["csr_matvecs"],
-        "smp/passage.py": ["csc_matvec"],
+    assert users == {"smp/passage.py": ["csc_matvec", "csr_matvecs"]}
+
+
+def test_the_factored_operator_is_the_batch_operator_with_another_product():
+    """``smp/factored.py`` holds the engine's structures and no operator;
+    the factored operator inherits the state, the sums, the residual and
+    the narrowing, so both engines run one truncation test."""
+    from repro.smp.passage import _BatchRowOperator, _FactoredRowOperator
+
+    factored = SRC / "smp" / "factored.py"
+    assert [node.name for node in _nodes(factored, ast.ClassDef)] == [
+        "_RowStructure", "FactoredUEvaluator",
+    ]
+    tree = ast.parse(factored.read_text())
+    assert not [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    protocol = {"start", "step", "residual", "take", "zero_points", "narrow"}
+    assert not protocol & {node.name for node in _nodes(factored, ast.FunctionDef)}
+    assert _FactoredRowOperator.__bases__ == (_BatchRowOperator,)
+    overridden = {
+        name for name, value in vars(_FactoredRowOperator).items() if inspect.isfunction(value)
     }
+    assert overridden == {"__init__", "start", "step"}
 
 
 def test_the_column_form_stays_deleted():
