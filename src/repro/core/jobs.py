@@ -6,9 +6,11 @@ s-points: the kernel, the source weighting, the target set and the truncation
 options.  It evaluates grids only — ``evaluate_batch(s_values)`` returns the
 transform values in input order, through the one block solve of
 :mod:`repro.smp`; a single s-point is a grid of one (``evaluate_many([s])``).
-Jobs are picklable, so the multiprocessing backend can ship them to worker
-processes once and then stream bare s-values, and they expose a stable digest
-used to key the on-disk checkpoint cache.
+Jobs are picklable, but a pool does not ship them: every block it sends
+carries the job's few-hundred-byte :class:`JobSpec` and the path of its kernel
+plane, from which a worker rebuilds the job once and keeps it for the blocks
+that follow.  Jobs expose a stable digest used to key the on-disk checkpoint
+cache.
 """
 from __future__ import annotations
 

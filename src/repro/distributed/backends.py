@@ -508,15 +508,8 @@ class MultiprocessingBackend:
         self._remove_private_planes = None
 
     # --------------------------------------------------------------- plumbing
-    def _plane_handle(self, job: TransformJob, include_factored: bool) -> PlaneHandle:
-        evaluator = job.evaluator
-        with obs_trace.span(
-            "plane-export",
-            digest=kernel_content_digest(job.kernel),
-            factored=include_factored,
-        ):
-            if include_factored:
-                evaluator.factored().prewarm()
+    def _plane_handle(self, job: TransformJob) -> PlaneHandle:
+        with obs_trace.span("plane-export", digest=kernel_content_digest(job.kernel)):
             with self._lock:
                 if self.plane_store is None:
                     directory = tempfile.mkdtemp(prefix=f"repro-planes-{os.getpid()}-")
@@ -525,7 +518,7 @@ class MultiprocessingBackend:
                         self, shutil.rmtree, directory, ignore_errors=True
                     )
                 store = self.plane_store
-            return store.export(evaluator, include_factored=include_factored)
+            return store.export(job.evaluator)
 
     def _live_pool(self) -> _WorkerPool:
         """The pool to submit to, forked here if there is none."""
@@ -628,13 +621,8 @@ class MultiprocessingBackend:
         start = time.perf_counter()
         policy = job.policy or SPointPolicy()
         block_size = block_points or self.block_points(job, len(s_list))
-        include_factored = (
-            policy.resolve_engine(job.evaluator) == "factored"
-            and job.solver != "direct"
-        )
         message = functools.partial(
-            _BlockTask, job.digest(), JobSpec.from_job(job),
-            self._plane_handle(job, include_factored),
+            _BlockTask, job.digest(), JobSpec.from_job(job), self._plane_handle(job),
             trace=obs_trace.get_tracer().enabled, faults=faults.active_spec(),
         )
         call = _Call(

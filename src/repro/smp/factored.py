@@ -23,8 +23,9 @@ This module holds what that product needs and nothing that steps: the
 pairs, their expansion matrix per absorbing mask (target-absorbing ``U'``
 drops the pairs whose source is a target state — zeroing rows of ``U``
 equals zeroing those components of ``v`` before the product; a transient
-absorbs nothing and keeps every pair), the start vector's factors and the
-plane export.  The stepper is
+absorbs nothing and keeps every pair) and the start vector's factors, all
+derived from the kernel's image where the engine runs — in a pool worker,
+from the plane it attached, on its first factored block.  The stepper is
 :class:`repro.smp.passage._FactoredRowOperator`, the batch engine's operator
 with this product: it keeps the batch operator's complex ``(width, n)``
 state, gathers the transposed state at the pair sources, scales by the
@@ -58,7 +59,7 @@ crossover.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -78,7 +79,7 @@ class _RowStructure:
     __slots__ = ("pair_src", "pair_dist", "matrix", "n_pairs")
 
     def __init__(self, factored: "FactoredUEvaluator", target_mask: np.ndarray):
-        pair_src, pair_dist, pair_of_edge = factored._row_pairs()
+        pair_src, pair_dist, pair_of_edge = factored._row_pairs
         probs, cols = factored.kernel.csr.probs, factored.kernel.csr.indices
         n = factored.kernel.n_states
         keep = ~target_mask[pair_src]
@@ -106,46 +107,16 @@ class FactoredUEvaluator:
     nothing until a factored product is requested.
     """
 
-    #: how many target-mask row structures to keep (a serving workload
-    #: alternates between a few measures per kernel)
-    _STRUCTURE_CACHE = 4
-
-    def __init__(self, evaluator, exported: dict | None = None):
+    def __init__(self, evaluator):
         self.evaluator = evaluator
         self.kernel = evaluator.kernel
-        self._row_pair_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._row_pair_count: int | None = None
-        self._row_structures: "OrderedDict[bytes, _RowStructure]" = OrderedDict()
-        if exported is not None:
-            self._adopt(exported)
-
-    # ---------------------------------------------------------- export/adopt
-    def export(self) -> dict[str, np.ndarray]:
-        """The target-independent structures as named arrays, built if need be.
-
-        What a kernel plane carries beside the kernel's ``csr``; passing the
-        dict (or views of the same arrays) to the constructor gives an engine
-        that computes none of them again.
-        """
-        pair_src, pair_dist, pair_of_edge = self._row_pairs()
-        return {
-            "pair_src": pair_src,
-            "pair_dist": pair_dist,
-            "pair_of_edge": pair_of_edge,
-            "dist_row_sums": self.dist_row_sums(),
-        }
-
-    def _adopt(self, v: dict) -> None:
-        self._row_pair_cache = (v["pair_src"], v["pair_dist"], v["pair_of_edge"])
-        self._row_pair_count = int(v["pair_src"].size)
-        self.evaluator._dist_row_sums = v["dist_row_sums"]
 
     # -------------------------------------------------------------- identity
     @property
     def n_distributions(self) -> int:
         return self.kernel.n_distributions
 
-    @property
+    @cached_property
     def row_pair_count(self) -> int:
         """Number of distinct ``(distribution, source)`` pairs.
 
@@ -157,12 +128,10 @@ class FactoredUEvaluator:
         which bounds the table), including ones it then routes to the batch
         engine, which must not pay for or pin structures they never use.
         """
-        if self._row_pair_count is None:
-            csr = self.kernel.csr
-            seen = np.zeros((self.n_distributions, self.kernel.n_states), dtype=bool)
-            seen[csr.dist_index, csr.rows] = True
-            self._row_pair_count = int(np.count_nonzero(seen))
-        return self._row_pair_count
+        csr = self.kernel.csr
+        seen = np.zeros((self.n_distributions, self.kernel.n_states), dtype=bool)
+        seen[csr.dist_index, csr.rows] = True
+        return int(np.count_nonzero(seen))
 
     def prewarm(self) -> None:
         """Build the target-independent structures ahead of the first solve.
@@ -177,8 +146,8 @@ class FactoredUEvaluator:
             n_states=int(self.kernel.n_states),
             n_distributions=int(self.n_distributions),
         ):
-            self._row_pairs()
-            self.dist_row_sums()
+            self._row_pairs
+            self.evaluator.dist_row_sums()
 
     def density_ratio(self) -> float:
         """``nnz / (pairs + 2n)`` — the fan-out measure the policy routes on.
@@ -193,54 +162,25 @@ class FactoredUEvaluator:
         )
 
     # ----------------------------------------------------- shared structures
+    @cached_property
     def _row_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._row_pair_cache is None:
-            csr, n = self.kernel.csr, self.kernel.n_states
-            keys = csr.dist_index * np.int64(n) + csr.rows
-            unique_keys, pair_of_edge = np.unique(keys, return_inverse=True)
-            self._row_pair_cache = (
-                (unique_keys % n).astype(np.int64),
-                (unique_keys // n).astype(np.int64),
-                pair_of_edge,
-            )
-            self._row_pair_count = int(unique_keys.size)
-        src, dist, edge = self._row_pair_cache
-        return src, dist, edge
+        """``(pair_src, pair_dist, pair_of_edge)``: the distinct
+        ``(distribution, source)`` pairs and each edge's pair."""
+        csr, n = self.kernel.csr, self.kernel.n_states
+        keys = csr.dist_index * np.int64(n) + csr.rows
+        unique_keys, pair_of_edge = np.unique(keys, return_inverse=True)
+        return (
+            (unique_keys % n).astype(np.int64),
+            (unique_keys // n).astype(np.int64),
+            pair_of_edge,
+        )
 
     def row_structure(self, target_mask: np.ndarray) -> _RowStructure:
-        key = np.asarray(target_mask, dtype=bool).tobytes()
-        hit = self._row_structures.get(key)
-        if hit is not None:
-            self._row_structures.move_to_end(key)
-            return hit
-        structure = _RowStructure(self, target_mask)
-        self._row_structures[key] = structure
-        while len(self._row_structures) > self._STRUCTURE_CACHE:
-            self._row_structures.popitem(last=False)
-        return structure
-
-    def dist_row_sums(self) -> np.ndarray:
-        """``R[d, i] = Σ_j p_ij`` over transitions of distribution ``d``:
-        the evaluator's (:meth:`UEvaluator.dist_row_sums
-        <repro.smp.kernel.UEvaluator.dist_row_sums>`)."""
-        return self.evaluator.dist_row_sums()
-
-    # ------------------------------------------------------------- transforms
-    def lst_grid(self, s_values) -> np.ndarray:
-        """``(n_s, n_dists)`` table of distribution transforms over the grid."""
-        return self.evaluator.lst_table(s_values)
-
-    def contraction(
-        self, s_values, target_mask: np.ndarray | None, *, chunk: int = 65536
-    ) -> np.ndarray:
-        """``max_i Σ_j |u'_ij(s)|`` per s-point: the evaluator's
-        :meth:`~repro.smp.kernel.UEvaluator.contraction` of the grid's table,
-        the one formula both engines route by."""
-        return self.evaluator.contraction(self.lst_grid(s_values), target_mask, chunk=chunk)
-
-    def sojourn_lst_batch(self, s_values) -> np.ndarray:
-        """``(n_s, n_states)`` sojourn transforms ``h*_i(s) = Σ_d lst_d(s) R[d,i]``."""
-        return self.lst_grid(s_values) @ self.dist_row_sums()
+        """The expansion for one target mask, kept by the evaluator's
+        :meth:`~repro.smp.kernel.UEvaluator.per_mask` cache."""
+        return self.evaluator.per_mask(
+            "row-structure", target_mask, lambda mask: _RowStructure(self, mask)
+        )
 
     def alpha_dist_matrix(self, alpha: np.ndarray) -> np.ndarray:
         """``A[d, j] = Σ_e α_src(e) p_e`` over edges of distribution ``d``.

@@ -557,13 +557,15 @@ class UEvaluator:
         self._block_diag: tuple[int, np.ndarray, np.ndarray] | None = None
         self._dist_row_sums: np.ndarray | None = None
         self._factored = None
-        self._direct_orderings: "OrderedDict[bytes, DirectOrdering]" = OrderedDict()
-        self._direct_orderings_lock = threading.Lock()
+        #: the per-mask structures, ``{kind: OrderedDict(mask bytes -> structure)}``
+        self._per_mask: "dict[str, OrderedDict[bytes, object]]" = {}
+        self._per_mask_lock = threading.Lock()
 
-    #: how many direct-solve orderings (one per absorbing mask) to keep: a
+    #: how many structures of each kind (one per absorbing mask) to keep: a
     #: bound on what an evaluator holds, not a tuned figure — a mask asked
-    #: again after falling out pays its ordering again (4–7 ms on system 0)
-    _DIRECT_ORDERINGS = 4
+    #: again after falling out pays its build again (a direct ordering 4–7 ms
+    #: on system 0)
+    _PER_MASK = 4
 
     #: cap on one chunk of a :meth:`fill_u_data` fill (and of the direct
     #: solver's reused fill buffer), in bytes of per-edge data
@@ -574,24 +576,17 @@ class UEvaluator:
         working chunk (shared by the batch fill and the direct solver)."""
         return max(1, int(self.batch_fill_bytes // max(self.csr.indices.size * 16, 1)))
 
-    def factored(self, exported: dict | None = None) -> "FactoredUEvaluator":
+    def factored(self) -> "FactoredUEvaluator":
         """The distribution-factored multi-s engine sharing this kernel.
 
         Built lazily and cached: the pair decompositions cost one pass over
         the edges and are reused by every factored solve on this evaluator.
-        ``exported`` (the arrays of :meth:`FactoredUEvaluator.export`, e.g.
-        views into an attached plane) are adopted instead of recomputed.
         """
         if self._factored is None:
             from .factored import FactoredUEvaluator
 
-            self._factored = FactoredUEvaluator(self, exported)
+            self._factored = FactoredUEvaluator(self)
         return self._factored
-
-    @property
-    def factored_built(self) -> bool:
-        """Whether :meth:`factored` has been asked for on this evaluator."""
-        return self._factored is not None
 
     # ------------------------------------------------------------- batch API
     def lst_table(self, s_values) -> np.ndarray:
@@ -646,8 +641,7 @@ class UEvaluator:
     def dist_row_sums(self) -> np.ndarray:
         """``R[d, i] = Σ_j p_ij`` over the transitions of distribution ``d``.
 
-        ``(n_dists, n_states)``, built once per evaluator (or adopted from a
-        kernel plane with the factored engine's arrays).
+        ``(n_dists, n_states)``, built once per evaluator.
         """
         if self._dist_row_sums is None:
             csr = self.csr
@@ -699,27 +693,35 @@ class UEvaluator:
             self._a_structure = _csc_identity_plus(self.kernel.n_states, csr.rows, csr.indices)
         return self._a_structure
 
-    def direct_ordering(self, absorbing: np.ndarray) -> "DirectOrdering":
-        """The complex direct solve's symbolic analysis for one absorbing mask.
+    def per_mask(self, kind: str, absorbing: np.ndarray, build):
+        """``build(absorbing)``, kept for the last :attr:`_PER_MASK` masks of ``kind``.
 
-        Built on first use (:class:`repro.smp.linear.DirectOrdering`) and
-        kept for the last :attr:`_DIRECT_ORDERINGS` masks, so every routed
-        s-point of a measure — across its blocks and its queries — is
-        factored in one ordering computed once.  A server's request threads
-        share one evaluator, so the cache is locked and single-flight:
-        concurrent first asks for a mask wait on one build.
+        The one cache of the structures a solve derives from the kernel and
+        an absorbing mask — the direct solve's ordering, the factored
+        engine's row structure — so every s-point of a measure, across its
+        blocks and its queries, uses one structure built once.  A server's
+        request threads share one evaluator, so the cache is locked and
+        single-flight: concurrent first asks for a mask wait on one build.
         """
+        key = np.asarray(absorbing, dtype=bool).tobytes()
+        with self._per_mask_lock:
+            held_of_kind = self._per_mask.setdefault(kind, OrderedDict())
+            held = held_of_kind.pop(key, None)
+            if held is None:
+                held = build(absorbing)
+            held_of_kind[key] = held  # most recent last
+            while len(held_of_kind) > self._PER_MASK:
+                held_of_kind.popitem(last=False)
+        return held
+
+    def direct_ordering(self, absorbing: np.ndarray) -> "DirectOrdering":
+        """The complex direct solve's symbolic analysis for one absorbing mask
+        (:class:`repro.smp.linear.DirectOrdering`), kept by :meth:`per_mask`."""
         from .linear import DirectOrdering
 
-        key = np.asarray(absorbing, dtype=bool).tobytes()
-        with self._direct_orderings_lock:
-            held = self._direct_orderings.pop(key, None)
-            if held is None:
-                held = DirectOrdering(self, absorbing)
-            self._direct_orderings[key] = held  # most recent last
-            while len(self._direct_orderings) > self._DIRECT_ORDERINGS:
-                self._direct_orderings.popitem(last=False)
-        return held
+        return self.per_mask(
+            "direct-ordering", absorbing, lambda mask: DirectOrdering(self, mask)
+        )
 
     def block_diag_structure(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of ``block_diag`` of ``width`` copies of :attr:`csr`.

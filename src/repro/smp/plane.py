@@ -1,10 +1,10 @@
 """Kernel plane: one kernel image in a file, many worker processes.
 
 The distributed pipeline's unit of dispatch is an s-block, but every block
-needs the *same* read-only inputs: the kernel's image
+needs the *same* read-only input: the kernel's image
 (:attr:`SMPKernel.csr <repro.smp.kernel.SMPKernel.csr>`, the five arrays every
-solver reads) and, for the factored engine, the per-distribution pair slices.
-Pickling those into each worker would copy a 5.9M-edge kernel once per
+solver reads, and from which a worker derives whatever else it solves with).
+Pickling it into each worker would copy a 5.9M-edge kernel once per
 process — the scalar-era behaviour this module removes.
 
 A :class:`KernelPlane` writes the arrays once into a single CRC-checked file —
@@ -13,7 +13,7 @@ pool's private temporary directory — and hands out a tiny picklable
 :class:`PlaneHandle`, the file's path.  ``handle.attach()`` maps the file
 read-only and reconstructs a fully functional
 :class:`~repro.smp.kernel.SMPKernel` / :class:`~repro.smp.kernel.UEvaluator`
-(factored slices prefilled) whose arrays are zero-copy views straight into
+whose arrays are zero-copy views straight into
 the mapping: attaching costs one header unpickle and one checksum pass, and N
 workers share one physical copy of the kernel through the page cache.
 
@@ -21,7 +21,7 @@ Layout::
 
     magic  "SMPPLANE1"
     u64    header length (little endian)
-    bytes  pickled header {n_states, digest, distributions, factored, arrays}
+    bytes  pickled header {n_states, digest, distributions, arrays, payload_bytes, crc32}
     ...    64-byte-aligned array payload (offsets recorded in the header)
 
 Only the distribution objects travel through pickle — a handful of small
@@ -64,23 +64,19 @@ def _align_up(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def _collect_arrays(evaluator: UEvaluator, include_factored: bool) -> dict:
+def _plan(evaluator: UEvaluator):
+    """Lay the arrays out and pickle the header; returns everything build needs."""
     csr = evaluator.kernel.csr
     arrays = {
-        "indptr": csr.indptr,
-        "indices": csr.indices,
-        "csr_probs": csr.probs,
-        "csr_dist_index": csr.dist_index,
-        "csr_rows": csr.rows,
+        name: np.ascontiguousarray(a)
+        for name, a in (
+            ("indptr", csr.indptr),
+            ("indices", csr.indices),
+            ("csr_probs", csr.probs),
+            ("csr_dist_index", csr.dist_index),
+            ("csr_rows", csr.rows),
+        )
     }
-    if include_factored:
-        arrays.update(evaluator.factored().export())
-    return {name: np.ascontiguousarray(a) for name, a in arrays.items()}
-
-
-def _plan(evaluator: UEvaluator, include_factored: bool):
-    """Lay the arrays out and pickle the header; returns everything build needs."""
-    arrays = _collect_arrays(evaluator, include_factored)
     entries = []
     offset = 0
     crc = 0
@@ -93,7 +89,6 @@ def _plan(evaluator: UEvaluator, include_factored: bool):
         "n_states": evaluator.kernel.n_states,
         "digest": kernel_content_digest(evaluator.kernel),
         "distributions": evaluator.kernel.distributions,
-        "factored": bool(include_factored),
         "arrays": entries,
         "payload_bytes": offset,
         # CRC32 over the array bytes in layout order (alignment gaps are not
@@ -170,16 +165,14 @@ class AttachedPlane:
 
     ``kernel`` / ``evaluator`` are ordinary :class:`SMPKernel` /
     :class:`UEvaluator` objects whose arrays alias the plane buffer
-    (``OWNDATA`` is false on every one of them); the factored engine, when
-    exported, is prefilled the same way.  Keep the object alive for as long
-    as the evaluator is in use — it owns the mapping.
+    (``OWNDATA`` is false on every one of them).  Keep the object alive for
+    as long as the evaluator is in use — it owns the mapping.
     """
 
     def __init__(self, buf, owner, header: dict, payload_start: int):
         self._owner = owner  # the mmap keeping the buffer alive
         self._buf = buf
         self.digest: str = header["digest"]
-        self.factored: bool = header["factored"]
         self.arrays: dict[str, np.ndarray] = {}
         for name, dtype, shape, offset in header["arrays"]:
             self.arrays[name] = np.ndarray(
@@ -194,8 +187,6 @@ class AttachedPlane:
             header["distributions"], content_digest=self.digest,
         )
         self.evaluator = self.kernel.evaluator()
-        if self.factored:
-            self.evaluator.factored(v)
 
     def close(self) -> None:
         """Drop the views and release the mapping (best effort).
@@ -238,26 +229,13 @@ class KernelPlane:
         self.nbytes = nbytes
 
     @classmethod
-    def build(
-        cls,
-        evaluator: UEvaluator,
-        path: str | os.PathLike,
-        *,
-        include_factored: bool | None = None,
-    ) -> "KernelPlane":
+    def build(cls, evaluator: UEvaluator, path: str | os.PathLike) -> "KernelPlane":
         """Serialise ``evaluator``'s kernel into the file ``path``.
 
-        ``include_factored=None`` exports the factored slices only when the
-        evaluator has already built its factored engine (callers that know
-        the resolved engine pass an explicit bool).  The file is written
-        atomically (temp file + rename), so concurrent exporters of the same
-        digest are safe.
+        The file is written atomically (temp file + rename), so concurrent
+        exporters of the same digest are safe.
         """
-        if include_factored is None:
-            include_factored = evaluator.factored_built
-        arrays, entries, header_bytes, payload_start, total = _plan(
-            evaluator, include_factored
-        )
+        arrays, entries, header_bytes, payload_start, total = _plan(evaluator)
         digest = kernel_content_digest(evaluator.kernel)
         faults.fire("plane.export", digest=digest)
         path = Path(path)
@@ -294,21 +272,21 @@ class KernelPlane:
 
 
 class PlaneStore:
-    """Content-addressed plane files under a directory (``<digest>.<eng>.plane``).
+    """Content-addressed plane files under a directory (``<digest>.csr.plane``).
 
     `semimarkov serve` exports each registered kernel once, and worker
     processes — including ones started later, or on a checkpoint-sharing
-    host — attach by digest.  Export is idempotent and atomic; the factored
-    and csr-only variants of one kernel coexist because their filenames
-    differ.
+    host — attach by digest.  Export is idempotent and atomic.  Other
+    files in the directory — any name but ``*.csr.plane`` — are neither
+    read nor touched.
     """
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, digest: str, *, factored: bool = False) -> Path:
-        return self.directory / f"{digest}.{'fac' if factored else 'csr'}.plane"
+    def path_for(self, digest: str) -> Path:
+        return self.directory / f"{digest}.csr.plane"
 
     @staticmethod
     def _quarantine(path: Path) -> None:
@@ -334,22 +312,14 @@ class PlaneStore:
         mapped.close()
         return True
 
-    def export(
-        self, evaluator: UEvaluator, *, include_factored: bool | None = None
-    ) -> PlaneHandle:
-        if include_factored is None:
-            include_factored = evaluator.factored_built
-        digest = kernel_content_digest(evaluator.kernel)
-        path = self.path_for(digest, factored=include_factored)
+    def export(self, evaluator: UEvaluator) -> PlaneHandle:
+        path = self.path_for(kernel_content_digest(evaluator.kernel))
         if not path.exists() or not self._valid(path):
-            KernelPlane.build(evaluator, path, include_factored=include_factored)
+            KernelPlane.build(evaluator, path)
         return PlaneHandle(str(path))
 
-    def attach(self, digest: str, *, factored: bool = False) -> AttachedPlane:
-        path = self.path_for(digest, factored=factored)
-        if not path.exists() and not factored:
-            # A factored export is a superset: fall back to it.
-            path = self.path_for(digest, factored=True)
+    def attach(self, digest: str) -> AttachedPlane:
+        path = self.path_for(digest)
         if not path.exists():
             raise FileNotFoundError(f"no plane exported for digest {digest}")
         try:
@@ -362,7 +332,7 @@ class PlaneStore:
             ) from None
 
     def digests(self) -> list[str]:
-        return sorted({p.name.split(".")[0] for p in self.directory.glob("*.plane")})
+        return sorted(p.name.split(".")[0] for p in self.directory.glob("*.csr.plane"))
 
     def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.directory.glob("*.plane"))
+        return sum(p.stat().st_size for p in self.directory.glob("*.csr.plane"))

@@ -11,7 +11,8 @@ set, self-loops (on a transient state and on a target), a transient, and
 random kernels.  Then the two facts the cache promises: the ordering is
 built once per (evaluator, mask) however many queries and blocks reach it,
 and a point's value does not depend on the points that share its block;
-and the cache holds under concurrent requests sharing one evaluator.
+and the cache holds under concurrent requests sharing one evaluator, for the
+ordering and for the factored engine's row structure alike.
 """
 from __future__ import annotations
 
@@ -34,7 +35,12 @@ from repro.smp import (
     source_weights,
     transient_transform_batch,
 )
-from repro.smp.linear import passage_transform_direct_batch, transient_transform_direct_batch
+from repro.smp.factored import _RowStructure
+from repro.smp.linear import (
+    DirectOrdering,
+    passage_transform_direct_batch,
+    transient_transform_direct_batch,
+)
 from tests.reference import dense_passage_vector, dense_transient_transform
 
 from .conftest import random_kernel
@@ -198,39 +204,54 @@ class TestOneOrderingPerMeasure:
         )
         assert np.array_equal(shuffled, together[order])
 
-    def test_concurrent_first_asks_share_one_build(self, voting, monkeypatch):
+    @pytest.mark.parametrize(
+        "structure, ask",
+        [
+            pytest.param(
+                DirectOrdering, lambda evaluator, mask: evaluator.direct_ordering(mask),
+                id="direct-ordering",
+            ),
+            pytest.param(
+                _RowStructure,
+                lambda evaluator, mask: evaluator.factored().row_structure(mask),
+                id="row-structure",
+            ),
+        ],
+    )
+    def test_concurrent_first_asks_share_one_build(self, voting, monkeypatch, structure, ask):
         """A server's request threads share one evaluator: threads (more than
-        the cores) that first ask for a mask together get one ordering, built
-        once, and the cache keeps its bound as they go on to more masks."""
-        from repro.smp import linear
-
+        the cores) that first ask for a mask together get one structure — the
+        direct ordering or the factored row structure — built once, and the
+        evaluator's one per-mask cache keeps each kind's bound as they go on
+        to more masks."""
         built: list[bytes] = []
-        build = linear.DirectOrdering.__init__
+        build = structure.__init__
 
-        def slow_build(self, evaluator, absorbing):
+        def slow_build(self, owner, absorbing):
             built.append(np.asarray(absorbing).tobytes())
             time.sleep(0.05)  # hold the build open while the others arrive
-            build(self, evaluator, absorbing)
+            build(self, owner, absorbing)
 
-        monkeypatch.setattr(linear.DirectOrdering, "__init__", slow_build)
+        monkeypatch.setattr(structure, "__init__", slow_build)
         evaluator = voting.kernel.evaluator()
         masks = [np.random.default_rng(seed).random(voting.n_states) < 0.2 for seed in range(6)]
         together = threading.Barrier(4)
         got: list = []
 
-        def ask(first: int) -> None:
+        def asks(first: int) -> None:
             together.wait(timeout=10)
-            got.append(evaluator.direct_ordering(masks[0]))
+            got.append(ask(evaluator, masks[0]))
             together.wait(timeout=10)
             for k in range(1, len(masks)):
-                evaluator.direct_ordering(masks[1 + (first + k) % (len(masks) - 1)])
+                ask(evaluator, masks[1 + (first + k) % (len(masks) - 1)])
 
-        threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+        threads = [threading.Thread(target=asks, args=(k,)) for k in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(got) == 4 and all(ordering is got[0] for ordering in got)
+        assert len(got) == 4 and all(held is got[0] for held in got)
         assert built.count(masks[0].tobytes()) == 1
-        assert len(evaluator._direct_orderings) == evaluator._DIRECT_ORDERINGS
+        (held,) = evaluator._per_mask.values()
+        assert len(held) == evaluator._PER_MASK

@@ -466,7 +466,7 @@ def test_factored_contraction_matches_batch():
     batch_contraction = np.add.reduceat(
         np.abs(u_prime), kernel.csr.indptr[:-1], axis=1
     ).max(axis=1)
-    fac_contraction = evaluator.factored().contraction(grid, mask, chunk=3)
+    fac_contraction = evaluator.contraction(evaluator.lst_table(grid), mask, chunk=3)
     assert np.abs(batch_contraction - fac_contraction).max() < 1e-12
 
 
@@ -474,9 +474,8 @@ def test_factored_sojourn_matches_evaluator():
     kernel = KERNELS["voting_tiny"]
     evaluator = kernel.evaluator()
     grid = EULER_GRID[:6]
-    assert np.abs(
-        evaluator.factored().sojourn_lst_batch(grid) - evaluator.sojourn_lst_batch(grid)
-    ).max() < 1e-12
+    factored_sojourn = evaluator.lst_table(grid) @ evaluator.dist_row_sums()
+    assert np.abs(factored_sojourn - evaluator.sojourn_lst_batch(grid)).max() < 1e-12
 
 
 def test_factored_structures_cached():

@@ -1,24 +1,28 @@
 """Kernel-plane round trips: build once, attach zero-copy, evaluate identically.
 
-The plane is a file holding a kernel's image, ``kernel.csr`` (plus the
-factored engine's per-distribution slices).  These tests pin down the three
-contract points the execution stack depends on: the handle is tiny and
-picklable, attaching reconstructs arrays as *views* into the mapping (no
-copies), and an evaluator rebuilt from a plane computes bit-identical
-transform values.
+The plane is a file holding a kernel's image, ``kernel.csr``, and nothing
+else: whatever an engine solves with beyond it is derived where it runs.
+These tests pin down the three contract points the execution stack depends
+on: the handle is tiny and picklable, attaching reconstructs arrays as *views*
+into the mapping (no copies), and an evaluator rebuilt from a plane computes
+bit-identical transform values.
 """
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.jobs import PassageTimeJob
+from repro.models import SCALED_CONFIGURATIONS, voting_spec_text
+from repro.service.registry import ModelRegistry
 from repro.smp import (
     KernelPlane,
     PlaneHandle,
     PlaneStore,
+    SPointPolicy,
     kernel_content_digest,
     source_weights,
 )
@@ -41,6 +45,9 @@ def plane_path(tmp_path):
 
 
 S_POINTS = np.array([0.5 + 1.0j, 1.5 + 2.0j, 2.0 - 0.5j, 0.1 + 7.0j])
+
+#: the arrays of a plane: ``SMPKernel.csr``, in layout order
+CSR_ARRAYS = ["indptr", "indices", "csr_probs", "csr_dist_index", "csr_rows"]
 
 
 def _job(kernel):
@@ -100,23 +107,35 @@ class TestShmPlane:
         finally:
             plane.unlink()
 
-    def test_factored_slices_prefilled(self, kernel, evaluator, plane_path):
+    def test_attached_evaluator_builds_equal_row_structures(
+        self, kernel, evaluator, plane_path
+    ):
+        """The factored engine's structures are not in the plane: an attached
+        evaluator derives them from the image, equal to the original's."""
         factored = evaluator.factored()
-        plane = KernelPlane.build(evaluator, plane_path, include_factored=True)
+        factored.prewarm()  # built on the exporter's side: still not exported
+        plane = KernelPlane.build(evaluator, plane_path)
         try:
             attached = plane.handle().attach()
-            assert attached.factored
-            assert attached.evaluator.factored_built
+            assert list(attached.arrays) == CSR_ARRAYS
             rebuilt = attached.evaluator.factored()
-            exported = factored.export()
-            for name, array in rebuilt.export().items():
-                np.testing.assert_array_equal(array, exported[name])
-                assert not array.flags["OWNDATA"], name  # adopted, not recomputed
-            mask = np.zeros(kernel.n_states, dtype=bool)
-            mask[-1] = True
-            row, rebuilt_row = factored.row_structure(mask), rebuilt.row_structure(mask)
-            assert rebuilt_row.n_pairs == row.n_pairs
-            np.testing.assert_array_equal(rebuilt_row.matrix.toarray(), row.matrix.toarray())
+            masks = np.zeros((2, kernel.n_states), dtype=bool)
+            masks[0, -1] = True  # a passage's target; the transient absorbs nothing
+            for mask in masks:
+                row, rebuilt_row = factored.row_structure(mask), rebuilt.row_structure(mask)
+                assert rebuilt_row.n_pairs == row.n_pairs
+                np.testing.assert_array_equal(rebuilt_row.pair_src, row.pair_src)
+                np.testing.assert_array_equal(rebuilt_row.pair_dist, row.pair_dist)
+                np.testing.assert_array_equal(
+                    rebuilt_row.matrix.toarray(), row.matrix.toarray()
+                )
+            alpha = source_weights(kernel, [0])
+            np.testing.assert_array_equal(
+                rebuilt.alpha_dist_matrix(alpha), factored.alpha_dist_matrix(alpha)
+            )
+            np.testing.assert_array_equal(
+                attached.evaluator.dist_row_sums(), evaluator.dist_row_sums()
+            )
             attached.close()
         finally:
             plane.unlink()
@@ -176,18 +195,56 @@ class TestPlaneStore:
         # Idempotent: a second export reuses the existing file.
         assert store.export(evaluator) == handle
 
-    def test_factored_export_is_a_separate_file(self, evaluator, tmp_path):
+    def test_one_file_per_digest_whatever_the_engine(self, kernel, tmp_path):
+        """Asking for the factored engine, or building its structures, does
+        not change what is exported: one ``<digest>.csr.plane`` per kernel."""
+        digest = kernel_content_digest(kernel)
+        for k, touch in enumerate((
+            lambda ev: None,
+            lambda ev: ev.factored(),
+            lambda ev: ev.factored().prewarm(),
+            lambda ev: SPointPolicy(engine="factored").resolve_engine(ev),
+        )):
+            store = PlaneStore(tmp_path / f"planes{k}")
+            evaluator = kernel.evaluator()
+            touch(evaluator)
+            handle = store.export(evaluator)
+            assert [p.name for p in store.directory.iterdir()] == [f"{digest}.csr.plane"]
+            assert Path(handle.path) == store.path_for(digest)
+            attached = store.attach(digest)
+            assert list(attached.arrays) == CSR_ARRAYS
+            attached.close()
+
+    def test_a_registered_batch_model_exports_its_image_only(self, tmp_path):
+        """The registry asks every kernel for its factored engine when it
+        resolves ``auto``; a batch model's export is still the CSR image, and
+        a factored variant an older release left beside it is neither read
+        nor deleted."""
+        entry, _ = ModelRegistry().register(
+            voting_spec_text(SCALED_CONFIGURATIONS["small"])
+        )
+        assert SPointPolicy().resolve_engine(entry.evaluator) == "batch"
+        digest = kernel_content_digest(entry.kernel)
         store = PlaneStore(tmp_path / "planes")
-        evaluator.factored().prewarm()
-        store.export(evaluator, include_factored=False)
-        store.export(evaluator, include_factored=True)
-        assert len(list(store.directory.glob("*.plane"))) == 2
-        # csr attach prefers the csr file but falls back to the factored one.
-        digest = store.digests()[0]
-        store.path_for(digest, factored=False).unlink()
+        stray = store.directory / f"{digest}.fac.plane"
+        stray.write_bytes(b"an older release's factored variant")
+        stamp = stray.stat().st_mtime_ns
+        handle = store.export(entry.evaluator)
+        assert Path(handle.path).name == f"{digest}.csr.plane"
+        assert sorted(p.name for p in store.directory.iterdir()) == [
+            f"{digest}.csr.plane", f"{digest}.fac.plane",
+        ]
         attached = store.attach(digest)
-        assert attached.factored
+        assert list(attached.arrays) == CSR_ARRAYS
         attached.close()
+        assert store.digests() == [digest]
+        assert store.size_bytes() == Path(handle.path).stat().st_size
+        # attach reads the csr file or nothing: no fall-back to the stray
+        Path(handle.path).unlink()
+        with pytest.raises(FileNotFoundError):
+            store.attach(digest)
+        assert stray.read_bytes() == b"an older release's factored variant"
+        assert stray.stat().st_mtime_ns == stamp
 
     def test_missing_digest_raises(self, tmp_path):
         store = PlaneStore(tmp_path / "planes")

@@ -388,7 +388,9 @@ def test_one_routed_block_solve():
 
 
 def test_the_engine_is_decided_once_per_kernel():
-    assert sum(_call_sites("resolve_engine").values()) <= 3
+    # the registry at registration and the block plan; the pool exports the
+    # same plane whatever the engine, so it does not ask
+    assert _call_sites("resolve_engine") == {"service/registry.py": 1, "smp/passage.py": 1}
     for sizing in (SPointPolicy.block_points, SPointPolicy.dispatch_block_points):
         assert "engine" not in inspect.signature(sizing).parameters
 
@@ -553,10 +555,16 @@ def test_the_solvers_read_the_kernels_image():
 
 
 def test_the_direct_ordering_is_cached_on_the_evaluator():
-    """One symbolic analysis per evaluator and absorbing mask: the one place a
-    ``DirectOrdering`` is built is ``UEvaluator.direct_ordering``, and its
-    bounded cache is an attribute of the evaluator and of nothing else."""
+    """One symbolic analysis per evaluator and absorbing mask, and one row
+    structure: the one place a ``DirectOrdering`` is built is
+    ``UEvaluator.direct_ordering``, the one place a ``_RowStructure`` is built
+    ``FactoredUEvaluator.row_structure``, and both keep what they build in
+    one bounded cache, an attribute of the evaluator and of nothing else."""
     assert _callers("DirectOrdering") == ["smp/kernel.py:direct_ordering"]
+    assert _callers("_RowStructure") == ["smp/factored.py:row_structure"]
+    assert _callers("per_mask") == [
+        "smp/factored.py:row_structure", "smp/kernel.py:direct_ordering",
+    ]
     (evaluator,) = [
         node for node in _nodes(SRC / "smp" / "kernel.py", ast.ClassDef)
         if node.name == "UEvaluator"
@@ -564,18 +572,24 @@ def test_the_direct_ordering_is_cached_on_the_evaluator():
     holders = {
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
-        if "_direct_orderings" in path.read_text()
+        if "_per_mask" in path.read_text()
     }
     assert holders == {"smp/kernel.py"}
     in_class = [
         node for node in ast.walk(evaluator)
-        if isinstance(node, ast.Attribute) and node.attr == "_direct_orderings"
+        if isinstance(node, ast.Attribute) and node.attr in ("_per_mask", "_per_mask_lock")
     ]
     in_module = [
         node for node in _nodes(SRC / "smp" / "kernel.py", ast.Attribute)
-        if node.attr == "_direct_orderings"
+        if node.attr in ("_per_mask", "_per_mask_lock")
     ]
     assert in_class and len(in_class) == len(in_module)
+    # no second cache beside it: the factored engine keeps no per-mask dict
+    factored = SRC / "smp" / "factored.py"
+    assert "OrderedDict" not in factored.read_text()
+    assert not [
+        node for node in _nodes(factored, ast.Attribute) if node.attr in ("Lock", "RLock")
+    ]
 
 
 def test_the_plane_goes_through_public_names():
@@ -586,13 +600,30 @@ def test_the_plane_goes_through_public_names():
         for name in (*vars(obj), *dir(type(obj)))
         if name.startswith("_") and not name.startswith("__")
     }
-    assert {"_factored", "_row_pair_cache"} <= private
+    assert {"_factored", "_per_mask", "_row_pairs"} <= private
     plane = SRC / "smp" / "plane.py"
     named = {
         getattr(node, "attr", None) or node.value
         for node in _nodes(plane, ast.Attribute, ast.Constant)
     }
     assert not private & named
+
+
+def test_a_plane_is_the_kernels_image():
+    """The plane carries ``SMPKernel.csr`` and nothing an engine derives from
+    it: ``smp/plane.py`` names nothing factored, the factored engine is asked
+    for with no arrays to adopt, and it has no export and no pass-throughs
+    to the evaluator's own methods."""
+    from repro.smp import FactoredUEvaluator, UEvaluator
+
+    assert "factored" not in (SRC / "smp" / "plane.py").read_text().lower()
+    assert list(inspect.signature(UEvaluator.factored).parameters) == ["self"]
+    assert list(inspect.signature(FactoredUEvaluator).parameters) == ["evaluator"]
+    assert not hasattr(UEvaluator, "factored_built")
+    for name in (
+        "export", "_adopt", "lst_grid", "contraction", "sojourn_lst_batch", "dist_row_sums",
+    ):
+        assert not hasattr(FactoredUEvaluator, name), name
 
 
 def test_one_way_to_share_a_kernel():
