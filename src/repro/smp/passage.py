@@ -8,9 +8,13 @@ r-transition quantities
 
 where ``U`` has entries ``r*_pq(s)``, ``U'`` equals ``U`` with the target
 states made absorbing and ``e`` indicates the target states.  The sum is
-evaluated with sparse vector–matrix products and truncated once successive
-terms fall below a tolerance in both real and imaginary parts (Eq. 11) —
-``O(N^2 r)`` work in the worst case versus the ``O(N^3)`` of a direct solve.
+evaluated with sparse vector–matrix products, ``v_r = v_(r-1) U'``, and
+truncated once ``||v_r||_1`` has been below a tolerance for a few
+consecutive steps (:class:`PassageTimeOptions`) — ``O(N^2 r)`` work in the
+worst case versus the ``O(N^3)`` of a direct solve.  For ``Re s >= 0`` that
+norm never increases, and it bounds ``|L(s) - L^(r)(s)|``: what the sum has
+not yet added is ``v_r`` times each state's own passage transform, of
+modulus at most one.
 
 The computation has one shape, over a whole s-grid (a single s-point is a
 grid of one — there is no scalar implementation): a row vector ``v``
@@ -59,7 +63,9 @@ each of which exists exactly once:
   another start vector and product: the distribution-factored pair
   expansion over the structures of :mod:`repro.smp.factored`, whose
   per-iteration sparse work is independent of the number of points in
-  flight).  Both keep one complex ``(width, n)`` state.
+  flight).  The batch operator keeps two complex ``(width, n)`` state
+  buffers and steps from one into the other; the factored one's product
+  returns a fresh state.
   The frontier is structural: states are numbered in exploration order, so
   the support of ``v`` grows as a prefix from alpha's, and a step multiplies
   only the source rows of that prefix (:attr:`UEvaluator.reach
@@ -103,15 +109,19 @@ class PassageTimeOptions:
     Attributes
     ----------
     epsilon:
-        Convergence threshold applied separately to the real and imaginary
-        part of the change between successive iterates (Eq. 11).
+        Truncation threshold on ``||v_r||_1``, the 1-norm of the row vector
+        the sum has reached after ``r`` transitions — scaled by
+        ``max(1, max |w|)`` for a transient, whose terms carry the weights
+        ``w``.  For ``Re s >= 0`` the norm is non-increasing, and for a
+        passage it bounds ``|L(s) - L^(r)(s)|``, the error of stopping at
+        ``r``; it is reported as ``final_delta``.
     max_iterations:
         Hard cap on the number of transitions ``r``; exceeding it marks the
         result as unconverged rather than raising, so long-running sweeps can
         report partial diagnostics.
     consecutive:
-        Number of consecutive below-threshold steps required before the sum
-        is declared converged (guards against coincidentally tiny terms).
+        A point stops after this many consecutive steps with the (scaled)
+        ``||v_r||_1`` below ``epsilon``.
     """
 
     epsilon: float = 1e-8
@@ -178,6 +188,10 @@ DIRECT_MAX_STATES = 200_000
 #: and 59 MiB), where ``U'`` streams from memory.  The threshold itself
 #: predates that probe and was not re-derived from it.
 BLOCKDIAG_MAX_BYTES = 64 << 20
+#: ``dzasum`` sums ``|Re| + |Im|``, at most ``sqrt(2) |z|`` per entry, so this
+#: factor times it bounds ``||v||_1`` from below: just under ``1 / sqrt(2)``,
+#: the gap (1e-5 relative) absorbing the rounding of both sums.
+ASUM_L1_FLOOR = 0.7071
 
 
 @dataclass(frozen=True)
@@ -295,9 +309,13 @@ class SPointPolicy:
         which the iteration turns into ``M`` in place, and the block-diagonal
         structure, 4 (int32; built once per kernel).  Nothing else the block
         holds is per edge: routing reads the ``(n_s, n_dists)`` transform
-        table.  The ``n``-vectors — state, product, magnitudes, the
-        structure's ``indptr`` and a transient's ``h*`` — measure 36-44 B
-        per state; 48 are budgeted.
+        table.  Per state, the block holds two state buffers, 32 B (the
+        step scatters from one into the other), and the structure's
+        ``indptr``, 4: 36 B.  Nothing else is per state for long: a
+        transient's ``h*``, 16 B, is gone before the buffers exist, and an
+        exact ``||v||_1`` is taken one row at a time.  Measured, 37.6-41.9 B
+        per state; the rest is under 4 KB per point (row views, sums), which
+        weighs most on small kernels.  48 are budgeted.
 
         A factored block's working set per point is the pairs' transforms
         and the scaled pairs, 16 B per pair each, and the state, its
@@ -380,6 +398,15 @@ class _BatchRowOperator:
     amortising the per-call Python cost: the data's prefix under a prefix of
     the kernel's :meth:`~repro.smp.kernel.UEvaluator.block_diag_structure`,
     whose first diagonal block is also the per-point calls' structure.
+
+    A step allocates nothing of size ``n``: the state lives in one of two
+    ``(width, n)`` buffers and the product scatters into the other, whose
+    stale contents — the state of two steps ago, supported below the old
+    frontier — are cleared over the new frontier's prefix only.  So the
+    frontier never moves back, though ``reach[hi]`` can fall below ``hi``
+    on a reducible kernel numbered against its paths.  The
+    per-point calls read full-length row views of the grid and of both
+    buffers, built once; scipy's kernel reads nothing past ``indptr[hi]``.
     """
 
     engine = "batch"
@@ -396,9 +423,10 @@ class _BatchRowOperator:
         self._weights = weights
         self._live = np.ones(grid.shape[0], dtype=bool)
         self._diag = None
-        #: point-rows advanced so far (what the block's ``product_rows`` sums)
-        #: and the edge-point products they took
-        self.product_rows = self.product_edges = 0
+        #: point-rows advanced so far (what the block's ``product_rows`` sums),
+        #: the edge-point products they took and the rows whose ``||v||_1``
+        #: :meth:`residual` computed exactly
+        self.product_rows = self.product_edges = self.exact_rows = 0
         self.width = grid.shape[0]
         self._one_product()
 
@@ -419,6 +447,9 @@ class _BatchRowOperator:
         # the grid is U until here, M from here on
         self._grid[:, self.evaluator.row_entries(np.flatnonzero(self._absorbing))] = 0.0
         self._hi = int(self.evaluator.reach[1 + np.flatnonzero(self._alpha)[-1]])
+        self._buffers = (state, np.zeros_like(state))
+        self._rows = tuple(list(buffer) for buffer in self._buffers)
+        self._grid_rows = list(self._grid)
         self._begin(state)
 
     def _begin(self, state: np.ndarray) -> None:
@@ -430,42 +461,40 @@ class _BatchRowOperator:
             self._acc += weighted_sums(self._alpha.real[self._targets], 0.0, self._weights)
 
     def step(self) -> None:
+        width, reach = self.width, max(int(self.evaluator.reach[self._hi]), self._hi)
+        self._buffers = self._buffers[::-1]
+        self._rows = self._rows[::-1]
+        out = self._buffers[0][:width]
+        out[:, :reach] = 0.0
         if self._hi < self.n or not self._one_product():
             self._advance_points()
         else:
-            rows, edges = self.width * self.n, self.width * self._nnz
+            rows, edges = width * self.n, width * self._nnz
             indptr, indices = self._diag
-            out = np.zeros(rows, dtype=complex)
             _sparsetools.csc_matvec(
-                rows, rows, indptr[: rows + 1], indices[:edges], self._data[:edges],
-                self._state.ravel(), out,
+                rows, rows, indptr, indices, self._data, self._state.ravel(), out.ravel()
             )
-            self._state = out.reshape(self.width, self.n)
-            self.product_rows += self.width
+            self.product_rows += width
             self.product_edges += edges
+        self._state = out
         self._acc = self._acc + self._target_sums()
-        self._hi = int(self.evaluator.reach[self._hi])
+        self._hi = reach
 
     def _advance_points(self) -> None:
-        """One kernel call per live point over the source rows below ``_hi``.
+        """One kernel call per live point over the source rows below ``_hi``,
+        into the freshly cleared buffer ``_rows[0]``.
 
         Converged points are exactly zero, and so is every state entry at or
         past the frontier: the calls skip both, and each point's products and
         sums run in the order the full product would take them.
         """
-        n, hi, nnz = self.n, self._hi, self._nnz
+        n, hi = self.n, self._hi
         indptr, indices = self._diag
-        indptr = indptr[: hi + 1]
         stop = int(indptr[hi])
-        indices = indices[:stop]
-        data, state = self._data, self._state
-        out = np.zeros(state.shape, dtype=complex)
+        m_rows, v_rows, out_rows = self._grid_rows, self._rows[1], self._rows[0]
         live = np.flatnonzero(self._live[: self.width]).tolist()
         for t in live:
-            _sparsetools.csc_matvec(
-                n, hi, indptr, indices, data[t * nnz : t * nnz + stop], state[t], out[t]
-            )
-        self._state = out
+            _sparsetools.csc_matvec(n, hi, indptr, indices, m_rows[t], v_rows[t], out_rows[t])
         self.product_rows += len(live)
         self.product_edges += len(live) * stop
 
@@ -478,20 +507,42 @@ class _BatchRowOperator:
             return np.add.reduce(picked, axis=1)
         return weighted_sums(picked.real, picked.imag, self._weights)
 
-    def residual(self) -> np.ndarray:
-        """``||v||_1`` per point rather than the added term of Eq. (11): the
-        row sums of ``|M|`` never exceed one, so it is non-increasing and
-        bounds *every* future term.  A structurally periodic model has
-        exactly-zero terms at some transition counts (no path of that length
-        reaches the target), which must not stop a sum whose later terms are
-        still significant.  A transient's terms are ``v . w_t``, so its norm
-        is scaled by ``max(1, max |w_t|)``: never a looser rule than the
-        passage's, and a term bound where ``w`` is large.  (Scaling by
-        ``max |w_t|`` alone, which is small far from ``s = 0``, stops those
-        points with a relative error the Euler inversion multiplies by
-        ``e^(A/2) / t``.)"""
-        norm = np.abs(self._state).sum(axis=1)
-        return norm if self._weights is None else norm * self._scale
+    def residual(self, epsilon: float) -> np.ndarray:
+        """``||v||_1`` per point wherever it is below ``epsilon``, and a lower
+        bound of it that is not below ``epsilon`` elsewhere.
+
+        The norm rather than the added term of Eq. (11): the row sums of
+        ``|M|`` never exceed one, so it is non-increasing and bounds *every*
+        future term.  A structurally periodic model has exactly-zero terms at
+        some transition counts (no path of that length reaches the target),
+        which must not stop a sum whose later terms are still significant.
+        A transient's terms are ``v . w_t``, so its norm is scaled by
+        ``max(1, max |w_t|)``: never a looser rule than the passage's, and a
+        term bound where ``w`` is large.  (Scaling by ``max |w_t|`` alone,
+        which is small far from ``s = 0``, stops those points with a
+        relative error the Euler inversion multiplies by ``e^(A/2) / t``.)
+
+        Each live row is first bounded by BLAS ``dzasum`` over the frontier
+        prefix (every entry past it is zero) times :data:`ASUM_L1_FLOOR`; only
+        rows whose bound falls below ``epsilon`` get the exact norm, each row
+        reduced on its own, so the bits and every comparison with
+        ``epsilon`` are those of the full-width norm.  Converged rows are
+        zero and report 0."""
+        from scipy.linalg.blas import dzasum
+
+        hi, state = self._hi, self._state
+        live = np.flatnonzero(self._live[: self.width])
+        norm = np.zeros(self.width)
+        norm[live] = [dzasum(state[t], hi) for t in live.tolist()]
+        norm *= ASUM_L1_FLOOR
+        if self._weights is not None:
+            norm *= self._scale
+        exact = live[norm[live] < epsilon]
+        if exact.size:
+            self.exact_rows += exact.size
+            exact_norm = np.array([np.abs(state[t]).sum() for t in exact.tolist()])
+            norm[exact] = exact_norm if self._weights is None else exact_norm * self._scale[exact]
+        return norm
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self._acc[positions]
@@ -535,11 +586,12 @@ class _FactoredRowOperator(_BatchRowOperator):
         self._lst = table
         self.width = table.shape[0]
         self._live = np.ones(self.width, dtype=bool)
+        self._hi = self.n  # the pair expansion writes every state
         structure = evaluator.factored().row_structure(absorbing)
         self._pair_src, self._matrix = structure.pair_src, structure.matrix
         #: ``(pairs, width)``: the transform each pair's entries carry, per point
         self._pair_lst = np.take(table.T, structure.pair_dist, axis=0)
-        self.product_rows = self.product_edges = 0
+        self.product_rows = self.product_edges = self.exact_rows = 0
 
     def start(self) -> None:
         self._begin(_dist_sum(self._lst, self.evaluator.factored().alpha_dist_matrix(self._alpha)))
@@ -575,9 +627,13 @@ def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True
 
     ``op`` is one of the two block operators (batch or factored).  The
     driver sees only their shared protocol — ``start()``, ``step()``
-    (advance every position one transition and accumulate), ``residual()``
-    (the per-point quantity the truncation rule tests), ``take(positions)``
-    (accumulated sums) and ``zero_points`` / ``narrow``.
+    (advance every position one transition and accumulate),
+    ``residual(epsilon)`` (the per-point quantity the truncation rule tests:
+    exact wherever it is below ``epsilon``, a lower bound not below it
+    elsewhere, so the stop decisions are the exact norm's; at the cap it is
+    asked once more with ``epsilon = inf`` for the live points'
+    ``final_delta``), ``take(positions)`` (accumulated sums) and
+    ``zero_points`` / ``narrow``.
 
     Returns ``(order, results, iterations, deltas, converged)``:
     ``results[i]`` belongs to the operator's position ``order[i]``, the other
@@ -601,7 +657,8 @@ def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True
     live = np.ones(width, dtype=bool)
     for iteration in range(1, options.max_iterations + 1):
         op.step()
-        delta = op.residual()  # one per position the operator still holds
+        # one per position the operator still holds: exact below epsilon
+        delta = op.residual(options.epsilon)
         below = np.where(delta < options.epsilon, below[: delta.size] + 1, 0)
         done_pos = np.flatnonzero(live[: delta.size] & (below >= options.consecutive))
         if done_pos.size:
@@ -617,7 +674,7 @@ def _drive(op, options: PassageTimeOptions, *, finalize_unconverged: bool = True
             op.narrow(1 + int(np.flatnonzero(live)[-1]))
     live_pos = np.flatnonzero(live)
     if live_pos.size:
-        deltas[live_pos] = delta[live_pos]
+        deltas[live_pos] = op.residual(np.inf)[live_pos]
         if finalize_unconverged:
             parked_pos.append(live_pos)
             parked.append(op.take(live_pos))
@@ -776,7 +833,7 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
                 op, options, finalize_unconverged=not will_fallback
             )
             work = (op.product_rows, op.product_edges)
-            drive.set(product_edges=op.product_edges)
+            drive.set(product_edges=op.product_edges, exact_rows=op.exact_rows)
         if order.size:
             result[iter_idx[order]] = results
         retried = ~conv if will_fallback else np.zeros(n_iter, dtype=bool)

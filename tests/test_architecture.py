@@ -470,7 +470,8 @@ def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
     assert builds == []
     imports = [ast.unparse(node) for node in _nodes(passage, ast.Import, ast.ImportFrom)]
     assert [line for line in imports if "scipy" in line] == [
-        "from scipy.sparse import _sparsetools"
+        "from scipy.sparse import _sparsetools",
+        "from scipy.linalg.blas import dzasum",
     ]
     assert "_per_point" not in passage.read_text()
     assert "smp/passage.py" not in _call_sites("adjacency")
@@ -484,6 +485,47 @@ def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
                 if getattr(node.value, "id", None) == "_sparsetools"
             })
     assert users == {"smp/passage.py": ["csc_matvec", "csr_matvecs"]}
+
+
+def test_a_batch_step_allocates_no_state():
+    """The batch step scatters into the spare of its two state buffers and
+    the per-point calls read prebuilt row views: neither builds an array."""
+    passage = SRC / "smp" / "passage.py"
+    (operator,) = [
+        node for node in _nodes(passage, ast.ClassDef) if node.name == "_BatchRowOperator"
+    ]
+    methods = {
+        node.name: node for node in operator.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("step", "_advance_points")
+    }
+    assert sorted(methods) == ["_advance_points", "step"]
+    constructors = {
+        "np.zeros", "np.empty", "np.ones", "np.full", "np.zeros_like", "np.empty_like",
+        "np.ascontiguousarray", "np.array", "np.concatenate",
+    }
+    for name, method in methods.items():
+        calls = {
+            ast.unparse(node.func) for node in ast.walk(method) if isinstance(node, ast.Call)
+        }
+        assert not calls & constructors, (name, calls & constructors)
+
+
+def test_the_exact_norm_is_taken_in_the_residual_only():
+    """``||v||_1`` — ``np.abs(...).sum(...)`` — is computed in one place, the
+    operators' shared ``residual``, behind its certified bound."""
+    passage = SRC / "smp" / "passage.py"
+    owners = []
+    for function in _nodes(passage, ast.FunctionDef):
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sum"
+                and isinstance(node.func.value, ast.Call)
+                and ast.unparse(node.func.value.func) == "np.abs"
+            ):
+                owners.append(function.name)
+    assert owners == ["residual"]
 
 
 def test_the_factored_operator_is_the_batch_operator_with_another_product():
