@@ -4,8 +4,9 @@
 Explores a scaled voting model with the vectorized explorer all the way to a
 ready CSR kernel, recording throughput (states/sec), peak RSS and the speedup
 over the per-marking reference (``explore_reference``, the "legacy" of the
-report keys) on the largest bundled example, and
-writes the numbers to ``BENCH_statespace.json``.
+report keys) on the largest bundled example, as one JSON report written to
+``--out FILE`` (nothing is written without it; ``BENCH_statespace.json`` at
+the repository root is the committed full-mode record).
 
 Modes
 -----
@@ -20,6 +21,7 @@ default (full)
 Usage::
 
     PYTHONPATH=src python scripts/bench_statespace.py [--smoke] [--out FILE]
+    PYTHONPATH=src python scripts/bench_statespace.py --out BENCH_statespace.json   # refresh the record
     PYTHONPATH=src python scripts/bench_statespace.py --cc 175 --mm 45 --nn 5
 """
 from __future__ import annotations
@@ -72,7 +74,9 @@ def main(argv=None) -> int:
     parser.add_argument("--cc", type=int, help="voters (CC) for a custom scale")
     parser.add_argument("--mm", type=int, help="polling units (MM)")
     parser.add_argument("--nn", type=int, help="central units (NN)")
-    parser.add_argument("--out", default="BENCH_statespace.json")
+    parser.add_argument(
+        "--out", default=None, help="write the JSON report here (default: write nothing)"
+    )
     parser.add_argument(
         "--skip-legacy", action="store_true",
         help="skip the legacy-explorer comparison (and its floor)",
@@ -202,10 +206,11 @@ def main(argv=None) -> int:
         )
     report["failures"] = failures
 
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"# wrote {args.out}", flush=True)
+    if args.out is not None:
+        with open(args.out, "w") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+        print(f"# wrote {args.out}", flush=True)
 
     if failures:
         for failure in failures:

@@ -8,8 +8,11 @@ the one representation of an explored net, :class:`StateSpace`:
 
 * markings live in one ``(n_states, n_places)`` int64 matrix (chunked,
   doubling growth — memory stays proportional to states, not Python objects),
-* markings are interned as packed int64 keys in a sorted array (a
-  ``bytes -> id`` dictionary once a marking outgrows 63 bits),
+* markings are interned as packed int64 keys in one open-addressing hash
+  table, probed for a whole wave of successors at once; a folded firing's key
+  is its source's key plus the transition's key delta, so successors are
+  packed only where an action did not fold (a ``bytes -> id`` dictionary
+  once a marking outgrows 63 bits),
 * edges are structure-of-arrays — ``src``/``dst`` int64, ``prob`` float64,
   ``dist`` int32 into a table of *unique* distributions deduplicated at
   exploration time, ``trans`` int32 into the net's transition names,
@@ -27,7 +30,8 @@ the one representation of an explored net, :class:`StateSpace`:
   callables fall back to per-row evaluation of just that attribute, so any
   net explores correctly and nets with declarative attributes explore fast,
 * a marking-dependent firing distribution with declared dependent places is
-  built once per distinct token row of those places for the whole explore.
+  built once per distinct token row of those places for the whole explore
+  (rows over at most four places are looked up by one packed code each).
 
 The discovery order (and therefore state numbering), deadlock list,
 ``max_states`` truncation semantics and edge columns are *identical* to the
@@ -81,6 +85,10 @@ _INTEGER_BOUND = {
     ast.LtE: math.floor,
 }
 _MIRRORED = {ast.Gt: ast.Lt, ast.GtE: ast.LtE, ast.Lt: ast.Gt, ast.LtE: ast.GtE}
+# A marking-dependent distribution over at most this many dependent places,
+# each below 2**_DIST_CODE_BITS tokens, is looked up by one int64 code per row.
+_DIST_CODE_PLACES = 4
+_DIST_CODE_BITS = 15
 
 
 class _VectorTransition:
@@ -164,6 +172,11 @@ class _VectorTransition:
         # places, kept for the whole explore: each distinct row is built once.
         # (A whole-marking key never repeats — each state expands once.)
         self._dist_memo: dict[bytes, int] | None = None
+        # The same ids by packed code of a row over at most _DIST_CODE_PLACES
+        # dependent places with counts below 2**_DIST_CODE_BITS: sorted codes
+        # and their ids, so a wave's rows seen before resolve without a sort.
+        self._dist_codes: np.ndarray | None = None
+        self._dist_code_ids = np.empty(0, dtype=np.int64)
         if isinstance(transition.distribution, Distribution):
             self._dist_const = transition.distribution
         else:
@@ -177,6 +190,9 @@ class _VectorTransition:
                             f"unknown place {place!r}"
                         )
                 cols = sorted(place_index[p] for p in depends)
+                if len(cols) <= _DIST_CODE_PLACES:
+                    self._dist_codes = np.empty(0, dtype=np.int64)
+                    self._dist_code_shifts = _DIST_CODE_BITS * np.arange(len(cols))
             else:
                 cols = list(range(n_places))
             self._dist_cols = np.asarray(cols, dtype=np.int64)
@@ -406,7 +422,35 @@ class _VectorTransition:
     ) -> np.ndarray:
         if self._dist_const is not None:
             return np.full(len(M_rows), intern(self._dist_const), dtype=np.int64)
-        sub = np.ascontiguousarray(M_rows[:, self._dist_cols])
+        sub = M_rows[:, self._dist_cols]
+        if self._dist_codes is None or sub.max() >= 1 << _DIST_CODE_BITS:
+            return self._dist_by_row(M_rows, sub, intern, view_of_row)
+        codes = (sub << self._dist_code_shifts).sum(axis=1)
+        known = self._dist_codes
+        ids = np.full(codes.size, -1, dtype=np.int64)
+        if known.size:
+            pos = np.minimum(np.searchsorted(known, codes), known.size - 1)
+            hit = known[pos] == codes
+            ids[hit] = self._dist_code_ids[pos[hit]]
+        unseen = np.flatnonzero(ids < 0)
+        if unseen.size:
+            # Rows not seen before take the per-row path in its own order, so
+            # the distribution table fills exactly as without the codes.
+            ids[unseen] = self._dist_by_row(M_rows[unseen], sub[unseen], intern, view_of_row)
+            new, first = np.unique(codes[unseen], return_index=True)
+            merged = np.concatenate((known, new))
+            order = np.argsort(merged, kind="stable")
+            self._dist_codes = merged[order]
+            self._dist_code_ids = np.concatenate(
+                (self._dist_code_ids, ids[unseen[first]])
+            )[order]
+        return ids
+
+    def _dist_by_row(self, M_rows, sub, intern, view_of_row) -> np.ndarray:
+        """Distribution-table ids of rows grouped by their dependent-place
+        bytes: each group not in the memo is built and interned in the
+        groups' sorted byte order."""
+        sub = np.ascontiguousarray(sub)
         void = sub.view(np.dtype((np.void, sub.dtype.itemsize * sub.shape[1]))).ravel()
         keys, first, inverse = np.unique(void, return_index=True, return_inverse=True)
         memo = self._dist_memo if self._dist_memo is not None else {}
@@ -647,31 +691,38 @@ class _EdgeChunks:
         )
 
 
+#: Multiplicative (Fibonacci) hashing: a key's table slot is the top bits of
+#: ``key * 2**64 / phi`` (mod 2**64).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_MIN_TABLE = 1024
+_PROBE_WINDOW = np.arange(16)
+
+
 class _MarkingInterner:
-    """Marking -> state-id interning with a vectorized fast path.
+    """Marking -> state-id interning, a whole wave of candidates at once.
 
     When every place's token count fits into a fixed bit budget summing to at
-    most 63 bits, a marking packs losslessly into one int64 key and whole
-    candidate batches intern through ``searchsorted`` against a sorted key
-    array — no per-marking Python.  In that mode :meth:`lookup` and
-    :meth:`add` take *candidates* as sorted packed keys (the keys
-    ``np.unique`` returns), so a wave packs its successor rows once.  Nets
-    whose markings outgrow the budget fall back to a ``bytes -> id``
-    dictionary (still O(1) per lookup), whose candidates are marking rows.
+    most 63 bits, a marking packs losslessly into one int64 key.  Packing is
+    linear while every field stays in its lane, so a folded firing's key is
+    its source's key plus the transition's :attr:`key_delta`: the wave never
+    packs those successors.  :attr:`keys` holds every state's key by state
+    id, and one open-addressing table (:attr:`table`: a power of two of int32
+    slots holding a state id or -1, load at most 1/2 with a wave's claims
+    counted, multiplicative hash, linear probing) resolves a wave's keys in
+    vectorized probe rounds — no sort, no per-marking Python.  Nets whose
+    markings outgrow the budget fall back to a ``bytes -> id`` dictionary
+    (still O(1) per lookup) over marking rows.
     """
 
-    def __init__(self, n_places: int):
-        self.n_places = n_places
+    def __init__(self, deltas: np.ndarray):
+        self.n_places = deltas.shape[1]
+        self.deltas = deltas
         self.shifts: np.ndarray | None = None
         self.limits: np.ndarray | None = None
-        # Two-level sorted store: a large base plus a small recent delta,
-        # merged when the delta outgrows a fraction of the base.  Lookups pay
-        # two searchsorteds; merges amortise to O(n log n) total copying
-        # instead of the O(n * waves) of inserting into one sorted array.
-        self.base_keys = np.empty(0, dtype=np.int64)
-        self.base_ids = np.empty(0, dtype=np.int64)
-        self.delta_keys = np.empty(0, dtype=np.int64)
-        self.delta_ids = np.empty(0, dtype=np.int64)
+        self.key_delta: np.ndarray | None = None   # per transition
+        self.keys = np.empty(_MIN_TABLE // 2, dtype=np.int64)
+        self.table = np.empty(0, dtype=np.int32)
+        self._hash_shift = np.uint64(0)
         self.byte_index: dict[bytes, int] | None = None
 
     def _choose_packing(self, per_place_max: np.ndarray) -> bool:
@@ -706,55 +757,143 @@ class _MarkingInterner:
         to the byte-dict fallback when the markings no longer fit in 63 bits."""
         if self.byte_index is not None:
             return
+        n = len(markings)
         if not self._choose_packing(per_place_max):
-            self.shifts = self.limits = None
+            self.shifts = self.limits = self.key_delta = None
+            self.keys = self.table = None
             self.byte_index = {
                 row.tobytes(): i for i, row in enumerate(markings)
             }
             return
-        keys = self.pack(markings)
-        order = np.argsort(keys)
-        self.base_keys = keys[order]
-        self.base_ids = order.astype(np.int64)
-        self.delta_keys = self.delta_keys[:0]
-        self.delta_ids = self.delta_ids[:0]
+        # Wrapping int64 arithmetic is exact modulo 2**64, and an in-lane
+        # successor's key lies in [0, 2**63): the sum is exact wherever used.
+        self.key_delta = (self.deltas << self.shifts).sum(axis=1)
+        if self.keys.size < n:
+            self.keys = np.empty(2 * n, dtype=np.int64)
+        self.keys[:n] = self.pack(markings)
+        self._rehash(n, n, max(self.table.size, _MIN_TABLE))
 
-    @staticmethod
-    def _search(keys: np.ndarray, ids: np.ndarray, wanted: np.ndarray, out: np.ndarray):
-        if keys.size == 0:
-            return
-        pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        found = keys[pos] == wanted
-        out[found] = ids[pos[found]]
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        return ((keys.view(np.uint64) * _HASH_MULTIPLIER) >> self._hash_shift).astype(np.intp)
 
-    def lookup(self, candidates: np.ndarray) -> np.ndarray:
-        """Known state id per candidate, -1 where unseen (vectorized)."""
-        if self.byte_index is not None:
-            get = self.byte_index.get
-            return np.asarray(
-                [get(row.tobytes(), -1) for row in candidates], dtype=np.int64
-            )
-        ids = np.full(candidates.shape[0], -1, dtype=np.int64)
-        self._search(self.base_keys, self.base_ids, candidates, ids)
-        self._search(self.delta_keys, self.delta_ids, candidates, ids)
-        return ids
+    def _rehash(self, n: int, room: int, size: int) -> None:
+        """A fresh table of at least ``size`` slots, and at least twice
+        ``room``, holding states ``0 .. n-1``."""
+        while 2 * room > size:
+            size *= 2
+        self.table = table = np.full(size, -1, dtype=np.int32)
+        self._hash_shift = np.uint64(65 - size.bit_length())
+        mask = size - 1
+        ids = np.arange(n, dtype=np.int32)
+        slot = self._slots(self.keys[:n])
+        while ids.size:
+            free = table[slot] < 0
+            table[slot[free]] = ids[free]
+            lost = table[slot] != ids
+            ids, slot = ids[lost], (slot[lost] + 1) & mask
 
-    def add(self, candidates: np.ndarray, ids: np.ndarray) -> None:
-        """Register freshly assigned (candidate, id) pairs; packed keys come
-        sorted."""
-        if self.byte_index is not None:
-            for row, state in zip(candidates, ids):
-                self.byte_index[row.tobytes()] = int(state)
-            return
-        positions = np.searchsorted(self.delta_keys, candidates)
-        self.delta_keys = np.insert(self.delta_keys, positions, candidates)
-        self.delta_ids = np.insert(self.delta_ids, positions, ids)
-        if self.delta_keys.size > max(4096, self.base_keys.size // 8):
-            positions = np.searchsorted(self.base_keys, self.delta_keys)
-            self.base_keys = np.insert(self.base_keys, positions, self.delta_keys)
-            self.base_ids = np.insert(self.base_ids, positions, self.delta_ids)
-            self.delta_keys = self.delta_keys[:0]
-            self.delta_ids = self.delta_ids[:0]
+    def intern(
+        self, candidates: np.ndarray, n_states: int, budget: int
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Resolve a wave's packed candidate keys (in stream order).
+
+        Returns the state id per candidate (-1 where dropped), the candidate
+        indices whose keys became states ``n_states, n_states + 1, ...`` — the
+        first occurrence of each fresh key in stream order, at most
+        ``budget`` of them — and whether a fresh key was dropped.
+        """
+        m = candidates.size
+        need = n_states + m
+        if self.keys.size < need:
+            grown = np.empty(max(need, 2 * self.keys.size), dtype=np.int64)
+            grown[:n_states] = self.keys[:n_states]
+            self.keys = grown
+        if 2 * need > self.table.size:
+            self._rehash(n_states, need, self.table.size)
+        keys, table = self.keys, self.table
+        mask = table.size - 1
+        # Candidate i parks its key at tentative id top - i of the key column,
+        # so one gather compares a slot against stored and claimed keys alike,
+        # and np.maximum.at hands an empty slot to its first claimant in
+        # stream order.  Duplicates share a probe sequence, so each fresh key's
+        # first occurrence claims one slot and its repeats meet it there.
+        top = need - 1
+        claim = budget > 0
+        if claim:
+            keys[n_states:need] = candidates[::-1]
+        # The first probe resolves most candidates; the tail of the probe
+        # chains then scans a window of slots per round.  Each candidate stops
+        # at its key or at the first empty slot, which it claims; without
+        # room (no claims) an unseen key resolves at that empty slot: dropped.
+        at = self._slots(candidates)   # the slot each candidate resolves at
+        held = table[at]
+        if claim:
+            empty = np.flatnonzero(held < 0)
+            # int32 codes: ufunc.at takes its fast path only without a cast
+            np.maximum.at(table, at[empty], (top - empty).astype(np.int32))
+            held[empty] = table[at[empty]]
+        done = keys[held] == candidates
+        done |= held < 0
+        pending = np.flatnonzero(~done)
+        slot = at[pending] + 1
+        while pending.size:
+            window = slot[:, None] + _PROBE_WINDOW
+            window &= mask
+            held = table[window]
+            stop = keys[held] == candidates[pending, None]
+            stop |= held < 0
+            # The window's last slot counts as a stop: a chain that runs past
+            # it is examined there below, like any stop.
+            stop[:, -1] = True
+            here = slot + stop.argmax(axis=1)
+            here &= mask
+            value = table[here]
+            if claim:
+                empty = np.flatnonzero(value < 0)
+                if empty.size:
+                    np.maximum.at(table, here[empty], (top - pending[empty]).astype(np.int32))
+                    value[empty] = table[here[empty]]
+            done = keys[value] == candidates[pending]
+            done |= value < 0
+            at[pending[done]] = here[done]
+            left = ~done
+            pending, slot = pending[left], here[left] + 1
+        found = table[at]   # a state id, or the claim code of a fresh key
+        if not claim:
+            return found.astype(np.int64), at[:0], bool((found < 0).any())
+        owners = np.flatnonzero(found == top - np.arange(m))
+        fresh = owners[:budget]
+        ids = np.arange(n_states, n_states + fresh.size)
+        keys[n_states:n_states + fresh.size] = candidates[fresh]
+        dropped = fresh.size < owners.size
+        if dropped:  # the dropped keys' claims would break probe chains
+            state = np.full(m, -1, dtype=np.int64)
+            state[fresh] = ids
+            found = found.astype(np.int64)
+            tentative = found >= n_states
+            found[tentative] = state[top - found[tentative]]
+            self._rehash(n_states + fresh.size, need, table.size)
+        else:
+            table[at[fresh]] = ids
+            found = table[at].astype(np.int64)
+        return found, fresh, dropped
+
+    def intern_rows(
+        self, rows: np.ndarray, n_states: int, budget: int
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """:meth:`intern` for the byte-keyed fallback, over successor rows."""
+        void = rows.view(np.dtype((np.void, rows.dtype.itemsize * self.n_places))).ravel()
+        _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+        get = self.byte_index.get
+        state = np.asarray([get(rows[i].tobytes(), -1) for i in first], dtype=np.int64)
+        unseen = np.flatnonzero(state < 0)
+        stream = unseen[np.argsort(first[unseen], kind="stable")]
+        chosen = stream[:budget]
+        state[chosen] = n_states + np.arange(chosen.size)
+        fresh = first[chosen]
+        for i, sid in zip(fresh, state[chosen]):
+            self.byte_index[rows[i].tobytes()] = int(sid)
+        return state[inverse], fresh, chosen.size < stream.size
 
 
 def explore(
@@ -773,10 +912,11 @@ def explore(
     frontier states is one gather: enabling is one ``(transitions, k)`` bool
     matrix checked places-outermost, ``np.nonzero`` of the positive-weight
     active ``(k, transitions)`` matrix lists every ``(state, transition)``
-    pair already in the reference's stream order, and the pairs fire at once
-    (``M[src] + delta[trans]``; an action that did not fold overwrites its
-    own rows).  The successor rows are packed once, deduplicated by
-    ``np.unique`` and interned by their sorted keys.
+    pair already in the reference's stream order, and the pairs fire at once:
+    a folded firing's successor key is ``key[src] + key_delta[trans]``, and
+    only an action that did not fold builds (and packs) its successor rows.
+    One hash-table probe of the wave's keys dedups and interns them; marking
+    rows are built for the fresh states only.
 
     Parameters
     ----------
@@ -813,6 +953,13 @@ def explore(
         if t._fire_delta is not None:
             deltas[t.index] = t._fire_delta
     has_upper = bool((upper < _NO_UPPER).any())
+    # Successor rows are built only where a wave needs them whole.  A folded
+    # firing stays in its lanes below ``M.max + rise``, and goes negative
+    # only if its delta can take a place below the transition's enabling
+    # lower bound (an ``unsafe`` transition, whose rows are checked).
+    unfolded = np.asarray([t._fire_delta is None for t in compiled], dtype=bool)
+    rise = np.maximum(deltas, 0)
+    unsafe = ((lower[:, :, 0].T + deltas) < 0).any(axis=1) & ~unfolded
     guarded = [t for t in compiled if t.has_guard]
     const_priority = None
     if all(t._priority_const is not None for t in compiled):
@@ -829,9 +976,8 @@ def explore(
     n_states = 1
     if on_progress is not None and progress_every == 1:
         on_progress(1)
-    seen_max = np.maximum(initial, 0)
-    interner = _MarkingInterner(n_places)
-    interner.rebuild(markings[:1], seen_max)
+    interner = _MarkingInterner(deltas)
+    interner.rebuild(markings[:1], np.maximum(initial, 0))
 
     edges = _EdgeChunks()
     dist_table: list[Distribution] = []
@@ -854,7 +1000,6 @@ def explore(
 
     deadlocks: list[int] = []
     truncated = False
-    void_dtype = np.dtype((np.void, np.dtype(np.int64).itemsize * n_places))
     cursor = 0
 
     while cursor < n_states:
@@ -949,79 +1094,84 @@ def explore(
             cursor = hi
             continue
         prob = weights[src_local, trans] / totals[src_local]
-        M_src = M[src_local]
-        nxt = M_src + deltas[trans]
         dist = const_dist[trans]
+        fired = np.zeros(n_trans, dtype=bool)
+        fired[trans] = True
+        # Whole successor rows only for a wave that fires an unfolded action
+        # or interns by bytes: ``M[src] + delta``, each unfolded action then
+        # overwriting its own rows.
+        fires_unfolded = bool(fired[unfolded].any())
+        nxt = None
+        if interner.byte_index is not None or fires_unfolded:
+            nxt = M[src_local] + deltas[trans]
         # What did not fold, in transition index order: the distribution
         # table fills in (wave, transition) order as it always has, and its
         # reprs enter the model digest.
-        fired = np.zeros(n_trans, dtype=bool)
-        fired[trans] = True
         for t in compiled:
             if not fired[t.index] or (t._fire_delta is not None and const_dist[t.index] >= 0):
                 continue
             rows = np.flatnonzero(trans == t.index)
+            M_rows = M[src_local[rows]]
             if t._fire_delta is None:
-                nxt[rows] = t.fire(M_src[rows], view_of_row)
+                nxt[rows] = t.fire(M_rows, view_of_row)
             if t._dist_const is None:
-                dist[rows] = t.dist_ids(M_src[rows], intern_dist, view_of_row)
+                dist[rows] = t.dist_ids(M_rows, intern_dist, view_of_row)
             elif const_dist[t.index] < 0:
                 dist[rows] = const_dist[t.index] = intern_dist(t._dist_const)
-        if nxt.min() < 0:
-            bad = int(np.flatnonzero((nxt < 0).any(axis=1))[0])
+        checked, successors = None, nxt
+        if nxt is None and fired[unsafe].any():
+            checked = np.flatnonzero(unsafe[trans])
+            successors = M[src_local[checked]] + deltas[trans[checked]]
+        if successors is not None and successors.min() < 0:
+            bad = int(np.flatnonzero((successors < 0).any(axis=1))[0])
+            pair = bad if checked is None else int(checked[bad])
             raise ValueError(
-                f"firing {compiled[trans[bad]].name!r} produced a negative marking "
-                f"{tuple(int(x) for x in nxt[bad])}"
+                f"firing {compiled[trans[pair]].name!r} produced a negative marking "
+                f"{tuple(int(x) for x in successors[bad])}"
             )
 
-        # Intern destinations.  Successor markings dedup within the wave
-        # (packed int64 keys when they fit, void rows otherwise), known ones
-        # resolve by vectorized lookup, and fresh ones receive ids in stream
-        # order — the reference's discovery order.
-        cand_max = nxt.max(axis=0)
-        if interner.byte_index is None and not interner.fits(cand_max):
-            interner.rebuild(markings[:n_states], np.maximum(seen_max, cand_max))
-        seen_max = np.maximum(seen_max, cand_max)
+        # Intern destinations: fresh markings receive ids in stream order —
+        # the reference's discovery order.  A repack (a place outgrew its
+        # lane) is decided on the exact successor maximum, computed only
+        # when the lane bound ``M.max + rise`` fails.
+        budget = src_local.size if max_states is None else max(0, max_states - n_states)
         if interner.byte_index is None:
-            candidates, first, inverse = np.unique(
-                interner.pack(nxt), return_index=True, return_inverse=True
-            )
+            if nxt is None and not interner.fits(M.max(axis=0) + rise[fired].max(axis=0)):
+                nxt = M[src_local] + deltas[trans]
+            if nxt is not None:
+                cand_max = nxt.max(axis=0)
+                if not interner.fits(cand_max):
+                    interner.rebuild(
+                        markings[:n_states],
+                        np.maximum(markings[:n_states].max(axis=0), cand_max),
+                    )
+        if interner.byte_index is None:
+            candidates = interner.keys[cursor + src_local] + interner.key_delta[trans]
+            if fires_unfolded:
+                own_rows = np.flatnonzero(unfolded[trans])
+                candidates[own_rows] = interner.pack(nxt[own_rows])
+            dst, fresh, dropped = interner.intern(candidates, n_states, budget)
         else:
-            void = nxt.view(void_dtype).ravel()
-            _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
-            candidates = nxt[first]
-
-        uid_to_state = interner.lookup(candidates)
-        fresh = np.flatnonzero(uid_to_state < 0)
+            dst, fresh, dropped = interner.intern_rows(nxt, n_states, budget)
+        truncated |= dropped
         if fresh.size:
-            stream = fresh[np.argsort(first[fresh], kind="stable")]
-            budget = stream.size
-            if max_states is not None:
-                budget = max(0, max_states - n_states)
-                if budget < stream.size:
-                    truncated = True
-            chosen = stream[:budget]
-            if chosen.size:
-                ids = n_states + np.arange(chosen.size, dtype=np.int64)
-                uid_to_state[chosen] = ids
-                needed = n_states + chosen.size
-                if needed > capacity:
-                    while capacity < needed:
-                        capacity *= 2
-                    grown = np.empty((capacity, n_places), dtype=np.int64)
-                    grown[:n_states] = markings[:n_states]
-                    markings = grown
-                markings[n_states:needed] = nxt[first[chosen]]
-                # ``fresh`` is ascending, so its candidates are in key order.
-                added = fresh if chosen.size == fresh.size else np.sort(chosen)
-                interner.add(candidates[added], uid_to_state[added])
-                if on_progress is not None:
-                    start = (n_states // progress_every + 1) * progress_every
-                    for milestone in range(start, needed + 1, progress_every):
-                        on_progress(milestone)
-                n_states = needed
+            needed = n_states + fresh.size
+            if needed > capacity:
+                while capacity < needed:
+                    capacity *= 2
+                grown = np.empty((capacity, n_places), dtype=np.int64)
+                grown[:n_states] = markings[:n_states]
+                markings = grown
+            if nxt is None:
+                markings[n_states:needed] = M[src_local[fresh]] + deltas[trans[fresh]]
+            else:
+                markings[n_states:needed] = nxt[fresh]
+            if on_progress is not None:
+                start = (n_states // progress_every + 1) * progress_every
+                for milestone in range(start, needed + 1, progress_every):
+                    on_progress(milestone)
+            n_states = needed
 
-        dst = uid_to_state[inverse]
         keep = dst >= 0
         edges.append(
             (cursor + src_local)[keep],

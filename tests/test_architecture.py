@@ -815,15 +815,35 @@ def test_one_explored_model_and_one_edge_merge():
 def test_one_gather_per_wave():
     """``explore`` fires every (state, transition) pair of a wave at once:
     ``np.nonzero`` already lists them in stream order, so nothing re-sorts
-    them (no ``lexsort``), no per-transition edge fragments are collected in
-    a loop and stacked, and the successor rows are packed once."""
+    them (no ``lexsort``) and no per-transition edge fragments are collected
+    in a loop and stacked.  The wave's successor keys are interned by one
+    hash-table probe: no ``np.unique``, ``searchsorted``, ``np.insert`` or
+    sort on the packed path, and a successor is packed only where its action
+    did not fold (a folded firing's key is ``key[src] + key_delta[trans]``);
+    otherwise only a repack packs, the stored markings."""
     path = SRC / "petri" / "statespace.py"
     assert "lexsort" not in path.read_text()
     explore = next(
         node for node in _nodes(path, ast.FunctionDef) if node.name == "explore"
     )
-    calls = [node for node in ast.walk(explore) if isinstance(node, ast.Call)]
-    assert sum(getattr(node.func, "attr", None) == "pack" for node in calls) == 1
+    interner = next(
+        node for node in _nodes(path, ast.ClassDef) if node.name == "_MarkingInterner"
+    )
+    methods = {node.name: node for node in interner.body if isinstance(node, ast.FunctionDef)}
+
+    def calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+    def called(node, *names):
+        return [call for call in calls(node) if getattr(call.func, "attr", None) in names]
+
+    packs = called(explore, "pack")
+    assert [ast.unparse(call.args[0]) for call in packs] == ["nxt[own_rows]"]
+    assert "own_rows = np.flatnonzero(unfolded[trans])" in ast.unparse(explore)
+    assert [name for name, node in methods.items() if called(node, "pack")] == ["rebuild"]
+    sorting = ("unique", "searchsorted", "insert", "sort", "argsort")
+    for node in (explore, methods["intern"], methods["_rehash"], methods["_slots"]):
+        assert not called(node, *sorting), node.name
     stacked = [
         ast.unparse(node)
         for loop in ast.walk(explore) if isinstance(loop, ast.For)
@@ -833,7 +853,7 @@ def test_one_gather_per_wave():
     ]
     assert not stacked
     assert not [
-        node for node in calls
+        node for node in calls(explore)
         if getattr(node.func, "attr", None) in ("concatenate", "vstack")
         and getattr(node.func.value, "id", None) == "np"
     ]
