@@ -28,9 +28,11 @@ The scenario matrix (about 30 s on a 2-core box):
   (``transient_transform_batch``), both the row form's block solve, on
   voting (8,3,2), a ``repro.models`` builder kernel and the high-fan-out
   kernel the factored engine exists for × batch / factored × default /
-  cap-hit / cap-hit-with-fallback policies, plus the batch engine's per-point
-  regime, with every point's ``iterations``, ``converged``, ``final_delta``,
-  ``solver``, ``direct_solves`` and ``matvec_count``;
+  cap-hit / cap-hit-with-fallback policies, plus the transient's per-point
+  regime and the batch engine's passage walk on its three shapes (many
+  windows from many sources, a source that is a target, one strong
+  component), with every point's ``iterations``, ``converged``,
+  ``final_delta``, ``solver``, ``direct_solves`` and ``matvec_count``;
 * explore — every bundled net (the DNAmaca voting spec at four sizes up to
   the paper's system 1, the programmatic voting net and the web-server net)
   explored once: state and edge counts, the truncation flag and the sha256 of
@@ -240,7 +242,7 @@ def kernel_scenarios() -> dict:
         out[f"kernel/{name}/direct-lu/row"] = {
             "values": hexes(direct), "points": dump_diagnostics(diags),
         }
-        # the batch engine's per-point regime (one sparse matvec per point)
+        # the transient's per-point regime (one sparse matvec per point)
         held = passage_module.BLOCKDIAG_MAX_BYTES
         passage_module.BLOCKDIAG_MAX_BYTES = 0
         try:
@@ -250,6 +252,33 @@ def kernel_scenarios() -> dict:
             )
         finally:
             passage_module.BLOCKDIAG_MAX_BYTES = held
+    out.update(walk_scenarios(small.entry.kernel, sources, targets, grid))
+    return out
+
+
+def walk_scenarios(kernel, sources, targets, grid) -> dict:
+    """The batch engine's passage walk on its three shapes: many windows
+    entered from many sources (voting (8,3,2)'s sources and two states deep
+    in its chain), a source that is a target, and a chain that is one strong
+    component once its target is dropped (the high-fan-out kernel)."""
+    targets = np.asarray(targets)
+    many = source_weights(kernel, sorted({*sources, kernel.n_states // 2, kernel.n_states - 9}))
+    inside = np.zeros(kernel.n_states)
+    inside[[sources[0], targets[0]]] = 0.5
+    fan_out = fan_out_kernel()
+    one = np.zeros(fan_out.n_states)
+    one[0] = 1.0
+    cases = {
+        "multi-source": (kernel, many, targets),
+        "source-is-target": (kernel, inside, targets),
+        "one-component": (fan_out, one, np.asarray([fan_out.n_states - 1])),
+    }
+    out = {}
+    for name, (walked, alpha, target_states) in cases.items():
+        values, diags = passage_transform_batch(
+            walked, alpha, target_states, grid, policy=SPointPolicy(engine="batch")
+        )
+        out[f"kernel/walk/{name}"] = {"values": hexes(values), "points": dump_diagnostics(diags)}
     return out
 
 

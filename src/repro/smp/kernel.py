@@ -45,7 +45,7 @@ __all__ = [
 #: values bumps it: files written under the old epoch are then keyed by
 #: digests nothing can produce any more, so they are never read and never
 #: touched, and the first use recomputes (README, "Digest epochs").
-DIGEST_EPOCH = b"smp-digest-epoch-6"
+DIGEST_EPOCH = b"smp-digest-epoch-7"
 
 
 def kernel_content_digest(kernel: "SMPKernel") -> str:
@@ -498,17 +498,18 @@ class SMPKernel:
         )
 
 
-def _diagonal_copies(csr: KernelCSR, n_states: int, width: int):
-    """``(indptr, indices)`` of ``width`` diagonal copies of ``csr``."""
-    nnz = csr.indices.size
-    fits = width * max(n_states, nnz) <= np.iinfo(np.int32).max
+def _diagonal_copies(indptr: np.ndarray, indices: np.ndarray, width: int, stride: int):
+    """``(indptr, indices)`` of ``width`` diagonal copies of one CSR structure,
+    copy ``t``'s column indices moved by ``t · stride``."""
+    rows, nnz = indptr.size - 1, indices.size
+    fits = width * max(stride, nnz, rows) <= np.iinfo(np.int32).max
     copies = np.arange(width, dtype=np.int32 if fits else np.int64)[:, None]
-    indptr = np.empty(width * n_states + 1, dtype=copies.dtype)
-    np.add(csr.indptr[:-1], copies * nnz, out=indptr[:-1].reshape(width, n_states))
-    indptr[-1] = width * nnz
-    indices = np.empty(width * nnz, dtype=copies.dtype)
-    np.add(csr.indices, copies * n_states, out=indices.reshape(width, nnz))
-    return indptr, indices
+    out_indptr = np.empty(width * rows + 1, dtype=copies.dtype)
+    np.add(indptr[:-1], copies * nnz, out=out_indptr[:-1].reshape(width, rows))
+    out_indptr[-1] = width * nnz
+    out_indices = np.empty(width * nnz, dtype=copies.dtype)
+    np.add(indices, copies * stride, out=out_indices.reshape(width, nnz))
+    return out_indptr, out_indices
 
 
 def _csc_identity_plus(n_states: int, rows: np.ndarray, cols: np.ndarray):
@@ -559,7 +560,7 @@ class UEvaluator:
         self._factored = None
         #: the per-mask structures, ``{kind: OrderedDict(mask bytes -> structure)}``
         self._per_mask: "dict[str, OrderedDict[bytes, object]]" = {}
-        self._per_mask_lock = threading.Lock()
+        self._per_mask_lock = threading.RLock()  # a build may ask for another kind
 
     #: how many structures of each kind (one per absorbing mask) to keep: a
     #: bound on what an evaluator holds, not a tuned figure — a mask asked
@@ -714,6 +715,17 @@ class UEvaluator:
                 held_of_kind.popitem(last=False)
         return held
 
+    def components(self, absorbing: np.ndarray) -> "StrongComponents":
+        """The strong components of ``U K`` for one absorbing mask, in
+        topological order (:class:`repro.smp.linear.StrongComponents`): what
+        the direct ordering and the passage walk read, kept by :meth:`per_mask`.
+        Built at a mask's first solve, never at build or registration."""
+        from .linear import StrongComponents
+
+        return self.per_mask(
+            "components", absorbing, lambda mask: StrongComponents(self, mask)
+        )
+
     def direct_ordering(self, absorbing: np.ndarray) -> "DirectOrdering":
         """The complex direct solve's symbolic analysis for one absorbing mask
         (:class:`repro.smp.linear.DirectOrdering`), kept by :meth:`per_mask`."""
@@ -726,7 +738,10 @@ class UEvaluator:
     def block_diag_structure(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of ``block_diag`` of ``width`` copies of :attr:`csr`.
 
-        The structure the batched iteration multiplies by: with the block's
+        The structure the transient's batched iteration multiplies by (a
+        passage walks its components on structures of its own,
+        :meth:`StrongComponents.window_copies
+        <repro.smp.linear.StrongComponents.window_copies>`): with the block's
         ``(width, nnz)`` data raveled it *is* ``block_diag(M(s_1), ...,
         M(s_width))`` in CSR form (one C-level product per iteration instead
         of ``width``), and its ``.T`` — scipy's CSC scatter over the same
@@ -739,7 +754,8 @@ class UEvaluator:
         """
         held = self._block_diag
         if held is None or held[0] < width:
-            held = (width, *_diagonal_copies(self.csr, self.kernel.n_states, width))
+            n = self.kernel.n_states
+            held = (width, *_diagonal_copies(self.csr.indptr, self.csr.indices, width, n))
             if held[2].nbytes <= BLOCK_DIAG_RETAIN_BYTES:
                 self._block_diag = held
         n, nnz = self.kernel.n_states, self.csr.indices.size
@@ -752,8 +768,8 @@ class UEvaluator:
         A row vector supported on the states below ``h`` stays, after one
         product with ``U(s)`` or ``U'(s)``, supported below ``reach[h]`` —
         whatever ``s`` and the target set, because the bound reads the
-        structure only.  The row-form iteration multiplies just that prefix
-        of source rows.  Length ``n + 1``, non-decreasing, ``reach[0] = 0``;
+        structure only.  The transient's row iteration multiplies just that
+        prefix of source rows (a passage walks its strong components instead).  Length ``n + 1``, non-decreasing, ``reach[0] = 0``;
         built once per evaluator from :attr:`csr` (every row has an entry).
         """
         reach = np.zeros(self.kernel.n_states + 1, dtype=np.int64)
@@ -774,22 +790,28 @@ class UEvaluator:
         return np.repeat(lo - first, counts) + np.arange(counts.sum())
 
     def alpha_vec_matrix_batch(
-        self, alpha: np.ndarray, data_batch: np.ndarray, points: np.ndarray
+        self, alpha: np.ndarray, table: np.ndarray, columns: np.ndarray | None = None
     ) -> np.ndarray:
-        """``out[t] = alpha @ M(s)`` at the s-point of row ``points[t]`` of ``data_batch``.
+        """``out[t] = alpha @ U(s_t)`` for each row ``t`` of an :meth:`lst_table`.
 
         The batched engines start every s-point from the same source
         weighting, so the product only needs the entries whose *source row*
         carries alpha weight — for the typical single-source passage measure
-        that is a handful of transitions rather than the whole kernel.
+        that is a handful of transitions rather than the whole kernel — and
+        those entries' data is read off the table, as :meth:`fill_u_data`
+        writes it.  ``columns`` renumbers the states of the result (the
+        passage walk's positions).
         """
         alpha = np.asarray(alpha, dtype=complex)
         sel = self.row_entries(np.flatnonzero(alpha))
-        out = np.zeros((points.size, self.kernel.n_states), dtype=complex)
+        out = np.zeros((table.shape[0], self.kernel.n_states), dtype=complex)
         if sel.size == 0:
             return out
         cols = self.csr.indices[sel]
-        contrib = data_batch[points[:, None], sel] * alpha[self.csr.rows[sel]]
+        if columns is not None:
+            cols = columns[cols]
+        data = np.take(table, self.csr.dist_index[sel], axis=1) * self.csr.probs[sel]
+        contrib = data * alpha[self.csr.rows[sel]]
         order = np.argsort(cols, kind="stable")
         sorted_cols = cols[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_cols)) + 1))

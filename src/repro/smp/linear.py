@@ -17,9 +17,11 @@ benchmark.  A transient point is the same matrix with nothing absorbed,
 
 The ordering is per measure, not per point.  ``A(s)``'s pattern depends on
 the absorbing mask alone, so :class:`DirectOrdering` analyses it once per
-evaluator and mask — strong components in topological order (a block upper
-triangular matrix), COLAMD inside the diagonal blocks, the permuted CSC
-structure and a position map into it — and
+evaluator and mask — the mask's strong components in topological order (a
+block upper triangular matrix; :class:`StrongComponents`, the one component
+analysis, which the passage walk of :mod:`repro.smp.passage` reads too),
+COLAMD inside the diagonal blocks, the permuted CSC structure and a position
+map into it — and
 :meth:`UEvaluator.direct_ordering <repro.smp.kernel.UEvaluator.direct_ordering>`
 keeps the last four.  A routed point then costs a gather of its ``U(s)``
 data, one SuperLU factorisation in that order (``permc_spec="NATURAL"``), a
@@ -203,23 +205,169 @@ def _point_data(evaluator, s_values: np.ndarray, u_data: np.ndarray | None):
         yield from evaluator.u_data_batch(s_values[lo:hi], out=buffer[: hi - lo])
 
 
+class StrongComponents:
+    """The strong components of ``U K`` for one absorbing mask, in topological order.
+
+    The one component analysis per evaluator and mask
+    (:meth:`UEvaluator.components <repro.smp.kernel.UEvaluator.components>`
+    keeps it), and the only place a mask's graph is split: with the absorbing
+    states' columns dropped — their entries of ``U K`` are zero at every
+    ``s`` — what is left falls apart into strongly connected components,
+    ranked so that every edge between two of them runs from a lower rank to a
+    higher one (an absorbing state, which no kept edge enters, is a
+    component of its own).  :class:`DirectOrdering` orders its LU by the
+    ranks; the passage walk of :mod:`repro.smp.passage` sums one component
+    at a time, in rank order.
+
+    For the walk, the states that are not absorbing are laid out component
+    by component in rank order (ascending inside one), the absorbing states
+    after them: ``order`` lists the states in that layout, ``position`` is
+    its inverse, and window ``k`` — one component — holds the positions
+    ``bounds[k]:bounds[k + 1]``.  Each window's rows split their entries in
+    two CSR structures over walk positions: ``inner`` (columns inside the
+    window, numbered from its first position — the diagonal block
+    ``U_BB``) and ``cross`` (columns in later windows and the absorbing
+    states — everything the window's sum is pushed through once).  Each
+    keeps its entries' distribution and probability, so a block fills its
+    windows' data straight from its transform table.
+    """
+
+    def __init__(self, evaluator, absorbing: np.ndarray):
+        from scipy.sparse import csgraph
+
+        n = evaluator.kernel.n_states
+        csr = evaluator.csr
+        absorbing = np.asarray(absorbing, dtype=bool)
+        #: the entries of U that U K keeps, in image order
+        self.kept = np.flatnonzero(~absorbing[csr.indices])
+        rows, cols = csr.rows[self.kept], csr.indices[self.kept]
+        graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        self.count, self.label = csgraph.connected_components(graph, connection="strong")
+        self.rank = _topological_rank(self.label[rows], self.label[cols], self.count)
+        self.largest = int(np.bincount(self.label).max())
+
+        walk_rank = np.where(absorbing, self.count, self.rank[self.label])
+        self.order = np.argsort(walk_rank, kind="stable")
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[self.order] = np.arange(n)
+        self.walked = walked = n - int(absorbing.sum())
+        ranks = walk_rank[self.order[:walked]]
+        self.bounds = np.unique(np.concatenate(([0], np.flatnonzero(np.diff(ranks)) + 1, [walked])))
+        window_of = np.repeat(np.arange(self.bounds.size - 1), np.diff(self.bounds))
+
+        src, dst = self.position[csr.rows], self.position[csr.indices]
+        walked_entries = np.flatnonzero(src < walked)
+        src, dst = src[walked_entries], dst[walked_entries]
+        window = window_of[src]
+        inner = dst < self.bounds[1:][window]
+        local = dst - self.bounds[:-1][window]  # column numbers inside a window
+        self.inner = self._rows(csr, walked_entries[inner], src[inner], local[inner], walked)
+        self.cross = self._rows(csr, walked_entries[~inner], src[~inner], dst[~inner], walked)
+        #: the later windows each window pushes into
+        windows = self.bounds.size - 1
+        tails, heads = window[~inner], dst[~inner]
+        later = heads < walked
+        pairs = np.unique(tails[later] * windows + window_of[heads[later]])
+        tails, heads = np.divmod(pairs, max(windows, 1))
+        self.successors = np.split(heads, np.searchsorted(tails, np.arange(1, windows)))
+        self._copies: tuple[int, list] | None = None
+
+    @staticmethod
+    def _rows(csr, entries, src, dst, walked) -> "_WalkRows":
+        """One of the walk's two CSR structures: rows = walk positions."""
+        order = np.argsort(src, kind="stable")
+        entries, dst = entries[order], dst[order]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=walked))))
+        return _WalkRows(
+            indptr.astype(np.int64), dst.astype(csr.indices.dtype),
+            csr.dist_index[entries], csr.probs[entries],
+        )
+
+    def window(self, k: int) -> tuple[int, int]:
+        """Window ``k``'s walk positions ``(lo, hi)``."""
+        return int(self.bounds[k]), int(self.bounds[k + 1])
+
+    def reached(self, evaluator, alpha: np.ndarray) -> np.ndarray:
+        """The windows the walk from ``alpha`` sends mass into, in rank order:
+        those ``alpha U`` enters and, along their cross edges, every later
+        one they lead to."""
+        csr = evaluator.csr
+        first = self.position[csr.indices[evaluator.row_entries(np.flatnonzero(alpha))]]
+        reached = np.zeros(self.bounds.size - 1, dtype=bool)
+        reached[np.searchsorted(self.bounds, first[first < self.walked], side="right") - 1] = True
+        for k in range(reached.size):
+            if reached[k]:
+                reached[self.successors[k]] = True
+        return np.flatnonzero(reached)
+
+    def window_copies(self, width: int) -> list:
+        """Per window, ``(inner indptr, inner indices, cross indptr, cross
+        indices)`` of ``width`` diagonal copies of its two structures — the
+        inner copies' columns moved by the window's size per copy, the
+        cross copies' by ``n``, the row of a ``(width, n)`` state — so one
+        call of scipy's kernel steps or pushes every point of a block.  Built
+        at the widest block seen and handed out as prefix views, like
+        :meth:`UEvaluator.block_diag_structure
+        <repro.smp.kernel.UEvaluator.block_diag_structure>`, and kept under the
+        same :data:`~repro.smp.kernel.BLOCK_DIAG_RETAIN_BYTES`."""
+        from . import kernel as kernel_module
+
+        held = self._copies
+        if held is None or held[0] < width:
+            n = self.position.size
+            copies = []
+            for k in range(self.bounds.size - 1):
+                lo, hi = self.window(k)
+                copies.append((
+                    *self._copy(self.inner, lo, hi, width, hi - lo),
+                    *self._copy(self.cross, lo, hi, width, n),
+                ))
+            held = (width, copies)
+            size = sum(array.nbytes for window in copies for array in window)
+            if size <= kernel_module.BLOCK_DIAG_RETAIN_BYTES:
+                self._copies = held
+        return held[1]
+
+    @staticmethod
+    def _copy(rows: "_WalkRows", lo: int, hi: int, width: int, stride: int):
+        from .kernel import _diagonal_copies
+
+        indptr = rows.indptr[lo:hi + 1]
+        return _diagonal_copies(
+            indptr - indptr[0], rows.indices[indptr[0]:indptr[-1]], width, stride
+        )
+
+
+class _WalkRows:
+    """A CSR structure over walk positions and its entries' distribution and
+    probability (:class:`StrongComponents`)."""
+
+    __slots__ = ("indptr", "indices", "dist", "probs")
+
+    def __init__(self, indptr, indices, dist, probs):
+        self.indptr, self.indices, self.dist, self.probs = indptr, indices, dist, probs
+
+    def entries(self, lo: int, hi: int) -> slice:
+        """The entries of the rows ``lo:hi``."""
+        return slice(int(self.indptr[lo]), int(self.indptr[hi]))
+
+
 class DirectOrdering:
     """The symbolic analysis of ``A = I - U K`` for one absorbing mask.
 
     Computed once per evaluator and mask (:meth:`UEvaluator.direct_ordering`
     keeps it), it turns every routed s-point into a numeric factorisation
-    only.  With the absorbing states' columns dropped — their entries of
-    ``U K`` are zero at every ``s`` — the matrix falls apart into strongly
-    connected blocks: the voting passage's 1,876 states into 36 of at most
-    111.  The analysis is KLU's (Davis & Palamadai Natarajan, *Algorithm
-    907: KLU*, ACM TOMS 2010):
+    only.  The strong components of the mask's :class:`StrongComponents`
+    (the voting passage's 1,876 states fall into 36 of at most 111) and their
+    ranks make ``A`` block upper triangular — KLU's first step (Davis &
+    Palamadai Natarajan, *Algorithm 907: KLU*, ACM TOMS 2010); what is left
+    here is the rest of KLU's analysis:
 
-    1. the strong components of what is left, ranked along its edges, so
-       the symmetric permutation ``perm`` makes ``A`` block upper triangular;
-    2. each diagonal block ordered by COLAMD — one SuperLU ordering of the
+    1. each diagonal block ordered by COLAMD — one SuperLU ordering of the
        blocks' union, read as the column sequence ``argsort(perm_c)`` of an
-       incomplete LU that keeps nothing but the diagonal;
-    3. the permuted matrix's CSC structure and where each kept entry of
+       incomplete LU that keeps nothing but the diagonal — inside the
+       symmetric permutation ``perm`` that sorts the components by rank;
+    2. the permuted matrix's CSC structure and where each kept entry of
        ``U`` lands in its data vector.
 
     A point is then one gather of its ``U`` data into that structure, one
@@ -230,18 +378,16 @@ class DirectOrdering:
     """
 
     def __init__(self, evaluator, absorbing: np.ndarray):
-        from scipy.sparse import csgraph
         from scipy.sparse import linalg as splinalg
 
         n = self.n_states = evaluator.kernel.n_states
         csr = evaluator.csr
-        #: the entries of U that U K keeps, in image order
-        self.kept = np.flatnonzero(~np.asarray(absorbing, dtype=bool)[csr.indices])
-        rows, cols = csr.rows[self.kept], csr.indices[self.kept]
         with obs_trace.span("direct-ordering", n_states=n) as span:
-            graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-            self.blocks, label = csgraph.connected_components(graph, connection="strong")
-            rank = _topological_rank(label[rows], label[cols], self.blocks)
+            components = evaluator.components(absorbing)
+            #: the entries of U that U K keeps, in image order
+            self.kept = components.kept
+            rows, cols = csr.rows[self.kept], csr.indices[self.kept]
+            label, rank = components.label, components.rank
             inside = label[rows] == label[cols]
             size, indices, indptr, diag_pos, _ = _csc_identity_plus(n, rows[inside], cols[inside])
             values = np.ones(size)
@@ -256,7 +402,7 @@ class DirectOrdering:
             position = np.empty(n, dtype=np.int64)
             position[self.perm] = np.arange(n)
             self._structure = _csc_identity_plus(n, position[rows], position[cols])
-            self.largest_block = int(np.bincount(label).max())
+            self.blocks, self.largest_block = components.count, components.largest
             span.set(blocks=self.blocks, largest_block=self.largest_block)
 
     def solve(self, data: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:

@@ -150,7 +150,8 @@ class TestWireFormat:
             "t_points": [1.0, 5.0], "include_steady_state": False,
         })
         assert not steady.include_steady_state
-        assert query.run().quantiles[0.5] == pytest.approx(4.474629756769041, abs=1e-9)
+        # the passage walk moved the transforms by < epsilon, this by 3.0e-8
+        assert query.run().quantiles[0.5] == pytest.approx(4.4746297267294874, abs=1e-9)
 
     @pytest.mark.parametrize("field, value", [
         ("t_points", []), ("t_points", [-1.0]), ("t_points", ["x"]), ("t_points", None),

@@ -5,7 +5,9 @@ which may number the distribution table differently; a faster explorer that
 reordered the table would move every ``kernel_content_digest`` (so every
 job, checkpoint and plane key) without failing it.  The golden values below
 pin the table order, the state numbering and every edge column to the bytes
-they had when recorded.
+they had when recorded.  The kernel digest also hashes ``DIGEST_EPOCH``: its
+golden values were re-recorded when the epoch moved to 7, every other field
+unchanged.
 """
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ NETS = {
 
 GOLDEN = {
     "counter": {
-        "digest": "140e0a9bce74c66cfe93e44d0eafb00b903a7da36ac0b950a74f93656ce3068d",
+        "digest": "b67a2b510ee2fb12426042adb1193a7cd46ba79ca509149cf8c2566d4f190c16",
         "states": 856,
         "edges": 1200,
         "marking_matrix": "0f31cd7377546b88725016b03a490a99e9eb86af82981dc7435e1a8d0ec24fc6",
@@ -82,7 +84,7 @@ GOLDEN = {
         "edge_trans": "a589308c29c199d5d480749b065be75085759191e640d0e630f9b5914ab0de0c",
     },
     "voting-spec1863": {
-        "digest": "9ebe37db2ac6f1152fdeceed271a506de977c564405fe8e76b0698587c7ca5a5",
+        "digest": "049f504e33634ea633b6ec9495907d1e80fc7c16fc46a8c2b65fc7e57f56705a",
         "states": 1876,
         "edges": 7959,
         "marking_matrix": "7d6e974867e550e6e0d05180b14c96be22f85fc96007d987c963618740d2ab84",
@@ -93,7 +95,7 @@ GOLDEN = {
         "edge_trans": "009f61ed4be6634c3b9920720e37a9a317c9a997a72362284820f46f22140dfb",
     },
     "voting-spec50154": {
-        "digest": "22427eb509e19aa29746b1e956d5d99e3f4d98d32fe545ef39958fac0efe4a7a",
+        "digest": "5b3da8a01fbbb37a5a7993fdc3970fb167bf7900e6a973dc69346879f1bbab7e",
         "states": 31210,
         "edges": 159220,
         "marking_matrix": "da48a740ec6a0bdf8956e41dbb6c9c8d90657fe32c42531f4affd77e6dcf3abd",

@@ -10,6 +10,7 @@ from repro.models import VotingParameters, voting_spec_text
 from repro.service.registry import ModelRegistry
 from repro.smp import (
     ConvergenceDiagnostics,
+    PassageTimeOptions,
     SMPBuilder,
     SPointPolicy,
     passage_transform_batch,
@@ -18,6 +19,23 @@ from repro.smp import (
 
 #: no direct routing, no fallback: every point is iterated to the truncation rule
 ITERATIVE_ONLY = SPointPolicy(predicted_iteration_limit=10**9, fallback_to_direct=False)
+
+
+#: the LU's own error, allowed on top of ``final_delta``
+LU_SLACK = 1e-12
+
+
+def assert_within_deltas(values, diags, others, other_diags) -> None:
+    """Two truncations of one passage sum — the batch engine's walk and the
+    factored engine's or the oracle's global iteration stop at different
+    terms — each within its ``final_delta`` of the exact transform, so of
+    each other within the two summed."""
+    values, others = np.atleast_1d(values), np.atleast_1d(others)
+    bound = np.array([d.final_delta for d in np.atleast_1d(diags)]) + np.array(
+        [d.final_delta for d in np.atleast_1d(other_diags)]
+    )
+    gap = np.abs(values - others)
+    assert (gap <= bound + LU_SLACK).all(), float(np.max(gap - bound))
 
 
 def block_of_one(kernel, alpha, targets, s, options=None):
@@ -49,6 +67,80 @@ def vector_block_of_one(kernel, targets, s, options=None):
         final_delta=slowest.final_delta,
         matvec_count=slowest.matvec_count,
     )
+
+
+def zero_walk_steps(kernel, alpha, targets, options=None) -> dict[frozenset, int]:
+    """The passage walk at ``s = 0``, real and on its own: ``N_B(0)`` per
+    strong component ``B`` the walk from ``alpha`` reaches.
+
+    ``U'(0) = P'``, the embedded chain with the target columns dropped.  Its
+    strong components are found here, ordered topologically, and each
+    reached one is summed from its inflow by ``x_B = sum_r b_B P'_BB^r``
+    under the driver's rule — stop after ``consecutive`` steps with
+    ``||b_B P'_BB^r||_1 < epsilon / (reached components)`` — and pushed on
+    through ``P'``.  For ``Re s >= 0`` every ``|L_d(s)| <= 1``, so
+    ``|U'(s)| <= P'`` entrywise and, component by component in topological
+    order, ``|b_B(s) U'_BB(s)^r| <= b_B(0) P'_BB^r``: no s-point takes more
+    steps in ``B`` than ``N_B(0)`` (probe 11's bound, per component).
+    Returns ``{frozenset(states of B): N_B(0)}``.
+    """
+    from scipy.sparse import csgraph
+
+    options = options or PassageTimeOptions()
+    n = kernel.n_states
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(targets)] = True
+    P = kernel.embedded_matrix().tocsr()
+    kept = P.multiply(np.where(mask, 0.0, 1.0)[None, :]).tocsr()
+    kept.eliminate_zeros()
+    _, label = csgraph.connected_components(kept, connection="strong")
+    components: dict[int, np.ndarray] = {}
+    for state in np.flatnonzero(~mask):
+        components.setdefault(int(label[state]), []).append(int(state))
+    components = {c: np.asarray(states) for c, states in components.items()}
+    edges = kept.tocoo()
+    later = {c: set() for c in components}
+    for i, j in zip(edges.row, edges.col):
+        if label[i] != label[j] and not mask[i]:
+            later[int(label[i])].add(int(label[j]))
+    # Kahn's algorithm over the component graph
+    waiting = {c: 0 for c in components}
+    for heads in later.values():
+        for head in heads:
+            waiting[head] += 1
+    ready, order = [c for c, count in waiting.items() if count == 0], []
+    while ready:
+        c = ready.pop()
+        order.append(c)
+        for head in later[c]:
+            waiting[head] -= 1
+            if waiting[head] == 0:
+                ready.append(head)
+    inflow = np.asarray(alpha, dtype=float) @ P
+    reached = {int(label[j]) for j in np.flatnonzero((inflow != 0.0) & ~mask)}
+    for c in order:
+        if c in reached:
+            reached |= later[c]
+    epsilon = options.epsilon / max(len(reached), 1)
+    steps = {}
+    for c in order:
+        if c not in reached:
+            continue
+        states = components[c]
+        block = kept[states][:, states]
+        w = inflow[states]
+        x = w.copy()
+        below = count = 0
+        while count < options.max_iterations and below < options.consecutive:
+            w = w @ block
+            x += w
+            count += 1
+            below = below + 1 if np.abs(w).sum() < epsilon else 0
+        steps[frozenset(states.tolist())] = count
+        push = x @ kept[states]
+        push[states] = 0.0
+        inflow = inflow + push
+    return steps
 
 
 def voting_measure(voters: int, polling_units: int, central_units: int):

@@ -2,9 +2,11 @@
 
 The batched engine must agree with the scalar loops kept as oracles in
 ``tests.reference``: on the iterative path it applies the *same* truncation
-rule per s-point, so values match the scalar functions to float
-associativity; policy-routed points come from the sparse-LU direct solve and
-must match the direct oracle.
+rule per s-point — a passage per strong component, the oracle over the whole
+chain, so the two agree to within their summed ``final_delta`` — and a
+transient's values match the scalar functions to float associativity;
+policy-routed points come from the sparse-LU direct solve and must match the
+direct oracle.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from tests.reference import (
     passage_transform_vector,
     transient_transform,
 )
-from tests.smp.conftest import ITERATIVE_ONLY, random_kernel
+from tests.smp.conftest import ITERATIVE_ONLY, assert_within_deltas, random_kernel
 
 # One representative of every distribution family shipped with the library.
 FAMILIES = {
@@ -83,10 +85,10 @@ def test_batch_matches_scalar_per_family(family):
         kernel, alpha, [2], S_GRID, policy=ITERATIVE_ONLY
     )
     for t, s in enumerate(S_GRID):
+        # the walk and the oracle's global sum stop at different terms
         scalar, scalar_diag = passage_transform(kernel, alpha, [2], complex(s))
-        assert batch[t] == pytest.approx(scalar, abs=1e-10)
-        assert diags[t].iterations == scalar_diag.iterations
-        assert diags[t].matvec_count == scalar_diag.matvec_count
+        assert_within_deltas(batch[t], diags[t], scalar, scalar_diag)
+        assert diags[t].matvec_count == diags[t].iterations + 1
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -111,27 +111,35 @@ def test_a_factored_block_stays_inside_its_memory_plan(form):
 
 
 def test_the_block_diagonal_structure_is_built_once_per_kernel(measure, monkeypatch):
-    """Five ops on fresh grids, every narrowing of every block, the passage
-    and the transient: one build — and a wider block grows it, once."""
+    """Five passage ops on fresh grids, every narrowing of every block, and a
+    transient: one build of the walk's window copies (per mask) and one of
+    the transient's block-diagonal structure (per kernel) — and a wider block
+    grows each, once."""
     kernel, alpha, targets, grid = measure
     builds = []
     real = kernel_module._diagonal_copies
 
-    def counted(csr, n_states, width):
+    def counted(indptr, indices, width, stride):
         builds.append(width)
-        return real(csr, n_states, width)
+        return real(indptr, indices, width, stride)
 
     monkeypatch.setattr(kernel_module, "_diagonal_copies", counted)
     evaluator = kernel.evaluator()
+    mask = np.zeros(kernel.n_states, dtype=bool)
+    mask[targets] = True
+    windows = evaluator.components(mask).bounds.size - 1
     for op in range(5):
         _, diags = passage_transform_batch(
             evaluator, alpha, targets, grid * (1.0 + 0.01 * op)
         )
         assert all(d.converged and d.solver == "iterative" for d in diags)
+    # an inner and a cross structure per window
+    assert builds == [grid.size] * 2 * windows
     transient_transform_batch(evaluator, alpha, targets, grid[:20])
-    assert builds == [grid.size]
+    transient_transform_batch(evaluator, alpha, targets, grid[:10])
+    assert builds == [grid.size] * 2 * windows + [20]
     passage_transform_batch(evaluator, alpha, targets, np.concatenate((grid, 1.5 * grid)))
-    assert builds == [grid.size, 2 * grid.size]
+    assert builds == [grid.size] * 2 * windows + [20] + [2 * grid.size] * 2 * windows
     # served as prefix views of the one retained structure
     first, second = (evaluator.block_diag_structure(7) for _ in range(2))
     assert all(np.shares_memory(a, b) for a, b in zip(first, second))
@@ -221,11 +229,11 @@ def test_alpha_start_vectors_match_the_matrix_product(measure):
     kernel, alpha, targets, grid = measure
     evaluator = kernel.evaluator()
     s_block = grid[:6]
-    u_data = evaluator.u_data_batch(s_block)
     weights = source_weights(kernel, [0, 3, kernel.n_states - 1]).astype(complex)
     points = np.asarray([4, 0, 5])
-    got = evaluator.alpha_vec_matrix_batch(weights, u_data, points)
-    whole = evaluator.alpha_vec_matrix_batch(weights, u_data, np.arange(s_block.size))
+    table = evaluator.lst_table(s_block)
+    got = evaluator.alpha_vec_matrix_batch(weights, table[points])
+    whole = evaluator.alpha_vec_matrix_batch(weights, table)
     assert got.tobytes() == whole[points].tobytes()
     for row, t in zip(got, points):
         expected = np.asarray(weights @ u_matrix(kernel, complex(s_block[t]))).ravel()
@@ -259,8 +267,9 @@ def test_an_explicit_direct_solve_reads_the_grid_uncopied(measure, monkeypatch):
     routed = np.concatenate((grid[:3] * 1e-6, grid[3:6]))
     _, diags = passage_transform_batch(evaluator, alpha, targets, routed)
     assert [d.solver for d in diags] == ["direct"] * 3 + ["iterative"] * 3
-    assert len(fills) == 2 and fills[1].shape[0] == 6
-    # the routed rows are the tail of the block's one fill, in input order
+    # the iterated points walk on data of their own: the grid is the routed rows
+    assert len(fills) == 2 and fills[1].shape[0] == 3
+    # the routed rows are the block's one fill, in input order
     assert handed[1].shape[0] == 3 and np.shares_memory(handed[1], fills[1])
     assert handed[1].tobytes() == evaluator.u_data_batch(routed[:3]).tobytes()
 

@@ -3,7 +3,9 @@
 The distribution-factored engine must be a drop-in replacement for the
 batched per-edge-data engine, which itself matches the scalar loops: all
 three apply the same truncation rule, so values agree to float associativity
-(asserted at 1e-10) and iteration counts agree exactly.  Parity is checked
+(asserted at 1e-10) and iteration counts agree exactly — except the batch
+engine's passage, which sums one strong component at a time and so agrees
+with the others to within the summed ``final_delta``.  Parity is checked
 across every bundled model family, both measures the row form sums (the
 passage over the target-absorbing ``U'`` and the transient over the plain
 ``U``), real-dominated
@@ -45,7 +47,7 @@ from repro.smp import (
 )
 from tests import reference
 from tests.reference import passage_transform, transient_transform
-from tests.smp.conftest import fan_out_kernel, random_kernel
+from tests.smp.conftest import assert_within_deltas, fan_out_kernel, random_kernel
 
 #: pure-iterative policies, one per engine (no direct routing, no fallback)
 FACTORED = SPointPolicy(
@@ -125,9 +127,9 @@ def test_passage_parity_across_engines(name, grid_name, grid):
     targets = [kernel.n_states - 1]
     fac, fac_diags = passage_transform_batch(kernel, alpha, targets, grid, policy=FACTORED)
     bat, bat_diags = passage_transform_batch(kernel, alpha, targets, grid, policy=BATCH)
-    assert np.abs(fac - bat).max() < 1e-10
+    # the batch engine walks strong components, the factored one the chain
+    assert_within_deltas(fac, fac_diags, bat, bat_diags)
     for df, db in zip(fac_diags, bat_diags):
-        assert df.iterations == db.iterations
         assert df.engine == "factored" and db.engine == "batch"
     # scalar oracle on a subset (the scalar loop is slow)
     for t in range(0, grid.size, 7):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.distributions import Erlang, Exponential
 from repro.laplace import EulerInverter
@@ -27,11 +27,18 @@ from repro.smp import (
 )
 from repro.smp import passage as passage_module
 
-from .conftest import ITERATIVE_ONLY, fan_out_kernel, random_kernel, voting_measure
+from tests.petri.test_random_nets_properties import random_nets
+
+from .conftest import (
+    ITERATIVE_ONLY,
+    LU_SLACK,
+    fan_out_kernel,
+    random_kernel,
+    voting_measure,
+    zero_walk_steps,
+)
 
 GRID = np.array([0.4 + 1.5j, 1.0 - 3.0j, 2.5 + 0.5j, 0.2 + 6.0j, 4.0 + 0.0j, 0.7 - 0.7j])
-#: the LU's own error, allowed on top of ``final_delta``
-LU_SLACK = 1e-12
 
 
 class _ExactResidual:
@@ -107,8 +114,9 @@ def _boundary_mismatches(measure, engine, transient, monkeypatch) -> list[float]
     return mismatches
 
 
+# The batch engine's passage walks strong components, whose windows take the
+# exact norm every step: there is no bound to certify there.
 CASES = [
-    pytest.param("voting", "batch", False, id="passage-batch"),
     pytest.param("voting", "batch", True, id="transient-batch"),
     pytest.param("fan_out", "factored", False, id="passage-factored"),
     pytest.param("fan_out", "factored", True, id="transient-factored"),
@@ -142,15 +150,17 @@ def test_a_bound_that_is_not_a_lower_bound_is_caught(
 
 def test_the_drive_span_counts_exact_rows():
     """On the benchmark's grid every converged point is taken exactly at
-    least once, and far fewer rows are taken exactly than are advanced."""
+    least once, and far fewer rows are taken exactly than are advanced — for
+    the transient, whose residual is certified (a passage's windows take
+    the exact norm every step)."""
     kernel, alpha, targets = voting_measure(18, 6, 3)
     tracer = get_tracer()
     tracer.enable()
     tracer.clear()
     try:
         report: dict = {}
-        _, diags = passage_transform_batch(
-            kernel, alpha, targets, _euler_grid((15.0, 27.0, 60.0)), report=report
+        _, diags = transient_transform_batch(
+            kernel, alpha, targets[:3], _euler_grid((15.0, 27.0, 60.0)), report=report
         )
         (drive,) = [span for span in tracer.spans() if span["name"] == "drive"]
     finally:
@@ -164,15 +174,37 @@ def test_the_drive_span_counts_exact_rows():
 
 
 def _assert_final_delta_bounds_the_error(kernel, alpha, targets, s_values):
+    """Every iterative point is within its ``final_delta`` of the LU, and
+    ``final_delta`` — the walk's residuals summed over its windows — is
+    below epsilon."""
     iterated, diags = passage_transform_batch(
         kernel, alpha, targets, s_values, policy=ITERATIVE_ONLY
     )
     exact, _ = passage_transform_batch(kernel, alpha, targets, s_values, solver="direct")
-    assert all(d.solver == "iterative" for d in diags)
+    assert all(d.solver == "iterative" and d.converged for d in diags)
     error = np.abs(iterated - exact)
     bound = np.array([d.final_delta for d in diags])
     assert (error <= bound + LU_SLACK).all(), float(np.max(error - bound))
+    assert (bound <= PassageTimeOptions().epsilon).all(), float(bound.max())
     return error, bound
+
+
+def _measure_draws(rng, n):
+    """Sources (one to three, one of them a target when the draw says so)
+    and targets (one to three) on ``n`` states."""
+    targets = np.sort(rng.choice(n, size=int(rng.integers(1, min(3, n - 1) + 1)), replace=False))
+    alpha = np.zeros(n)
+    alpha[rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)] = 1.0
+    if rng.random() < 0.4:
+        alpha[targets[0]] = 1.0  # a source that is a target
+    return alpha / alpha.sum(), targets
+
+
+def _net_kernel(case):
+    from repro.petri import build_kernel, explore
+
+    net, _ = case
+    return build_kernel(explore(net, max_states=500))
 
 
 @pytest.mark.parametrize(
@@ -199,11 +231,86 @@ def test_final_delta_bounds_the_passage_error(t_points):
 def test_final_delta_bounds_the_error_on_random_kernels(seed, n, density):
     rng = np.random.default_rng(seed)
     kernel = random_kernel(rng, n, density=density)
-    alpha = np.zeros(n)
-    alpha[rng.choice(n, size=int(rng.integers(1, 3)), replace=False)] = 1.0
-    alpha /= alpha.sum()
-    targets = np.sort(rng.choice(n, size=int(rng.integers(1, 3)), replace=False))
+    alpha, targets = _measure_draws(rng, n)
     _assert_final_delta_bounds_the_error(kernel, alpha, targets, GRID)
+
+
+@given(case=random_nets(), seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_final_delta_bounds_the_error_on_random_nets(case, seed):
+    kernel = _net_kernel(case)
+    assume(kernel.n_states >= 2)
+    alpha, targets = _measure_draws(np.random.default_rng(seed), kernel.n_states)
+    _assert_final_delta_bounds_the_error(kernel, alpha, targets, GRID)
+
+
+#: the step bound is tight near ``s = 0``: there every point's walk is the
+#: real one's to within ``|s|``
+NEAR_ZERO = np.concatenate((GRID, [1e-6, 1e-4 + 1e-4j, 1e-2 - 2e-2j]))
+
+
+def _assert_window_steps_are_bounded_at_zero(kernel, alpha, targets, s_values):
+    """Every point's steps in every window of the walk are at most that
+    component's ``N_B(0)``, the real walk's at ``s = 0``."""
+    evaluator = kernel.evaluator()
+    components = evaluator.components(np.isin(np.arange(kernel.n_states), targets))
+    taken: list[tuple[int, np.ndarray]] = []
+    real = passage_module._drive
+
+    def spy(op, options, **kwargs):
+        out = real(op, options, **kwargs)
+        if isinstance(op, passage_module._WindowOperator):
+            taken.append((op.window, out[2].copy()))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(passage_module, "_drive", spy)
+        _, diags = passage_transform_batch(
+            evaluator, alpha, targets, s_values, policy=ITERATIVE_ONLY
+        )
+    bounds = zero_walk_steps(kernel, alpha, targets)
+    assert sorted(map(sorted, bounds)) == sorted(
+        sorted(components.order[slice(*components.window(k))].tolist()) for k, _ in taken
+    )
+    for k, steps in taken:
+        states = frozenset(components.order[slice(*components.window(k))].tolist())
+        assert steps.max() <= bounds[states], (sorted(states), steps.max(), bounds[states])
+    # a point's iterations are its steps summed over the windows (the
+    # windows see the points in run order, the diagnostics in input order)
+    walked = sum((steps for _, steps in taken), np.zeros(len(diags), dtype=np.int64))
+    assert sorted(d.iterations for d in diags) == sorted(walked.tolist())
+
+
+def test_no_point_outsteps_the_zero_walk_on_the_voting_passage():
+    """System 0's 18 windows on the benchmark's grid, on the far tail and
+    near ``s = 0``."""
+    kernel, alpha, targets = voting_measure(18, 6, 3)
+    _assert_window_steps_are_bounded_at_zero(
+        kernel, alpha, targets,
+        np.concatenate((_euler_grid((15.0, 27.0, 60.0, 640.0)), NEAR_ZERO[-3:])),
+    )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=3, max_value=30),
+    density=st.floats(min_value=0.0, max_value=0.4),
+)
+@settings(max_examples=30, deadline=None)
+def test_no_point_outsteps_the_zero_walk_on_random_kernels(seed, n, density):
+    rng = np.random.default_rng(seed)
+    kernel = random_kernel(rng, n, density=density)
+    alpha, targets = _measure_draws(rng, n)
+    _assert_window_steps_are_bounded_at_zero(kernel, alpha, targets, NEAR_ZERO)
+
+
+@given(case=random_nets(), seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_no_point_outsteps_the_zero_walk_on_random_nets(case, seed):
+    kernel = _net_kernel(case)
+    assume(kernel.n_states >= 2)
+    alpha, targets = _measure_draws(np.random.default_rng(seed), kernel.n_states)
+    _assert_window_steps_are_bounded_at_zero(kernel, alpha, targets, NEAR_ZERO)
 
 
 @pytest.mark.parametrize("transient", [False, True], ids=["passage", "transient"])

@@ -376,7 +376,9 @@ def test_one_routed_block_solve():
     assert _call_sites("route_direct") == {"smp/passage.py": 1}
     assert _call_sites("passage_transform_direct_batch") == {"smp/passage.py": 1}
     assert _call_sites("transient_transform_direct_batch") == {"smp/passage.py": 1}
-    assert _call_sites("_drive") == {"smp/passage.py": 1}
+    # the block's, and the passage walk's once per window: one truncation rule
+    assert _call_sites("_drive") == {"smp/passage.py": 2}
+    assert _callers("_drive") == ["smp/passage.py:_solve_block", "smp/passage.py:drive"]
     # the transient is the same grid solve with another form
     assert _call_sites("_form_batch") == {"smp/passage.py": 1, "smp/transient.py": 1}
     assert _call_sites("_solve_block") == {"smp/passage.py": 1}
@@ -443,7 +445,9 @@ def test_the_block_solve_does_not_copy():
         ast.unparse(node) for node in _nodes(passage, ast.Subscript)
         if ast.unparse(node.value) in grids and isinstance(node.ctx, ast.Store)
     ]
-    assert writes == ["self._grid[:, self.evaluator.row_entries(np.flatnonzero(self._absorbing))]"]
+    # nothing is zeroed in place: the batch operator runs the transient,
+    # which absorbs nothing, and a passage walks on data filled for it
+    assert writes == []
     (block,) = [
         node for node in _nodes(passage, ast.FunctionDef) if node.name == "_solve_block"
     ]
@@ -511,8 +515,9 @@ def test_a_batch_step_allocates_no_state():
 
 
 def test_the_exact_norm_is_taken_in_the_residual_only():
-    """``||v||_1`` — ``np.abs(...).sum(...)`` — is computed in one place, the
-    operators' shared ``residual``, behind its certified bound."""
+    """``||v||_1`` — ``np.abs(...).sum(...)`` — is computed in the residuals
+    only: the operators' shared one, behind its certified bound, and a walk
+    window's, which takes it every step."""
     passage = SRC / "smp" / "passage.py"
     owners = []
     for function in _nodes(passage, ast.FunctionDef):
@@ -525,7 +530,7 @@ def test_the_exact_norm_is_taken_in_the_residual_only():
                 and ast.unparse(node.func.value.func) == "np.abs"
             ):
                 owners.append(function.name)
-    assert owners == ["residual"]
+    assert owners == ["residual", "residual"]
 
 
 def test_the_factored_operator_is_the_batch_operator_with_another_product():
@@ -605,7 +610,22 @@ def test_the_direct_ordering_is_cached_on_the_evaluator():
     assert _callers("DirectOrdering") == ["smp/kernel.py:direct_ordering"]
     assert _callers("_RowStructure") == ["smp/factored.py:row_structure"]
     assert _callers("per_mask") == [
-        "smp/factored.py:row_structure", "smp/kernel.py:direct_ordering",
+        "smp/factored.py:row_structure", "smp/kernel.py:components",
+        "smp/kernel.py:direct_ordering",
+    ]
+    # one component analysis per mask: the direct ordering and the passage
+    # walk read it, and nothing else splits a mask's graph
+    assert _callers("StrongComponents") == ["smp/kernel.py:components"]
+    assert _callers("connected_components") == [
+        "smp/linear.py:closed_classes", "smp/linear.py:__init__",
+    ]
+    (components,) = [
+        node for node in _nodes(SRC / "smp" / "linear.py", ast.ClassDef)
+        if node.name == "StrongComponents"
+    ]
+    assert "connected_components" in ast.unparse(components)
+    assert _callers("components") == [
+        "smp/linear.py:__init__", "smp/passage.py:__init__",
     ]
     (evaluator,) = [
         node for node in _nodes(SRC / "smp" / "kernel.py", ast.ClassDef)
