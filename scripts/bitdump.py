@@ -28,7 +28,7 @@ The scenario matrix (about 30 s on a 2-core box):
   (``transient_transform_batch``), both the row form's block solve, on
   voting (8,3,2), a ``repro.models`` builder kernel and the high-fan-out
   kernel the factored engine exists for × batch / factored × default /
-  cap-hit / cap-hit-with-fallback policies, plus the transient's per-point
+  cap-hit / cap-hit-with-fallback / routed-by-policy policies, plus the transient's per-point
   regime and the batch engine's passage walk on its three shapes (many
   windows from many sources, a source that is a target, one strong
   component), with every point's ``iterations``, ``converged``,
@@ -212,6 +212,9 @@ def kernel_scenarios() -> dict:
         "default": (PassageTimeOptions(), {}),
         "cap": (PassageTimeOptions(max_iterations=12), {"fallback_to_direct": False}),
         "cap+fallback": (PassageTimeOptions(max_iterations=12), {"fallback_to_direct": True}),
+        # every point the policy routes to the sparse LU (no point predicts a
+        # single iteration): the LU on each engine, for both forms
+        "routed": (PassageTimeOptions(), {"predicted_iteration_limit": 1}),
     }
     out = {}
 

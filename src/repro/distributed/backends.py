@@ -169,12 +169,14 @@ class SerialBackend:
 # ---------------------------------------------------------------------------
 
 #: Planes a worker keeps mapped.  The mapping itself is page cache shared by
-#: every process; what a plane costs its worker is the caches its evaluator
-#: grows — the block-diagonal image and U(s) grids of the widest block solved
-#: on it, which the block solve sizes to ``BLOCKDIAG_MAX_BYTES`` of state.
-#: Two (the model being solved and the one before it, so a server that
-#: alternates between two models re-attaches neither) holds a worker to twice
-#: the peak of a worker that lived for one call.
+#: every process; what a plane costs its worker is the structures its
+#: evaluator keeps — the block-diagonal structure and the walk's window copies
+#: for the widest block solved on it (each kept up to
+#: ``BLOCK_DIAG_RETAIN_BYTES``) and the per-mask structures — never per-point
+#: data, which each block holds and drops.  Two (the model being solved and
+#: the one before it, so a server that alternates between two models
+#: re-attaches neither) holds a worker to twice the peak of a worker that
+#: lived for one call.
 _RESIDENT_PLANES = 2
 #: Built jobs a worker keeps per plane.  A job is its dense source weighting,
 #: 8 B x n_states: eight of them are 64 MiB — one ``BLOCKDIAG_MAX_BYTES`` —

@@ -498,6 +498,23 @@ class SMPKernel:
         )
 
 
+def entry_values(
+    table: np.ndarray, dist: np.ndarray, probs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``table[..., dist] * probs``: the ``U(s)`` entries ``p_e · lst_d(s)``
+    of distributions ``dist`` and probabilities ``probs`` at each s-point of
+    ``table`` (an :meth:`UEvaluator.lst_table`, or one row of it) — the one
+    writer of per-edge values, so every solver forms an entry as the same
+    product.  The gather runs in ``mode="clip"``: the indices are in range by
+    construction, and numpy's default mode buffers ``out``.
+    """
+    if out is None:
+        out = np.empty((*table.shape[:-1], dist.size), dtype=complex)
+    np.take(table, dist, axis=-1, out=out, mode="clip")
+    out *= probs
+    return out
+
+
 def _diagonal_copies(indptr: np.ndarray, indices: np.ndarray, width: int, stride: int):
     """``(indptr, indices)`` of ``width`` diagonal copies of one CSR structure,
     copy ``t``'s column indices moved by ``t · stride``."""
@@ -542,14 +559,14 @@ class UEvaluator:
     """Evaluates ``U(s)`` over the kernel's image, a grid of s-points at a time.
 
     ``U(s)``'s entries are ``p_e · lst_d(s)`` for a handful of distinct
-    distributions ``d``, so a grid is two steps: the ``(n_s, n_dists)``
-    transform table (:meth:`lst_table`), then one per-edge fill from its rows
-    (:meth:`fill_u_data`).  The table alone answers what the block solve asks
-    before it fills anything — each point's contraction (:meth:`contraction`),
-    hence its routing and run order.  The evaluator keeps no grid: a block
-    writes its own, once.  The structural arrays are the kernel's
-    :attr:`~SMPKernel.csr`, shared, never copied — constructing an evaluator
-    is O(1) whatever the kernel's size.
+    distributions ``d``, so the ``(n_s, n_dists)`` transform table
+    (:meth:`lst_table`) is all a block solve evaluates: it answers each
+    point's contraction (:meth:`contraction`), hence its routing and run
+    order, and each solver writes the entries it reads from its rows
+    (:func:`entry_values`).  The evaluator keeps no per-point data.
+    The structural arrays are the kernel's :attr:`~SMPKernel.csr`, shared,
+    never copied — constructing an evaluator is O(1) whatever the kernel's
+    size.
     """
 
     def __init__(self, kernel: SMPKernel):
@@ -568,14 +585,8 @@ class UEvaluator:
     #: on system 0)
     _PER_MASK = 4
 
-    #: cap on one chunk of a :meth:`fill_u_data` fill (and of the direct
-    #: solver's reused fill buffer), in bytes of per-edge data
+    #: cap on one chunk of a :meth:`fill_u_data` fill, in bytes of per-edge data
     batch_fill_bytes: int = 256 << 20
-
-    def fill_chunk_points(self) -> int:
-        """How many s-points of per-edge data fit one :attr:`batch_fill_bytes`
-        working chunk (shared by the batch fill and the direct solver)."""
-        return max(1, int(self.batch_fill_bytes // max(self.csr.indices.size * 16, 1)))
 
     def factored(self) -> "FactoredUEvaluator":
         """The distribution-factored multi-s engine sharing this kernel.
@@ -607,21 +618,17 @@ class UEvaluator:
 
         Returns an ``(n_s, nnz)`` array whose row ``t`` is the data vector of
         ``U`` at the s-point of ``table[t]``, in the shared CSR entry order,
-        written once (optionally straight into ``out``) in s-chunks of at most
-        :attr:`batch_fill_bytes`.  The gather runs in ``mode="clip"``: the
-        indices are in range by construction, and numpy's default mode
-        buffers ``out`` — a second full-size array per chunk.
+        written once (optionally straight into ``out``) by :func:`entry_values`
+        in s-chunks of at most :attr:`batch_fill_bytes`.
         """
-        nnz = self.csr.indices.size
+        csr, nnz = self.csr, self.csr.indices.size
         if out is None:
             out = np.empty((table.shape[0], nnz), dtype=complex)
         elif out.shape != (table.shape[0], nnz):
             raise ValueError("out must have shape (n_s, nnz)")
-        chunk = self.fill_chunk_points()
+        chunk = max(1, int(self.batch_fill_bytes // max(nnz * 16, 1)))
         for lo in range(0, table.shape[0], chunk):
-            block = out[lo:lo + chunk]
-            np.take(table[lo:lo + chunk], self.csr.dist_index, axis=1, out=block, mode="clip")
-            block *= self.csr.probs
+            entry_values(table[lo:lo + chunk], csr.dist_index, csr.probs, out[lo:lo + chunk])
         return out
 
     def u_data_batch(self, s_values, out: np.ndarray | None = None) -> np.ndarray:
@@ -798,9 +805,9 @@ class UEvaluator:
         weighting, so the product only needs the entries whose *source row*
         carries alpha weight — for the typical single-source passage measure
         that is a handful of transitions rather than the whole kernel — and
-        those entries' data is read off the table, as :meth:`fill_u_data`
-        writes it.  ``columns`` renumbers the states of the result (the
-        passage walk's positions).
+        those entries' values are written from the table by
+        :func:`entry_values`.  ``columns`` renumbers the states of the result
+        (the passage walk's positions).
         """
         alpha = np.asarray(alpha, dtype=complex)
         sel = self.row_entries(np.flatnonzero(alpha))
@@ -810,7 +817,7 @@ class UEvaluator:
         cols = self.csr.indices[sel]
         if columns is not None:
             cols = columns[cols]
-        data = np.take(table, self.csr.dist_index[sel], axis=1) * self.csr.probs[sel]
+        data = entry_values(table, self.csr.dist_index[sel], self.csr.probs[sel])
         contrib = data * alpha[self.csr.rows[sel]]
         order = np.argsort(cols, kind="stable")
         sorted_cols = cols[order]

@@ -23,10 +23,10 @@ analysis, which the passage walk of :mod:`repro.smp.passage` reads too),
 COLAMD inside the diagonal blocks, the permuted CSC structure and a position
 map into it — and
 :meth:`UEvaluator.direct_ordering <repro.smp.kernel.UEvaluator.direct_ordering>`
-keeps the last four.  A routed point then costs a gather of its ``U(s)``
-data, one SuperLU factorisation in that order (``permc_spec="NATURAL"``), a
-solve and an un-permute.  On the voting passage of system 0 the absorbed
-targets split the matrix into 36 components of at most 111 states and the
+keeps the last four.  A routed point then costs its entries of ``A``, written
+from its row of the block's transform table, one SuperLU factorisation in
+that order (``permc_spec="NATURAL"``), a solve and an un-permute.  On the
+voting passage of system 0 the absorbed targets split the matrix into 36 components of at most 111 states and the
 LU holds about 62k entries instead of 85k.
 
 At ``s = 0`` the systems are real and the package solves two of them: the
@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from ..obs import trace as obs_trace
-from .kernel import _csc_identity_plus, as_evaluator, check_alpha, target_mask
+from .kernel import _csc_identity_plus, as_evaluator, check_alpha, entry_values, target_mask
 
 __all__ = [
     "closed_classes",
@@ -115,13 +115,7 @@ def _real_solver(system: sparse.spmatrix):
     return solve, ilu.nnz / system.nnz
 
 
-def passage_transform_direct_batch(
-    kernel_or_evaluator,
-    targets,
-    s_values,
-    *,
-    u_data: np.ndarray | None = None,
-) -> np.ndarray:
+def passage_transform_direct_batch(kernel_or_evaluator, targets, s_values) -> np.ndarray:
     """Solve Eq. (3) for every s-point of a grid, sharing all symbolic set-up.
 
     Returns an ``(n_s, n_states)`` array whose row ``t`` is the passage-time
@@ -129,33 +123,16 @@ def passage_transform_direct_batch(
     has the *same* sparsity pattern for every s-point, so its ordering and
     permuted structure are computed once per evaluator and target set (see
     :meth:`UEvaluator.direct_ordering`); per s-point only the numeric data
-    is gathered into it before the sparse LU factorisation.
+    is written into it, from the point's row of the grid's transform table
+    (:meth:`DirectOrdering.passage`), before the sparse LU factorisation.
     """
     evaluator = as_evaluator(kernel_or_evaluator)
-    n = evaluator.kernel.n_states
-    mask = target_mask(n, targets)
-    ordering = evaluator.direct_ordering(mask)
-    s_values = np.asarray(s_values, dtype=complex).ravel()
-    out = np.empty((s_values.size, n), dtype=complex)
-    rows_u = evaluator.kernel.csr.rows
-    # Entries of U that land in a target column feed the right-hand side
-    # b_i = sum_{k in j} r*_ik(s); the remaining entries form U K.
-    tgt_entries = mask[evaluator.kernel.csr.indices]
-    for t, data in enumerate(_point_data(evaluator, s_values, u_data)):
-        b = np.zeros(n, dtype=complex)
-        b.real = np.bincount(rows_u[tgt_entries], weights=data.real[tgt_entries], minlength=n)
-        b.imag = np.bincount(rows_u[tgt_entries], weights=data.imag[tgt_entries], minlength=n)
-        out[t] = ordering.solve(data, b)
-    return out
+    mask = target_mask(evaluator.kernel.n_states, targets)
+    return evaluator.direct_ordering(mask).passage(evaluator.lst_table(s_values))
 
 
 def transient_transform_direct_batch(
-    kernel_or_evaluator,
-    alpha: np.ndarray,
-    targets: np.ndarray,
-    s_values,
-    *,
-    u_data: np.ndarray | None = None,
+    kernel_or_evaluator, alpha: np.ndarray, targets: np.ndarray, s_values
 ) -> np.ndarray:
     """``T*(s) = alpha (I - U(s))^-1 w(s)`` for every s-point of a grid.
 
@@ -164,45 +141,12 @@ def transient_transform_direct_batch(
     matrix of :func:`passage_transform_direct_batch` with nothing absorbed,
     in that mask's ordering — solved transposed against ``alpha`` and dotted
     with ``w = (1 - h*(s)) / s`` on the ``targets`` (ascending state
-    indices), ``h*`` the row sums of the point's own ``U`` data.  ``u_data``
-    as for :func:`passage_transform_direct_batch`.
+    indices; :meth:`DirectOrdering.transient`).
     """
     evaluator = as_evaluator(kernel_or_evaluator)
-    indptr = evaluator.kernel.csr.indptr[:-1]
-    ordering = evaluator.direct_ordering(np.zeros(evaluator.kernel.n_states, dtype=bool))
     s_values = np.asarray(s_values, dtype=complex).ravel()
-    out = np.empty(s_values.size, dtype=complex)
-    for t, data in enumerate(_point_data(evaluator, s_values, u_data)):
-        x = ordering.solve(data, alpha, trans="T")
-        weights = (1.0 - np.add.reduceat(data, indptr)[targets]) / s_values[t]
-        out[t] = np.add.reduce(x[targets] * weights)
-    return out
-
-
-def _point_data(evaluator, s_values: np.ndarray, u_data: np.ndarray | None):
-    """Each s-point's ``U(s)`` data vector, in grid order.
-
-    ``u_data`` lets callers that already hold the points' ``U(s)`` data (the
-    block solve, handing over the tail of its grid) skip re-evaluating the
-    distributions' transforms.  Without it the data is materialised in
-    bounded chunks so a large routed set never allocates ``O(n_s · nnz)``.
-    """
-    nnz = evaluator.kernel.csr.indices.size
-    if not s_values.size:
-        return
-    if u_data is not None:
-        u_data = np.asarray(u_data, dtype=complex)
-        if u_data.shape != (s_values.size, nnz):
-            raise ValueError("u_data must have shape (n_s, nnz)")
-        yield from u_data
-        return
-    # Fill chunks into one reused buffer: a routed set of any size holds
-    # one chunk of per-edge data at a time.
-    chunk = min(evaluator.fill_chunk_points(), s_values.size)
-    buffer = np.empty((chunk, nnz), dtype=complex)
-    for lo in range(0, s_values.size, chunk):
-        hi = min(lo + chunk, s_values.size)
-        yield from evaluator.u_data_batch(s_values[lo:hi], out=buffer[: hi - lo])
+    ordering = evaluator.direct_ordering(np.zeros(evaluator.kernel.n_states, dtype=bool))
+    return ordering.transient(evaluator.lst_table(s_values), alpha, targets, s_values)
 
 
 class StrongComponents:
@@ -370,11 +314,14 @@ class DirectOrdering:
     2. the permuted matrix's CSC structure and where each kept entry of
        ``U`` lands in its data vector.
 
-    A point is then one gather of its ``U`` data into that structure, one
-    LU in the given order (``permc_spec="NATURAL"``) and a solve.  Partial
-    pivoting cannot leave a diagonal block — below the diagonal a column has
-    entries in its own block only — so the fill stays inside the blocks and
-    their upper coupling.
+    That is KLU's symbolic half.  The numeric half reads a point's row of
+    the transform table only, writing from it the kept entries of ``A`` and
+    a passage's target inflow ``b`` (:meth:`passage`) or a transient's
+    ``h*`` (:meth:`transient`), then one LU in the given order
+    (``permc_spec="NATURAL"``) and a solve.  Partial pivoting cannot leave a
+    diagonal block — below the diagonal a column has entries in its own
+    block only — so the fill stays inside the blocks and their upper
+    coupling.
     """
 
     def __init__(self, evaluator, absorbing: np.ndarray):
@@ -384,9 +331,14 @@ class DirectOrdering:
         csr = evaluator.csr
         with obs_trace.span("direct-ordering", n_states=n) as span:
             components = evaluator.components(absorbing)
-            #: the entries of U that U K keeps, in image order
-            self.kept = components.kept
-            rows, cols = csr.rows[self.kept], csr.indices[self.kept]
+            kept = components.kept
+            #: distribution and probability of the entries of U that U K keeps
+            #: and, with their rows, of those into the absorbing states
+            self._kept = csr.dist_index[kept], csr.probs[kept]
+            into = np.flatnonzero(np.asarray(absorbing, dtype=bool)[csr.indices])
+            self._into = csr.rows[into], csr.dist_index[into], csr.probs[into]
+            self._csr = csr  # shared: a transient's sojourn sums read its rows
+            rows, cols = csr.rows[kept], csr.indices[kept]
             label, rank = components.label, components.rank
             inside = label[rows] == label[cols]
             size, indices, indptr, diag_pos, _ = _csc_identity_plus(n, rows[inside], cols[inside])
@@ -405,14 +357,40 @@ class DirectOrdering:
             self.blocks, self.largest_block = components.count, components.largest
             span.set(blocks=self.blocks, largest_block=self.largest_block)
 
-    def solve(self, data: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def passage(self, table: np.ndarray) -> np.ndarray:
+        """Eq. (3)'s passage vectors, one per row of ``table``; the target
+        inflow ``b_i = sum_{k in j} r*_ik(s)`` sums in image order."""
+        n = self.n_states
+        rows, dist, probs = self._into
+        out = np.empty((table.shape[0], n), dtype=complex)
+        for t, lst in enumerate(table):
+            inflow = entry_values(lst, dist, probs)
+            b = np.zeros(n, dtype=complex)
+            b.real = np.bincount(rows, weights=inflow.real, minlength=n)
+            b.imag = np.bincount(rows, weights=inflow.imag, minlength=n)
+            out[t] = self.solve(entry_values(lst, *self._kept), b)
+        return out
+
+    def transient(self, table, alpha, targets, s_values) -> np.ndarray:
+        """``alpha (I - U)^-1 w`` per row of ``table`` (s-points ``s_values``)
+        on the ordering that absorbs nothing, whose kept entries are all of
+        ``U``: ``h*`` on the ``targets`` are row sums of a point's entries."""
+        out = np.empty(table.shape[0], dtype=complex)
+        for t, lst in enumerate(table):
+            data = entry_values(lst, *self._kept)
+            x = self.solve(data, alpha, trans="T")
+            weights = (1.0 - np.add.reduceat(data, self._csr.indptr[:-1])[targets]) / s_values[t]
+            out[t] = np.add.reduce(x[targets] * weights)
+        return out
+
+    def solve(self, kept: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """``x`` with ``A x = b`` (``A^T x = b`` for ``trans="T"``), ``A``
-        built from one s-point's ``U`` data vector in image order."""
+        built from one s-point's values of the kept entries, in image order."""
         n = self.n_states
         nnz, indices, indptr, diag_pos, entry_pos = self._structure
         a_data = np.zeros(nnz, dtype=complex)
         a_data[diag_pos] = 1.0
-        a_data[entry_pos] -= data[self.kept]
+        a_data[entry_pos] -= kept
         lu = _factor(sparse.csc_matrix((a_data, indices, indptr), shape=(n, n)))
         x = np.empty(n, dtype=complex)
         x[self.perm] = lu.solve(np.asarray(b, dtype=complex)[self.perm], trans=trans)

@@ -48,13 +48,16 @@ each of which exists exactly once:
   materialising an ``O(n_s · nnz)`` data matrix) and, per block, opens one
   ``s-block-solve`` span, times one solve and notes it once.  Passage,
   transient and explicit ``solver="direct"`` solves all loop here.
-* **block** (:func:`_solve_block`) — computes the per-point contraction and
-  the routing mask once, from the block's transform table, then writes the
-  block's data in run order (the iterative points slowest first, then the
-  routed ones): the walk's windows for a batch-engine passage, else one
-  ``U`` grid, and the routed points' rows of ``U`` for the sparse-LU solver.
-  It drives the iterative points and re-solves cap-hitting ones directly,
-  knowing passage from transient only through a small :class:`_Form`.
+* **block** (:func:`_solve_block`) — evaluates the block's transform
+  table once, the only per-point data it holds, and computes the per-point
+  contraction and the routing mask from it.  The routed points hand their
+  rows of it to the sparse-LU solver, which writes each point's entries of
+  ``I - U K`` from its row; the iterative points, slowest first, hand theirs
+  to a stepper that fills what it reads — the walk's windows for a
+  batch-engine passage, the transient stepper's ``U`` data.  It drives the
+  iterative points and re-solves cap-hitting ones directly, from their
+  rows too, knowing passage from transient only through a small
+  :class:`_Form`.
 * **driver** (:func:`_drive`) — the active-set iteration: one truncation
   rule, converged points snapshotted and zeroed, the operator narrowed to
   the prefix that still holds a live point.  The block orders its points
@@ -64,9 +67,10 @@ each of which exists exactly once:
   walk runs it once per window, on a window's operator.
 * **operator** — what applies ``M(s)`` to every live point per iteration
   and accumulates the form's sum:
-  ``batch`` for a transient (per-s-point complex CSR data, written once per
-  block in run order: one block-diagonal sparse product for the whole block
-  — views of that data under the kernel's one block-diagonal structure — or
+  ``batch`` for a transient (per-s-point complex CSR data, the stepper's
+  own, written once in run order: one block-diagonal sparse product for the
+  whole block — views of that data under the kernel's one block-diagonal
+  structure — or
   one per live point on its own data, each a direct call of scipy's C
   kernel, while the frontier is short of ``n`` or once the block's state
   exceeds :data:`BLOCKDIAG_MAX_BYTES`), a walk window for a batch-engine
@@ -108,8 +112,7 @@ from scipy.sparse import _sparsetools
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
 
-from .kernel import as_evaluator, check_alpha, target_mask, weighted_sums
-from .linear import passage_transform_direct_batch, transient_transform_direct_batch
+from .kernel import as_evaluator, check_alpha, entry_values, target_mask, weighted_sums
 
 __all__ = [
     "PassageTimeOptions",
@@ -317,19 +320,16 @@ class SPointPolicy:
     def _block_plan(self, evaluator, *, direct: bool = False) -> tuple[str, int]:
         """``(engine, s-points per block)`` — how a block loop starts.
 
-        ``factored`` blocks hold ``O(block · (pairs + n))`` dense arrays and
-        never touch per-edge data; every other block — ``batch`` and the
-        explicit direct solve, labelled ``direct-lu``, whatever engine the
-        kernel would iterate on — materialises ``O(block · nnz)`` complex
-        data.  The direct solver's passage vectors add ``n`` per point.
+        Beyond its ``(n_s, n_dists)`` transform table a block holds what its
+        stepper fills: ``factored`` blocks ``O(block · (pairs + n))`` dense
+        arrays and no per-edge data, ``batch`` blocks ``O(block · nnz)``
+        complex data, the walk's windows or the transient stepper's.
 
         A batch block's peak per point, on ``tracemalloc`` with a fresh
         evaluator (``tests/smp/test_block_pipeline.py`` holds the whole block
-        under the figure), is 20 B per edge: the block's one ``U`` grid, 16,
-        which the iteration turns into ``M`` in place, and the block-diagonal
-        structure, 4 (int32; built once per kernel).  Nothing else the block
-        holds is per edge: routing reads the ``(n_s, n_dists)`` transform
-        table.  Per state, the block holds two state buffers, 32 B (the
+        under the figure), is 20 B per edge: the transient stepper's data,
+        16, and the block-diagonal structure, 4 (int32; built once per
+        kernel).  Per state, the block holds two state buffers, 32 B (the
         step scatters from one into the other), and the structure's
         ``indptr``, 4: 36 B.  Nothing else is per state for long: a
         transient's ``h*``, 16 B, is gone before the buffers exist, and an
@@ -341,6 +341,12 @@ class SPointPolicy:
         state the ``(width, n)`` inflow, 16, the copies' two ``indptr``, 8,
         and three buffers of its largest window, 48 per state of that window
         (7 % of system 0's chain).
+
+        A routed point holds its passage vector, 16 B per state, and the LU
+        works one point at a time: under 64 B per edge on ``tracemalloc``
+        (system 0; SuperLU's factors live outside it).  The explicit direct
+        solve (``direct-lu``, every point routed) is sized as a batch block,
+        whose 20 B per edge and point cover one LU from four points on.
 
         A factored block's working set per point is the pairs' transforms
         and the scaled pairs, 16 B per pair each, and the state, its
@@ -358,7 +364,7 @@ class SPointPolicy:
             pairs = evaluator.factored().row_pair_count
             per_point = 16 * (2 * pairs + 3 * kernel.n_states)
         else:
-            per_point = 20 * kernel.n_transitions + (96 if direct else 48) * kernel.n_states
+            per_point = 20 * kernel.n_transitions + 48 * kernel.n_states
         return engine, max(1, int(self.max_block_bytes // max(per_point, 1)))
 
     def block_points(self, evaluator) -> int:
@@ -393,16 +399,18 @@ class _BatchRowOperator:
     """The batch engine's transient stepper: ``v <- v @ U(s_t)`` on
     per-s-point CSR data (a batch-engine passage walks, :class:`_Walk`).
 
-    ``grid`` is the first ``width`` rows of the block's ``U`` grid — the
-    iterative points, in run order — read where it lies; :meth:`start` takes
-    ``alpha U`` per point off ``table``, their rows of the block's transform
-    table.  ``_state`` holds one ``n``-vector per point (the current term of
-    the sum), ``_acc`` the sum accumulated from it, both indexed by run
-    position along axis 0.  The form enters as the *accumulation* over
-    ``targets``: ``v . w_t``, whose ``weights[t]`` is ``w`` on the targets at
-    the point of run position ``t``, after the ``r = 0`` term ``alpha . w``
-    (the factored subclass also sums a passage's ``v . e``, ``weights``
-    None).
+    ``table`` holds the iterative points' rows of the block's transform
+    table, in run order, and the stepper fills its own ``(width, nnz)`` data
+    from them, once (:meth:`UEvaluator.fill_u_data
+    <repro.smp.kernel.UEvaluator.fill_u_data>`), as the walk fills its
+    windows; :meth:`start` takes ``alpha U`` per point off ``table`` too.
+    ``_state`` holds one ``n``-vector per point (the current term of the
+    sum), ``_acc`` the sum accumulated from it, both indexed by run position
+    along axis 0.  The form enters as the *accumulation* over ``targets``:
+    ``v . w_t``, whose ``weights[t]`` is ``w`` on the targets at the point of
+    run position ``t`` (:meth:`_Form.weights`, read off the data), after the
+    ``r = 0`` term ``alpha . w`` (the factored subclass also sums a passage's
+    ``v . e``, ``weights`` None).
 
     The kernel's data is read as CSC — the transpose of ``M`` — so ``v @ M``
     is scipy's CSC scatter (``_sparsetools.csc_matvec``, called directly on
@@ -425,29 +433,30 @@ class _BatchRowOperator:
     frontier — are cleared over the new frontier's prefix only.  So the
     frontier never moves back, though ``reach[hi]`` can fall below ``hi``
     on a reducible kernel numbered against its paths.  The
-    per-point calls read full-length row views of the grid and of both
+    per-point calls read full-length row views of the data and of both
     buffers, built once; scipy's kernel reads nothing past ``indptr[hi]``.
     """
 
     engine = "batch"
 
-    def __init__(self, evaluator, alpha, targets, weights, grid, table):
+    def __init__(self, evaluator, form, table, s_values):
         self.evaluator = evaluator
         self.n = evaluator.kernel.n_states
-        self._nnz = grid.shape[1]
-        self._grid = grid
-        self._data = grid.reshape(-1)  # a view: the grid is C-contiguous
+        #: the stepper's own ``U`` data, ``(width, nnz)``, filled once
+        self._u = evaluator.fill_u_data(table)
+        self._nnz = self._u.shape[1]
+        self._data = self._u.reshape(-1)  # a view: the data is C-contiguous
         self._table = table
-        self._alpha = alpha
-        self._targets = targets
-        self._weights = weights
-        self._live = np.ones(grid.shape[0], dtype=bool)
+        self._alpha = form.alpha
+        self._targets = form.targets
+        self._weights = form.weights(evaluator, s_values, table, self._u)
+        self._live = np.ones(table.shape[0], dtype=bool)
         self._diag = None
         #: point-rows advanced so far (what the block's ``product_rows`` sums),
         #: the edge-point products they took and the rows whose ``||v||_1``
         #: :meth:`residual` computed exactly
         self.product_rows = self.product_edges = self.exact_rows = 0
-        self.width = grid.shape[0]
+        self.width = table.shape[0]
         self._one_product()
 
     def _one_product(self) -> bool:
@@ -465,7 +474,7 @@ class _BatchRowOperator:
         self._hi = int(self.evaluator.reach[1 + np.flatnonzero(self._alpha)[-1]])
         self._buffers = (state, np.zeros_like(state))
         self._rows = tuple(list(buffer) for buffer in self._buffers)
-        self._grid_rows = list(self._grid)
+        self._u_rows = list(self._u)
         self._begin(state)
 
     def _begin(self, state: np.ndarray) -> None:
@@ -507,7 +516,7 @@ class _BatchRowOperator:
         n, hi = self.n, self._hi
         indptr, indices = self._diag
         stop = int(indptr[hi])
-        m_rows, v_rows, out_rows = self._grid_rows, self._rows[1], self._rows[0]
+        m_rows, v_rows, out_rows = self._u_rows, self._rows[1], self._rows[0]
         live = np.flatnonzero(self._live[: self.width]).tolist()
         for t in live:
             _sparsetools.csc_matvec(n, hi, indptr, indices, m_rows[t], v_rows[t], out_rows[t])
@@ -583,8 +592,8 @@ class _FactoredRowOperator(_BatchRowOperator):
     The state, the sums, the residual, the zeroing and the narrowing are the
     batch operator's own, so the two engines run one truncation test.  Only
     the start vector and the product differ: ``table`` holds the live points'
-    rows of the block's transform table, ``(width, n_dists)``, and there is
-    no ``U`` grid.  A step is the pair expansion of
+    rows of the block's transform table, ``(width, n_dists)``, and no
+    per-edge data is filled.  A step is the pair expansion of
     :mod:`repro.smp.factored` — transpose the state to ``(n, width)``,
     gather it at the pair sources, scale by the pairs' transforms and apply
     the real pair-expansion matrix to the result, viewed as ``2 · width``
@@ -593,17 +602,17 @@ class _FactoredRowOperator(_BatchRowOperator):
 
     engine = "factored"
 
-    def __init__(self, evaluator, absorbing, alpha, targets, weights, table):
+    def __init__(self, evaluator, form, table, s_values):
         self.evaluator = evaluator
         self.n = evaluator.kernel.n_states
-        self._alpha = alpha
-        self._targets = targets
-        self._weights = weights
+        self._alpha = form.alpha
+        self._targets = form.targets
+        self._weights = form.weights(evaluator, s_values, table, None)
         self._lst = table
         self.width = table.shape[0]
         self._live = np.ones(self.width, dtype=bool)
         self._hi = self.n  # the pair expansion writes every state
-        structure = evaluator.factored().row_structure(absorbing)
+        structure = evaluator.factored().row_structure(form.absorbing)
         self._pair_src, self._matrix = structure.pair_src, structure.matrix
         #: ``(pairs, width)``: the transform each pair's entries carry, per point
         self._pair_lst = np.take(table.T, structure.pair_dist, axis=0)
@@ -795,8 +804,7 @@ class _Walk:
         for k, rows, part in regions:
             size = part.stop - part.start
             region = data[lo:lo + width * size].reshape(width, size)
-            np.take(table, rows.dist[part], axis=1, out=region, mode="clip")
-            region *= rows.probs[part]
+            entry_values(table, rows.dist[part], rows.probs[part], region)
             (self.inner if rows is components.inner else self.cross)[k] = region.reshape(-1)
             lo += width * size
         self.inflow = evaluator.alpha_vec_matrix_batch(
@@ -869,72 +877,67 @@ class _Form:
         """The states whose rows the iteration zeroes: the targets, or none."""
         return np.zeros_like(self.mask) if self.transient else self.mask
 
-    def weights(self, evaluator, s_block, table, iter_idx, grid) -> np.ndarray | None:
-        """``w`` on the targets at the block's iterative points ``iter_idx``,
-        in run order (None for a passage).
+    def weights(self, evaluator, s_values, table, data) -> np.ndarray | None:
+        """``w`` on the targets at the points ``s_values`` of a stepper, in
+        run order (None for a passage).
 
-        ``h*`` is read off what the block already holds — the row sums of its
-        ``U`` grid, whose first rows are those points (a transient zeroes
-        none of them), or, with no grid (the factored engine), its transform
-        table times the distribution row sums, summed in a fixed order
-        (:func:`_dist_sum`) — so no transform is evaluated twice.
+        ``h*`` is read off what the stepper holds — the row sums of its ``U``
+        data (a transient zeroes no row), or, with none (the factored
+        engine), its rows ``table`` of the transform table times the
+        distribution row sums, summed in a fixed order (:func:`_dist_sum`) —
+        so no transform is evaluated twice.
         """
         if not self.transient:
             return None
-        if grid is None:
-            h = _dist_sum(table[iter_idx], evaluator.dist_row_sums()[:, self.targets])
+        if data is None:
+            h = _dist_sum(table, evaluator.dist_row_sums()[:, self.targets])
         else:
-            h = np.add.reduceat(grid[: iter_idx.size], evaluator.csr.indptr[:-1], axis=1)
-            h = h[:, self.targets]
-        return (1.0 - h) / s_block[iter_idx, None]
+            h = np.add.reduceat(data, evaluator.csr.indptr[:-1], axis=1)[:, self.targets]
+        return (1.0 - h) / s_values[:, None]
 
-    def direct(self, evaluator, s_values, u_data) -> np.ndarray:
-        """The values of points the sparse LU solves, one factorisation each.
+    def direct(self, evaluator, s_values, table) -> np.ndarray:
+        """The values of points the sparse LU solves, one factorisation each,
+        from their rows ``table`` of the block's transform table
+        (:class:`~repro.smp.linear.DirectOrdering`).
 
         A passage reduces the LU's passage vectors ``vectors @ alpha`` over
         alpha's support, each row on its own — BLAS picks its kernel by the
         row count, and a point's value must not depend on how many points
         share its block.
         """
+        ordering = evaluator.direct_ordering(self.absorbing)
         if self.transient:
-            return transient_transform_direct_batch(
-                evaluator, self.alpha, self.targets, s_values, u_data=u_data
-            )
-        vectors = passage_transform_direct_batch(
-            evaluator, self.targets, s_values, u_data=u_data
-        )
+            return ordering.transient(table, self.alpha, self.targets, s_values)
+        vectors = ordering.passage(table)
         support = np.flatnonzero(self.alpha)
         return np.add.reduce(np.take(vectors, support, axis=1) * self.alpha[support], axis=1)
 
-    def walks(self, engine: str) -> bool:
-        """Whether the block's iterative points take the passage walk
-        (:class:`_Walk`): a passage on the batch engine."""
-        return engine == "batch" and not self.transient
-
-    def operator(self, evaluator, engine, table, grid, weights):
+    def operator(self, evaluator, engine, table, s_values):
         """The stepper of the block's iterative points, in their run order:
-        ``table`` holds their rows of the block's transform table, ``grid``
-        (the batch engine's; None for the factored one) their rows of the
-        block's U grid; ``weights`` are their :meth:`weights`."""
+        ``table`` holds their rows of the block's transform table,
+        ``s_values`` their s-points.  A passage on the batch engine walks
+        (:class:`_Walk`)."""
         if engine == "factored":
-            return _FactoredRowOperator(
-                evaluator, self.absorbing, self.alpha, self.targets, weights, table
-            )
-        return _BatchRowOperator(evaluator, self.alpha, self.targets, weights, grid, table)
+            return _FactoredRowOperator(evaluator, self, table, s_values)
+        if not self.transient:
+            return _Walk(evaluator, self, table)
+        return _BatchRowOperator(evaluator, self, table, s_values)
 
 
 def _solve_block(evaluator, engine, form, s_block, options, policy):
-    """One memory-bounded s-block: route, fill, solve directly, drive, fall back.
+    """One memory-bounded s-block: route, solve directly, fill, drive, fall back.
 
     ``engine`` is the iterative engine of the block or ``"direct-lu"``, the
     explicit direct solve — the same routing with every point routed, which
-    therefore never computes a contraction.  The block's transform table
-    comes first and routing reads it; then the batch engine and the LU write
-    the block's one ``U`` grid, in run order — the iterative points slowest
-    first, then the routed ones — so the LU reads a view of its tail and the
-    iteration turns its head into ``M`` in place.  Returns the values, one
-    diagnostics per point and the iterative product's work: ``(point-rows
-    advanced, edge-point products taken)``.
+    therefore never computes a contraction.  The block's transform table is
+    the only per-point data it holds, evaluated once: routing reads it, the
+    routed points hand the sparse LU their rows of it, and the iterative
+    points — slowest first — take theirs to a stepper that fills what it
+    reads: the walk's windows for a batch-engine passage, the transient
+    stepper's ``U`` data, nothing per edge on the factored engine.  Points
+    that hit the cap are re-solved from their rows too.  Returns the values,
+    one diagnostics per point and the iterative product's work:
+    ``(point-rows advanced, edge-point products taken)``.
     """
     n_s = s_block.size
     n = evaluator.kernel.n_states
@@ -960,18 +963,8 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
             iter_idx = iter_idx[np.argsort(-contraction[iter_idx], kind="stable")]
     n_iter = iter_idx.size
 
-    grid = walk = None
-    if engine != "factored":
-        with _obs_trace.span("lst-fill", points=n_s):
-            filled = np.concatenate((iter_idx, direct_idx))
-            if form.walks(engine):
-                # the walk fills data of its own: the grid is the routed rows
-                walk = _Walk(evaluator, form, table[iter_idx]) if n_iter else None
-                filled = direct_idx
-            grid = evaluator.fill_u_data(table[filled])
-
-    def solve_direct(indices, u_rows, solver_label, iterations, matvecs):
-        result[indices] = form.direct(evaluator, s_block[indices], u_rows)
+    def solve_direct(indices, solver_label, iterations, matvecs):
+        result[indices] = form.direct(evaluator, s_block[indices], table[indices])
         for idx in indices:
             diags[idx] = ConvergenceDiagnostics(
                 iterations=iterations,
@@ -984,24 +977,23 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
             )
 
     if direct_idx.size:
-        routed = None if grid is None else grid[grid.shape[0] - direct_idx.size:]
-        solve_direct(direct_idx, routed, "direct", 0, 0)
+        solve_direct(direct_idx, "direct", 0, 0)
 
     work = (0, 0)
     if n_iter:
+        rows, s_iter = table[iter_idx], s_block[iter_idx]
+        op = None
+        if engine != "factored":  # the factored stepper fills nothing per edge
+            with _obs_trace.span("lst-fill", points=n_iter):
+                op = form.operator(evaluator, engine, rows, s_iter)
         # When the policy would re-solve cap-hitting points directly, their
         # finished result is wasted work — tell the driver to skip it.
         will_fallback = policy.fallback_to_direct and may_route
         with _obs_trace.span("drive", points=n_iter) as drive:
-            if walk is not None:
-                op = walk
-                order, results, iterations, deltas, conv = walk.drive(options, will_fallback)
+            if isinstance(op, _Walk):
+                order, results, iterations, deltas, conv = op.drive(options, will_fallback)
             else:
-                weights = form.weights(evaluator, s_block, table, iter_idx, grid)
-                op = form.operator(
-                    evaluator, engine, table[iter_idx],
-                    None if grid is None else grid[:n_iter], weights,
-                )
+                op = op or form.operator(evaluator, engine, rows, s_iter)
                 order, results, iterations, deltas, conv = _drive(
                     op, options, finalize_unconverged=not will_fallback
                 )
@@ -1019,15 +1011,9 @@ def _solve_block(evaluator, engine, form, s_block, options, policy):
                 engine=engine,
             )
         if retried.any():
-            again = np.sort(iter_idx[retried])
-            u_rows = None
-            if engine != "factored":
-                # Their rows of the grid are M now (or they walked): free
-                # what the iteration held, and re-fill theirs from the table.
-                grid = op = walk = None
-                u_rows = evaluator.fill_u_data(table[again])
+            op = None  # free what the iteration held before the LU runs
             solve_direct(
-                again, u_rows, "direct-fallback",
+                np.sort(iter_idx[retried]), "direct-fallback",
                 options.max_iterations, options.max_iterations + 1,
             )
     return result, diags, work

@@ -9,19 +9,23 @@ picked.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.laplace import EulerInverter
 from repro.smp import (
+    PassageTimeOptions,
     SPointPolicy,
+    UEvaluator,
     passage_transform_batch,
+    passage_transform_direct_batch,
     source_weights,
     transient_transform_batch,
 )
 from repro.smp import kernel as kernel_module
-from repro.smp import passage as passage_module
+from repro.smp.linear import DirectOrdering
 from tests.reference import u_matrix
 from tests.smp.conftest import fan_out_kernel, random_kernel, voting_measure
 
@@ -49,15 +53,29 @@ def _traced_peak(solve) -> int:
         tracemalloc.stop()
 
 
+def _counted_fills(evaluator, monkeypatch) -> list[int]:
+    """The row count of every ``fill_u_data`` call on ``evaluator``."""
+    fills: list[int] = []
+    real = evaluator.fill_u_data
+
+    def spy(table, out=None):
+        fills.append(table.shape[0])
+        return real(table, out)
+
+    monkeypatch.setattr(evaluator, "fill_u_data", spy)
+    return fills
+
+
 @pytest.mark.parametrize("form", ["row", "transient"])
-def test_a_block_stays_inside_its_memory_plan(measure, form):
+def test_a_block_stays_inside_its_memory_plan(measure, form, monkeypatch):
     """``max_block_bytes`` is true: the largest block the policy allows, on a
-    fresh evaluator — so the ``U`` grid, the block-diagonal structure and
+    fresh evaluator — so the stepper's data, the block-diagonal structure and
     every temporary count — peaks below the budget it was sized for, for the
-    passage and for the transient (sized as the same row block).  (Before
-    the block pipeline wrote ``U'`` once, a block peaked at 100 B per edge
-    per point against the 64 it budgeted; before the block kept one grid and
-    no LRU, at 48.)"""
+    passage and for the transient (sized as the same row block).  The same
+    block routed whole to the LU, and the explicit direct solve, sized alike,
+    fill no ``U`` grid and stay inside it too.  (Before the block pipeline
+    wrote ``U'`` once, a block peaked at 100 B per edge per point against the
+    64 it budgeted; before the block kept one grid and no LRU, at 48.)"""
     kernel, alpha, targets, grid = measure
     budget = (4 if kernel.n_states < 1000 else 40) << 20
     policy = SPointPolicy(engine="batch", max_block_bytes=budget)
@@ -65,20 +83,30 @@ def test_a_block_stays_inside_its_memory_plan(measure, form):
     block = policy.block_points(evaluator)
     wide = np.concatenate((grid, 1.1 * grid))
     assert 50 <= block <= wide.size
+    solve = passage_transform_batch if form == "row" else transient_transform_batch
+    fills = _counted_fills(evaluator, monkeypatch)
     report: dict = {}
-    if form == "row":
-        def solve():
-            passage_transform_batch(
-                evaluator, alpha, targets, wide[:block], policy=policy, report=report
-            )
-    else:
-        def solve():
-            transient_transform_batch(
-                evaluator, alpha, targets, wide[:block], policy=policy, report=report
-            )
-    peak = _traced_peak(solve)
+    peak = _traced_peak(
+        lambda: solve(evaluator, alpha, targets, wide[:block], policy=policy, report=report)
+    )
     assert [entry["points"] for entry in report["blocks"]] == [block]
     assert peak <= budget, (peak / block / kernel.n_transitions, "B per edge per point")
+    # the transient stepper fills its own data; a passage walks on windows
+    assert fills == ([] if form == "row" else [block])
+
+    fills.clear()
+    assert policy._block_plan(evaluator, direct=True) == ("direct-lu", block)
+    routed = replace(policy, predicted_iteration_limit=1)
+    for options in ({"policy": routed}, {"policy": policy, "solver": "direct"}):
+        report = {}
+        diags: list = []
+        peak = _traced_peak(lambda: diags.extend(solve(
+            evaluator, alpha, targets, 1.01 * wide[:block], report=report, **options
+        )[1]))
+        assert [entry["points"] for entry in report["blocks"]] == [block]
+        assert all(d.direct_solves == 1 for d in diags)
+        assert peak <= budget, (options, peak / budget)
+    assert fills == []
 
 
 @pytest.mark.parametrize("form", ["row", "transient"])
@@ -108,6 +136,12 @@ def test_a_factored_block_stays_inside_its_memory_plan(form):
     )
     assert [entry["points"] for entry in report["blocks"]] == [block]
     assert budget * 3 // 4 < peak <= budget, peak / budget
+    # the same block routed whole to the LU stays inside the plan
+    routed = replace(policy, predicted_iteration_limit=1)
+    peak = _traced_peak(
+        lambda: solve(evaluator, alpha, targets, 1.01 * grid[:block], policy=routed)
+    )
+    assert peak <= budget, peak / budget
 
 
 def test_the_block_diagonal_structure_is_built_once_per_kernel(measure, monkeypatch):
@@ -241,37 +275,82 @@ def test_alpha_start_vectors_match_the_matrix_product(measure):
 
 
 def test_an_explicit_direct_solve_reads_the_grid_uncopied(measure, monkeypatch):
-    """``solver="direct"`` hands the LU solver the block's one ``U`` grid
-    itself, and a routed run of points the grid's tail — no row copy."""
+    """``solver="direct"`` fills no ``U`` grid: the LU is handed the points'
+    rows of the block's one transform table and writes each point's entries
+    from its row.  A routed run fills none either: its routed points' rows
+    go to the LU, in input order, and its iterative points to a stepper —
+    the passage's walk fills windows of its own, the transient's stepper its
+    iterative points' data only."""
     kernel, alpha, targets, grid = measure
     evaluator = kernel.evaluator()
-    handed, fills = [], []
-    real = passage_module.passage_transform_direct_batch
-    real_fill = evaluator.fill_u_data
+    fills = _counted_fills(evaluator, monkeypatch)
+    handed: list[np.ndarray] = []
+    for name in ("passage", "transient"):
+        real = getattr(DirectOrdering, name)
 
-    def spy(evaluator, targets, s_values, *, u_data=None):
-        handed.append(u_data)
-        return real(evaluator, targets, s_values, u_data=u_data)
+        def spy(self, table, *args, real=real):
+            handed.append(table.copy())
+            return real(self, table, *args)
 
-    def spy_fill(table, out=None):
-        fills.append(real_fill(table, out))
-        return fills[-1]
-
-    monkeypatch.setattr(passage_module, "passage_transform_direct_batch", spy)
-    monkeypatch.setattr(evaluator, "fill_u_data", spy_fill)
+        monkeypatch.setattr(DirectOrdering, name, spy)
     s_block = grid[:6]
-    passage_transform_batch(evaluator, alpha, targets, s_block, solver="direct")
-    assert len(fills) == 1
-    assert handed[0].shape == fills[0].shape and np.shares_memory(handed[0], fills[0])
+    direct, diags = passage_transform_batch(evaluator, alpha, targets, s_block, solver="direct")
+    assert {d.engine for d in diags} == {"direct-lu"}
+    assert fills == []
+    (table,) = handed
+    assert table.tobytes() == evaluator.lst_table(s_block).tobytes()
+    vectors = passage_transform_direct_batch(evaluator, targets, s_block)
+    assert np.allclose(direct, vectors @ alpha, rtol=1e-13, atol=0.0)
     # three points so close to s = 0 that the default policy routes them
     routed = np.concatenate((grid[:3] * 1e-6, grid[3:6]))
-    _, diags = passage_transform_batch(evaluator, alpha, targets, routed)
-    assert [d.solver for d in diags] == ["direct"] * 3 + ["iterative"] * 3
-    # the iterated points walk on data of their own: the grid is the routed rows
-    assert len(fills) == 2 and fills[1].shape[0] == 3
-    # the routed rows are the block's one fill, in input order
-    assert handed[1].shape[0] == 3 and np.shares_memory(handed[1], fills[1])
-    assert handed[1].tobytes() == evaluator.u_data_batch(routed[:3]).tobytes()
+    for solve in (passage_transform_batch, transient_transform_batch):
+        handed.clear()
+        _, diags = solve(evaluator, alpha, targets, routed)
+        assert [d.solver for d in diags] == ["direct"] * 3 + ["iterative"] * 3
+        (table,) = handed
+        assert table.tobytes() == evaluator.lst_table(routed[:3]).tobytes()
+    assert fills == [3]  # the transient stepper's, its iterative points'
+
+
+@pytest.mark.parametrize("form", ["row", "transient"])
+@pytest.mark.parametrize(
+    "case", ["batch", "batch-routed", "factored", "factored-routed", "factored-fallback", "direct"]
+)
+def test_a_block_evaluates_its_transforms_once(case, form, monkeypatch):
+    """One ``lst_table`` per block, whoever solves its points: either
+    engine's iteration, the LU of policy-routed and cap-hit points on either
+    engine, the explicit direct solve.  (The factored engine's routed and
+    fallback points once evaluated their transforms a second time.)"""
+    kernel = fan_out_kernel()
+    alpha = source_weights(kernel, [0])
+    targets = [kernel.n_states - 1]
+    s_block = np.asarray(EulerInverter().required_s_points([2.0]))[:6]
+    engine, _, how = case.partition("-")
+    policy = SPointPolicy(
+        engine="auto" if engine == "direct" else engine,
+        predicted_iteration_limit=1 if how == "routed" else 2000,
+    )
+    options = PassageTimeOptions(max_iterations=2 if how == "fallback" else 100_000)
+    calls: list[int] = []
+    real = UEvaluator.lst_table
+
+    def spy(self, s_values):
+        calls.append(np.size(s_values))
+        return real(self, s_values)
+
+    monkeypatch.setattr(UEvaluator, "lst_table", spy)
+    solve = passage_transform_batch if form == "row" else transient_transform_batch
+    report: dict = {}
+    _, diags = solve(
+        kernel, alpha, targets, s_block, options, policy=policy, report=report,
+        solver="direct" if engine == "direct" else "iterative",
+    )
+    assert [entry["points"] for entry in report["blocks"]] == [s_block.size]
+    assert calls == [s_block.size]
+    solvers = {d.solver for d in diags}
+    expected = {"": "iterative", "routed": "direct", "fallback": "direct-fallback"}[how]
+    assert (solvers == {"direct"}) if engine == "direct" else (expected in solvers)
+    assert report["engine"] == ("direct-lu" if engine == "direct" else engine)
 
 
 def test_the_block_span_splits_into_its_layers(measure):

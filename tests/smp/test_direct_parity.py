@@ -167,7 +167,8 @@ class TestOneOrderingPerMeasure:
         sources, targets = _states(voting, "p1 == CC", "p2 == CC")
         alpha = source_weights(voting.kernel, sources)
         policy = SPointPolicy(max_block_bytes=1 << 20)
-        grids = [EulerInverter().required_s_points([t]) for t in (3.0, 9.0)]
+        # two t-points' grids each: more points than one direct block holds
+        grids = [EulerInverter().required_s_points([t, 2 * t]) for t in (3.0, 9.0)]
         for grid in grids:
             report: dict = {}
             passage_transform_batch(

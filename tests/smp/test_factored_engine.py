@@ -208,7 +208,7 @@ def test_factored_u_product_against_matrix():
     """The factored row operator reproduces dense ``U'(s)`` products for a
     passage and ``U(s)`` products with the weighted sums for a transient, on
     the batch operator's complex ``(width, n)`` state."""
-    from repro.smp.passage import _FactoredRowOperator
+    from repro.smp.passage import _FactoredRowOperator, _Form
 
     kernel = random_kernel(np.random.default_rng(3), 9)
     evaluator = kernel.evaluator()
@@ -218,7 +218,7 @@ def test_factored_u_product_against_matrix():
     mask[[2, 6]] = True
     alpha = np.asarray(source_weights(kernel, [0]), dtype=complex)
 
-    row = _FactoredRowOperator(evaluator, mask, alpha, np.flatnonzero(mask), None, table)
+    row = _FactoredRowOperator(evaluator, _Form(alpha, mask), table, s_block)
     row.start()
     assert row._state.shape == (s_block.size, kernel.n_states)
     assert row._state.dtype == complex
@@ -235,9 +235,12 @@ def test_factored_u_product_against_matrix():
     weights = np.stack([
         (1.0 - reference.sojourn_lsts(kernel, complex(s))[targets]) / s for s in s_block
     ])
+    transient_mask = np.zeros(kernel.n_states, dtype=bool)
+    transient_mask[targets] = True
     transient = _FactoredRowOperator(
-        evaluator, np.zeros(kernel.n_states, dtype=bool), alpha, targets, weights, table
+        evaluator, _Form(alpha, transient_mask, transient=True), table, s_block
     )
+    assert np.abs(transient._weights - weights).max() < 1e-12
     transient.start()
     transient.step()  # one application of U: nothing absorbed
     for t, s in enumerate(s_block):

@@ -147,8 +147,8 @@ def test_one_implementation_of_the_per_point_algorithm():
     # _factor, always in the given order (``NATURAL``), reached from a
     # DirectOrdering's solve only; the ordering it factors in is COLAMD's,
     # read once per mask off an incomplete LU in DirectOrdering.__init__ —
-    # and the passage's and the transient's direct batch solves are what ask
-    # for an ordering
+    # and the passage's and the transient's direct batch solves and the
+    # block's routed points are what ask for an ordering
     assert _call_sites("splu", "spsolve") == {"smp/linear.py": 1}
     assert _callers("splu", "spsolve") == ["smp/linear.py:_factor"]
     linear_calls = [
@@ -177,6 +177,7 @@ def test_one_implementation_of_the_per_point_algorithm():
     assert _callers("direct_ordering") == [
         "smp/linear.py:passage_transform_direct_batch",
         "smp/linear.py:transient_transform_direct_batch",
+        "smp/passage.py:direct",
     ]
     # one moments code, called from one place, with nothing to select
     assert _call_sites("passage_moments") == {"core/solvers.py": 1}
@@ -374,8 +375,11 @@ def test_one_routed_block_solve():
     """One scaffold, one block function, one driver: each decision of a block
     solve (time it, route it, solve it directly) is written exactly once."""
     assert _call_sites("route_direct") == {"smp/passage.py": 1}
-    assert _call_sites("passage_transform_direct_batch") == {"smp/passage.py": 1}
-    assert _call_sites("transient_transform_direct_batch") == {"smp/passage.py": 1}
+    # routed and fallback points reach the LU through the form, with their
+    # rows of the block's transform table: nothing in src/ asks the public
+    # direct solves, which evaluate a table of their own
+    assert _callers("direct") == ["smp/passage.py:_solve_block"]
+    assert not _call_sites("passage_transform_direct_batch", "transient_transform_direct_batch")
     # the block's, and the passage walk's once per window: one truncation rule
     assert _call_sites("_drive") == {"smp/passage.py": 2}
     assert _callers("_drive") == ["smp/passage.py:_solve_block", "smp/passage.py:drive"]
@@ -430,30 +434,86 @@ def test_the_block_solve_does_not_copy():
     assert _call_sites("narrow") == {"smp/passage.py": 1}  # the driver's
     assert _call_sites("block_diag_structure") == {"smp/passage.py": 1}
 
-    # the block's one U grid is written in run order and read by views only:
-    # no subscript of it gathers, and M is the grid, zeroed in place
+    # the transient stepper's own U data is read by views only: no subscript
+    # of it gathers, and nothing writes it after its fill
     passage = SRC / "smp" / "passage.py"
-    grids = ("u_data", "up_data", "grid", "self._grid", "self._data", "data")
+    views = ("self._u", "self._data", "data")
     reads = [
         node for node in _nodes(passage, ast.Subscript)
-        if ast.unparse(node.value) in grids and isinstance(node.ctx, ast.Load)
+        if ast.unparse(node.value) in views and isinstance(node.ctx, ast.Load)
     ]
     assert reads and all(isinstance(node.slice, ast.Slice) for node in reads), [
         ast.unparse(node) for node in reads if not isinstance(node.slice, ast.Slice)
     ]
     writes = [
         ast.unparse(node) for node in _nodes(passage, ast.Subscript)
-        if ast.unparse(node.value) in grids and isinstance(node.ctx, ast.Store)
+        if ast.unparse(node.value) in views and isinstance(node.ctx, ast.Store)
     ]
     # nothing is zeroed in place: the batch operator runs the transient,
     # which absorbs nothing, and a passage walks on data filled for it
     assert writes == []
+    (operator,) = [
+        node for node in _nodes(passage, ast.ClassDef) if node.name == "_BatchRowOperator"
+    ]
+    fills = [
+        ast.unparse(node) for node in ast.walk(operator)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fill_u_data"
+    ]
+    assert fills == ["evaluator.fill_u_data(table)"]
+    assert _callers("fill_u_data") == ["smp/kernel.py:u_data_batch", "smp/passage.py:__init__"]
+
+
+def test_a_block_holds_its_transform_table_and_no_u_grid():
+    """The block's transform table is the only per-point data it holds: it
+    is evaluated once per block, every solver writes the entries it reads
+    from its rows through one kernel helper, and no ``U`` grid is handed
+    from the block to the LU."""
+    passage = SRC / "smp" / "passage.py"
     (block,) = [
         node for node in _nodes(passage, ast.FunctionDef) if node.name == "_solve_block"
     ]
+    tables = [
+        node for node in ast.walk(block)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lst_table"
+    ]
+    assert len(tables) == 1
     names = {node.id for node in ast.walk(block) if isinstance(node, ast.Name)}
-    assert "up_data" not in names and "u_data" not in names
-    assert _call_sites("fill_u_data") == {"smp/kernel.py": 1, "smp/passage.py": 2}
+    assert not names & {"grid", "u_data", "up_data", "u_rows", "routed", "filled"}
+    # the public direct solves evaluate their grid's table, and u_data_batch
+    # its own: no other solver asks for transforms
+    assert _callers("lst_table") == [
+        "smp/kernel.py:u_data_batch",
+        "smp/linear.py:passage_transform_direct_batch",
+        "smp/linear.py:transient_transform_direct_batch",
+        "smp/passage.py:_solve_block",
+    ]
+    # ``table[..., dist] * probs`` is written once, in the kernel's helper
+    gather = re.compile(r"np\.take\(\s*table\s*,[^)]*dist")
+    gathers = {
+        path.relative_to(SRC).as_posix(): len(gather.findall(path.read_text()))
+        for path in sorted(SRC.rglob("*.py"))
+        if gather.search(path.read_text())
+    }
+    assert gathers == {"smp/kernel.py": 1}
+    (helper,) = [
+        node for node in _nodes(SRC / "smp" / "kernel.py", ast.FunctionDef)
+        if node.name == "entry_values"
+    ]
+    assert "np.take(table, dist" in ast.unparse(helper) and "out *= probs" in ast.unparse(helper)
+    # for the transient stepper (through fill_u_data), the start product
+    # alpha U, the sparse LU (a passage's entries and inflow, a transient's
+    # entries) and the passage walk's windows
+    assert _callers("entry_values") == [
+        "smp/kernel.py:fill_u_data",
+        "smp/kernel.py:alpha_vec_matrix_batch",
+        "smp/linear.py:passage",
+        "smp/linear.py:passage",
+        "smp/linear.py:transient",
+        "smp/passage.py:__init__",
+    ]
+    smp = "\n".join(path.read_text() for path in sorted((SRC / "smp").glob("*.py")))
+    assert "_point_data" not in smp
+    assert not re.search(r"\bu_data\b", smp)
 
 
 def test_one_matrix_per_block_and_scipys_private_kernels_in_two_places():
